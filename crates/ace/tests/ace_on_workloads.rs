@@ -4,10 +4,10 @@
 
 use merlin_ace::{AceAnalysis, SessionAce};
 use merlin_analyze::ProgramAnalysis;
-use merlin_cpu::{CpuConfig, Structure};
+use merlin_cpu::{Cpu, CpuConfig, NullProbe, Structure};
 use merlin_inject::{FaultEffect, Session};
 use merlin_isa::DecodedProgram;
-use merlin_workloads::workload_by_name;
+use merlin_workloads::{all_workloads, workload_by_name};
 
 #[test]
 fn ace_avf_decreases_with_register_file_size() {
@@ -125,5 +125,42 @@ fn ace_pruned_faults_are_masked_when_injected() {
             pruned_checked > 0,
             "{structure}: no pruned faults sampled at all"
         );
+    }
+}
+
+#[test]
+fn dead_sites_never_lie_inside_a_vulnerable_interval() {
+    // `Cpu::fault_site_dead` and the ACE-like profile are two views of the
+    // same lifetimes: an entry overwritten before any read cannot be
+    // inside an interval that a committed read closes.  This is why the
+    // MeRLiN flow, whose representatives all sit inside intervals, never
+    // reaches the batched driver's dead-site resolution.
+    const SAMPLES: u64 = 48;
+    for w in all_workloads() {
+        let cfg = CpuConfig::default();
+        let ace = AceAnalysis::run(&w.program, &cfg, 50_000_000).unwrap();
+        let mut cpu = Cpu::new(w.program.clone(), cfg).unwrap();
+        let mut checked = 0usize;
+        for k in 1..SAMPLES {
+            let cycle = ace.golden.cycles * k / SAMPLES;
+            while cpu.cycle() < cycle {
+                cpu.step(&mut NullProbe);
+            }
+            for &s in Structure::all() {
+                let repo = ace.structure(s);
+                for entry in 0..cpu.structure_entries(s) {
+                    if cpu.fault_site_dead(s, entry) {
+                        checked += 1;
+                        assert!(
+                            repo.lookup(entry, cycle).is_none(),
+                            "{}: {s} entry {entry} is dead at cycle {cycle} but inside {:?}",
+                            w.name,
+                            repo.lookup(entry, cycle)
+                        );
+                    }
+                }
+            }
+        }
+        assert!(checked > 0, "{}: no dead site sampled", w.name);
     }
 }

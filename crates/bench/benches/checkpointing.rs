@@ -323,8 +323,8 @@ fn checkpointing(c: &mut Criterion) {
              from-scratch {scratch_s:.3}s vs checkpointed {ck_s:.3}s -> {speedup:.2}x \
              (batched {batched_s:.3}s -> {batched_speedup:.2}x), \
              batched suffix cycles {} vs per-fault {} -> {dense_reduction:.2}x fewer \
-             ({} golden replay cycles, {} ranges batched, {} forks spawned, \
-             {} probe-retired, {} merged of {} prefilter hits), \
+             ({} golden replay cycles, {} ranges batched, {} dead sites, \
+             {} forks spawned, {} probe-retired), \
              CoW forks copied {} B vs {} B eager ({} B shared, {} breaks), \
              sparse store ({sparse_checkpoints} checkpoints): batched suffix \
              cycles {} vs per-fault {} -> {suffix_reduction:.2}x fewer \
@@ -341,10 +341,9 @@ fn checkpointing(c: &mut Criterion) {
             sched.suffix_cycles,
             bsched.golden_replay_cycles,
             bsched.batched_ranges,
+            bsched.dead_sites,
             bsched.forks_spawned,
             bsched.forks_retired,
-            bsched.forks_merged,
-            bsched.merge_prefilter_hits,
             bsched.fork_bytes_copied,
             bsched.fork_bytes_eager,
             bsched.fork_bytes_shared,
@@ -389,8 +388,7 @@ fn checkpointing(c: &mut Criterion) {
              \"batched_suffix_cycles\": {}, \
              \"suffix_cycle_reduction_dense_store\": {dense_reduction:.3}, \
              \"golden_replay_cycles\": {}, \"batched_ranges\": {}, \
-             \"forks_spawned\": {}, \"forks_retired\": {}, \
-             \"forks_merged\": {}, \"merge_prefilter_hits\": {}, \
+             \"dead_sites\": {}, \"forks_spawned\": {}, \"forks_retired\": {}, \
              \"fork_bytes_copied\": {}, \"fork_bytes_eager\": {}, \
              \"fork_bytes_shared\": {}, \"cow_breaks\": {}, \
              \"sparse_checkpoints\": {sparse_checkpoints}, \
@@ -400,10 +398,9 @@ fn checkpointing(c: &mut Criterion) {
              \"sparse_per_fault_s\": {:.6}, \
              \"sparse_batched_s\": {:.6}, \
              \"sparse_golden_replay_cycles\": {}, \
+             \"sparse_dead_sites\": {}, \
              \"sparse_forks_spawned\": {}, \
              \"sparse_forks_retired\": {}, \
-             \"sparse_forks_merged\": {}, \
-             \"sparse_merge_prefilter_hits\": {}, \
              \"sparse_fork_bytes_copied\": {}, \
              \"sparse_fork_bytes_eager\": {}, \
              \"sparse_fork_bytes_shared\": {}, \
@@ -439,10 +436,9 @@ fn checkpointing(c: &mut Criterion) {
             bsched.suffix_cycles,
             bsched.golden_replay_cycles,
             bsched.batched_ranges,
+            bsched.dead_sites,
             bsched.forks_spawned,
             bsched.forks_retired,
-            bsched.forks_merged,
-            bsched.merge_prefilter_hits,
             bsched.fork_bytes_copied,
             bsched.fork_bytes_eager,
             bsched.fork_bytes_shared,
@@ -452,10 +448,9 @@ fn checkpointing(c: &mut Criterion) {
             sparse.per_fault_s,
             sparse.batched_s,
             sbsched.golden_replay_cycles,
+            sbsched.dead_sites,
             sbsched.forks_spawned,
             sbsched.forks_retired,
-            sbsched.forks_merged,
-            sbsched.merge_prefilter_hits,
             sbsched.fork_bytes_copied,
             sbsched.fork_bytes_eager,
             sbsched.fork_bytes_shared,

@@ -586,13 +586,12 @@ fn accuracy_figures(scale: &ExperimentScale) {
                 sched_sum.batched_ranges += comprehensive.schedule.batched_ranges;
                 sched_sum.forks_spawned += comprehensive.schedule.forks_spawned;
                 sched_sum.forks_retired += comprehensive.schedule.forks_retired;
-                sched_sum.forks_merged += comprehensive.schedule.forks_merged;
+                sched_sum.dead_sites += comprehensive.schedule.dead_sites;
                 sched_sum.golden_replay_cycles += comprehensive.schedule.golden_replay_cycles;
                 sched_sum.fork_bytes_copied += comprehensive.schedule.fork_bytes_copied;
                 sched_sum.fork_bytes_eager += comprehensive.schedule.fork_bytes_eager;
                 sched_sum.fork_bytes_shared += comprehensive.schedule.fork_bytes_shared;
                 sched_sum.cow_breaks += comprehensive.schedule.cow_breaks;
-                sched_sum.merge_prefilter_hits += comprehensive.schedule.merge_prefilter_hits;
                 let post_ace = cell
                     .session
                     .post_ace_baseline(&cell.campaign.reduction)
@@ -655,14 +654,12 @@ fn accuracy_figures(scale: &ExperimentScale) {
         sched_sum.static_prunes
     );
     println!(
-        "batched suffix simulation: {} ranges batched, {} forks spawned \
-         ({} probe-retired, {} merged of {} prefilter hits), \
-         {} golden replay cycles shared\n",
+        "batched suffix simulation: {} ranges batched, {} dead sites resolved without a fork, \
+         {} forks spawned ({} probe-retired), {} golden replay cycles shared\n",
         sched_sum.batched_ranges,
+        sched_sum.dead_sites,
         sched_sum.forks_spawned,
         sched_sum.forks_retired,
-        sched_sum.forks_merged,
-        sched_sum.merge_prefilter_hits,
         sched_sum.golden_replay_cycles
     );
     println!(

@@ -224,8 +224,9 @@ impl Cache {
 
     /// Flips a single stored bit — the L1D fault-injection hook.  The flip
     /// happens regardless of the line's valid bit (the SRAM cell exists
-    /// either way); faults in invalid lines are naturally masked because the
-    /// next refill overwrites them.
+    /// either way); a flip in an invalid line is overwritten by the next
+    /// refill before any read (see
+    /// [`Cpu::fault_site_dead`](crate::Cpu::fault_site_dead)).
     pub fn flip_bit(&mut self, set: usize, way: usize, byte: usize, bit: u8) {
         self.mark_touched(set, way);
         let idx = self.line_index(set, way);

@@ -1316,11 +1316,12 @@ impl Cpu {
     /// suffix driver.
     ///
     /// Every heavy structure shares `src`'s page handles structurally
-    /// instead of copying entries (see [`crate::cow`]); sharing breaks
-    /// lazily, per page, on whichever side writes first.  The fork therefore
-    /// copies almost nothing up front — only scalars and the small
-    /// eagerly-copied structures like the rename table — and is *total*:
-    /// valid from any state of `self`, not just `src`'s restore base.
+    /// instead of copying entries (see [`CowTable`](crate::CowTable));
+    /// sharing breaks lazily, per page, on whichever side writes first.
+    /// The fork therefore copies almost nothing up front — only scalars and
+    /// the small eagerly-copied structures like the rename table — and is
+    /// *total*: valid from any state of `self`, not just `src`'s restore
+    /// base.
     /// Neither core may be quarantined (checked in debug builds).
     ///
     /// The fork inherits `src`'s divergence tags and restore identity
@@ -1398,9 +1399,10 @@ impl Cpu {
     }
 
     /// Page un-share events accumulated across every CoW-backed structure
-    /// since the last call (see [`crate::cow`]): each count is one page that
-    /// was shared — with a fork sibling, a snapshot, or the pristine memory
-    /// image — and had to be materialised privately on first write.
+    /// since the last call (see [`CowTable`](crate::CowTable)): each count
+    /// is one page that was shared — with a fork sibling, a snapshot, or
+    /// the pristine memory image — and had to be materialised privately on
+    /// first write.
     pub fn take_cow_breaks(&mut self) -> u64 {
         self.prf.take_cow_breaks()
             + self.free_list.take_cow_breaks()
@@ -1450,45 +1452,45 @@ impl Cpu {
             && self.dyn_counts.fully_private()
     }
 
-    /// An order-independent fingerprint of the core's cheap scalar state,
-    /// used as a prefilter when testing two same-cycle forks for the paper's
-    /// fault-equivalence merge: equal states always produce equal
-    /// fingerprints (every input is architectural state, never bookkeeping),
-    /// so a fingerprint mismatch proves the forks differ without touching
-    /// any array.  Colliding fingerprints are confirmed with an exact
-    /// [`Cpu::snapshot`] equality comparison.
-    pub fn merge_fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        };
-        mix(self.cycle);
-        mix(self.next_seq);
-        mix(self.fetch_pc as u64);
-        mix(self.fetch_halted as u64);
-        mix(self.fetch_invalid as u64);
-        mix(self.fetch_buffer.len() as u64);
-        mix(self.rob.len() as u64);
-        mix(self.iq_count as u64);
-        mix(self.lq.len() as u64);
-        mix(self.sq.len() as u64);
-        mix(self.pending_store_slot.map_or(u64::MAX, |s| s as u64));
-        mix(self.committed_instructions);
-        mix(self.committed_uops);
-        mix(self.arithmetic_exceptions);
-        mix(self.misaligned_exceptions);
-        mix(self.path_sig);
-        mix(self.output.len() as u64);
-        mix(self.output.last().copied().unwrap_or(0));
-        mix(match &self.finished {
-            None => 0,
-            Some(ExitReason::Halted) => 1,
-            Some(ExitReason::Timeout) => 2,
-            Some(ExitReason::Crash(_)) => 3,
-            Some(ExitReason::Assert(_)) => 4,
-        });
-        h
+    /// Whether a bit flip in `entry` of `structure`, applied at the start of
+    /// the current cycle, can never be observed: the entry is overwritten
+    /// before anything reads it, so the fault is Masked without simulating.
+    /// Each rule rests on an invariant of the core:
+    ///
+    /// - **Register file:** the physical register is on the free list, or
+    ///   allocated but not yet ready.  Rename marks a newly allocated
+    ///   register not-ready; it turns ready only when writeback overwrites
+    ///   its whole value, or when a squash frees it.  Issue waits for every
+    ///   source to be ready, and nothing reads a free register until it is
+    ///   allocated again.
+    /// - **Store queue:** the slot is not valid, or valid but its store data
+    ///   has not arrived yet.  [`StoreQueue::allocate`] and the store-data
+    ///   micro-op overwrite the data field; forwarding and the commit-time
+    ///   drain read it only from valid slots whose data is ready.
+    /// - **L1 data cache:** the line holding the word is invalid.  A refill
+    ///   overwrites the whole line, and lookups, snapshots and evictions
+    ///   skip invalid lines.
+    ///
+    /// Returns `false` for entries outside the configuration; `false` only
+    /// means "not proven dead".
+    pub fn fault_site_dead(&self, structure: Structure, entry: usize) -> bool {
+        if entry >= self.structure_entries(structure) {
+            return false;
+        }
+        match structure {
+            Structure::RegisterFile => {
+                let p = entry as PhysReg;
+                !self.prf.is_ready(p) || self.free_list.contains(p)
+            }
+            Structure::StoreQueue => {
+                let slot = self.sq.slot(entry);
+                !slot.valid || !slot.data_ready
+            }
+            Structure::L1DCache => {
+                let (set, way, _) = self.mem.l1d.entry_location(entry);
+                !self.mem.l1d.is_valid(set, way)
+            }
+        }
     }
 
     /// Demote this core after its state became untrusted — typically because

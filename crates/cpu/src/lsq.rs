@@ -229,7 +229,9 @@ impl StoreQueue {
     }
 
     /// Flips one bit of a slot's data field — the store-queue fault-injection
-    /// hook.  Applies regardless of slot validity.
+    /// hook.  Applies regardless of slot validity; a flip in an invalid slot
+    /// or one whose data has not arrived is overwritten before any read
+    /// (see [`Cpu::fault_site_dead`](crate::Cpu::fault_site_dead)).
     pub fn flip_bit(&mut self, slot: usize, bit: u8) {
         self.touched.mark(slot);
         self.slots.get_mut(slot).data ^= 1u64 << bit;

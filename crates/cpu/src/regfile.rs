@@ -82,9 +82,9 @@ impl PhysRegFile {
     }
 
     /// Flips one stored bit — the register-file fault-injection hook.  The
-    /// flip applies whether or not the register is currently mapped; faults
-    /// in free registers are naturally masked because allocation writes the
-    /// register before any read.
+    /// flip applies whether or not the register is currently mapped; a flip
+    /// in a free or not-yet-written register is overwritten before any read
+    /// (see [`Cpu::fault_site_dead`](crate::Cpu::fault_site_dead)).
     pub fn flip_bit(&mut self, p: usize, bit: u8) {
         *self.values.get_mut(p) ^= 1u64 << bit;
         self.touched.mark(p);
@@ -224,6 +224,11 @@ impl FreeList {
     /// Registers currently free.
     pub fn available(&self) -> usize {
         self.free.len()
+    }
+
+    /// Whether `p` is currently free.
+    pub fn contains(&self, p: PhysReg) -> bool {
+        self.free.contains(&p)
     }
 
     /// Whether the free list was mutated since the last restore.

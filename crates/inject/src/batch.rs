@@ -1,6 +1,7 @@
 //! Fork-on-divergence batched suffix simulation: one golden replay per
-//! checkpoint range, faulty cores forked lazily from the live golden state,
-//! probe-driven retirement and fault-equivalence merging.
+//! checkpoint range, dead-site resolution at each injection cycle, faulty
+//! cores forked lazily from the live golden state and probe-driven
+//! retirement.
 //!
 //! # The inversion
 //!
@@ -16,28 +17,26 @@
 //! 1. restores **one golden core** from the range's shared snapshot and
 //!    drives it forward exactly once, stopping at each injection cycle
 //!    (`golden_replay_cycles`),
-//! 2. **forks** a faulty core at each fault's injection cycle: a pool core
-//!    is incrementally restored from the same snapshot, then
-//!    [`Cpu::fork_from`] copies only the golden core's
-//!    *touched-since-restore* entries — O(divergence), not O(state) —
-//!    and the fault is injected,
-//! 3. **merges** forks spawned at the same cycle whose complete states
-//!    collide (fault equivalence — in practice, same-site duplicate
-//!    faults): the later fork adopts the earlier one's eventual outcome
-//!    (`forks_merged`) without simulating.  Equal state at equal cycle
-//!    implies identical futures, so the shared classification is exact,
-//!    not approximate.  A cheap [`Cpu::merge_fingerprint`] prefilter
-//!    keeps the exact comparison off the common path,
-//! 4. runs each surviving fork **to retirement on the spot** — the same
+//! 2. **resolves dead sites** there: the golden core now holds exactly the
+//!    state the fault's flip would land in, so [`Cpu::fault_site_dead`]
+//!    tells whether the flipped entry is overwritten before anything reads
+//!    it.  Such a fault is Masked by construction (`dead_sites`): no core
+//!    is taken, restored, forked, injected or stepped for it.  This is the
+//!    first step of MeRLiN's ACE-like analysis applied per fault,
+//! 3. **forks** a faulty core for every other fault: a pool core is
+//!    restored from the same snapshot, then [`Cpu::fork_from`] adopts the
+//!    golden core's copy-on-write page handles — O(metadata); a page is
+//!    copied only when the fork first writes it — and the fault is
+//!    injected,
+//! 4. runs the fork **to retirement on the spot** — the same
 //!    boundary-probe loop as the per-fault engine, verbatim: at each
 //!    retained checkpoint boundary the fork crosses, its state is compared
 //!    against the golden checkpoint through the memoised golden-to-golden
 //!    diff ([`Cpu::matches_state_with_diff`]); a fork that re-converged
 //!    with the golden stream is retired Masked immediately
 //!    (`forks_retired`), anything else runs to halt or timeout and is
-//!    classified against the golden result.  Running forks back-to-back
-//!    (instead of interleaving them cycle-by-cycle) keeps exactly one
-//!    core's working set hot.
+//!    classified against the golden result.  Forks run one after another,
+//!    so one faulty core's working set is hot at a time.
 //!
 //! # Determinism
 //!
@@ -45,20 +44,23 @@
 //! cycle is bit-identical to a per-fault core restored from the same
 //! snapshot and stepped fault-free to that cycle, and both apply the fault
 //! at the same step.  From there the fork's simulation loop *is* the
-//! per-fault engine's loop, so batched campaigns produce byte-identical
+//! per-fault engine's loop.  A dead-site fault, simulated in full, runs
+//! exactly the golden run (its flip is overwritten unread), so its Masked
+//! classification is the one simulation would produce.  Batched campaigns
+//! therefore produce byte-identical
 //! [`CampaignResult::outcomes`](crate::CampaignResult::outcomes) to the
-//! per-fault path at any thread count — the per-fault engine stays wired
-//! in as the oracle and `tests/batched_determinism.rs` pins the
-//! equivalence.  What changes is only the work: the fault-free prefix
-//! replay is paid once per range instead of once per fault.
+//! per-fault path at any thread count.  The per-fault engine and
+//! from-scratch simulation query no dead sites and simulate every fault,
+//! so they stay wired in as independent oracles;
+//! `tests/batched_determinism.rs` pins the equivalence.
 //!
 //! # Failure containment
 //!
-//! Every golden-replay segment, fork spawn, merge comparison and fork run
+//! Every golden-replay segment, dead-site query, fork spawn and fork run
 //! executes under its own `catch_unwind`.  A panic quarantines *only the
-//! panicking core* (its next restore is a forced full restore), returns
-//! every other core to the pool, and abandons the batched attempt; the
-//! scheduler then re-runs the whole range inline on the per-fault path,
+//! panicking core* (the golden core for replay and dead-site queries),
+//! returns every other core to the pool, and abandons the batched attempt;
+//! the scheduler then re-runs the whole range inline on the per-fault path,
 //! whose own per-fault containment classifies a deterministically
 //! panicking fault as [`Assert`](crate::FaultEffect::Assert) exactly as it
 //! always did.
@@ -88,18 +90,18 @@ pub enum BatchingPolicy {
     /// path.
     #[default]
     PerFault,
-    /// One golden replay per checkpoint range; faulty cores are forked
-    /// from the live golden core at their injection cycles, merged on
-    /// state collision and retired on re-convergence.  Falls back to
+    /// One golden replay per checkpoint range; faults on dead sites are
+    /// resolved at their injection cycles, the rest fork from the live
+    /// golden core and retire on re-convergence.  Falls back to
     /// [`BatchingPolicy::PerFault`] per range on any panic and on
     /// from-scratch campaigns (which have no checkpoint store).
     Batched,
 }
 
 /// Per-worker pool of reusable cores for the batched driver: the golden
-/// replay core plus one per fork spawned at the same injection cycle.
-/// Retired forks return their cores here, so a worker needs at most
-/// `max_same_cycle_faults + 1` core constructions over the whole campaign.
+/// replay core plus the one live fork.  Retired forks return their cores
+/// here, so a worker builds two cores, and new ones only after a range
+/// retry clears the pool.
 pub(crate) struct ForkPool {
     program: Arc<Program>,
     decoded: Arc<DecodedProgram>,
@@ -163,7 +165,9 @@ impl ForkPool {
 pub(crate) struct BatchStats {
     pub forks_spawned: u64,
     pub forks_retired: u64,
-    pub forks_merged: u64,
+    /// Faults resolved Masked at their injection cycle by
+    /// [`Cpu::fault_site_dead`], without a fork.
+    pub dead_sites: u64,
     /// Cycles the shared golden core replayed for this range — the work
     /// the fork-on-divergence inversion pays *once* instead of per fault
     /// (kept out of `suffix_cycles`, which counts faulty-core cycles
@@ -185,31 +189,6 @@ pub(crate) struct BatchStats {
     /// the pool during this range (first private write after a fork or a
     /// handle-sharing restore).
     pub cow_breaks: u64,
-    /// Merge-prefilter fingerprint collisions: candidate pairs whose cheap
-    /// [`Cpu::merge_fingerprint`] matched and advanced to the exact state
-    /// comparison.  [`BatchStats::forks_merged`] counts the confirmations;
-    /// the gap between the two is the prefilter's false-positive volume.
-    pub merge_prefilter_hits: u64,
-}
-
-/// A fork whose outcome was adopted from its merge representative; only
-/// its per-fault bookkeeping remains to be attached once the
-/// representative's effect is known.
-struct MergedFork {
-    idx: usize,
-    restore: RestoreStats,
-}
-
-/// One faulty core forked from the golden replay, fault injected, not yet
-/// simulated.
-struct Fork {
-    idx: usize,
-    spawn_cycle: u64,
-    restore: RestoreStats,
-    core: Cpu,
-    /// Same-cycle forks merged into this one; they share its eventual
-    /// outcome.
-    followers: Vec<MergedFork>,
 }
 
 fn fault_run(
@@ -234,45 +213,12 @@ fn fault_run(
     }
 }
 
-/// Finalises a fork: returns its core to the pool and emits its outcome
-/// plus one outcome per merged follower, all sharing `effect` (followers
-/// simulated zero cycles — that is the merge win).
-fn retire_fork(
-    fork: Fork,
-    effect: FaultEffect,
-    early_exit: bool,
-    suffix_cycles: u64,
-    pool: &mut ForkPool,
-    out: &mut Vec<(usize, FaultRun)>,
-) {
-    let Fork {
-        idx,
-        restore,
-        core,
-        followers,
-        ..
-    } = fork;
-    pool.put(core);
-    out.push((idx, fault_run(effect, early_exit, restore, suffix_cycles)));
-    for f in followers {
-        out.push((f.idx, fault_run(effect, early_exit, f.restore, 0)));
-    }
-}
-
 /// Returns every surviving core to the pool, with the panicking core (if
 /// any) quarantined and pushed last — so the per-fault fallback picks it
 /// up first and its forced full restore is exercised (and visible as a
 /// poisoned restore) instead of the core rotting at the bottom of the
 /// pool.
-fn abort_to_pool(
-    pool: &mut ForkPool,
-    golden_core: Option<Cpu>,
-    pending: Vec<Fork>,
-    bad: Option<Cpu>,
-) {
-    for f in pending {
-        pool.put(f.core);
-    }
+fn abort_to_pool(pool: &mut ForkPool, golden_core: Option<Cpu>, bad: Option<Cpu>) {
     if let Some(g) = golden_core {
         pool.put(g);
     }
@@ -313,7 +259,7 @@ pub(crate) fn run_batched_range(
     let golden_restore = match catch_unwind(AssertUnwindSafe(|| golden_core.restore_from(state))) {
         Ok(r) => r,
         Err(_) => {
-            abort_to_pool(pool, None, Vec::new(), Some(golden_core));
+            abort_to_pool(pool, None, Some(golden_core));
             return None;
         }
     };
@@ -323,20 +269,19 @@ pub(crate) fn run_batched_range(
     stats.golden_poisoned_restores = u64::from(golden_restore.from_quarantine);
     stats.golden_restored_bytes = golden_restore.bytes;
 
-    let mut next_sim = 0usize;
-    while next_sim < sim.len() {
-        // Replay the golden core up to the next injection cycle — never
-        // past it, so the fork sees exactly the state a per-fault core has
+    for &idx in sim {
+        let fault = faults[idx];
+        // Replay the golden core up to the injection cycle — never past
+        // it, so the fork sees exactly the state a per-fault core has
         // after replaying to that cycle.  Once the golden run halts its
         // cycle freezes and all remaining forks clone the frozen final
         // state: their faults would never fire on the per-fault path
         // either, and the cloned cores finalise immediately with the
         // golden result.
-        let target = faults[sim[next_sim]].cycle;
-        if !golden_core.is_finished() && golden_core.cycle() < target {
+        if !golden_core.is_finished() && golden_core.cycle() < fault.cycle {
             let stepped = catch_unwind(AssertUnwindSafe(|| {
                 let mut n = 0u64;
-                while !golden_core.is_finished() && golden_core.cycle() < target {
+                while !golden_core.is_finished() && golden_core.cycle() < fault.cycle {
                     golden_core.step(&mut NullProbe);
                     n += 1;
                 }
@@ -345,136 +290,98 @@ pub(crate) fn run_batched_range(
             match stepped {
                 Ok(n) => stats.golden_replay_cycles += n,
                 Err(_) => {
-                    abort_to_pool(pool, None, Vec::new(), Some(golden_core));
+                    abort_to_pool(pool, None, Some(golden_core));
                     return None;
                 }
             }
         }
 
-        // Spawn the cohort of faults due at this golden state, merging
-        // forks whose complete post-spawn states collide (in practice:
-        // duplicate same-site faults) before any of them simulates.
-        let cycle = golden_core.cycle();
-        let mut cohort: Vec<Fork> = Vec::new();
-        while next_sim < sim.len()
-            && (golden_core.is_finished() || faults[sim[next_sim]].cycle <= cycle)
-        {
-            let idx = sim[next_sim];
-            let fault = faults[idx];
-            next_sim += 1;
-            let Some(mut core) = pool.take() else {
-                abort_to_pool(pool, Some(golden_core), cohort, None);
-                return None;
-            };
-            let forked = catch_unwind(AssertUnwindSafe(|| {
-                crate::chaos::maybe_panic_fault(fault.cycle);
-                let restore = core.restore_from(state);
-                let fork_bytes = core.fork_from(&golden_core);
-                (restore, fork_bytes)
-            }));
-            let (restore, fork_bytes) = match forked {
-                Ok(r) => r,
-                Err(_) => {
-                    abort_to_pool(pool, Some(golden_core), cohort, Some(core));
-                    return None;
-                }
-            };
-            stats.fork_bytes += fork_bytes;
-            if core.inject_fault(fault).is_err() {
-                // Absent fault site: same resolution as the per-fault
-                // engine.
-                out.push((idx, FaultRun::skipped(true, Some(restore))));
-                pool.put(core);
+        // Dead-site resolution, on the golden core itself: it sits at the
+        // start of the fault's cycle, exactly where the flip would apply.
+        // The chaos hook fires first, so an armed fault panics whether or
+        // not its site is dead.
+        let at_cycle = !golden_core.is_finished() && golden_core.cycle() == fault.cycle;
+        let dead = catch_unwind(AssertUnwindSafe(|| {
+            crate::chaos::maybe_panic_fault(fault.cycle);
+            at_cycle && golden_core.fault_site_dead(fault.structure, fault.entry)
+        }));
+        match dead {
+            Ok(true) => {
+                stats.dead_sites += 1;
+                out.push((idx, FaultRun::unsimulated(FaultEffect::Masked)));
                 continue;
             }
-            stats.forks_spawned += 1;
-            let merged = catch_unwind(AssertUnwindSafe(|| {
-                let fp = core.merge_fingerprint();
-                let mut prefilter_hits = 0u64;
-                let hit = cohort.iter().position(|rep| {
-                    if rep.core.merge_fingerprint() != fp {
-                        return false;
-                    }
-                    prefilter_hits += 1;
-                    rep.core.matches_state(&core.snapshot())
-                });
-                (hit, prefilter_hits)
-            }));
-            match merged {
-                Ok((hit, prefilter_hits)) => {
-                    stats.merge_prefilter_hits += prefilter_hits;
-                    match hit {
-                        Some(k) => {
-                            pool.put(core);
-                            stats.forks_merged += 1;
-                            cohort[k].followers.push(MergedFork { idx, restore });
-                        }
-                        None => cohort.push(Fork {
-                            idx,
-                            spawn_cycle: cycle,
-                            restore,
-                            core,
-                            followers: Vec::new(),
-                        }),
-                    }
-                }
-                Err(_) => {
-                    // The comparison touched several cores and left no
-                    // single culprit; return everything and let the
-                    // per-fault path contain the fault.
-                    pool.put(core);
-                    abort_to_pool(pool, Some(golden_core), cohort, None);
-                    return None;
-                }
+            Ok(false) => {}
+            Err(_) => {
+                abort_to_pool(pool, None, Some(golden_core));
+                return None;
             }
         }
 
-        // Run each representative to retirement, back-to-back (one hot
-        // core at a time).  This loop is the per-fault engine's
+        let spawn_cycle = golden_core.cycle();
+        let Some(mut core) = pool.take() else {
+            abort_to_pool(pool, Some(golden_core), None);
+            return None;
+        };
+        let forked = catch_unwind(AssertUnwindSafe(|| {
+            let restore = core.restore_from(state);
+            let fork_bytes = core.fork_from(&golden_core);
+            (restore, fork_bytes)
+        }));
+        let (restore, fork_bytes) = match forked {
+            Ok(r) => r,
+            Err(_) => {
+                abort_to_pool(pool, Some(golden_core), Some(core));
+                return None;
+            }
+        };
+        stats.fork_bytes += fork_bytes;
+        if core.inject_fault(fault).is_err() {
+            // Absent fault site: same resolution as the per-fault engine.
+            out.push((idx, FaultRun::skipped(true, Some(restore))));
+            pool.put(core);
+            continue;
+        }
+        stats.forks_spawned += 1;
+
+        // Run the fork to retirement.  This loop is the per-fault engine's
         // simulation loop verbatim, minus the prefix replay it no longer
         // needs: boundary convergence probes through the memoised
         // golden-to-golden diff, then a final run to halt or timeout.
-        while !cohort.is_empty() {
-            let mut fork = cohort.remove(0);
-            let fault_cycle = faults[fork.idx].cycle;
-            let ran = catch_unwind(AssertUnwindSafe(|| {
-                let mut probe = NullProbe;
-                let mut next = boundaries.partition_point(|&c| c <= fault_cycle);
-                while !fork.core.is_finished() && fork.core.cycle() < timeout {
-                    if early_exit && next < boundaries.len() {
-                        if boundaries[next] < fork.core.cycle() {
-                            next += 1;
-                        } else if boundaries[next] == fork.core.cycle() {
-                            if let Some(g) = ckpts.store.at_cycle(fork.core.cycle()) {
-                                let diff = diffs
-                                    .entry((restore_cycle, fork.core.cycle()))
-                                    .or_insert_with(|| state.diff_to(g));
-                                if fork.core.matches_state_with_diff(g, diff) {
-                                    return (
-                                        FaultEffect::Masked,
-                                        true,
-                                        fork.core.cycle() - fork.spawn_cycle,
-                                    );
-                                }
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            let mut probe = NullProbe;
+            let mut next = boundaries.partition_point(|&c| c <= fault.cycle);
+            while !core.is_finished() && core.cycle() < timeout {
+                if early_exit && next < boundaries.len() {
+                    if boundaries[next] < core.cycle() {
+                        next += 1;
+                    } else if boundaries[next] == core.cycle() {
+                        if let Some(g) = ckpts.store.at_cycle(core.cycle()) {
+                            let diff = diffs
+                                .entry((restore_cycle, core.cycle()))
+                                .or_insert_with(|| state.diff_to(g));
+                            if core.matches_state_with_diff(g, diff) {
+                                return (FaultEffect::Masked, true, core.cycle() - spawn_cycle);
                             }
-                            next += 1;
                         }
+                        next += 1;
                     }
-                    fork.core.step(&mut probe);
                 }
-                let result = fork.core.run(timeout, &mut probe);
-                let suffix = result.cycles.saturating_sub(fork.spawn_cycle);
-                (classify(&golden.result, &result), false, suffix)
-            }));
-            match ran {
-                Ok((effect, early, suffix)) => {
-                    stats.forks_retired += u64::from(early);
-                    retire_fork(fork, effect, early, suffix, pool, &mut out);
-                }
-                Err(_) => {
-                    abort_to_pool(pool, Some(golden_core), cohort, Some(fork.core));
-                    return None;
-                }
+                core.step(&mut probe);
+            }
+            let result = core.run(timeout, &mut probe);
+            let suffix = result.cycles.saturating_sub(spawn_cycle);
+            (classify(&golden.result, &result), false, suffix)
+        }));
+        match ran {
+            Ok((effect, early, suffix)) => {
+                stats.forks_retired += u64::from(early);
+                pool.put(core);
+                out.push((idx, fault_run(effect, early, restore, suffix)));
+            }
+            Err(_) => {
+                abort_to_pool(pool, Some(golden_core), Some(core));
+                return None;
             }
         }
     }

@@ -250,6 +250,20 @@ pub(crate) struct FaultRun {
 }
 
 impl FaultRun {
+    /// A fault classified without restoring or simulating anything.
+    pub(crate) fn unsimulated(effect: FaultEffect) -> FaultRun {
+        FaultRun {
+            effect,
+            early_exit: false,
+            restored: false,
+            incremental: false,
+            bytes: RestoredBytes::default(),
+            suffix_cycles: 0,
+            skipped_site: false,
+            from_quarantine: false,
+        }
+    }
+
     /// A fault resolved without simulating: the site does not exist in this
     /// configuration, so the effect is Masked by definition.
     pub(crate) fn skipped(restored: bool, restore: Option<merlin_cpu::RestoreStats>) -> FaultRun {
@@ -259,14 +273,12 @@ impl FaultRun {
             bytes: RestoredBytes::default(),
         });
         FaultRun {
-            effect: FaultEffect::Masked,
-            early_exit: false,
             restored,
             incremental: restore.incremental,
             bytes: restore.bytes,
-            suffix_cycles: 0,
             skipped_site: true,
             from_quarantine: restore.from_quarantine,
+            ..FaultRun::unsimulated(FaultEffect::Masked)
         }
     }
 }
@@ -283,18 +295,7 @@ pub(crate) fn run_single_fault_shared(
     let mut cpu = match Cpu::with_predecoded(Arc::clone(program), Arc::clone(decoded), cfg.clone())
     {
         Ok(c) => c,
-        Err(_) => {
-            return FaultRun {
-                effect: FaultEffect::Assert,
-                early_exit: false,
-                restored: false,
-                incremental: false,
-                bytes: RestoredBytes::default(),
-                suffix_cycles: 0,
-                skipped_site: false,
-                from_quarantine: false,
-            }
-        }
+        Err(_) => return FaultRun::unsimulated(FaultEffect::Assert),
     };
     if cpu.inject_fault(fault).is_err() {
         // A fault site that does not exist in this configuration cannot
@@ -310,25 +311,10 @@ pub(crate) fn run_single_fault_shared(
     }));
     match outcome {
         Ok(result) => FaultRun {
-            effect: classify(&golden.result, &result),
-            early_exit: false,
-            restored: false,
-            incremental: false,
-            bytes: RestoredBytes::default(),
             suffix_cycles: result.cycles,
-            skipped_site: false,
-            from_quarantine: false,
+            ..FaultRun::unsimulated(classify(&golden.result, &result))
         },
-        Err(_) => FaultRun {
-            effect: FaultEffect::Assert,
-            early_exit: false,
-            restored: false,
-            incremental: false,
-            bytes: RestoredBytes::default(),
-            suffix_cycles: 0,
-            skipped_site: false,
-            from_quarantine: false,
-        },
+        Err(_) => FaultRun::unsimulated(FaultEffect::Assert),
     }
 }
 

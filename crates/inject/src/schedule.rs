@@ -130,28 +130,18 @@ pub struct ScheduleStats {
     /// driver (one per simulated fault in a batched range).
     pub forks_spawned: u64,
     /// Forks retired early by the boundary re-convergence probe — the
-    /// batched driver's share of [`CampaignResult::early_exits`]
-    /// (merged followers of a retired fork are counted under
-    /// [`ScheduleStats::forks_merged`] instead).
+    /// batched driver's share of [`CampaignResult::early_exits`].
     ///
     /// [`CampaignResult::early_exits`]: crate::CampaignResult::early_exits
     pub forks_retired: u64,
-    /// Forks whose complete post-injection state collided with an
-    /// earlier live fork's (fault equivalence): they adopted that fork's
-    /// eventual outcome and released their core without simulating their
-    /// own suffix.
-    ///
-    /// Expect this near zero on sampled campaigns: merging requires two
-    /// faults in the same range to produce *bit-identical* whole-core
-    /// state at the same cycle, which in practice means duplicate
-    /// (structure, entry, bit) sites injected at cycles that round to the
-    /// same fetch — vanishingly rare under uniform sampling over
-    /// `sites × cycles` (none occur in the 200-fault bench lists).  The
-    /// counter pays its way on adversarial or exhaustive per-site lists,
-    /// where duplicates are common.  Compare with
-    /// [`ScheduleStats::merge_prefilter_hits`] to see how often the cheap
-    /// fingerprint sent a candidate pair to the exact comparison at all.
-    pub forks_merged: u64,
+    /// Faults the batched driver resolved Masked at their injection cycle
+    /// because [`Cpu::fault_site_dead`](merlin_cpu::Cpu::fault_site_dead)
+    /// held on the golden core: the flipped entry is overwritten before any
+    /// read.  No core is restored, forked or stepped for them, so they are
+    /// counted neither in [`ScheduleStats::forks_spawned`] nor in
+    /// `early_exits`.  Always 0 on the per-fault and from-scratch paths,
+    /// which simulate these faults in full.
+    pub dead_sites: u64,
     /// Cycles the batched driver's shared golden cores replayed — the
     /// per-range prefix work paid *once* instead of per fault.  Kept
     /// separate from [`ScheduleStats::suffix_cycles`], which counts
@@ -176,11 +166,6 @@ pub struct ScheduleStats {
     /// avoided up front — only state a fork actually touches is ever paid
     /// for.
     pub cow_breaks: u64,
-    /// Merge-prefilter fingerprint matches that advanced to the exact
-    /// state comparison; [`ScheduleStats::forks_merged`] counts how many
-    /// were confirmed.  Identical values mean the cheap fingerprint never
-    /// sent a non-equivalent pair to the expensive comparison.
-    pub merge_prefilter_hits: u64,
 }
 
 /// Per-worker tallies, merged into [`ScheduleStats`] after the join.  Also
@@ -204,13 +189,12 @@ struct WorkerStats {
     batched_ranges: u64,
     forks_spawned: u64,
     forks_retired: u64,
-    forks_merged: u64,
+    dead_sites: u64,
     golden_replay_cycles: u64,
     fork_bytes_copied: u64,
     fork_bytes_eager: u64,
     fork_bytes_shared: u64,
     cow_breaks: u64,
-    merge_prefilter_hits: u64,
 }
 
 impl WorkerStats {
@@ -231,13 +215,12 @@ impl WorkerStats {
         self.batched_ranges += other.batched_ranges;
         self.forks_spawned += other.forks_spawned;
         self.forks_retired += other.forks_retired;
-        self.forks_merged += other.forks_merged;
+        self.dead_sites += other.dead_sites;
         self.golden_replay_cycles += other.golden_replay_cycles;
         self.fork_bytes_copied += other.fork_bytes_copied;
         self.fork_bytes_eager += other.fork_bytes_eager;
         self.fork_bytes_shared += other.fork_bytes_shared;
         self.cow_breaks += other.cow_breaks;
-        self.merge_prefilter_hits += other.merge_prefilter_hits;
     }
 }
 
@@ -604,13 +587,12 @@ impl<'a> CampaignScheduler<'a> {
         delta.batched_ranges += 1;
         delta.forks_spawned += bstats.forks_spawned;
         delta.forks_retired += bstats.forks_retired;
-        delta.forks_merged += bstats.forks_merged;
+        delta.dead_sites += bstats.dead_sites;
         delta.golden_replay_cycles += bstats.golden_replay_cycles;
         delta.fork_bytes_copied += bstats.fork_bytes.copied.total();
         delta.fork_bytes_eager += bstats.fork_bytes.eager.total();
         delta.fork_bytes_shared += bstats.fork_bytes.shared.total();
         delta.cow_breaks += bstats.cow_breaks;
-        delta.merge_prefilter_hits += bstats.merge_prefilter_hits;
         delta.restores += bstats.golden_restores;
         delta.full_restores += bstats.golden_full_restores;
         delta.incremental_restores += bstats.golden_incremental_restores;
@@ -844,13 +826,12 @@ impl<'a> CampaignScheduler<'a> {
             schedule.batched_ranges += stats.batched_ranges;
             schedule.forks_spawned += stats.forks_spawned;
             schedule.forks_retired += stats.forks_retired;
-            schedule.forks_merged += stats.forks_merged;
+            schedule.dead_sites += stats.dead_sites;
             schedule.golden_replay_cycles += stats.golden_replay_cycles;
             schedule.fork_bytes_copied += stats.fork_bytes_copied;
             schedule.fork_bytes_eager += stats.fork_bytes_eager;
             schedule.fork_bytes_shared += stats.fork_bytes_shared;
             schedule.cow_breaks += stats.cow_breaks;
-            schedule.merge_prefilter_hits += stats.merge_prefilter_hits;
             early_exits += stats.early_exits;
             for (idx, outcome) in collected {
                 outcomes[idx] = Some(outcome);
