@@ -7,9 +7,10 @@
 //! `BENCH_CHECKPOINTING.json` at the workspace root so three axes are
 //! tracked across revisions:
 //!
-//! * **throughput** — from-scratch vs checkpointed campaign wall time, plus
-//!   the scheduler's own accounting (`restores`, `range_steals`,
-//!   `suffix_cycles`);
+//! * **throughput** — from-scratch vs checkpointed campaign wall time
+//!   (`from_scratch_s` / `batched_s`), plus the scheduler's own accounting
+//!   (`restores`, `range_steals`, `suffix_cycles`, `golden_replay_cycles`,
+//!   the dead-site and fork counters);
 //! * **store footprint** — delta-encoded vs dense snapshot bytes;
 //! * **tail latency** — per-fault wall time and simulated cycles (mean and
 //!   p95) under suffix-work spacing against equal-cycle spacing for the
@@ -22,29 +23,22 @@
 //!   plus a decode microbenchmark comparing per-fetch cracking against
 //!   copying from the shared pre-decoded arena (`decode_ns_per_uop` /
 //!   `predecoded_ns_per_uop`);
-//! * **batched suffix simulation** — the fork-on-divergence engine against
-//!   the per-fault oracle on the same store (`batched_s` /
-//!   `batched_suffix_cycles` / fork counters), on the dense default store
-//!   and on a sparse [`SPARSE_TARGET`]-checkpoint store (`sparse_*`)
-//!   where per-fault prefix replay dominates; `suffix_cycle_reduction` is
-//!   the sparse-store faulty-core cycle reduction.  Outcomes are asserted
-//!   byte-identical across every engine/store combination.
+//! * **sparse store** — the same engine over a sparse
+//!   [`SPARSE_TARGET`]-checkpoint store (`sparse_*`), where each range's
+//!   golden prefix replay is long; outcomes are asserted byte-identical to
+//!   from-scratch simulation on both stores.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use merlin_cpu::{CpuConfig, SpacingStrategy, Structure};
-use merlin_inject::{BatchingPolicy, CheckpointPolicy, Session};
+use merlin_inject::{CampaignResult, CheckpointPolicy, Session};
 use merlin_isa::{decode, DecodedProgram, Program, Rip};
 use merlin_workloads::workload_by_name;
 use std::hint::black_box;
 use std::time::Instant;
 
 const FAULTS: usize = 200;
-/// Checkpoint target for the sparse-store comparison of the batched engine
-/// against the per-fault engine.  At the dense default store the per-fault
-/// prefix replay is already well amortised (~18% of its suffix cycles), so
-/// the fork-on-divergence win is structurally small there; a sparse store
-/// is where checkpoint memory is tight and prefix replay dominates — and
-/// where batching keeps campaigns fast without buying more checkpoints.
+/// Checkpoint target for the sparse-store run: a store configuration where
+/// checkpoint memory is tight and each range's golden prefix replay is long.
 const SPARSE_TARGET: u32 = 6;
 /// Fault-list size for the per-fault latency distribution: larger than the
 /// campaign list so the p95 order statistic is stable.
@@ -55,50 +49,36 @@ const THREADS: usize = 4;
 const LATENCY_REPS: usize = 5;
 
 struct Prepared {
-    name: &'static str,
-    /// Suffix-work spacing, per-fault engine — the restore-per-fault
-    /// baseline (and batched-mode oracle).
+    /// Suffix-work spacing on the dense default store.
     session: Session,
-    /// Same spacing, fork-on-divergence batched engine.
-    session_batched: Session,
     /// Equal-cycle spacing at the same checkpoint budget, for the tail
     /// latency comparison.
     session_equal: Session,
-    /// Sparse [`SPARSE_TARGET`]-checkpoint store, per-fault engine — the
-    /// store configuration where prefix replay dominates per-fault cost.
+    /// Sparse [`SPARSE_TARGET`]-checkpoint store.
     session_sparse: Session,
-    /// Same sparse store, batched engine.
-    session_sparse_batched: Session,
     faults: Vec<merlin_cpu::FaultSpec>,
 }
 
 fn prepare(name: &'static str) -> Prepared {
     let workload = workload_by_name(name).expect("workload exists");
     let cfg = CpuConfig::default().with_phys_regs(64);
-    let build = |policy: CheckpointPolicy, batching: BatchingPolicy| {
+    let build = |policy: CheckpointPolicy| {
         let session = Session::builder(&workload.program, &cfg)
             .checkpoints(policy)
             .max_cycles(100_000_000)
             .threads(THREADS)
-            .batching(batching)
             .build()
             .unwrap();
         session.golden().unwrap();
         session
     };
     let dense = |spacing: SpacingStrategy| CheckpointPolicy::default().with_spacing(spacing);
-    let sparse = CheckpointPolicy {
+    let session = build(dense(SpacingStrategy::SuffixWork));
+    let session_equal = build(dense(SpacingStrategy::EqualCycles));
+    let session_sparse = build(CheckpointPolicy {
         target_checkpoints: SPARSE_TARGET,
         ..CheckpointPolicy::default()
-    };
-    let session = build(dense(SpacingStrategy::SuffixWork), BatchingPolicy::PerFault);
-    let session_batched = build(dense(SpacingStrategy::SuffixWork), BatchingPolicy::Batched);
-    let session_equal = build(
-        dense(SpacingStrategy::EqualCycles),
-        BatchingPolicy::PerFault,
-    );
-    let session_sparse = build(sparse, BatchingPolicy::PerFault);
-    let session_sparse_batched = build(sparse, BatchingPolicy::Batched);
+    });
     let store_len = session
         .golden_checkpoints()
         .expect("checkpoints on")
@@ -112,71 +92,19 @@ fn prepare(name: &'static str) -> Prepared {
         .fault_list(Structure::RegisterFile, FAULTS, 2017)
         .unwrap();
     Prepared {
-        name,
         session,
-        session_batched,
         session_equal,
         session_sparse,
-        session_sparse_batched,
         faults,
     }
 }
 
-/// One timed run of each engine outside criterion's sampling, for the JSON
-/// record (criterion's own samples drive the statistics in the report).
-/// Returns (from-scratch, per-fault checkpointed, batched) wall seconds.
-fn record_speedup(p: &Prepared) -> (f64, f64, f64) {
-    let t0 = Instant::now();
-    let scratch = p.session.campaign_from_scratch(&p.faults).unwrap();
-    let scratch_s = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let ck = p.session.campaign(&p.faults).unwrap();
-    let ck_s = t1.elapsed().as_secs_f64();
-    let t2 = Instant::now();
-    let batched = p.session_batched.campaign(&p.faults).unwrap();
-    let batched_s = t2.elapsed().as_secs_f64();
-    assert_eq!(
-        scratch.outcomes, ck.outcomes,
-        "{}: engines disagree",
-        p.name
-    );
-    assert_eq!(
-        ck.outcomes, batched.outcomes,
-        "{}: batched engine disagrees with the per-fault oracle",
-        p.name
-    );
-    (scratch_s, ck_s, batched_s)
-}
-
-/// Timed sparse-store comparison: per-fault vs batched campaigns over the
-/// same [`SPARSE_TARGET`]-checkpoint store.  Outcomes must match the
-/// dense-store campaigns byte-for-byte — the checkpoint budget, like the
-/// engine and the thread count, is execution-only.
-struct SparseRun {
-    per_fault_s: f64,
-    batched_s: f64,
-    per_fault: merlin_inject::CampaignResult,
-    batched: merlin_inject::CampaignResult,
-}
-
-fn record_sparse(p: &Prepared) -> SparseRun {
-    let t0 = Instant::now();
-    let per_fault = p.session_sparse.campaign(&p.faults).unwrap();
-    let per_fault_s = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let batched = p.session_sparse_batched.campaign(&p.faults).unwrap();
-    let batched_s = t1.elapsed().as_secs_f64();
-    assert_eq!(
-        per_fault.outcomes, batched.outcomes,
-        "{}: sparse-store batched engine disagrees with the per-fault oracle",
-        p.name
-    );
-    SparseRun {
-        per_fault_s,
-        batched_s,
-        per_fault,
-        batched,
-    }
+/// One timed campaign outside criterion's sampling, for the JSON record
+/// (criterion's own samples drive the statistics in the report).
+fn timed(run: impl FnOnce() -> CampaignResult) -> (f64, CampaignResult) {
+    let t = Instant::now();
+    let result = run();
+    (t.elapsed().as_secs_f64(), result)
 }
 
 /// Index of the 95th-percentile element of an ascending-sorted slice of
@@ -270,37 +198,21 @@ fn checkpointing(c: &mut Criterion) {
         group.bench_function(format!("from_scratch/{name}"), |b| {
             b.iter(|| p.session.campaign_from_scratch(&p.faults).unwrap())
         });
-        group.bench_function(format!("checkpointed/{name}"), |b| {
+        group.bench_function(format!("batched/{name}"), |b| {
             b.iter(|| p.session.campaign(&p.faults).unwrap())
         });
-        group.bench_function(format!("batched/{name}"), |b| {
-            b.iter(|| p.session_batched.campaign(&p.faults).unwrap())
-        });
-        let (scratch_s, ck_s, batched_s) = record_speedup(&p);
-        let speedup = scratch_s / ck_s;
+        let (scratch_s, scratch) = timed(|| p.session.campaign_from_scratch(&p.faults).unwrap());
+        let (batched_s, result) = timed(|| p.session.campaign(&p.faults).unwrap());
+        let (sparse_s, sparse) = timed(|| p.session_sparse.campaign(&p.faults).unwrap());
+        // Outcomes are byte-identical to from-scratch simulation on both
+        // stores: the checkpoint budget, like the thread count, is
+        // execution-only.
+        assert_eq!(result.outcomes, scratch.outcomes, "{name}: dense store");
+        assert_eq!(sparse.outcomes, scratch.outcomes, "{name}: sparse store");
         let batched_speedup = scratch_s / batched_s;
-        let result = p.session.campaign(&p.faults).unwrap();
         let sched = result.schedule;
-        let bsched = p.session_batched.campaign(&p.faults).unwrap().schedule;
-        // Dense-store comparison: faulty-core suffix cycles the batched
-        // driver simulated vs the per-fault engine's replay+suffix total
-        // (the golden replay it pays once per range is reported
-        // separately).  The default store keeps prefixes short, so this
-        // reduction is modest by construction.
-        let dense_reduction = sched.suffix_cycles as f64 / bsched.suffix_cycles.max(1) as f64;
-        // The headline axis of the fork-on-divergence driver: the same
-        // comparison over a sparse store, where per-fault prefix replay
-        // dominates.  Outcomes stay byte-identical across all four
-        // engine/store combinations.
-        let sparse = record_sparse(&p);
-        assert_eq!(
-            result.outcomes, sparse.per_fault.outcomes,
-            "{name}: sparse-store campaign disagrees with the dense store"
-        );
+        let ssched = sparse.schedule;
         let sparse_checkpoints = p.session_sparse.golden_checkpoints().unwrap().store.len();
-        let ssched = &sparse.per_fault.schedule;
-        let sbsched = &sparse.batched.schedule;
-        let suffix_reduction = ssched.suffix_cycles as f64 / sbsched.suffix_cycles.max(1) as f64;
         let store = &p.session.golden_checkpoints().unwrap().store;
         let checkpoints = store.len();
         // Store size with delta memory snapshots vs what the dense
@@ -320,38 +232,30 @@ fn checkpointing(c: &mut Criterion) {
         let (decode_ns, predecoded_ns) = decode_microbench(p.session.program());
         println!(
             "checkpointing/{name}: {FAULTS} faults, {checkpoints} checkpoints, \
-             from-scratch {scratch_s:.3}s vs checkpointed {ck_s:.3}s -> {speedup:.2}x \
-             (batched {batched_s:.3}s -> {batched_speedup:.2}x), \
-             batched suffix cycles {} vs per-fault {} -> {dense_reduction:.2}x fewer \
-             ({} golden replay cycles, {} ranges batched, {} dead sites, \
-             {} forks spawned, {} probe-retired), \
+             from-scratch {scratch_s:.3}s vs batched {batched_s:.3}s -> {batched_speedup:.2}x, \
+             {} suffix cycles + {} golden replay cycles, {} dead sites, \
+             {} forks spawned ({} probe-retired), \
              CoW forks copied {} B vs {} B eager ({} B shared, {} breaks), \
-             sparse store ({sparse_checkpoints} checkpoints): batched suffix \
-             cycles {} vs per-fault {} -> {suffix_reduction:.2}x fewer \
-             (per-fault {:.3}s vs batched {:.3}s), \
+             sparse store ({sparse_checkpoints} checkpoints): {sparse_s:.3}s, \
+             {} suffix cycles + {} golden replay cycles, \
              store {footprint} B delta vs {dense_footprint} B dense -> {shrink:.2}x smaller, \
              {} restores ({} full / {} incremental = {:.4} incremental fraction, \
              {} B rewritten), \
-             {} range steals, {} range splits, {} suffix cycles, \
-             {} statically pruned, \
+             {} range steals, {} range splits, {} statically pruned, \
              p95/fault {:.2} ms suffix-work vs {:.2} ms equal-cycles \
              (p95 {} vs {} cycles, mean {} vs {} cycles), \
              decode {decode_ns:.1} ns/uop vs predecoded {predecoded_ns:.1} ns/uop",
-            bsched.suffix_cycles,
             sched.suffix_cycles,
-            bsched.golden_replay_cycles,
-            bsched.batched_ranges,
-            bsched.dead_sites,
-            bsched.forks_spawned,
-            bsched.forks_retired,
-            bsched.fork_bytes_copied,
-            bsched.fork_bytes_eager,
-            bsched.fork_bytes_shared,
-            bsched.cow_breaks,
-            sbsched.suffix_cycles,
+            sched.golden_replay_cycles,
+            sched.dead_sites,
+            sched.forks_spawned,
+            sched.forks_retired,
+            sched.fork_bytes_copied,
+            sched.fork_bytes_eager,
+            sched.fork_bytes_shared,
+            sched.cow_breaks,
             ssched.suffix_cycles,
-            sparse.per_fault_s,
-            sparse.batched_s,
+            ssched.golden_replay_cycles,
             sched.restores,
             sched.full_restores,
             sched.incremental_restores,
@@ -359,7 +263,6 @@ fn checkpointing(c: &mut Criterion) {
             sched.restored_bytes,
             sched.range_steals,
             sched.range_splits,
-            sched.suffix_cycles,
             sched.static_prunes,
             1e3 * sw.p95_s,
             1e3 * eq.p95_s,
@@ -371,8 +274,7 @@ fn checkpointing(c: &mut Criterion) {
         json_rows.push(format!(
             "  {{\"workload\": \"{name}\", \"faults\": {FAULTS}, \
              \"golden_cycles\": {}, \"checkpoints\": {checkpoints}, \
-             \"from_scratch_s\": {scratch_s:.6}, \"checkpointed_s\": {ck_s:.6}, \
-             \"speedup\": {speedup:.3}, \"footprint_bytes\": {footprint}, \
+             \"from_scratch_s\": {scratch_s:.6}, \"footprint_bytes\": {footprint}, \
              \"dense_footprint_bytes\": {dense_footprint}, \
              \"footprint_shrink\": {shrink:.3}, \
              \"ranges\": {}, \"restores\": {}, \"range_steals\": {}, \
@@ -385,18 +287,13 @@ fn checkpointing(c: &mut Criterion) {
              \"suffix_cycles\": {}, \"static_prunes\": {}, \
              \"batched_s\": {batched_s:.6}, \
              \"batched_speedup\": {batched_speedup:.3}, \
-             \"batched_suffix_cycles\": {}, \
-             \"suffix_cycle_reduction_dense_store\": {dense_reduction:.3}, \
-             \"golden_replay_cycles\": {}, \"batched_ranges\": {}, \
+             \"golden_replay_cycles\": {}, \
              \"dead_sites\": {}, \"forks_spawned\": {}, \"forks_retired\": {}, \
              \"fork_bytes_copied\": {}, \"fork_bytes_eager\": {}, \
              \"fork_bytes_shared\": {}, \"cow_breaks\": {}, \
              \"sparse_checkpoints\": {sparse_checkpoints}, \
-             \"sparse_suffix_cycles\": {}, \
+             \"sparse_batched_s\": {sparse_s:.6}, \
              \"sparse_batched_suffix_cycles\": {}, \
-             \"suffix_cycle_reduction\": {suffix_reduction:.3}, \
-             \"sparse_per_fault_s\": {:.6}, \
-             \"sparse_batched_s\": {:.6}, \
              \"sparse_golden_replay_cycles\": {}, \
              \"sparse_dead_sites\": {}, \
              \"sparse_forks_spawned\": {}, \
@@ -433,28 +330,23 @@ fn checkpointing(c: &mut Criterion) {
             sched.restored_breakdown.predictor,
             sched.suffix_cycles,
             sched.static_prunes,
-            bsched.suffix_cycles,
-            bsched.golden_replay_cycles,
-            bsched.batched_ranges,
-            bsched.dead_sites,
-            bsched.forks_spawned,
-            bsched.forks_retired,
-            bsched.fork_bytes_copied,
-            bsched.fork_bytes_eager,
-            bsched.fork_bytes_shared,
-            bsched.cow_breaks,
+            sched.golden_replay_cycles,
+            sched.dead_sites,
+            sched.forks_spawned,
+            sched.forks_retired,
+            sched.fork_bytes_copied,
+            sched.fork_bytes_eager,
+            sched.fork_bytes_shared,
+            sched.cow_breaks,
             ssched.suffix_cycles,
-            sbsched.suffix_cycles,
-            sparse.per_fault_s,
-            sparse.batched_s,
-            sbsched.golden_replay_cycles,
-            sbsched.dead_sites,
-            sbsched.forks_spawned,
-            sbsched.forks_retired,
-            sbsched.fork_bytes_copied,
-            sbsched.fork_bytes_eager,
-            sbsched.fork_bytes_shared,
-            sbsched.cow_breaks,
+            ssched.golden_replay_cycles,
+            ssched.dead_sites,
+            ssched.forks_spawned,
+            ssched.forks_retired,
+            ssched.fork_bytes_copied,
+            ssched.fork_bytes_eager,
+            ssched.fork_bytes_shared,
+            ssched.cow_breaks,
             sw.p95_s,
             eq.p95_s,
             sw.p95_cycles,

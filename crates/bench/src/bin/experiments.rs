@@ -569,29 +569,7 @@ fn accuracy_figures(scale: &ExperimentScale) {
                     .session
                     .comprehensive(&cell.campaign.initial_faults)
                     .expect("comprehensive baseline");
-                sched_sum.ranges += comprehensive.schedule.ranges;
-                sched_sum.restores += comprehensive.schedule.restores;
-                sched_sum.full_restores += comprehensive.schedule.full_restores;
-                sched_sum.incremental_restores += comprehensive.schedule.incremental_restores;
-                sched_sum.restored_bytes += comprehensive.schedule.restored_bytes;
-                sched_sum.restored_breakdown += comprehensive.schedule.restored_breakdown;
-                sched_sum.range_steals += comprehensive.schedule.range_steals;
-                sched_sum.range_splits += comprehensive.schedule.range_splits;
-                sched_sum.suffix_cycles += comprehensive.schedule.suffix_cycles;
-                sched_sum.asserts += comprehensive.schedule.asserts;
-                sched_sum.poisoned_restores += comprehensive.schedule.poisoned_restores;
-                sched_sum.range_retries += comprehensive.schedule.range_retries;
-                sched_sum.skipped_sites += comprehensive.schedule.skipped_sites;
-                sched_sum.static_prunes += comprehensive.schedule.static_prunes;
-                sched_sum.batched_ranges += comprehensive.schedule.batched_ranges;
-                sched_sum.forks_spawned += comprehensive.schedule.forks_spawned;
-                sched_sum.forks_retired += comprehensive.schedule.forks_retired;
-                sched_sum.dead_sites += comprehensive.schedule.dead_sites;
-                sched_sum.golden_replay_cycles += comprehensive.schedule.golden_replay_cycles;
-                sched_sum.fork_bytes_copied += comprehensive.schedule.fork_bytes_copied;
-                sched_sum.fork_bytes_eager += comprehensive.schedule.fork_bytes_eager;
-                sched_sum.fork_bytes_shared += comprehensive.schedule.fork_bytes_shared;
-                sched_sum.cow_breaks += comprehensive.schedule.cow_breaks;
+                sched_sum += comprehensive.schedule;
                 let post_ace = cell
                     .session
                     .post_ace_baseline(&cell.campaign.reduction)
@@ -654,9 +632,8 @@ fn accuracy_figures(scale: &ExperimentScale) {
         sched_sum.static_prunes
     );
     println!(
-        "batched suffix simulation: {} ranges batched, {} dead sites resolved without a fork, \
+        "batched suffix simulation: {} dead sites resolved without a fork, \
          {} forks spawned ({} probe-retired), {} golden replay cycles shared\n",
-        sched_sum.batched_ranges,
         sched_sum.dead_sites,
         sched_sum.forks_spawned,
         sched_sum.forks_retired,

@@ -7,8 +7,8 @@ use crate::grouping::{reduce_fault_list, FaultListReduction};
 use merlin_ace::{AceAnalysis, AceError};
 use merlin_cpu::{CheckpointPolicy, CpuConfig, FaultSpec, Structure};
 use merlin_inject::{
-    generate_fault_list, BatchingPolicy, CampaignError, Classification, FaultEffect, FaultInjector,
-    GoldenRun, Session, SessionBuilder,
+    generate_fault_list, CampaignError, Classification, FaultEffect, FaultInjector, GoldenRun,
+    Session, SessionBuilder,
 };
 use merlin_isa::Program;
 use serde::{Deserialize, Serialize};
@@ -27,12 +27,6 @@ pub struct MerlinConfig {
     /// injection, comprehensive and post-ACE baselines) restores these
     /// checkpoints instead of re-simulating from cycle 0.
     pub checkpoints: CheckpointPolicy,
-    /// Per-range campaign engine.  The harness defaults to fork-on-divergence
-    /// batching — one golden replay per checkpoint range instead of one
-    /// fault-free prefix replay per fault — because outcomes are
-    /// byte-identical to [`BatchingPolicy::PerFault`] (the raw session
-    /// default, kept as the differential oracle).
-    pub batching: BatchingPolicy,
 }
 
 impl Default for MerlinConfig {
@@ -44,7 +38,6 @@ impl Default for MerlinConfig {
             max_cycles: 200_000_000,
             seed: 0x4D45_524C, // "MERL"
             checkpoints: CheckpointPolicy::default(),
-            batching: BatchingPolicy::Batched,
         }
     }
 }
@@ -57,7 +50,6 @@ impl MerlinConfig {
             .checkpoints(self.checkpoints)
             .max_cycles(self.max_cycles)
             .threads(self.threads)
-            .batching(self.batching)
     }
 }
 

@@ -1,18 +1,15 @@
 //! Fork-on-divergence batched suffix simulation: one golden replay per
 //! checkpoint range, dead-site resolution at each injection cycle, faulty
 //! cores forked lazily from the live golden state and probe-driven
-//! retirement.
+//! retirement.  This driver is the only checkpointed classification path:
+//! campaigns run every checkpoint range through it, and
+//! [`FaultInjector`](crate::FaultInjector) runs each fault as a one-fault
+//! range.
 //!
-//! # The inversion
+//! # The driver
 //!
-//! The per-fault engine ([`run_fault_from_checkpoint`]) restores a golden
-//! snapshot *per fault* and replays the fault-free prefix from the restore
-//! point to the injection cycle before any faulty behaviour exists.  For a
-//! range holding `k` faults that prefix replay is paid `k` times, and every
-//! replayed cycle is — by the determinism of the core — bit-identical to
-//! the golden run the checkpoint was taken from.
-//!
-//! The batched driver inverts the loop.  Per checkpoint range it:
+//! Every faulty run is bit-identical to the golden run until its injection
+//! cycle, so per checkpoint range the driver:
 //!
 //! 1. restores **one golden core** from the range's shared snapshot and
 //!    drives it forward exactly once, stopping at each injection cycle
@@ -27,31 +24,32 @@
 //!    restored from the same snapshot, then [`Cpu::fork_from`] adopts the
 //!    golden core's copy-on-write page handles — O(metadata); a page is
 //!    copied only when the fork first writes it — and the fault is
-//!    injected,
-//! 4. runs the fork **to retirement on the spot** — the same
-//!    boundary-probe loop as the per-fault engine, verbatim: at each
-//!    retained checkpoint boundary the fork crosses, its state is compared
-//!    against the golden checkpoint through the memoised golden-to-golden
-//!    diff ([`Cpu::matches_state_with_diff`]); a fork that re-converged
-//!    with the golden stream is retired Masked immediately
-//!    (`forks_retired`), anything else runs to halt or timeout and is
-//!    classified against the golden result.  Forks run one after another,
-//!    so one faulty core's working set is hot at a time.
+//!    injected.  A one-fault range (every
+//!    [`FaultInjector`](crate::FaultInjector) run) skips the fork: its
+//!    golden core is not needed afterwards and takes the fault itself,
+//! 4. runs the fork **to retirement on the spot**: at each retained
+//!    checkpoint boundary the fork crosses, its state is compared against
+//!    the golden checkpoint through the memoised golden-to-golden diff
+//!    ([`Cpu::matches_state_with_diff`]); a fork that re-converged with the
+//!    golden stream is retired Masked immediately (`forks_retired`),
+//!    anything else runs to halt or timeout and is classified against the
+//!    golden result.  Forks run one after another, so one faulty core's
+//!    working set is hot at a time.
 //!
 //! # Determinism
 //!
-//! A fork spawned while the golden core sits at the fault's injection
-//! cycle is bit-identical to a per-fault core restored from the same
-//! snapshot and stepped fault-free to that cycle, and both apply the fault
-//! at the same step.  From there the fork's simulation loop *is* the
-//! per-fault engine's loop.  A dead-site fault, simulated in full, runs
-//! exactly the golden run (its flip is overwritten unread), so its Masked
-//! classification is the one simulation would produce.  Batched campaigns
-//! therefore produce byte-identical
-//! [`CampaignResult::outcomes`](crate::CampaignResult::outcomes) to the
-//! per-fault path at any thread count.  The per-fault engine and
-//! from-scratch simulation query no dead sites and simulate every fault,
-//! so they stay wired in as independent oracles;
+//! Checkpoint restore is exact and the core is deterministic, so a fork
+//! spawned while the golden core sits at the fault's injection cycle is
+//! bit-identical to a core simulated from reset to that cycle, and the
+//! fault applies at the same step.  From there the fork runs the faulty
+//! execution itself until it halts, times out or provably re-converges.  A
+//! dead-site fault, simulated in full, runs exactly the golden run (its
+//! flip is overwritten unread), so its Masked classification is the one
+//! simulation would produce.  Campaigns therefore produce byte-identical
+//! [`CampaignResult::outcomes`](crate::CampaignResult::outcomes) to
+//! from-scratch simulation at any thread count.  From-scratch simulation
+//! queries no dead sites, probes no boundaries and simulates every fault
+//! from cycle 0, so it is the independent oracle;
 //! `tests/batched_determinism.rs` pins the equivalence.
 //!
 //! # Failure containment
@@ -59,49 +57,24 @@
 //! Every golden-replay segment, dead-site query, fork spawn and fork run
 //! executes under its own `catch_unwind`.  A panic quarantines *only the
 //! panicking core* (the golden core for replay and dead-site queries),
-//! returns every other core to the pool, and abandons the batched attempt;
-//! the scheduler then re-runs the whole range inline on the per-fault path,
-//! whose own per-fault containment classifies a deterministically
-//! panicking fault as [`Assert`](crate::FaultEffect::Assert) exactly as it
-//! always did.
-//!
-//! [`run_fault_from_checkpoint`]: crate::campaign::run_fault_from_checkpoint
+//! returns every other core to the pool, and aborts the range.  The
+//! scheduler then re-runs each of the range's faults as its own one-fault
+//! range on the same pool, so a deterministically panicking fault is
+//! classified [`Assert`](crate::FaultEffect::Assert) on its own and every
+//! other fault of the range classifies as usual.
 
 use crate::campaign::{DiffCache, FaultRun, GoldenCheckpoints, GoldenRun};
 use crate::classify::{classify, FaultEffect};
-use merlin_cpu::{Cpu, CpuConfig, FaultSpec, ForkStats, NullProbe, RestoreStats, RestoredBytes};
+use crate::schedule::ScheduleStats;
+use merlin_cpu::{Cpu, CpuConfig, FaultSpec, NullProbe};
 use merlin_isa::{DecodedProgram, Program};
-use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-/// How a campaign simulates the faults of one checkpoint range.
-///
-/// Selected per session via
-/// [`SessionBuilder::batching`](crate::SessionBuilder::batching) or per
-/// scheduler via
-/// [`CampaignScheduler::with_batching`](crate::CampaignScheduler::with_batching).
-/// Outcomes are byte-identical across both modes (and across thread
-/// counts); only [`ScheduleStats`](crate::ScheduleStats) differs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BatchingPolicy {
-    /// One restore and one fault-free prefix replay per fault — the
-    /// original engine, kept as the differential oracle for the batched
-    /// path.
-    #[default]
-    PerFault,
-    /// One golden replay per checkpoint range; faults on dead sites are
-    /// resolved at their injection cycles, the rest fork from the live
-    /// golden core and retire on re-convergence.  Falls back to
-    /// [`BatchingPolicy::PerFault`] per range on any panic and on
-    /// from-scratch campaigns (which have no checkpoint store).
-    Batched,
-}
-
-/// Per-worker pool of reusable cores for the batched driver: the golden
-/// replay core plus the one live fork.  Retired forks return their cores
-/// here, so a worker builds two cores, and new ones only after a range
-/// retry clears the pool.
+/// Per-worker (or per-injector) pool of reusable cores for the batched
+/// driver: the golden replay core plus the one live fork.  Retired forks
+/// return their cores here, so a worker builds two cores, and new ones only
+/// after a range retry clears the pool.
 pub(crate) struct ForkPool {
     program: Arc<Program>,
     decoded: Arc<DecodedProgram>,
@@ -109,7 +82,7 @@ pub(crate) struct ForkPool {
     idle: Vec<Cpu>,
     /// Copy-on-write sharing breaks drained from cores as they return to
     /// the pool (see [`Cpu::take_cow_breaks`]); harvested into
-    /// [`BatchStats::cow_breaks`] at the end of each batched range.
+    /// [`ScheduleStats::cow_breaks`] at the end of each range.
     cow_breaks: u64,
 }
 
@@ -129,8 +102,8 @@ impl ForkPool {
     }
 
     /// Pops an idle core, constructing one if the pool is dry.  `None`
-    /// means the configuration cannot build a core at all; the caller
-    /// aborts to the per-fault path, which classifies that case.
+    /// means the configuration cannot build a core at all; the range
+    /// aborts, and its faults end up classified Assert.
     pub(crate) fn take(&mut self) -> Option<Cpu> {
         self.idle.pop().or_else(|| {
             Cpu::with_predecoded(
@@ -147,75 +120,15 @@ impl ForkPool {
         self.idle.push(cpu);
     }
 
-    /// Drains the sharing-break tally accumulated by [`ForkPool::put`].
-    pub(crate) fn take_cow_breaks(&mut self) -> u64 {
-        std::mem::take(&mut self.cow_breaks)
-    }
-
     /// Drops every pooled core (range retries start from fresh cores).
     pub(crate) fn clear(&mut self) {
         self.idle.clear();
     }
 }
 
-/// Execution tallies of one successful batched range, merged into the
-/// worker's stats by the scheduler.  The golden core's single restore is
-/// reported here (it belongs to the range, not to any fault).
-#[derive(Default)]
-pub(crate) struct BatchStats {
-    pub forks_spawned: u64,
-    pub forks_retired: u64,
-    /// Faults resolved Masked at their injection cycle by
-    /// [`Cpu::fault_site_dead`], without a fork.
-    pub dead_sites: u64,
-    /// Cycles the shared golden core replayed for this range — the work
-    /// the fork-on-divergence inversion pays *once* instead of per fault
-    /// (kept out of `suffix_cycles`, which counts faulty-core cycles
-    /// only).
-    pub golden_replay_cycles: u64,
-    pub golden_restores: u64,
-    pub golden_full_restores: u64,
-    pub golden_incremental_restores: u64,
-    pub golden_poisoned_restores: u64,
-    pub golden_restored_bytes: RestoredBytes,
-    /// Fork copy economics of every fork the range spawned: bytes actually
-    /// copied under copy-on-write, the bytes an eager (pre-CoW) fork would
-    /// have copied for the same forks, and the bytes adopted by handle
-    /// sharing.  Kept out of the per-fault [`FaultRun`] accounting so
-    /// `restored_bytes` stays directly comparable between the batched and
-    /// per-fault engines.
-    pub fork_bytes: ForkStats,
-    /// Copy-on-write sharing breaks drained from cores as they returned to
-    /// the pool during this range (first private write after a fork or a
-    /// handle-sharing restore).
-    pub cow_breaks: u64,
-}
-
-fn fault_run(
-    effect: FaultEffect,
-    early_exit: bool,
-    restore: RestoreStats,
-    suffix_cycles: u64,
-) -> FaultRun {
-    // Fork bytes are deliberately *not* folded into `bytes`: under
-    // copy-on-write a fork copies almost nothing, and what it does move is
-    // reported separately as [`BatchStats::fork_bytes`] so the restore
-    // accounting stays directly comparable to the per-fault engine's.
-    FaultRun {
-        effect,
-        early_exit,
-        restored: true,
-        incremental: restore.incremental,
-        bytes: restore.bytes,
-        suffix_cycles,
-        skipped_site: false,
-        from_quarantine: restore.from_quarantine,
-    }
-}
-
 /// Returns every surviving core to the pool, with the panicking core (if
-/// any) quarantined and pushed last — so the per-fault fallback picks it
-/// up first and its forced full restore is exercised (and visible as a
+/// any) quarantined and pushed last — so the one-fault re-runs pick it up
+/// first and its forced full restore is exercised (and visible as a
 /// poisoned restore) instead of the core rotting at the bottom of the
 /// pool.
 fn abort_to_pool(pool: &mut ForkPool, golden_core: Option<Cpu>, bad: Option<Cpu>) {
@@ -228,56 +141,58 @@ fn abort_to_pool(pool: &mut ForkPool, golden_core: Option<Cpu>, bad: Option<Cpu>
     }
 }
 
+/// Aborts the range after its faulty core panicked: the fork, if one was
+/// spawned, else the golden core that took the fault itself.
+fn abort_faulty(pool: &mut ForkPool, golden_core: Cpu, fork: Option<Cpu>) {
+    match fork {
+        Some(core) => abort_to_pool(pool, Some(golden_core), Some(core)),
+        None => abort_to_pool(pool, None, Some(golden_core)),
+    }
+}
+
 /// Runs one checkpoint range's simulated faults through the batched
-/// driver.  `sim` holds the fault-list indices that actually reach a core
-/// (statically-pruned and absent-site faults are resolved by the caller),
-/// cycle-sorted; every fault shares the range's restore snapshot by the
-/// scheduler's bucketing.  Returns `None` if any operation panicked or a
-/// core could not be built — the panicking core is quarantined, every
-/// other core is back in the pool, and the caller re-runs the whole range
-/// on the per-fault path.
+/// driver.  `sim` holds the (fault-list index, fault) pairs that actually
+/// reach a core (statically-pruned and absent-site faults are resolved by
+/// the caller), cycle-sorted; every fault shares the range's restore
+/// snapshot by the scheduler's bucketing.  Work is added into `stats` as
+/// it happens.  Returns `None` if any operation panicked or a core could
+/// not be built — the panicking core is quarantined, every other core is
+/// back in the pool, and the caller decides what the partial `stats` are
+/// worth.
 pub(crate) fn run_batched_range(
     pool: &mut ForkPool,
     golden: &GoldenRun,
     ckpts: &GoldenCheckpoints,
     boundaries: &[u64],
     diffs: &mut DiffCache,
-    faults: &[FaultSpec],
-    sim: &[usize],
-) -> Option<(Vec<(usize, FaultRun)>, BatchStats)> {
-    let mut stats = BatchStats::default();
-    let mut out: Vec<(usize, FaultRun)> = Vec::with_capacity(sim.len());
-    if sim.is_empty() {
-        return Some((out, stats));
-    }
-    let state = ckpts.store.latest_at_or_before(faults[sim[0]].cycle)?;
+    sim: &[(usize, FaultSpec)],
+    stats: &mut ScheduleStats,
+) -> Option<Vec<(usize, FaultEffect)>> {
+    let mut out = Vec::with_capacity(sim.len());
+    let &[(_, first), ..] = sim else {
+        return Some(out);
+    };
+    let state = ckpts.store.latest_at_or_before(first.cycle)?;
     let restore_cycle = state.cycle();
     let timeout = golden.timeout_cycles;
     let early_exit = ckpts.policy.early_exit;
 
     let mut golden_core = pool.take()?;
-    let golden_restore = match catch_unwind(AssertUnwindSafe(|| golden_core.restore_from(state))) {
-        Ok(r) => r,
+    match catch_unwind(AssertUnwindSafe(|| golden_core.restore_from(state))) {
+        Ok(r) => stats.record_restore(&r),
         Err(_) => {
             abort_to_pool(pool, None, Some(golden_core));
             return None;
         }
-    };
-    stats.golden_restores = 1;
-    stats.golden_full_restores = u64::from(!golden_restore.incremental);
-    stats.golden_incremental_restores = u64::from(golden_restore.incremental);
-    stats.golden_poisoned_restores = u64::from(golden_restore.from_quarantine);
-    stats.golden_restored_bytes = golden_restore.bytes;
+    }
 
-    for &idx in sim {
-        let fault = faults[idx];
+    for &(idx, fault) in sim {
         // Replay the golden core up to the injection cycle — never past
-        // it, so the fork sees exactly the state a per-fault core has
-        // after replaying to that cycle.  Once the golden run halts its
-        // cycle freezes and all remaining forks clone the frozen final
-        // state: their faults would never fire on the per-fault path
-        // either, and the cloned cores finalise immediately with the
-        // golden result.
+        // it, so the fork sees exactly the state a core simulated from
+        // reset has at that cycle.  Once the golden run halts its cycle
+        // freezes and all remaining forks clone the frozen final state:
+        // their faults never fire, and the cloned cores finalise
+        // immediately with the golden result.
         if !golden_core.is_finished() && golden_core.cycle() < fault.cycle {
             let stepped = catch_unwind(AssertUnwindSafe(|| {
                 let mut n = 0u64;
@@ -308,7 +223,7 @@ pub(crate) fn run_batched_range(
         match dead {
             Ok(true) => {
                 stats.dead_sites += 1;
-                out.push((idx, FaultRun::unsimulated(FaultEffect::Masked)));
+                out.push((idx, FaultEffect::Masked));
                 continue;
             }
             Ok(false) => {}
@@ -318,36 +233,51 @@ pub(crate) fn run_batched_range(
             }
         }
 
+        // Spawn the faulty core.  A one-fault range needs no fork: the
+        // golden core is not needed past this fault, so the fault is
+        // injected into it directly.
         let spawn_cycle = golden_core.cycle();
-        let Some(mut core) = pool.take() else {
-            abort_to_pool(pool, Some(golden_core), None);
-            return None;
-        };
-        let forked = catch_unwind(AssertUnwindSafe(|| {
-            let restore = core.restore_from(state);
-            let fork_bytes = core.fork_from(&golden_core);
-            (restore, fork_bytes)
+        let mut fork = None;
+        if sim.len() > 1 {
+            let Some(core) = pool.take() else {
+                abort_to_pool(pool, Some(golden_core), None);
+                return None;
+            };
+            fork = Some(core);
+        }
+        let spawned = catch_unwind(AssertUnwindSafe(|| {
+            let forked = fork
+                .as_mut()
+                .map(|core| (core.restore_from(state), core.fork_from(&golden_core)));
+            fork.as_mut()
+                .unwrap_or(&mut golden_core)
+                .inject_fault(fault)
+                .expect("absent fault sites are resolved before a range runs");
+            forked
         }));
-        let (restore, fork_bytes) = match forked {
-            Ok(r) => r,
+        match spawned {
+            Ok(forked) => {
+                if let Some((restore, fork_bytes)) = forked {
+                    stats.record_restore(&restore);
+                    stats.fork_bytes_copied += fork_bytes.copied.total();
+                    stats.fork_bytes_eager += fork_bytes.eager.total();
+                    stats.fork_bytes_shared += fork_bytes.shared.total();
+                }
+                stats.forks_spawned += 1;
+            }
             Err(_) => {
-                abort_to_pool(pool, Some(golden_core), Some(core));
+                abort_faulty(pool, golden_core, fork);
                 return None;
             }
-        };
-        stats.fork_bytes += fork_bytes;
-        if core.inject_fault(fault).is_err() {
-            // Absent fault site: same resolution as the per-fault engine.
-            out.push((idx, FaultRun::skipped(true, Some(restore))));
-            pool.put(core);
-            continue;
         }
-        stats.forks_spawned += 1;
 
-        // Run the fork to retirement.  This loop is the per-fault engine's
-        // simulation loop verbatim, minus the prefix replay it no longer
-        // needs: boundary convergence probes through the memoised
-        // golden-to-golden diff, then a final run to halt or timeout.
+        // Run the fork to retirement: boundary convergence probes through
+        // the memoised golden-to-golden diff, then a final run to halt or
+        // timeout.  Bit-identical state at a boundary implies an identical
+        // remainder, hence Masked.  The cursor starts at the first boundary
+        // strictly after the injection cycle and walks the store's cycles,
+        // so equal-cycle and suffix-work stores work alike.
+        let core = fork.as_mut().unwrap_or(&mut golden_core);
         let ran = catch_unwind(AssertUnwindSafe(|| {
             let mut probe = NullProbe;
             let mut next = boundaries.partition_point(|&c| c <= fault.cycle);
@@ -361,7 +291,11 @@ pub(crate) fn run_batched_range(
                                 .entry((restore_cycle, core.cycle()))
                                 .or_insert_with(|| state.diff_to(g));
                             if core.matches_state_with_diff(g, diff) {
-                                return (FaultEffect::Masked, true, core.cycle() - spawn_cycle);
+                                return FaultRun {
+                                    effect: FaultEffect::Masked,
+                                    early_exit: true,
+                                    suffix_cycles: core.cycle() - spawn_cycle,
+                                };
                             }
                         }
                         next += 1;
@@ -370,22 +304,27 @@ pub(crate) fn run_batched_range(
                 core.step(&mut probe);
             }
             let result = core.run(timeout, &mut probe);
-            let suffix = result.cycles.saturating_sub(spawn_cycle);
-            (classify(&golden.result, &result), false, suffix)
+            FaultRun {
+                effect: classify(&golden.result, &result),
+                early_exit: false,
+                suffix_cycles: result.cycles.saturating_sub(spawn_cycle),
+            }
         }));
         match ran {
-            Ok((effect, early, suffix)) => {
-                stats.forks_retired += u64::from(early);
-                pool.put(core);
-                out.push((idx, fault_run(effect, early, restore, suffix)));
+            Ok(run) => {
+                stats.record(&run);
+                if let Some(core) = fork {
+                    pool.put(core);
+                }
+                out.push((idx, run.effect));
             }
             Err(_) => {
-                abort_to_pool(pool, Some(golden_core), Some(core));
+                abort_faulty(pool, golden_core, fork);
                 return None;
             }
         }
     }
     pool.put(golden_core);
-    stats.cow_breaks = pool.take_cow_breaks();
-    Some((out, stats))
+    stats.cow_breaks += std::mem::take(&mut pool.cow_breaks);
+    Some(out)
 }

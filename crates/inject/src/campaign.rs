@@ -25,12 +25,13 @@
 //!    to the [`CampaignScheduler`](crate::CampaignScheduler) (see the
 //!    [`schedule`](crate::schedule) module), which buckets it into
 //!    per-checkpoint ranges and binds workers to whole ranges so each
-//!    worker's restore snapshot stays hot.  Per fault, a worker restores the
-//!    latest checkpoint at or before the injection cycle, injects, and
-//!    simulates only the suffix against the golden timeout
-//!    ([`run_fault_from_checkpoint`]).
-//! 3. While a faulty run is past its injection cycle, the worker compares the
-//!    core's state against the golden checkpoint stream at each retained
+//!    worker's restore snapshot stays hot.  Each range runs through the
+//!    batched driver (see the `batch` module): one golden core restores the
+//!    range's checkpoint and replays the fault-free prefix once, and each
+//!    fault forks a faulty core from it at its injection cycle and
+//!    simulates only the suffix against the golden timeout.
+//! 3. While a faulty run is past its injection cycle, the driver compares
+//!    the core's state against the golden checkpoint stream at each retained
 //!    checkpoint cycle it crosses.  If the states are bit-identical the
 //!    remainder of the run is guaranteed identical to the golden run, so the
 //!    fault is classified Masked immediately (early exit) instead of
@@ -43,14 +44,16 @@
 //! [`CampaignResult::outcomes`] to the from-scratch path at any thread
 //! count.  Restoration is exact (the core is deterministic and
 //! [`CpuState`](merlin_cpu::CpuState) captures all mutable state) and the
-//! early exit only fires when the faulty state has provably re-converged, so
-//! both paths classify every fault identically.
+//! early exit only fires when the faulty state has provably re-converged; a
+//! fault resolved on a dead site flips an entry that is overwritten before
+//! anything reads it.  Both paths therefore classify every fault
+//! identically.
 
+use crate::batch::{run_batched_range, ForkPool};
 use crate::classify::{classify, Classification, FaultEffect};
 use crate::schedule::ScheduleStats;
 use merlin_cpu::{
-    CheckpointPolicy, CheckpointStore, Cpu, CpuConfig, FaultSpec, NullProbe, RestoredBytes,
-    RunResult, StateDiff,
+    CheckpointPolicy, CheckpointStore, Cpu, CpuConfig, FaultSpec, NullProbe, RunResult, StateDiff,
 };
 use merlin_isa::{DecodedProgram, Program};
 use serde::{Deserialize, Serialize};
@@ -222,69 +225,23 @@ pub(crate) fn build_golden_checkpointed(
     })
 }
 
-/// What one faulty run did, beyond its classification — the bookkeeping the
-/// scheduler aggregates into [`ScheduleStats`].
+/// What one faulty run did, beyond its classification — folded into
+/// [`ScheduleStats`] by [`ScheduleStats::record`].
 pub(crate) struct FaultRun {
     /// The classified effect.
     pub effect: FaultEffect,
-    /// Whether the early-exit convergence test resolved the fault before the
+    /// Whether the boundary convergence probe retired the run before the
     /// program's end.
     pub early_exit: bool,
-    /// Whether a checkpoint was restored for this fault (false for faults
-    /// resolved without touching the core).
-    pub restored: bool,
-    /// Whether that restore took the incremental same-snapshot path.
-    pub incremental: bool,
-    /// Bytes the restore rewrote, per pipeline structure (all zero when
-    /// nothing was restored).
-    pub bytes: RestoredBytes,
-    /// Cycles actually simulated, from the restore point (or cycle 0 on the
-    /// from-scratch path) to wherever the faulty run ended.
+    /// Cycles the faulty core simulated: from its fork point (cycle 0 on
+    /// the from-scratch path) to wherever the run ended.
     pub suffix_cycles: u64,
-    /// Whether the fault's site does not exist in this configuration (the
-    /// fault was classified Masked without simulating anything).
-    pub skipped_site: bool,
-    /// Whether this fault's restore lifted the core out of quarantine — i.e.
-    /// it was the forced full restore following a per-fault panic.
-    pub from_quarantine: bool,
-}
-
-impl FaultRun {
-    /// A fault classified without restoring or simulating anything.
-    pub(crate) fn unsimulated(effect: FaultEffect) -> FaultRun {
-        FaultRun {
-            effect,
-            early_exit: false,
-            restored: false,
-            incremental: false,
-            bytes: RestoredBytes::default(),
-            suffix_cycles: 0,
-            skipped_site: false,
-            from_quarantine: false,
-        }
-    }
-
-    /// A fault resolved without simulating: the site does not exist in this
-    /// configuration, so the effect is Masked by definition.
-    pub(crate) fn skipped(restored: bool, restore: Option<merlin_cpu::RestoreStats>) -> FaultRun {
-        let restore = restore.unwrap_or(merlin_cpu::RestoreStats {
-            incremental: false,
-            from_quarantine: false,
-            bytes: RestoredBytes::default(),
-        });
-        FaultRun {
-            restored,
-            incremental: restore.incremental,
-            bytes: restore.bytes,
-            skipped_site: true,
-            from_quarantine: restore.from_quarantine,
-            ..FaultRun::unsimulated(FaultEffect::Masked)
-        }
-    }
 }
 
 /// From-scratch single-fault run over a shared program image (no per-fault
-/// program clone).
+/// program clone): the oracle every checkpointed campaign is pinned
+/// against.  The fault's site must exist in `cfg` (callers resolve absent
+/// sites first).
 pub(crate) fn run_single_fault_shared(
     program: &Arc<Program>,
     decoded: &Arc<DecodedProgram>,
@@ -292,123 +249,39 @@ pub(crate) fn run_single_fault_shared(
     golden: &GoldenRun,
     fault: FaultSpec,
 ) -> FaultRun {
-    let mut cpu = match Cpu::with_predecoded(Arc::clone(program), Arc::clone(decoded), cfg.clone())
-    {
-        Ok(c) => c,
-        Err(_) => return FaultRun::unsimulated(FaultEffect::Assert),
+    let asserted = FaultRun {
+        effect: FaultEffect::Assert,
+        early_exit: false,
+        suffix_cycles: 0,
     };
-    if cpu.inject_fault(fault).is_err() {
-        // A fault site that does not exist in this configuration cannot
-        // affect it.
-        return FaultRun::skipped(false, None);
-    }
+    let Ok(mut cpu) = Cpu::with_predecoded(Arc::clone(program), Arc::clone(decoded), cfg.clone())
+    else {
+        return asserted;
+    };
     // An internal invariant violation inside the simulator is the paper's
     // Assert class: catch it rather than tearing the campaign down.  The
-    // panic path records zero suffix cycles, matching the checkpointed path.
+    // panic path records zero suffix cycles.
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         crate::chaos::maybe_panic_fault(fault.cycle);
+        cpu.inject_fault(fault)
+            .expect("absent fault sites are resolved before simulation");
         cpu.run(golden.timeout_cycles, &mut NullProbe)
     }));
     match outcome {
         Ok(result) => FaultRun {
+            effect: classify(&golden.result, &result),
+            early_exit: false,
             suffix_cycles: result.cycles,
-            ..FaultRun::unsimulated(classify(&golden.result, &result))
         },
-        Err(_) => FaultRun::unsimulated(FaultEffect::Assert),
+        Err(_) => asserted,
     }
 }
 
-/// Runs one fault on a reusable core by restoring the nearest checkpoint and
-/// simulating only the suffix.  Returns the same classification the
-/// from-scratch path would.
-///
-/// `boundaries` is the ascending list of the store's checkpoint cycles
-/// (computed once per campaign or injector call); the early-exit convergence
-/// test walks it with a cursor, so it works for equal-cycle and suffix-work
-/// stores alike — retained checkpoints need not sit on any uniform grid.
-///
-/// `diffs` memoises restore-source-to-boundary golden diffs so the
-/// convergence probe compares only entries that could differ (everything the
-/// suffix touched plus everything the golden run changed between the two
-/// snapshots) instead of the whole state.
-pub(crate) fn run_fault_from_checkpoint(
-    cpu: &mut Cpu,
-    golden: &GoldenRun,
-    ckpts: &GoldenCheckpoints,
-    boundaries: &[u64],
-    diffs: &mut DiffCache,
-    fault: FaultSpec,
-) -> FaultRun {
-    if fault.entry >= cpu.structure_entries(fault.structure) {
-        // Same semantics as the from-scratch path: a fault site that does
-        // not exist in this configuration cannot affect it.
-        return FaultRun::skipped(false, None);
-    }
-    let state = ckpts
-        .store
-        .latest_at_or_before(fault.cycle)
-        .expect("campaigns only use stores that start at the cycle-0 snapshot");
-    let restore_cycle = state.cycle();
-    let restore = cpu.restore_from(state);
-    if cpu.inject_fault(fault).is_err() {
-        return FaultRun::skipped(true, Some(restore));
-    }
-    let early_exit = ckpts.policy.early_exit;
-    let timeout = golden.timeout_cycles;
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        crate::chaos::maybe_panic_fault(fault.cycle);
-        let mut probe = NullProbe;
-        // Early exit: past the injection cycle, compare against the golden
-        // checkpoint stream at each retained checkpoint boundary the run
-        // crosses.  Bit-identical state implies an identical remainder,
-        // hence Masked.  The cursor starts at the first boundary strictly
-        // after the injection cycle; every boundary is within the golden
-        // run by construction.
-        let mut next = boundaries.partition_point(|&c| c <= fault.cycle);
-        while !cpu.is_finished() && cpu.cycle() < timeout {
-            if early_exit && next < boundaries.len() {
-                if boundaries[next] < cpu.cycle() {
-                    next += 1;
-                } else if boundaries[next] == cpu.cycle() {
-                    if let Some(g) = ckpts.store.at_cycle(cpu.cycle()) {
-                        let diff = diffs
-                            .entry((restore_cycle, cpu.cycle()))
-                            .or_insert_with(|| state.diff_to(g));
-                        if cpu.matches_state_with_diff(g, diff) {
-                            return (FaultEffect::Masked, true, cpu.cycle() - restore_cycle);
-                        }
-                    }
-                    next += 1;
-                }
-            }
-            cpu.step(&mut probe);
-        }
-        let result = cpu.run(timeout, &mut probe);
-        let suffix = result.cycles.saturating_sub(restore_cycle);
-        (classify(&golden.result, &result), false, suffix)
-    }));
-    let (effect, early_exit, suffix_cycles) = match outcome {
-        Ok(o) => o,
-        Err(_) => {
-            // The panic unwound mid-step: the core's pipeline and
-            // touched-line bookkeeping are now untrusted, so demote it —
-            // its next restore is forced onto the full path instead of
-            // silently trusting incremental state.  Suffix cycles are
-            // recorded as 0, matching the from-scratch panic path.
-            cpu.quarantine();
-            (FaultEffect::Assert, false, 0)
-        }
-    };
-    FaultRun {
-        effect,
-        early_exit,
-        restored: true,
-        incremental: restore.incremental,
-        bytes: restore.bytes,
-        suffix_cycles,
-        skipped_site: false,
-        from_quarantine: restore.from_quarantine,
-    }
+/// Whether `fault` targets an entry `cfg` does not have.  Such a fault
+/// cannot affect the run: it is classified Masked without simulating
+/// anything and counted in [`ScheduleStats::skipped_sites`].
+pub(crate) fn site_absent(cfg: &CpuConfig, fault: FaultSpec) -> bool {
+    fault.entry >= cfg.structure_entries(fault.structure)
 }
 
 /// A reusable single-fault runner for callers that classify faults one at a
@@ -416,19 +289,23 @@ pub(crate) fn run_fault_from_checkpoint(
 /// [`Session::campaign`](crate::Session::campaign).
 ///
 /// Shares the program and configuration across faults via `Arc`.  When the
-/// golden run carries a checkpoint store it also reuses one core object,
-/// restoring the nearest checkpoint per fault — the same engine the
-/// campaigns use; without a store each fault builds a fresh core and
-/// simulates from cycle 0.
+/// golden run carries a usable checkpoint store, each fault runs as a
+/// one-fault range of the batched driver that campaigns use (see the
+/// `batch` module): a reused core restores the fault's checkpoint, replays
+/// to the injection cycle and takes the fault itself.  Without a store each
+/// fault builds a fresh core and simulates from cycle 0.
 pub struct FaultInjector {
     program: Arc<Program>,
     decoded: Arc<DecodedProgram>,
     cfg: Arc<CpuConfig>,
     golden: GoldenRun,
-    cpu: Option<Cpu>,
-    /// Ascending checkpoint cycles of the golden store, when usable —
-    /// computed once so per-fault runs allocate nothing.
+    /// The golden store, when usable for campaigns.
+    ckpts: Option<Arc<GoldenCheckpoints>>,
+    /// Ascending checkpoint cycles of the usable store — computed once so
+    /// per-fault runs allocate nothing.
     boundaries: Vec<u64>,
+    /// Reused golden-replay and fork cores.
+    pool: ForkPool,
     /// Memoised golden-to-golden diffs for the touched-entry convergence
     /// probe, keyed by (restore cycle, boundary cycle).
     diffs: DiffCache,
@@ -455,18 +332,21 @@ impl FaultInjector {
         cfg: Arc<CpuConfig>,
         golden: GoldenRun,
     ) -> Self {
-        let boundaries = golden
+        let ckpts = golden
             .checkpoints
+            .clone()
+            .filter(|c| c.usable_for_campaigns());
+        let boundaries = ckpts
             .as_ref()
-            .filter(|c| c.usable_for_campaigns())
             .map(|c| c.store.cycles().collect())
             .unwrap_or_default();
         FaultInjector {
+            pool: ForkPool::new(&program, &decoded, &cfg),
             program,
             decoded,
             cfg,
             golden,
-            cpu: None,
+            ckpts,
             boundaries,
             diffs: DiffCache::new(),
         }
@@ -484,16 +364,16 @@ impl FaultInjector {
     }
 
     /// Like [`FaultInjector::run`], additionally returning the number of
-    /// cycles the faulty run actually simulated (restore point to wherever
-    /// it ended) — the deterministic per-fault latency measure the bench
-    /// harness tracks tail latency with.
+    /// cycles simulated for the fault — from the restored checkpoint to
+    /// wherever the faulty run ended (golden replay to the injection cycle
+    /// plus the faulty suffix; replay only for a fault on a dead site) — the
+    /// deterministic per-fault latency measure the bench harness tracks
+    /// tail latency with.
     pub fn run_with_cycles(&mut self, fault: FaultSpec) -> (FaultEffect, u64) {
-        let usable = self
-            .golden
-            .checkpoints
-            .clone()
-            .filter(|c| c.usable_for_campaigns());
-        let Some(ckpts) = usable else {
+        if site_absent(&self.cfg, fault) {
+            return (FaultEffect::Masked, 0);
+        }
+        let Some(ckpts) = &self.ckpts else {
             let run = run_single_fault_shared(
                 &self.program,
                 &self.decoded,
@@ -503,26 +383,19 @@ impl FaultInjector {
             );
             return (run.effect, run.suffix_cycles);
         };
-        if self.cpu.is_none() {
-            match Cpu::with_predecoded(
-                Arc::clone(&self.program),
-                Arc::clone(&self.decoded),
-                (*self.cfg).clone(),
-            ) {
-                Ok(c) => self.cpu = Some(c),
-                Err(_) => return (FaultEffect::Assert, 0),
-            }
-        }
-        let core = self.cpu.as_mut().expect("injector core initialised above");
-        let run = run_fault_from_checkpoint(
-            core,
+        let mut stats = ScheduleStats::default();
+        match run_batched_range(
+            &mut self.pool,
             &self.golden,
-            &ckpts,
+            ckpts,
             &self.boundaries,
             &mut self.diffs,
-            fault,
-        );
-        (run.effect, run.suffix_cycles)
+            &[(0, fault)],
+            &mut stats,
+        ) {
+            Some(runs) => (runs[0].1, stats.golden_replay_cycles + stats.suffix_cycles),
+            None => (FaultEffect::Assert, 0),
+        }
     }
 }
 
@@ -547,7 +420,8 @@ pub struct CampaignResult {
     pub runs_executed: u64,
     /// Faults the checkpointed engine classified Masked by state
     /// re-convergence with the golden checkpoint stream, without simulating
-    /// to the program's end (always 0 on the from-scratch path).
+    /// to the program's end — the same count as
+    /// [`ScheduleStats::forks_retired`] (always 0 on the from-scratch path).
     pub early_exits: u64,
     /// How the scheduler executed the campaign: ranges, restores, steals and
     /// total suffix cycles simulated.  Classification outcomes never depend

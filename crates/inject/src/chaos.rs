@@ -7,11 +7,12 @@
 //! that fault source: a process-global, normally disarmed probe that the
 //! engine polls at two points:
 //!
-//! * **per-fault** — just before simulating a fault's suffix, inside the
-//!   per-fault `catch_unwind`.  Arming a fault's injection cycle via
-//!   [`ChaosPlan::fault_panic_cycles`] makes *every* simulation attempt of
-//!   that fault panic, which the engine must classify as [`Assert`] and
-//!   which must quarantine the worker's core.
+//! * **per-fault** — inside a per-fault `catch_unwind`: in the batched
+//!   driver's dead-site query on the golden core at the fault's injection
+//!   cycle, and before a from-scratch run.  Arming a fault's injection
+//!   cycle via [`ChaosPlan::fault_panic_cycles`] makes *every* simulation
+//!   attempt of that fault panic, which the engine must classify as
+//!   [`Assert`] and which must quarantine the panicking core.
 //! * **per-range** — when a scheduler worker starts a bound range, outside
 //!   the per-fault `catch_unwind` but inside the worker's range-level
 //!   containment.  Arming [`ChaosPlan::range_panic_cycle`] with a panic
@@ -121,8 +122,9 @@ pub fn range_panics_fired() -> u64 {
 
 /// Per-fault probe: panics if the armed plan targets `fault_cycle`.
 ///
-/// Called by the engine inside the per-fault `catch_unwind`, just before the
-/// fault's suffix is simulated.  Disarmed cost: one relaxed load.
+/// Called by the engine inside a per-fault `catch_unwind`: at the fault's
+/// dead-site query in the batched driver, and before a from-scratch run.
+/// Disarmed cost: one relaxed load.
 pub(crate) fn maybe_panic_fault(fault_cycle: u64) {
     if !ARMED.load(Ordering::Relaxed) {
         return;

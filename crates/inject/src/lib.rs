@@ -15,7 +15,7 @@
 //! * the checkpoint-and-restore injection engine behind
 //!   [`Session::campaign`]: the golden run is snapshotted in one adaptive
 //!   pass (spaced by equal cycles or equal estimated suffix work, see
-//!   [`SpacingStrategy`]) and every faulty run restores the nearest
+//!   [`SpacingStrategy`]) and every faulty run starts from the nearest
 //!   checkpoint and simulates only its post-injection suffix — with an
 //!   allocation-free hot loop: every session shares one pre-decoded
 //!   micro-op arena (`merlin_isa::DecodedProgram`) across all of its
@@ -28,11 +28,12 @@
 //!   sub-ranges sharing the restore source — with per-campaign
 //!   [`ScheduleStats`] on every [`CampaignResult`] and byte-identical
 //!   outcomes at any thread count,
-//! * fork-on-divergence batched suffix simulation ([`BatchingPolicy`], see
-//!   the `batch` module): one golden replay per checkpoint range with
-//!   faulty cores forked lazily at their injection cycles, retired on
-//!   re-convergence and merged on state collision — byte-identical to the
-//!   per-fault engine, which stays wired in as the oracle,
+//! * fork-on-divergence batched suffix simulation (the `batch` module),
+//!   the one checkpointed engine: one golden replay per checkpoint range,
+//!   faults on dead sites resolved at their injection cycles, and a faulty
+//!   core forked for each other fault and retired on re-convergence —
+//!   byte-identical to from-scratch simulation
+//!   ([`Session::campaign_from_scratch`]), the oracle,
 //! * the fault-effect classification of Table 2 ([`FaultEffect`],
 //!   [`classify`], [`Classification`]) and the truncated-run classification
 //!   of §4.4.3.4 ([`TruncatedEffect`]).
@@ -70,7 +71,6 @@ mod sampling;
 pub mod schedule;
 mod session;
 
-pub use batch::BatchingPolicy;
 pub use campaign::{
     CampaignError, CampaignResult, FaultInjector, FaultOutcome, GoldenCheckpoints, GoldenRun,
 };

@@ -41,7 +41,6 @@
 //! assert_eq!(session.golden_builds(), 1);
 //! ```
 
-use crate::batch::BatchingPolicy;
 use crate::campaign::{
     build_golden_checkpointed, CampaignError, CampaignResult, FaultInjector, GoldenCheckpoints,
     GoldenRun,
@@ -70,9 +69,7 @@ pub struct SessionBuilder {
     policy: CheckpointPolicy,
     max_cycles: u64,
     threads: usize,
-    batching: BatchingPolicy,
     persist_path: Option<PathBuf>,
-    seeded_golden: Option<GoldenRun>,
     /// Counter receiving corrupt-artifact rejections (see
     /// [`Session::artifact_rejects`]); a cache installs its shared counter
     /// here so rejections aggregate across its sessions.
@@ -92,9 +89,7 @@ impl SessionBuilder {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-            batching: BatchingPolicy::default(),
             persist_path: None,
-            seeded_golden: None,
             artifact_rejects: Arc::new(AtomicU64::new(0)),
             fingerprint: std::cell::Cell::new(None),
         }
@@ -120,15 +115,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Selects the per-range campaign engine: per-fault restore (the
-    /// default, and the oracle) or fork-on-divergence batching.  Outcomes
-    /// are byte-identical either way, so — like [`Self::threads`] — this is
-    /// execution-only and does not participate in the fingerprint.
-    pub fn batching(mut self, batching: BatchingPolicy) -> Self {
-        self.batching = batching;
-        self
-    }
-
     /// Persists the golden run (checkpoint store included) to `path` on
     /// first build, and loads it from there instead of simulating when a
     /// file with a matching fingerprint already exists.  Normally set by
@@ -143,14 +129,6 @@ impl SessionBuilder {
     /// [`SessionCache`] so rejections aggregate across its sessions.
     pub(crate) fn reject_counter(mut self, counter: Arc<AtomicU64>) -> Self {
         self.artifact_rejects = counter;
-        self
-    }
-
-    /// Seeds the session with an already-built golden run instead of
-    /// building one lazily (the bridge the deprecated free-function shims
-    /// use; such a session reports zero [`Session::golden_builds`]).
-    pub fn golden(mut self, golden: GoldenRun) -> Self {
-        self.seeded_golden = Some(golden);
         self
     }
 
@@ -204,10 +182,6 @@ impl SessionBuilder {
             .validate()
             .map_err(|e| CampaignError::BadConfig(e.to_string()))?;
         let fingerprint = self.fingerprint();
-        let golden = OnceLock::new();
-        if let Some(seed) = self.seeded_golden {
-            let _ = golden.set(Ok(seed));
-        }
         // Decode the whole program exactly once per session: the golden run,
         // every campaign worker and every injector fetch micro-ops from this
         // shared table instead of cracking per fetched instruction.
@@ -227,10 +201,9 @@ impl SessionBuilder {
             policy: self.policy,
             max_cycles: self.max_cycles,
             threads: self.threads,
-            batching: self.batching,
             persist_path: self.persist_path,
             fingerprint,
-            golden,
+            golden: OnceLock::new(),
             golden_builds: AtomicU64::new(0),
             artifact_rejects: self.artifact_rejects,
             ext: Mutex::new(HashMap::new()),
@@ -255,7 +228,6 @@ pub struct Session {
     policy: CheckpointPolicy,
     max_cycles: u64,
     threads: usize,
-    batching: BatchingPolicy,
     persist_path: Option<PathBuf>,
     fingerprint: u64,
     golden: OnceLock<Result<GoldenRun, CampaignError>>,
@@ -313,11 +285,6 @@ impl Session {
         self.threads
     }
 
-    /// The per-range campaign engine this session's campaigns run under.
-    pub fn batching(&self) -> BatchingPolicy {
-        self.batching
-    }
-
     /// The context fingerprint (see [`SessionBuilder::fingerprint`]).
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
@@ -340,7 +307,7 @@ impl Session {
     }
 
     /// How many times this session actually *simulated* a golden run (0 or
-    /// 1; disk-cache hits and seeded goldens do not count).  The regression
+    /// 1; disk-cache hits do not count).  The regression
     /// suite uses this to prove the once-per-session invariant.
     pub fn golden_builds(&self) -> u64 {
         self.golden_builds.load(Ordering::Relaxed)
@@ -426,8 +393,9 @@ impl Session {
     }
 
     /// Runs an injection campaign over `faults` with this session's thread
-    /// count, restoring golden checkpoints per fault when the policy enables
-    /// them.  Register-file faults into statically-dead entries are
+    /// count.  When the policy enables checkpoints, each checkpoint range
+    /// restores once, replays its golden prefix once and forks a faulty
+    /// core per fault (see [`CampaignScheduler`](crate::CampaignScheduler)).  Register-file faults into statically-dead entries are
     /// classified Masked without simulation and accounted as
     /// [`ScheduleStats::static_prunes`](crate::ScheduleStats::static_prunes).
     ///
@@ -447,7 +415,6 @@ impl Session {
             faults,
             self.threads,
             Some(&self.analysis),
-            self.batching,
         ))
     }
 
@@ -476,7 +443,6 @@ impl Session {
             faults,
             self.threads,
             None,
-            BatchingPolicy::PerFault,
         ))
     }
 
@@ -1460,20 +1426,6 @@ mod tests {
         assert!(leftovers.is_empty(), "temp file leaked: {leftovers:?}");
 
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn seeded_golden_is_used_verbatim() {
-        let session = test_session();
-        let golden = session.golden().unwrap().clone();
-        let seeded = Session::builder(&tiny_program(), &CpuConfig::default())
-            .checkpoints(small_policy())
-            .max_cycles(1_000_000)
-            .golden(golden.clone())
-            .build()
-            .unwrap();
-        assert_eq!(seeded.golden().unwrap(), &golden);
-        assert_eq!(seeded.golden_builds(), 0);
     }
 
     #[test]

@@ -1,14 +1,15 @@
-//! Property: fork-on-divergence batching is *outcome-invisible*.
+//! Property: the batched campaign engine is *outcome-invisible*.
 //!
 //! The batched driver replays each checkpoint range's golden prefix once,
 //! resolves faults on dead sites at their injection cycle and forks faulty
 //! cores from the live golden state for the rest, so it must prove it
 //! changed only the work, never the answer:
 //!
-//! * a batched campaign is byte-identical to the per-fault oracle AND to a
-//!   full from-scratch simulation at 1/2/4/8 worker threads, for random
-//!   register-file fault lists (proptest), for a pinned list, and for
-//!   store-queue and L1D lists (a store-free program included);
+//! * a campaign is byte-identical to full from-scratch simulation at
+//!   1/2/4/8 worker threads, for random register-file fault lists
+//!   (proptest), for a pinned list, for store-queue and L1D lists (a
+//!   store-free program included) and for every built-in workload ×
+//!   RF/SQ/L1D;
 //! * every probe-retired fork (counted by `forks_retired`, classified
 //!   Masked without finishing its run) and every dead-site fault (counted
 //!   by `dead_sites`, classified Masked without a fork) really is Masked
@@ -17,12 +18,15 @@
 //!   probes and no dead-site query, pins exactly that;
 //! * the telemetry is exact: a reference scan, stepping its own golden core
 //!   and querying `Cpu::fault_site_dead` at each injection cycle, predicts
-//!   `dead_sites`, and the remaining faults account for `early_exits` and
-//!   `forks_spawned` one for one.
+//!   `dead_sites`; stepping a fresh core per live fault from reset and
+//!   comparing its full state with the golden store at each boundary
+//!   predicts `forks_retired` and `early_exits`; and the remaining faults
+//!   account for `forks_spawned` one for one.
 
 use merlin_cpu::{CheckpointPolicy, Cpu, CpuConfig, NullProbe};
-use merlin_inject::{BatchingPolicy, CampaignResult, FaultSpec, Session, Structure};
+use merlin_inject::{CampaignResult, FaultSpec, Session, Structure};
 use merlin_isa::{reg, AluOp, Cond, MemRef, Program, ProgramBuilder};
+use merlin_workloads::workload_by_name;
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 
@@ -59,7 +63,7 @@ fn store_free_program() -> Program {
     b.build().unwrap()
 }
 
-fn session(program: &Program, threads: usize, batching: BatchingPolicy) -> Session {
+fn session(program: &Program, threads: usize) -> Session {
     Session::builder(program, &CpuConfig::default().with_phys_regs(64))
         .checkpoints(CheckpointPolicy {
             enabled: true,
@@ -70,36 +74,33 @@ fn session(program: &Program, threads: usize, batching: BatchingPolicy) -> Sessi
         })
         .max_cycles(1_000_000)
         .threads(threads)
-        .batching(batching)
         .build()
         .unwrap()
 }
 
-/// One program's sessions: batched at several thread counts, plus the
-/// per-fault oracle (single-threaded; outcomes are thread-count invariant
-/// anyway, and the suite pins that separately).
-struct Sessions {
-    batched: Vec<Session>,
-    per_fault: Session,
-}
+/// One program's sessions at several thread counts; the first is
+/// single-threaded and serves the from-scratch oracle (its outcomes are
+/// thread-count invariant anyway, and the suite pins that separately).
+struct Sessions(Vec<Session>);
 
 impl Sessions {
     fn new(program: &Program, threads: &[usize]) -> Self {
-        Sessions {
-            batched: threads
-                .iter()
-                .map(|&t| session(program, t, BatchingPolicy::Batched))
-                .collect(),
-            per_fault: session(program, 1, BatchingPolicy::PerFault),
-        }
+        Sessions(threads.iter().map(|&t| session(program, t)).collect())
+    }
+
+    fn oracle(&self) -> &Session {
+        &self.0[0]
     }
 }
 
 struct Shared {
-    /// `tiny_program` batched at 1, 2, 4 and 8 worker threads.
+    /// `tiny_program` at 1, 2, 4 and 8 worker threads.
     tiny: Sessions,
-    /// `store_free_program` batched at 1 and 4 worker threads.
+    /// `store_free_program` at 1 and 4 worker threads.
     store_free: Sessions,
+    /// The built-in `sha` workload at 1 and 4 worker threads: long enough
+    /// for forks to re-converge (the tiny programs halt before any does).
+    sha: Sessions,
 }
 
 fn shared() -> &'static Shared {
@@ -107,16 +108,19 @@ fn shared() -> &'static Shared {
     SHARED.get_or_init(|| Shared {
         tiny: Sessions::new(&tiny_program(), &[1, 2, 4, 8]),
         store_free: Sessions::new(&store_free_program(), &[1, 4]),
+        sha: Sessions::new(&workload_by_name("sha").unwrap().program, &[1, 4]),
     })
 }
 
 /// Reference partition of a fault list, computed without the scheduler:
 /// statically pruned faults, faults on sites a golden core stepped to
-/// their injection cycle reports dead, and the live rest (in list order).
+/// their injection cycle reports dead, and the live rest (in list order),
+/// with how many of the live faults re-converge with the golden store.
 struct Partition {
     static_prunes: u64,
     dead: u64,
     live: Vec<FaultSpec>,
+    retired: u64,
 }
 
 fn partition(s: &Session, faults: &[FaultSpec]) -> Partition {
@@ -151,172 +155,212 @@ fn partition(s: &Session, faults: &[FaultSpec]) -> Partition {
         }
     }
     live_idx.sort_unstable();
+    let live: Vec<FaultSpec> = live_idx.into_iter().map(|i| faults[i]).collect();
+    let retired = live.iter().filter(|&&f| reconverges(s, f)).count() as u64;
     Partition {
         static_prunes,
         dead,
-        live: live_idx.into_iter().map(|i| faults[i]).collect(),
+        live,
+        retired,
     }
 }
 
-/// Exact telemetry of a batched campaign against the reference partition:
-/// dead-site and static-prune counts match it, the live faults' early
-/// exits match the per-fault oracle's on the live sublist, and every fault
-/// is accounted for by exactly one resolution path.
+/// Whether `fault`, simulated on a fresh core from reset, reaches a state
+/// equal in full to the golden store's snapshot at some store boundary
+/// after its injection cycle, before the run halts or times out.  This is
+/// the engine's early-exit condition, checked without restores, forks or
+/// memoised diffs.
+fn reconverges(s: &Session, fault: FaultSpec) -> bool {
+    let golden = s.golden().unwrap();
+    let store = &golden.checkpoints.as_ref().unwrap().store;
+    let mut cpu = Cpu::with_predecoded(
+        Arc::clone(s.program()),
+        Arc::clone(s.decoded()),
+        s.config().clone(),
+    )
+    .unwrap();
+    cpu.inject_fault(fault).unwrap();
+    while !cpu.is_finished() && cpu.cycle() < golden.timeout_cycles {
+        if cpu.cycle() > fault.cycle {
+            if let Some(g) = store.at_cycle(cpu.cycle()) {
+                if cpu.matches_state(g) {
+                    return true;
+                }
+            }
+        }
+        cpu.step(&mut NullProbe);
+    }
+    false
+}
+
+/// Exact telemetry of a campaign against the reference partition:
+/// dead-site, static-prune and re-convergence counts match it, and every
+/// fault is accounted for by exactly one resolution path.
 fn assert_exact_telemetry(
     part: &Partition,
-    live_oracle: &CampaignResult,
     faults: &[FaultSpec],
-    batched: &CampaignResult,
+    result: &CampaignResult,
     label: &str,
 ) {
-    let sched = &batched.schedule;
+    let sched = &result.schedule;
     assert_eq!(sched.dead_sites, part.dead, "{label}");
     assert_eq!(sched.static_prunes, part.static_prunes, "{label}");
-    assert_eq!(batched.early_exits, live_oracle.early_exits, "{label}");
+    assert_eq!(result.early_exits, part.retired, "{label}");
+    assert_eq!(sched.forks_retired, part.retired, "{label}");
     assert_eq!(
         sched.static_prunes + sched.skipped_sites + sched.dead_sites + sched.forks_spawned,
         faults.len() as u64,
         "{label}"
     );
+    // The engine actually ran: every live fault reached a core, and the
+    // golden prefix was replayed.
+    assert_eq!(sched.forks_spawned, part.live.len() as u64, "{label}");
+    assert!(sched.forks_spawned >= sched.forks_retired, "{label}");
+    assert!(sched.golden_replay_cycles > 0, "{label}");
 }
 
 #[test]
-fn batched_campaign_matches_the_per_fault_oracle_with_live_telemetry() {
-    let s = &shared().tiny;
-    let faults = s
-        .per_fault
-        .fault_list(Structure::RegisterFile, 80, 42)
-        .unwrap();
-    let oracle = s.per_fault.campaign(&faults).unwrap();
-    // The per-fault engine never batches, forks, replays or queries dead
-    // sites.
-    assert_eq!(oracle.schedule.batched_ranges, 0);
-    assert_eq!(oracle.schedule.forks_spawned, 0);
-    assert_eq!(oracle.schedule.forks_retired, 0);
-    assert_eq!(oracle.schedule.dead_sites, 0);
-    assert_eq!(oracle.schedule.golden_replay_cycles, 0);
-    let scratch = s.per_fault.campaign_from_scratch(&faults).unwrap();
-    assert_eq!(oracle.outcomes, scratch.outcomes);
-    let part = partition(&s.per_fault, &faults);
-    assert!(part.dead > 0, "free registers must show up as dead sites");
-    let live_oracle = s.per_fault.campaign(&part.live).unwrap();
-
-    for session in &s.batched {
-        let t = session.threads();
-        let batched = session.campaign(&faults).unwrap();
-        assert_eq!(batched.outcomes, oracle.outcomes, "x{t} threads");
-        assert_exact_telemetry(&part, &live_oracle, &faults, &batched, &format!("x{t}"));
-        // The batched engine actually ran: every range went through the
-        // driver and every live fault lived as a fork.
-        assert!(batched.schedule.batched_ranges > 0, "x{t} threads");
-        assert!(batched.schedule.forks_spawned > 0, "x{t} threads");
-        assert!(
-            batched.schedule.forks_spawned >= batched.schedule.forks_retired,
-            "x{t} threads"
-        );
-        // Every probe retirement is an early-exit outcome.
-        assert_eq!(
-            batched.schedule.forks_retired, batched.early_exits,
-            "x{t} threads"
-        );
-        // The whole point of the inversion: the golden prefix is replayed
-        // once per range, and the faulty cores simulate strictly fewer
-        // cycles than the per-fault engine paid in total.
-        assert!(batched.schedule.golden_replay_cycles > 0, "x{t} threads");
-        assert!(
-            batched.schedule.suffix_cycles + batched.schedule.golden_replay_cycles
-                < oracle.schedule.suffix_cycles,
-            "x{t} threads: batching must reduce simulated cycles \
-             (batched {} + golden replay {} vs per-fault {})",
-            batched.schedule.suffix_cycles,
-            batched.schedule.golden_replay_cycles,
-            oracle.schedule.suffix_cycles
-        );
-    }
-}
-
-#[test]
-fn store_queue_and_l1d_campaigns_match_both_oracles_with_exact_telemetry() {
+fn campaigns_match_from_scratch_with_exact_telemetry() {
     let sh = shared();
     let cases = [
-        ("store queue", &sh.tiny, Structure::StoreQueue, false),
-        (
-            "store queue, store-free",
-            &sh.store_free,
-            Structure::StoreQueue,
-            true,
-        ),
-        ("L1D", &sh.tiny, Structure::L1DCache, false),
+        ("tiny RF", &sh.tiny, Structure::RegisterFile),
+        ("sha RF", &sh.sha, Structure::RegisterFile),
+        ("tiny SQ", &sh.tiny, Structure::StoreQueue),
+        ("store-free SQ", &sh.store_free, Structure::StoreQueue),
+        ("sha SQ", &sh.sha, Structure::StoreQueue),
+        ("tiny L1D", &sh.tiny, Structure::L1DCache),
+        ("sha L1D", &sh.sha, Structure::L1DCache),
     ];
-    for (name, s, structure, store_free) in cases {
-        let faults = s.per_fault.fault_list(structure, 60, 11).unwrap();
-        let oracle = s.per_fault.campaign(&faults).unwrap();
-        let scratch = s.per_fault.campaign_from_scratch(&faults).unwrap();
-        assert_eq!(oracle.outcomes, scratch.outcomes, "{name}");
-        let part = partition(&s.per_fault, &faults);
+    let mut retired = 0;
+    for (name, s, structure) in cases {
+        // Store-queue and L1D sites of these short programs are nearly all
+        // dead (empty slots, invalid lines), so their lists are long enough
+        // to draw live faults too.
+        let (count, seed) = match structure {
+            Structure::RegisterFile => (80, 42),
+            _ => (600, 11),
+        };
+        let faults = s.oracle().fault_list(structure, count, seed).unwrap();
+        let scratch = s.oracle().campaign_from_scratch(&faults).unwrap();
+        // From-scratch simulation never forks, replays, probes, restores
+        // or queries dead sites.
+        assert_eq!(scratch.schedule.forks_spawned, 0, "{name}");
+        assert_eq!(scratch.early_exits, 0, "{name}");
+        assert_eq!(scratch.schedule.dead_sites, 0, "{name}");
+        assert_eq!(scratch.schedule.golden_replay_cycles, 0, "{name}");
+        assert_eq!(scratch.schedule.restores, 0, "{name}");
+        let part = partition(s.oracle(), &faults);
         assert!(part.dead > 0, "{name}: no dead sites drawn");
-        let live_oracle = s.per_fault.campaign(&part.live).unwrap();
-        for session in s.batched.iter().filter(|b| [1, 4].contains(&b.threads())) {
+        assert!(!part.live.is_empty(), "{name}: no live sites drawn");
+        retired += part.retired;
+        for session in &s.0 {
             let label = format!("{name} x{}", session.threads());
-            let batched = session.campaign(&faults).unwrap();
-            assert_eq!(batched.outcomes, scratch.outcomes, "{label}");
-            assert_exact_telemetry(&part, &live_oracle, &faults, &batched, &label);
+            let result = session.campaign(&faults).unwrap();
+            assert_eq!(result.outcomes, scratch.outcomes, "{label}");
+            assert_exact_telemetry(&part, &faults, &result, &label);
+            // The golden prefix is replayed once per range, and the faulty
+            // cores simulate strictly fewer cycles than from-scratch
+            // simulation paid in total.
+            assert!(
+                result.schedule.suffix_cycles + result.schedule.golden_replay_cycles
+                    < scratch.schedule.suffix_cycles,
+                "{label}: checkpoints must reduce simulated cycles \
+                 (suffix {} + golden replay {} vs from-scratch {})",
+                result.schedule.suffix_cycles,
+                result.schedule.golden_replay_cycles,
+                scratch.schedule.suffix_cycles
+            );
         }
-        if store_free {
+        if std::ptr::eq(s, &sh.store_free) {
             // No slot is ever allocated: every fault due while the program
             // runs is dead; only faults past its halt can reach a fork.
-            let halt = s.per_fault.golden().unwrap().result.cycles;
+            let halt = s.oracle().golden().unwrap().result.cycles;
             assert!(part.live.iter().all(|f| f.cycle >= halt), "{name}");
         }
     }
+    // Without re-converging forks the early-exit counts would be checked
+    // only against zero.
+    assert!(retired > 0, "no fork re-converged in any case");
 }
 
 #[test]
 fn duplicated_faults_classify_like_the_oracle() {
     let s = &shared().tiny;
     let base = s
-        .per_fault
+        .oracle()
         .fault_list(Structure::RegisterFile, 40, 7)
         .unwrap();
     // Every fault twice: each twin is resolved (or forked and simulated)
     // on its own and must classify exactly as the oracle does.
     let doubled: Vec<FaultSpec> = base.iter().flat_map(|&f| [f, f]).collect();
-    let oracle = s.per_fault.campaign(&doubled).unwrap();
-    for session in &s.batched {
+    let oracle = s.oracle().campaign_from_scratch(&doubled).unwrap();
+    for session in &s.0 {
         let t = session.threads();
         let result = session.campaign(&doubled).unwrap();
         assert_eq!(result.outcomes, oracle.outcomes, "x{t} threads");
     }
 }
 
+/// The oracle sweep: every built-in workload × register file, store queue
+/// and L1D, a few faults per cell, at 1 and 4 worker threads, under the
+/// default configuration and checkpoint policy.
+#[test]
+fn every_workload_and_structure_matches_from_scratch() {
+    for w in merlin_workloads::all_workloads() {
+        let sessions: Vec<Session> = [1, 4]
+            .into_iter()
+            .map(|t| {
+                Session::builder(&w.program, &CpuConfig::default())
+                    .threads(t)
+                    .build()
+                    .unwrap()
+            })
+            .collect();
+        for (i, &structure) in Structure::all().iter().enumerate() {
+            let faults = sessions[0]
+                .fault_list(structure, 4, 2017 + i as u64)
+                .unwrap();
+            let scratch = sessions[0].campaign_from_scratch(&faults).unwrap();
+            for session in &sessions {
+                let result = session.campaign(&faults).unwrap();
+                assert_eq!(
+                    result.outcomes,
+                    scratch.outcomes,
+                    "{} {structure} x{}",
+                    w.name,
+                    session.threads()
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random fault lists: batched == per-fault == full simulation, at
-    /// every thread count.  The from-scratch leg fully simulates every
-    /// fault with no convergence probes and no dead-site query, so this
-    /// simultaneously proves that each probe-retired fork (`forks_retired`)
-    /// and each dead-site fault (`dead_sites`) really classifies Masked
-    /// under full simulation.
+    /// Random fault lists: campaign == full simulation, at every thread
+    /// count.  The from-scratch leg fully simulates every fault with no
+    /// convergence probes and no dead-site query, so this simultaneously
+    /// proves that each probe-retired fork (`forks_retired`) and each
+    /// dead-site fault (`dead_sites`) really classifies Masked under full
+    /// simulation.
     #[test]
-    fn batched_equals_per_fault_and_full_simulation(
+    fn campaign_equals_full_simulation(
         seed in 0u64..1_000_000,
         count in 40usize..80,
     ) {
         let s = &shared().tiny;
         let faults = s
-            .per_fault
+            .oracle()
             .fault_list(Structure::RegisterFile, count, seed)
             .unwrap();
-        let oracle = s.per_fault.campaign(&faults).unwrap();
-        let scratch = s.per_fault.campaign_from_scratch(&faults).unwrap();
-        prop_assert_eq!(&oracle.outcomes, &scratch.outcomes);
-        for session in &s.batched {
-            let batched = session.campaign(&faults).unwrap();
+        let scratch = s.oracle().campaign_from_scratch(&faults).unwrap();
+        for session in &s.0 {
+            let result = session.campaign(&faults).unwrap();
             prop_assert_eq!(
-                &batched.outcomes,
+                &result.outcomes,
                 &scratch.outcomes,
-                "batching changed an outcome at x{} threads",
+                "the engine changed an outcome at x{} threads",
                 session.threads()
             );
         }

@@ -2,9 +2,9 @@
 //! [`merlin_inject::chaos`] probes:
 //!
 //! * a fault whose simulation panics on every attempt is classified
-//!   `Assert`, quarantines the worker's core (next restore is a forced full
-//!   restore), and leaves every other fault's classification byte-identical
-//!   to a clean campaign at any thread count;
+//!   `Assert`, quarantines the panicking core (its next restore is a forced
+//!   full restore), and leaves every other fault's classification
+//!   byte-identical to a clean campaign at any thread count;
 //! * a worker panic at range level returns the range to the pool and is
 //!   retried once on a fresh core; a persistently panicking range is
 //!   classified `Assert` wholesale, deterministically.
@@ -13,7 +13,7 @@
 
 use merlin_cpu::{CheckpointPolicy, CpuConfig};
 use merlin_inject::chaos::{self, ChaosPlan};
-use merlin_inject::{BatchingPolicy, FaultEffect, FaultSpec, Session, Structure};
+use merlin_inject::{FaultEffect, FaultSpec, Session, Structure};
 use merlin_isa::{reg, AluOp, Cond, MemRef, Program, ProgramBuilder};
 use std::sync::{Mutex, MutexGuard};
 
@@ -43,10 +43,6 @@ fn tiny_program() -> Program {
 }
 
 fn session(threads: usize) -> Session {
-    session_with(threads, BatchingPolicy::PerFault)
-}
-
-fn session_with(threads: usize, batching: BatchingPolicy) -> Session {
     Session::builder(&tiny_program(), &CpuConfig::default())
         .checkpoints(CheckpointPolicy {
             enabled: true,
@@ -57,7 +53,6 @@ fn session_with(threads: usize, batching: BatchingPolicy) -> Session {
         })
         .max_cycles(1_000_000)
         .threads(threads)
-        .batching(batching)
         .build()
         .unwrap()
 }
@@ -69,7 +64,7 @@ fn fault_list(s: &Session) -> Vec<FaultSpec> {
 /// A fault cycle that appears exactly once in the list, is not the latest,
 /// and targets a statically-live register-file entry.  Statically-pruned
 /// faults are classified without ever reaching the per-fault probe, so a
-/// chaos target must be a fault the engine really simulates; uniqueness
+/// chaos target must be a fault the engine really reaches; uniqueness
 /// means arming it targets exactly one fault, and "not the latest" means at
 /// least one later fault exercises the post-panic restore on the same
 /// worker.
@@ -90,7 +85,7 @@ fn unique_mid_cycle(s: &Session, faults: &[FaultSpec]) -> u64 {
 }
 
 #[test]
-fn per_fault_panics_become_assert_and_quarantine_the_core() {
+fn fault_panic_becomes_assert_quarantines_one_core_and_reruns_the_range_per_fault() {
     let _serial = serial();
     let clean = session(1);
     let faults = fault_list(&clean);
@@ -99,6 +94,12 @@ fn per_fault_panics_become_assert_and_quarantine_the_core() {
     assert_eq!(clean_result.schedule.poisoned_restores, 0);
     let target = unique_mid_cycle(&clean, &faults);
 
+    // An unbudgeted chaos fault panics inside the dead-site query of the
+    // batched driver.  That query runs on the range's golden core, so the
+    // golden core is quarantined and the range aborts.  The range's faults
+    // are then re-run one per range on the same pool: the target panics
+    // again and is classified Assert, and the quarantined core surfaces as
+    // a forced full restore when a re-run takes it from the pool.
     let _guard = chaos::arm(ChaosPlan {
         fault_panic_cycles: vec![target],
         ..ChaosPlan::default()
@@ -116,22 +117,24 @@ fn per_fault_panics_become_assert_and_quarantine_the_core() {
             }
         }
         assert_eq!(result.schedule.asserts, 1, "x{threads}");
-        if threads == 1 {
-            // With one worker a later fault always follows the panic on the
-            // same core, so its restore must be the forced full restore out
-            // of quarantine.
-            assert!(
-                result.schedule.poisoned_restores >= 1,
-                "the post-panic restore must be counted as poisoned"
-            );
-        }
+        // The aborted attempt is accounted like a range retry.
+        assert!(result.schedule.range_retries >= 1, "x{threads}");
+        // Containment is per-core: the quarantined core surfaces as a
+        // forced full restore, not as a poisoned pool.
+        assert!(
+            result.schedule.poisoned_restores >= 1,
+            "x{threads}: the post-panic restore must be counted as poisoned"
+        );
         // And byte-identical across thread counts, panics included.
         match &reference {
             None => reference = Some(result.outcomes),
             Some(r) => assert_eq!(r, &result.outcomes, "x{threads}"),
         }
     }
-    assert!(chaos::fault_panics_fired() >= 4, "one panic per campaign");
+    assert!(
+        chaos::fault_panics_fired() >= 8,
+        "per campaign: once in the range, once in its one-fault re-run"
+    );
 }
 
 #[test]
@@ -205,54 +208,6 @@ fn persistent_range_panic_classifies_the_range_assert_deterministically() {
             Some(r) => assert_eq!(r, &result.outcomes, "x{threads}"),
         }
     }
-}
-
-#[test]
-fn batched_fork_panic_quarantines_one_core_and_falls_back_per_fault() {
-    let _serial = serial();
-    let clean = session(1);
-    let faults = fault_list(&clean);
-    let clean_result = clean.campaign(&faults).unwrap();
-    let target = unique_mid_cycle(&clean, &faults);
-
-    // An unbudgeted chaos fault panics the fork spawn inside the batched
-    // driver (quarantining exactly the spawning core and aborting the
-    // range), then panics again on the per-fault fallback (classifying the
-    // fault Assert, as it always did).
-    let _guard = chaos::arm(ChaosPlan {
-        fault_panic_cycles: vec![target],
-        ..ChaosPlan::default()
-    });
-    let mut reference: Option<Vec<_>> = None;
-    for threads in [1usize, 2, 4, 8] {
-        let result = session_with(threads, BatchingPolicy::Batched)
-            .campaign(&faults)
-            .unwrap();
-        for (out, clean_out) in result.outcomes.iter().zip(&clean_result.outcomes) {
-            if out.fault.cycle == target {
-                assert_eq!(out.effect, FaultEffect::Assert, "x{threads}");
-            } else {
-                assert_eq!(out, clean_out, "x{threads}");
-            }
-        }
-        assert_eq!(result.schedule.asserts, 1, "x{threads}");
-        // The aborted batched attempt is accounted like a range retry, and
-        // every *other* range still ran batched.
-        assert!(result.schedule.range_retries >= 1, "x{threads}");
-        assert!(result.schedule.batched_ranges >= 1, "x{threads}");
-        // Containment is per-core: the quarantined spawner surfaces as a
-        // forced full restore when the per-fault fallback reuses it, not
-        // as a poisoned pool.
-        assert!(result.schedule.poisoned_restores >= 1, "x{threads}");
-        match &reference {
-            None => reference = Some(result.outcomes),
-            Some(r) => assert_eq!(r, &result.outcomes, "x{threads}"),
-        }
-    }
-    assert!(
-        chaos::fault_panics_fired() >= 8,
-        "per campaign: once at fork spawn, once on the fallback"
-    );
 }
 
 #[test]
