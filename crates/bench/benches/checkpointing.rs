@@ -18,9 +18,9 @@
 //!   The suffix-work store retains the equal-cycles grid plus head
 //!   midpoints, so per-fault simulated cycles are never higher; the wall
 //!   numbers realise that as lower mean and tail latency;
-//! * **hot-loop cost** — full vs incremental restores and the bytes they
-//!   rewrote (`full_restores` / `incremental_restores` / `restored_bytes`),
-//!   plus a decode microbenchmark comparing per-fetch cracking against
+//! * **hot-loop cost** — restores and the bytes they made equal to the
+//!   checkpoint (`restores` / `restored_bytes`, per structure in
+//!   `restored_bytes_by_structure`), plus a decode microbenchmark comparing per-fetch cracking against
 //!   copying from the shared pre-decoded arena (`decode_ns_per_uop` /
 //!   `predecoded_ns_per_uop`);
 //! * **sparse store** — the same engine over a sparse
@@ -179,13 +179,6 @@ fn decode_microbench(program: &Program) -> (f64, f64) {
     (decode_ns, predecoded_ns)
 }
 
-/// Fraction of restores served by the incremental same-snapshot path — with
-/// range-bound workers, expected near 1.0 (one full restore per worker per
-/// range).
-fn incremental_fraction(sched: &merlin_inject::ScheduleStats) -> f64 {
-    sched.incremental_restores as f64 / (sched.restores.max(1)) as f64
-}
-
 fn checkpointing(c: &mut Criterion) {
     let mut group = c.benchmark_group("checkpointing");
     group.sample_size(10);
@@ -235,12 +228,11 @@ fn checkpointing(c: &mut Criterion) {
              from-scratch {scratch_s:.3}s vs batched {batched_s:.3}s -> {batched_speedup:.2}x, \
              {} suffix cycles + {} golden replay cycles, {} dead sites, \
              {} forks spawned ({} probe-retired), \
-             CoW forks copied {} B vs {} B eager ({} B shared, {} breaks), \
+             CoW forks copied {} B ({} B shared, {} breaks), \
              sparse store ({sparse_checkpoints} checkpoints): {sparse_s:.3}s, \
              {} suffix cycles + {} golden replay cycles, \
              store {footprint} B delta vs {dense_footprint} B dense -> {shrink:.2}x smaller, \
-             {} restores ({} full / {} incremental = {:.4} incremental fraction, \
-             {} B rewritten), \
+             {} restores ({} B restored), \
              {} range steals, {} range splits, {} statically pruned, \
              p95/fault {:.2} ms suffix-work vs {:.2} ms equal-cycles \
              (p95 {} vs {} cycles, mean {} vs {} cycles), \
@@ -251,15 +243,11 @@ fn checkpointing(c: &mut Criterion) {
             sched.forks_spawned,
             sched.forks_retired,
             sched.fork_bytes_copied,
-            sched.fork_bytes_eager,
             sched.fork_bytes_shared,
             sched.cow_breaks,
             ssched.suffix_cycles,
             ssched.golden_replay_cycles,
             sched.restores,
-            sched.full_restores,
-            sched.incremental_restores,
-            incremental_fraction(&sched),
             sched.restored_bytes,
             sched.range_steals,
             sched.range_splits,
@@ -278,8 +266,7 @@ fn checkpointing(c: &mut Criterion) {
              \"dense_footprint_bytes\": {dense_footprint}, \
              \"footprint_shrink\": {shrink:.3}, \
              \"ranges\": {}, \"restores\": {}, \"range_steals\": {}, \
-             \"range_splits\": {}, \"full_restores\": {}, \
-             \"incremental_restores\": {}, \"incremental_fraction\": {:.4}, \
+             \"range_splits\": {}, \
              \"restored_bytes\": {}, \
              \"restored_bytes_by_structure\": {{\
              \"memory\": {}, \"caches\": {}, \"regfile\": {}, \"rename\": {}, \
@@ -289,7 +276,7 @@ fn checkpointing(c: &mut Criterion) {
              \"batched_speedup\": {batched_speedup:.3}, \
              \"golden_replay_cycles\": {}, \
              \"dead_sites\": {}, \"forks_spawned\": {}, \"forks_retired\": {}, \
-             \"fork_bytes_copied\": {}, \"fork_bytes_eager\": {}, \
+             \"fork_bytes_copied\": {}, \
              \"fork_bytes_shared\": {}, \"cow_breaks\": {}, \
              \"sparse_checkpoints\": {sparse_checkpoints}, \
              \"sparse_batched_s\": {sparse_s:.6}, \
@@ -299,7 +286,6 @@ fn checkpointing(c: &mut Criterion) {
              \"sparse_forks_spawned\": {}, \
              \"sparse_forks_retired\": {}, \
              \"sparse_fork_bytes_copied\": {}, \
-             \"sparse_fork_bytes_eager\": {}, \
              \"sparse_fork_bytes_shared\": {}, \
              \"sparse_cow_breaks\": {}, \
              \"latency_faults\": {LATENCY_FAULTS}, \
@@ -316,9 +302,6 @@ fn checkpointing(c: &mut Criterion) {
             sched.restores,
             sched.range_steals,
             sched.range_splits,
-            sched.full_restores,
-            sched.incremental_restores,
-            incremental_fraction(&sched),
             sched.restored_bytes,
             sched.restored_breakdown.memory,
             sched.restored_breakdown.caches,
@@ -335,7 +318,6 @@ fn checkpointing(c: &mut Criterion) {
             sched.forks_spawned,
             sched.forks_retired,
             sched.fork_bytes_copied,
-            sched.fork_bytes_eager,
             sched.fork_bytes_shared,
             sched.cow_breaks,
             ssched.suffix_cycles,
@@ -344,7 +326,6 @@ fn checkpointing(c: &mut Criterion) {
             ssched.forks_spawned,
             ssched.forks_retired,
             ssched.fork_bytes_copied,
-            ssched.fork_bytes_eager,
             ssched.fork_bytes_shared,
             ssched.cow_breaks,
             sw.p95_s,

@@ -601,12 +601,10 @@ fn accuracy_figures(scale: &ExperimentScale) {
     }
     println!(
         "scheduler totals across comprehensive baselines: {} ranges, {} restores \
-         ({} full / {} incremental, {} B rewritten), {} range steals, {} range splits, \
+         ({} B restored), {} range steals, {} range splits, \
          {} suffix cycles simulated",
         sched_sum.ranges,
         sched_sum.restores,
-        sched_sum.full_restores,
-        sched_sum.incremental_restores,
         sched_sum.restored_bytes,
         sched_sum.range_steals,
         sched_sum.range_splits,
@@ -640,12 +638,9 @@ fn accuracy_figures(scale: &ExperimentScale) {
         sched_sum.golden_replay_cycles
     );
     println!(
-        "copy-on-write forks: {} B copied vs {} B eager-equivalent \
+        "copy-on-write forks: {} B copied \
          ({} B adopted by handle sharing), {} sharing breaks on first write\n",
-        sched_sum.fork_bytes_copied,
-        sched_sum.fork_bytes_eager,
-        sched_sum.fork_bytes_shared,
-        sched_sum.cow_breaks
+        sched_sum.fork_bytes_copied, sched_sum.fork_bytes_shared, sched_sum.cow_breaks
     );
 }
 

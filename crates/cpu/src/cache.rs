@@ -9,7 +9,6 @@
 use crate::config::CacheConfig;
 use crate::cow::{CowTable, ForkBytes};
 use crate::memory::{MemError, Memory, MemoryDelta};
-use crate::touched::TouchedSet;
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
 use merlin_isa::MemSize;
 use serde::{Deserialize, Serialize};
@@ -26,31 +25,13 @@ struct CacheLine {
 
 /// A set-associative, write-back, write-allocate cache with true data
 /// storage and LRU replacement.
-///
-/// Besides the lines themselves, the cache keeps a *touched* bitset: one bit
-/// per line, set whenever any snapshotted per-line state (valid, dirty, tag,
-/// LRU stamp or data) may have changed, and cleared by every restore.  The
-/// bitset is what makes same-snapshot restores incremental — only lines
-/// touched since the previous restore need rewriting (see
-/// [`Cache::restore_snapshot_incremental`]).  It is bookkeeping about *how*
-/// the cache diverged from the last restore point, not architectural state:
-/// equality compares lines and the LRU counter only.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cache {
     cfg: CacheConfig,
     /// Lines in `set * ways + way` order, on copy-on-write pages of one set
     /// each — a fork shares every set the faulty suffix never writes.
     lines: CowTable<CacheLine>,
     use_counter: u64,
-    /// One bit per line (`set * ways + way`), set on any line mutation since
-    /// the last restore.
-    touched: TouchedSet,
-}
-
-impl PartialEq for Cache {
-    fn eq(&self, other: &Self) -> bool {
-        self.cfg == other.cfg && self.use_counter == other.use_counter && self.lines == other.lines
-    }
 }
 
 impl Cache {
@@ -68,7 +49,6 @@ impl Cache {
             lines: CowTable::new(lines, line, cfg.ways),
             cfg,
             use_counter: 0,
-            touched: TouchedSet::new(lines),
         }
     }
 
@@ -76,12 +56,6 @@ impl Cache {
     #[inline]
     fn line_index(&self, set: usize, way: usize) -> usize {
         set * self.cfg.ways + way
-    }
-
-    /// Marks the line at `(set, way)` as touched since the last restore.
-    #[inline]
-    fn mark_touched(&mut self, set: usize, way: usize) {
-        self.touched.mark(set * self.cfg.ways + way);
     }
 
     /// The cache geometry.
@@ -119,7 +93,6 @@ impl Cache {
         self.use_counter += 1;
         let idx = self.line_index(set, way);
         self.lines.get_mut(idx).last_use = self.use_counter;
-        self.mark_touched(set, way);
     }
 
     /// Picks the LRU victim way within `set` (invalid ways first).
@@ -173,7 +146,6 @@ impl Cache {
         if let Some((set, way)) = self.lookup(addr) {
             self.use_counter += 1;
             let last_use = self.use_counter;
-            self.mark_touched(set, way);
             let idx = self.line_index(set, way);
             let line = self.lines.get_mut(idx);
             line.data = data;
@@ -196,7 +168,6 @@ impl Cache {
         let tag = self.tag(addr);
         self.use_counter += 1;
         let last_use = self.use_counter;
-        self.mark_touched(set, way);
         let idx = self.line_index(set, way);
         let line = self.lines.get_mut(idx);
         line.valid = true;
@@ -228,7 +199,6 @@ impl Cache {
     /// refill before any read (see
     /// [`Cpu::fault_site_dead`](crate::Cpu::fault_site_dead)).
     pub fn flip_bit(&mut self, set: usize, way: usize, byte: usize, bit: u8) {
-        self.mark_touched(set, way);
         let idx = self.line_index(set, way);
         self.lines.get_mut(idx).data[byte] ^= 1 << bit;
     }
@@ -300,64 +270,17 @@ impl Cache {
             restored += s.data.len();
         }
         self.use_counter = snap.use_counter;
-        self.touched.clear_all();
-        restored
-    }
-
-    /// Restores only the lines touched since the last restore, for a cache
-    /// that is known to have matched `snap` exactly at that restore (the
-    /// same-snapshot fast path of `Cpu::restore_from`).  Untouched lines
-    /// still equal the snapshot by construction, so rewriting the touched
-    /// set alone reproduces [`Cache::restore_snapshot`] bit for bit at
-    /// O(lines touched by the suffix run) cost.  Returns the number of
-    /// line-data bytes copied.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot was taken from a cache with different geometry.
-    pub fn restore_snapshot_incremental(&mut self, snap: &CacheSnapshot) -> usize {
-        let mut restored = 0;
-        let ways = self.cfg.ways;
-        // `snap.lines` is (set, way)-ascending (snapshot iterates set-major),
-        // and the touched set drains in ascending line index, so one merge
-        // pointer finds each touched line's snapshot entry, if any.
-        let mut si = 0;
-        for idx in self.touched.drain() {
-            while si < snap.lines.len()
-                && (snap.lines[si].set as usize * ways + snap.lines[si].way as usize) < idx
-            {
-                si += 1;
-            }
-            let line = self.lines.get_mut(idx);
-            match snap.lines.get(si) {
-                Some(s) if s.set as usize * ways + s.way as usize == idx => {
-                    line.valid = true;
-                    line.dirty = s.dirty;
-                    line.tag = s.tag;
-                    line.last_use = s.last_use;
-                    line.data.copy_from_slice(&s.data);
-                    restored += s.data.len();
-                }
-                _ => line.valid = false,
-            }
-        }
-        self.use_counter = snap.use_counter;
         restored
     }
 
     /// Forks from `src` by sharing its page handles — one set per page, no
-    /// line data copied — and mirroring its tags, so `self` becomes
-    /// bit-identical to `src` at O(pages) cost.
+    /// line data copied — so `self` becomes bit-identical to `src` at
+    /// O(pages) cost.
     pub fn fork_from(&mut self, src: &Self) -> ForkBytes {
         debug_assert_eq!(self.cfg, src.cfg);
         self.lines.share_from(&src.lines);
-        self.touched.copy_from(&src.touched);
         self.use_counter = src.use_counter;
-        ForkBytes {
-            copied: 0,
-            eager: src.touched.count() as u64 * self.cfg.line_bytes,
-            shared: self.lines.len() as u64 * self.cfg.line_bytes,
-        }
+        ForkBytes::sharing(self.lines.len() as u64 * self.cfg.line_bytes)
     }
 
     /// Un-share counter of the line array, reset.
@@ -449,10 +372,10 @@ impl BinCode for CacheSnapshot {
         let use_counter = u64::decode(r)?;
         let lines = Vec::<LineSnapshot>::decode(r)?;
         // `Cache::snapshot` emits lines strictly (set, way)-ascending and
-        // the incremental restore's merge walk silently depends on it, so a
+        // `Cache::matches_snapshot`'s merge walk silently depends on it, so a
         // corrupt `.golden` payload must fail decode rather than produce a
-        // snapshot whose second restore quietly diverges (the same posture
-        // as `MemoryDelta`'s ascending-index validation).
+        // snapshot no state can ever match (the same posture as
+        // `MemoryDelta`'s ascending-index validation).
         let ascending = lines
             .windows(2)
             .all(|w| (w[0].set, w[0].way) < (w[1].set, w[1].way));
@@ -777,20 +700,6 @@ impl MemSystem {
         )
     }
 
-    /// Same-snapshot fast path: restores only cache lines touched and
-    /// memory chunks written since the last restore, valid when the
-    /// hierarchy matched `snap` exactly at that restore (see
-    /// [`Cache::restore_snapshot_incremental`] and
-    /// [`Memory::restore_delta_incremental`]).  Returns the bytes rewritten
-    /// as `(cache line data, memory chunks)`.
-    pub fn restore_snapshot_incremental(&mut self, snap: &MemSystemSnapshot) -> (usize, usize) {
-        (
-            self.l1d.restore_snapshot_incremental(&snap.l1d)
-                + self.l2.restore_snapshot_incremental(&snap.l2),
-            self.mem.restore_delta_incremental(&snap.mem),
-        )
-    }
-
     /// Structural fork: shares the caches' set pages and the memory's chunk
     /// handles from `src` (see [`Cache::fork_from`] and
     /// [`Memory::fork_from`]).  Returns per-level fork accounting as
@@ -991,26 +900,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_cache_restore_matches_full_restore() {
-        let mut ms = small_system();
-        ms.store(DATA_BASE, 0x1111, MemSize::B8).unwrap();
-        ms.store(DATA_BASE + 512, 0x2222, MemSize::B8).unwrap();
-        let snap = ms.snapshot();
-        ms.restore_snapshot(&snap);
-        // Suffix work: touch an existing line, install a new one, flip a bit.
-        ms.store(DATA_BASE, 0x3333, MemSize::B8).unwrap();
-        ms.load(DATA_BASE + 1024, MemSize::B8).unwrap();
-        ms.l1d.flip_bit(0, 0, 0, 3);
-        let (cache_bytes, _) = ms.restore_snapshot_incremental(&snap);
-        assert!(ms.matches_snapshot(&snap));
-        assert!(cache_bytes > 0);
-        // Continuing from the incrementally restored state reads the
-        // snapshot's values.
-        assert_eq!(ms.load(DATA_BASE, MemSize::B8).unwrap().0, 0x1111);
-        assert_eq!(ms.load(DATA_BASE + 512, MemSize::B8).unwrap().0, 0x2222);
-    }
-
-    #[test]
     fn unordered_cache_snapshot_lines_rejected_on_decode() {
         use merlin_isa::binio::{decode_from_slice, encode_to_vec};
         let mut ms = small_system();
@@ -1021,7 +910,7 @@ mod tests {
         let back: CacheSnapshot = decode_from_slice(&encode_to_vec(&snap)).unwrap();
         assert_eq!(back, snap);
         // Out-of-(set,way)-order lines must fail decode, not silently build
-        // a snapshot the incremental merge walk would mis-restore.
+        // a snapshot the matching merge walk would misread.
         snap.lines.swap(0, 1);
         assert!(decode_from_slice::<CacheSnapshot>(&encode_to_vec(&snap)).is_err());
     }

@@ -15,16 +15,14 @@ use crate::cow::{CowBox, CowSeq, ForkBytes};
 use crate::fault::FaultSpec;
 use crate::lsq::{LoadQueue, StoreQueue};
 use crate::memory::{MemError, Memory};
-use crate::predictor::{BranchPredictor, Btb, PredictorDiff};
+use crate::predictor::{BranchPredictor, Btb};
 use crate::probe::{Probe, ReadInfo, Structure, WRITEBACK_RIP};
 use crate::regfile::{FreeList, PhysReg, PhysRegFile, RenameTable};
-use crate::touched::{fork_deque, restore_deque, Restorable, TouchedFlag, TouchedSet};
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
 use merlin_isa::{DecodedProgram, Inst, Program, Rip, Uop, UopKind, NUM_ARCH_REGS};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Reasons a run ends with a crash of the simulated program or system.
@@ -233,18 +231,12 @@ pub struct Cpu {
     fetch_halted: bool,
     fetch_invalid: bool,
     fetch_buffer: CowSeq<FetchedUop>,
-    /// Whole-structure mutation tag for the fetch buffer (queue-shaped, so
-    /// no per-entry index survives the suffix; see [`TouchedFlag`]).
-    fetch_buffer_touched: TouchedFlag,
     // Rename.
     rat: RenameTable,
     free_list: FreeList,
     prf: PhysRegFile,
     // Window.
     rob: CowSeq<RobEntry>,
-    /// Whole-structure mutation tag for the ROB (queue-shaped, like the
-    /// fetch buffer).
-    rob_touched: TouchedFlag,
     iq_count: usize,
     lq: LoadQueue,
     sq: StoreQueue,
@@ -269,14 +261,10 @@ pub struct Cpu {
     /// fault-free fast path of [`Cpu::step`] is one integer compare.
     next_fault_cycle: u64,
     finished: Option<ExitReason>,
-    /// Identity of the snapshot this core was last restored from, while the
-    /// core is known to have matched it exactly at that restore — the guard
-    /// of the incremental same-snapshot restore path (see
-    /// [`Cpu::restore_from`]).
-    last_restored: Option<u64>,
     /// Set by [`Cpu::quarantine`] after the core's state became untrusted
     /// (typically a panic unwound through [`Cpu::step`]); cleared by the next
-    /// [`Cpu::restore_from`], which is forced onto the full-rewrite path.
+    /// [`Cpu::restore_from`] or [`Cpu::fork_from`], which overwrite every
+    /// field.
     quarantined: bool,
 }
 
@@ -337,12 +325,10 @@ impl Cpu {
             fetch_halted: false,
             fetch_invalid: false,
             fetch_buffer: CowSeq::default(),
-            fetch_buffer_touched: TouchedFlag::default(),
             rat: RenameTable::identity(),
             free_list: FreeList::new(NUM_ARCH_REGS, cfg.phys_int_regs),
             prf: PhysRegFile::new(cfg.phys_int_regs),
             rob: CowSeq::from_deque(VecDeque::with_capacity(cfg.rob_entries)),
-            rob_touched: TouchedFlag::default(),
             iq_count: 0,
             lq: LoadQueue::new(cfg.lq_entries),
             sq: StoreQueue::new(cfg.sq_entries),
@@ -361,7 +347,6 @@ impl Cpu {
             faults: Vec::new(),
             next_fault_cycle: u64::MAX,
             finished: None,
-            last_restored: None,
             quarantined: false,
             cycle: 0,
             next_seq: 0,
@@ -533,7 +518,6 @@ impl Cpu {
             };
             // Copy the instruction's micro-ops out of the shared pre-decoded
             // arena: no cracking, no allocation, on any fetch ever.
-            self.fetch_buffer_touched.mark();
             for &uop in self.decoded.uops(pc) {
                 self.fetch_buffer.make_mut().push_back(FetchedUop {
                     uop,
@@ -566,7 +550,6 @@ impl Cpu {
             {
                 break;
             }
-            self.fetch_buffer_touched.mark();
             let fetched = self
                 .fetch_buffer
                 .make_mut()
@@ -605,7 +588,6 @@ impl Cpu {
                 }
                 _ => {}
             }
-            self.rob_touched.mark();
             self.rob.make_mut().push_back(RobEntry {
                 seq,
                 uop: fetched.uop,
@@ -689,9 +671,6 @@ impl Cpu {
     /// `false` if it cannot issue yet (load waiting on disambiguation or
     /// forwarding), `true` otherwise.
     fn execute_uop(&mut self, idx: usize, probe: &mut dyn Probe) -> bool {
-        // Every arm below (and the issuer's `in_iq` clear on success) writes
-        // the ROB entry in place; tag conservatively up front.
-        self.rob_touched.mark();
         let cycle = self.cycle;
         let uop = self.rob[idx].uop;
         let seq = self.rob[idx].seq;
@@ -922,7 +901,6 @@ impl Cpu {
                 self.prf.write(p, value);
                 probe.write(Structure::RegisterFile, p as usize, cycle);
             }
-            self.rob_touched.mark();
             self.rob.make_mut()[idx].completed = true;
             // Branch resolution: squash on a mispredicted next PC.
             if self.rob[idx].uop.kind.is_control() {
@@ -943,8 +921,6 @@ impl Cpu {
 
     fn squash_after(&mut self, branch_seq: u64, new_pc: Rip, probe: &mut dyn Probe) {
         let cycle = self.cycle;
-        self.rob_touched.mark();
-        self.fetch_buffer_touched.mark();
         while let Some(back) = self.rob.back() {
             if back.seq <= branch_seq {
                 break;
@@ -988,7 +964,6 @@ impl Cpu {
             if !ready {
                 break;
             }
-            self.rob_touched.mark();
             let e = self.rob.make_mut().pop_front().expect("checked front");
             committed += 1;
             self.committed_uops += 1;
@@ -1195,7 +1170,6 @@ impl Cpu {
     /// injection engine in `merlin-inject`.
     pub fn snapshot(&self) -> CpuState {
         CpuState {
-            snap_id: SnapId::fresh(),
             cycle: self.cycle,
             next_seq: self.next_seq,
             fetch_pc: self.fetch_pc,
@@ -1230,68 +1204,35 @@ impl Cpu {
     ///
     /// Every mutable field is overwritten, so the core behaves identically to
     /// the one the snapshot was taken from regardless of what it executed in
-    /// between (including a run that panicked mid-cycle).  Existing heap
-    /// buffers are reused where possible, making repeated restores on one
-    /// core object allocation-light.
-    ///
-    /// **Incremental same-snapshot restores.**  Campaign workers are bound
-    /// to checkpoint ranges, so they restore the *same* snapshot hundreds of
-    /// times back-to-back.  Each snapshot carries a process-unique identity
-    /// tag; when a core is restored from the snapshot it was last restored
-    /// from, every structure is rewritten incrementally — cache lines and
-    /// memory chunks, but also register-file entries, rename mappings,
-    /// load/store-queue slots, predictor counters and BTB entries the suffix
-    /// touched (all tracked live at mutation time; see [`TouchedSet`]), and
-    /// the queue-shaped ROB/fetch buffer/free list, which are skipped
-    /// entirely when their [`TouchedFlag`] is clear.  The result is
-    /// bit-identical to a full restore; the returned [`RestoreStats`] says
-    /// which path ran and how many bytes it rewrote, per structure.
+    /// between (including a run that panicked mid-cycle), and a quarantined
+    /// core is trusted again.  Copy-on-write structures adopt the snapshot's
+    /// page handles (O(pages), nothing copied until the core writes); the
+    /// caches are rebuilt from their sparse images and the backing memory
+    /// from its chunk delta.  The returned [`RestoreStats`] reports how many
+    /// bytes were made equal to the snapshot, per structure.
     ///
     /// The state must come from a core running the same program under the
     /// same configuration; this is not checked.
     pub fn restore_from(&mut self, s: &CpuState) -> RestoreStats {
-        // A quarantined core's state is untrusted (a panic unwound through
-        // it), so the touched-entry bookkeeping backing the incremental path
-        // cannot be believed either: force the full-rewrite path once (which
-        // clears every tag).
-        let from_quarantine = self.quarantined;
-        self.quarantined = false;
-        let incremental = !from_quarantine && self.last_restored == Some(s.snap_id.get());
-        // Cleared across the restore so a panic mid-restore (impossible for
-        // matching contexts, but cheap to guard) can never leave a stale
-        // claim of having matched `s`.
-        self.last_restored = None;
+        let from_quarantine = std::mem::take(&mut self.quarantined);
         self.cycle = s.cycle;
         self.next_seq = s.next_seq;
         self.fetch_pc = s.fetch_pc;
         self.fetch_halted = s.fetch_halted;
         self.fetch_invalid = s.fetch_invalid;
-        let mut bytes = RestoredBytes {
-            fetch: restore_deque(
-                &mut self.fetch_buffer,
-                &s.fetch_buffer,
-                &mut self.fetch_buffer_touched,
-                incremental,
-            ),
-            ..RestoredBytes::default()
+        let (caches, memory) = self.mem.restore_snapshot(&s.mem);
+        let bytes = RestoredBytes {
+            fetch: self.fetch_buffer.share_from(&s.fetch_buffer).total(),
+            rename: (self.rat.share_from(&s.rat) + self.free_list.share_from(&s.free_list)).total(),
+            regfile: self.prf.share_from(&s.prf).total(),
+            rob: self.rob.share_from(&s.rob).total(),
+            lsq: (self.lq.share_from(&s.lq) + self.sq.share_from(&s.sq)).total(),
+            caches: caches as u64,
+            memory: memory as u64,
+            predictor: (self.bp.share_from(&s.bp) + self.btb.share_from(&s.btb)).total(),
         };
-        bytes.rename = self.rat.restore_from(&s.rat, incremental)
-            + self.free_list.restore_from(&s.free_list, incremental);
-        bytes.regfile = self.prf.restore_from(&s.prf, incremental);
-        bytes.rob = restore_deque(&mut self.rob, &s.rob, &mut self.rob_touched, incremental);
         self.iq_count = s.iq_count;
-        bytes.lsq =
-            self.lq.restore_from(&s.lq, incremental) + self.sq.restore_from(&s.sq, incremental);
         self.pending_store_slot = s.pending_store_slot;
-        let (cache_bytes, mem_bytes) = if incremental {
-            self.mem.restore_snapshot_incremental(&s.mem)
-        } else {
-            self.mem.restore_snapshot(&s.mem)
-        };
-        bytes.caches = cache_bytes as u64;
-        bytes.memory = mem_bytes as u64;
-        bytes.predictor =
-            self.bp.restore_from(&s.bp, incremental) + self.btb.restore_from(&s.btb, incremental);
         self.output.share_from(&s.output);
         self.committed_instructions = s.committed_instructions;
         self.committed_uops = s.committed_uops;
@@ -1303,9 +1244,7 @@ impl Cpu {
         self.faults.clone_from(&s.faults);
         self.next_fault_cycle = self.faults.first().map_or(u64::MAX, |f| f.cycle);
         self.finished.clone_from(&s.finished);
-        self.last_restored = Some(s.snap_id.get());
         RestoreStats {
-            incremental,
             from_quarantine,
             bytes,
         }
@@ -1319,28 +1258,20 @@ impl Cpu {
     /// instead of copying entries (see [`CowTable`](crate::CowTable));
     /// sharing breaks lazily, per page, on whichever side writes first.
     /// The fork therefore copies almost nothing up front — only scalars and
-    /// the small eagerly-copied structures like the rename table — and is
-    /// *total*: valid from any state of `self`, not just `src`'s restore
-    /// base.
-    /// Neither core may be quarantined (checked in debug builds).
-    ///
-    /// The fork inherits `src`'s divergence tags and restore identity
-    /// verbatim (it is an exact replica, so its divergence from `src`'s
-    /// restore base is exactly `src`'s), keeping its own incremental
-    /// restores and [`Cpu::matches_state_with_diff`] probes against the
-    /// shared [`StateDiff`]s sound.
+    /// the small eagerly-copied structures like the rename table.  Like
+    /// [`Cpu::restore_from`] it overwrites every field, so it is valid from
+    /// any state of `self` and lifts a quarantine.  `src` must run the same
+    /// program under the same configuration.
     ///
     /// The returned [`ForkStats`] reports, per structure, the bytes
-    /// physically copied, the bytes the pre-CoW fork path would have copied
-    /// (`src`'s touched entries and diverged queues), and the bytes now
-    /// referenced structurally.
+    /// physically copied and the bytes now referenced structurally.
     pub fn fork_from(&mut self, src: &Cpu) -> ForkStats {
-        debug_assert!(!self.quarantined && !src.quarantined);
         fn acc(stats: &mut ForkStats, fb: ForkBytes, sel: fn(&mut RestoredBytes) -> &mut u64) {
             *sel(&mut stats.copied) += fb.copied;
-            *sel(&mut stats.eager) += fb.eager;
             *sel(&mut stats.shared) += fb.shared;
         }
+        debug_assert!(!src.quarantined);
+        self.quarantined = false;
         self.cycle = src.cycle;
         self.next_seq = src.next_seq;
         self.fetch_pc = src.fetch_pc;
@@ -1349,40 +1280,33 @@ impl Cpu {
         let mut stats = ForkStats::default();
         acc(
             &mut stats,
-            fork_deque(
-                &mut self.fetch_buffer,
-                &src.fetch_buffer,
-                &src.fetch_buffer_touched,
-                &mut self.fetch_buffer_touched,
-            ),
+            self.fetch_buffer.share_from(&src.fetch_buffer),
             |b| &mut b.fetch,
         );
-        acc(&mut stats, self.rat.fork_from(&src.rat), |b| &mut b.rename);
-        acc(&mut stats, self.free_list.fork_from(&src.free_list), |b| {
-            &mut b.rename
-        });
-        acc(&mut stats, self.prf.fork_from(&src.prf), |b| &mut b.regfile);
         acc(
             &mut stats,
-            fork_deque(
-                &mut self.rob,
-                &src.rob,
-                &src.rob_touched,
-                &mut self.rob_touched,
-            ),
-            |b| &mut b.rob,
+            self.rat.share_from(&src.rat) + self.free_list.share_from(&src.free_list),
+            |b| &mut b.rename,
         );
-        self.iq_count = src.iq_count;
-        acc(&mut stats, self.lq.fork_from(&src.lq), |b| &mut b.lsq);
-        acc(&mut stats, self.sq.fork_from(&src.sq), |b| &mut b.lsq);
-        self.pending_store_slot = src.pending_store_slot;
+        acc(&mut stats, self.prf.share_from(&src.prf), |b| {
+            &mut b.regfile
+        });
+        acc(&mut stats, self.rob.share_from(&src.rob), |b| &mut b.rob);
+        acc(
+            &mut stats,
+            self.lq.share_from(&src.lq) + self.sq.share_from(&src.sq),
+            |b| &mut b.lsq,
+        );
         let (cache_fb, mem_fb) = self.mem.fork_from(&src.mem);
         acc(&mut stats, cache_fb, |b| &mut b.caches);
         acc(&mut stats, mem_fb, |b| &mut b.memory);
-        acc(&mut stats, self.bp.fork_from(&src.bp), |b| &mut b.predictor);
-        acc(&mut stats, self.btb.fork_from(&src.btb), |b| {
-            &mut b.predictor
-        });
+        acc(
+            &mut stats,
+            self.bp.share_from(&src.bp) + self.btb.share_from(&src.btb),
+            |b| &mut b.predictor,
+        );
+        self.iq_count = src.iq_count;
+        self.pending_store_slot = src.pending_store_slot;
         self.output.share_from(&src.output);
         self.committed_instructions = src.committed_instructions;
         self.committed_uops = src.committed_uops;
@@ -1394,7 +1318,6 @@ impl Cpu {
         self.faults.clone_from(&src.faults);
         self.next_fault_cycle = src.next_fault_cycle;
         self.finished.clone_from(&src.finished);
-        self.last_restored = src.last_restored;
         stats
     }
 
@@ -1495,24 +1418,24 @@ impl Cpu {
 
     /// Demote this core after its state became untrusted — typically because
     /// a panic unwound through [`Cpu::step`] mid-instruction, leaving the
-    /// pipeline, caches, or touched-line bookkeeping in an unknown state.
+    /// pipeline or caches in an unknown state.
     ///
-    /// Quarantine is cleared by the next [`Cpu::restore_from`], which is
-    /// forced onto the full-rewrite path (never the same-snapshot
-    /// incremental path) so no stale state survives into the next run.
+    /// Quarantine is cleared by the next [`Cpu::restore_from`] (which
+    /// reports it as [`RestoreStats::from_quarantine`]) or
+    /// [`Cpu::fork_from`]; both overwrite every field, so no stale state
+    /// survives into the next run.
     ///
     /// Quarantining also un-shares every structurally shared page (see
     /// [`Cpu::unshare_all`]): the safe CoW substrate already guarantees a
     /// poisoned core cannot corrupt a sibling through a shared handle, but
     /// dropping the references makes the isolation unconditional.
     pub fn quarantine(&mut self) {
-        self.last_restored = None;
         self.quarantined = true;
         self.unshare_all();
     }
 
     /// `true` while the core is quarantined (see [`Cpu::quarantine`]): its
-    /// state is untrusted and the next restore will be a forced full restore.
+    /// state is untrusted until the next restore or fork.
     pub fn is_quarantined(&self) -> bool {
         self.quarantined
     }
@@ -1523,66 +1446,11 @@ impl Cpu {
     /// state re-converges with a golden checkpoint, the remainder of the run
     /// is guaranteed identical to the golden run, so the fault is Masked.
     /// Cheap scalar fields are compared first so divergent states bail out
-    /// without touching the memory image.
-    ///
-    /// When the core was last restored from `s` itself (and not quarantined
-    /// since), untagged entries still hold `s`'s bits by the epoch-tagging
-    /// invariant, so only the entries the suffix touched are compared — the
-    /// probe costs O(touched state), not O(machine state).
+    /// without touching the memory image, and every copy-on-write structure
+    /// skips the pages whose handle it still shares with `s` — so a core
+    /// restored or forked from the golden stream pays only for the pages it
+    /// (or the golden run between the two checkpoints) wrote.
     pub fn matches_state(&self, s: &CpuState) -> bool {
-        if !self.untagged_state_matches(s) {
-            return false;
-        }
-        let structures = if !self.quarantined && self.last_restored == Some(s.snap_id.get()) {
-            self.tagged_structures_match(s)
-        } else {
-            self.rat == s.rat
-                && self.fetch_buffer == s.fetch_buffer
-                && self.rob == s.rob
-                && self.free_list == s.free_list
-                && self.lq == s.lq
-                && self.sq == s.sq
-                && self.prf == s.prf
-                && self.bp == s.bp
-                && self.btb == s.btb
-        };
-        structures && self.mem.matches_snapshot(&s.mem)
-    }
-
-    /// Early-exit convergence probe against golden checkpoint `g`, given the
-    /// precomputed [`StateDiff`] from the snapshot this core was restored
-    /// from to `g`.
-    ///
-    /// Exactly equivalent to [`Cpu::matches_state`]`(g)` but cheaper: an
-    /// epoch-tagged structure equals `g`'s copy iff the diff is a subset of
-    /// its touched set (one word-parallel sweep) *and* every touched entry
-    /// equals `g` — untouched entries still equal the restore source, whose
-    /// disagreements with `g` are exactly the diff.  Falls back to the full
-    /// comparison when the diff's precondition does not hold (the core was
-    /// not last restored from the diff's source snapshot, or is
-    /// quarantined).
-    pub fn matches_state_with_diff(&self, g: &CpuState, diff: &StateDiff) -> bool {
-        if self.quarantined || self.last_restored != Some(diff.from_snap) {
-            return self.matches_state(g);
-        }
-        self.untagged_state_matches(g)
-            && self.rat.converged_with(&g.rat, &diff.rat)
-            && self.prf.converged_with(&g.prf, &diff.prf)
-            && self.lq.converged_with(&g.lq, &diff.lq)
-            && self.sq.converged_with(&g.sq, &diff.sq)
-            && self.bp.converged_with(&g.bp, &diff.bp)
-            && self.btb.converged_with(&g.btb, &diff.btb)
-            && ((!diff.fetch_buffer && !self.fetch_buffer_touched.is_set())
-                || self.fetch_buffer == g.fetch_buffer)
-            && ((!diff.rob && !self.rob_touched.is_set()) || self.rob == g.rob)
-            && ((!diff.free_list && !self.free_list.is_touched()) || self.free_list == g.free_list)
-            && self.mem.matches_snapshot(&g.mem)
-    }
-
-    /// Compares the scalar fields and the untagged collections (output
-    /// stream, path history, dynamic counts, pending faults) — everything
-    /// both probe paths must check in full.
-    fn untagged_state_matches(&self, s: &CpuState) -> bool {
         self.cycle == s.cycle
             && self.next_seq == s.next_seq
             && self.committed_instructions == s.committed_instructions
@@ -1600,35 +1468,26 @@ impl Cpu {
             && self.output == s.output
             && self.path_history == s.path_history
             && self.dyn_counts == s.dyn_counts
-    }
-
-    /// Same-snapshot structure comparison: only tagged entries can differ
-    /// from `s`, so only they are checked.
-    fn tagged_structures_match(&self, s: &CpuState) -> bool {
-        self.rat.touched_matches(&s.rat)
-            && self.prf.touched_matches(&s.prf)
-            && self.lq.touched_matches(&s.lq)
-            && self.sq.touched_matches(&s.sq)
-            && self.bp.touched_matches(&s.bp)
-            && self.btb.touched_matches(&s.btb)
-            && (!self.fetch_buffer_touched.is_set() || self.fetch_buffer == s.fetch_buffer)
-            && (!self.rob_touched.is_set() || self.rob == s.rob)
-            && (!self.free_list.is_touched() || self.free_list == s.free_list)
+            && self.rat == s.rat
+            && self.fetch_buffer == s.fetch_buffer
+            && self.rob == s.rob
+            && self.free_list == s.free_list
+            && self.lq == s.lq
+            && self.sq == s.sq
+            && self.prf == s.prf
+            && self.bp == s.bp
+            && self.btb == s.btb
+            && self.mem.matches_snapshot(&s.mem)
     }
 }
 
 /// What one [`Cpu::restore_from`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RestoreStats {
-    /// `true` when the same-snapshot incremental path ran (only state
-    /// touched since the previous restore of this snapshot was rewritten).
-    pub incremental: bool,
     /// `true` when this restore lifted the core out of quarantine (see
-    /// [`Cpu::quarantine`]) — such a restore is always a full restore.
+    /// [`Cpu::quarantine`]).
     pub from_quarantine: bool,
-    /// Bytes rewritten, broken down per structure — an honest all-structure
-    /// count on both paths (the full path counts every entry it copies, the
-    /// incremental path only what it actually rewrote).
+    /// Bytes made equal to the snapshot, broken down per structure.
     pub bytes: RestoredBytes,
 }
 
@@ -1691,17 +1550,11 @@ impl std::ops::AddAssign for RestoredBytes {
 }
 
 /// Per-structure accounting of one [`Cpu::fork_from`] call.
-///
-/// `eager` is the counterfactual baseline — what the pre-CoW fork path
-/// would have copied (the source's touched entries and diverged queues) —
-/// so `copied` vs `eager` measures exactly what structural sharing saved.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ForkStats {
     /// Bytes physically copied (small eager structures like the rename
     /// table, whose map is cheaper to copy than a page handle).
     pub copied: RestoredBytes,
-    /// Bytes the pre-CoW per-entry fork would have copied.
-    pub eager: RestoredBytes,
     /// Bytes made equal to the source by sharing page handles.
     pub shared: RestoredBytes,
 }
@@ -1709,61 +1562,7 @@ pub struct ForkStats {
 impl std::ops::AddAssign for ForkStats {
     fn add_assign(&mut self, rhs: Self) {
         self.copied += rhs.copied;
-        self.eager += rhs.eager;
         self.shared += rhs.shared;
-    }
-}
-
-/// Precomputed structure-level difference between two snapshots: the restore
-/// source `k` (whose identity it remembers) and a later golden checkpoint
-/// `g`, produced by [`CpuState::diff_to`] and consumed by
-/// [`Cpu::matches_state_with_diff`].
-///
-/// Computed once per `(k, g)` checkpoint pair and amortised over every
-/// early-exit probe of every fault injected in that range: the probe reduces
-/// to a word-parallel subset test of the diff against the core's touched
-/// sets plus an equality check of the touched entries alone.
-#[derive(Debug, Clone)]
-pub struct StateDiff {
-    /// Identity of `k`, the snapshot the probing core must have been
-    /// restored from for the diff decomposition to be sound.
-    from_snap: u64,
-    prf: TouchedSet,
-    rat: TouchedSet,
-    lq: TouchedSet,
-    sq: TouchedSet,
-    bp: PredictorDiff,
-    btb: TouchedSet,
-    fetch_buffer: bool,
-    rob: bool,
-    free_list: bool,
-}
-
-/// Process-unique identity of a snapshot, assigned at capture (and afresh on
-/// decode, since a deserialised snapshot has no live provenance).
-///
-/// Identity is *provenance*, not content: it exists so a core can recognise
-/// "this is the same snapshot I was restored from last time" and take the
-/// incremental restore path.  It is deliberately transparent to equality —
-/// two snapshots of identical microarchitectural state compare equal whatever
-/// their tags — and is never serialised.
-#[derive(Debug, Clone)]
-struct SnapId(u64);
-
-impl SnapId {
-    fn fresh() -> Self {
-        static NEXT: AtomicU64 = AtomicU64::new(1);
-        SnapId(NEXT.fetch_add(1, Ordering::Relaxed))
-    }
-
-    fn get(&self) -> u64 {
-        self.0
-    }
-}
-
-impl PartialEq for SnapId {
-    fn eq(&self, _: &Self) -> bool {
-        true
     }
 }
 
@@ -1781,9 +1580,6 @@ impl PartialEq for SnapId {
 /// the same (program, configuration) pair.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CpuState {
-    /// Identity tag for incremental same-snapshot restores; transparent to
-    /// equality and never serialised.
-    snap_id: SnapId,
     cycle: u64,
     next_seq: u64,
     fetch_pc: Rip,
@@ -1844,28 +1640,6 @@ impl CpuState {
     /// pre-delta representation; kept for footprint accounting).
     pub fn memory_dense_bytes(&self) -> usize {
         self.mem.memory_dense_bytes()
-    }
-
-    /// The structure-level difference from `self` (the snapshot a core
-    /// restores from) to a later golden checkpoint `g`, for
-    /// [`Cpu::matches_state_with_diff`].
-    ///
-    /// Both snapshots must come from the same program and configuration
-    /// (same structure geometries); this is not checked beyond debug
-    /// assertions.
-    pub fn diff_to(&self, g: &CpuState) -> StateDiff {
-        StateDiff {
-            from_snap: self.snap_id.get(),
-            prf: self.prf.diff(&g.prf),
-            rat: self.rat.diff(&g.rat),
-            lq: self.lq.diff(&g.lq),
-            sq: self.sq.diff(&g.sq),
-            bp: self.bp.diff(&g.bp),
-            btb: self.btb.diff(&g.btb),
-            fetch_buffer: self.fetch_buffer != g.fetch_buffer,
-            rob: self.rob != g.rob,
-            free_list: self.free_list != g.free_list,
-        }
     }
 }
 
@@ -2093,7 +1867,6 @@ impl BinCode for CpuState {
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
         Ok(CpuState {
-            snap_id: SnapId::fresh(),
             cycle: BinCode::decode(r)?,
             next_seq: BinCode::decode(r)?,
             fetch_pc: BinCode::decode(r)?,

@@ -1,15 +1,15 @@
-//! Copy-on-write storage substrate for the forkable pipeline structures.
+//! Copy-on-write storage substrate for the pipeline structures, and the
+//! only record of how a core has diverged from a checkpoint.
 //!
-//! The fork-on-divergence driver (`merlin-inject`'s batched engine) spawns
-//! one faulty core per injection cycle from a shared golden parent.  Before
-//! this substrate, `Cpu::fork_from` deep-copied every entry the parent had
-//! touched since its restore — O(touched) bytes per fork, dominated by the
-//! predictor counter tables and the ROB.  The types here make that copy
-//! structural instead: heavy storage is split into fixed-size pages behind
-//! [`Arc`] handles, a fork clones the *handles* (O(pages) pointer copies),
-//! and the first write to a shared page breaks sharing for that page alone
-//! via [`Arc::make_mut`].  Everything a faulty suffix never writes stays
-//! shared across the parent, its snapshot, and every sibling fork.
+//! Heavy storage is split into fixed-size pages behind [`Arc`] handles.  A
+//! restore or a fork clones the *handles* (O(pages) pointer copies), and
+//! the first write to a shared page breaks sharing for that page alone via
+//! [`Arc::make_mut`].  A page whose handle is still `Arc::ptr_eq` to the
+//! checkpoint's page is therefore untouched by definition: comparisons
+//! skip it without reading it, and the backing memory tells its dirty
+//! chunks from its clean ones the same way.  Everything a faulty suffix
+//! never writes stays shared across the golden core, its snapshots and
+//! every fork.
 //!
 //! Three shapes of storage need three wrappers:
 //!
@@ -19,20 +19,17 @@
 //!   one extra pointer, writes go through [`CowTable::get_mut`].
 //! * [`CowSeq<T>`] — queue-shaped structures (ROB, fetch buffer, free
 //!   list).  The whole queue sits behind one handle; any mutation breaks it
-//!   via [`CowSeq::make_mut`].  Matches the all-or-nothing granularity of
-//!   the existing [`crate::TouchedFlag`] tags.
-//! * [`CowBytes`] — the backing memory's byte store, paged at the existing
+//!   via [`CowSeq::make_mut`].
+//! * [`CowBytes`] — the backing memory's byte store, paged at the
 //!   delta-snapshot chunk granularity so a chunk can also share its handle
 //!   with a pristine-image chunk or a checkpoint's delta chunk.
 //!
-//! Sharing metadata is **bookkeeping, not state**, exactly like `SnapId`
-//! and the epoch tags: it is never serialised (the `binio` wire formats
-//! below re-encode plain `len + elements`, byte-identical to the pre-CoW
-//! layouts), and equality compares contents — with an `Arc::ptr_eq` fast
-//! path per page, so probes over structurally shared state short-circuit.
-//! Each wrapper counts how many pages it un-shared (`cow_breaks`), feeding
-//! the `fork_bytes_copied` / `fork_bytes_shared` / `cow_breaks` telemetry
-//! in the campaign scheduler.
+//! Sharing is **bookkeeping, not state**: it is never serialised (the
+//! `binio` wire formats below re-encode plain `len + elements`,
+//! byte-identical to the pre-CoW layouts), and equality compares contents —
+//! with an `Arc::ptr_eq` fast path per page.  Each wrapper counts how many
+//! pages it un-shared (`cow_breaks`), feeding the `fork_bytes_copied` /
+//! `fork_bytes_shared` / `cow_breaks` telemetry in the campaign scheduler.
 
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
 use std::collections::VecDeque;
@@ -131,28 +128,6 @@ impl<T: Clone> CowTable<T> {
         self.pages.clone_from(&src.pages);
     }
 
-    /// Calls `f(i)` for every index where `self` and `other` differ, in
-    /// ascending order.  Pages sharing a handle are skipped without being
-    /// read.
-    pub fn for_each_diff(&self, other: &Self, mut f: impl FnMut(usize))
-    where
-        T: PartialEq,
-    {
-        debug_assert_eq!(self.len, other.len);
-        debug_assert_eq!(self.shift, other.shift);
-        let page_len = 1usize << self.shift;
-        for (pi, (a, b)) in self.pages.iter().zip(&other.pages).enumerate() {
-            if Arc::ptr_eq(a, b) {
-                continue;
-            }
-            for (j, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-                if x != y {
-                    f(pi * page_len + j);
-                }
-            }
-        }
-    }
-
     /// Pages un-shared by writes since the last
     /// [`CowTable::take_cow_breaks`].
     pub fn cow_breaks(&self) -> u64 {
@@ -183,7 +158,7 @@ impl<T: Clone> CowTable<T> {
 }
 
 /// Contents-only equality with a per-page `Arc::ptr_eq` fast path; the
-/// un-share counter is bookkeeping and invisible, like the epoch tags.
+/// un-share counter is bookkeeping and invisible.
 impl<T: PartialEq> PartialEq for CowTable<T> {
     fn eq(&self, other: &Self) -> bool {
         self.len == other.len
@@ -214,23 +189,34 @@ impl<T: BinCode + Clone> CowTable<T> {
     }
 }
 
-/// Byte accounting one structure reports from its fork path (summed into
+/// Byte accounting one structure reports when it is made equal to another
+/// (summed into [`crate::RestoredBytes`] by `Cpu::restore_from` and into
 /// [`crate::ForkStats`] by `Cpu::fork_from`).
 ///
-/// * `copied` — bytes the fork physically copied (eager, unconditional).
-/// * `eager` — bytes the pre-CoW fork path would have copied for the same
-///   source state (its touched entries plus diverged queues): the PR 9
-///   baseline the `fork_bytes_copied` reduction is measured against.
+/// * `copied` — bytes physically copied up front.
 /// * `shared` — bytes now referenced structurally through shared page
 ///   handles instead of being copied.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ForkBytes {
-    /// Bytes physically copied by the fork.
+    /// Bytes physically copied.
     pub copied: u64,
-    /// Bytes an eager (pre-CoW) fork of the same source would have copied.
-    pub eager: u64,
     /// Bytes shared structurally instead of copied.
     pub shared: u64,
+}
+
+impl ForkBytes {
+    /// `bytes` adopted by handle sharing, none copied.
+    pub fn sharing(bytes: u64) -> Self {
+        ForkBytes {
+            copied: 0,
+            shared: bytes,
+        }
+    }
+
+    /// Bytes made equal to the source, copied or shared.
+    pub fn total(&self) -> u64 {
+        self.copied + self.shared
+    }
 }
 
 impl std::ops::Add for ForkBytes {
@@ -238,7 +224,6 @@ impl std::ops::Add for ForkBytes {
     fn add(self, rhs: ForkBytes) -> ForkBytes {
         ForkBytes {
             copied: self.copied + rhs.copied,
-            eager: self.eager + rhs.eager,
             shared: self.shared + rhs.shared,
         }
     }
@@ -337,8 +322,7 @@ impl<T: BinCode + Clone> BinCode for CowBox<T> {
 
 /// A queue behind a single [`Arc`] handle: reads deref straight to the
 /// [`VecDeque`], mutation goes through [`CowSeq::make_mut`], and a fork or
-/// restore is one handle clone.  The whole-queue granularity matches the
-/// [`crate::TouchedFlag`] tag these structures already carry.
+/// restore is one handle clone.
 #[derive(Debug, Clone)]
 pub struct CowSeq<T> {
     inner: Arc<VecDeque<T>>,
@@ -382,9 +366,11 @@ impl<T: Clone> CowSeq<T> {
         Arc::make_mut(&mut self.inner)
     }
 
-    /// Replaces this queue's contents with `src`'s by cloning the handle.
-    pub fn share_from(&mut self, src: &Self) {
+    /// Replaces this queue's contents with `src`'s by cloning the handle;
+    /// the whole queue counts as shared.
+    pub fn share_from(&mut self, src: &Self) -> ForkBytes {
         self.inner.clone_from(&src.inner);
+        ForkBytes::sharing((src.len() * std::mem::size_of::<T>()) as u64)
     }
 
     /// Queue un-shares since the last [`CowSeq::take_cow_breaks`].
@@ -631,10 +617,6 @@ mod tests {
         // Rewriting another entry of the same (now private) page is free.
         *b.get_mut(18) = 1000;
         assert_eq!(b.cow_breaks(), 1);
-        // Diff walk skips shared pages and reports exact indices.
-        let mut diff = Vec::new();
-        a.for_each_diff(&b, |i| diff.push(i));
-        assert_eq!(diff, vec![17, 18]);
     }
 
     #[test]

@@ -61,13 +61,12 @@ mod predictor;
 mod probe;
 mod regfile;
 mod snapshot;
-mod touched;
 
 pub use cache::{Cache, CacheEffects, CacheSnapshot, MemSystem, MemSystemSnapshot};
 pub use config::{CacheConfig, ConfigError, CpuConfig};
 pub use core::{
     AssertKind, Cpu, CpuState, CrashKind, ExitReason, ForkStats, InjectError, RestoreStats,
-    RestoredBytes, RunResult, StateDiff,
+    RestoredBytes, RunResult,
 };
 pub use cow::{CowBox, CowBytes, CowSeq, CowTable, ForkBytes};
 // The pre-decoded micro-op arena `Cpu::with_predecoded` shares across cores.
@@ -80,4 +79,3 @@ pub use predictor::{BranchPredictor, Btb};
 pub use probe::{NullProbe, Probe, ReadInfo, RecordingProbe, Structure, WRITEBACK_RIP};
 pub use regfile::{FreeList, PhysReg, PhysRegFile, RenameTable};
 pub use snapshot::{CheckpointPolicy, CheckpointStore, SpacingStrategy};
-pub use touched::{Restorable, TouchedFlag, TouchedSet};

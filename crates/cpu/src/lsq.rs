@@ -7,7 +7,6 @@
 //! circularly so a fault specification's entry index denotes a physical slot.
 
 use crate::cow::{CowTable, ForkBytes};
-use crate::touched::{Restorable, TouchedSet};
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
 use merlin_isa::{MemSize, Rip, Upc};
 
@@ -76,17 +75,14 @@ impl BinCode for SqSlot {
     }
 }
 
-/// Circular store queue.  Slots are epoch-tagged ([`TouchedSet`]): every
-/// mutation tags its slot, so same-snapshot restores rewrite only slots the
-/// suffix changed (head/tail/count are scalars and always re-assigned).
-/// Slots live on copy-on-write pages, so a fork shares them structurally.
+/// Circular store queue.  Slots live on copy-on-write pages, so restores
+/// and forks share them structurally.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreQueue {
     slots: CowTable<SqSlot>,
     head: usize,
     tail: usize,
     count: usize,
-    touched: TouchedSet,
 }
 
 impl StoreQueue {
@@ -97,7 +93,6 @@ impl StoreQueue {
             head: 0,
             tail: 0,
             count: 0,
-            touched: TouchedSet::new(n),
         }
     }
 
@@ -130,7 +125,6 @@ impl StoreQueue {
     pub fn allocate(&mut self, seq: u64, rip: Rip) -> usize {
         assert!(!self.is_full(), "store queue overflow");
         let slot = self.tail;
-        self.touched.mark(slot);
         *self.slots.get_mut(slot) = SqSlot {
             valid: true,
             seq,
@@ -154,7 +148,6 @@ impl StoreQueue {
     pub fn release_head(&mut self, slot: usize) {
         assert_eq!(slot, self.head, "stores must drain in order");
         assert!(self.slots.get(slot).valid);
-        self.touched.mark(slot);
         self.slots.get_mut(slot).valid = false;
         self.head = (self.head + 1) % self.capacity();
         self.count -= 1;
@@ -169,7 +162,6 @@ impl StoreQueue {
         let youngest = (self.tail + self.capacity() - 1) % self.capacity();
         assert_eq!(slot, youngest, "squash must free stores youngest-first");
         assert!(self.slots.get(slot).valid);
-        self.touched.mark(slot);
         self.slots.get_mut(slot).valid = false;
         self.tail = youngest;
         self.count -= 1;
@@ -180,10 +172,9 @@ impl StoreQueue {
         self.slots.get(idx)
     }
 
-    /// Mutable access to a slot.  Conservatively tags the slot as mutated —
-    /// callers take this only to write.
+    /// Mutable access to a slot (breaks its page's sharing — callers take
+    /// this only to write).
     pub fn slot_mut(&mut self, idx: usize) -> &mut SqSlot {
-        self.touched.mark(idx);
         self.slots.get_mut(idx)
     }
 
@@ -233,48 +224,16 @@ impl StoreQueue {
     /// or one whose data has not arrived is overwritten before any read
     /// (see [`Cpu::fault_site_dead`](crate::Cpu::fault_site_dead)).
     pub fn flip_bit(&mut self, slot: usize, bit: u8) {
-        self.touched.mark(slot);
         self.slots.get_mut(slot).data ^= 1u64 << bit;
     }
 
-    /// Slots where `self` and `other` differ (head/tail/count are compared
-    /// directly by the convergence probe).  Shared pages are skipped.
-    pub(crate) fn diff(&self, other: &Self) -> TouchedSet {
-        let mut d = TouchedSet::new(self.slots.len());
-        self.slots.for_each_diff(&other.slots, |i| d.mark(i));
-        d
-    }
-
-    /// Whether the scalars and every tagged slot equal `g`'s copies.
-    pub(crate) fn touched_matches(&self, g: &Self) -> bool {
-        self.head == g.head
-            && self.tail == g.tail
-            && self.count == g.count
-            && self
-                .touched
-                .iter()
-                .all(|i| self.slots.get(i) == g.slots.get(i))
-    }
-
-    /// Convergence probe against `g` given the restore-source diff.
-    pub(crate) fn converged_with(&self, g: &Self, diff: &TouchedSet) -> bool {
-        self.touched.contains_all(diff) && self.touched_matches(g)
-    }
-
-    /// Forks from `src` by sharing its page handles and mirroring its tags.
-    pub(crate) fn fork_from(&mut self, src: &Self) -> ForkBytes {
-        debug_assert_eq!(self.slots.len(), src.slots.len());
+    /// Makes `self` equal to `src` by sharing its page handles.
+    pub(crate) fn share_from(&mut self, src: &Self) -> ForkBytes {
         self.head = src.head;
         self.tail = src.tail;
         self.count = src.count;
         self.slots.share_from(&src.slots);
-        self.touched.copy_from(&src.touched);
-        let slot_bytes = std::mem::size_of::<SqSlot>() as u64;
-        ForkBytes {
-            copied: 0,
-            eager: src.touched.count() as u64 * slot_bytes,
-            shared: src.slots.len() as u64 * slot_bytes,
-        }
+        ForkBytes::sharing(src.slots.len() as u64 * std::mem::size_of::<SqSlot>() as u64)
     }
 
     /// Un-share counter of the slot array, reset.
@@ -290,28 +249,6 @@ impl StoreQueue {
     /// Whether no page is shared with any other queue.
     pub(crate) fn fully_private(&self) -> bool {
         self.slots.fully_private()
-    }
-}
-
-impl Restorable for StoreQueue {
-    fn restore_from(&mut self, snap: &Self, incremental: bool) -> u64 {
-        debug_assert_eq!(self.slots.len(), snap.slots.len());
-        self.head = snap.head;
-        self.tail = snap.tail;
-        self.count = snap.count;
-        let slot_bytes = std::mem::size_of::<SqSlot>() as u64;
-        if incremental {
-            let mut n = 0u64;
-            for i in self.touched.drain() {
-                *self.slots.get_mut(i) = snap.slots.get(i).clone();
-                n += slot_bytes;
-            }
-            n
-        } else {
-            self.slots.share_from(&snap.slots);
-            self.touched.clear_all();
-            self.slots.len() as u64 * slot_bytes
-        }
     }
 }
 
@@ -335,25 +272,22 @@ impl BinCode for StoreQueue {
         {
             return Err(DecodeError::Invalid("store queue shape"));
         }
-        let touched = TouchedSet::new(slots.len());
         Ok(StoreQueue {
             slots,
             head,
             tail,
             count,
-            touched,
         })
     }
 }
 
 /// Load queue: only tracks occupancy (Gem5 models no data field in the load
-/// queue, and neither does the paper).  Slots are epoch-tagged like the
-/// store queue's and live on copy-on-write pages.
+/// queue, and neither does the paper).  Slots live on copy-on-write pages
+/// like the store queue's.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoadQueue {
     seqs: CowTable<Option<u64>>,
     count: usize,
-    touched: TouchedSet,
 }
 
 impl LoadQueue {
@@ -362,7 +296,6 @@ impl LoadQueue {
         LoadQueue {
             seqs: CowTable::new(n, None, LSQ_PAGE),
             count: 0,
-            touched: TouchedSet::new(n),
         }
     }
 
@@ -393,7 +326,6 @@ impl LoadQueue {
             .iter()
             .position(|s| s.is_none())
             .expect("free load-queue slot");
-        self.touched.mark(slot);
         *self.seqs.get_mut(slot) = Some(seq);
         self.count += 1;
         slot
@@ -404,44 +336,15 @@ impl LoadQueue {
     pub fn release(&mut self, slot: usize) {
         if self.seqs.get(slot).is_some() {
             *self.seqs.get_mut(slot) = None;
-            self.touched.mark(slot);
             self.count -= 1;
         }
     }
 
-    /// Slots where `self` and `other` differ.  Shared pages are skipped.
-    pub(crate) fn diff(&self, other: &Self) -> TouchedSet {
-        let mut d = TouchedSet::new(self.seqs.len());
-        self.seqs.for_each_diff(&other.seqs, |i| d.mark(i));
-        d
-    }
-
-    /// Whether the occupancy count and every tagged slot equal `g`'s copies.
-    pub(crate) fn touched_matches(&self, g: &Self) -> bool {
-        self.count == g.count
-            && self
-                .touched
-                .iter()
-                .all(|i| self.seqs.get(i) == g.seqs.get(i))
-    }
-
-    /// Convergence probe against `g` given the restore-source diff.
-    pub(crate) fn converged_with(&self, g: &Self, diff: &TouchedSet) -> bool {
-        self.touched.contains_all(diff) && self.touched_matches(g)
-    }
-
-    /// Forks from `src` by sharing its page handles and mirroring its tags.
-    pub(crate) fn fork_from(&mut self, src: &Self) -> ForkBytes {
-        debug_assert_eq!(self.seqs.len(), src.seqs.len());
+    /// Makes `self` equal to `src` by sharing its page handles.
+    pub(crate) fn share_from(&mut self, src: &Self) -> ForkBytes {
         self.count = src.count;
         self.seqs.share_from(&src.seqs);
-        self.touched.copy_from(&src.touched);
-        let slot_bytes = std::mem::size_of::<Option<u64>>() as u64;
-        ForkBytes {
-            copied: 0,
-            eager: src.touched.count() as u64 * slot_bytes,
-            shared: src.seqs.len() as u64 * slot_bytes,
-        }
+        ForkBytes::sharing(src.seqs.len() as u64 * std::mem::size_of::<Option<u64>>() as u64)
     }
 
     /// Un-share counter of the slot array, reset.
@@ -460,26 +363,6 @@ impl LoadQueue {
     }
 }
 
-impl Restorable for LoadQueue {
-    fn restore_from(&mut self, snap: &Self, incremental: bool) -> u64 {
-        debug_assert_eq!(self.seqs.len(), snap.seqs.len());
-        self.count = snap.count;
-        let slot_bytes = std::mem::size_of::<Option<u64>>() as u64;
-        if incremental {
-            let mut n = 0u64;
-            for i in self.touched.drain() {
-                *self.seqs.get_mut(i) = *snap.seqs.get(i);
-                n += slot_bytes;
-            }
-            n
-        } else {
-            self.seqs.share_from(&snap.seqs);
-            self.touched.clear_all();
-            self.seqs.len() as u64 * slot_bytes
-        }
-    }
-}
-
 impl BinCode for LoadQueue {
     fn encode(&self, out: &mut Vec<u8>) {
         self.seqs.encode_seq(out);
@@ -491,12 +374,7 @@ impl BinCode for LoadQueue {
         if count != seqs.iter().filter(|s| s.is_some()).count() {
             return Err(DecodeError::Invalid("load queue count"));
         }
-        let touched = TouchedSet::new(seqs.len());
-        Ok(LoadQueue {
-            seqs,
-            count,
-            touched,
-        })
+        Ok(LoadQueue { seqs, count })
     }
 }
 

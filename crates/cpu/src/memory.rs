@@ -3,17 +3,17 @@
 //!
 //! Checkpoint stores snapshot the backing memory once per checkpoint, and a
 //! workload typically writes only a small fraction of its data region.  The
-//! memory therefore tracks which fixed-size chunks ([`CHUNK_BYTES`] each)
-//! have been written since the *pristine* program image was sealed
+//! memory is therefore stored in fixed-size chunks ([`CHUNK_BYTES`] each)
+//! that share their copy-on-write handles with the *pristine* program image
 //! ([`Memory::seal_pristine`], called once by `Cpu::new` after the data
-//! segments are loaded), and snapshots capture only those chunks as a
-//! [`MemoryDelta`].  Restoring resolves the delta against the pristine image
-//! the core already holds: untouched chunks revert to the program image,
-//! dirty chunks are copied from the delta — byte-exact, with no dense copy
-//! anywhere.
+//! segments are loaded).  A chunk is dirty exactly when its handle is no
+//! longer the image's — the first write breaks the share — and snapshots
+//! capture only dirty chunks as a [`MemoryDelta`].  Restoring resolves the
+//! delta against the pristine image the core already holds: clean chunks
+//! revert to the program image, dirty chunks adopt the delta's handles —
+//! byte-exact, with no dense copy anywhere.
 
 use crate::cow::{CowBytes, ForkBytes};
-use crate::touched::TouchedSet;
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
 use merlin_isa::{MemSize, DATA_BASE};
 use serde::{Deserialize, Serialize};
@@ -23,13 +23,9 @@ use std::sync::Arc;
 /// Granularity of dirty tracking and of [`MemoryDelta`] chunks.
 ///
 /// Small enough that one written word does not drag in a whole page, large
-/// enough that the per-chunk bookkeeping (4-byte index + bitset bit) stays
+/// enough that the per-chunk bookkeeping (4-byte index + handle) stays
 /// negligible against the chunk payload.
 pub const CHUNK_BYTES: usize = 256;
-
-/// The implicit pristine image of an unsealed memory (see
-/// [`Memory::seal_pristine`]), one chunk at a time.
-static ZERO_CHUNK: [u8; CHUNK_BYTES] = [0; CHUNK_BYTES];
 
 /// Memory access faults detected by the memory system.
 ///
@@ -76,23 +72,15 @@ impl std::error::Error for MemError {}
 /// granularity, so a chunk can share its `Arc` handle with the pristine
 /// image (clean chunks), with a checkpoint's delta chunks (restores are
 /// handle swaps), and with a fork parent's live chunks ([`Memory::fork_from`]
-/// copies nothing).  The per-chunk dirty bitset records which chunks have
-/// been written since the image was sealed — the machinery behind
-/// [`Memory::delta_snapshot`].  Equality compares the live bytes only; the
-/// dirty bookkeeping is an encoding of *how* the bytes diverge from the
-/// image, not part of the architectural state.
+/// copies nothing).  Equality compares the live bytes only; which chunks
+/// share the image's handles encodes *how* the bytes diverge from the
+/// image, not the architectural state.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Memory {
     bytes: CowBytes,
-    /// The sealed program image (empty until [`Memory::seal_pristine`]),
-    /// sharing chunk handles with every clean live chunk.
+    /// The sealed program image.  A live chunk is dirty — written since the
+    /// seal, or laid from a delta — iff its handle is not this image's.
     pristine: CowBytes,
-    /// One bit per chunk: set when the chunk may differ from `pristine`.
-    dirty: TouchedSet,
-    /// One bit per chunk: set when the chunk was written since the last
-    /// restore — the incremental same-snapshot restore rewrites only these
-    /// (see [`Memory::restore_delta_incremental`]).
-    touched: TouchedSet,
 }
 
 impl PartialEq for Memory {
@@ -105,16 +93,13 @@ impl Eq for Memory {}
 
 impl Memory {
     /// Creates a zero-initialised memory of `len` bytes starting at
-    /// [`DATA_BASE`].  Until [`Memory::seal_pristine`] is called the
-    /// pristine image is implicitly all zeros (no allocation is paid for
-    /// consumers, like the reference interpreter, that never snapshot).
+    /// [`DATA_BASE`], sealed: the zero image is its pristine image until
+    /// [`Memory::seal_pristine`] seals another.
     pub fn new(len: u64) -> Self {
-        let chunks = (len as usize).div_ceil(CHUNK_BYTES);
+        let bytes = CowBytes::new(len as usize, CHUNK_BYTES);
         Memory {
-            bytes: CowBytes::new(len as usize, CHUNK_BYTES),
-            pristine: CowBytes::new(0, CHUNK_BYTES),
-            dirty: TouchedSet::new(chunks),
-            touched: TouchedSet::new(chunks),
+            pristine: bytes.clone(),
+            bytes,
         }
     }
 
@@ -129,32 +114,11 @@ impl Memory {
         start..(start + CHUNK_BYTES).min(self.bytes.len())
     }
 
-    fn is_dirty(&self, chunk: usize) -> bool {
-        self.dirty.is_marked(chunk)
-    }
-
-    /// The pristine bytes of chunk `c` (implicitly zeros before
-    /// [`Memory::seal_pristine`]).
-    fn pristine_chunk(&self, c: usize) -> &[u8] {
-        if self.pristine.is_empty() && !self.bytes.is_empty() {
-            &ZERO_CHUNK[..self.chunk_range(c).len()]
-        } else {
-            self.pristine.chunk(c)
-        }
-    }
-
-    /// Marks every chunk overlapping `[off, off+len)` (byte offsets into the
-    /// data region) as dirty.
-    fn mark_dirty(&mut self, off: usize, len: usize) {
-        if len == 0 {
-            return;
-        }
-        let first = off / CHUNK_BYTES;
-        let last = (off + len - 1) / CHUNK_BYTES;
-        for c in first..=last {
-            self.dirty.mark(c);
-            self.touched.mark(c);
-        }
+    /// Whether chunk `c` may differ from the pristine image.  Every write
+    /// breaks a chunk's share with the image (the image holds the handle
+    /// too, so it is never unique), and only a restore re-adopts it.
+    fn is_dirty(&self, c: usize) -> bool {
+        !self.bytes.chunk_ptr_eq(c, &self.pristine)
     }
 
     /// Seals the current contents as the pristine image: subsequent
@@ -165,9 +129,11 @@ impl Memory {
     pub fn seal_pristine(&mut self) {
         // A CowBytes clone is a handle clone per chunk: sealing copies no
         // bytes, and every live chunk starts out sharing with the image.
+        // Loading the image broke shares with the zero image `new` sealed;
+        // those are construction, not copy-on-write work, so they are not
+        // counted.
         self.pristine = self.bytes.clone();
-        self.dirty.clear_all();
-        self.touched.clear_all();
+        self.bytes.take_cow_breaks();
     }
 
     /// Total size in bytes.
@@ -225,7 +191,6 @@ impl Memory {
             let c = self.bytes.chunk_of(o);
             self.bytes.chunk_mut(c)[o % CHUNK_BYTES] = ((value >> (8 * i)) & 0xFF) as u8;
         }
-        self.mark_dirty(off, n);
         Ok(())
     }
 
@@ -246,7 +211,6 @@ impl Memory {
             self.bytes.chunk_mut(c)[co..co + n].copy_from_slice(&data[pos..pos + n]);
             pos += n;
         }
-        self.mark_dirty(off, data.len());
         Ok(())
     }
 
@@ -269,27 +233,20 @@ impl Memory {
     /// Writes an entire cache line back; bytes outside the mapped region are
     /// silently dropped (mirrors `read_line`).
     pub fn write_line(&mut self, addr: u64, data: &[u8]) {
-        let mut first: Option<usize> = None;
-        let mut last = 0usize;
         for (i, &b) in data.iter().enumerate() {
             let a = addr + i as u64;
             if a >= DATA_BASE && a < DATA_BASE + self.len() {
                 let off = (a - DATA_BASE) as usize;
                 let c = self.bytes.chunk_of(off);
                 self.bytes.chunk_mut(c)[off % CHUNK_BYTES] = b;
-                first.get_or_insert(off);
-                last = off;
             }
-        }
-        if let Some(first) = first {
-            self.mark_dirty(first, last - first + 1);
         }
     }
 
     // ----- delta snapshots -------------------------------------------------
 
     /// Captures the memory as a delta against the pristine image: every
-    /// chunk whose dirty bit is set, with its live bytes.  Footprint is
+    /// dirty chunk, with its live bytes.  Footprint is
     /// proportional to the data the workload has written, not to the memory
     /// size.  Each captured chunk shares the live chunk's handle — no bytes
     /// move; the live chunk un-shares lazily if written afterwards.
@@ -310,17 +267,14 @@ impl Memory {
     }
 
     /// Restores the memory to the state `delta` captured: chunks absent from
-    /// the delta revert to the pristine image, chunks present are copied from
-    /// it, and the dirty bitset becomes exactly the delta's chunk set — so a
-    /// restored memory is indistinguishable (bytes and future snapshots) from
-    /// the one the delta was taken on.
+    /// the delta revert to the pristine image, chunks present adopt the
+    /// delta's handles — so a restored memory is indistinguishable (bytes
+    /// and future snapshots) from the one the delta was taken on.
     ///
     /// Only chunks in (currently dirty ∪ delta) are rewritten — O(touched
-    /// data), never O(memory size) — and every delta chunk is copied
-    /// unconditionally; for back-to-back restores of the *same* delta,
-    /// [`Memory::restore_delta_incremental`] additionally skips delta
-    /// chunks the run never rewrote.  Returns the number of bytes actually
-    /// rewritten.
+    /// data), never O(memory size).  Both steps are handle swaps; the
+    /// returned count is the bytes made equal to the snapshot, whether or
+    /// not they physically moved.
     ///
     /// The delta must come from a memory with the same length and pristine
     /// image (same program, same configuration); the length is checked.
@@ -335,110 +289,32 @@ impl Memory {
             "delta snapshot from a different memory size"
         );
         let mut restored = 0;
-        // Revert everything currently dirty, then lay the delta on top.
-        // Both steps are handle swaps (share the pristine chunk, share the
-        // delta's chunk); the returned count is the semantic bytes made
-        // equal to the snapshot, whether or not they physically moved.
         for c in 0..self.chunk_count() {
             if self.is_dirty(c) {
                 restored += self.chunk_range(c).len();
-                if self.pristine.is_empty() {
-                    // Unsealed: the pristine image is implicitly zeros.
-                    self.bytes.chunk_mut(c).fill(0);
-                } else {
-                    self.bytes.share_chunk_from(c, &self.pristine);
-                }
+                self.bytes.share_chunk_from(c, &self.pristine);
             }
         }
-        self.dirty.clear_all();
         for chunk in &delta.chunks {
             let c = chunk.index as usize;
             restored += self.chunk_range(c).len();
             self.bytes.set_chunk_handle(c, &chunk.data);
-            self.dirty.mark(c);
-        }
-        self.touched.clear_all();
-        restored
-    }
-
-    /// Same-delta fast path: restores only the chunks written since the
-    /// last restore, valid when the memory is known to have matched `delta`
-    /// exactly at that restore (the caller's snapshot-identity guard).
-    /// Chunks the run never wrote still match the delta by construction —
-    /// including delta chunks, which [`Memory::restore_delta`] would re-copy
-    /// unconditionally — so the rewrite is O(bytes the run wrote), not
-    /// O(delta size).  Returns the number of bytes rewritten.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delta` was captured from a memory of a different size.
-    pub fn restore_delta_incremental(&mut self, delta: &MemoryDelta) -> usize {
-        assert_eq!(
-            delta.len,
-            self.len(),
-            "delta snapshot from a different memory size"
-        );
-        let mut restored = 0;
-        // Touched chunks are walked in ascending index against the delta's
-        // ascending chunk list: present in the delta → copy its bytes back
-        // (dirty stays set), absent → revert to pristine (dirty cleared).
-        // Untouched chunks keep both their bytes and their dirty bit from
-        // the previous restore of this same delta.
-        let mut di = 0;
-        let total = self.bytes.len();
-        let bytes = &mut self.bytes;
-        let dirty = &mut self.dirty;
-        let pristine = &self.pristine;
-        for c in self.touched.drain() {
-            while di < delta.chunks.len() && (delta.chunks[di].index as usize) < c {
-                di += 1;
-            }
-            let start = c * CHUNK_BYTES;
-            restored += (start + CHUNK_BYTES).min(total) - start;
-            match delta.chunks.get(di) {
-                Some(chunk) if chunk.index as usize == c => {
-                    bytes.set_chunk_handle(c, &chunk.data);
-                    dirty.mark(c);
-                }
-                _ => {
-                    if pristine.is_empty() {
-                        bytes.chunk_mut(c).fill(0);
-                    } else {
-                        bytes.share_chunk_from(c, pristine);
-                    }
-                    dirty.clear(c);
-                }
-            }
         }
         restored
     }
 
     /// Makes `self` an exact structural replica of `src`: every live chunk
-    /// shares `src`'s handle, and the dirty/touched bitsets are copied
-    /// verbatim.  No bytes move — a written chunk un-shares lazily on either
-    /// side's first subsequent write.  `eager` in the returned [`ForkBytes`]
-    /// is what the pre-CoW fork path would have copied (the chunks `src`
-    /// wrote since its last restore).
+    /// and every pristine-image chunk shares `src`'s handle, so clean and
+    /// dirty chunks stay apart exactly as in `src`.  No bytes move — a
+    /// written chunk un-shares lazily on either side's first subsequent
+    /// write.
     pub fn fork_from(&mut self, src: &Self) -> ForkBytes {
         debug_assert_eq!(self.len(), src.len());
-        let eager: u64 = src
-            .touched
-            .iter()
-            .map(|c| src.chunk_range(c).len() as u64)
-            .sum();
         self.bytes.share_from(&src.bytes);
-        if !self.pristine.is_empty() && !src.pristine.is_empty() {
-            // Byte-identical by construction (same program image); sharing
-            // the handles deduplicates the image across the pool.
-            self.pristine.share_from(&src.pristine);
-        }
-        self.dirty.copy_from(&src.dirty);
-        self.touched.copy_from(&src.touched);
-        ForkBytes {
-            copied: 0,
-            eager,
-            shared: self.len(),
-        }
+        // Byte-identical by construction (same program image); sharing the
+        // handles deduplicates the image across the pool.
+        self.pristine.share_from(&src.pristine);
+        ForkBytes::sharing(self.len())
     }
 
     /// Chunk un-share events since the last call (see
@@ -452,21 +328,17 @@ impl Memory {
     /// Chunks sharing with the pristine image stay shared: the image is
     /// immutable after sealing, so that sharing cannot leak state.
     pub(crate) fn unshare_all(&mut self) {
-        for c in 0..self.bytes.chunk_count() {
-            if !self.pristine.is_empty() && self.bytes.chunk_ptr_eq(c, &self.pristine) {
-                continue;
+        for c in 0..self.chunk_count() {
+            if self.is_dirty(c) {
+                self.bytes.unshare_chunk(c);
             }
-            self.bytes.unshare_chunk(c);
         }
     }
 
     /// Whether every live chunk is privately owned or shares only with this
     /// memory's own pristine image (immutable, shared by design).
     pub(crate) fn fully_private(&self) -> bool {
-        (0..self.bytes.chunk_count()).all(|c| {
-            (!self.pristine.is_empty() && self.bytes.chunk_ptr_eq(c, &self.pristine))
-                || self.bytes.chunk_private(c)
-        })
+        (0..self.chunk_count()).all(|c| !self.is_dirty(c) || self.bytes.chunk_private(c))
     }
 
     /// Whether the live bytes are identical to the state `delta` captured.
@@ -495,12 +367,8 @@ impl Memory {
                     }
                 }
                 None => {
-                    if self.is_dirty(c) {
-                        let pristine_handle =
-                            !self.pristine.is_empty() && self.bytes.chunk_ptr_eq(c, &self.pristine);
-                        if !pristine_handle && self.bytes.chunk(c) != self.pristine_chunk(c) {
-                            return false;
-                        }
+                    if self.is_dirty(c) && self.bytes.chunk(c) != self.pristine.chunk(c) {
+                        return false;
                     }
                 }
             }
@@ -716,39 +584,6 @@ mod tests {
         other.seal_pristine();
         other.restore_delta(&d);
         assert_eq!(other, snap_bytes);
-    }
-
-    #[test]
-    fn incremental_delta_restore_matches_full_restore() {
-        let mut m = Memory::new(8 * CHUNK_BYTES as u64);
-        m.load_segment(DATA_BASE, &[7; 16]).unwrap();
-        m.seal_pristine();
-        m.write(DATA_BASE + CHUNK_BYTES as u64, 0xAAAA, MemSize::B8)
-            .unwrap();
-        m.write(DATA_BASE + 5 * CHUNK_BYTES as u64, 0xBBBB, MemSize::B8)
-            .unwrap();
-        let d = m.delta_snapshot();
-        let full = m.restore_delta(&d);
-        let reference = m.clone();
-        // A suffix run rewrites one delta chunk and dirties one fresh chunk;
-        // the other delta chunk is untouched.
-        m.write(DATA_BASE + CHUNK_BYTES as u64, 0xCCCC, MemSize::B8)
-            .unwrap();
-        m.write(DATA_BASE + 3 * CHUNK_BYTES as u64, 0xDDDD, MemSize::B8)
-            .unwrap();
-        let incremental = m.restore_delta_incremental(&d);
-        assert_eq!(m, reference);
-        assert!(m.matches_delta(&d));
-        // Future snapshots are indistinguishable from the full-restore path.
-        assert_eq!(m.delta_snapshot(), d);
-        // Only the two written chunks were rewritten, not the whole delta.
-        assert_eq!(incremental, 2 * CHUNK_BYTES);
-        assert!(incremental < full, "{incremental} vs full {full}");
-        // Nothing written since the last restore: the next incremental
-        // restore rewrites nothing at all.
-        assert_eq!(m.restore_delta_incremental(&d), 0);
-        assert!(m.matches_delta(&d));
-        assert_eq!(m.delta_snapshot(), d);
     }
 
     #[test]

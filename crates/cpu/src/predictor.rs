@@ -6,7 +6,6 @@
 //! without wrong-path execution would have nothing to exclude.
 
 use crate::cow::{CowTable, ForkBytes};
-use crate::touched::{Restorable, TouchedSet};
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
 use merlin_isa::Rip;
 
@@ -20,27 +19,14 @@ const BTB_PAGE: usize = 128;
 /// global-history gshare table; the stronger of the two provides the
 /// prediction, loosely mirroring the tournament predictor of Table 1.
 ///
-/// Counters are epoch-tagged ([`TouchedSet`]) **per table**: the bimodal and
-/// gshare tables each carry their own set, so a same-snapshot restore and
-/// the fork path rewrite only the counters the suffix actually bumped in
-/// that table, with no index translation across a concatenated space (the
-/// history register is a scalar and always re-assigned).
+/// Both counter tables live on copy-on-write pages, so restores and forks
+/// share them structurally.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BranchPredictor {
     bimodal: CowTable<u8>,
     gshare: CowTable<u8>,
     history: u64,
     history_bits: u32,
-    bimodal_touched: TouchedSet,
-    gshare_touched: TouchedSet,
-}
-
-/// Per-table counter diff between two predictor snapshots, consumed by the
-/// convergence probe (`StateDiff` keeps one per checkpoint pair).
-#[derive(Debug, Clone)]
-pub(crate) struct PredictorDiff {
-    bimodal: TouchedSet,
-    gshare: TouchedSet,
 }
 
 impl BranchPredictor {
@@ -53,8 +39,6 @@ impl BranchPredictor {
             gshare: CowTable::new(n, 2, COUNTER_PAGE),
             history: 0,
             history_bits: 12,
-            bimodal_touched: TouchedSet::new(n),
-            gshare_touched: TouchedSet::new(n),
         }
     }
 
@@ -85,65 +69,19 @@ impl BranchPredictor {
     pub fn update(&mut self, rip: Rip, taken: bool) {
         let bi = self.bimodal_index(rip);
         let gi = self.gshare_index(rip);
-        self.bimodal_touched.mark(bi);
-        self.gshare_touched.mark(gi);
         *self.bimodal.get_mut(bi) = bump(*self.bimodal.get(bi), taken);
         *self.gshare.get_mut(gi) = bump(*self.gshare.get(gi), taken);
         self.history = ((self.history << 1) | taken as u64) & ((1 << self.history_bits) - 1);
     }
 
-    /// Per-table counter diff between `self` and `other`.  Pages sharing a
-    /// handle are skipped without being read.
-    pub(crate) fn diff(&self, other: &Self) -> PredictorDiff {
-        let n = self.bimodal.len();
-        let mut d = PredictorDiff {
-            bimodal: TouchedSet::new(n),
-            gshare: TouchedSet::new(n),
-        };
-        self.bimodal
-            .for_each_diff(&other.bimodal, |i| d.bimodal.mark(i));
-        self.gshare
-            .for_each_diff(&other.gshare, |i| d.gshare.mark(i));
-        d
-    }
-
-    /// Whether the history register and every tagged counter equal `g`'s.
-    pub(crate) fn touched_matches(&self, g: &Self) -> bool {
-        self.history == g.history
-            && self.history_bits == g.history_bits
-            && self
-                .bimodal_touched
-                .iter()
-                .all(|i| self.bimodal.get(i) == g.bimodal.get(i))
-            && self
-                .gshare_touched
-                .iter()
-                .all(|i| self.gshare.get(i) == g.gshare.get(i))
-    }
-
-    /// Convergence probe against `g` given the restore-source diff.
-    pub(crate) fn converged_with(&self, g: &Self, diff: &PredictorDiff) -> bool {
-        self.bimodal_touched.contains_all(&diff.bimodal)
-            && self.gshare_touched.contains_all(&diff.gshare)
-            && self.touched_matches(g)
-    }
-
-    /// Forks from `src` by sharing its page handles — no counter is copied —
-    /// and mirroring its tags, so `self` becomes bit-identical to `src` at
-    /// O(pages) cost.
-    pub(crate) fn fork_from(&mut self, src: &Self) -> ForkBytes {
-        debug_assert_eq!(self.bimodal.len(), src.bimodal.len());
+    /// Makes `self` equal to `src` by sharing its page handles — no
+    /// counter is copied.
+    pub(crate) fn share_from(&mut self, src: &Self) -> ForkBytes {
         self.history = src.history;
         self.history_bits = src.history_bits;
         self.bimodal.share_from(&src.bimodal);
         self.gshare.share_from(&src.gshare);
-        self.bimodal_touched.copy_from(&src.bimodal_touched);
-        self.gshare_touched.copy_from(&src.gshare_touched);
-        ForkBytes {
-            copied: 0,
-            eager: (src.bimodal_touched.count() + src.gshare_touched.count()) as u64,
-            shared: (src.bimodal.len() + src.gshare.len()) as u64,
-        }
+        ForkBytes::sharing((src.bimodal.len() + src.gshare.len()) as u64)
     }
 
     /// Un-share counters of both tables, reset.
@@ -163,32 +101,6 @@ impl BranchPredictor {
     }
 }
 
-impl Restorable for BranchPredictor {
-    fn restore_from(&mut self, snap: &Self, incremental: bool) -> u64 {
-        debug_assert_eq!(self.bimodal.len(), snap.bimodal.len());
-        self.history = snap.history;
-        self.history_bits = snap.history_bits;
-        if incremental {
-            let mut bytes = 0u64;
-            for i in self.bimodal_touched.drain() {
-                *self.bimodal.get_mut(i) = *snap.bimodal.get(i);
-                bytes += 1;
-            }
-            for i in self.gshare_touched.drain() {
-                *self.gshare.get_mut(i) = *snap.gshare.get(i);
-                bytes += 1;
-            }
-            bytes
-        } else {
-            self.bimodal.share_from(&snap.bimodal);
-            self.gshare.share_from(&snap.gshare);
-            self.bimodal_touched.clear_all();
-            self.gshare_touched.clear_all();
-            (self.bimodal.len() + self.gshare.len()) as u64
-        }
-    }
-}
-
 impl BinCode for BranchPredictor {
     fn encode(&self, out: &mut Vec<u8>) {
         self.bimodal.encode_seq(out);
@@ -202,14 +114,11 @@ impl BinCode for BranchPredictor {
         if bimodal.is_empty() || !bimodal.len().is_power_of_two() || gshare.len() != bimodal.len() {
             return Err(DecodeError::Invalid("predictor table shape"));
         }
-        let n = bimodal.len();
         Ok(BranchPredictor {
             bimodal,
             gshare,
             history: BinCode::decode(r)?,
             history_bits: BinCode::decode(r)?,
-            bimodal_touched: TouchedSet::new(n),
-            gshare_touched: TouchedSet::new(n),
         })
     }
 }
@@ -231,12 +140,11 @@ fn confidence(counter: u8) -> u8 {
     }
 }
 
-/// Direct-mapped branch target buffer for indirect jumps, epoch-tagged per
-/// entry like the direction predictor's tables.
+/// Direct-mapped branch target buffer for indirect jumps, on copy-on-write
+/// pages like the direction predictor's tables.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Btb {
     entries: CowTable<Option<(Rip, Rip)>>,
-    touched: TouchedSet,
 }
 
 impl Btb {
@@ -245,7 +153,6 @@ impl Btb {
         let n = entries.next_power_of_two().max(16);
         Btb {
             entries: CowTable::new(n, None, BTB_PAGE),
-            touched: TouchedSet::new(n),
         }
     }
 
@@ -264,40 +171,15 @@ impl Btb {
     /// Records the resolved target of the indirect branch at `rip`.
     pub fn update(&mut self, rip: Rip, target: Rip) {
         let idx = self.index(rip);
-        self.touched.mark(idx);
         *self.entries.get_mut(idx) = Some((rip, target));
     }
 
-    /// Entries where `self` and `other` differ.  Shared pages are skipped.
-    pub(crate) fn diff(&self, other: &Self) -> TouchedSet {
-        let mut d = TouchedSet::new(self.entries.len());
-        self.entries.for_each_diff(&other.entries, |i| d.mark(i));
-        d
-    }
-
-    /// Whether every tagged entry equals `g`'s copy.
-    pub(crate) fn touched_matches(&self, g: &Self) -> bool {
-        self.touched
-            .iter()
-            .all(|i| self.entries.get(i) == g.entries.get(i))
-    }
-
-    /// Convergence probe against `g` given the restore-source diff.
-    pub(crate) fn converged_with(&self, g: &Self, diff: &TouchedSet) -> bool {
-        self.touched.contains_all(diff) && self.touched_matches(g)
-    }
-
-    /// Forks from `src` by sharing its page handles and mirroring its tags.
-    pub(crate) fn fork_from(&mut self, src: &Self) -> ForkBytes {
-        debug_assert_eq!(self.entries.len(), src.entries.len());
+    /// Makes `self` equal to `src` by sharing its page handles.
+    pub(crate) fn share_from(&mut self, src: &Self) -> ForkBytes {
         self.entries.share_from(&src.entries);
-        self.touched.copy_from(&src.touched);
-        let entry_bytes = std::mem::size_of::<Option<(Rip, Rip)>>() as u64;
-        ForkBytes {
-            copied: 0,
-            eager: src.touched.count() as u64 * entry_bytes,
-            shared: src.entries.len() as u64 * entry_bytes,
-        }
+        ForkBytes::sharing(
+            src.entries.len() as u64 * std::mem::size_of::<Option<(Rip, Rip)>>() as u64,
+        )
     }
 
     /// Un-share counter of the entry array, reset.
@@ -316,25 +198,6 @@ impl Btb {
     }
 }
 
-impl Restorable for Btb {
-    fn restore_from(&mut self, snap: &Self, incremental: bool) -> u64 {
-        debug_assert_eq!(self.entries.len(), snap.entries.len());
-        let entry_bytes = std::mem::size_of::<Option<(Rip, Rip)>>() as u64;
-        if incremental {
-            let mut n = 0u64;
-            for i in self.touched.drain() {
-                *self.entries.get_mut(i) = *snap.entries.get(i);
-                n += entry_bytes;
-            }
-            n
-        } else {
-            self.entries.share_from(&snap.entries);
-            self.touched.clear_all();
-            self.entries.len() as u64 * entry_bytes
-        }
-    }
-}
-
 impl BinCode for Btb {
     fn encode(&self, out: &mut Vec<u8>) {
         self.entries.encode_seq(out);
@@ -344,8 +207,7 @@ impl BinCode for Btb {
         if entries.is_empty() || !entries.len().is_power_of_two() {
             return Err(DecodeError::Invalid("BTB shape"));
         }
-        let touched = TouchedSet::new(entries.len());
-        Ok(Btb { entries, touched })
+        Ok(Btb { entries })
     }
 }
 

@@ -1,11 +1,10 @@
 //! Physical register file, free list and register alias table (RAT).
 //!
-//! All three are epoch-tagged (see [`crate::TouchedSet`]): every mutation
-//! tags the touched entry, so same-snapshot restores rewrite only what the
-//! suffix changed and the convergence probe compares only tagged entries.
+//! The register file and free list live on copy-on-write storage (see
+//! [`crate::CowTable`]), so restores and forks adopt page handles instead
+//! of copying entries.
 
 use crate::cow::{CowSeq, CowTable, ForkBytes};
-use crate::touched::{fork_deque, restore_deque, Restorable, TouchedFlag, TouchedSet};
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
 use merlin_isa::{ArchReg, NUM_ARCH_REGS};
 
@@ -26,7 +25,6 @@ const PRF_PAGE: usize = 64;
 pub struct PhysRegFile {
     values: CowTable<u64>,
     ready: CowTable<bool>,
-    touched: TouchedSet,
 }
 
 impl PhysRegFile {
@@ -35,7 +33,6 @@ impl PhysRegFile {
         PhysRegFile {
             values: CowTable::new(n, 0, PRF_PAGE),
             ready: CowTable::new(n, true, PRF_PAGE),
-            touched: TouchedSet::new(n),
         }
     }
 
@@ -59,21 +56,18 @@ impl PhysRegFile {
     pub fn write(&mut self, p: PhysReg, value: u64) {
         *self.values.get_mut(p as usize) = value;
         *self.ready.get_mut(p as usize) = true;
-        self.touched.mark(p as usize);
     }
 
     /// Marks a freshly allocated register as not-ready (its producer has not
     /// executed yet).
     pub fn mark_pending(&mut self, p: PhysReg) {
         *self.ready.get_mut(p as usize) = false;
-        self.touched.mark(p as usize);
     }
 
     /// Marks a register ready without changing its value (used when squash
     /// recovery returns a register to the free pool).
     pub fn mark_ready(&mut self, p: PhysReg) {
         *self.ready.get_mut(p as usize) = true;
-        self.touched.mark(p as usize);
     }
 
     /// Whether the register's value has been produced.
@@ -87,45 +81,14 @@ impl PhysRegFile {
     /// (see [`Cpu::fault_site_dead`](crate::Cpu::fault_site_dead)).
     pub fn flip_bit(&mut self, p: usize, bit: u8) {
         *self.values.get_mut(p) ^= 1u64 << bit;
-        self.touched.mark(p);
     }
 
-    /// Entries where `self` and `other` hold different values or ready bits.
-    /// Pages sharing a handle are skipped without being read.
-    pub(crate) fn diff(&self, other: &Self) -> TouchedSet {
-        let mut d = TouchedSet::new(self.values.len());
-        self.values.for_each_diff(&other.values, |i| d.mark(i));
-        self.ready.for_each_diff(&other.ready, |i| d.mark(i));
-        d
-    }
-
-    /// Whether every tagged entry equals `g`'s copy (untagged entries are
-    /// trusted to equal the restore source — the epoch-tagging invariant).
-    pub(crate) fn touched_matches(&self, g: &Self) -> bool {
-        self.touched
-            .iter()
-            .all(|i| self.values.get(i) == g.values.get(i) && self.ready.get(i) == g.ready.get(i))
-    }
-
-    /// Convergence probe: `self == g` given that untagged entries equal the
-    /// restore source, whose disagreements with `g` are exactly `diff`.
-    pub(crate) fn converged_with(&self, g: &Self, diff: &TouchedSet) -> bool {
-        self.touched.contains_all(diff) && self.touched_matches(g)
-    }
-
-    /// Forks from `src` by sharing its page handles — O(pages), no entry is
-    /// copied — and mirroring its tags (the fork's divergence from the
-    /// shared restore base is exactly the source's).
-    pub(crate) fn fork_from(&mut self, src: &Self) -> ForkBytes {
-        debug_assert_eq!(self.values.len(), src.values.len());
+    /// Makes `self` equal to `src` by sharing its page handles — O(pages),
+    /// no entry is copied.  Restores and forks both take this path.
+    pub(crate) fn share_from(&mut self, src: &Self) -> ForkBytes {
         self.values.share_from(&src.values);
         self.ready.share_from(&src.ready);
-        self.touched.copy_from(&src.touched);
-        ForkBytes {
-            copied: 0,
-            eager: src.touched.count() as u64 * PRF_ENTRY_BYTES,
-            shared: src.values.len() as u64 * PRF_ENTRY_BYTES,
-        }
+        ForkBytes::sharing(src.values.len() as u64 * PRF_ENTRY_BYTES)
     }
 
     /// Un-share counters of both arrays, reset.
@@ -145,30 +108,10 @@ impl PhysRegFile {
     }
 }
 
-impl Restorable for PhysRegFile {
-    fn restore_from(&mut self, snap: &Self, incremental: bool) -> u64 {
-        debug_assert_eq!(self.values.len(), snap.values.len());
-        if incremental {
-            let mut n = 0u64;
-            for i in self.touched.drain() {
-                *self.values.get_mut(i) = *snap.values.get(i);
-                *self.ready.get_mut(i) = *snap.ready.get(i);
-                n += PRF_ENTRY_BYTES;
-            }
-            n
-        } else {
-            self.values.share_from(&snap.values);
-            self.ready.share_from(&snap.ready);
-            self.touched.clear_all();
-            self.values.len() as u64 * PRF_ENTRY_BYTES
-        }
-    }
-}
-
 impl BinCode for PhysRegFile {
     fn encode(&self, out: &mut Vec<u8>) {
-        // Tags and page boundaries are bookkeeping, never serialised — the
-        // on-disk format is identical to the pre-epoch, pre-CoW layout.
+        // Page boundaries are bookkeeping, never serialised — the on-disk
+        // format is identical to the pre-CoW layout.
         self.values.encode_seq(out);
         self.ready.encode_seq(out);
     }
@@ -178,22 +121,15 @@ impl BinCode for PhysRegFile {
         if values.len() != ready.len() {
             return Err(DecodeError::Invalid("register file array lengths"));
         }
-        let touched = TouchedSet::new(values.len());
-        Ok(PhysRegFile {
-            values,
-            ready,
-            touched,
-        })
+        Ok(PhysRegFile { values, ready })
     }
 }
 
-/// FIFO free list of physical registers.  Queue-shaped, so it carries a
-/// whole-structure [`TouchedFlag`] instead of per-entry tags, and sits
-/// behind one copy-on-write handle a fork shares instead of copying.
+/// FIFO free list of physical registers, behind one copy-on-write handle a
+/// fork shares instead of copying.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FreeList {
     free: CowSeq<PhysReg>,
-    touched: TouchedFlag,
 }
 
 impl FreeList {
@@ -201,13 +137,11 @@ impl FreeList {
     pub fn new(first: usize, n: usize) -> Self {
         FreeList {
             free: CowSeq::from_deque((first as PhysReg..n as PhysReg).collect()),
-            touched: TouchedFlag::default(),
         }
     }
 
     /// Takes a register from the free list.
     pub fn allocate(&mut self) -> Option<PhysReg> {
-        self.touched.mark();
         self.free.make_mut().pop_front()
     }
 
@@ -217,7 +151,6 @@ impl FreeList {
             !self.free.contains(&p),
             "physical register {p} released twice"
         );
-        self.touched.mark();
         self.free.make_mut().push_back(p);
     }
 
@@ -231,14 +164,9 @@ impl FreeList {
         self.free.contains(&p)
     }
 
-    /// Whether the free list was mutated since the last restore.
-    pub(crate) fn is_touched(&self) -> bool {
-        self.touched.is_set()
-    }
-
-    /// Queue-shaped fork: one handle share, mirroring the source's tag.
-    pub(crate) fn fork_from(&mut self, src: &Self) -> ForkBytes {
-        fork_deque(&mut self.free, &src.free, &src.touched, &mut self.touched)
+    /// Makes `self` equal to `src` with one handle share.
+    pub(crate) fn share_from(&mut self, src: &Self) -> ForkBytes {
+        self.free.share_from(&src.free)
     }
 
     /// Un-share counter of the queue, reset.
@@ -257,12 +185,6 @@ impl FreeList {
     }
 }
 
-impl Restorable for FreeList {
-    fn restore_from(&mut self, snap: &Self, incremental: bool) -> u64 {
-        restore_deque(&mut self.free, &snap.free, &mut self.touched, incremental)
-    }
-}
-
 impl BinCode for FreeList {
     fn encode(&self, out: &mut Vec<u8>) {
         self.free.encode(out);
@@ -270,7 +192,6 @@ impl BinCode for FreeList {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
         Ok(FreeList {
             free: CowSeq::decode(r)?,
-            touched: TouchedFlag::default(),
         })
     }
 }
@@ -279,7 +200,6 @@ impl BinCode for FreeList {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RenameTable {
     map: [PhysReg; NUM_ARCH_REGS],
-    touched: TouchedSet,
 }
 
 impl RenameTable {
@@ -290,10 +210,7 @@ impl RenameTable {
         for (i, m) in map.iter_mut().enumerate() {
             *m = i as PhysReg;
         }
-        RenameTable {
-            map,
-            touched: TouchedSet::new(NUM_ARCH_REGS),
-        }
+        RenameTable { map }
     }
 
     /// Current mapping of an architectural register.
@@ -303,64 +220,22 @@ impl RenameTable {
 
     /// Remaps `r` to `p`, returning the previous mapping.
     pub fn remap(&mut self, r: ArchReg, p: PhysReg) -> PhysReg {
-        self.touched.mark(r.index());
         std::mem::replace(&mut self.map[r.index()], p)
     }
 
     /// Restores a previous mapping (squash recovery).
     pub fn restore(&mut self, r: ArchReg, previous: PhysReg) {
-        self.touched.mark(r.index());
         self.map[r.index()] = previous;
     }
 
-    /// Entries where `self` and `other` map differently.
-    pub(crate) fn diff(&self, other: &Self) -> TouchedSet {
-        let mut d = TouchedSet::new(NUM_ARCH_REGS);
-        for i in 0..NUM_ARCH_REGS {
-            if self.map[i] != other.map[i] {
-                d.mark(i);
-            }
-        }
-        d
-    }
-
-    /// Whether every tagged entry equals `g`'s copy.
-    pub(crate) fn touched_matches(&self, g: &Self) -> bool {
-        self.touched.iter().all(|i| self.map[i] == g.map[i])
-    }
-
-    /// Convergence probe against `g` given the restore-source diff.
-    pub(crate) fn converged_with(&self, g: &Self, diff: &TouchedSet) -> bool {
-        self.touched.contains_all(diff) && self.touched_matches(g)
-    }
-
-    /// Forks from `src` by copying the whole map — at [`NUM_ARCH_REGS`]
-    /// entries it is smaller than a page handle, so eager is the cheap
-    /// option — and mirroring the source's tags.
-    pub(crate) fn fork_from(&mut self, src: &Self) -> ForkBytes {
+    /// Makes `self` equal to `src` by copying the whole map — at
+    /// [`NUM_ARCH_REGS`] entries it is smaller than a page handle, so a copy
+    /// is the cheap option.
+    pub(crate) fn share_from(&mut self, src: &Self) -> ForkBytes {
         self.map = src.map;
-        self.touched.copy_from(&src.touched);
         ForkBytes {
             copied: (NUM_ARCH_REGS * std::mem::size_of::<PhysReg>()) as u64,
-            eager: src.touched.count() as u64 * std::mem::size_of::<PhysReg>() as u64,
             shared: 0,
-        }
-    }
-}
-
-impl Restorable for RenameTable {
-    fn restore_from(&mut self, snap: &Self, incremental: bool) -> u64 {
-        if incremental {
-            let mut n = 0u64;
-            for i in self.touched.drain() {
-                self.map[i] = snap.map[i];
-                n += std::mem::size_of::<PhysReg>() as u64;
-            }
-            n
-        } else {
-            self.map = snap.map;
-            self.touched.clear_all();
-            (NUM_ARCH_REGS * std::mem::size_of::<PhysReg>()) as u64
         }
     }
 }
@@ -372,7 +247,6 @@ impl BinCode for RenameTable {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
         Ok(RenameTable {
             map: BinCode::decode(r)?,
-            touched: TouchedSet::new(NUM_ARCH_REGS),
         })
     }
 }

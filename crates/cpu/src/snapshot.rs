@@ -29,22 +29,16 @@
 //! never empty and always holds a snapshot at or before any later cycle of
 //! the run that built it (the cycle-0 reset state when the core is fresh).
 //!
-//! Restoring a retained snapshot is cheap to repeat: each [`CpuState`]
-//! carries a process-unique identity tag, and a core restored from the
-//! snapshot it was last restored from takes an incremental path that
-//! rewrites only the state mutated since — see [`Cpu::restore_from`] and
-//! the epoch tags ([`crate::TouchedSet`]/[`crate::TouchedFlag`], module
-//! [`crate::touched`]) every pipeline structure maintains at mutation time:
-//! cache lines, memory chunks, physical registers, rename entries,
-//! load/store-queue slots, predictor/BTB counters, and whole-structure
-//! flags on the fetch buffer, ROB and free list.  Range-bound campaign
-//! workers, which restore one snapshot hundreds of times back-to-back, pay
-//! O(suffix-touched state) per restore instead of O(snapshot size), and
-//! [`crate::RestoreStats`] reports the bytes actually rewritten per
-//! structure ([`crate::RestoredBytes`]).  The tags are runtime-only
-//! bookkeeping: they are never serialised (decoding a snapshot yields
-//! cleared tags, like the identity tag itself), so the on-disk `binio`
-//! format is unchanged by epoch tagging.
+//! Restoring a retained snapshot is cheap to repeat: the register file,
+//! free list, ROB, fetch buffer, load/store queues and predictor tables sit
+//! on copy-on-write pages ([`crate::CowTable`], [`crate::CowSeq`]), so a
+//! restore adopts the snapshot's page handles instead of copying entries,
+//! and the backing memory adopts its delta chunks by handle.  Only the
+//! caches are rebuilt line by line from their sparse images.
+//! [`crate::RestoreStats`] reports the bytes made equal to the snapshot per
+//! structure ([`crate::RestoredBytes`]).  Sharing is runtime-only
+//! bookkeeping: it is never serialised, so decoding a snapshot yields
+//! fully private pages and the on-disk `binio` format is unchanged.
 
 use crate::core::{Cpu, CpuState, RunResult};
 use crate::probe::Probe;
@@ -85,9 +79,9 @@ pub enum SpacingStrategy {
 /// cycles for no gain, spaced by equal estimated suffix work
 /// ([`SpacingStrategy::SuffixWork`]).  The density is paid for by the delta
 /// snapshot representation (store size scales with touched data, not memory
-/// size) and by incremental same-snapshot restores (restore cost scales with
-/// the suffix run's footprint, not the snapshot's) — halving the expected
-/// per-fault suffix at near-zero marginal restore cost.
+/// size) and by copy-on-write restores (most of the state is adopted by
+/// handle, not copied) — halving the expected per-fault suffix at small
+/// marginal restore cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CheckpointPolicy {
     /// Whether campaigns build and use checkpoints at all.

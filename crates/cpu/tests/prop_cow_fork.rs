@@ -1,10 +1,11 @@
-//! Property-based validation of copy-on-write forking: a fork that adopts
-//! its parent's state by structural sharing must be indistinguishable — in
-//! snapshot, in continuation, and under arbitrary faults — from a core that
-//! materialised a full private copy of the same state, and writes on either
-//! side of the share must never leak across it.
+//! Property-based validation of the one sharing substrate: restores and
+//! forks adopt copy-on-write page handles, and a core that does so must be
+//! indistinguishable — in snapshot, in continuation, under arbitrary
+//! faults, and to the convergence probe — from a core that holds a private
+//! copy of the same state.  Writes on either side of a share must never
+//! leak across it.
 
-use merlin_cpu::{Cpu, CpuConfig, FaultSpec, NullProbe, Structure};
+use merlin_cpu::{CheckpointStore, Cpu, CpuConfig, FaultSpec, NullProbe, Structure};
 use merlin_isa::{reg, AluOp, Cond, MemRef, ProgramBuilder};
 use proptest::prelude::*;
 
@@ -84,17 +85,24 @@ fn build_program(steps: &[Step]) -> merlin_isa::Program {
     b.build().unwrap()
 }
 
+/// Steps `cpu` until it reaches `cycle` or finishes.
+fn step_to(cpu: &mut Cpu, cycle: u64) {
+    while cpu.cycle() < cycle && !cpu.is_finished() {
+        cpu.step(&mut NullProbe);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The batched driver's fork sequence — restore a pool core from the
-    /// range snapshot, then [`Cpu::fork_from`] the live golden core — must
-    /// produce a core bit-identical to an eager full copy of the golden
-    /// state (a fresh core full-restoring the golden core's own snapshot),
-    /// and both must classify an arbitrary fault identically.  Writes on
-    /// the fork must never reach the golden parent through the shared
-    /// structures: the parent's continuation stays bit-identical to an
-    /// unshared reference run.
+    /// The batched driver's fork — [`Cpu::fork_from`] the live golden core
+    /// onto a pool core in whatever state it was left — must produce a core
+    /// bit-identical to an eager full copy of the golden state (a fresh core
+    /// restoring the golden core's own snapshot), and both must classify an
+    /// arbitrary fault identically.  The fork overwrites every field, so it
+    /// also lifts a quarantine.  Writes on the fork must never reach the
+    /// golden parent through the shared structures: the parent's
+    /// continuation stays bit-identical to an unshared reference run.
     #[test]
     fn cow_fork_is_bit_identical_to_an_eager_copy(
         steps in prop::collection::vec(arb_step(), 1..25),
@@ -111,24 +119,26 @@ proptest! {
         prop_assert!(golden.exit.is_halted());
         let budget = golden.cycles * 3 + 1000;
 
-        // Range snapshot, then the golden replay core advances to the
-        // injection cycle — exactly the batched driver's prefix.
+        // The golden replay core advances to the injection cycle — exactly
+        // the batched driver's prefix.
         let range_cycle = golden.cycles * range_frac / 10;
         let mut golden_cpu = Cpu::new(program.clone(), CpuConfig::default()).unwrap();
-        while golden_cpu.cycle() < range_cycle && !golden_cpu.is_finished() {
-            golden_cpu.step(&mut NullProbe);
-        }
-        let range_state = golden_cpu.snapshot();
+        step_to(&mut golden_cpu, range_cycle);
         let fork_cycle = range_cycle + (golden.cycles - range_cycle) * fork_gap / 10;
-        while golden_cpu.cycle() < fork_cycle && !golden_cpu.is_finished() {
-            golden_cpu.step(&mut NullProbe);
-        }
+        step_to(&mut golden_cpu, fork_cycle);
         let at_fork = golden_cpu.snapshot();
+        let fault_entry = entry % golden_cpu.structure_entries(structure).max(1);
+
+        // A pool core left behind by an earlier faulty run that panicked:
+        // stale state, quarantined.
+        let mut fork = Cpu::new(program.clone(), CpuConfig::default()).unwrap();
+        fork.inject_fault(FaultSpec::new(structure, fault_entry, bit, 1)).unwrap();
+        step_to(&mut fork, golden.cycles / 2 + 1);
+        fork.quarantine();
 
         // CoW fork, exactly as the batched driver spawns one.
-        let mut fork = Cpu::new(program.clone(), CpuConfig::default()).unwrap();
-        fork.restore_from(&range_state);
         let stats = fork.fork_from(&golden_cpu);
+        prop_assert!(!fork.is_quarantined(), "a fork lifts quarantine");
         prop_assert!(fork.matches_state(&at_fork));
         prop_assert_eq!(&fork.snapshot(), &at_fork);
         // Sharing replaces copying: the fork adopts the bulk of the state
@@ -141,14 +151,13 @@ proptest! {
             stats.shared.total()
         );
 
-        // Eager baseline: a fresh core materialising a full private copy of
-        // the same state through the dense restore path.
+        // Eager baseline: a fresh core restoring a snapshot of the same
+        // state.
         let mut eager = Cpu::new(program.clone(), CpuConfig::default()).unwrap();
         eager.restore_from(&at_fork);
         prop_assert_eq!(&eager.snapshot(), &at_fork);
 
         // Same fault into both; identical classification-relevant results.
-        let fault_entry = entry % fork.structure_entries(structure).max(1);
         let fault = FaultSpec::new(structure, fault_entry, bit, fork_cycle.max(1));
         fork.inject_fault(fault).unwrap();
         eager.inject_fault(fault).unwrap();
@@ -160,6 +169,140 @@ proptest! {
         // continues bit-identically to the uninterrupted reference run.
         let cont = golden_cpu.run(budget, &mut NullProbe);
         prop_assert_eq!(&cont, &golden);
+    }
+
+    /// A core restored from checkpoint `k` after an arbitrary faulty suffix
+    /// equals a fresh core restored from `k` — in snapshot, in the probe and
+    /// in continuation — for a suffix that dirties every structure
+    /// (registers, rename state, ROB, load/store queues, predictor, caches
+    /// and memory), and also after a restore of a foreign snapshot in
+    /// between.
+    #[test]
+    fn restore_after_an_arbitrary_suffix_equals_a_fresh_restore(
+        steps in prop::collection::vec(arb_step(), 1..25),
+        ckpt_frac in 0u64..10,
+        run_frac in 0u64..10,
+        entry in 0usize..64,
+        bit in 0u8..64,
+        structure in prop::sample::select(
+            vec![Structure::RegisterFile, Structure::StoreQueue, Structure::L1DCache]),
+    ) {
+        let program = build_program(&steps);
+        let mut reference = Cpu::new(program.clone(), CpuConfig::default()).unwrap();
+        let golden = reference.run(2_000_000, &mut NullProbe);
+        prop_assert!(golden.exit.is_halted());
+        let budget = golden.cycles * 3 + 1000;
+
+        let ckpt_cycle = golden.cycles * ckpt_frac / 10;
+        let mut golden_cpu = Cpu::new(program.clone(), CpuConfig::default()).unwrap();
+        step_to(&mut golden_cpu, ckpt_cycle);
+        let k = golden_cpu.snapshot();
+
+        // A fresh core restores `k`; the restore reports the state's whole
+        // footprint, spread over the per-structure breakdown.
+        let mut fresh = Cpu::new(program.clone(), CpuConfig::default()).unwrap();
+        let stats = fresh.restore_from(&k);
+        prop_assert!(stats.bytes.regfile > 0, "a restore covers the whole PRF");
+        prop_assert!(stats.bytes.predictor > 0, "a restore covers the predictor tables");
+        prop_assert!(stats.restored_bytes() >= stats.bytes.memory + stats.bytes.regfile);
+        let fresh_state = fresh.snapshot();
+        prop_assert_eq!(&fresh_state, &k);
+        let fresh_result = fresh.run(budget, &mut NullProbe);
+        prop_assert_eq!(&fresh_result, &golden);
+
+        // Worker pattern: restore, dirty the state with a faulty partial
+        // suffix, then restore `k` again.
+        let mut worker = Cpu::new(program, CpuConfig::default()).unwrap();
+        worker.restore_from(&k);
+        let fault_entry = entry % worker.structure_entries(structure).max(1);
+        worker
+            .inject_fault(FaultSpec::new(structure, fault_entry, bit, (ckpt_cycle + 1).max(1)))
+            .unwrap();
+        step_to(&mut worker, ckpt_cycle + (golden.cycles - ckpt_cycle) * run_frac / 10 + 2);
+        let again = worker.restore_from(&k);
+        prop_assert!(!again.from_quarantine);
+        prop_assert!(worker.matches_state(&k));
+        prop_assert_eq!(&worker.snapshot(), &fresh_state);
+        let replay = worker.run(budget, &mut NullProbe);
+        prop_assert_eq!(&replay, &fresh_result);
+
+        // A foreign restore in between changes nothing.
+        step_to(&mut golden_cpu, ckpt_cycle + 3);
+        let other = golden_cpu.snapshot();
+        worker.restore_from(&other);
+        prop_assert!(worker.matches_state(&other));
+        worker.restore_from(&k);
+        prop_assert!(worker.matches_state(&k));
+        prop_assert_eq!(&worker.snapshot(), &fresh_state);
+    }
+
+    /// The convergence probe is exact without sharing: at every checkpoint
+    /// boundary a fork crosses, faulted or not, `matches_state` on the fork
+    /// — which shares pages with the golden core, and through it with the
+    /// store — answers exactly as on a core simulated from reset with the
+    /// same fault, which shares no page with anything, so its comparison
+    /// never skips a page.  Checked on the in-process store and on an
+    /// encode/decode round-trip of it, whose snapshots share no pages.
+    #[test]
+    fn probe_on_a_fork_equals_probe_on_a_core_from_reset(
+        steps in prop::collection::vec(arb_step(), 1..25),
+        fork_frac in 0u64..10,
+        entry in 0usize..64,
+        bit in 0u8..64,
+        structure in prop::sample::select(
+            vec![Structure::RegisterFile, Structure::StoreQueue, Structure::L1DCache]),
+    ) {
+        use merlin_isa::binio::{decode_from_slice, encode_to_vec};
+        let program = build_program(&steps);
+        let cfg = CpuConfig::default();
+        let mut reference = Cpu::new(program.clone(), cfg.clone()).unwrap();
+        let golden = reference.run(2_000_000, &mut NullProbe);
+        prop_assert!(golden.exit.is_halted());
+        let interval = (golden.cycles / 6).max(1);
+        let (result, store) = Cpu::new(program.clone(), cfg.clone())
+            .unwrap()
+            .run_with_checkpoints(2_000_000, &mut NullProbe, interval);
+        prop_assert_eq!(&result, &golden);
+        let decoded: CheckpointStore = decode_from_slice(&encode_to_vec(&store)).unwrap();
+        prop_assert_eq!(&decoded, &store);
+        let fork_cycle = golden.cycles * fork_frac / 10;
+
+        for store in [&store, &decoded] {
+            let mut golden_core = Cpu::new(program.clone(), cfg.clone()).unwrap();
+            golden_core.restore_from(store.latest_at_or_before(fork_cycle).unwrap());
+            step_to(&mut golden_core, fork_cycle);
+            for faulted in [false, true] {
+                let mut fork = Cpu::new(program.clone(), cfg.clone()).unwrap();
+                fork.fork_from(&golden_core);
+                let mut scratch = Cpu::new(program.clone(), cfg.clone()).unwrap();
+                if faulted {
+                    let fault_entry = entry % fork.structure_entries(structure).max(1);
+                    let fault = FaultSpec::new(structure, fault_entry, bit, fork_cycle.max(1));
+                    fork.inject_fault(fault).unwrap();
+                    scratch.inject_fault(fault).unwrap();
+                }
+                step_to(&mut scratch, fork_cycle);
+                let mut probes = 0;
+                for boundary in store.cycles().filter(|&c| c > fork_cycle) {
+                    step_to(&mut fork, boundary);
+                    step_to(&mut scratch, boundary);
+                    prop_assert_eq!(fork.cycle(), scratch.cycle());
+                    if fork.cycle() != boundary {
+                        break;
+                    }
+                    let g = store.at_cycle(boundary).unwrap();
+                    let on_fork = fork.matches_state(g);
+                    prop_assert_eq!(on_fork, scratch.matches_state(g), "boundary {}", boundary);
+                    if !faulted {
+                        prop_assert!(on_fork, "a fault-free fork stays on the golden stream");
+                    }
+                    probes += 1;
+                }
+                if !faulted {
+                    prop_assert_eq!(probes, store.cycles().filter(|&c| c > fork_cycle).count());
+                }
+            }
+        }
     }
 
     /// Quarantine on a forked core must drop every shared handle (the
@@ -190,15 +333,14 @@ proptest! {
         }
 
         let mut fork = Cpu::new(program.clone(), CpuConfig::default()).unwrap();
-        fork.restore_from(&range_state);
         fork.fork_from(&golden_cpu);
 
         // Quarantine severs every share: the core owns all of its state
         // privately (or shares only with its own immutable pristine image).
         fork.quarantine();
         prop_assert!(fork.fully_private(), "quarantine must un-share everything");
-        // The forced full restore then rebuilds the range state bit for bit
-        // and the replay matches the reference run.
+        // The next restore then rebuilds the range state bit for bit and
+        // the replay matches the reference run.
         let restore = fork.restore_from(&range_state);
         prop_assert!(restore.from_quarantine);
         prop_assert_eq!(&fork.snapshot(), &range_state);
@@ -209,7 +351,6 @@ proptest! {
         // and restore the forked core from that unrelated state — the fork's
         // shares from the earlier parent state must not bleed through.
         let mut fork2 = Cpu::new(program.clone(), CpuConfig::default()).unwrap();
-        fork2.restore_from(&range_state);
         fork2.fork_from(&golden_cpu);
         for _ in 0..3 {
             if !golden_cpu.is_finished() {
@@ -226,7 +367,6 @@ proptest! {
         // Writes after a fork surface as sharing breaks, and the tally
         // drains: bookkeeping, never state.
         let mut fork3 = Cpu::new(program, CpuConfig::default()).unwrap();
-        fork3.restore_from(&range_state);
         fork3.fork_from(&golden_cpu);
         fork3.take_cow_breaks();
         let before = fork3.snapshot();

@@ -162,113 +162,10 @@ proptest! {
         prop_assert_eq!(&replay, &expected);
     }
 
-    /// The incremental same-snapshot restore path (taken when a core is
-    /// restored from the snapshot it was last restored from, as campaign
-    /// workers bound to a checkpoint range do per fault) is state-identical
-    /// to a full restore, with an identical continuation — for an arbitrary
-    /// faulty suffix that dirties every epoch-tagged structure (registers,
-    /// rename state, ROB, load/store queues, predictor, caches and memory),
-    /// and with the demotion semantics campaign correctness leans on: a
-    /// foreign restore or a quarantine in between forces the next restore
-    /// of the original snapshot back onto the full path.
-    #[test]
-    fn incremental_restore_matches_full_restore(
-        steps in prop::collection::vec(arb_step(), 1..25),
-        ckpt_frac in 0u64..10,
-        run_frac in 0u64..10,
-        entry in 0usize..64,
-        bit in 0u8..64,
-        structure in prop::sample::select(
-            vec![Structure::RegisterFile, Structure::StoreQueue, Structure::L1DCache]),
-    ) {
-        let program = build_program(&steps);
-        let mut reference = Cpu::new(program.clone(), CpuConfig::default()).unwrap();
-        let golden = reference.run(2_000_000, &mut NullProbe);
-        prop_assert!(golden.exit.is_halted());
-        let budget = golden.cycles * 3 + 1000;
-
-        let ckpt_cycle = golden.cycles * ckpt_frac / 10;
-        let mut golden_cpu = Cpu::new(program.clone(), CpuConfig::default()).unwrap();
-        while golden_cpu.cycle() < ckpt_cycle && !golden_cpu.is_finished() {
-            golden_cpu.step(&mut NullProbe);
-        }
-        let state = golden_cpu.snapshot();
-
-        // Baseline: a fresh core full-restores the snapshot and runs to
-        // completion.  The full path reports the state's whole footprint,
-        // spread over the per-structure breakdown.
-        let mut full = Cpu::new(program.clone(), CpuConfig::default()).unwrap();
-        let stats = full.restore_from(&state);
-        prop_assert!(!stats.incremental, "first restore must be full");
-        prop_assert!(stats.bytes.regfile > 0, "full restore rewrites the whole PRF");
-        prop_assert!(stats.bytes.predictor > 0, "full restore rewrites the predictor tables");
-        prop_assert!(stats.restored_bytes() >= stats.bytes.memory + stats.bytes.regfile);
-        let full_result = full.run(budget, &mut NullProbe);
-        prop_assert_eq!(&full_result, &golden);
-
-        // Worker pattern: restore, dirty the state with a faulty partial
-        // suffix (fault structure varies per case; natural execution dirties
-        // the fetch buffer, rename state, ROB, LSQ and predictor besides),
-        // then restore the *same* snapshot again — the second restore must
-        // take the incremental path and still reproduce the state bit for
-        // bit.
-        let mut worker = Cpu::new(program, CpuConfig::default()).unwrap();
-        let first = worker.restore_from(&state);
-        prop_assert!(!first.incremental);
-        let fault_cycle = (ckpt_cycle + 1).max(1);
-        let fault_entry = entry % worker.structure_entries(structure).max(1);
-        worker
-            .inject_fault(FaultSpec::new(structure, fault_entry, bit, fault_cycle))
-            .unwrap();
-        let stop = ckpt_cycle + (golden.cycles - ckpt_cycle) * run_frac / 10 + 2;
-        while worker.cycle() < stop && !worker.is_finished() {
-            worker.step(&mut NullProbe);
-        }
-        let second = worker.restore_from(&state);
-        prop_assert!(second.incremental, "same-snapshot restore must be incremental");
-        prop_assert!(!second.from_quarantine);
-        prop_assert!(worker.matches_state(&state));
-        prop_assert_eq!(&worker.snapshot(), &state);
-        let replay = worker.run(budget, &mut NullProbe);
-        prop_assert_eq!(&replay, &full_result);
-
-        // Foreign-restore demotion: restoring a *different* snapshot in
-        // between (here: the golden core advanced past the checkpoint)
-        // retargets the epoch, so the next restore of the original snapshot
-        // is full again — and only the one after that re-earns the
-        // incremental path.
-        for _ in 0..3 {
-            if !golden_cpu.is_finished() {
-                golden_cpu.step(&mut NullProbe);
-            }
-        }
-        let other = golden_cpu.snapshot();
-        prop_assert!(!worker.restore_from(&other).incremental,
-            "restore from a new snapshot starts a new epoch");
-        let demoted = worker.restore_from(&state);
-        prop_assert!(!demoted.incremental, "foreign restore must demote to full");
-        prop_assert!(worker.matches_state(&state));
-        prop_assert!(worker.restore_from(&state).incremental);
-
-        // Quarantine demotion: even with the same-snapshot epoch intact, a
-        // quarantined core's bookkeeping is untrusted — the next restore is
-        // full and flagged, and the state still comes back bit-identical.
-        worker.quarantine();
-        let after_q = worker.restore_from(&state);
-        prop_assert!(!after_q.incremental, "quarantine must force a full restore");
-        prop_assert!(after_q.from_quarantine);
-        prop_assert_eq!(&worker.snapshot(), &state);
-
-        // A fresh core never starts incremental.
-        let mut other_cpu = Cpu::new(build_program(&steps), CpuConfig::default()).unwrap();
-        prop_assert!(!other_cpu.restore_from(&state).incremental);
-    }
-
     /// A quarantined core (as campaign workers demote theirs after a caught
-    /// per-fault panic) must not trust its incremental-restore bookkeeping:
-    /// the next restore of even the *same* snapshot takes the full path, is
-    /// flagged `from_quarantine`, and reproduces the state of a fresh-core
-    /// full restore bit for bit.
+    /// per-fault panic) is trusted again by its next restore, which is
+    /// flagged `from_quarantine` and reproduces the state of a fresh-core
+    /// restore bit for bit.
     #[test]
     fn quarantine_forces_a_full_restore_identical_to_a_fresh_core(
         steps in prop::collection::vec(arb_step(), 1..25),
@@ -292,7 +189,6 @@ proptest! {
 
         let mut worker = Cpu::new(program.clone(), CpuConfig::default()).unwrap();
         let first = worker.restore_from(&state);
-        prop_assert!(!first.incremental);
         prop_assert!(!first.from_quarantine);
         prop_assert!(!worker.is_quarantined());
 
@@ -309,10 +205,7 @@ proptest! {
         worker.quarantine();
         prop_assert!(worker.is_quarantined());
 
-        // Without quarantine this same-snapshot restore would be
-        // incremental; quarantine forces the full path exactly once.
         let restore = worker.restore_from(&state);
-        prop_assert!(!restore.incremental, "quarantine must force a full restore");
         prop_assert!(restore.from_quarantine);
         prop_assert!(!worker.is_quarantined(), "quarantine clears on restore");
         prop_assert!(worker.matches_state(&state));
@@ -327,11 +220,8 @@ proptest! {
         prop_assert_eq!(&replay, &fresh_replay);
         prop_assert_eq!(&replay, &golden);
 
-        // Trust is re-earned: the next same-snapshot restore is incremental
-        // again.
-        let again = worker.restore_from(&state);
-        prop_assert!(again.incremental);
-        prop_assert!(!again.from_quarantine);
+        // The flag reports the quarantine once.
+        prop_assert!(!worker.restore_from(&state).from_quarantine);
     }
 
     /// A fault injected into a restored suffix behaves exactly as the same

@@ -4,8 +4,9 @@
 //! memory is only written on dirty L2 evictions, which never occur, so the
 //! `memory` entry of the restored-bytes breakdown is a *true* zero there.
 //! This test forces the missing case — caches small enough that stores spill
-//! dirty lines all the way to memory — and asserts that both the full and
-//! the incremental restore paths then report nonzero memory bytes.
+//! dirty lines all the way to memory — and asserts that a restore then
+//! reports nonzero memory bytes, onto a fresh core and onto a core whose
+//! suffix dirtied memory further.
 
 use merlin_cpu::{CacheConfig, Cpu, CpuConfig, NullProbe};
 use merlin_isa::{reg, AluOp, Cond, MemRef, ProgramBuilder};
@@ -71,28 +72,27 @@ fn restore_reports_memory_bytes_when_evictions_dirty_it() {
         "precondition: the workload must dirty backing memory before the snapshot"
     );
 
-    // Full restore onto a fresh core lays the snapshot's memory delta.
+    // A restore onto a fresh core lays the snapshot's memory delta.
     let mut worker = Cpu::new(program.clone(), cfg.clone()).unwrap();
     let full = worker.restore_from(&state);
-    assert!(!full.incremental);
     assert!(
         full.bytes.memory > 0,
-        "full restore of a dirtied memory must report memory bytes, got {:?}",
+        "restore of a dirtied memory must report memory bytes, got {:?}",
         full.bytes
     );
     assert_eq!(&worker.snapshot(), &state);
 
     // Run the suffix — it spills more dirty lines — then restore the same
-    // snapshot again: the incremental path must rewrite (and report) the
-    // memory the suffix touched.
+    // snapshot again: the restore must rewrite (and report) the memory the
+    // suffix touched as well as the snapshot's delta.
     let replay = worker.run(golden.cycles * 3 + 1000, &mut NullProbe);
     assert_eq!(&replay, &golden);
-    let incremental = worker.restore_from(&state);
-    assert!(incremental.incremental);
+    let again = worker.restore_from(&state);
     assert!(
-        incremental.bytes.memory > 0,
-        "incremental restore after a memory-dirtying suffix must report memory bytes, got {:?}",
-        incremental.bytes
+        again.bytes.memory > full.bytes.memory,
+        "restore after a memory-dirtying suffix must report its memory bytes, got {:?} vs {:?}",
+        again.bytes,
+        full.bytes
     );
     assert_eq!(&worker.snapshot(), &state);
 }

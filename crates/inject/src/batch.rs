@@ -20,18 +20,18 @@
 //!    it.  Such a fault is Masked by construction (`dead_sites`): no core
 //!    is taken, restored, forked, injected or stepped for it.  This is the
 //!    first step of MeRLiN's ACE-like analysis applied per fault,
-//! 3. **forks** a faulty core for every other fault: a pool core is
-//!    restored from the same snapshot, then [`Cpu::fork_from`] adopts the
-//!    golden core's copy-on-write page handles — O(metadata); a page is
-//!    copied only when the fork first writes it — and the fault is
+//! 3. **forks** a faulty core for every other fault: [`Cpu::fork_from`]
+//!    makes a pool core adopt the golden core's copy-on-write page handles
+//!    — O(metadata), from whatever state the pool core was left in; a page
+//!    is copied only when the fork first writes it — and the fault is
 //!    injected.  A one-fault range (every
 //!    [`FaultInjector`](crate::FaultInjector) run) skips the fork: its
 //!    golden core is not needed afterwards and takes the fault itself,
 //! 4. runs the fork **to retirement on the spot**: at each retained
-//!    checkpoint boundary the fork crosses, its state is compared against
-//!    the golden checkpoint through the memoised golden-to-golden diff
-//!    ([`Cpu::matches_state_with_diff`]); a fork that re-converged with the
-//!    golden stream is retired Masked immediately (`forks_retired`),
+//!    checkpoint boundary the fork crosses, [`Cpu::matches_state`] compares
+//!    its state against the golden checkpoint, skipping every page the fork
+//!    still shares with it; a fork that re-converged with the golden
+//!    stream is retired Masked immediately (`forks_retired`),
 //!    anything else runs to halt or timeout and is classified against the
 //!    golden result.  Forks run one after another, so one faulty core's
 //!    working set is hot at a time.
@@ -63,7 +63,7 @@
 //! classified [`Assert`](crate::FaultEffect::Assert) on its own and every
 //! other fault of the range classifies as usual.
 
-use crate::campaign::{DiffCache, FaultRun, GoldenCheckpoints, GoldenRun};
+use crate::campaign::{FaultRun, GoldenCheckpoints, GoldenRun};
 use crate::classify::{classify, FaultEffect};
 use crate::schedule::ScheduleStats;
 use merlin_cpu::{Cpu, CpuConfig, FaultSpec, NullProbe};
@@ -128,9 +128,9 @@ impl ForkPool {
 
 /// Returns every surviving core to the pool, with the panicking core (if
 /// any) quarantined and pushed last — so the one-fault re-runs pick it up
-/// first and its forced full restore is exercised (and visible as a
-/// poisoned restore) instead of the core rotting at the bottom of the
-/// pool.
+/// first and the restore that lifts its quarantine is exercised (and
+/// visible as a poisoned restore) instead of the core rotting at the
+/// bottom of the pool.
 fn abort_to_pool(pool: &mut ForkPool, golden_core: Option<Cpu>, bad: Option<Cpu>) {
     if let Some(g) = golden_core {
         pool.put(g);
@@ -164,7 +164,6 @@ pub(crate) fn run_batched_range(
     golden: &GoldenRun,
     ckpts: &GoldenCheckpoints,
     boundaries: &[u64],
-    diffs: &mut DiffCache,
     sim: &[(usize, FaultSpec)],
     stats: &mut ScheduleStats,
 ) -> Option<Vec<(usize, FaultEffect)>> {
@@ -173,7 +172,6 @@ pub(crate) fn run_batched_range(
         return Some(out);
     };
     let state = ckpts.store.latest_at_or_before(first.cycle)?;
-    let restore_cycle = state.cycle();
     let timeout = golden.timeout_cycles;
     let early_exit = ckpts.policy.early_exit;
 
@@ -246,9 +244,7 @@ pub(crate) fn run_batched_range(
             fork = Some(core);
         }
         let spawned = catch_unwind(AssertUnwindSafe(|| {
-            let forked = fork
-                .as_mut()
-                .map(|core| (core.restore_from(state), core.fork_from(&golden_core)));
+            let forked = fork.as_mut().map(|core| core.fork_from(&golden_core));
             fork.as_mut()
                 .unwrap_or(&mut golden_core)
                 .inject_fault(fault)
@@ -257,10 +253,8 @@ pub(crate) fn run_batched_range(
         }));
         match spawned {
             Ok(forked) => {
-                if let Some((restore, fork_bytes)) = forked {
-                    stats.record_restore(&restore);
+                if let Some(fork_bytes) = forked {
                     stats.fork_bytes_copied += fork_bytes.copied.total();
-                    stats.fork_bytes_eager += fork_bytes.eager.total();
                     stats.fork_bytes_shared += fork_bytes.shared.total();
                 }
                 stats.forks_spawned += 1;
@@ -271,9 +265,9 @@ pub(crate) fn run_batched_range(
             }
         }
 
-        // Run the fork to retirement: boundary convergence probes through
-        // the memoised golden-to-golden diff, then a final run to halt or
-        // timeout.  Bit-identical state at a boundary implies an identical
+        // Run the fork to retirement: boundary convergence probes against
+        // the golden checkpoints, then a final run to halt or timeout.
+        // Bit-identical state at a boundary implies an identical
         // remainder, hence Masked.  The cursor starts at the first boundary
         // strictly after the injection cycle and walks the store's cycles,
         // so equal-cycle and suffix-work stores work alike.
@@ -287,10 +281,7 @@ pub(crate) fn run_batched_range(
                         next += 1;
                     } else if boundaries[next] == core.cycle() {
                         if let Some(g) = ckpts.store.at_cycle(core.cycle()) {
-                            let diff = diffs
-                                .entry((restore_cycle, core.cycle()))
-                                .or_insert_with(|| state.diff_to(g));
-                            if core.matches_state_with_diff(g, diff) {
+                            if core.matches_state(g) {
                                 return FaultRun {
                                     effect: FaultEffect::Masked,
                                     early_exit: true,

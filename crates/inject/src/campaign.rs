@@ -53,24 +53,11 @@ use crate::batch::{run_batched_range, ForkPool};
 use crate::classify::{classify, Classification, FaultEffect};
 use crate::schedule::ScheduleStats;
 use merlin_cpu::{
-    CheckpointPolicy, CheckpointStore, Cpu, CpuConfig, FaultSpec, NullProbe, RunResult, StateDiff,
+    CheckpointPolicy, CheckpointStore, Cpu, CpuConfig, FaultSpec, NullProbe, RunResult,
 };
 use merlin_isa::{DecodedProgram, Program};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Memoised [`CpuState::diff_to`](merlin_cpu::CpuState::diff_to) results,
-/// keyed by (restore-snapshot cycle, probed-checkpoint cycle).
-///
-/// The early-exit convergence test probes the same (restore source, golden
-/// checkpoint) pairs for every fault in a checkpoint range, and the diff of
-/// two golden snapshots never changes — so each worker computes it once and
-/// the touched-entry-only probe ([`Cpu::matches_state_with_diff`]) amortises
-/// over the hundreds of faults sharing the range.  Caches are per
-/// worker/injector (never shared), matching the per-core `last_restored`
-/// epoch the diff is valid against.
-pub(crate) type DiffCache = HashMap<(u64, u64), StateDiff>;
 
 /// The fault-free reference execution a campaign compares against.
 ///
@@ -306,9 +293,6 @@ pub struct FaultInjector {
     boundaries: Vec<u64>,
     /// Reused golden-replay and fork cores.
     pool: ForkPool,
-    /// Memoised golden-to-golden diffs for the touched-entry convergence
-    /// probe, keyed by (restore cycle, boundary cycle).
-    diffs: DiffCache,
 }
 
 impl FaultInjector {
@@ -348,7 +332,6 @@ impl FaultInjector {
             golden,
             ckpts,
             boundaries,
-            diffs: DiffCache::new(),
         }
     }
 
@@ -389,7 +372,6 @@ impl FaultInjector {
             &self.golden,
             ckpts,
             &self.boundaries,
-            &mut self.diffs,
             &[(0, fault)],
             &mut stats,
         ) {

@@ -19,8 +19,8 @@
 //!   checkpoint and simulates only its post-injection suffix — with an
 //!   allocation-free hot loop: every session shares one pre-decoded
 //!   micro-op arena (`merlin_isa::DecodedProgram`) across all of its
-//!   cores, and back-to-back restores of the same snapshot rewrite only
-//!   the state the suffix run touched,
+//!   cores, and restores adopt the snapshot's copy-on-write pages instead
+//!   of copying them,
 //! * the restore-aware [`CampaignScheduler`] (see the [`schedule`] module):
 //!   faults are bucketed into per-checkpoint ranges, workers bind to whole
 //!   ranges (keeping each worker's restore snapshot hot), steal whole

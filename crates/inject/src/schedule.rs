@@ -44,7 +44,7 @@
 
 use crate::batch::{run_batched_range, ForkPool};
 use crate::campaign::{
-    run_single_fault_shared, site_absent, CampaignResult, DiffCache, FaultOutcome, FaultRun,
+    run_single_fault_shared, site_absent, CampaignResult, FaultOutcome, FaultRun,
     GoldenCheckpoints, GoldenRun,
 };
 use crate::classify::{Classification, FaultEffect};
@@ -76,9 +76,9 @@ pub struct ScheduleStats {
     /// Non-empty ranges the fault list was bucketed into (checkpoint ranges
     /// on the restore path, contiguous chunks on the from-scratch path).
     pub ranges: u64,
-    /// Checkpoint restores performed: one per range for its golden core
-    /// plus one per forked fault (0 from scratch; a one-fault range forks
-    /// nothing, so it restores once).
+    /// Checkpoint restores performed: one per range that reaches the
+    /// batched driver, for its golden core (forks adopt the golden core's
+    /// state without a restore; 0 from scratch).
     pub restores: u64,
     /// Whole ranges claimed by workers beyond their initial binding.
     pub range_steals: u64,
@@ -86,20 +86,12 @@ pub struct ScheduleStats {
     /// range whose fault count exceeds twice the mean is cut into
     /// near-mean-sized sub-ranges sharing the restore source).
     pub range_splits: u64,
-    /// Restores that rewrote the full checkpoint state (the first restore a
-    /// core performs from a given snapshot).
-    pub full_restores: u64,
-    /// Restores served by the incremental same-snapshot path (only state
-    /// touched since the worker's previous restore of the same snapshot was
-    /// rewritten) — with range-bound workers, the overwhelming majority.
-    pub incremental_restores: u64,
-    /// Bytes rewritten across all restores, over *every* restored structure:
-    /// memory chunks, cache lines, register file, rename state, fetch
-    /// buffer, ROB, load/store queues and predictor tables.
+    /// Bytes made equal to the checkpoint across all restores, over *every*
+    /// restored structure: memory chunks, cache lines, register file,
+    /// rename state, fetch buffer, ROB, load/store queues and predictor
+    /// tables.
     pub restored_bytes: u64,
-    /// The same bytes broken down per pipeline structure — the honest
-    /// account of where restore work goes, and the direct measure of how
-    /// much the epoch-tagged incremental path avoids rewriting.
+    /// The same bytes broken down per pipeline structure.
     pub restored_breakdown: RestoredBytes,
     /// Total cycles simulated by faulty cores, from each fault's fork point
     /// (cycle 0 from scratch) to wherever its run ended.  The shared golden
@@ -113,8 +105,8 @@ pub struct ScheduleStats {
     /// simulation, a range whose retry also failed, a core that could not be
     /// constructed, or a worker that died without reporting.
     pub asserts: u64,
-    /// Restores that lifted a core out of quarantine — the forced full
-    /// restore following a panic on that core.
+    /// Restores that lifted a core out of quarantine — the first restore
+    /// following a panic on that core.
     pub poisoned_restores: u64,
     /// Ranges whose first attempt panicked at range level and were returned
     /// to the pool for one retry on a fresh core.
@@ -155,10 +147,6 @@ pub struct ScheduleStats {
     /// O(metadata): handles are adopted instead of bytes moved, so this
     /// stays tiny regardless of how much state the golden core touched.
     pub fork_bytes_copied: u64,
-    /// Bytes an eager fork — the pre-CoW touched-entry copy — would have
-    /// moved for the same forks: the baseline `fork_bytes_copied` is
-    /// measured against.
-    pub fork_bytes_eager: u64,
     /// Bytes whose content the forks adopted by O(1) handle sharing
     /// instead of copying.
     pub fork_bytes_shared: u64,
@@ -176,8 +164,6 @@ impl std::ops::AddAssign for ScheduleStats {
         self.restores += rhs.restores;
         self.range_steals += rhs.range_steals;
         self.range_splits += rhs.range_splits;
-        self.full_restores += rhs.full_restores;
-        self.incremental_restores += rhs.incremental_restores;
         self.restored_bytes += rhs.restored_bytes;
         self.restored_breakdown += rhs.restored_breakdown;
         self.suffix_cycles += rhs.suffix_cycles;
@@ -191,7 +177,6 @@ impl std::ops::AddAssign for ScheduleStats {
         self.dead_sites += rhs.dead_sites;
         self.golden_replay_cycles += rhs.golden_replay_cycles;
         self.fork_bytes_copied += rhs.fork_bytes_copied;
-        self.fork_bytes_eager += rhs.fork_bytes_eager;
         self.fork_bytes_shared += rhs.fork_bytes_shared;
         self.cow_breaks += rhs.cow_breaks;
     }
@@ -209,8 +194,6 @@ impl ScheduleStats {
     /// Accounts one checkpoint restore.
     pub(crate) fn record_restore(&mut self, restore: &RestoreStats) {
         self.restores += 1;
-        self.full_restores += u64::from(!restore.incremental);
-        self.incremental_restores += u64::from(restore.incremental);
         self.poisoned_restores += u64::from(restore.from_quarantine);
         self.restored_bytes += restore.bytes.total();
         self.restored_breakdown += restore.bytes;
@@ -412,14 +395,13 @@ impl<'a> CampaignScheduler<'a> {
     /// the attempt's tallies are dropped and each of the range's faults is
     /// re-run as its own one-fault range on the same pool.  The driver
     /// parks the quarantined core on top of the pool, so the first re-run
-    /// pays its forced full restore.  A one-fault range that aborts again
+    /// restores it and lifts the quarantine.  A one-fault range that aborts again
     /// classifies its fault Assert; its tallies are kept, so the restores
     /// it paid (a poisoned one included) are counted.
     fn run_range(
         &self,
         bucket: &[usize],
         pool: &mut ForkPool,
-        diffs: &mut DiffCache,
         stats: &mut ScheduleStats,
     ) -> Vec<(usize, FaultEffect)> {
         let mut out = Vec::with_capacity(bucket.len());
@@ -457,15 +439,7 @@ impl<'a> CampaignScheduler<'a> {
             return out;
         };
         let mut run = |sim: &[(usize, FaultSpec)], stats: &mut ScheduleStats| {
-            run_batched_range(
-                pool,
-                self.golden,
-                ckpts,
-                &self.boundaries,
-                diffs,
-                sim,
-                stats,
-            )
+            run_batched_range(pool, self.golden, ckpts, &self.boundaries, sim, stats)
         };
         let mut attempt = ScheduleStats::default();
         if let Some(effects) = run(&sim, &mut attempt) {
@@ -526,9 +500,6 @@ impl<'a> CampaignScheduler<'a> {
             // Core pool for the batched driver (golden replay core + one
             // live fork); unused from scratch.
             let mut pool = ForkPool::new(&self.program, &self.decoded, &self.cfg);
-            // Golden-to-golden diffs never depend on the core's state, so the
-            // cache survives retries and core replacement.
-            let mut diffs = DiffCache::new();
             let mut claimed = 0usize;
             loop {
                 // Failed ranges take priority over fresh ones, and the
@@ -566,7 +537,7 @@ impl<'a> CampaignScheduler<'a> {
                     // discards it atomically and the retry re-runs the whole
                     // range.
                     let mut delta = ScheduleStats::default();
-                    let local = self.run_range(bucket, &mut pool, &mut diffs, &mut delta);
+                    let local = self.run_range(bucket, &mut pool, &mut delta);
                     (local, delta)
                 }));
                 match attempt {
@@ -1008,7 +979,7 @@ mod tests {
     }
 
     #[test]
-    fn range_bound_workers_restore_incrementally() {
+    fn each_range_restores_once() {
         let program = tiny_program();
         let cfg = CpuConfig::default();
         let golden = golden_ck(&program, &cfg, 1_000_000, &small_policy()).unwrap();
@@ -1021,21 +992,17 @@ mod tests {
         );
         let result = campaign(&program, &cfg, &golden, &faults, 2);
         let sched = result.schedule;
+        // Only a range's golden core restores; every fork adopts the golden
+        // core's live state instead.  No fault here is pruned before the
+        // driver (no static analysis, no absent site), so every range
+        // restores exactly once.  Most faults land on dead sites and fork
+        // nothing, hence the long list: ranges still fork several times
+        // each.
+        assert_eq!(sched.range_retries, 0);
         assert_eq!(
-            sched.full_restores + sched.incremental_restores,
-            sched.restores,
-            "every restore is exactly one of full/incremental"
-        );
-        // Workers run whole ranges against one snapshot, so every fork
-        // restore after a range's first one takes the same-snapshot path.
-        // Most faults here land on dead sites and fork nothing, hence the
-        // long list: ranges still fork several times each.
-        assert!(
-            sched.incremental_restores + sched.ranges >= sched.forks_spawned,
-            "{} incremental restores for {} forks over {} ranges",
-            sched.incremental_restores,
-            sched.forks_spawned,
-            sched.ranges
+            sched.restores, sched.ranges,
+            "{} restores for {} forks over {} ranges",
+            sched.restores, sched.forks_spawned, sched.ranges
         );
         assert!(
             sched.forks_spawned > sched.ranges,
@@ -1044,8 +1011,7 @@ mod tests {
         assert!(sched.restored_bytes > 0);
         // The from-scratch path never restores anything.
         let scratch = campaign_scratch(&program, &cfg, &golden, &faults, 2);
-        assert_eq!(scratch.schedule.full_restores, 0);
-        assert_eq!(scratch.schedule.incremental_restores, 0);
+        assert_eq!(scratch.schedule.restores, 0);
         assert_eq!(scratch.schedule.restored_bytes, 0);
         assert_eq!(result.outcomes, scratch.outcomes);
     }

@@ -168,8 +168,7 @@ fn partition(s: &Session, faults: &[FaultSpec]) -> Partition {
 /// Whether `fault`, simulated on a fresh core from reset, reaches a state
 /// equal in full to the golden store's snapshot at some store boundary
 /// after its injection cycle, before the run halts or times out.  This is
-/// the engine's early-exit condition, checked without restores, forks or
-/// memoised diffs.
+/// the engine's early-exit condition, checked without restores or forks.
 fn reconverges(s: &Session, fault: FaultSpec) -> bool {
     let golden = s.golden().unwrap();
     let store = &golden.checkpoints.as_ref().unwrap().store;

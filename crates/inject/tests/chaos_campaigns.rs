@@ -2,8 +2,8 @@
 //! [`merlin_inject::chaos`] probes:
 //!
 //! * a fault whose simulation panics on every attempt is classified
-//!   `Assert`, quarantines the panicking core (its next restore is a forced
-//!   full restore), and leaves every other fault's classification
+//!   `Assert`, quarantines the panicking core (its next restore lifts the
+//!   quarantine and is counted as poisoned), and leaves every other fault's classification
 //!   byte-identical to a clean campaign at any thread count;
 //! * a worker panic at range level returns the range to the pool and is
 //!   retried once on a fresh core; a persistently panicking range is
@@ -99,7 +99,7 @@ fn fault_panic_becomes_assert_quarantines_one_core_and_reruns_the_range_per_faul
     // golden core is quarantined and the range aborts.  The range's faults
     // are then re-run one per range on the same pool: the target panics
     // again and is classified Assert, and the quarantined core surfaces as
-    // a forced full restore when a re-run takes it from the pool.
+    // a poisoned restore when a re-run takes it from the pool.
     let _guard = chaos::arm(ChaosPlan {
         fault_panic_cycles: vec![target],
         ..ChaosPlan::default()
@@ -120,7 +120,7 @@ fn fault_panic_becomes_assert_quarantines_one_core_and_reruns_the_range_per_faul
         // The aborted attempt is accounted like a range retry.
         assert!(result.schedule.range_retries >= 1, "x{threads}");
         // Containment is per-core: the quarantined core surfaces as a
-        // forced full restore, not as a poisoned pool.
+        // poisoned restore, not as a poisoned pool.
         assert!(
             result.schedule.poisoned_restores >= 1,
             "x{threads}: the post-panic restore must be counted as poisoned"
