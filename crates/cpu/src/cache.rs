@@ -275,9 +275,11 @@ impl Cache {
 
     /// Forks from `src` by sharing its page handles — one set per page, no
     /// line data copied — so `self` becomes bit-identical to `src` at
-    /// O(pages) cost.
-    pub fn fork_from(&mut self, src: &Self) -> ForkBytes {
+    /// O(pages) cost.  Freezes `src`'s owned pages first, so both sides
+    /// un-share a page on their next write to it.
+    pub fn fork_from(&mut self, src: &mut Self) -> ForkBytes {
         debug_assert_eq!(self.cfg, src.cfg);
+        src.lines.freeze();
         self.lines.share_from(&src.lines);
         self.use_counter = src.use_counter;
         ForkBytes::sharing(self.lines.len() as u64 * self.cfg.line_bytes)
@@ -680,8 +682,9 @@ impl MemSystem {
 
     /// Captures the full state of the memory hierarchy: sparse cache images
     /// plus a chunk-level delta of the backing memory against the pristine
-    /// program image.
-    pub fn snapshot(&self) -> MemSystemSnapshot {
+    /// program image.  Takes `&mut` because the delta shares the memory's
+    /// dirty chunks (see [`Memory::delta_snapshot`]).
+    pub fn snapshot(&mut self) -> MemSystemSnapshot {
         MemSystemSnapshot {
             l1d: self.l1d.snapshot(),
             l2: self.l2.snapshot(),
@@ -704,10 +707,10 @@ impl MemSystem {
     /// handles from `src` (see [`Cache::fork_from`] and
     /// [`Memory::fork_from`]).  Returns per-level fork accounting as
     /// `(cache line data, memory chunks)`.
-    pub fn fork_from(&mut self, src: &Self) -> (ForkBytes, ForkBytes) {
+    pub fn fork_from(&mut self, src: &mut Self) -> (ForkBytes, ForkBytes) {
         (
-            self.l1d.fork_from(&src.l1d) + self.l2.fork_from(&src.l2),
-            self.mem.fork_from(&src.mem),
+            self.l1d.fork_from(&mut src.l1d) + self.l2.fork_from(&mut src.l2),
+            self.mem.fork_from(&mut src.mem),
         )
     }
 

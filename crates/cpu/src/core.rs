@@ -21,7 +21,7 @@ use crate::regfile::{FreeList, PhysReg, PhysRegFile, RenameTable};
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
 use merlin_isa::{DecodedProgram, Inst, Program, Rip, Uop, UopKind, NUM_ARCH_REGS};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
@@ -188,9 +188,140 @@ struct RobEntry {
     exception: Option<Exception>,
     lq_slot: Option<usize>,
     sq_slot: Option<usize>,
-    reg_reads: Vec<(PhysReg, u64)>,
-    sq_reads: Vec<(usize, u64)>,
-    l1d_reads: Vec<(usize, u64)>,
+    /// The read log, reported at commit.  Every read a micro-op makes
+    /// happens at its issue cycle: `read_cycle` is that cycle once the
+    /// micro-op has logged a read (its register sources in `src_phys`, and
+    /// the store-queue slot and L1D words below), and `None` before.
+    read_cycle: Option<u64>,
+    /// The store-queue slot a load forwarded from.
+    sq_read: Option<usize>,
+    /// The L1D words a load read, in access order: an access of at most
+    /// 8 bytes spans at most two 8-byte words, also across a line boundary.
+    l1d_reads: [Option<usize>; 2],
+}
+
+impl RobEntry {
+    /// Logs the reads of the register sources at `cycle`.  An entry
+    /// without sources logs nothing, so `read_cycle` stays `None` until a
+    /// read really happens and a decoded entry equals the live one.
+    fn log_reg_reads(&mut self, cycle: u64) {
+        if self.src_phys.iter().any(Option::is_some) {
+            self.read_cycle = Some(cycle);
+        }
+    }
+
+    /// Logs a store-to-load forward from `slot` at `cycle`.
+    fn log_sq_read(&mut self, slot: usize, cycle: u64) {
+        self.sq_read = Some(slot);
+        self.read_cycle = Some(cycle);
+    }
+
+    /// Logs the L1D words a load read at `cycle`.
+    fn log_l1d_reads(&mut self, words: &[usize], cycle: u64) {
+        assert!(
+            words.len() <= self.l1d_reads.len(),
+            "an access of at most 8 bytes reads at most two L1D words"
+        );
+        for (log, &w) in self.l1d_reads.iter_mut().zip(words) {
+            *log = Some(w);
+            self.read_cycle = Some(cycle);
+        }
+    }
+
+    /// The register sources this entry read, with their read cycle.
+    fn reg_reads(&self) -> impl Iterator<Item = (PhysReg, u64)> + Clone + '_ {
+        self.read_cycle
+            .into_iter()
+            .flat_map(|c| self.src_phys.iter().flatten().map(move |&p| (p, c)))
+    }
+
+    /// The store-queue slot this entry read, with its read cycle.
+    fn sq_reads(&self) -> impl Iterator<Item = (usize, u64)> + Clone + '_ {
+        self.sq_read.zip(self.read_cycle).into_iter()
+    }
+
+    /// The L1D words this entry read, with their read cycle.
+    fn l1d_reads(&self) -> impl Iterator<Item = (usize, u64)> + Clone + '_ {
+        self.l1d_reads
+            .iter()
+            .flatten()
+            .filter_map(|&w| Some((w, self.read_cycle?)))
+    }
+}
+
+/// Committed dynamic instances per static instruction, indexed by RIP.
+/// The table grows on demand, and a missing entry counts zero: two tables
+/// are equal when they are equal after padding the shorter one with zeros.
+#[derive(Debug, Clone, Default)]
+struct DynCounts(Vec<u64>);
+
+/// Largest RIP a decoded [`DynCounts`] may name: bounds the dense table a
+/// corrupt artifact can make the decoder allocate (128 MiB).
+const MAX_DECODED_RIP: Rip = 1 << 24;
+
+impl DynCounts {
+    /// Dynamic instances of `rip` committed so far.
+    #[inline]
+    fn get(&self, rip: Rip) -> u64 {
+        self.0.get(rip as usize).copied().unwrap_or(0)
+    }
+
+    /// Counts one more committed instance of `rip`.
+    #[inline]
+    fn bump(&mut self, rip: Rip) {
+        let i = rip as usize;
+        if i >= self.0.len() {
+            self.0.resize(i + 1, 0);
+        }
+        self.0[i] += 1;
+    }
+}
+
+impl PartialEq for DynCounts {
+    fn eq(&self, other: &Self) -> bool {
+        let (short, long) = if self.0.len() <= other.0.len() {
+            (&self.0, &other.0)
+        } else {
+            (&other.0, &self.0)
+        };
+        long[..short.len()] == short[..] && long[short.len()..].iter().all(|&c| c == 0)
+    }
+}
+impl Eq for DynCounts {}
+
+/// Encoded as a `HashMap<Rip, u64>` of the non-zero entries: count, then
+/// `(rip, count)` pairs by ascending RIP (the `.golden` v3 layout).
+impl BinCode for DynCounts {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.iter().filter(|&&c| c != 0).count().encode(out);
+        for (rip, &count) in self.0.iter().enumerate().filter(|(_, &c)| c != 0) {
+            (rip as Rip).encode(out);
+            count.encode(out);
+        }
+    }
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
+        let n = usize::decode(r)?;
+        if n > r.remaining() {
+            return Err(DecodeError::UnexpectedEof);
+        }
+        let mut counts = Vec::new();
+        for _ in 0..n {
+            let rip = Rip::decode(r)?;
+            let count = u64::decode(r)?;
+            if count == 0 {
+                return Err(DecodeError::Invalid("zero dynamic-instance count"));
+            }
+            if (rip as usize) < counts.len() {
+                return Err(DecodeError::Invalid("dynamic-instance rips not ascending"));
+            }
+            if rip > MAX_DECODED_RIP {
+                return Err(DecodeError::Invalid("dynamic-instance rip out of range"));
+            }
+            counts.resize(rip as usize, 0);
+            counts.push(count);
+        }
+        Ok(DynCounts(counts))
+    }
 }
 
 /// The cycle-level out-of-order core.
@@ -252,7 +383,7 @@ pub struct Cpu {
     committed_uops: u64,
     arithmetic_exceptions: u64,
     misaligned_exceptions: u64,
-    dyn_counts: CowBox<HashMap<Rip, u64>>,
+    dyn_counts: CowBox<DynCounts>,
     path_history: VecDeque<(Rip, bool)>,
     path_sig: u64,
     // Faults pending application, sorted by cycle.
@@ -341,7 +472,7 @@ impl Cpu {
             committed_uops: 0,
             arithmetic_exceptions: 0,
             misaligned_exceptions: 0,
-            dyn_counts: CowBox::default(),
+            dyn_counts: CowBox::new(DynCounts(vec![0; program.len()])),
             path_history: VecDeque::new(),
             path_sig: 0,
             faults: Vec::new(),
@@ -603,9 +734,9 @@ impl Cpu {
                 exception: None,
                 lq_slot,
                 sq_slot,
-                reg_reads: Vec::new(),
-                sq_reads: Vec::new(),
-                l1d_reads: Vec::new(),
+                read_cycle: None,
+                sq_read: None,
+                l1d_reads: [None; 2],
             });
             self.iq_count += 1;
             n += 1;
@@ -681,13 +812,8 @@ impl Cpu {
                 vals[i] = self.prf.read(*p);
             }
         }
-        // Any committed read of the register file is recorded here and
-        // reported at commit; record lazily only when the uop really issues.
-        let record_reg_reads = |entry: &mut RobEntry| {
-            for p in src_phys.iter().flatten() {
-                entry.reg_reads.push((*p, cycle));
-            }
-        };
+        // Every read is logged on the ROB entry and reported at commit; log
+        // only once the uop really issues.
 
         match uop.kind {
             UopKind::Alu(op) => {
@@ -699,7 +825,7 @@ impl Cpu {
                 let r = op.eval(vals[0], b);
                 let exception = r.arithmetic_exception.then_some(Exception::DivByZero);
                 let entry = &mut self.rob.make_mut()[idx];
-                record_reg_reads(entry);
+                entry.log_reg_reads(cycle);
                 entry.result = Some(r.value);
                 entry.exception = exception;
                 entry.complete_at = Some(cycle + op.latency());
@@ -736,8 +862,8 @@ impl Cpu {
                         raw
                     };
                     let entry = &mut self.rob.make_mut()[idx];
-                    record_reg_reads(entry);
-                    entry.sq_reads.push((slot, cycle));
+                    entry.log_reg_reads(cycle);
+                    entry.log_sq_read(slot, cycle);
                     entry.result = Some(value);
                     entry.exception = misaligned.then_some(Exception::Misaligned);
                     entry.complete_at = Some(cycle + self.cfg.l1d.hit_latency);
@@ -775,10 +901,8 @@ impl Cpu {
                         }
                         let latency = eff.latency;
                         let entry = &mut self.rob.make_mut()[idx];
-                        record_reg_reads(entry);
-                        for w in &eff.word_reads {
-                            entry.l1d_reads.push((*w, cycle));
-                        }
+                        entry.log_reg_reads(cycle);
+                        entry.log_l1d_reads(&eff.word_reads, cycle);
                         entry.result = Some(value);
                         entry.exception = misaligned.then_some(Exception::Misaligned);
                         entry.complete_at = Some(cycle + latency);
@@ -792,7 +916,7 @@ impl Cpu {
                             MemError::StoreToCode { addr } => Exception::StoreToCode { addr },
                         };
                         let entry = &mut self.rob.make_mut()[idx];
-                        record_reg_reads(entry);
+                        entry.log_reg_reads(cycle);
                         entry.result = Some(0);
                         entry.exception = Some(exception);
                         entry.complete_at = Some(cycle + self.cfg.l1d.hit_latency);
@@ -808,7 +932,7 @@ impl Cpu {
                 let slot = self.rob[idx].sq_slot.expect("STA has a store-queue slot");
                 self.sq.slot_mut(slot).addr = Some(addr);
                 let entry = &mut self.rob.make_mut()[idx];
-                record_reg_reads(entry);
+                entry.log_reg_reads(cycle);
                 entry.exception =
                     (!addr.is_multiple_of(size.bytes())).then_some(Exception::Misaligned);
                 entry.complete_at = Some(cycle + 1);
@@ -825,7 +949,7 @@ impl Cpu {
                 // Depositing the data is a physical write of the SQ entry.
                 probe.write(Structure::StoreQueue, slot, cycle);
                 let entry = &mut self.rob.make_mut()[idx];
-                record_reg_reads(entry);
+                entry.log_reg_reads(cycle);
                 entry.complete_at = Some(cycle + 1);
                 true
             }
@@ -838,7 +962,7 @@ impl Cpu {
                 let taken = cond.eval(vals[0], b);
                 let next = if taken { uop.imm as Rip } else { uop.rip + 1 };
                 let entry = &mut self.rob.make_mut()[idx];
-                record_reg_reads(entry);
+                entry.log_reg_reads(cycle);
                 entry.actual_next = Some(next);
                 entry.result = None;
                 // Branch outcome needed at commit for predictor training.
@@ -857,7 +981,7 @@ impl Cpu {
             UopKind::JumpReg => {
                 let target = vals[0].min(u32::MAX as u64) as Rip;
                 let entry = &mut self.rob.make_mut()[idx];
-                record_reg_reads(entry);
+                entry.log_reg_reads(cycle);
                 entry.actual_next = Some(target);
                 entry.complete_at = Some(cycle + 1);
                 true
@@ -871,7 +995,7 @@ impl Cpu {
             }
             UopKind::Out => {
                 let entry = &mut self.rob.make_mut()[idx];
-                record_reg_reads(entry);
+                entry.log_reg_reads(cycle);
                 entry.result = Some(vals[0]);
                 entry.complete_at = Some(cycle + 1);
                 true
@@ -984,14 +1108,14 @@ impl Cpu {
                 }
             }
 
-            let dyn_instance = *self.dyn_counts.get(&e.uop.rip).unwrap_or(&0);
+            let dyn_instance = self.dyn_counts.get(e.uop.rip);
             let path_sig = self.path_sig;
-            for (p, read_cycle) in &e.reg_reads {
+            for (p, read_cycle) in e.reg_reads() {
                 probe.committed_read(
                     Structure::RegisterFile,
                     &ReadInfo {
-                        entry: *p as usize,
-                        cycle: *read_cycle,
+                        entry: p as usize,
+                        cycle: read_cycle,
                         rip: e.uop.rip,
                         upc: e.uop.upc,
                         dyn_instance,
@@ -999,12 +1123,12 @@ impl Cpu {
                     },
                 );
             }
-            for (s, read_cycle) in &e.sq_reads {
+            for (s, read_cycle) in e.sq_reads() {
                 probe.committed_read(
                     Structure::StoreQueue,
                     &ReadInfo {
-                        entry: *s,
-                        cycle: *read_cycle,
+                        entry: s,
+                        cycle: read_cycle,
                         rip: e.uop.rip,
                         upc: e.uop.upc,
                         dyn_instance,
@@ -1012,12 +1136,12 @@ impl Cpu {
                     },
                 );
             }
-            for (w, read_cycle) in &e.l1d_reads {
+            for (w, read_cycle) in e.l1d_reads() {
                 probe.committed_read(
                     Structure::L1DCache,
                     &ReadInfo {
-                        entry: *w,
-                        cycle: *read_cycle,
+                        entry: w,
+                        cycle: read_cycle,
                         rip: e.uop.rip,
                         upc: e.uop.upc,
                         dyn_instance,
@@ -1061,7 +1185,7 @@ impl Cpu {
 
             if e.uop.last_in_inst {
                 self.committed_instructions += 1;
-                *self.dyn_counts.make_mut().entry(e.uop.rip).or_insert(0) += 1;
+                self.dyn_counts.make_mut().bump(e.uop.rip);
             }
             if self.finished.is_some() {
                 return;
@@ -1168,7 +1292,12 @@ impl Cpu {
     /// `snapshot → restore_from → step*` is cycle-for-cycle identical to
     /// continuing the original run — the foundation of the checkpointed
     /// injection engine in `merlin-inject`.
-    pub fn snapshot(&self) -> CpuState {
+    ///
+    /// The snapshot shares the core's copy-on-write pages: it freezes the
+    /// owned ones first, hence `&mut self`, and the core un-shares a page
+    /// on its next write to it.
+    pub fn snapshot(&mut self) -> CpuState {
+        self.freeze();
         CpuState {
             cycle: self.cycle,
             next_seq: self.next_seq,
@@ -1263,14 +1392,16 @@ impl Cpu {
     /// any state of `self` and lifts a quarantine.  `src` must run the same
     /// program under the same configuration.
     ///
-    /// The returned [`ForkStats`] reports, per structure, the bytes
-    /// physically copied and the bytes now referenced structurally.
-    pub fn fork_from(&mut self, src: &Cpu) -> ForkStats {
+    /// `src`'s owned pages are frozen first, hence `&mut src`.  The
+    /// returned [`ForkStats`] reports, per structure, the bytes physically
+    /// copied and the bytes now referenced structurally.
+    pub fn fork_from(&mut self, src: &mut Cpu) -> ForkStats {
         fn acc(stats: &mut ForkStats, fb: ForkBytes, sel: fn(&mut RestoredBytes) -> &mut u64) {
             *sel(&mut stats.copied) += fb.copied;
             *sel(&mut stats.shared) += fb.shared;
         }
         debug_assert!(!src.quarantined);
+        src.freeze();
         self.quarantined = false;
         self.cycle = src.cycle;
         self.next_seq = src.next_seq;
@@ -1297,7 +1428,7 @@ impl Cpu {
             self.lq.share_from(&src.lq) + self.sq.share_from(&src.sq),
             |b| &mut b.lsq,
         );
-        let (cache_fb, mem_fb) = self.mem.fork_from(&src.mem);
+        let (cache_fb, mem_fb) = self.mem.fork_from(&mut src.mem);
         acc(&mut stats, cache_fb, |b| &mut b.caches);
         acc(&mut stats, mem_fb, |b| &mut b.memory);
         acc(
@@ -1319,6 +1450,22 @@ impl Cpu {
         self.next_fault_cycle = src.next_fault_cycle;
         self.finished.clone_from(&src.finished);
         stats
+    }
+
+    /// Moves the owned pages of every copy-on-write structure outside the
+    /// memory system behind handles, so they can be shared; the memory
+    /// system freezes what its own snapshot and fork share.
+    fn freeze(&mut self) {
+        self.fetch_buffer.freeze();
+        self.free_list.freeze();
+        self.prf.freeze();
+        self.rob.freeze();
+        self.lq.freeze();
+        self.sq.freeze();
+        self.bp.freeze();
+        self.btb.freeze();
+        self.output.freeze();
+        self.dyn_counts.freeze();
     }
 
     /// Page un-share events accumulated across every CoW-backed structure
@@ -1602,7 +1749,7 @@ pub struct CpuState {
     committed_uops: u64,
     arithmetic_exceptions: u64,
     misaligned_exceptions: u64,
-    dyn_counts: CowBox<HashMap<Rip, u64>>,
+    dyn_counts: CowBox<DynCounts>,
     path_history: VecDeque<(Rip, bool)>,
     path_sig: u64,
     faults: Vec<FaultSpec>,
@@ -1808,12 +1955,14 @@ impl BinCode for RobEntry {
         self.exception.encode(out);
         self.lq_slot.encode(out);
         self.sq_slot.encode(out);
-        self.reg_reads.encode(out);
-        self.sq_reads.encode(out);
-        self.l1d_reads.encode(out);
+        // The read log as three `Vec<(entry, cycle)>` sequences (the
+        // `.golden` v3 layout).
+        encode_reads(self.reg_reads(), out);
+        encode_reads(self.sq_reads(), out);
+        encode_reads(self.l1d_reads(), out);
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        Ok(RobEntry {
+        let mut entry = RobEntry {
             seq: BinCode::decode(r)?,
             uop: BinCode::decode(r)?,
             src_phys: BinCode::decode(r)?,
@@ -1828,10 +1977,44 @@ impl BinCode for RobEntry {
             exception: BinCode::decode(r)?,
             lq_slot: BinCode::decode(r)?,
             sq_slot: BinCode::decode(r)?,
-            reg_reads: BinCode::decode(r)?,
-            sq_reads: BinCode::decode(r)?,
-            l1d_reads: BinCode::decode(r)?,
-        })
+            read_cycle: None,
+            sq_read: None,
+            l1d_reads: [None; 2],
+        };
+        let reg_reads = Vec::<(PhysReg, u64)>::decode(r)?;
+        let sq_reads = Vec::<(usize, u64)>::decode(r)?;
+        let l1d_reads = Vec::<(usize, u64)>::decode(r)?;
+        // Reject what the inline log cannot hold instead of normalising it:
+        // one read cycle for every logged read, the register reads exactly
+        // `src_phys` once anything is logged, one SQ slot, two L1D words.
+        let cycles = reg_reads.iter().map(|&(_, c)| c);
+        let cycles = cycles.chain(sq_reads.iter().chain(&l1d_reads).map(|&(_, c)| c));
+        let mut cycles = cycles.peekable();
+        entry.read_cycle = cycles.peek().copied();
+        if cycles.any(|c| Some(c) != entry.read_cycle) {
+            return Err(DecodeError::Invalid("ROB entry reads at different cycles"));
+        }
+        if sq_reads.len() > 1 || l1d_reads.len() > entry.l1d_reads.len() {
+            return Err(DecodeError::Invalid("ROB entry logs too many reads"));
+        }
+        entry.sq_read = sq_reads.first().map(|&(s, _)| s);
+        for (log, &(w, _)) in entry.l1d_reads.iter_mut().zip(&l1d_reads) {
+            *log = Some(w);
+        }
+        if !entry.reg_reads().eq(reg_reads) {
+            return Err(DecodeError::Invalid(
+                "ROB entry register reads are not its sources",
+            ));
+        }
+        Ok(entry)
+    }
+}
+
+/// Encodes logged reads as a `Vec<(entry, cycle)>` would be encoded.
+fn encode_reads<E: BinCode>(reads: impl Iterator<Item = (E, u64)> + Clone, out: &mut Vec<u8>) {
+    reads.clone().count().encode(out);
+    for read in reads {
+        read.encode(out);
     }
 }
 
@@ -1895,5 +2078,260 @@ impl BinCode for CpuState {
             faults: BinCode::decode(r)?,
             finished: BinCode::decode(r)?,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use merlin_isa::binio::{decode_from_slice, encode_to_vec};
+
+    fn entry(src_phys: [Option<PhysReg>; 3]) -> RobEntry {
+        RobEntry {
+            seq: 7,
+            uop: merlin_isa::decode(3, &Inst::Nop)[0],
+            src_phys,
+            dst_phys: Some(40),
+            prev_phys: Some(2),
+            in_iq: false,
+            complete_at: Some(12),
+            completed: false,
+            pred_next: 4,
+            actual_next: None,
+            result: Some(9),
+            exception: None,
+            lq_slot: Some(1),
+            sq_slot: None,
+            read_cycle: None,
+            sq_read: None,
+            l1d_reads: [None; 2],
+        }
+    }
+
+    /// `base`'s encoding with its read log replaced by the given `Vec`
+    /// sequences, built by hand.
+    fn with_log(
+        base: &RobEntry,
+        reg: Vec<(PhysReg, u64)>,
+        sq: Vec<(usize, u64)>,
+        l1d: Vec<(usize, u64)>,
+    ) -> Vec<u8> {
+        assert_eq!(base.read_cycle, None);
+        let mut bytes = encode_to_vec(base);
+        // An empty log is three zero `u64` length prefixes.
+        bytes.truncate(bytes.len() - 24);
+        reg.encode(&mut bytes);
+        sq.encode(&mut bytes);
+        l1d.encode(&mut bytes);
+        bytes
+    }
+
+    #[test]
+    fn read_log_encodes_as_the_vec_layout_and_round_trips() {
+        let base = entry([Some(5), None, Some(6)]);
+        let mut live = base.clone();
+        live.log_reg_reads(10);
+        live.log_sq_read(3, 10);
+        live.log_l1d_reads(&[17, 18], 10);
+        let bytes = with_log(
+            &base,
+            vec![(5, 10), (6, 10)],
+            vec![(3, 10)],
+            vec![(17, 10), (18, 10)],
+        );
+        assert_eq!(encode_to_vec(&live), bytes);
+        assert_eq!(decode_from_slice::<RobEntry>(&bytes).unwrap(), live);
+        // An entry without sources logs nothing until it reads memory.
+        let mut no_src = entry([None; 3]);
+        no_src.log_reg_reads(10);
+        assert_eq!(no_src.read_cycle, None);
+        let decoded: RobEntry = decode_from_slice(&encode_to_vec(&no_src)).unwrap();
+        assert_eq!(decoded, no_src);
+        no_src.log_l1d_reads(&[4], 11);
+        let bytes = with_log(&entry([None; 3]), vec![], vec![], vec![(4, 11)]);
+        assert_eq!(encode_to_vec(&no_src), bytes);
+        assert_eq!(decode_from_slice::<RobEntry>(&bytes).unwrap(), no_src);
+    }
+
+    #[test]
+    fn read_logs_the_inline_form_cannot_hold_are_rejected() {
+        let base = entry([Some(5), None, Some(6)]);
+        let invalid = |bytes: Vec<u8>| {
+            matches!(
+                decode_from_slice::<RobEntry>(&bytes),
+                Err(DecodeError::Invalid(_))
+            )
+        };
+        // Register reads that are not exactly the sources.
+        assert!(invalid(with_log(&base, vec![(5, 10)], vec![], vec![])));
+        assert!(invalid(with_log(
+            &base,
+            vec![(6, 10), (5, 10)],
+            vec![],
+            vec![]
+        )));
+        assert!(invalid(with_log(
+            &base,
+            vec![(5, 10), (6, 10), (7, 10)],
+            vec![],
+            vec![]
+        )));
+        // Memory reads logged without the register reads that precede them.
+        assert!(invalid(with_log(&base, vec![], vec![(3, 10)], vec![])));
+        // Reads at different cycles.
+        assert!(invalid(with_log(
+            &base,
+            vec![(5, 10), (6, 11)],
+            vec![],
+            vec![]
+        )));
+        assert!(invalid(with_log(
+            &base,
+            vec![(5, 10), (6, 10)],
+            vec![],
+            vec![(17, 10), (18, 12)]
+        )));
+        // More than one SQ read or more than two L1D reads.
+        let regs = vec![(5, 10), (6, 10)];
+        assert!(invalid(with_log(
+            &base,
+            regs.clone(),
+            vec![(3, 10), (4, 10)],
+            vec![]
+        )));
+        assert!(invalid(with_log(
+            &base,
+            regs.clone(),
+            vec![],
+            vec![(1, 10), (2, 10), (3, 10)]
+        )));
+        // The accepted forms.
+        assert!(!invalid(with_log(&base, vec![], vec![], vec![])));
+        assert!(!invalid(with_log(
+            &base,
+            regs,
+            vec![(3, 10)],
+            vec![(1, 10)]
+        )));
+    }
+
+    #[test]
+    fn a_snapshot_with_a_malformed_read_log_or_count_fails_to_decode() {
+        let program = merlin_workloads::workload_by_name("sha").unwrap().program;
+        let mut cpu = Cpu::new(program, CpuConfig::default()).unwrap();
+        // Stop mid-run, after some commits, with an entry in the ROB that
+        // read two registers.
+        while cpu.committed_instructions == 0
+            || !cpu
+                .rob
+                .iter()
+                .any(|e| e.src_phys.iter().flatten().count() == 2 && e.read_cycle.is_some())
+        {
+            assert!(!cpu.is_finished());
+            cpu.step(&mut crate::NullProbe);
+        }
+        let state = cpu.snapshot();
+        let bytes = encode_to_vec(&state);
+        assert_eq!(decode_from_slice::<CpuState>(&bytes).unwrap(), state);
+
+        // Byte offsets of the ROB and of the dynamic-instance counters.
+        let mut head = Vec::new();
+        state.cycle.encode(&mut head);
+        state.next_seq.encode(&mut head);
+        state.fetch_pc.encode(&mut head);
+        state.fetch_halted.encode(&mut head);
+        state.fetch_invalid.encode(&mut head);
+        state.fetch_buffer.encode(&mut head);
+        state.rat.encode(&mut head);
+        state.free_list.encode(&mut head);
+        state.prf.encode(&mut head);
+        let rob_at = head.len();
+        let rob_len = encode_to_vec(&state.rob).len();
+        let mut tail = Vec::new();
+        state.dyn_counts.encode(&mut tail);
+        state.path_history.encode(&mut tail);
+        state.path_sig.encode(&mut tail);
+        state.faults.encode(&mut tail);
+        state.finished.encode(&mut tail);
+        let counts_at = bytes.len() - tail.len();
+        let counts_len = encode_to_vec(&state.dyn_counts).len();
+        let splice =
+            |at: usize, len: usize, with: &[u8]| [&bytes[..at], with, &bytes[at + len..]].concat();
+
+        // One entry's register reads logged at two different cycles.
+        let mut rob = encode_to_vec(&state.rob.len());
+        for e in state.rob.iter() {
+            match e.reg_reads().collect::<Vec<_>>()[..] {
+                [(a, c), (b, _)] => {
+                    let mut blank = e.clone();
+                    blank.read_cycle = None;
+                    blank.sq_read = None;
+                    blank.l1d_reads = [None; 2];
+                    let sq = e.sq_reads().collect();
+                    let l1d = e.l1d_reads().collect();
+                    rob.extend(with_log(&blank, vec![(a, c), (b, c + 1)], sq, l1d));
+                }
+                _ => e.encode(&mut rob),
+            }
+        }
+        assert!(matches!(
+            decode_from_slice::<CpuState>(&splice(rob_at, rob_len, &rob)),
+            Err(DecodeError::Invalid(_))
+        ));
+
+        // A zero count among the dynamic-instance counters.
+        let mut counts: std::collections::HashMap<Rip, u64> = (0..state.dyn_counts.0.len())
+            .filter(|&r| state.dyn_counts.get(r as Rip) != 0)
+            .map(|r| (r as Rip, state.dyn_counts.get(r as Rip)))
+            .collect();
+        *counts.values_mut().next().unwrap() = 0;
+        assert!(matches!(
+            decode_from_slice::<CpuState>(&splice(counts_at, counts_len, &encode_to_vec(&counts))),
+            Err(DecodeError::Invalid(_))
+        ));
+    }
+
+    #[test]
+    fn dyn_counts_compare_zero_padded_and_encode_as_a_sorted_map() {
+        let mut short = DynCounts::default();
+        let mut long = DynCounts(vec![0; 64]);
+        for rip in [9, 2, 9, 40] {
+            short.bump(rip);
+            long.bump(rip);
+        }
+        assert_eq!(short, long);
+        assert_eq!(short.0.len(), 41);
+        long.bump(63);
+        assert_ne!(short, long);
+        assert_ne!(long, short);
+
+        let map: std::collections::HashMap<Rip, u64> = [(2, 1), (9, 2), (40, 1), (63, 1)].into();
+        let bytes = encode_to_vec(&map);
+        assert_eq!(encode_to_vec(&long), bytes);
+        assert_eq!(decode_from_slice::<DynCounts>(&bytes).unwrap(), long);
+    }
+
+    #[test]
+    fn dyn_counts_reject_zero_counts_and_unsorted_or_huge_rips() {
+        let encode = |pairs: &[(Rip, u64)]| {
+            let mut bytes = encode_to_vec(&pairs.len());
+            for pair in pairs {
+                pair.encode(&mut bytes);
+            }
+            bytes
+        };
+        let decode = |pairs: &[(Rip, u64)]| decode_from_slice::<DynCounts>(&encode(pairs));
+        assert!(decode(&[(1, 3), (4, 1)]).is_ok());
+        for bad in [
+            &[(1, 3), (4, 0)][..],
+            &[(4, 1), (1, 3)],
+            &[(4, 1), (4, 2)],
+            &[(MAX_DECODED_RIP + 1, 1)],
+        ] {
+            assert!(
+                matches!(decode(bad), Err(DecodeError::Invalid(_))),
+                "{bad:?} must be rejected"
+            );
+        }
     }
 }

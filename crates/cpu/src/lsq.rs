@@ -236,6 +236,11 @@ impl StoreQueue {
         ForkBytes::sharing(src.slots.len() as u64 * std::mem::size_of::<SqSlot>() as u64)
     }
 
+    /// Moves every owned page behind a handle, so it can be shared.
+    pub(crate) fn freeze(&mut self) {
+        self.slots.freeze();
+    }
+
     /// Un-share counter of the slot array, reset.
     pub(crate) fn take_cow_breaks(&mut self) -> u64 {
         self.slots.take_cow_breaks()
@@ -345,6 +350,11 @@ impl LoadQueue {
         self.count = src.count;
         self.seqs.share_from(&src.seqs);
         ForkBytes::sharing(src.seqs.len() as u64 * std::mem::size_of::<Option<u64>>() as u64)
+    }
+
+    /// Moves every owned page behind a handle, so it can be shared.
+    pub(crate) fn freeze(&mut self) {
+        self.seqs.freeze();
     }
 
     /// Un-share counter of the slot array, reset.

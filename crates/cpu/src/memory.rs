@@ -127,11 +127,13 @@ impl Memory {
     /// segments; cores running the same program share byte-identical images,
     /// so a delta taken on one core restores exactly on another.
     pub fn seal_pristine(&mut self) {
-        // A CowBytes clone is a handle clone per chunk: sealing copies no
+        // Freezing moves the written chunks behind handles, and the clone of
+        // a frozen store is a handle clone per chunk: sealing copies no
         // bytes, and every live chunk starts out sharing with the image.
         // Loading the image broke shares with the zero image `new` sealed;
         // those are construction, not copy-on-write work, so they are not
         // counted.
+        self.bytes.freeze();
         self.pristine = self.bytes.clone();
         self.bytes.take_cow_breaks();
     }
@@ -248,9 +250,10 @@ impl Memory {
     /// Captures the memory as a delta against the pristine image: every
     /// dirty chunk, with its live bytes.  Footprint is
     /// proportional to the data the workload has written, not to the memory
-    /// size.  Each captured chunk shares the live chunk's handle — no bytes
-    /// move; the live chunk un-shares lazily if written afterwards.
-    pub fn delta_snapshot(&self) -> MemoryDelta {
+    /// size.  Each captured chunk shares the live chunk's handle, frozen
+    /// first if the chunk is owned — no bytes move; the live chunk
+    /// un-shares lazily if written afterwards.
+    pub fn delta_snapshot(&mut self) -> MemoryDelta {
         let mut chunks = Vec::new();
         for c in 0..self.chunk_count() {
             if self.is_dirty(c) {
@@ -305,11 +308,12 @@ impl Memory {
 
     /// Makes `self` an exact structural replica of `src`: every live chunk
     /// and every pristine-image chunk shares `src`'s handle, so clean and
-    /// dirty chunks stay apart exactly as in `src`.  No bytes move — a
-    /// written chunk un-shares lazily on either side's first subsequent
-    /// write.
-    pub fn fork_from(&mut self, src: &Self) -> ForkBytes {
+    /// dirty chunks stay apart exactly as in `src`.  No bytes move: `src`'s
+    /// owned chunks are frozen first, and a written chunk un-shares lazily
+    /// on either side's first subsequent write.
+    pub fn fork_from(&mut self, src: &mut Self) -> ForkBytes {
         debug_assert_eq!(self.len(), src.len());
+        src.bytes.freeze();
         self.bytes.share_from(&src.bytes);
         // Byte-identical by construction (same program image); sharing the
         // handles deduplicates the image across the pool.
@@ -360,9 +364,7 @@ impl Memory {
                 Some(d) => {
                     // Handle equality (the common case after a handle-swap
                     // restore) proves byte equality without reading.
-                    if !Arc::ptr_eq(&self.bytes.chunk_handle(c), &d.data)
-                        && self.bytes.chunk(c) != &d.data[..]
-                    {
+                    if !self.bytes.chunk_is(c, &d.data) && self.bytes.chunk(c) != &d.data[..] {
                         return false;
                     }
                 }

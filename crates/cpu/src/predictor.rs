@@ -84,6 +84,12 @@ impl BranchPredictor {
         ForkBytes::sharing((src.bimodal.len() + src.gshare.len()) as u64)
     }
 
+    /// Moves every owned page behind a handle, so it can be shared.
+    pub(crate) fn freeze(&mut self) {
+        self.bimodal.freeze();
+        self.gshare.freeze();
+    }
+
     /// Un-share counters of both tables, reset.
     pub(crate) fn take_cow_breaks(&mut self) -> u64 {
         self.bimodal.take_cow_breaks() + self.gshare.take_cow_breaks()
@@ -180,6 +186,11 @@ impl Btb {
         ForkBytes::sharing(
             src.entries.len() as u64 * std::mem::size_of::<Option<(Rip, Rip)>>() as u64,
         )
+    }
+
+    /// Moves every owned page behind a handle, so it can be shared.
+    pub(crate) fn freeze(&mut self) {
+        self.entries.freeze();
     }
 
     /// Un-share counter of the entry array, reset.

@@ -91,6 +91,12 @@ impl PhysRegFile {
         ForkBytes::sharing(src.values.len() as u64 * PRF_ENTRY_BYTES)
     }
 
+    /// Moves every owned page behind a handle, so it can be shared.
+    pub(crate) fn freeze(&mut self) {
+        self.values.freeze();
+        self.ready.freeze();
+    }
+
     /// Un-share counters of both arrays, reset.
     pub(crate) fn take_cow_breaks(&mut self) -> u64 {
         self.values.take_cow_breaks() + self.ready.take_cow_breaks()
@@ -167,6 +173,11 @@ impl FreeList {
     /// Makes `self` equal to `src` with one handle share.
     pub(crate) fn share_from(&mut self, src: &Self) -> ForkBytes {
         self.free.share_from(&src.free)
+    }
+
+    /// Moves an owned queue behind a handle, so it can be shared.
+    pub(crate) fn freeze(&mut self) {
+        self.free.freeze();
     }
 
     /// Un-share counter of the queue, reset.

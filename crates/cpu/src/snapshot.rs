@@ -37,8 +37,9 @@
 //! caches are rebuilt line by line from their sparse images.
 //! [`crate::RestoreStats`] reports the bytes made equal to the snapshot per
 //! structure ([`crate::RestoredBytes`]).  Sharing is runtime-only
-//! bookkeeping: it is never serialised, so decoding a snapshot yields
-//! fully private pages and the on-disk `binio` format is unchanged.
+//! bookkeeping: it is never serialised, so the on-disk `binio` format is
+//! unchanged, and decoding a snapshot yields shared pages no one else holds
+//! yet, which restores adopt by handle like a live snapshot's.
 
 use crate::core::{Cpu, CpuState, RunResult};
 use crate::probe::Probe;

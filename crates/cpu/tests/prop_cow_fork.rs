@@ -137,7 +137,7 @@ proptest! {
         fork.quarantine();
 
         // CoW fork, exactly as the batched driver spawns one.
-        let stats = fork.fork_from(&golden_cpu);
+        let stats = fork.fork_from(&mut golden_cpu);
         prop_assert!(!fork.is_quarantined(), "a fork lifts quarantine");
         prop_assert!(fork.matches_state(&at_fork));
         prop_assert_eq!(&fork.snapshot(), &at_fork);
@@ -273,7 +273,7 @@ proptest! {
             step_to(&mut golden_core, fork_cycle);
             for faulted in [false, true] {
                 let mut fork = Cpu::new(program.clone(), cfg.clone()).unwrap();
-                fork.fork_from(&golden_core);
+                fork.fork_from(&mut golden_core);
                 let mut scratch = Cpu::new(program.clone(), cfg.clone()).unwrap();
                 if faulted {
                     let fault_entry = entry % fork.structure_entries(structure).max(1);
@@ -333,7 +333,7 @@ proptest! {
         }
 
         let mut fork = Cpu::new(program.clone(), CpuConfig::default()).unwrap();
-        fork.fork_from(&golden_cpu);
+        fork.fork_from(&mut golden_cpu);
 
         // Quarantine severs every share: the core owns all of its state
         // privately (or shares only with its own immutable pristine image).
@@ -351,7 +351,7 @@ proptest! {
         // and restore the forked core from that unrelated state — the fork's
         // shares from the earlier parent state must not bleed through.
         let mut fork2 = Cpu::new(program.clone(), CpuConfig::default()).unwrap();
-        fork2.fork_from(&golden_cpu);
+        fork2.fork_from(&mut golden_cpu);
         for _ in 0..3 {
             if !golden_cpu.is_finished() {
                 golden_cpu.step(&mut NullProbe);
@@ -367,7 +367,7 @@ proptest! {
         // Writes after a fork surface as sharing breaks, and the tally
         // drains: bookkeeping, never state.
         let mut fork3 = Cpu::new(program, CpuConfig::default()).unwrap();
-        fork3.fork_from(&golden_cpu);
+        fork3.fork_from(&mut golden_cpu);
         fork3.take_cow_breaks();
         let before = fork3.snapshot();
         let mut breaks = 0u64;

@@ -244,7 +244,7 @@ pub(crate) fn run_batched_range(
             fork = Some(core);
         }
         let spawned = catch_unwind(AssertUnwindSafe(|| {
-            let forked = fork.as_mut().map(|core| core.fork_from(&golden_core));
+            let forked = fork.as_mut().map(|core| core.fork_from(&mut golden_core));
             fork.as_mut()
                 .unwrap_or(&mut golden_core)
                 .inject_fault(fault)

@@ -16,11 +16,10 @@
 //!   [`Session::campaign`]: the golden run is snapshotted in one adaptive
 //!   pass (spaced by equal cycles or equal estimated suffix work, see
 //!   [`SpacingStrategy`]) and every faulty run starts from the nearest
-//!   checkpoint and simulates only its post-injection suffix — with an
-//!   allocation-free hot loop: every session shares one pre-decoded
-//!   micro-op arena (`merlin_isa::DecodedProgram`) across all of its
-//!   cores, and restores adopt the snapshot's copy-on-write pages instead
-//!   of copying them,
+//!   checkpoint and simulates only its post-injection suffix — every
+//!   session shares one pre-decoded micro-op arena
+//!   (`merlin_isa::DecodedProgram`) across all of its cores, and restores
+//!   adopt the snapshot's copy-on-write pages instead of copying them,
 //! * the restore-aware [`CampaignScheduler`] (see the [`schedule`] module):
 //!   faults are bucketed into per-checkpoint ranges, workers bind to whole
 //!   ranges (keeping each worker's restore snapshot hot), steal whole

@@ -1379,6 +1379,41 @@ mod tests {
     }
 
     #[test]
+    fn undecodable_golden_with_a_valid_checksum_is_quarantined() {
+        let dir = temp_dir("decode-reject");
+        let p = tiny_program();
+        let cfg = CpuConfig::default();
+        let tune = |b: SessionBuilder| b.checkpoints(small_policy()).max_cycles(1_000_000);
+
+        let first = SessionCache::with_disk_dir(&dir);
+        let s1 = first.session("tiny", &p, &cfg, tune).unwrap();
+        let golden1 = s1.golden().unwrap().clone();
+        // A payload the decoder rejects (here: a trailing byte) behind a
+        // checksum that matches it, as a broken writer would produce.
+        let file = dir.join(golden_file_name("tiny", s1.fingerprint()));
+        let bytes = fs::read(&file).unwrap();
+        let mut forged = bytes[..bytes.len() - GOLDEN_TRAILER_LEN].to_vec();
+        forged.push(0);
+        fnv1a(FNV_OFFSET, &forged).encode(&mut forged);
+        fs::write(&file, &forged).unwrap();
+
+        let second = SessionCache::with_disk_dir(&dir);
+        let s2 = second.session("tiny", &p, &cfg, tune).unwrap();
+        assert_eq!(s2.golden().unwrap(), &golden1, "rebuild matches original");
+        assert_eq!(
+            s2.golden_builds(),
+            1,
+            "the undecodable file must not be used"
+        );
+        assert_eq!(second.artifact_rejects(), 1);
+        let mut corrupt = file.as_os_str().to_owned();
+        corrupt.push(".corrupt");
+        assert_eq!(fs::read(PathBuf::from(corrupt)).unwrap(), forged);
+
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn older_version_files_are_silent_misses_not_corruption() {
         let dir = temp_dir("version-miss");
         let p = tiny_program();
