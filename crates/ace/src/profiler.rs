@@ -69,20 +69,26 @@ impl AceProfiler {
             .collect();
         for ((structure, entry), mut events) in self.events {
             // Events arrive out of cycle order (reads are reported at commit
-            // but carry their read cycle), so sort first.  Ties: writes
-            // before reads before invalidations, mirroring the in-cycle
-            // ordering of the core (a value written and read in the same
-            // cycle was produced before it was consumed).
-            events.sort_by_key(|e| {
-                (
-                    e.cycle,
-                    match e.kind {
-                        EventKind::Write => 0u8,
-                        EventKind::Read { .. } => 1,
-                        EventKind::Invalidate => 2,
-                    },
-                )
-            });
+            // but carry their read cycle), so sort first, by cycle alone and
+            // stably.  The core emits every write, invalidation and
+            // writeback read at once, in the order it happens (an evicted
+            // line's writeback read and invalidation before the refill's
+            // writes), so within a cycle that order survives; a read
+            // reported at commit sorts after every event emitted during its
+            // cycle, the write that produced its value included.
+            //
+            // One order a stable sort cannot recover: a load reads a word,
+            // and a later load of the same issue pass evicts the word's
+            // line.  The read would sort after the eviction and the refill,
+            // close an empty interval on the new line, and leave the
+            // victim's interval to end at its writeback read (or, for a
+            // clean line, to be dropped).  It needs as many further
+            // accesses to the line's set in the same issue pass as the set
+            // has ways, since the read made the line the most recently
+            // used, and an issue pass makes at most `mem_ports` accesses (2
+            // against 4 ways by default; 0 occurrences over the 20 built-in
+            // workloads with a 16 KB L1D).
+            events.sort_by_key(|e| e.cycle);
             let repo = out.get_mut(&structure).expect("all structures present");
             let mut open_start: Option<u64> = None;
             for e in events {

@@ -45,20 +45,27 @@ fn intervals_exist_for_all_three_structures() {
 
 #[test]
 fn intervals_per_entry_do_not_overlap() {
-    let w = workload_by_name("susan_e").unwrap();
-    let cfg = CpuConfig::default().with_phys_regs(64);
-    let ace = AceAnalysis::run(&w.program, &cfg, 50_000_000).unwrap();
-    for &s in Structure::all() {
-        let repo = ace.structure(s);
-        for entry in 0..64 {
-            let ivs = repo.entry_intervals(entry);
-            for pair in ivs.windows(2) {
-                assert!(
-                    pair[1].start >= pair[0].end,
-                    "{s} entry {entry}: overlapping intervals {:?} {:?}",
-                    pair[0],
-                    pair[1]
-                );
+    // gcc with a 16 KB L1D evicts lines, so the order of an eviction's
+    // writeback read, invalidation and refill write matters there.
+    let cases = [
+        ("susan_e", CpuConfig::default().with_phys_regs(64)),
+        ("gcc", CpuConfig::default().with_l1d_kb(16)),
+    ];
+    for (name, cfg) in cases {
+        let w = workload_by_name(name).unwrap();
+        let ace = AceAnalysis::run(&w.program, &cfg, 50_000_000).unwrap();
+        for &s in Structure::all() {
+            let repo = ace.structure(s);
+            for entry in 0..repo.total_entries {
+                let ivs = repo.entry_intervals(entry);
+                for pair in ivs.windows(2) {
+                    assert!(
+                        pair[1].start >= pair[0].end,
+                        "{name} {s} entry {entry}: overlapping intervals {:?} {:?}",
+                        pair[0],
+                        pair[1]
+                    );
+                }
             }
         }
     }
@@ -130,15 +137,22 @@ fn ace_pruned_faults_are_masked_when_injected() {
 
 #[test]
 fn dead_sites_never_lie_inside_a_vulnerable_interval() {
-    // `Cpu::fault_site_dead` and the ACE-like profile are two views of the
-    // same lifetimes: an entry overwritten before any read cannot be
-    // inside an interval that a committed read closes.  This is why the
-    // MeRLiN flow, whose representatives all sit inside intervals, never
-    // reaches the batched driver's dead-site resolution.
+    // `Cpu::fault_site_dead`, the golden run's L1D liveness log and the
+    // ACE-like profile are views of the same lifetimes: an entry
+    // overwritten (or evicted) before any read cannot be inside an interval
+    // that a committed read closes.  This is why the MeRLiN flow, whose
+    // representatives all sit inside intervals, never takes a dead-site
+    // resolution.
     const SAMPLES: u64 = 48;
     for w in all_workloads() {
         let cfg = CpuConfig::default();
         let ace = AceAnalysis::run(&w.program, &cfg, 50_000_000).unwrap();
+        let session = Session::builder(&w.program, &cfg)
+            .max_cycles(50_000_000)
+            .build()
+            .unwrap();
+        session.golden().unwrap();
+        let log = session.golden_checkpoints().unwrap();
         let mut cpu = Cpu::new(w.program.clone(), cfg).unwrap();
         let mut checked = 0usize;
         for k in 1..SAMPLES {
@@ -149,7 +163,11 @@ fn dead_sites_never_lie_inside_a_vulnerable_interval() {
             for &s in Structure::all() {
                 let repo = ace.structure(s);
                 for entry in 0..cpu.structure_entries(s) {
-                    if cpu.fault_site_dead(s, entry) {
+                    let dead = match s {
+                        Structure::L1DCache => !log.l1d.is_live(entry, cycle),
+                        _ => cpu.fault_site_dead(s, entry),
+                    };
+                    if dead {
                         checked += 1;
                         assert!(
                             repo.lookup(entry, cycle).is_none(),

@@ -183,11 +183,6 @@ impl Cache {
         &self.lines.get(self.line_index(set, way)).data
     }
 
-    /// Whether the line at `(set, way)` is valid.
-    pub fn is_valid(&self, set: usize, way: usize) -> bool {
-        self.lines.get(self.line_index(set, way)).valid
-    }
-
     /// Whether the line at `(set, way)` is dirty.
     pub fn is_dirty(&self, set: usize, way: usize) -> bool {
         self.lines.get(self.line_index(set, way)).dirty
@@ -196,8 +191,7 @@ impl Cache {
     /// Flips a single stored bit — the L1D fault-injection hook.  The flip
     /// happens regardless of the line's valid bit (the SRAM cell exists
     /// either way); a flip in an invalid line is overwritten by the next
-    /// refill before any read (see
-    /// [`Cpu::fault_site_dead`](crate::Cpu::fault_site_dead)).
+    /// refill before any read.
     pub fn flip_bit(&mut self, set: usize, way: usize, byte: usize, bit: u8) {
         let idx = self.line_index(set, way);
         self.lines.get_mut(idx).data[byte] ^= 1 << bit;
@@ -448,10 +442,11 @@ impl BinCode for MemSystemSnapshot {
 }
 
 /// Per-access side effects on the L1D data array, expressed as flattened
-/// word-entry indices (see [`Cache::word_entry`]).  The core turns these into
-/// probe events: reads are attached to the requesting micro-op and reported
-/// only if it commits; writes, invalidates and writeback reads are physical
-/// effects reported immediately.
+/// word-entry indices (see [`Cache::word_entry`]).  The lists group effects
+/// by kind; the core turns them into probe events in physical order
+/// (writeback reads, invalidations, writes, then word reads), reports the
+/// word reads once more at commit, and only if the reading micro-op
+/// commits.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct CacheEffects {
     /// Words read by this access.

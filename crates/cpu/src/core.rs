@@ -9,7 +9,7 @@
 //! squashed; reads are attributed to the (RIP, uPC) of the reading micro-op
 //! and reported only if that micro-op commits.
 
-use crate::cache::MemSystem;
+use crate::cache::{CacheEffects, MemSystem};
 use crate::config::{ConfigError, CpuConfig};
 use crate::cow::{CowBox, CowSeq, ForkBytes};
 use crate::fault::FaultSpec;
@@ -877,27 +877,13 @@ impl Cpu {
                         } else {
                             raw
                         };
-                        // Physical side effects (refill writes, evictions,
-                        // writebacks) are reported immediately; the data
-                        // reads are commit-gated.
-                        for w in &eff.word_writes {
-                            probe.write(Structure::L1DCache, *w, cycle);
-                        }
-                        for w in &eff.writeback_reads {
-                            probe.committed_read(
-                                Structure::L1DCache,
-                                &ReadInfo {
-                                    entry: *w,
-                                    cycle,
-                                    rip: WRITEBACK_RIP,
-                                    upc: 0,
-                                    dyn_instance: 0,
-                                    path_sig: 0,
-                                },
-                            );
-                        }
-                        for w in &eff.word_invalidates {
-                            probe.invalidate(Structure::L1DCache, *w, cycle);
+                        // Physical side effects (writebacks, evictions,
+                        // refill writes, then the word reads themselves)
+                        // are reported immediately, in the order they
+                        // happen; the committed data reads are commit-gated.
+                        report_cache_effects(&eff, cycle, probe);
+                        for w in &eff.word_reads {
+                            probe.physical_read(Structure::L1DCache, *w, cycle);
                         }
                         let latency = eff.latency;
                         let entry = &mut self.rob.make_mut()[idx];
@@ -1237,25 +1223,7 @@ impl Cpu {
         );
         match self.mem.store(addr, data, size) {
             Ok(eff) => {
-                for w in &eff.word_writes {
-                    probe.write(Structure::L1DCache, *w, cycle);
-                }
-                for w in &eff.writeback_reads {
-                    probe.committed_read(
-                        Structure::L1DCache,
-                        &ReadInfo {
-                            entry: *w,
-                            cycle,
-                            rip: WRITEBACK_RIP,
-                            upc: 0,
-                            dyn_instance: 0,
-                            path_sig: 0,
-                        },
-                    );
-                }
-                for w in &eff.word_invalidates {
-                    probe.invalidate(Structure::L1DCache, *w, cycle);
-                }
+                report_cache_effects(&eff, cycle, probe);
                 self.sq.release_head(slot);
                 probe.invalidate(Structure::StoreQueue, slot, cycle);
                 Ok(())
@@ -1537,9 +1505,11 @@ impl Cpu {
     ///   has not arrived yet.  [`StoreQueue::allocate`] and the store-data
     ///   micro-op overwrite the data field; forwarding and the commit-time
     ///   drain read it only from valid slots whose data is ready.
-    /// - **L1 data cache:** the line holding the word is invalid.  A refill
-    ///   overwrites the whole line, and lookups, snapshots and evictions
-    ///   skip invalid lines.
+    ///
+    /// L1 data cache words are never reported here: whether the golden run
+    /// reads a word again is a question about its future, which the
+    /// injection engine answers from a log of the golden run's physical
+    /// L1D events (see [`Probe::physical_read`]).
     ///
     /// Returns `false` for entries outside the configuration; `false` only
     /// means "not proven dead".
@@ -1556,10 +1526,7 @@ impl Cpu {
                 let slot = self.sq.slot(entry);
                 !slot.valid || !slot.data_ready
             }
-            Structure::L1DCache => {
-                let (set, way, _) = self.mem.l1d.entry_location(entry);
-                !self.mem.l1d.is_valid(set, way)
-            }
+            Structure::L1DCache => false,
         }
     }
 
@@ -1625,6 +1592,32 @@ impl Cpu {
             && self.bp == s.bp
             && self.btb == s.btb
             && self.mem.matches_snapshot(&s.mem)
+    }
+}
+
+/// Reports an L1D access's physical side effects in the order they happen:
+/// the victim's writeback reads, then its invalidations, then the refill
+/// and store writes.  A liveness log built from this stream sees a dirty
+/// victim's words read before the refill overwrites them.
+fn report_cache_effects(eff: &CacheEffects, cycle: u64, probe: &mut dyn Probe) {
+    for w in &eff.writeback_reads {
+        probe.committed_read(
+            Structure::L1DCache,
+            &ReadInfo {
+                entry: *w,
+                cycle,
+                rip: WRITEBACK_RIP,
+                upc: 0,
+                dyn_instance: 0,
+                path_sig: 0,
+            },
+        );
+    }
+    for w in &eff.word_invalidates {
+        probe.invalidate(Structure::L1DCache, *w, cycle);
+    }
+    for w in &eff.word_writes {
+        probe.write(Structure::L1DCache, *w, cycle);
     }
 }
 

@@ -1,6 +1,6 @@
 //! Observation interface used by the ACE-like analysis.
 //!
-//! The core reports three kinds of events per microarchitectural structure
+//! The core reports four kinds of events per microarchitectural structure
 //! entry:
 //!
 //! * **Write** — the entry's storage was physically written (register
@@ -17,6 +17,13 @@
 //! * **Invalidate** — the entry stopped holding live data (physical register
 //!   returned to the free list, store-queue slot deallocated, cache line
 //!   evicted).
+//! * **PhysicalRead** — an L1D data word was read by a load at issue,
+//!   whether or not the load later commits.  Together with the writeback
+//!   reads (committed reads with [`WRITEBACK_RIP`], reported at once),
+//!   writes and invalidations, these are every physical event on an L1D
+//!   word, and the core reports each access's events in the order they
+//!   happen: the victim's writeback reads, the victim's invalidations, the
+//!   refill and store writes, then the load's word reads.
 
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
 use merlin_isa::{Rip, Upc};
@@ -136,6 +143,12 @@ pub trait Probe {
     fn invalidate(&mut self, structure: Structure, entry: usize, cycle: u64) {
         let _ = (structure, entry, cycle);
     }
+
+    /// The entry was physically read at `cycle` by a micro-op at issue,
+    /// committed or squashed later.  Fired for L1D data words only.
+    fn physical_read(&mut self, structure: Structure, entry: usize, cycle: u64) {
+        let _ = (structure, entry, cycle);
+    }
 }
 
 /// A probe that ignores every event (used for plain simulation and fault
@@ -154,6 +167,8 @@ pub struct RecordingProbe {
     pub reads: Vec<(Structure, ReadInfo)>,
     /// All invalidate events as (structure, entry, cycle).
     pub invalidates: Vec<(Structure, usize, u64)>,
+    /// All physical-read events as (structure, entry, cycle).
+    pub physical_reads: Vec<(Structure, usize, u64)>,
 }
 
 impl Probe for RecordingProbe {
@@ -167,6 +182,10 @@ impl Probe for RecordingProbe {
 
     fn invalidate(&mut self, structure: Structure, entry: usize, cycle: u64) {
         self.invalidates.push((structure, entry, cycle));
+    }
+
+    fn physical_read(&mut self, structure: Structure, entry: usize, cycle: u64) {
+        self.physical_reads.push((structure, entry, cycle));
     }
 }
 
@@ -190,6 +209,7 @@ mod tests {
         let mut p = RecordingProbe::default();
         p.write(Structure::RegisterFile, 3, 10);
         p.invalidate(Structure::StoreQueue, 1, 20);
+        p.physical_read(Structure::L1DCache, 7, 12);
         p.committed_read(
             Structure::L1DCache,
             &ReadInfo {
@@ -205,6 +225,7 @@ mod tests {
         assert_eq!(p.invalidates.len(), 1);
         assert_eq!(p.reads.len(), 1);
         assert_eq!(p.reads[0].1.entry, 7);
+        assert_eq!(p.physical_reads, vec![(Structure::L1DCache, 7, 12)]);
     }
 
     #[test]

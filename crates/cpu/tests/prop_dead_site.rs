@@ -1,9 +1,12 @@
 //! Soundness of `Cpu::fault_site_dead`: a flip on a site the query reports
 //! dead must leave the run bit-identical to the golden run, because the
 //! batched campaign driver classifies such faults Masked without
-//! simulating them.  The property draws a built-in workload, a structure,
-//! an entry, a bit and a cycle; the unit cases pin each dead-site rule
-//! (and that live data is not reported dead) on hand-built programs.
+//! simulating them.  The property draws a built-in workload, a structure
+//! (register file or store queue), an entry, a bit and a cycle; the unit
+//! cases pin each dead-site rule (and that live data is not reported dead)
+//! on hand-built programs.  L1D words are never reported dead here: their
+//! deadness comes from the golden run's liveness log, whose soundness
+//! `merlin-inject`'s `prop_l1d_liveness` checks.
 
 use merlin_cpu::{Cpu, CpuConfig, FaultSpec, NullProbe, RecordingProbe, RunResult, Structure};
 use merlin_isa::{reg, AluOp, MemRef, Program, ProgramBuilder, NUM_ARCH_REGS};
@@ -59,7 +62,7 @@ proptest! {
     #[test]
     fn a_flip_on_a_dead_site_leaves_the_run_unchanged(
         w in 0usize..20,
-        s in 0usize..3,
+        s in 0usize..2,
         entry in 0usize..1_000_000,
         bit in 0u8..64,
         permille in 0u64..1000,
@@ -181,41 +184,6 @@ fn a_free_register_is_dead_and_a_mapped_one_is_live() {
             cpu.fault_site_dead(Structure::RegisterFile, p),
             p >= NUM_ARCH_REGS,
             "physical register {p}"
-        );
-    }
-}
-
-#[test]
-fn an_invalid_l1d_line_is_dead_and_a_valid_one_is_live() {
-    let mut b = ProgramBuilder::new();
-    let buf = b.alloc_words(&[5, 6, 7, 8]);
-    b.movi(reg(10), buf as i64);
-    b.load(reg(1), MemRef::base(reg(10)));
-    b.out(reg(1));
-    b.halt();
-    let program = b.build().unwrap();
-    let mut probe = RecordingProbe::default();
-    core(&program).run(100_000, &mut probe);
-    // The refill writes every word of the loaded line at cycle `fill`.
-    let filled: Vec<(usize, u64)> = probe
-        .writes
-        .iter()
-        .filter(|(s, _, _)| *s == Structure::L1DCache)
-        .map(|&(_, e, c)| (e, c))
-        .collect();
-    let &(_, fill) = filled.first().expect("the load refills a line");
-
-    let mut cpu = core(&program);
-    let words = cpu.structure_entries(Structure::L1DCache);
-    // A cold cache is invalid everywhere.
-    assert!((0..words).all(|e| cpu.fault_site_dead(Structure::L1DCache, e)));
-    step_to(&mut cpu, fill + 1);
-    for e in 0..words {
-        let valid = filled.iter().any(|&(f, _)| f == e);
-        assert_eq!(
-            cpu.fault_site_dead(Structure::L1DCache, e),
-            !valid,
-            "L1D word {e}"
         );
     }
 }

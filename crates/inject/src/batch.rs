@@ -6,6 +6,12 @@
 //! [`FaultInjector`](crate::FaultInjector) runs each fault as a one-fault
 //! range.
 //!
+//! L1D faults never reach it when the golden run does not read the flipped
+//! word again: the scheduler and the injector resolve those Masked from
+//! the golden run's [`L1dLiveness`](crate::L1dLiveness) log before any
+//! restore (`dead_sites`), and a range left without faults restores
+//! nothing.
+//!
 //! # The driver
 //!
 //! Every faulty run is bit-identical to the golden run until its injection
@@ -16,10 +22,11 @@
 //!    (`golden_replay_cycles`),
 //! 2. **resolves dead sites** there: the golden core now holds exactly the
 //!    state the fault's flip would land in, so [`Cpu::fault_site_dead`]
-//!    tells whether the flipped entry is overwritten before anything reads
-//!    it.  Such a fault is Masked by construction (`dead_sites`): no core
-//!    is taken, restored, forked, injected or stepped for it.  This is the
-//!    first step of MeRLiN's ACE-like analysis applied per fault,
+//!    tells whether a flipped register or store-queue entry is overwritten
+//!    before anything reads it.  Such a fault is Masked by construction
+//!    (`dead_sites`): no further core is taken, forked, injected or
+//!    stepped for it.  This and the L1D log are the first step of MeRLiN's
+//!    ACE-like analysis applied per fault,
 //! 3. **forks** a faulty core for every other fault: [`Cpu::fork_from`]
 //!    makes a pool core adopt the golden core's copy-on-write page handles
 //!    — O(metadata), from whatever state the pool core was left in; a page
@@ -152,8 +159,8 @@ fn abort_faulty(pool: &mut ForkPool, golden_core: Cpu, fork: Option<Cpu>) {
 
 /// Runs one checkpoint range's simulated faults through the batched
 /// driver.  `sim` holds the (fault-list index, fault) pairs that actually
-/// reach a core (statically-pruned and absent-site faults are resolved by
-/// the caller), cycle-sorted; every fault shares the range's restore
+/// reach a core (statically-pruned and absent-site faults, and L1D faults
+/// the golden run never reads, are resolved by the caller), cycle-sorted; every fault shares the range's restore
 /// snapshot by the scheduler's bucketing.  Work is added into `stats` as
 /// it happens.  Returns `None` if any operation panicked or a core could
 /// not be built — the panicking core is quarantined, every other core is

@@ -51,9 +51,10 @@
 
 use crate::batch::{run_batched_range, ForkPool};
 use crate::classify::{classify, Classification, FaultEffect};
+use crate::liveness::{L1dLiveness, L1dLogger};
 use crate::schedule::ScheduleStats;
 use merlin_cpu::{
-    CheckpointPolicy, CheckpointStore, Cpu, CpuConfig, FaultSpec, NullProbe, RunResult,
+    CheckpointPolicy, CheckpointStore, Cpu, CpuConfig, FaultSpec, NullProbe, RunResult, Structure,
 };
 use merlin_isa::{DecodedProgram, Program};
 use serde::{Deserialize, Serialize};
@@ -91,13 +92,17 @@ impl GoldenRun {
     }
 }
 
-/// A checkpoint store together with the policy that built it.
+/// A checkpoint store together with the policy that built it, and the L1D
+/// liveness log recorded by the same golden pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GoldenCheckpoints {
     /// The per-range snapshots of the golden run.
     pub store: CheckpointStore,
     /// The policy the store was built under (controls early exit).
     pub policy: CheckpointPolicy,
+    /// Which L1D flips the golden run reads before overwriting or evicting
+    /// the word (see [`L1dLiveness`]).
+    pub l1d: L1dLiveness,
 }
 
 impl GoldenCheckpoints {
@@ -109,6 +114,14 @@ impl GoldenCheckpoints {
     /// simulation instead of panicking a worker.
     pub fn usable_for_campaigns(&self) -> bool {
         self.store.starts_at_reset()
+    }
+
+    /// Whether `fault` is Masked by the golden run's future alone: an L1D
+    /// flip the golden run never reads before overwriting or evicting the
+    /// word.  Campaigns and [`FaultInjector`] resolve such faults before
+    /// any restore; the site must exist in the configuration.
+    pub(crate) fn masked_by_golden_future(&self, fault: FaultSpec) -> bool {
+        fault.structure == Structure::L1DCache && !self.l1d.is_live(fault.entry, fault.cycle)
     }
 }
 
@@ -178,7 +191,8 @@ pub(crate) fn build_golden_plain(
 /// [`Session::golden`](crate::Session::golden): the golden run is simulated
 /// exactly once, snapshotting every `policy.min_interval` cycles and
 /// thinning the store per the policy's [`SpacingStrategy`] whenever it
-/// exceeds twice the policy's target count.
+/// exceeds twice the policy's target count, and logging every physical L1D
+/// event into the [`L1dLiveness`] log.
 ///
 /// [`SpacingStrategy`]: merlin_cpu::SpacingStrategy
 pub(crate) fn build_golden_checkpointed(
@@ -193,9 +207,10 @@ pub(crate) fn build_golden_checkpointed(
     }
     let mut cpu = Cpu::with_predecoded(Arc::clone(program), Arc::clone(decoded), cfg.clone())
         .map_err(|e| CampaignError::BadConfig(e.to_string()))?;
+    let mut log = L1dLogger::new(cfg.l1d.total_words());
     let (result, store) = cpu.run_with_adaptive_checkpoints(
         max_cycles,
-        &mut NullProbe,
+        &mut log,
         policy.min_interval,
         policy.target_checkpoints,
         policy.spacing,
@@ -208,6 +223,7 @@ pub(crate) fn build_golden_checkpointed(
         checkpoints: Some(Arc::new(GoldenCheckpoints {
             store,
             policy: *policy,
+            l1d: log.finish(),
         })),
     })
 }
@@ -349,11 +365,19 @@ impl FaultInjector {
     /// Like [`FaultInjector::run`], additionally returning the number of
     /// cycles simulated for the fault — from the restored checkpoint to
     /// wherever the faulty run ended (golden replay to the injection cycle
-    /// plus the faulty suffix; replay only for a fault on a dead site) — the
-    /// deterministic per-fault latency measure the bench harness tracks
-    /// tail latency with.
+    /// plus the faulty suffix; replay only for a fault on a dead site; 0
+    /// for an L1D fault the golden run never reads) — the deterministic
+    /// per-fault latency measure the bench harness tracks tail latency
+    /// with.
     pub fn run_with_cycles(&mut self, fault: FaultSpec) -> (FaultEffect, u64) {
         if site_absent(&self.cfg, fault) {
+            return (FaultEffect::Masked, 0);
+        }
+        if self
+            .ckpts
+            .as_ref()
+            .is_some_and(|c| c.masked_by_golden_future(fault))
+        {
             return (FaultEffect::Masked, 0);
         }
         let Some(ckpts) = &self.ckpts else {

@@ -66,6 +66,7 @@ mod batch;
 mod campaign;
 pub mod chaos;
 mod classify;
+mod liveness;
 mod sampling;
 pub mod schedule;
 mod session;
@@ -74,6 +75,7 @@ pub use campaign::{
     CampaignError, CampaignResult, FaultInjector, FaultOutcome, GoldenCheckpoints, GoldenRun,
 };
 pub use classify::{classify, Classification, FaultEffect, TruncatedEffect};
+pub use liveness::L1dLiveness;
 pub use sampling::{
     fault_population, generate_fault_list, probit, sample_size, z_score, SamplingPlan,
 };

@@ -27,12 +27,13 @@
 //! campaign's tail.
 //!
 //! Each checkpoint range runs through the batched driver (see the `batch`
-//! module); statically-pruned and absent-site faults are resolved first,
-//! without a core.  Without a usable checkpoint store (from-scratch
-//! campaigns) the same machinery runs over contiguous chunks of the
-//! cycle-sorted order and simulates every fault from cycle 0 — there is no
-//! restore source to keep hot, but whole-chunk claiming keeps the
-//! scheduling overhead independent of the fault count.
+//! module); statically-pruned and absent-site faults, and L1D faults the
+//! golden run never reads again, are resolved first, without a core.
+//! Without a usable checkpoint store (from-scratch campaigns) the same
+//! machinery runs over contiguous chunks of the cycle-sorted order and
+//! simulates every fault from cycle 0 — there is no restore source to keep
+//! hot, but whole-chunk claiming keeps the scheduling overhead independent
+//! of the fault count.
 //!
 //! # Determinism
 //!
@@ -129,13 +130,20 @@ pub struct ScheduleStats {
     ///
     /// [`CampaignResult::early_exits`]: crate::CampaignResult::early_exits
     pub forks_retired: u64,
-    /// Faults the batched driver resolved Masked at their injection cycle
-    /// because [`Cpu::fault_site_dead`](merlin_cpu::Cpu::fault_site_dead)
-    /// held on the golden core: the flipped entry is overwritten before any
-    /// read.  No core is restored, forked or stepped for them, so they are
-    /// counted neither in [`ScheduleStats::forks_spawned`] nor in
-    /// `early_exits`.  Always 0 on the from-scratch path, which simulates
-    /// these faults in full.
+    /// Faults resolved Masked because the flipped entry is overwritten (or
+    /// evicted) before anything reads it, in two places:
+    ///
+    /// - L1D faults, before any restore: the golden run's
+    ///   [`L1dLiveness`](crate::L1dLiveness) log says the word's first
+    ///   event at or after the injection cycle is not a read;
+    /// - register-file and store-queue faults, in the batched driver at
+    ///   their injection cycle, when
+    ///   [`Cpu::fault_site_dead`](merlin_cpu::Cpu::fault_site_dead) holds
+    ///   on the golden core.
+    ///
+    /// No core is forked or stepped for them, so they are counted neither
+    /// in [`ScheduleStats::forks_spawned`] nor in `early_exits`.  Always 0
+    /// on the from-scratch path, which simulates these faults in full.
     pub dead_sites: u64,
     /// Cycles the batched driver's shared golden cores replayed — the
     /// per-range prefix work paid *once* instead of per fault.  Kept
@@ -386,10 +394,11 @@ impl<'a> CampaignScheduler<'a> {
         self.ckpts.is_some()
     }
 
-    /// Executes one range.  Statically-pruned and absent-site faults are
-    /// resolved first, without a core; the rest go through the batched
-    /// driver on the worker's pool, or, without a usable store, simulate
-    /// from cycle 0 one by one.
+    /// Executes one range.  Statically-pruned and absent-site faults, and
+    /// L1D faults the golden run never reads, are resolved first, without a
+    /// core; the rest go through the batched driver on the worker's pool
+    /// (a range with no fault left performs no restore), or, without a
+    /// usable store, simulate from cycle 0 one by one.
     ///
     /// When the batched driver aborts (a panic or an unconstructible core),
     /// the attempt's tallies are dropped and each of the range's faults is
@@ -419,6 +428,13 @@ impl<'a> CampaignScheduler<'a> {
                 out.push((idx, FaultEffect::Masked));
             } else if site_absent(&self.cfg, fault) {
                 stats.skipped_sites += 1;
+                out.push((idx, FaultEffect::Masked));
+            } else if self
+                .ckpts
+                .as_ref()
+                .is_some_and(|c| c.masked_by_golden_future(fault))
+            {
+                stats.dead_sites += 1;
                 out.push((idx, FaultEffect::Masked));
             } else {
                 sim.push((idx, fault));
@@ -1087,6 +1103,7 @@ mod tests {
             checkpoints: Some(Arc::new(GoldenCheckpoints {
                 store: late_store,
                 policy: small_policy(),
+                l1d: golden.checkpoints.as_ref().unwrap().l1d.clone(),
             })),
             ..golden.clone()
         };
@@ -1110,6 +1127,37 @@ mod tests {
         // The single-fault injector degrades the same way.
         let mut injector = FaultInjector::new(&program, &cfg, &crippled);
         assert_eq!(injector.run(faults[0]), via_scratch.outcomes[0].effect);
+    }
+
+    #[test]
+    fn l1d_faults_the_golden_run_never_reads_take_no_restore() {
+        let program = tiny_program();
+        let cfg = CpuConfig::default();
+        let golden = golden_ck(&program, &cfg, 1_000_000, &small_policy()).unwrap();
+        let log = &golden.checkpoints.as_ref().unwrap().l1d;
+        // The cold cache is refilled before anything reads it.
+        let dead = FaultSpec::new(Structure::L1DCache, 0, 3, 0);
+        assert!(!log.is_live(dead.entry, dead.cycle));
+        let live = (0..golden.result.cycles)
+            .flat_map(|c| (0..log.words()).map(move |e| (e, c)))
+            .find(|&(e, c)| log.is_live(e, c))
+            .map(|(e, c)| FaultSpec::new(Structure::L1DCache, e, 3, c))
+            .expect("the tiny program reads the L1D");
+        let out = campaign(&program, &cfg, &golden, &[dead], 1);
+        assert_eq!(out.outcomes[0].effect, FaultEffect::Masked);
+        assert_eq!(out.schedule.dead_sites, 1);
+        assert_eq!(out.schedule.restores, 0, "resolved before any restore");
+        let faults = [dead, live];
+        let out = campaign(&program, &cfg, &golden, &faults, 1);
+        let scratch = campaign_scratch(&program, &cfg, &golden, &faults, 1);
+        assert_eq!(out.outcomes, scratch.outcomes);
+        assert_eq!(
+            (out.schedule.dead_sites, out.schedule.forks_spawned),
+            (1, 1)
+        );
+        let mut injector = FaultInjector::new(&program, &cfg, &golden);
+        assert_eq!(injector.run_with_cycles(dead), (FaultEffect::Masked, 0));
+        assert_eq!(injector.run(live), scratch.outcomes[1].effect);
     }
 
     #[test]

@@ -45,6 +45,7 @@ use crate::campaign::{
     build_golden_checkpointed, CampaignError, CampaignResult, FaultInjector, GoldenCheckpoints,
     GoldenRun,
 };
+use crate::liveness::L1dLiveness;
 use crate::sampling::generate_fault_list;
 use crate::schedule::campaign_shared;
 use merlin_analyze::ProgramAnalysis;
@@ -325,9 +326,14 @@ impl Session {
     fn build_golden(&self) -> Result<GoldenRun, CampaignError> {
         if let Some(path) = &self.persist_path {
             let mem_len = (self.program.data_size + self.cfg.extra_memory_bytes) as usize;
-            if let Some(golden) =
-                load_golden(path, self.fingerprint, mem_len, &self.artifact_rejects)
-            {
+            let l1d_words = self.cfg.l1d.total_words();
+            if let Some(golden) = load_golden(
+                path,
+                self.fingerprint,
+                mem_len,
+                l1d_words,
+                &self.artifact_rejects,
+            ) {
                 return Ok(golden);
             }
         }
@@ -462,14 +468,15 @@ impl Session {
         ))
     }
 
-    /// Peak heap footprint of the session's checkpoint store in bytes (0
-    /// when the golden run has not been built or checkpointing is off).
+    /// Peak heap footprint of the session's checkpoint store and L1D
+    /// liveness log in bytes (0 when the golden run has not been built or
+    /// checkpointing is off).
     pub fn checkpoint_footprint_bytes(&self) -> usize {
         match self.golden.get() {
             Some(Ok(GoldenRun {
                 checkpoints: Some(ck),
                 ..
-            })) => ck.store.footprint_bytes(),
+            })) => ck.store.footprint_bytes() + ck.l1d.footprint_bytes(),
             _ => 0,
         }
     }
@@ -753,18 +760,20 @@ impl SessionCache {
 // --- Disk persistence ----------------------------------------------------
 
 const GOLDEN_MAGIC: &[u8; 8] = b"MRLNGLD\0";
-/// Version 3: the file ends with a little-endian FNV-1a checksum over
-/// everything before it, so content corruption is *detected and quarantined*
-/// (renamed to `<name>.golden.corrupt`, counted in
+/// Version 4: the checkpoint store is followed by the golden run's L1D
+/// liveness log ([`L1dLiveness`](crate::L1dLiveness)).  Since version 3
+/// the file ends with a little-endian FNV-1a checksum over everything
+/// before it, so content corruption is *detected and quarantined* (renamed
+/// to `<name>.golden.corrupt`, counted in
 /// [`SessionCache::artifact_rejects`]) instead of gambling on the decoder
 /// happening to fail.  Version 2 encoded checkpoint memory as chunk-level
 /// deltas, version 1 as dense images; older-version files are ordinary cache
 /// misses and are rebuilt, not quarantined.
-const GOLDEN_VERSION: u32 = 3;
+const GOLDEN_VERSION: u32 = 4;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// Bytes of the fixed `.golden` header: magic, version, fingerprint.
 const GOLDEN_HEADER_LEN: usize = GOLDEN_MAGIC.len() + 4 + 8;
-/// Bytes of the v3 checksum trailer.
+/// Bytes of the checksum trailer.
 const GOLDEN_TRAILER_LEN: usize = 8;
 
 fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
@@ -796,9 +805,10 @@ fn save_golden(path: &Path, fingerprint: u64, golden: &GoldenRun) -> io::Result<
             buf.push(1);
             ck.policy.encode(&mut buf);
             ck.store.encode(&mut buf);
+            ck.l1d.encode(&mut buf);
         }
     }
-    // v3 content checksum over header and payload, as the trailer.
+    // Content checksum over header and payload, as the trailer.
     fnv1a(FNV_OFFSET, &buf).encode(&mut buf);
     if let Some(parent) = path.parent() {
         fs::create_dir_all(parent)?;
@@ -828,9 +838,10 @@ fn load_golden(
     path: &Path,
     fingerprint: u64,
     mem_len: usize,
+    l1d_words: usize,
     rejects: &AtomicU64,
 ) -> Option<GoldenRun> {
-    // A file that never claimed to be this context's v3 artifact (foreign
+    // A file that never claimed to be this context's v4 artifact (foreign
     // magic, older version, different fingerprint) is a silent cache miss.
     // A file whose header *does* match but whose content fails the checksum
     // or decode is corruption: quarantined via `reject_corrupt` so a flipped
@@ -862,15 +873,16 @@ fn load_golden(
     }
     // Checksum verified: a decode failure now means the writer itself was
     // broken — still corruption, still quarantined.
-    match decode_golden_payload(&buf[GOLDEN_HEADER_LEN..payload_end], mem_len) {
+    match decode_golden_payload(&buf[GOLDEN_HEADER_LEN..payload_end], mem_len, l1d_words) {
         Some(golden) => Some(golden),
         None => reject_corrupt(path, rejects),
     }
 }
 
 /// Decodes the payload between a `.golden` file's verified header and its
-/// checksum trailer.  `None` on any decode failure or invariant violation.
-fn decode_golden_payload(payload: &[u8], mem_len: usize) -> Option<GoldenRun> {
+/// checksum trailer.  `None` on any decode failure or invariant violation,
+/// an L1D log that does not fit a `l1d_words`-word L1D included.
+fn decode_golden_payload(payload: &[u8], mem_len: usize, l1d_words: usize) -> Option<GoldenRun> {
     let mut r = ByteReader::new(payload);
     let result = BinCode::decode(&mut r).ok()?;
     let timeout_cycles = u64::decode(&mut r).ok()?;
@@ -885,7 +897,8 @@ fn decode_golden_payload(payload: &[u8], mem_len: usize) -> Option<GoldenRun> {
             if !store.snapshots().all(|s| s.memory_dense_bytes() == mem_len) {
                 return None;
             }
-            Some(Arc::new(GoldenCheckpoints { store, policy }))
+            let l1d = L1dLiveness::decode(&mut r, l1d_words).ok()?;
+            Some(Arc::new(GoldenCheckpoints { store, policy, l1d }))
         }
         _ => return None,
     };
@@ -1310,10 +1323,14 @@ mod tests {
         let cache = SessionCache::with_disk_dir(&dir);
         let s1 = cache.session("tiny", &p, &cfg, tune).unwrap();
         s1.golden().unwrap();
-        let store = &s1.golden_checkpoints().unwrap().store;
-        let dense = store.dense_footprint_bytes();
-        let delta = store.footprint_bytes();
-        assert_eq!(delta, s1.checkpoint_footprint_bytes());
+        let ck = s1.golden_checkpoints().unwrap();
+        let dense = ck.store.dense_footprint_bytes();
+        let delta = ck.store.footprint_bytes();
+        // The session's footprint counts the store and the L1D log.
+        assert_eq!(
+            delta + ck.l1d.footprint_bytes(),
+            s1.checkpoint_footprint_bytes()
+        );
         assert!(
             delta * 2 <= dense,
             "in-memory store: delta {delta} vs dense {dense}"
@@ -1426,7 +1443,8 @@ mod tests {
         // Rewrite the version field to the previous format's.
         let file = dir.join(golden_file_name("tiny", s1.fingerprint()));
         let mut bytes = fs::read(&file).unwrap();
-        bytes[GOLDEN_MAGIC.len()..GOLDEN_MAGIC.len() + 4].copy_from_slice(&2u32.to_le_bytes());
+        bytes[GOLDEN_MAGIC.len()..GOLDEN_MAGIC.len() + 4]
+            .copy_from_slice(&(GOLDEN_VERSION - 1).to_le_bytes());
         fs::write(&file, &bytes).unwrap();
 
         let second = SessionCache::with_disk_dir(&dir);

@@ -16,14 +16,20 @@
 //!   under full simulation — the byte-identity against the from-scratch
 //!   campaign, which fully simulates every fault with no convergence
 //!   probes and no dead-site query, pins exactly that;
-//! * the telemetry is exact: a reference scan, stepping its own golden core
-//!   and querying `Cpu::fault_site_dead` at each injection cycle, predicts
-//!   `dead_sites`; stepping a fresh core per live fault from reset and
-//!   comparing its full state with the golden store at each boundary
-//!   predicts `forks_retired` and `early_exits`; and the remaining faults
-//!   account for `forks_spawned` one for one.
+//! * the telemetry is exact: a reference scan predicts `dead_sites`, by
+//!   stepping its own golden core and querying `Cpu::fault_site_dead` at
+//!   each register-file and store-queue fault's injection cycle, and by
+//!   scanning its own recording of the golden run's L1D events for each
+//!   L1D fault (independent of the engine's liveness log); stepping a
+//!   fresh core per live fault from reset and comparing its full state
+//!   with the golden store at each boundary predicts `forks_retired` and
+//!   `early_exits`; and the remaining faults account for `forks_spawned`
+//!   one for one;
+//! * with a 2 KB L1D, where lines are evicted, written back dirty and
+//!   refilled, every built-in workload's L1D faults in valid lines classify
+//!   as from-scratch simulation does.
 
-use merlin_cpu::{CheckpointPolicy, Cpu, CpuConfig, NullProbe};
+use merlin_cpu::{CheckpointPolicy, Cpu, CpuConfig, NullProbe, Probe, ReadInfo, WRITEBACK_RIP};
 use merlin_inject::{CampaignResult, FaultSpec, Session, Structure};
 use merlin_isa::{reg, AluOp, Cond, MemRef, Program, ProgramBuilder};
 use merlin_workloads::workload_by_name;
@@ -112,10 +118,86 @@ fn shared() -> &'static Shared {
     })
 }
 
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum L1dEvent {
+    Read,
+    Write,
+    Invalidate,
+}
+
+/// Every physical event on each L1D word of one golden run, per word in
+/// the order the core emits them: load reads at issue, writeback reads,
+/// writes and invalidations.
+struct L1dTape(Vec<Vec<(u64, L1dEvent)>>);
+
+impl Probe for L1dTape {
+    fn write(&mut self, s: Structure, entry: usize, cycle: u64) {
+        if s == Structure::L1DCache {
+            self.0[entry].push((cycle, L1dEvent::Write));
+        }
+    }
+
+    fn committed_read(&mut self, s: Structure, info: &ReadInfo) {
+        if s == Structure::L1DCache && info.rip == WRITEBACK_RIP {
+            self.0[info.entry].push((info.cycle, L1dEvent::Read));
+        }
+    }
+
+    fn invalidate(&mut self, s: Structure, entry: usize, cycle: u64) {
+        if s == Structure::L1DCache {
+            self.0[entry].push((cycle, L1dEvent::Invalidate));
+        }
+    }
+
+    fn physical_read(&mut self, s: Structure, entry: usize, cycle: u64) {
+        if s == Structure::L1DCache {
+            self.0[entry].push((cycle, L1dEvent::Read));
+        }
+    }
+}
+
+impl L1dTape {
+    /// Records the session's golden run on a fresh core.
+    fn record(s: &Session) -> Self {
+        let mut tape = L1dTape(vec![Vec::new(); s.structure_entries(Structure::L1DCache)]);
+        let mut cpu = Cpu::with_predecoded(
+            Arc::clone(s.program()),
+            Arc::clone(s.decoded()),
+            s.config().clone(),
+        )
+        .unwrap();
+        cpu.run(s.max_cycles(), &mut tape);
+        tape
+    }
+
+    /// Whether a flip in `word` at the start of `cycle` is overwritten or
+    /// evicted before anything reads it: the word's first event at or
+    /// after `cycle` is not a read.
+    fn dead(&self, word: usize, cycle: u64) -> bool {
+        self.0[word]
+            .iter()
+            .find(|&&(c, _)| c >= cycle)
+            .is_none_or(|&(_, e)| e != L1dEvent::Read)
+    }
+
+    /// Whether `word`'s line is valid at the start of `cycle`: its last
+    /// write or invalidation before `cycle` was a write.
+    fn valid(&self, word: usize, cycle: u64) -> bool {
+        self.0[word]
+            .iter()
+            .take_while(|&&(c, _)| c < cycle)
+            .filter(|&&(_, e)| e != L1dEvent::Read)
+            .last()
+            .is_some_and(|&(_, e)| e == L1dEvent::Write)
+    }
+}
+
 /// Reference partition of a fault list, computed without the scheduler:
-/// statically pruned faults, faults on sites a golden core stepped to
-/// their injection cycle reports dead, and the live rest (in list order),
-/// with how many of the live faults re-converge with the golden store.
+/// statically pruned faults, dead faults (register-file and store-queue
+/// sites a golden core stepped to their injection cycle reports dead, and
+/// L1D flips the recorded golden run never reads), and the live rest (in
+/// list order), with how many of the live faults re-converge with the
+/// golden store.
 struct Partition {
     static_prunes: u64,
     dead: u64,
@@ -130,6 +212,7 @@ fn partition(s: &Session, faults: &[FaultSpec]) -> Partition {
         s.config().clone(),
     )
     .unwrap();
+    let tape = L1dTape::record(s);
     let mut order: Vec<usize> = (0..faults.len()).collect();
     order.sort_by_key(|&i| (faults[i].cycle, i));
     let mut live_idx = Vec::new();
@@ -140,6 +223,14 @@ fn partition(s: &Session, faults: &[FaultSpec]) -> Partition {
         if f.structure == Structure::RegisterFile && s.analysis().rf_entry_statically_dead(f.entry)
         {
             static_prunes += 1;
+            continue;
+        }
+        if f.structure == Structure::L1DCache {
+            if tape.dead(f.entry, f.cycle) {
+                dead += 1;
+            } else {
+                live_idx.push(i);
+            }
             continue;
         }
         while !golden.is_finished() && golden.cycle() < f.cycle {
@@ -239,7 +330,34 @@ fn campaigns_match_from_scratch_with_exact_telemetry() {
             Structure::RegisterFile => (80, 42),
             _ => (600, 11),
         };
-        let faults = s.oracle().fault_list(structure, count, seed).unwrap();
+        let mut faults = s.oracle().fault_list(structure, count, seed).unwrap();
+        if structure == Structure::L1DCache {
+            // Uniform L1D flips are nearly all dead (invalid lines, words
+            // not read again), so add flips at the edges of the recorded
+            // reads, where an off-by-one in the liveness log would show: at
+            // a read's cycle (live unless a write or eviction precedes the
+            // read in that cycle) and one cycle after it.
+            let tape = L1dTape::record(s.oracle());
+            let edges: Vec<(usize, u64)> = tape
+                .0
+                .iter()
+                .enumerate()
+                .flat_map(|(w, events)| {
+                    events
+                        .iter()
+                        .filter(|&&(_, e)| e == L1dEvent::Read)
+                        .flat_map(move |&(c, _)| [(w, c), (w, c + 1)])
+                })
+                .collect();
+            let stride = (edges.len() / 60).max(1);
+            faults.extend(
+                edges
+                    .into_iter()
+                    .step_by(stride)
+                    .take(60)
+                    .map(|(w, c)| FaultSpec::new(structure, w, (c % 64) as u8, c)),
+            );
+        }
         let scratch = s.oracle().campaign_from_scratch(&faults).unwrap();
         // From-scratch simulation never forks, replays, probes, restores
         // or queries dead sites.
@@ -332,6 +450,56 @@ fn every_workload_and_structure_matches_from_scratch() {
             }
         }
     }
+}
+
+/// The oracle sweep with evictions: every built-in workload's L1D under a
+/// 2 KB L1D, where lines are evicted, written back dirty and refilled, so
+/// the liveness log's event order is exercised.  Faults are drawn in lines
+/// that are valid at the injection cycle (an invalid line's flip is dead
+/// whatever the order), and classify as from-scratch simulation does at 1
+/// and 4 worker threads, with `dead_sites` as the recorded golden run
+/// predicts.
+#[test]
+fn every_workload_matches_from_scratch_with_a_small_l1d() {
+    const PER_CELL: usize = 5;
+    let cfg = CpuConfig::default().with_l1d_kb(2);
+    let (mut dead, mut live) = (0usize, 0usize);
+    for w in merlin_workloads::all_workloads() {
+        let sessions: Vec<Session> = [1, 4]
+            .into_iter()
+            .map(|t| {
+                Session::builder(&w.program, &cfg)
+                    .threads(t)
+                    .build()
+                    .unwrap()
+            })
+            .collect();
+        let tape = L1dTape::record(&sessions[0]);
+        let faults: Vec<FaultSpec> = sessions[0]
+            .fault_list(Structure::L1DCache, 400, 2017)
+            .unwrap()
+            .into_iter()
+            .filter(|f| tape.valid(f.entry, f.cycle))
+            .take(PER_CELL)
+            .collect();
+        assert_eq!(faults.len(), PER_CELL, "{}: valid-line faults", w.name);
+        let cell_dead = faults
+            .iter()
+            .filter(|f| tape.dead(f.entry, f.cycle))
+            .count();
+        dead += cell_dead;
+        live += PER_CELL - cell_dead;
+        let scratch = sessions[0].campaign_from_scratch(&faults).unwrap();
+        for session in &sessions {
+            let label = format!("{} L1D 2 KB x{}", w.name, session.threads());
+            let result = session.campaign(&faults).unwrap();
+            assert_eq!(result.outcomes, scratch.outcomes, "{label}");
+            assert_eq!(result.schedule.dead_sites, cell_dead as u64, "{label}");
+        }
+    }
+    // Both resolution paths ran: faults the log resolved and faults the
+    // engine forked.
+    assert!(dead > 0 && live > 0, "dead {dead}, live {live}");
 }
 
 proptest! {

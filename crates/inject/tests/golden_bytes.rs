@@ -1,12 +1,13 @@
-//! Pins the `.golden` v3 wire format byte for byte.
+//! Pins the `.golden` v4 wire format byte for byte.
 //!
-//! Persists the golden runs (checkpoint store included) of four short
-//! workloads under `CpuConfig::default()` and the default session knobs,
-//! and asserts each file's FNV-1a digest against a recorded constant.  Any
-//! change to how a persisted type encodes — the core state, the checkpoint
-//! deltas, the run result — changes a digest and fails here, even when a
-//! decode of the new bytes would round-trip.  A deliberate format change
-//! must bump `GOLDEN_VERSION` and re-record these constants.
+//! Persists the golden runs (checkpoint store and L1D liveness log
+//! included) of four short workloads under `CpuConfig::default()` and the
+//! default session knobs, and asserts each file's FNV-1a digest against a
+//! recorded constant.  Any change to how a persisted type encodes — the
+//! core state, the checkpoint deltas, the run result, the log — changes a
+//! digest and fails here, even when a decode of the new bytes would
+//! round-trip.  A deliberate format change must bump `GOLDEN_VERSION` and
+//! re-record these constants.
 
 use merlin_cpu::CpuConfig;
 use merlin_inject::SessionCache;
@@ -14,10 +15,10 @@ use std::fs;
 
 /// `(workload, FNV-1a 64 of the persisted file, file length in bytes)`.
 const PINNED: &[(&str, u64, usize)] = &[
-    ("sha", 0x75f2_a952_a255_8f9f, 269_518),
-    ("susan_e", 0x852d_5ac6_c07a_2806, 289_631),
-    ("fft", 0x04e3_3a64_9466_d02b, 660_151),
-    ("qsort", 0x8d7d_97b8_0cfc_88a4, 948_623),
+    ("sha", 0xcbb1_a80e_52c0_e7fc, 308_258),
+    ("susan_e", 0xdc30_1e5f_0fbb_15f2, 323_219),
+    ("fft", 0x0af2_2a57_459c_b186, 712_395),
+    ("qsort", 0x42ca_bc41_2044_f17a, 1_015_427),
 ];
 
 fn fnv1a(bytes: &[u8]) -> u64 {

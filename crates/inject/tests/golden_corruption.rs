@@ -132,3 +132,67 @@ proptest! {
         let _ = fs::remove_file(&quarantine);
     }
 }
+
+/// A broken writer, not a flipped bit: the L1D liveness log at the end of
+/// the payload is malformed, and the checksum is recomputed over it, so
+/// only the log decoder's validation stands between the bytes and a
+/// campaign.  Each tampered file must be quarantined and the golden run
+/// rebuilt.
+#[test]
+fn a_tampered_log_behind_a_valid_checksum_is_quarantined() {
+    let p = pristine();
+    let l1d = &p.golden.checkpoints.as_ref().unwrap().l1d;
+    assert!(l1d.span_count() > 0, "the workload reads the L1D");
+    // Layout of the log section: offsets (u64 length, u32 per word plus
+    // one), then spans (u64 length, two u64 per span), then the checksum.
+    let payload_end = p.bytes.len() - 8;
+    let log_len = 8 + 4 * (l1d.words() + 1) + 8 + 16 * l1d.span_count();
+    let log_start = payload_end - log_len;
+    let len_at = |at: usize| u64::from_le_bytes(p.bytes[at..at + 8].try_into().unwrap());
+    assert_eq!(len_at(log_start), l1d.words() as u64 + 1);
+    assert_eq!(
+        len_at(payload_end - 16 * l1d.span_count() - 8),
+        l1d.span_count() as u64
+    );
+    let tampers: [(&str, usize, Vec<u8>); 2] = [
+        // The second offset jumps past the span count.
+        (
+            "offsets",
+            log_start + 8 + 4,
+            u32::MAX.to_le_bytes().to_vec(),
+        ),
+        // The last span's `lo` exceeds its `hi`.
+        ("span", payload_end - 16, u64::MAX.to_le_bytes().to_vec()),
+    ];
+    // A directory of its own: the property above rewrites the pristine
+    // path concurrently.
+    let dir = p.dir.with_extension("log");
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(p.path.file_name().unwrap());
+    let quarantine = corrupt_path(&path);
+    for (what, at, patch) in tampers {
+        let _ = fs::remove_file(&quarantine);
+        let mut bytes = p.bytes[..payload_end].to_vec();
+        bytes[at..at + patch.len()].copy_from_slice(&patch);
+        let checksum = fnv1a(&bytes);
+        bytes.extend_from_slice(&checksum.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+
+        let (cache, session) = build_session(&dir);
+        assert_eq!(session.golden().unwrap(), &p.golden, "{what}");
+        assert_eq!(session.golden_builds(), 1, "{what}: tampered log used");
+        assert_eq!(cache.artifact_rejects(), 1, "{what}");
+        assert_eq!(fs::read(&quarantine).unwrap(), bytes, "{what}");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x100_0000_01b3);
+    }
+    hash
+}
