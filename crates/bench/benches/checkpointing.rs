@@ -12,12 +12,8 @@
 //!   (`restores`, `range_steals`, `suffix_cycles`, `golden_replay_cycles`,
 //!   the dead-site and fork counters);
 //! * **store footprint** — delta-encoded vs dense snapshot bytes;
-//! * **tail latency** — per-fault wall time and simulated cycles (mean and
-//!   p95) under suffix-work spacing against equal-cycle spacing for the
-//!   same checkpoint policy (`p95_fault_s` / `p95_fault_s_equal_cycles`).
-//!   The suffix-work store retains the equal-cycles grid plus head
-//!   midpoints, so per-fault simulated cycles are never higher; the wall
-//!   numbers realise that as lower mean and tail latency;
+//! * **tail latency** — per-fault wall time and simulated cycles on the
+//!   default store (`p95_fault_s`, `p95_fault_cycles`, `mean_fault_cycles`);
 //! * **hot-loop cost** — restores and the bytes they made equal to the
 //!   checkpoint (`restores` / `restored_bytes`, per structure in
 //!   `restored_bytes_by_structure`), plus a decode microbenchmark comparing per-fetch cracking against
@@ -29,7 +25,7 @@
 //!   from-scratch simulation on both stores.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use merlin_cpu::{CpuConfig, SpacingStrategy, Structure};
+use merlin_cpu::{CpuConfig, Structure};
 use merlin_inject::{CampaignResult, CheckpointPolicy, Session};
 use merlin_isa::{decode, DecodedProgram, Program, Rip};
 use merlin_workloads::workload_by_name;
@@ -49,11 +45,8 @@ const THREADS: usize = 4;
 const LATENCY_REPS: usize = 5;
 
 struct Prepared {
-    /// Suffix-work spacing on the dense default store.
+    /// The dense default store.
     session: Session,
-    /// Equal-cycle spacing at the same checkpoint budget, for the tail
-    /// latency comparison.
-    session_equal: Session,
     /// Sparse [`SPARSE_TARGET`]-checkpoint store.
     session_sparse: Session,
     faults: Vec<merlin_cpu::FaultSpec>,
@@ -72,18 +65,12 @@ fn prepare(name: &'static str) -> Prepared {
         session.golden().unwrap();
         session
     };
-    let dense = |spacing: SpacingStrategy| CheckpointPolicy::default().with_spacing(spacing);
-    let session = build(dense(SpacingStrategy::SuffixWork));
-    let session_equal = build(dense(SpacingStrategy::EqualCycles));
+    let session = build(CheckpointPolicy::default());
     let session_sparse = build(CheckpointPolicy {
         target_checkpoints: SPARSE_TARGET,
         ..CheckpointPolicy::default()
     });
-    let store_len = session
-        .golden_checkpoints()
-        .expect("checkpoints on")
-        .store
-        .len();
+    let store_len = session.golden_checkpoints().expect("built").store.len();
     assert!(
         store_len >= 8,
         "{name}: expected ≥ 8 checkpoints, got {store_len}"
@@ -93,7 +80,6 @@ fn prepare(name: &'static str) -> Prepared {
         .unwrap();
     Prepared {
         session,
-        session_equal,
         session_sparse,
         faults,
     }
@@ -214,14 +200,13 @@ fn checkpointing(c: &mut Criterion) {
         let footprint = store.footprint_bytes();
         let dense_footprint = store.dense_footprint_bytes();
         let shrink = dense_footprint as f64 / footprint.max(1) as f64;
-        // Tail latency: suffix-work vs equal-cycle spacing, same policy,
-        // over a larger fault list so the p95 order statistic is stable.
+        // Tail latency over a larger fault list, so the p95 order statistic
+        // is stable.
         let latency_faults = p
             .session
             .fault_list(Structure::RegisterFile, LATENCY_FAULTS, 2017)
             .unwrap();
-        let sw = fault_latency(&p.session, &latency_faults);
-        let eq = fault_latency(&p.session_equal, &latency_faults);
+        let lat = fault_latency(&p.session, &latency_faults);
         let (decode_ns, predecoded_ns) = decode_microbench(p.session.program());
         println!(
             "checkpointing/{name}: {FAULTS} faults, {checkpoints} checkpoints, \
@@ -234,8 +219,7 @@ fn checkpointing(c: &mut Criterion) {
              store {footprint} B delta vs {dense_footprint} B dense -> {shrink:.2}x smaller, \
              {} restores ({} B restored), \
              {} range steals, {} range splits, {} statically pruned, \
-             p95/fault {:.2} ms suffix-work vs {:.2} ms equal-cycles \
-             (p95 {} vs {} cycles, mean {} vs {} cycles), \
+             p95/fault {:.2} ms (p95 {} cycles, mean {} cycles), \
              decode {decode_ns:.1} ns/uop vs predecoded {predecoded_ns:.1} ns/uop",
             sched.suffix_cycles,
             sched.golden_replay_cycles,
@@ -252,12 +236,9 @@ fn checkpointing(c: &mut Criterion) {
             sched.range_steals,
             sched.range_splits,
             sched.static_prunes,
-            1e3 * sw.p95_s,
-            1e3 * eq.p95_s,
-            sw.p95_cycles,
-            eq.p95_cycles,
-            sw.mean_cycles,
-            eq.mean_cycles,
+            1e3 * lat.p95_s,
+            lat.p95_cycles,
+            lat.mean_cycles,
         );
         json_rows.push(format!(
             "  {{\"workload\": \"{name}\", \"faults\": {FAULTS}, \
@@ -290,11 +271,8 @@ fn checkpointing(c: &mut Criterion) {
              \"sparse_cow_breaks\": {}, \
              \"latency_faults\": {LATENCY_FAULTS}, \
              \"p95_fault_s\": {:.6}, \
-             \"p95_fault_s_equal_cycles\": {:.6}, \
              \"p95_fault_cycles\": {}, \
-             \"p95_fault_cycles_equal_cycles\": {}, \
              \"mean_fault_cycles\": {}, \
-             \"mean_fault_cycles_equal_cycles\": {}, \
              \"decode_ns_per_uop\": {decode_ns:.2}, \
              \"predecoded_ns_per_uop\": {predecoded_ns:.2}}}",
             p.session.golden().unwrap().result.cycles,
@@ -328,12 +306,9 @@ fn checkpointing(c: &mut Criterion) {
             ssched.fork_bytes_copied,
             ssched.fork_bytes_shared,
             ssched.cow_breaks,
-            sw.p95_s,
-            eq.p95_s,
-            sw.p95_cycles,
-            eq.p95_cycles,
-            sw.mean_cycles,
-            eq.mean_cycles,
+            lat.p95_s,
+            lat.p95_cycles,
+            lat.mean_cycles,
         ));
     }
     group.finish();

@@ -90,7 +90,6 @@ impl ExperimentScale {
             threads: self.threads,
             max_cycles: 500_000_000,
             seed: self.seed,
-            ..Default::default()
         }
     }
 }
@@ -154,8 +153,7 @@ pub fn session_for(workload: &Workload, cfg: &CpuConfig, scale: &ExperimentScale
     let merlin_cfg = scale.merlin_config();
     session_cache()
         .session(workload.name, &workload.program, cfg, |b| {
-            b.checkpoints(merlin_cfg.checkpoints)
-                .max_cycles(merlin_cfg.max_cycles)
+            b.max_cycles(merlin_cfg.max_cycles)
                 .threads(merlin_cfg.threads)
         })
         .unwrap_or_else(|e| panic!("session setup failed for {}: {e}", workload.name))

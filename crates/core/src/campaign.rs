@@ -5,7 +5,7 @@
 
 use crate::grouping::{reduce_fault_list, FaultListReduction};
 use merlin_ace::{AceAnalysis, AceError};
-use merlin_cpu::{CheckpointPolicy, CpuConfig, FaultSpec, Structure};
+use merlin_cpu::{CpuConfig, FaultSpec, Structure};
 use merlin_inject::{
     generate_fault_list, CampaignError, Classification, FaultEffect, FaultInjector, GoldenRun,
     Session, SessionBuilder,
@@ -14,7 +14,12 @@ use merlin_isa::Program;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// Tunables of a MeRLiN run.
+/// Tunables of a MeRLiN run.  Every campaign phase (representative
+/// injection, comprehensive and post-ACE baselines) restores the golden
+/// run's checkpoints under the default
+/// [`CheckpointPolicy`](merlin_cpu::CheckpointPolicy); a caller that needs
+/// another policy sets it on the builder [`MerlinConfig::session_builder`]
+/// returns.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MerlinConfig {
     /// Worker threads for the injection phase.
@@ -23,10 +28,6 @@ pub struct MerlinConfig {
     pub max_cycles: u64,
     /// Seed for the statistical fault sampling.
     pub seed: u64,
-    /// Checkpointing of the golden run: every campaign phase (representative
-    /// injection, comprehensive and post-ACE baselines) restores these
-    /// checkpoints instead of re-simulating from cycle 0.
-    pub checkpoints: CheckpointPolicy,
 }
 
 impl Default for MerlinConfig {
@@ -37,17 +38,15 @@ impl Default for MerlinConfig {
                 .unwrap_or(4),
             max_cycles: 200_000_000,
             seed: 0x4D45_524C, // "MERL"
-            checkpoints: CheckpointPolicy::default(),
         }
     }
 }
 
 impl MerlinConfig {
     /// A session builder carrying this configuration's execution knobs
-    /// (checkpoint policy, cycle budget, thread count).
+    /// (cycle budget, thread count) and the default checkpoint policy.
     pub fn session_builder(&self, program: &Program, cfg: &CpuConfig) -> SessionBuilder {
         Session::builder(program, cfg)
-            .checkpoints(self.checkpoints)
             .max_cycles(self.max_cycles)
             .threads(self.threads)
     }
@@ -345,6 +344,7 @@ mod tests {
     use super::*;
     use crate::session::SessionMethodology;
     use merlin_ace::SessionAce;
+    use merlin_cpu::CheckpointPolicy;
     use merlin_inject::TruncatedEffect;
     use merlin_workloads::workload_by_name;
 
@@ -429,7 +429,6 @@ mod tests {
             threads: 3,
             max_cycles: 50_000_000,
             seed: 7,
-            ..Default::default()
         };
         let session = merlin_cfg
             .session_builder(&w.program, &small_cfg())
@@ -437,7 +436,7 @@ mod tests {
             .unwrap();
         assert_eq!(session.threads(), 3);
         assert_eq!(session.max_cycles(), 50_000_000);
-        assert_eq!(session.policy(), &merlin_cfg.checkpoints);
+        assert_eq!(session.policy(), &CheckpointPolicy::default());
     }
 
     #[test]

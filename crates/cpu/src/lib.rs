@@ -78,4 +78,4 @@ pub use merlin_isa::DecodedProgram;
 pub use predictor::{BranchPredictor, Btb};
 pub use probe::{NullProbe, Probe, ReadInfo, RecordingProbe, Structure, WRITEBACK_RIP};
 pub use regfile::{FreeList, PhysReg, PhysRegFile, RenameTable};
-pub use snapshot::{CheckpointPolicy, CheckpointStore, SpacingStrategy};
+pub use snapshot::{CheckpointPolicy, CheckpointStore};

@@ -258,10 +258,12 @@ proptest! {
         let mut reference = Cpu::new(program.clone(), cfg.clone()).unwrap();
         let golden = reference.run(2_000_000, &mut NullProbe);
         prop_assert!(golden.exit.is_halted());
+        // Six ranges: the body grid never outgrows twice the target, so
+        // the store holds every multiple of the interval.
         let interval = (golden.cycles / 6).max(1);
         let (result, store) = Cpu::new(program.clone(), cfg.clone())
             .unwrap()
-            .run_with_checkpoints(2_000_000, &mut NullProbe, interval);
+            .run_with_adaptive_checkpoints(2_000_000, &mut NullProbe, interval, 6);
         prop_assert_eq!(&result, &golden);
         let decoded: CheckpointStore = decode_from_slice(&encode_to_vec(&store)).unwrap();
         prop_assert_eq!(&decoded, &store);

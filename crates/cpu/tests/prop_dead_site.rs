@@ -172,6 +172,71 @@ fn a_store_queue_slot_is_dead_until_its_data_arrives_and_live_after() {
     assert_ne!(after.output, golden.output);
 }
 
+/// A chain of six divides into r2, then four more from r2 into r5, then
+/// `r4 = r2 + r5` as the output.  The sixth divide's destination register
+/// is allocated long before its value arrives, and the add reads it again
+/// long after.
+fn late_register_program() -> Program {
+    let mut b = ProgramBuilder::new();
+    b.movi(reg(2), 1 << 40);
+    b.movi(reg(3), 3);
+    for _ in 0..6 {
+        b.alu_rr(AluOp::Div, reg(2), reg(2), reg(3));
+    }
+    b.alu_rr(AluOp::Div, reg(5), reg(2), reg(3));
+    for _ in 0..3 {
+        b.alu_rr(AluOp::Div, reg(5), reg(5), reg(3));
+    }
+    b.alu_rr(AluOp::Add, reg(4), reg(2), reg(5));
+    b.out(reg(4));
+    b.halt();
+    b.build().unwrap()
+}
+
+#[test]
+fn a_register_is_dead_until_its_value_arrives_and_live_after() {
+    let program = late_register_program();
+    let mut probe = RecordingProbe::default();
+    let golden = core(&program).run(100_000, &mut probe);
+    // Register writebacks in dependence order: the two moves, the six
+    // divides into r2, the four into r5 and the add.  The sixth divide
+    // writes its destination register at cycle `w`; the register was free,
+    // then allocated and waiting.
+    let rf: Vec<(usize, u64)> = probe
+        .writes
+        .iter()
+        .filter(|(s, _, _)| *s == Structure::RegisterFile)
+        .map(|&(_, p, c)| (p, c))
+        .collect();
+    assert_eq!(rf.len(), 2 + 6 + 4 + 1);
+    let (p, w) = rf[2 + 5];
+    assert!(w > 10, "the divide chain must delay the last result");
+    let mut cpu = core(&program);
+    while cpu.cycle() <= w {
+        assert!(
+            cpu.fault_site_dead(Structure::RegisterFile, p),
+            "register {p} live at cycle {}",
+            cpu.cycle()
+        );
+        cpu.step(&mut NullProbe);
+    }
+    // Start of cycle w + 1: the register holds the value the add reads, so
+    // a flip there is live — and observable.
+    assert!(!cpu.fault_site_dead(Structure::RegisterFile, p));
+    let before = run_with(
+        &program,
+        FaultSpec::new(Structure::RegisterFile, p, 0, w),
+        100_000,
+    );
+    assert_eq!(before, golden);
+    let after = run_with(
+        &program,
+        FaultSpec::new(Structure::RegisterFile, p, 0, w + 1),
+        100_000,
+    );
+    assert_ne!(after.output, golden.output);
+}
+
 #[test]
 fn a_free_register_is_dead_and_a_mapped_one_is_live() {
     let cpu = core(&late_store_program());

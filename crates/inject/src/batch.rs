@@ -70,7 +70,7 @@
 //! classified [`Assert`](crate::FaultEffect::Assert) on its own and every
 //! other fault of the range classifies as usual.
 
-use crate::campaign::{FaultRun, GoldenCheckpoints, GoldenRun};
+use crate::campaign::{FaultRun, GoldenRun};
 use crate::classify::{classify, FaultEffect};
 use crate::schedule::ScheduleStats;
 use merlin_cpu::{Cpu, CpuConfig, FaultSpec, NullProbe};
@@ -169,7 +169,6 @@ fn abort_faulty(pool: &mut ForkPool, golden_core: Cpu, fork: Option<Cpu>) {
 pub(crate) fn run_batched_range(
     pool: &mut ForkPool,
     golden: &GoldenRun,
-    ckpts: &GoldenCheckpoints,
     boundaries: &[u64],
     sim: &[(usize, FaultSpec)],
     stats: &mut ScheduleStats,
@@ -178,9 +177,9 @@ pub(crate) fn run_batched_range(
     let &[(_, first), ..] = sim else {
         return Some(out);
     };
-    let state = ckpts.store.latest_at_or_before(first.cycle)?;
+    let store = &golden.checkpoints.store;
+    let state = store.latest_at_or_before(first.cycle)?;
     let timeout = golden.timeout_cycles;
-    let early_exit = ckpts.policy.early_exit;
 
     let mut golden_core = pool.take()?;
     match catch_unwind(AssertUnwindSafe(|| golden_core.restore_from(state))) {
@@ -277,17 +276,17 @@ pub(crate) fn run_batched_range(
         // Bit-identical state at a boundary implies an identical
         // remainder, hence Masked.  The cursor starts at the first boundary
         // strictly after the injection cycle and walks the store's cycles,
-        // so equal-cycle and suffix-work stores work alike.
+        // head midpoints included.
         let core = fork.as_mut().unwrap_or(&mut golden_core);
         let ran = catch_unwind(AssertUnwindSafe(|| {
             let mut probe = NullProbe;
             let mut next = boundaries.partition_point(|&c| c <= fault.cycle);
             while !core.is_finished() && core.cycle() < timeout {
-                if early_exit && next < boundaries.len() {
+                if next < boundaries.len() {
                     if boundaries[next] < core.cycle() {
                         next += 1;
                     } else if boundaries[next] == core.cycle() {
-                        if let Some(g) = ckpts.store.at_cycle(core.cycle()) {
+                        if let Some(g) = store.at_cycle(core.cycle()) {
                             if core.matches_state(g) {
                                 return FaultRun {
                                     effect: FaultEffect::Masked,

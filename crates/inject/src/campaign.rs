@@ -12,15 +12,14 @@
 //!    exactly once while snapshotting the complete microarchitectural state
 //!    ([`CpuState`](merlin_cpu::CpuState)) into a [`CheckpointStore`], in a
 //!    single adaptive pass: snapshots are taken at the policy's minimum
-//!    interval and the store is thinned whenever it exceeds twice the
-//!    [`CheckpointPolicy`] target — by interval doubling
-//!    ([`SpacingStrategy::EqualCycles`](merlin_cpu::SpacingStrategy)) or by
-//!    retaining the snapshots nearest the equal-*suffix-work* boundaries
-//!    ([`SpacingStrategy::SuffixWork`](merlin_cpu::SpacingStrategy), the
-//!    default) — so a run of any length ends up with ~target..2×target
-//!    checkpoints without a sizing pre-pass.  The store rides inside the
-//!    returned [`GoldenRun`], so every campaign over that golden run shares
-//!    it.
+//!    interval, the grid doubles whenever it exceeds twice the
+//!    [`CheckpointPolicy`] target, and the spare budget halves the earliest,
+//!    suffix-heaviest ranges (see
+//!    [`Cpu::run_with_adaptive_checkpoints`](merlin_cpu::Cpu::run_with_adaptive_checkpoints))
+//!    — so a run of any length ends up with ~target..2×target checkpoints,
+//!    starting with the cycle-0 snapshot, without a sizing pre-pass.  Every
+//!    golden run is checkpointed; the store rides inside the returned
+//!    [`GoldenRun`], so every campaign over that golden run shares it.
 //! 2. [`Session::campaign`](crate::Session::campaign) hands the fault list
 //!    to the [`CampaignScheduler`](crate::CampaignScheduler) (see the
 //!    [`schedule`](crate::schedule) module), which buckets it into
@@ -60,62 +59,43 @@ use merlin_isa::{DecodedProgram, Program};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// The fault-free reference execution a campaign compares against.
-///
-/// When produced under an enabled [`CheckpointPolicy`] (the default for
-/// [`Session::golden`](crate::Session::golden)) it also carries the
-/// checkpoint store, which every campaign and baseline over this golden run
-/// then shares (`Arc`); a disabled policy leaves it empty and campaigns fall
-/// back to from-scratch simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The fault-free reference execution a campaign compares against, built
+/// by [`Session::golden`](crate::Session::golden) together with its
+/// checkpoints, which every campaign and baseline over this golden run
+/// shares (`Arc`).
+#[derive(Debug, Clone, PartialEq)]
 pub struct GoldenRun {
     /// Result of the fault-free run.
     pub result: RunResult,
     /// Cycle budget granted to faulty runs: the paper's 3× rule for
     /// deadlock/livelock detection.
     pub timeout_cycles: u64,
-    /// Checkpoints of the golden run plus the policy they were built under,
-    /// when checkpointing is enabled.  Never serialised (a store can run to
-    /// many megabytes and is cheap to rebuild); with real serde this field
-    /// must keep its `skip` attribute or the derive stops compiling.
-    #[serde(skip)]
-    pub checkpoints: Option<Arc<GoldenCheckpoints>>,
+    /// Checkpoints of the golden run, starting with the cycle-0 snapshot,
+    /// and its L1D liveness log.
+    pub checkpoints: Arc<GoldenCheckpoints>,
 }
 
 impl GoldenRun {
     /// The paper's deadlock/livelock budget for faulty runs: 3× the golden
     /// run's cycle count, floored at 1000 cycles for very short programs.
-    /// The single definition both golden-run builders use, so the rule
-    /// cannot drift between the plain and checkpointed paths.
     pub fn timeout_for(golden_cycles: u64) -> u64 {
         golden_cycles.saturating_mul(3).max(1000)
     }
 }
 
-/// A checkpoint store together with the policy that built it, and the L1D
-/// liveness log recorded by the same golden pass.
+/// A golden run's checkpoint store and the L1D liveness log recorded by
+/// the same golden pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GoldenCheckpoints {
-    /// The per-range snapshots of the golden run.
+    /// The per-range snapshots of the golden run; the first is the cycle-0
+    /// reset state, so every injection cycle has a restore point.
     pub store: CheckpointStore,
-    /// The policy the store was built under (controls early exit).
-    pub policy: CheckpointPolicy,
     /// Which L1D flips the golden run reads before overwriting or evicting
     /// the word (see [`L1dLiveness`]).
     pub l1d: L1dLiveness,
 }
 
 impl GoldenCheckpoints {
-    /// Whether the store can serve every injection cycle of a campaign — it
-    /// must hold a snapshot at or before any cycle, i.e. start with the
-    /// cycle-0 reset state.  Stores built through the session layer always
-    /// qualify; a degenerate store (decoded from a foreign `.golden` file,
-    /// or built on a mid-run core) makes campaigns fall back to from-scratch
-    /// simulation instead of panicking a worker.
-    pub fn usable_for_campaigns(&self) -> bool {
-        self.store.starts_at_reset()
-    }
-
     /// Whether `fault` is Masked by the golden run's future alone: an L1D
     /// flip the golden run never reads before overwriting or evicting the
     /// word.  Campaigns and [`FaultInjector`] resolve such faults before
@@ -169,32 +149,11 @@ fn golden_run_from_result(result: RunResult) -> Result<RunResult, CampaignError>
     Ok(result)
 }
 
-/// Plain golden run, used by the session layer when checkpointing is off.
-pub(crate) fn build_golden_plain(
-    program: &Arc<Program>,
-    decoded: &Arc<DecodedProgram>,
-    cfg: &CpuConfig,
-    max_cycles: u64,
-) -> Result<GoldenRun, CampaignError> {
-    let mut cpu = Cpu::with_predecoded(Arc::clone(program), Arc::clone(decoded), cfg.clone())
-        .map_err(|e| CampaignError::BadConfig(e.to_string()))?;
-    let result = golden_run_from_result(cpu.run(max_cycles, &mut NullProbe))?;
-    let timeout_cycles = GoldenRun::timeout_for(result.cycles);
-    Ok(GoldenRun {
-        result,
-        timeout_cycles,
-        checkpoints: None,
-    })
-}
-
 /// One-pass checkpointed golden run, used by
 /// [`Session::golden`](crate::Session::golden): the golden run is simulated
 /// exactly once, snapshotting every `policy.min_interval` cycles and
-/// thinning the store per the policy's [`SpacingStrategy`] whenever it
-/// exceeds twice the policy's target count, and logging every physical L1D
-/// event into the [`L1dLiveness`] log.
-///
-/// [`SpacingStrategy`]: merlin_cpu::SpacingStrategy
+/// thinning the store whenever it exceeds twice the policy's target count,
+/// and logging every physical L1D event into the [`L1dLiveness`] log.
 pub(crate) fn build_golden_checkpointed(
     program: &Arc<Program>,
     decoded: &Arc<DecodedProgram>,
@@ -202,9 +161,6 @@ pub(crate) fn build_golden_checkpointed(
     max_cycles: u64,
     policy: &CheckpointPolicy,
 ) -> Result<GoldenRun, CampaignError> {
-    if !policy.enabled {
-        return build_golden_plain(program, decoded, cfg, max_cycles);
-    }
     let mut cpu = Cpu::with_predecoded(Arc::clone(program), Arc::clone(decoded), cfg.clone())
         .map_err(|e| CampaignError::BadConfig(e.to_string()))?;
     let mut log = L1dLogger::new(cfg.l1d.total_words());
@@ -213,18 +169,16 @@ pub(crate) fn build_golden_checkpointed(
         &mut log,
         policy.min_interval,
         policy.target_checkpoints,
-        policy.spacing,
     );
     let result = golden_run_from_result(result)?;
     let timeout_cycles = GoldenRun::timeout_for(result.cycles);
     Ok(GoldenRun {
         result,
         timeout_cycles,
-        checkpoints: Some(Arc::new(GoldenCheckpoints {
+        checkpoints: Arc::new(GoldenCheckpoints {
             store,
-            policy: *policy,
             l1d: log.finish(),
-        })),
+        }),
     })
 }
 
@@ -291,20 +245,14 @@ pub(crate) fn site_absent(cfg: &CpuConfig, fault: FaultSpec) -> bool {
 /// time (e.g. truncated-run studies) rather than through
 /// [`Session::campaign`](crate::Session::campaign).
 ///
-/// Shares the program and configuration across faults via `Arc`.  When the
-/// golden run carries a usable checkpoint store, each fault runs as a
-/// one-fault range of the batched driver that campaigns use (see the
-/// `batch` module): a reused core restores the fault's checkpoint, replays
-/// to the injection cycle and takes the fault itself.  Without a store each
-/// fault builds a fresh core and simulates from cycle 0.
+/// Shares the program and configuration across faults via `Arc`.  Each
+/// fault runs as a one-fault range of the batched driver that campaigns use
+/// (see the `batch` module): a reused core restores the fault's checkpoint,
+/// replays to the injection cycle and takes the fault itself.
 pub struct FaultInjector {
-    program: Arc<Program>,
-    decoded: Arc<DecodedProgram>,
     cfg: Arc<CpuConfig>,
     golden: GoldenRun,
-    /// The golden store, when usable for campaigns.
-    ckpts: Option<Arc<GoldenCheckpoints>>,
-    /// Ascending checkpoint cycles of the usable store — computed once so
+    /// Ascending checkpoint cycles of the golden store — computed once so
     /// per-fault runs allocate nothing.
     boundaries: Vec<u64>,
     /// Reused golden-replay and fork cores.
@@ -312,42 +260,20 @@ pub struct FaultInjector {
 }
 
 impl FaultInjector {
-    /// Creates an injector over one (program, configuration, golden run)
-    /// triple.  The program is cloned once here, never per fault.
-    pub fn new(program: &Program, cfg: &CpuConfig, golden: &GoldenRun) -> Self {
-        Self::from_parts(
-            Arc::new(program.clone()),
-            Arc::new(DecodedProgram::new(program)),
-            Arc::new(cfg.clone()),
-            golden.clone(),
-        )
-    }
-
     /// Clone-free constructor used by [`Session::injector`](crate::Session):
     /// the session already holds the program, its pre-decoded table and the
     /// configuration behind `Arc`s.
-    pub(crate) fn from_parts(
-        program: Arc<Program>,
-        decoded: Arc<DecodedProgram>,
+    pub(crate) fn new(
+        program: &Arc<Program>,
+        decoded: &Arc<DecodedProgram>,
         cfg: Arc<CpuConfig>,
         golden: GoldenRun,
     ) -> Self {
-        let ckpts = golden
-            .checkpoints
-            .clone()
-            .filter(|c| c.usable_for_campaigns());
-        let boundaries = ckpts
-            .as_ref()
-            .map(|c| c.store.cycles().collect())
-            .unwrap_or_default();
         FaultInjector {
-            pool: ForkPool::new(&program, &decoded, &cfg),
-            program,
-            decoded,
+            pool: ForkPool::new(program, decoded, &cfg),
             cfg,
+            boundaries: golden.checkpoints.store.cycles().collect(),
             golden,
-            ckpts,
-            boundaries,
         }
     }
 
@@ -357,7 +283,7 @@ impl FaultInjector {
     }
 
     /// Runs one fault and classifies its effect, without per-fault clones
-    /// and with checkpoint-restore suffix simulation when available.
+    /// and with checkpoint-restore suffix simulation.
     pub fn run(&mut self, fault: FaultSpec) -> FaultEffect {
         self.run_with_cycles(fault).0
     }
@@ -373,28 +299,13 @@ impl FaultInjector {
         if site_absent(&self.cfg, fault) {
             return (FaultEffect::Masked, 0);
         }
-        if self
-            .ckpts
-            .as_ref()
-            .is_some_and(|c| c.masked_by_golden_future(fault))
-        {
+        if self.golden.checkpoints.masked_by_golden_future(fault) {
             return (FaultEffect::Masked, 0);
         }
-        let Some(ckpts) = &self.ckpts else {
-            let run = run_single_fault_shared(
-                &self.program,
-                &self.decoded,
-                &self.cfg,
-                &self.golden,
-                fault,
-            );
-            return (run.effect, run.suffix_cycles);
-        };
         let mut stats = ScheduleStats::default();
         match run_batched_range(
             &mut self.pool,
             &self.golden,
-            ckpts,
             &self.boundaries,
             &[(0, fault)],
             &mut stats,

@@ -13,10 +13,12 @@
 //!   to size its campaigns ([`SamplingPlan`], [`sample_size`],
 //!   [`generate_fault_list`]),
 //! * the checkpoint-and-restore injection engine behind
-//!   [`Session::campaign`]: the golden run is snapshotted in one adaptive
-//!   pass (spaced by equal cycles or equal estimated suffix work, see
-//!   [`SpacingStrategy`]) and every faulty run starts from the nearest
-//!   checkpoint and simulates only its post-injection suffix — every
+//!   [`Session::campaign`]: every golden run is snapshotted in one adaptive
+//!   pass, from the cycle-0 snapshot on, with the earliest,
+//!   suffix-heaviest ranges halved (see [`CheckpointPolicy`]), and every
+//!   faulty run starts from the nearest checkpoint and simulates only its
+//!   post-injection suffix, retiring Masked at the first checkpoint where
+//!   its state re-converges with the golden run's — every
 //!   session shares one pre-decoded micro-op arena
 //!   (`merlin_isa::DecodedProgram`) across all of its cores, and restores
 //!   adopt the snapshot's copy-on-write pages instead of copying them,
@@ -84,6 +86,4 @@ pub use session::{Session, SessionBuilder, SessionCache, SessionKey};
 
 // Re-exported so downstream crates can name fault sites and checkpoint
 // policies without depending on merlin-cpu directly.
-pub use merlin_cpu::{
-    CheckpointPolicy, CheckpointStore, FaultSpec, FaultSpecError, SpacingStrategy, Structure,
-};
+pub use merlin_cpu::{CheckpointPolicy, CheckpointStore, FaultSpec, FaultSpecError, Structure};

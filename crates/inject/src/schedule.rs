@@ -20,20 +20,19 @@
 //!    single fault, so restore locality survives stealing.  Steals are
 //!    counted in [`ScheduleStats::range_steals`].
 //!
-//! Combined with suffix-work checkpoint spacing
-//! ([`SpacingStrategy::SuffixWork`](merlin_cpu::SpacingStrategy)) the
-//! buckets carry roughly equal expected *work*, not equal fault counts, so
-//! range-bound workers finish together instead of one worker dragging the
-//! campaign's tail.
+//! Checkpoint placement halves the earliest, suffix-heaviest ranges (see
+//! [`Cpu::run_with_adaptive_checkpoints`](merlin_cpu::Cpu::run_with_adaptive_checkpoints)),
+//! so the buckets carry roughly equal expected *work*, not equal fault
+//! counts, and range-bound workers finish together instead of one worker
+//! dragging the campaign's tail.
 //!
 //! Each checkpoint range runs through the batched driver (see the `batch`
 //! module); statically-pruned and absent-site faults, and L1D faults the
 //! golden run never reads again, are resolved first, without a core.
-//! Without a usable checkpoint store (from-scratch campaigns) the same
-//! machinery runs over contiguous chunks of the cycle-sorted order and
-//! simulates every fault from cycle 0 — there is no restore source to keep
-//! hot, but whole-chunk claiming keeps the scheduling overhead independent
-//! of the fault count.
+//! From-scratch campaigns (the oracle) run the same machinery over
+//! contiguous chunks of the cycle-sorted order and simulate every fault
+//! from cycle 0 — there is no restore source to keep hot, but whole-chunk
+//! claiming keeps the scheduling overhead independent of the fault count.
 //!
 //! # Determinism
 //!
@@ -45,8 +44,7 @@
 
 use crate::batch::{run_batched_range, ForkPool};
 use crate::campaign::{
-    run_single_fault_shared, site_absent, CampaignResult, FaultOutcome, FaultRun,
-    GoldenCheckpoints, GoldenRun,
+    run_single_fault_shared, site_absent, CampaignResult, FaultOutcome, FaultRun, GoldenRun,
 };
 use crate::classify::{Classification, FaultEffect};
 use merlin_analyze::ProgramAnalysis;
@@ -213,16 +211,16 @@ impl ScheduleStats {
 /// drain (see the [module docs](self)).
 ///
 /// Built once per campaign by [`Session::campaign`](crate::Session::campaign)
-/// /[`Session::campaign_from_scratch`](crate::Session::campaign_from_scratch);
-/// constructible directly for callers that want to inspect the bucketing or
-/// drive a campaign without a session.
+/// /[`Session::campaign_from_scratch`](crate::Session::campaign_from_scratch),
+/// over the golden run the session built.
 pub struct CampaignScheduler<'a> {
     program: Arc<Program>,
     decoded: Arc<DecodedProgram>,
     cfg: Arc<CpuConfig>,
     golden: &'a GoldenRun,
-    ckpts: Option<Arc<GoldenCheckpoints>>,
-    /// Ascending checkpoint cycles of the usable store (empty from scratch).
+    /// Whether faults restore golden checkpoints (false from scratch).
+    use_checkpoints: bool,
+    /// Ascending checkpoint cycles of the golden store (empty from scratch).
     boundaries: Vec<u64>,
     faults: &'a [FaultSpec],
     /// Fault-list indices per range, cycle-sorted within each range; no
@@ -238,35 +236,12 @@ pub struct CampaignScheduler<'a> {
 }
 
 impl<'a> CampaignScheduler<'a> {
-    /// Plans a campaign over `faults`.  With `use_checkpoints` (and a golden
-    /// run whose store is usable) faults are bucketed by restore source;
-    /// otherwise the cycle-sorted order is chunked contiguously and every
-    /// fault simulates from cycle 0.
-    pub fn new(
-        program: &Arc<Program>,
-        cfg: &Arc<CpuConfig>,
-        golden: &'a GoldenRun,
-        use_checkpoints: bool,
-        faults: &'a [FaultSpec],
-        threads: usize,
-    ) -> Self {
-        let decoded = Arc::new(DecodedProgram::new(program));
-        Self::with_predecoded(
-            program,
-            &decoded,
-            cfg,
-            golden,
-            use_checkpoints,
-            faults,
-            threads,
-        )
-    }
-
-    /// Like [`CampaignScheduler::new`] with an already-built pre-decoded
-    /// micro-op table, so sessions share one table across the golden run and
-    /// every campaign worker instead of re-decoding per scheduler.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_predecoded(
+    /// Plans a campaign over `faults`.  With `use_checkpoints` faults are
+    /// bucketed by restore source; otherwise the cycle-sorted order is
+    /// chunked contiguously and every fault simulates from cycle 0.
+    /// `decoded` is the session's pre-decoded micro-op table, shared across
+    /// the golden run and every campaign worker.
+    pub(crate) fn new(
         program: &Arc<Program>,
         decoded: &Arc<DecodedProgram>,
         cfg: &Arc<CpuConfig>,
@@ -280,78 +255,66 @@ impl<'a> CampaignScheduler<'a> {
         // therefore the whole schedule — is reproducible.
         let mut order: Vec<usize> = (0..faults.len()).collect();
         order.sort_by_key(|&i| (faults[i].cycle, i));
-        let ckpts = if use_checkpoints {
-            // A store without the cycle-0 snapshot cannot serve arbitrary
-            // injection cycles; fall back to from-scratch simulation rather
-            // than panicking a worker on the first early fault.
-            golden
-                .checkpoints
-                .clone()
-                .filter(|c| c.usable_for_campaigns())
+        let boundaries: Vec<u64> = if use_checkpoints {
+            golden.checkpoints.store.cycles().collect()
         } else {
-            None
+            Vec::new()
         };
-        let boundaries: Vec<u64> = ckpts
-            .as_ref()
-            .map(|c| c.store.cycles().collect())
-            .unwrap_or_default();
         let mut splits = 0u64;
-        let buckets = match &ckpts {
-            Some(_) => {
-                // One bucket per checkpoint range [c_k, c_{k+1}): every
-                // fault in it restores from the snapshot at c_k.
-                let mut buckets = Vec::new();
-                let mut start = 0;
-                for &upper in &boundaries[1..] {
-                    let end = start + order[start..].partition_point(|&i| faults[i].cycle < upper);
-                    if end > start {
-                        buckets.push(order[start..end].to_vec());
-                    }
-                    start = end;
+        let buckets = if use_checkpoints {
+            // One bucket per checkpoint range [c_k, c_{k+1}): every
+            // fault in it restores from the snapshot at c_k.
+            let mut buckets = Vec::new();
+            let mut start = 0;
+            for &upper in &boundaries[1..] {
+                let end = start + order[start..].partition_point(|&i| faults[i].cycle < upper);
+                if end > start {
+                    buckets.push(order[start..end].to_vec());
                 }
-                if start < order.len() {
-                    buckets.push(order[start..].to_vec());
-                }
-                // Work-estimate-driven splitting: faults are sampled
-                // uniformly over cycles, so a range's fault count is its
-                // work estimate.  A range holding more than SPLIT_FACTOR×
-                // the mean would serialise one worker while the rest drain;
-                // cut it into near-mean-sized sub-ranges.  Sub-ranges keep
-                // the shared restore source (same snapshot, still hot) and
-                // the cycle-sorted order, so outcomes are untouched.
-                if buckets.len() > 1 {
-                    let mean = (order.len() / buckets.len()).max(1);
-                    let threshold = SPLIT_FACTOR * mean;
-                    if buckets.iter().any(|b| b.len() > threshold) {
-                        let mut split_buckets = Vec::with_capacity(buckets.len());
-                        for bucket in buckets {
-                            if bucket.len() > threshold {
-                                let pieces = bucket.len().div_ceil(mean);
-                                let size = bucket.len().div_ceil(pieces);
-                                splits += (bucket.len().div_ceil(size) - 1) as u64;
-                                split_buckets.extend(bucket.chunks(size).map(<[usize]>::to_vec));
-                            } else {
-                                split_buckets.push(bucket);
-                            }
+                start = end;
+            }
+            if start < order.len() {
+                buckets.push(order[start..].to_vec());
+            }
+            // Work-estimate-driven splitting: faults are sampled
+            // uniformly over cycles, so a range's fault count is its
+            // work estimate.  A range holding more than SPLIT_FACTOR×
+            // the mean would serialise one worker while the rest drain;
+            // cut it into near-mean-sized sub-ranges.  Sub-ranges keep
+            // the shared restore source (same snapshot, still hot) and
+            // the cycle-sorted order, so outcomes are untouched.
+            if buckets.len() > 1 {
+                let mean = (order.len() / buckets.len()).max(1);
+                let threshold = SPLIT_FACTOR * mean;
+                if buckets.iter().any(|b| b.len() > threshold) {
+                    let mut split_buckets = Vec::with_capacity(buckets.len());
+                    for bucket in buckets {
+                        if bucket.len() > threshold {
+                            let pieces = bucket.len().div_ceil(mean);
+                            let size = bucket.len().div_ceil(pieces);
+                            splits += (bucket.len().div_ceil(size) - 1) as u64;
+                            split_buckets.extend(bucket.chunks(size).map(<[usize]>::to_vec));
+                        } else {
+                            split_buckets.push(bucket);
                         }
-                        buckets = split_buckets;
                     }
+                    buckets = split_buckets;
                 }
-                buckets
             }
-            None if order.is_empty() => Vec::new(),
-            None => {
-                let chunks = (threads * SCRATCH_RANGES_PER_WORKER).min(order.len());
-                let size = order.len().div_ceil(chunks);
-                order.chunks(size).map(<[usize]>::to_vec).collect()
-            }
+            buckets
+        } else if order.is_empty() {
+            Vec::new()
+        } else {
+            let chunks = (threads * SCRATCH_RANGES_PER_WORKER).min(order.len());
+            let size = order.len().div_ceil(chunks);
+            order.chunks(size).map(<[usize]>::to_vec).collect()
         };
         CampaignScheduler {
             program: Arc::clone(program),
             decoded: Arc::clone(decoded),
             cfg: Arc::clone(cfg),
             golden,
-            ckpts,
+            use_checkpoints,
             boundaries,
             faults,
             // Never spawn more workers than ranges: the extras would only
@@ -388,17 +351,11 @@ impl<'a> CampaignScheduler<'a> {
         self.splits
     }
 
-    /// Whether faults will restore golden checkpoints (false when the golden
-    /// run has no usable store, or checkpointing was explicitly bypassed).
-    pub fn uses_checkpoints(&self) -> bool {
-        self.ckpts.is_some()
-    }
-
     /// Executes one range.  Statically-pruned and absent-site faults, and
     /// L1D faults the golden run never reads, are resolved first, without a
     /// core; the rest go through the batched driver on the worker's pool
-    /// (a range with no fault left performs no restore), or, without a
-    /// usable store, simulate from cycle 0 one by one.
+    /// (a range with no fault left performs no restore), or, from scratch,
+    /// simulate from cycle 0 one by one.
     ///
     /// When the batched driver aborts (a panic or an unconstructible core),
     /// the attempt's tallies are dropped and each of the range's faults is
@@ -429,10 +386,7 @@ impl<'a> CampaignScheduler<'a> {
             } else if site_absent(&self.cfg, fault) {
                 stats.skipped_sites += 1;
                 out.push((idx, FaultEffect::Masked));
-            } else if self
-                .ckpts
-                .as_ref()
-                .is_some_and(|c| c.masked_by_golden_future(fault))
+            } else if self.use_checkpoints && self.golden.checkpoints.masked_by_golden_future(fault)
             {
                 stats.dead_sites += 1;
                 out.push((idx, FaultEffect::Masked));
@@ -440,7 +394,7 @@ impl<'a> CampaignScheduler<'a> {
                 sim.push((idx, fault));
             }
         }
-        let Some(ckpts) = &self.ckpts else {
+        if !self.use_checkpoints {
             for (idx, fault) in sim {
                 let run = run_single_fault_shared(
                     &self.program,
@@ -453,9 +407,9 @@ impl<'a> CampaignScheduler<'a> {
                 out.push((idx, run.effect));
             }
             return out;
-        };
+        }
         let mut run = |sim: &[(usize, FaultSpec)], stats: &mut ScheduleStats| {
-            run_batched_range(pool, self.golden, ckpts, &self.boundaries, sim, stats)
+            run_batched_range(pool, self.golden, &self.boundaries, sim, stats)
         };
         let mut attempt = ScheduleStats::default();
         if let Some(effects) = run(&sim, &mut attempt) {
@@ -662,7 +616,7 @@ pub(crate) fn campaign_shared(
     threads: usize,
     analysis: Option<&ProgramAnalysis>,
 ) -> CampaignResult {
-    let mut sched = CampaignScheduler::with_predecoded(
+    let mut sched = CampaignScheduler::new(
         program,
         decoded,
         cfg,
@@ -680,23 +634,11 @@ pub(crate) fn campaign_shared(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{
-        build_golden_checkpointed, build_golden_plain, CampaignError, FaultInjector,
-    };
+    use crate::campaign::{build_golden_checkpointed, CampaignError, FaultInjector};
     use crate::classify::FaultEffect;
     use crate::sampling::generate_fault_list;
-    use merlin_cpu::{CheckpointPolicy, Cpu, NullProbe, SpacingStrategy, Structure};
+    use merlin_cpu::{CheckpointPolicy, Cpu, NullProbe, Structure};
     use merlin_isa::{reg, AluOp, Cond, MemRef, ProgramBuilder};
-
-    fn golden_plain(
-        program: &Program,
-        cfg: &CpuConfig,
-        max: u64,
-    ) -> Result<GoldenRun, CampaignError> {
-        let program = Arc::new(program.clone());
-        let decoded = Arc::new(DecodedProgram::new(&program));
-        build_golden_plain(&program, &decoded, cfg, max)
-    }
 
     fn golden_ck(
         program: &Program,
@@ -707,6 +649,35 @@ mod tests {
         let program = Arc::new(program.clone());
         let decoded = Arc::new(DecodedProgram::new(&program));
         build_golden_checkpointed(&program, &decoded, cfg, max, policy)
+    }
+
+    fn scheduler<'a>(
+        program: &Arc<Program>,
+        cfg: &Arc<CpuConfig>,
+        golden: &'a GoldenRun,
+        use_checkpoints: bool,
+        faults: &'a [FaultSpec],
+        threads: usize,
+    ) -> CampaignScheduler<'a> {
+        let decoded = Arc::new(DecodedProgram::new(program));
+        CampaignScheduler::new(
+            program,
+            &decoded,
+            cfg,
+            golden,
+            use_checkpoints,
+            faults,
+            threads,
+        )
+    }
+
+    fn injector(program: &Program, cfg: &CpuConfig, golden: &GoldenRun) -> FaultInjector {
+        FaultInjector::new(
+            &Arc::new(program.clone()),
+            &Arc::new(DecodedProgram::new(program)),
+            Arc::new(cfg.clone()),
+            golden.clone(),
+        )
     }
 
     fn campaign(
@@ -765,43 +736,21 @@ mod tests {
 
     fn small_policy() -> CheckpointPolicy {
         CheckpointPolicy {
-            enabled: true,
             target_checkpoints: 8,
             min_interval: 8,
-            early_exit: true,
-            ..CheckpointPolicy::default()
         }
-    }
-
-    #[test]
-    fn golden_run_succeeds_and_sets_timeout() {
-        let g = golden_plain(&tiny_program(), &CpuConfig::default(), 1_000_000).unwrap();
-        assert!(g.result.exit.is_halted());
-        assert!(g.timeout_cycles >= 3 * g.result.cycles);
-        assert!(g.checkpoints.is_none());
     }
 
     #[test]
     fn checkpointed_golden_run_matches_plain_golden_run() {
         let program = tiny_program();
         let cfg = CpuConfig::default();
-        let plain = golden_plain(&program, &cfg, 1_000_000).unwrap();
-        for spacing in [SpacingStrategy::EqualCycles, SpacingStrategy::SuffixWork] {
-            let ck = golden_ck(
-                &program,
-                &cfg,
-                1_000_000,
-                &small_policy().with_spacing(spacing),
-            )
-            .unwrap();
-            assert_eq!(plain.result, ck.result);
-            assert_eq!(plain.timeout_cycles, ck.timeout_cycles);
-            let ckpts = ck.checkpoints.as_ref().unwrap();
-            assert!(ckpts.store.len() >= 2);
-        }
-        // Disabled policy produces no store.
-        let off = golden_ck(&program, &cfg, 1_000_000, &CheckpointPolicy::disabled()).unwrap();
-        assert!(off.checkpoints.is_none());
+        let mut cpu = Cpu::new(Arc::new(program.clone()), cfg.clone()).unwrap();
+        let plain = cpu.run(1_000_000, &mut NullProbe);
+        let ck = golden_ck(&program, &cfg, 1_000_000, &small_policy()).unwrap();
+        assert_eq!(plain, ck.result);
+        assert!(ck.checkpoints.store.len() >= 2);
+        assert!(ck.checkpoints.store.starts_at_reset());
     }
 
     #[test]
@@ -811,8 +760,6 @@ mod tests {
         b.jump(top);
         b.halt();
         let program = b.build().unwrap();
-        let err = golden_plain(&program, &CpuConfig::default(), 10_000);
-        assert!(matches!(err, Err(CampaignError::GoldenRunFailed(_))));
         let err = golden_ck(&program, &CpuConfig::default(), 10_000, &small_policy());
         assert!(matches!(err, Err(CampaignError::GoldenRunFailed(_))));
     }
@@ -821,29 +768,21 @@ mod tests {
     fn outcomes_are_identical_across_thread_counts() {
         let program = tiny_program();
         let cfg = CpuConfig::default();
-        for spacing in [SpacingStrategy::EqualCycles, SpacingStrategy::SuffixWork] {
-            let golden = golden_ck(
-                &program,
-                &cfg,
-                1_000_000,
-                &small_policy().with_spacing(spacing),
-            )
-            .unwrap();
-            let faults = generate_fault_list(
-                Structure::RegisterFile,
-                cfg.phys_int_regs,
-                golden.result.cycles,
-                60,
-                7,
-            );
-            let seq = campaign(&program, &cfg, &golden, &faults, 1);
-            for threads in [2, 4, 8] {
-                let par = campaign(&program, &cfg, &golden, &faults, threads);
-                assert_eq!(seq.outcomes, par.outcomes, "{spacing:?} x{threads}");
-                assert_eq!(seq.classification, par.classification);
-            }
-            assert_eq!(seq.classification.total(), 60);
+        let golden = golden_ck(&program, &cfg, 1_000_000, &small_policy()).unwrap();
+        let faults = generate_fault_list(
+            Structure::RegisterFile,
+            cfg.phys_int_regs,
+            golden.result.cycles,
+            60,
+            7,
+        );
+        let seq = campaign(&program, &cfg, &golden, &faults, 1);
+        for threads in [2, 4, 8] {
+            let par = campaign(&program, &cfg, &golden, &faults, threads);
+            assert_eq!(seq.outcomes, par.outcomes, "x{threads}");
+            assert_eq!(seq.classification, par.classification);
         }
+        assert_eq!(seq.classification.total(), 60);
     }
 
     #[test]
@@ -851,38 +790,26 @@ mod tests {
         let program = tiny_program();
         let cfg = CpuConfig::default();
         let mut dead_sites = 0u64;
-        for policy in [
-            small_policy(),
-            CheckpointPolicy {
-                early_exit: false,
-                ..small_policy()
-            },
-            small_policy().with_spacing(SpacingStrategy::EqualCycles),
-        ] {
-            let golden = golden_ck(&program, &cfg, 1_000_000, &policy).unwrap();
-            for structure in [Structure::RegisterFile, Structure::StoreQueue] {
-                let entries = cfg.structure_entries(structure);
-                let faults = generate_fault_list(structure, entries, golden.result.cycles, 150, 13);
-                let checkpointed = campaign(&program, &cfg, &golden, &faults, 4);
-                let scratch = campaign_scratch(&program, &cfg, &golden, &faults, 4);
-                assert_eq!(checkpointed.outcomes, scratch.outcomes, "{structure}");
-                assert_eq!(checkpointed.classification, scratch.classification);
-                assert_eq!(scratch.early_exits, 0);
-                assert_eq!(scratch.schedule.restores, 0);
-                // Every in-range fault restored a checkpoint.
-                assert!(checkpointed.schedule.restores > 0);
-                assert!(checkpointed.schedule.suffix_cycles > 0);
-                assert!(
-                    checkpointed.schedule.suffix_cycles < scratch.schedule.suffix_cycles,
-                    "restore must cut simulated cycles ({} vs {})",
-                    checkpointed.schedule.suffix_cycles,
-                    scratch.schedule.suffix_cycles
-                );
-                if !policy.early_exit {
-                    assert_eq!(checkpointed.early_exits, 0);
-                }
-                dead_sites += checkpointed.schedule.dead_sites;
-            }
+        let golden = golden_ck(&program, &cfg, 1_000_000, &small_policy()).unwrap();
+        for structure in [Structure::RegisterFile, Structure::StoreQueue] {
+            let entries = cfg.structure_entries(structure);
+            let faults = generate_fault_list(structure, entries, golden.result.cycles, 150, 13);
+            let checkpointed = campaign(&program, &cfg, &golden, &faults, 4);
+            let scratch = campaign_scratch(&program, &cfg, &golden, &faults, 4);
+            assert_eq!(checkpointed.outcomes, scratch.outcomes, "{structure}");
+            assert_eq!(checkpointed.classification, scratch.classification);
+            assert_eq!(scratch.early_exits, 0);
+            assert_eq!(scratch.schedule.restores, 0);
+            // Every in-range fault restored a checkpoint.
+            assert!(checkpointed.schedule.restores > 0);
+            assert!(checkpointed.schedule.suffix_cycles > 0);
+            assert!(
+                checkpointed.schedule.suffix_cycles < scratch.schedule.suffix_cycles,
+                "restore must cut simulated cycles ({} vs {})",
+                checkpointed.schedule.suffix_cycles,
+                scratch.schedule.suffix_cycles
+            );
+            dead_sites += checkpointed.schedule.dead_sites;
         }
         // Dead-site resolution must actually fire somewhere (dead engine
         // paths would hide bugs behind the identical-results check).  This
@@ -899,13 +826,7 @@ mod tests {
         let golden =
             build_golden_checkpointed(&program, &decoded, &cfg, 1_000_000, &small_policy())
                 .unwrap();
-        let store_cycles: Vec<u64> = golden
-            .checkpoints
-            .as_ref()
-            .unwrap()
-            .store
-            .cycles()
-            .collect();
+        let store_cycles: Vec<u64> = golden.checkpoints.store.cycles().collect();
         let faults = generate_fault_list(
             Structure::RegisterFile,
             cfg.phys_int_regs,
@@ -913,8 +834,7 @@ mod tests {
             120,
             3,
         );
-        let sched = CampaignScheduler::new(&program, &cfg, &golden, true, &faults, 4);
-        assert!(sched.uses_checkpoints());
+        let sched = scheduler(&program, &cfg, &golden, true, &faults, 4);
         // No more ranges than checkpoints plus splits, and every bucket's
         // faults share one restore source (splitting preserves the source).
         assert!(sched.ranges() >= 1);
@@ -935,7 +855,7 @@ mod tests {
         let result = sched.run();
         assert_eq!(result.schedule.ranges, sched.ranges() as u64);
         // A single worker claims every range: all but its binding are steals.
-        let solo = CampaignScheduler::new(&program, &cfg, &golden, true, &faults, 1).run();
+        let solo = scheduler(&program, &cfg, &golden, true, &faults, 1).run();
         assert_eq!(solo.schedule.range_steals, solo.schedule.ranges - 1);
         assert_eq!(solo.outcomes, result.outcomes);
     }
@@ -948,13 +868,7 @@ mod tests {
         let golden =
             build_golden_checkpointed(&program, &decoded, &cfg, 1_000_000, &small_policy())
                 .unwrap();
-        let store_cycles: Vec<u64> = golden
-            .checkpoints
-            .as_ref()
-            .unwrap()
-            .store
-            .cycles()
-            .collect();
+        let store_cycles: Vec<u64> = golden.checkpoints.store.cycles().collect();
         assert!(store_cycles.len() >= 3, "test needs several ranges");
         // A lopsided list: nearly every fault lands in the first checkpoint
         // range, a token few elsewhere — the hot range must be split instead
@@ -966,7 +880,7 @@ mod tests {
         for (i, &c) in store_cycles[1..].iter().enumerate() {
             faults.push(FaultSpec::new(Structure::RegisterFile, i % 8, 3, c + 1));
         }
-        let sched = CampaignScheduler::new(&program, &cfg, &golden, true, &faults, 4);
+        let sched = scheduler(&program, &cfg, &golden, true, &faults, 4);
         assert!(
             sched.range_splits() > 0,
             "a range holding ~90% of the faults must split"
@@ -1041,7 +955,7 @@ mod tests {
             build_golden_checkpointed(&program, &decoded, &cfg, 1_000_000, &small_policy())
                 .unwrap();
         for use_ck in [true, false] {
-            let sched = CampaignScheduler::new(&program, &cfg, &golden, use_ck, &[], 4);
+            let sched = scheduler(&program, &cfg, &golden, use_ck, &[], 4);
             assert_eq!(sched.ranges(), 0);
             let result = sched.run();
             assert!(result.outcomes.is_empty());
@@ -1075,58 +989,9 @@ mod tests {
         assert_eq!(GoldenRun::timeout_for(u64::MAX), u64::MAX);
         let program = tiny_program();
         let cfg = CpuConfig::default();
-        let plain = golden_plain(&program, &cfg, 1_000_000).unwrap();
         let ck = golden_ck(&program, &cfg, 1_000_000, &small_policy()).unwrap();
-        assert_eq!(
-            plain.timeout_cycles,
-            GoldenRun::timeout_for(plain.result.cycles)
-        );
-        assert_eq!(ck.timeout_cycles, plain.timeout_cycles);
-    }
-
-    #[test]
-    fn degenerate_store_falls_back_instead_of_panicking() {
-        // Regression: a checkpoint store without the cycle-0 snapshot (built
-        // on a mid-run core, or decoded from a foreign `.golden` file) used
-        // to panic the campaign worker on the first fault before its first
-        // checkpoint.  It now degrades to from-scratch simulation.
-        let program = tiny_program();
-        let cfg = CpuConfig::default();
-        let golden = golden_ck(&program, &cfg, 1_000_000, &small_policy()).unwrap();
-        let mut cpu = Cpu::new(Arc::new(program.clone()), cfg.clone()).unwrap();
-        for _ in 0..17 {
-            cpu.step(&mut NullProbe);
-        }
-        let (_, late_store) = cpu.run_with_checkpoints(1_000_000, &mut NullProbe, 8);
-        assert!(!late_store.starts_at_reset());
-        let crippled = GoldenRun {
-            checkpoints: Some(Arc::new(GoldenCheckpoints {
-                store: late_store,
-                policy: small_policy(),
-                l1d: golden.checkpoints.as_ref().unwrap().l1d.clone(),
-            })),
-            ..golden.clone()
-        };
-        assert!(!crippled
-            .checkpoints
-            .as_ref()
-            .unwrap()
-            .usable_for_campaigns());
-        let faults = [
-            FaultSpec::new(Structure::RegisterFile, 3, 5, 2), // before cycle 17
-            FaultSpec::new(Structure::RegisterFile, 3, 5, 40),
-        ];
-        let via_crippled = campaign(&program, &cfg, &crippled, &faults, 1);
-        let via_scratch = campaign_scratch(&program, &cfg, &golden, &faults, 1);
-        assert_eq!(via_crippled.outcomes, via_scratch.outcomes);
-        assert_eq!(
-            via_crippled.early_exits, 0,
-            "fallback path cannot early-exit"
-        );
-        assert_eq!(via_crippled.schedule.restores, 0);
-        // The single-fault injector degrades the same way.
-        let mut injector = FaultInjector::new(&program, &cfg, &crippled);
-        assert_eq!(injector.run(faults[0]), via_scratch.outcomes[0].effect);
+        assert!(ck.result.exit.is_halted());
+        assert_eq!(ck.timeout_cycles, GoldenRun::timeout_for(ck.result.cycles));
     }
 
     #[test]
@@ -1134,7 +999,7 @@ mod tests {
         let program = tiny_program();
         let cfg = CpuConfig::default();
         let golden = golden_ck(&program, &cfg, 1_000_000, &small_policy()).unwrap();
-        let log = &golden.checkpoints.as_ref().unwrap().l1d;
+        let log = &golden.checkpoints.l1d;
         // The cold cache is refilled before anything reads it.
         let dead = FaultSpec::new(Structure::L1DCache, 0, 3, 0);
         assert!(!log.is_live(dead.entry, dead.cycle));
@@ -1155,7 +1020,7 @@ mod tests {
             (out.schedule.dead_sites, out.schedule.forks_spawned),
             (1, 1)
         );
-        let mut injector = FaultInjector::new(&program, &cfg, &golden);
+        let mut injector = injector(&program, &cfg, &golden);
         assert_eq!(injector.run_with_cycles(dead), (FaultEffect::Masked, 0));
         assert_eq!(injector.run(live), scratch.outcomes[1].effect);
     }
@@ -1165,7 +1030,7 @@ mod tests {
         let program = tiny_program();
         let cfg = CpuConfig::default().with_phys_regs(64);
         let golden = golden_ck(&program, &cfg, 1_000_000, &small_policy()).unwrap();
-        let mut injector = FaultInjector::new(&program, &cfg, &golden);
+        let mut injector = injector(&program, &cfg, &golden);
         let absent = FaultSpec::new(Structure::RegisterFile, 200, 1, 10);
         let (effect, cycles) = injector.run_with_cycles(absent);
         assert_eq!(effect, FaultEffect::Masked);
@@ -1201,7 +1066,7 @@ mod tests {
         let faults = [dead, live];
         let arc_program = Arc::new(program.clone());
         let arc_cfg = Arc::new(cfg.clone());
-        let pruned = CampaignScheduler::new(&arc_program, &arc_cfg, &golden, true, &faults, 1)
+        let pruned = scheduler(&arc_program, &arc_cfg, &golden, true, &faults, 1)
             .with_static_analysis(&analysis)
             .run();
         assert_eq!(pruned.schedule.static_prunes, 1);
@@ -1223,7 +1088,7 @@ mod tests {
         let program = tiny_program();
         let cfg = CpuConfig::default();
         let golden = golden_ck(&program, &cfg, 1_000_000, &small_policy()).unwrap();
-        let mut injector = FaultInjector::new(&program, &cfg, &golden);
+        let mut injector = injector(&program, &cfg, &golden);
         // A late fault must simulate fewer cycles than an early one with the
         // same (masked-at-end) fate — that is the whole point of restoring.
         let early = FaultSpec::new(Structure::RegisterFile, 3, 5, 2);

@@ -399,9 +399,9 @@ impl Session {
     }
 
     /// Runs an injection campaign over `faults` with this session's thread
-    /// count.  When the policy enables checkpoints, each checkpoint range
-    /// restores once, replays its golden prefix once and forks a faulty
-    /// core per fault (see [`CampaignScheduler`](crate::CampaignScheduler)).  Register-file faults into statically-dead entries are
+    /// count.  Each checkpoint range restores once, replays its golden
+    /// prefix once and forks a faulty core per fault (see
+    /// [`CampaignScheduler`](crate::CampaignScheduler)).  Register-file faults into statically-dead entries are
     /// classified Masked without simulation and accounted as
     /// [`ScheduleStats::static_prunes`](crate::ScheduleStats::static_prunes).
     ///
@@ -460,32 +460,28 @@ impl Session {
     /// Propagates golden-run errors.
     pub fn injector(&self) -> Result<FaultInjector, CampaignError> {
         let golden = self.golden()?.clone();
-        Ok(FaultInjector::from_parts(
-            Arc::clone(&self.program),
-            Arc::clone(&self.decoded),
+        Ok(FaultInjector::new(
+            &self.program,
+            &self.decoded,
             Arc::clone(&self.cfg),
             golden,
         ))
     }
 
     /// Peak heap footprint of the session's checkpoint store and L1D
-    /// liveness log in bytes (0 when the golden run has not been built or
-    /// checkpointing is off).
+    /// liveness log in bytes (0 until the golden run is built, and when
+    /// its build failed).
     pub fn checkpoint_footprint_bytes(&self) -> usize {
-        match self.golden.get() {
-            Some(Ok(GoldenRun {
-                checkpoints: Some(ck),
-                ..
-            })) => ck.store.footprint_bytes() + ck.l1d.footprint_bytes(),
-            _ => 0,
-        }
+        self.golden_checkpoints().map_or(0, |ck| {
+            ck.store.footprint_bytes() + ck.l1d.footprint_bytes()
+        })
     }
 
-    /// The golden checkpoints, when built and enabled (mainly for tests and
-    /// diagnostics).
+    /// The golden checkpoints, once the golden run is built (mainly for
+    /// tests and diagnostics).
     pub fn golden_checkpoints(&self) -> Option<Arc<GoldenCheckpoints>> {
         match self.golden.get() {
-            Some(Ok(g)) => g.checkpoints.clone(),
+            Some(Ok(g)) => Some(Arc::clone(&g.checkpoints)),
             _ => None,
         }
     }
@@ -760,16 +756,18 @@ impl SessionCache {
 // --- Disk persistence ----------------------------------------------------
 
 const GOLDEN_MAGIC: &[u8; 8] = b"MRLNGLD\0";
-/// Version 4: the checkpoint store is followed by the golden run's L1D
-/// liveness log ([`L1dLiveness`](crate::L1dLiveness)).  Since version 3
-/// the file ends with a little-endian FNV-1a checksum over everything
-/// before it, so content corruption is *detected and quarantined* (renamed
-/// to `<name>.golden.corrupt`, counted in
-/// [`SessionCache::artifact_rejects`]) instead of gambling on the decoder
-/// happening to fail.  Version 2 encoded checkpoint memory as chunk-level
-/// deltas, version 1 as dense images; older-version files are ordinary cache
-/// misses and are rebuilt, not quarantined.
-const GOLDEN_VERSION: u32 = 4;
+/// Version 5: the payload is the run result, the timeout, the checkpoint
+/// store and the L1D liveness log; the checkpoint policy is covered by the
+/// fingerprint, not stored.  Version 4 added the L1D liveness log
+/// ([`L1dLiveness`](crate::L1dLiveness)).  Since version 3 the file ends
+/// with a little-endian FNV-1a checksum over everything before it, so
+/// content corruption is *detected and quarantined* (renamed to
+/// `<name>.golden.corrupt`, counted in [`SessionCache::artifact_rejects`])
+/// instead of gambling on the decoder happening to fail.  Version 2 encoded
+/// checkpoint memory as chunk-level deltas, version 1 as dense images;
+/// older-version files are ordinary cache misses and are rebuilt, not
+/// quarantined.
+const GOLDEN_VERSION: u32 = 5;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// Bytes of the fixed `.golden` header: magic, version, fingerprint.
 const GOLDEN_HEADER_LEN: usize = GOLDEN_MAGIC.len() + 4 + 8;
@@ -799,15 +797,8 @@ fn save_golden(path: &Path, fingerprint: u64, golden: &GoldenRun) -> io::Result<
     fingerprint.encode(&mut buf);
     golden.result.encode(&mut buf);
     golden.timeout_cycles.encode(&mut buf);
-    match &golden.checkpoints {
-        None => buf.push(0),
-        Some(ck) => {
-            buf.push(1);
-            ck.policy.encode(&mut buf);
-            ck.store.encode(&mut buf);
-            ck.l1d.encode(&mut buf);
-        }
-    }
+    golden.checkpoints.store.encode(&mut buf);
+    golden.checkpoints.l1d.encode(&mut buf);
     // Content checksum over header and payload, as the trailer.
     fnv1a(FNV_OFFSET, &buf).encode(&mut buf);
     if let Some(parent) = path.parent() {
@@ -841,7 +832,7 @@ fn load_golden(
     l1d_words: usize,
     rejects: &AtomicU64,
 ) -> Option<GoldenRun> {
-    // A file that never claimed to be this context's v4 artifact (foreign
+    // A file that never claimed to be this context's v5 artifact (foreign
     // magic, older version, different fingerprint) is a silent cache miss.
     // A file whose header *does* match but whose content fails the checksum
     // or decode is corruption: quarantined via `reject_corrupt` so a flipped
@@ -880,35 +871,30 @@ fn load_golden(
 }
 
 /// Decodes the payload between a `.golden` file's verified header and its
-/// checksum trailer.  `None` on any decode failure or invariant violation,
-/// an L1D log that does not fit a `l1d_words`-word L1D included.
+/// checksum trailer.  `None` on any decode failure or invariant violation:
+/// a store that does not start with the cycle-0 snapshot, a snapshot whose
+/// memory does not fit a `mem_len`-byte memory, or an L1D log that does not
+/// fit a `l1d_words`-word L1D.  This is where a store from outside the
+/// process enters, and the fingerprint header cannot vouch for these
+/// invariants; campaigns rely on them without checking again.
 fn decode_golden_payload(payload: &[u8], mem_len: usize, l1d_words: usize) -> Option<GoldenRun> {
     let mut r = ByteReader::new(payload);
     let result = BinCode::decode(&mut r).ok()?;
     let timeout_cycles = u64::decode(&mut r).ok()?;
-    let checkpoints = match u8::decode(&mut r).ok()? {
-        0 => None,
-        1 => {
-            let policy = BinCode::decode(&mut r).ok()?;
-            let store: merlin_cpu::CheckpointStore = BinCode::decode(&mut r).ok()?;
-            // The memory size of every snapshot must match this context's
-            // memory, or restoring would panic a campaign worker — the one
-            // payload invariant the fingerprint header cannot vouch for.
-            if !store.snapshots().all(|s| s.memory_dense_bytes() == mem_len) {
-                return None;
-            }
-            let l1d = L1dLiveness::decode(&mut r, l1d_words).ok()?;
-            Some(Arc::new(GoldenCheckpoints { store, policy, l1d }))
-        }
-        _ => return None,
-    };
+    let store: merlin_cpu::CheckpointStore = BinCode::decode(&mut r).ok()?;
+    // Without the cycle-0 snapshot an early fault has no restore point, and
+    // with a foreign memory size restoring would panic a campaign worker.
+    if !store.starts_at_reset() || !store.snapshots().all(|s| s.memory_dense_bytes() == mem_len) {
+        return None;
+    }
+    let l1d = L1dLiveness::decode(&mut r, l1d_words).ok()?;
     if !r.is_at_end() {
         return None;
     }
     Some(GoldenRun {
         result,
         timeout_cycles,
-        checkpoints,
+        checkpoints: Arc::new(GoldenCheckpoints { store, l1d }),
     })
 }
 
@@ -936,11 +922,8 @@ mod tests {
 
     fn small_policy() -> CheckpointPolicy {
         CheckpointPolicy {
-            enabled: true,
             target_checkpoints: 8,
             min_interval: 8,
-            early_exit: true,
-            ..CheckpointPolicy::default()
         }
     }
 
@@ -1091,7 +1074,16 @@ mod tests {
         assert_ne!(
             base,
             Session::builder(&p, &cfg)
-                .checkpoints(CheckpointPolicy::disabled())
+                .checkpoints(CheckpointPolicy::with_target(8))
+                .fingerprint()
+        );
+        assert_ne!(
+            base,
+            Session::builder(&p, &cfg)
+                .checkpoints(CheckpointPolicy {
+                    min_interval: 512,
+                    ..CheckpointPolicy::default()
+                })
                 .fingerprint()
         );
         let mut other = ProgramBuilder::new();
@@ -1289,12 +1281,9 @@ mod tests {
         assert_eq!(s2.golden_builds(), 0, "disk hit must not re-simulate");
         assert_eq!(golden2.result, s1.golden().unwrap().result);
         assert_eq!(golden2.timeout_cycles, s1.golden().unwrap().timeout_cycles);
-        let (ck1, ck2) = (
-            s1.golden_checkpoints().unwrap(),
-            golden2.checkpoints.unwrap(),
-        );
+        let (ck1, ck2) = (s1.golden_checkpoints().unwrap(), golden2.checkpoints);
         assert_eq!(ck1.store, ck2.store);
-        assert_eq!(ck1.policy, ck2.policy);
+        assert_eq!(ck1.l1d, ck2.l1d);
         // And campaigns over the restored store classify identically.
         let r2 = s2.campaign(&faults).unwrap();
         assert_eq!(r1.outcomes, r2.outcomes);

@@ -72,11 +72,8 @@ fn store_free_program() -> Program {
 fn session(program: &Program, threads: usize) -> Session {
     Session::builder(program, &CpuConfig::default().with_phys_regs(64))
         .checkpoints(CheckpointPolicy {
-            enabled: true,
             target_checkpoints: 8,
             min_interval: 8,
-            early_exit: true,
-            ..CheckpointPolicy::default()
         })
         .max_cycles(1_000_000)
         .threads(threads)
@@ -262,7 +259,7 @@ fn partition(s: &Session, faults: &[FaultSpec]) -> Partition {
 /// the engine's early-exit condition, checked without restores or forks.
 fn reconverges(s: &Session, fault: FaultSpec) -> bool {
     let golden = s.golden().unwrap();
-    let store = &golden.checkpoints.as_ref().unwrap().store;
+    let store = &golden.checkpoints.store;
     let mut cpu = Cpu::with_predecoded(
         Arc::clone(s.program()),
         Arc::clone(s.decoded()),

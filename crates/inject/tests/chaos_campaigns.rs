@@ -45,11 +45,8 @@ fn tiny_program() -> Program {
 fn session(threads: usize) -> Session {
     Session::builder(&tiny_program(), &CpuConfig::default())
         .checkpoints(CheckpointPolicy {
-            enabled: true,
             target_checkpoints: 8,
             min_interval: 8,
-            early_exit: true,
-            ..CheckpointPolicy::default()
         })
         .max_cycles(1_000_000)
         .threads(threads)

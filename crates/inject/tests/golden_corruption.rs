@@ -13,9 +13,10 @@
 //! pristine one and `golden_builds() == 1` must hold — proof the corrupt
 //! bytes were never trusted.
 
-use merlin_cpu::{CheckpointPolicy, CpuConfig};
+use merlin_cpu::{CheckpointPolicy, CheckpointStore, CpuConfig, FaultSpec, Structure};
 use merlin_inject::chaos;
 use merlin_inject::{GoldenRun, SessionCache};
+use merlin_isa::binio::{decode_from_slice, encode_to_vec};
 use merlin_isa::Program;
 use proptest::prelude::*;
 use std::fs;
@@ -34,10 +35,8 @@ fn build_session(dir: &Path) -> (SessionCache, std::sync::Arc<merlin_inject::Ses
     let session = cache
         .session("corrupt-prop", &program(), &CpuConfig::default(), |b| {
             b.max_cycles(10_000_000).checkpoints(CheckpointPolicy {
-                enabled: true,
                 target_checkpoints: 6,
                 min_interval: 8,
-                ..CheckpointPolicy::default()
             })
         })
         .unwrap();
@@ -141,7 +140,7 @@ proptest! {
 #[test]
 fn a_tampered_log_behind_a_valid_checksum_is_quarantined() {
     let p = pristine();
-    let l1d = &p.golden.checkpoints.as_ref().unwrap().l1d;
+    let l1d = &p.golden.checkpoints.l1d;
     assert!(l1d.span_count() > 0, "the workload reads the L1D");
     // Layout of the log section: offsets (u64 length, u32 per word plus
     // one), then spans (u64 length, two u64 per span), then the checksum.
@@ -185,6 +184,65 @@ fn a_tampered_log_behind_a_valid_checksum_is_quarantined() {
         assert_eq!(cache.artifact_rejects(), 1, "{what}");
         assert_eq!(fs::read(&quarantine).unwrap(), bytes, "{what}");
     }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A store that cannot serve cycle 0, behind a valid checksum: the
+/// pristine store without its cycle-0 snapshot.  Every snapshot decodes and
+/// fits the context, so only the load-time check that a store starts at
+/// reset stands between it and a campaign, whose faults before the first
+/// remaining checkpoint would have no restore point.  The file must be
+/// quarantined and counted, and the rebuilt session must classify like
+/// from-scratch simulation.
+#[test]
+fn a_store_that_cannot_serve_cycle_zero_is_quarantined() {
+    let p = pristine();
+    let ck = &p.golden.checkpoints;
+    // Layout of the payload's tail: store, L1D log, checksum.
+    let payload_end = p.bytes.len() - 8;
+    let log_len = 8 + 4 * (ck.l1d.words() + 1) + 8 + 16 * ck.l1d.span_count();
+    let store_bytes = encode_to_vec(&ck.store);
+    let store_end = payload_end - log_len;
+    let store_start = store_end - store_bytes.len();
+    assert_eq!(&p.bytes[store_start..store_end], &store_bytes[..]);
+    // Store encoding: interval (u64), snapshot count (u64), snapshots.
+    let first = ck.store.snapshots().next().unwrap();
+    assert_eq!(first.cycle(), 0);
+    let mut late = store_bytes[..8].to_vec();
+    late.extend_from_slice(&(ck.store.len() as u64 - 1).to_le_bytes());
+    late.extend_from_slice(&store_bytes[16 + encode_to_vec(first).len()..]);
+    let late_store: CheckpointStore = decode_from_slice(&late).unwrap();
+    assert!(!late_store.starts_at_reset());
+    let second = late_store.cycles().next().unwrap();
+    assert!(second > 2, "the first remaining checkpoint is past cycle 2");
+
+    let mut bytes = p.bytes[..store_start].to_vec();
+    bytes.extend_from_slice(&late);
+    bytes.extend_from_slice(&p.bytes[store_end..payload_end]);
+    let checksum = fnv1a(&bytes);
+    bytes.extend_from_slice(&checksum.to_le_bytes());
+    // A directory of its own: the property above rewrites the pristine
+    // path concurrently.
+    let dir = p.dir.with_extension("late");
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(p.path.file_name().unwrap());
+    fs::write(&path, &bytes).unwrap();
+
+    let (cache, session) = build_session(&dir);
+    assert_eq!(session.golden().unwrap(), &p.golden);
+    assert_eq!(session.golden_builds(), 1, "the late store was used");
+    assert_eq!(cache.artifact_rejects(), 1);
+    assert_eq!(fs::read(corrupt_path(&path)).unwrap(), bytes);
+    // Faults before the late store's first checkpoint included.
+    let mut faults = session
+        .fault_list(Structure::RegisterFile, 40, 2017)
+        .unwrap();
+    faults.extend((0..8).map(|e| FaultSpec::new(Structure::RegisterFile, e, 3, 2)));
+    let campaign = session.campaign(&faults).unwrap();
+    let scratch = session.campaign_from_scratch(&faults).unwrap();
+    assert_eq!(campaign.outcomes, scratch.outcomes);
+    assert_eq!(campaign.schedule.asserts, scratch.schedule.asserts);
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -38,11 +38,8 @@ fn tiny_program() -> Program {
 fn session(threads: usize) -> Session {
     Session::builder(&tiny_program(), &CpuConfig::default().with_phys_regs(64))
         .checkpoints(CheckpointPolicy {
-            enabled: true,
             target_checkpoints: 8,
             min_interval: 8,
-            early_exit: true,
-            ..CheckpointPolicy::default()
         })
         .max_cycles(1_000_000)
         .threads(threads)
