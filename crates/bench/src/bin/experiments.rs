@@ -600,21 +600,13 @@ fn accuracy_figures(scale: &ExperimentScale) {
         }
     }
     println!(
-        "scheduler totals across comprehensive baselines: {} ranges, {} restores \
-         ({} B restored), {} range steals, {} range splits, \
-         {} suffix cycles simulated",
+        "scheduler totals across comprehensive baselines: {} ranges, {} restores, \
+         {} range steals, {} range splits, {} suffix cycles simulated\n",
         sched_sum.ranges,
         sched_sum.restores,
-        sched_sum.restored_bytes,
         sched_sum.range_steals,
         sched_sum.range_splits,
         sched_sum.suffix_cycles
-    );
-    let b = sched_sum.restored_breakdown;
-    println!(
-        "restore bytes by structure: {} memory, {} caches, {} regfile, {} rename, \
-         {} fetch, {} rob, {} lsq, {} predictor\n",
-        b.memory, b.caches, b.regfile, b.rename, b.fetch, b.rob, b.lsq, b.predictor
     );
     println!(
         "failure containment: {} engine asserts, {} poisoned restores, {} range retries, \
@@ -638,9 +630,8 @@ fn accuracy_figures(scale: &ExperimentScale) {
         sched_sum.golden_replay_cycles
     );
     println!(
-        "copy-on-write forks: {} B copied \
-         ({} B adopted by handle sharing), {} sharing breaks on first write\n",
-        sched_sum.fork_bytes_copied, sched_sum.fork_bytes_shared, sched_sum.cow_breaks
+        "copy-on-write forks: {} sharing breaks on first write\n",
+        sched_sum.cow_breaks
     );
 }
 

@@ -2,11 +2,10 @@
 //!
 //! The experiment harness of the MeRLiN reproduction.  The `experiments`
 //! binary regenerates every table and figure of the paper's evaluation
-//! (run `experiments help` for the list); the Criterion benches measure the
-//! throughput of the building blocks (simulator, ACE-like analysis, grouping
-//! and injection campaigns).
+//! (run `experiments help` for the list).  The benchmark of record,
+//! `campaign-bench`, draws its sessions from [`session_for`] too.
 //!
-//! Shared machinery for both lives here: experiment-scale knobs read from
+//! Shared machinery lives here: experiment-scale knobs read from
 //! the environment, the per-structure configuration sweeps of Table 1, the
 //! process-wide [`session_cache`] every experiment draws its sessions from
 //! (so `experiments all` pays one golden run and one ACE profile per

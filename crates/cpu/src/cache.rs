@@ -7,7 +7,7 @@
 //! baseline configuration) but is not a fault target.
 
 use crate::config::CacheConfig;
-use crate::cow::{CowTable, ForkBytes};
+use crate::cow::CowTable;
 use crate::memory::{MemError, Memory, MemoryDelta};
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
 use merlin_isa::MemSize;
@@ -238,14 +238,12 @@ impl Cache {
     }
 
     /// Restores the cache to a previously captured snapshot, reusing the
-    /// existing line buffers (no allocation on the restore path).  Returns
-    /// the number of line-data bytes copied from the snapshot.
+    /// existing line buffers (no allocation on the restore path).
     ///
     /// # Panics
     ///
     /// Panics if the snapshot was taken from a cache with different geometry.
-    pub fn restore_snapshot(&mut self, snap: &CacheSnapshot) -> usize {
-        let mut restored = 0;
+    pub fn restore_snapshot(&mut self, snap: &CacheSnapshot) {
         for idx in 0..self.lines.len() {
             // Invalidating a line that is already invalid is a no-op; the
             // guard keeps idle pages shared instead of breaking them.
@@ -261,22 +259,19 @@ impl Cache {
             line.tag = s.tag;
             line.last_use = s.last_use;
             line.data.copy_from_slice(&s.data);
-            restored += s.data.len();
         }
         self.use_counter = snap.use_counter;
-        restored
     }
 
     /// Forks from `src` by sharing its page handles — one set per page, no
     /// line data copied — so `self` becomes bit-identical to `src` at
     /// O(pages) cost.  Freezes `src`'s owned pages first, so both sides
     /// un-share a page on their next write to it.
-    pub fn fork_from(&mut self, src: &mut Self) -> ForkBytes {
+    pub fn fork_from(&mut self, src: &mut Self) {
         debug_assert_eq!(self.cfg, src.cfg);
         src.lines.freeze();
         self.lines.share_from(&src.lines);
         self.use_counter = src.use_counter;
-        ForkBytes::sharing(self.lines.len() as u64 * self.cfg.line_bytes)
     }
 
     /// Un-share counter of the line array, reset.
@@ -689,24 +684,20 @@ impl MemSystem {
 
     /// Restores a previously captured snapshot in place, reusing existing
     /// buffers where possible; the memory delta is resolved against this
-    /// system's own pristine image.  Returns the bytes rewritten as
-    /// `(cache line data, memory chunks)`.
-    pub fn restore_snapshot(&mut self, snap: &MemSystemSnapshot) -> (usize, usize) {
-        (
-            self.l1d.restore_snapshot(&snap.l1d) + self.l2.restore_snapshot(&snap.l2),
-            self.mem.restore_delta(&snap.mem),
-        )
+    /// system's own pristine image.
+    pub fn restore_snapshot(&mut self, snap: &MemSystemSnapshot) {
+        self.l1d.restore_snapshot(&snap.l1d);
+        self.l2.restore_snapshot(&snap.l2);
+        self.mem.restore_delta(&snap.mem);
     }
 
     /// Structural fork: shares the caches' set pages and the memory's chunk
     /// handles from `src` (see [`Cache::fork_from`] and
-    /// [`Memory::fork_from`]).  Returns per-level fork accounting as
-    /// `(cache line data, memory chunks)`.
-    pub fn fork_from(&mut self, src: &mut Self) -> (ForkBytes, ForkBytes) {
-        (
-            self.l1d.fork_from(&mut src.l1d) + self.l2.fork_from(&mut src.l2),
-            self.mem.fork_from(&mut src.mem),
-        )
+    /// [`Memory::fork_from`]).
+    pub fn fork_from(&mut self, src: &mut Self) {
+        self.l1d.fork_from(&mut src.l1d);
+        self.l2.fork_from(&mut src.l2);
+        self.mem.fork_from(&mut src.mem);
     }
 
     /// Un-share counters of both caches and the backing memory, reset.

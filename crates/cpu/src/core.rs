@@ -11,7 +11,7 @@
 
 use crate::cache::{CacheEffects, MemSystem};
 use crate::config::{ConfigError, CpuConfig};
-use crate::cow::{CowBox, CowSeq, ForkBytes};
+use crate::cow::{CowBox, CowSeq};
 use crate::fault::FaultSpec;
 use crate::lsq::{LoadQueue, StoreQueue};
 use crate::memory::{MemError, Memory};
@@ -1305,29 +1305,28 @@ impl Cpu {
     /// core is trusted again.  Copy-on-write structures adopt the snapshot's
     /// page handles (O(pages), nothing copied until the core writes); the
     /// caches are rebuilt from their sparse images and the backing memory
-    /// from its chunk delta.  The returned [`RestoreStats`] reports how many
-    /// bytes were made equal to the snapshot, per structure.
+    /// from its chunk delta.  Returns `true` when this restore lifted the
+    /// core out of quarantine (see [`Cpu::quarantine`]).
     ///
     /// The state must come from a core running the same program under the
     /// same configuration; this is not checked.
-    pub fn restore_from(&mut self, s: &CpuState) -> RestoreStats {
+    pub fn restore_from(&mut self, s: &CpuState) -> bool {
         let from_quarantine = std::mem::take(&mut self.quarantined);
         self.cycle = s.cycle;
         self.next_seq = s.next_seq;
         self.fetch_pc = s.fetch_pc;
         self.fetch_halted = s.fetch_halted;
         self.fetch_invalid = s.fetch_invalid;
-        let (caches, memory) = self.mem.restore_snapshot(&s.mem);
-        let bytes = RestoredBytes {
-            fetch: self.fetch_buffer.share_from(&s.fetch_buffer).total(),
-            rename: (self.rat.share_from(&s.rat) + self.free_list.share_from(&s.free_list)).total(),
-            regfile: self.prf.share_from(&s.prf).total(),
-            rob: self.rob.share_from(&s.rob).total(),
-            lsq: (self.lq.share_from(&s.lq) + self.sq.share_from(&s.sq)).total(),
-            caches: caches as u64,
-            memory: memory as u64,
-            predictor: (self.bp.share_from(&s.bp) + self.btb.share_from(&s.btb)).total(),
-        };
+        self.mem.restore_snapshot(&s.mem);
+        self.fetch_buffer.share_from(&s.fetch_buffer);
+        self.rat.share_from(&s.rat);
+        self.free_list.share_from(&s.free_list);
+        self.prf.share_from(&s.prf);
+        self.rob.share_from(&s.rob);
+        self.lq.share_from(&s.lq);
+        self.sq.share_from(&s.sq);
+        self.bp.share_from(&s.bp);
+        self.btb.share_from(&s.btb);
         self.iq_count = s.iq_count;
         self.pending_store_slot = s.pending_store_slot;
         self.output.share_from(&s.output);
@@ -1341,10 +1340,7 @@ impl Cpu {
         self.faults.clone_from(&s.faults);
         self.next_fault_cycle = self.faults.first().map_or(u64::MAX, |f| f.cycle);
         self.finished.clone_from(&s.finished);
-        RestoreStats {
-            from_quarantine,
-            bytes,
-        }
+        from_quarantine
     }
 
     /// Forks this core from a live source core, making `self` bit-identical
@@ -1360,14 +1356,8 @@ impl Cpu {
     /// any state of `self` and lifts a quarantine.  `src` must run the same
     /// program under the same configuration.
     ///
-    /// `src`'s owned pages are frozen first, hence `&mut src`.  The
-    /// returned [`ForkStats`] reports, per structure, the bytes physically
-    /// copied and the bytes now referenced structurally.
-    pub fn fork_from(&mut self, src: &mut Cpu) -> ForkStats {
-        fn acc(stats: &mut ForkStats, fb: ForkBytes, sel: fn(&mut RestoredBytes) -> &mut u64) {
-            *sel(&mut stats.copied) += fb.copied;
-            *sel(&mut stats.shared) += fb.shared;
-        }
+    /// `src`'s owned pages are frozen first, hence `&mut src`.
+    pub fn fork_from(&mut self, src: &mut Cpu) {
         debug_assert!(!src.quarantined);
         src.freeze();
         self.quarantined = false;
@@ -1376,34 +1366,16 @@ impl Cpu {
         self.fetch_pc = src.fetch_pc;
         self.fetch_halted = src.fetch_halted;
         self.fetch_invalid = src.fetch_invalid;
-        let mut stats = ForkStats::default();
-        acc(
-            &mut stats,
-            self.fetch_buffer.share_from(&src.fetch_buffer),
-            |b| &mut b.fetch,
-        );
-        acc(
-            &mut stats,
-            self.rat.share_from(&src.rat) + self.free_list.share_from(&src.free_list),
-            |b| &mut b.rename,
-        );
-        acc(&mut stats, self.prf.share_from(&src.prf), |b| {
-            &mut b.regfile
-        });
-        acc(&mut stats, self.rob.share_from(&src.rob), |b| &mut b.rob);
-        acc(
-            &mut stats,
-            self.lq.share_from(&src.lq) + self.sq.share_from(&src.sq),
-            |b| &mut b.lsq,
-        );
-        let (cache_fb, mem_fb) = self.mem.fork_from(&mut src.mem);
-        acc(&mut stats, cache_fb, |b| &mut b.caches);
-        acc(&mut stats, mem_fb, |b| &mut b.memory);
-        acc(
-            &mut stats,
-            self.bp.share_from(&src.bp) + self.btb.share_from(&src.btb),
-            |b| &mut b.predictor,
-        );
+        self.fetch_buffer.share_from(&src.fetch_buffer);
+        self.rat.share_from(&src.rat);
+        self.free_list.share_from(&src.free_list);
+        self.prf.share_from(&src.prf);
+        self.rob.share_from(&src.rob);
+        self.lq.share_from(&src.lq);
+        self.sq.share_from(&src.sq);
+        self.mem.fork_from(&mut src.mem);
+        self.bp.share_from(&src.bp);
+        self.btb.share_from(&src.btb);
         self.iq_count = src.iq_count;
         self.pending_store_slot = src.pending_store_slot;
         self.output.share_from(&src.output);
@@ -1417,7 +1389,6 @@ impl Cpu {
         self.faults.clone_from(&src.faults);
         self.next_fault_cycle = src.next_fault_cycle;
         self.finished.clone_from(&src.finished);
-        stats
     }
 
     /// Moves the owned pages of every copy-on-write structure outside the
@@ -1535,7 +1506,7 @@ impl Cpu {
     /// pipeline or caches in an unknown state.
     ///
     /// Quarantine is cleared by the next [`Cpu::restore_from`] (which
-    /// reports it as [`RestoreStats::from_quarantine`]) or
+    /// reports it by returning `true`) or
     /// [`Cpu::fork_from`]; both overwrite every field, so no stale state
     /// survives into the next run.
     ///
@@ -1618,91 +1589,6 @@ fn report_cache_effects(eff: &CacheEffects, cycle: u64, probe: &mut dyn Probe) {
     }
     for w in &eff.word_writes {
         probe.write(Structure::L1DCache, *w, cycle);
-    }
-}
-
-/// What one [`Cpu::restore_from`] call did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RestoreStats {
-    /// `true` when this restore lifted the core out of quarantine (see
-    /// [`Cpu::quarantine`]).
-    pub from_quarantine: bool,
-    /// Bytes made equal to the snapshot, broken down per structure.
-    pub bytes: RestoredBytes,
-}
-
-impl RestoreStats {
-    /// Total bytes rewritten across every structure.
-    pub fn restored_bytes(&self) -> u64 {
-        self.bytes.total()
-    }
-}
-
-/// Per-structure breakdown of the bytes one restore rewrote (see
-/// [`RestoreStats::bytes`]).  Structures are grouped the way the experiments
-/// binary reports them; byte counts are the in-memory entry sizes, so they
-/// measure copy work, not serialised footprint.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RestoredBytes {
-    /// Backing-memory chunks.
-    pub memory: u64,
-    /// L1D + L2 cache line data.
-    pub caches: u64,
-    /// Physical register file entries (value + ready bit).
-    pub regfile: u64,
-    /// Rename state: RAT mappings plus the free list.
-    pub rename: u64,
-    /// Fetch buffer entries.
-    pub fetch: u64,
-    /// Re-order buffer entries.
-    pub rob: u64,
-    /// Load-queue and store-queue slots.
-    pub lsq: u64,
-    /// Direction-predictor counters plus BTB entries.
-    pub predictor: u64,
-}
-
-impl RestoredBytes {
-    /// Sum over every structure.
-    pub fn total(&self) -> u64 {
-        self.memory
-            + self.caches
-            + self.regfile
-            + self.rename
-            + self.fetch
-            + self.rob
-            + self.lsq
-            + self.predictor
-    }
-}
-
-impl std::ops::AddAssign for RestoredBytes {
-    fn add_assign(&mut self, rhs: Self) {
-        self.memory += rhs.memory;
-        self.caches += rhs.caches;
-        self.regfile += rhs.regfile;
-        self.rename += rhs.rename;
-        self.fetch += rhs.fetch;
-        self.rob += rhs.rob;
-        self.lsq += rhs.lsq;
-        self.predictor += rhs.predictor;
-    }
-}
-
-/// Per-structure accounting of one [`Cpu::fork_from`] call.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ForkStats {
-    /// Bytes physically copied (small eager structures like the rename
-    /// table, whose map is cheaper to copy than a page handle).
-    pub copied: RestoredBytes,
-    /// Bytes made equal to the source by sharing page handles.
-    pub shared: RestoredBytes,
-}
-
-impl std::ops::AddAssign for ForkStats {
-    fn add_assign(&mut self, rhs: Self) {
-        self.copied += rhs.copied;
-        self.shared += rhs.shared;
     }
 }
 

@@ -48,9 +48,9 @@
 //! `binio` wire formats below re-encode plain `len + elements`,
 //! byte-identical to the pre-CoW layouts), and equality compares contents —
 //! with an `Arc::ptr_eq` fast path per page.  Each wrapper counts how many
-//! pages it copied to un-share (`cow_breaks`), feeding the
-//! `fork_bytes_copied` / `fork_bytes_shared` / `cow_breaks` telemetry in the
-//! campaign scheduler.  The substrate is safe Rust throughout.
+//! pages it copied to un-share (`cow_breaks`), feeding the campaign
+//! scheduler's `cow_breaks` telemetry.  The substrate is safe Rust
+//! throughout.
 
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
 use std::collections::VecDeque;
@@ -310,46 +310,6 @@ impl<T: BinCode + Clone> CowTable<T> {
     }
 }
 
-/// Byte accounting one structure reports when it is made equal to another
-/// (summed into [`crate::RestoredBytes`] by `Cpu::restore_from` and into
-/// [`crate::ForkStats`] by `Cpu::fork_from`).
-///
-/// * `copied` — bytes physically copied up front.
-/// * `shared` — bytes now referenced structurally through shared page
-///   handles instead of being copied.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ForkBytes {
-    /// Bytes physically copied.
-    pub copied: u64,
-    /// Bytes shared structurally instead of copied.
-    pub shared: u64,
-}
-
-impl ForkBytes {
-    /// `bytes` adopted by handle sharing, none copied.
-    pub fn sharing(bytes: u64) -> Self {
-        ForkBytes {
-            copied: 0,
-            shared: bytes,
-        }
-    }
-
-    /// Bytes made equal to the source, copied or shared.
-    pub fn total(&self) -> u64 {
-        self.copied + self.shared
-    }
-}
-
-impl std::ops::Add for ForkBytes {
-    type Output = ForkBytes;
-    fn add(self, rhs: ForkBytes) -> ForkBytes {
-        ForkBytes {
-            copied: self.copied + rhs.copied,
-            shared: self.shared + rhs.shared,
-        }
-    }
-}
-
 /// A single value on one copy-on-write page — for irregular structures
 /// (the dynamic-instance counters, the output stream) that are cheaper to
 /// share wholesale than to page.
@@ -484,11 +444,9 @@ impl<T: Clone> CowSeq<T> {
     }
 
     /// Replaces this queue's contents with `src`'s by cloning the handle
-    /// (a copy when `src` is owned; freeze it first to share); the whole
-    /// queue counts as shared.
-    pub fn share_from(&mut self, src: &Self) -> ForkBytes {
+    /// (a copy when `src` is owned; freeze it first to share).
+    pub fn share_from(&mut self, src: &Self) {
         self.inner.clone_from(&src.inner);
-        ForkBytes::sharing((src.len() * std::mem::size_of::<T>()) as u64)
     }
 
     /// Moves an owned queue behind a handle so it can be shared.

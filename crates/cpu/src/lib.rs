@@ -64,11 +64,8 @@ mod snapshot;
 
 pub use cache::{Cache, CacheEffects, CacheSnapshot, MemSystem, MemSystemSnapshot};
 pub use config::{CacheConfig, ConfigError, CpuConfig};
-pub use core::{
-    AssertKind, Cpu, CpuState, CrashKind, ExitReason, ForkStats, InjectError, RestoreStats,
-    RestoredBytes, RunResult,
-};
-pub use cow::{CowBox, CowBytes, CowSeq, CowTable, ForkBytes};
+pub use core::{AssertKind, Cpu, CpuState, CrashKind, ExitReason, InjectError, RunResult};
+pub use cow::{CowBox, CowBytes, CowSeq, CowTable};
 // The pre-decoded micro-op arena `Cpu::with_predecoded` shares across cores.
 pub use fault::{FaultSpec, FaultSpecError};
 pub use interp::{interpret, InterpExit, InterpResult};

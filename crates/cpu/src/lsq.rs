@@ -6,7 +6,7 @@
 //! when the store drains to the cache at commit.  Slots are allocated
 //! circularly so a fault specification's entry index denotes a physical slot.
 
-use crate::cow::{CowTable, ForkBytes};
+use crate::cow::CowTable;
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
 use merlin_isa::{MemSize, Rip, Upc};
 
@@ -228,12 +228,11 @@ impl StoreQueue {
     }
 
     /// Makes `self` equal to `src` by sharing its page handles.
-    pub(crate) fn share_from(&mut self, src: &Self) -> ForkBytes {
+    pub(crate) fn share_from(&mut self, src: &Self) {
         self.head = src.head;
         self.tail = src.tail;
         self.count = src.count;
         self.slots.share_from(&src.slots);
-        ForkBytes::sharing(src.slots.len() as u64 * std::mem::size_of::<SqSlot>() as u64)
     }
 
     /// Moves every owned page behind a handle, so it can be shared.
@@ -346,10 +345,9 @@ impl LoadQueue {
     }
 
     /// Makes `self` equal to `src` by sharing its page handles.
-    pub(crate) fn share_from(&mut self, src: &Self) -> ForkBytes {
+    pub(crate) fn share_from(&mut self, src: &Self) {
         self.count = src.count;
         self.seqs.share_from(&src.seqs);
-        ForkBytes::sharing(src.seqs.len() as u64 * std::mem::size_of::<Option<u64>>() as u64)
     }
 
     /// Moves every owned page behind a handle, so it can be shared.

@@ -13,7 +13,7 @@
 //! revert to the program image, dirty chunks adopt the delta's handles —
 //! byte-exact, with no dense copy anywhere.
 
-use crate::cow::{CowBytes, ForkBytes};
+use crate::cow::CowBytes;
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
 use merlin_isa::{MemSize, DATA_BASE};
 use serde::{Deserialize, Serialize};
@@ -106,12 +106,6 @@ impl Memory {
     /// Number of chunks the memory is divided into for dirty tracking.
     fn chunk_count(&self) -> usize {
         self.bytes.chunk_count()
-    }
-
-    /// Byte range of chunk `idx` (the last chunk may be short).
-    fn chunk_range(&self, idx: usize) -> std::ops::Range<usize> {
-        let start = idx * CHUNK_BYTES;
-        start..(start + CHUNK_BYTES).min(self.bytes.len())
     }
 
     /// Whether chunk `c` may differ from the pristine image.  Every write
@@ -275,9 +269,7 @@ impl Memory {
     /// and future snapshots) from the one the delta was taken on.
     ///
     /// Only chunks in (currently dirty ∪ delta) are rewritten — O(touched
-    /// data), never O(memory size).  Both steps are handle swaps; the
-    /// returned count is the bytes made equal to the snapshot, whether or
-    /// not they physically moved.
+    /// data), never O(memory size).  Both steps are handle swaps.
     ///
     /// The delta must come from a memory with the same length and pristine
     /// image (same program, same configuration); the length is checked.
@@ -285,25 +277,21 @@ impl Memory {
     /// # Panics
     ///
     /// Panics if `delta` was captured from a memory of a different size.
-    pub fn restore_delta(&mut self, delta: &MemoryDelta) -> usize {
+    pub fn restore_delta(&mut self, delta: &MemoryDelta) {
         assert_eq!(
             delta.len,
             self.len(),
             "delta snapshot from a different memory size"
         );
-        let mut restored = 0;
         for c in 0..self.chunk_count() {
             if self.is_dirty(c) {
-                restored += self.chunk_range(c).len();
                 self.bytes.share_chunk_from(c, &self.pristine);
             }
         }
         for chunk in &delta.chunks {
             let c = chunk.index as usize;
-            restored += self.chunk_range(c).len();
             self.bytes.set_chunk_handle(c, &chunk.data);
         }
-        restored
     }
 
     /// Makes `self` an exact structural replica of `src`: every live chunk
@@ -311,14 +299,13 @@ impl Memory {
     /// dirty chunks stay apart exactly as in `src`.  No bytes move: `src`'s
     /// owned chunks are frozen first, and a written chunk un-shares lazily
     /// on either side's first subsequent write.
-    pub fn fork_from(&mut self, src: &mut Self) -> ForkBytes {
+    pub fn fork_from(&mut self, src: &mut Self) {
         debug_assert_eq!(self.len(), src.len());
         src.bytes.freeze();
         self.bytes.share_from(&src.bytes);
         // Byte-identical by construction (same program image); sharing the
         // handles deduplicates the image across the pool.
         self.pristine.share_from(&src.pristine);
-        ForkBytes::sharing(self.len())
     }
 
     /// Chunk un-share events since the last call (see

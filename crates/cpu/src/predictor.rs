@@ -5,7 +5,7 @@
 //! excludes reads performed by squashed instructions, so a reproduction
 //! without wrong-path execution would have nothing to exclude.
 
-use crate::cow::{CowTable, ForkBytes};
+use crate::cow::CowTable;
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
 use merlin_isa::Rip;
 
@@ -76,12 +76,11 @@ impl BranchPredictor {
 
     /// Makes `self` equal to `src` by sharing its page handles — no
     /// counter is copied.
-    pub(crate) fn share_from(&mut self, src: &Self) -> ForkBytes {
+    pub(crate) fn share_from(&mut self, src: &Self) {
         self.history = src.history;
         self.history_bits = src.history_bits;
         self.bimodal.share_from(&src.bimodal);
         self.gshare.share_from(&src.gshare);
-        ForkBytes::sharing((src.bimodal.len() + src.gshare.len()) as u64)
     }
 
     /// Moves every owned page behind a handle, so it can be shared.
@@ -181,11 +180,8 @@ impl Btb {
     }
 
     /// Makes `self` equal to `src` by sharing its page handles.
-    pub(crate) fn share_from(&mut self, src: &Self) -> ForkBytes {
+    pub(crate) fn share_from(&mut self, src: &Self) {
         self.entries.share_from(&src.entries);
-        ForkBytes::sharing(
-            src.entries.len() as u64 * std::mem::size_of::<Option<(Rip, Rip)>>() as u64,
-        )
     }
 
     /// Moves every owned page behind a handle, so it can be shared.

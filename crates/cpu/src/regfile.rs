@@ -4,16 +4,12 @@
 //! [`crate::CowTable`]), so restores and forks adopt page handles instead
 //! of copying entries.
 
-use crate::cow::{CowSeq, CowTable, ForkBytes};
+use crate::cow::{CowSeq, CowTable};
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
 use merlin_isa::{ArchReg, NUM_ARCH_REGS};
 
 /// Index of a physical register.
 pub type PhysReg = u16;
-
-/// Bytes one physical register occupies in the restore accounting (64-bit
-/// value plus its ready bit).
-const PRF_ENTRY_BYTES: u64 = 9;
 
 /// Copy-on-write page size for the register-file arrays, in entries.
 const PRF_PAGE: usize = 64;
@@ -85,10 +81,9 @@ impl PhysRegFile {
 
     /// Makes `self` equal to `src` by sharing its page handles — O(pages),
     /// no entry is copied.  Restores and forks both take this path.
-    pub(crate) fn share_from(&mut self, src: &Self) -> ForkBytes {
+    pub(crate) fn share_from(&mut self, src: &Self) {
         self.values.share_from(&src.values);
         self.ready.share_from(&src.ready);
-        ForkBytes::sharing(src.values.len() as u64 * PRF_ENTRY_BYTES)
     }
 
     /// Moves every owned page behind a handle, so it can be shared.
@@ -171,8 +166,8 @@ impl FreeList {
     }
 
     /// Makes `self` equal to `src` with one handle share.
-    pub(crate) fn share_from(&mut self, src: &Self) -> ForkBytes {
-        self.free.share_from(&src.free)
+    pub(crate) fn share_from(&mut self, src: &Self) {
+        self.free.share_from(&src.free);
     }
 
     /// Moves an owned queue behind a handle, so it can be shared.
@@ -242,12 +237,8 @@ impl RenameTable {
     /// Makes `self` equal to `src` by copying the whole map — at
     /// [`NUM_ARCH_REGS`] entries it is smaller than a page handle, so a copy
     /// is the cheap option.
-    pub(crate) fn share_from(&mut self, src: &Self) -> ForkBytes {
+    pub(crate) fn share_from(&mut self, src: &Self) {
         self.map = src.map;
-        ForkBytes {
-            copied: (NUM_ARCH_REGS * std::mem::size_of::<PhysReg>()) as u64,
-            shared: 0,
-        }
     }
 }
 

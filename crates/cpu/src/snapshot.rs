@@ -22,8 +22,7 @@
 //! (typically a few KB per snapshot) instead of with the configured memory
 //! size (formerly a dense ~64 KB+ image per snapshot, ~1 MB per persisted
 //! store).  [`CheckpointStore::footprint_bytes`] reports the delta-based
-//! footprint; [`CheckpointStore::dense_footprint_bytes`] reports what the
-//! dense representation would have occupied, so the saving is measurable.
+//! footprint.
 //!
 //! The instrumented run snapshots unconditionally at entry, so a store is
 //! never empty and always holds a snapshot at or before any later cycle of
@@ -34,12 +33,10 @@
 //! on copy-on-write pages ([`crate::CowTable`], [`crate::CowSeq`]), so a
 //! restore adopts the snapshot's page handles instead of copying entries,
 //! and the backing memory adopts its delta chunks by handle.  Only the
-//! caches are rebuilt line by line from their sparse images.
-//! [`crate::RestoreStats`] reports the bytes made equal to the snapshot per
-//! structure ([`crate::RestoredBytes`]).  Sharing is runtime-only
-//! bookkeeping: it is never serialised, so the on-disk `binio` format is
-//! unchanged, and decoding a snapshot yields shared pages no one else holds
-//! yet, which restores adopt by handle like a live snapshot's.
+//! caches are rebuilt line by line from their sparse images.  Sharing is
+//! runtime-only bookkeeping: it is never serialised, so the on-disk `binio`
+//! format is unchanged, and decoding a snapshot yields shared pages no one
+//! else holds yet, which restores adopt by handle like a live snapshot's.
 
 use crate::core::{Cpu, CpuState, RunResult};
 use crate::probe::Probe;
@@ -153,16 +150,6 @@ impl CheckpointStore {
     /// as chunk-level deltas).
     pub fn footprint_bytes(&self) -> usize {
         self.checkpoints.iter().map(|s| s.footprint_bytes()).sum()
-    }
-
-    /// What [`Self::footprint_bytes`] would be with each snapshot's memory
-    /// stored densely instead of as a delta — the pre-delta representation,
-    /// kept so benchmarks can report the size win.
-    pub fn dense_footprint_bytes(&self) -> usize {
-        self.checkpoints
-            .iter()
-            .map(|s| s.footprint_bytes() - s.memory_delta_bytes() + s.memory_dense_bytes())
-            .sum()
     }
 }
 
@@ -527,7 +514,11 @@ mod tests {
         let (result, store) = every(&mut cpu, 100_000, 10);
         assert!(result.exit.is_halted());
         let delta = store.footprint_bytes();
-        let dense = store.dense_footprint_bytes();
+        // The footprint with every snapshot's memory stored densely.
+        let dense: usize = store
+            .snapshots()
+            .map(|s| s.footprint_bytes() - s.memory_delta_bytes() + s.memory_dense_bytes())
+            .sum();
         // The looped program touches one 64-byte buffer out of a 64 KB+
         // memory; the delta representation must be far below dense.
         assert!(

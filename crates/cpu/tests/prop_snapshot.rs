@@ -164,7 +164,7 @@ proptest! {
 
     /// A quarantined core (as campaign workers demote theirs after a caught
     /// per-fault panic) is trusted again by its next restore, which is
-    /// flagged `from_quarantine` and reproduces the state of a fresh-core
+    /// reports lifting the quarantine and reproduces the state of a fresh-core
     /// restore bit for bit.
     #[test]
     fn quarantine_forces_a_full_restore_identical_to_a_fresh_core(
@@ -188,8 +188,8 @@ proptest! {
         let state = golden_cpu.snapshot();
 
         let mut worker = Cpu::new(program.clone(), CpuConfig::default()).unwrap();
-        let first = worker.restore_from(&state);
-        prop_assert!(!first.from_quarantine);
+        let lifted_quarantine = worker.restore_from(&state);
+        prop_assert!(!lifted_quarantine);
         prop_assert!(!worker.is_quarantined());
 
         // Dirty the core with a faulty partial suffix, then quarantine it —
@@ -205,8 +205,8 @@ proptest! {
         worker.quarantine();
         prop_assert!(worker.is_quarantined());
 
-        let restore = worker.restore_from(&state);
-        prop_assert!(restore.from_quarantine);
+        let lifted_quarantine = worker.restore_from(&state);
+        prop_assert!(lifted_quarantine);
         prop_assert!(!worker.is_quarantined(), "quarantine clears on restore");
         prop_assert!(worker.matches_state(&state));
         prop_assert_eq!(&worker.snapshot(), &state);
@@ -221,7 +221,7 @@ proptest! {
         prop_assert_eq!(&replay, &golden);
 
         // The flag reports the quarantine once.
-        prop_assert!(!worker.restore_from(&state).from_quarantine);
+        prop_assert!(!worker.restore_from(&state));
     }
 
     /// A fault injected into a restored suffix behaves exactly as the same

@@ -1,12 +1,11 @@
-//! Pins the per-structure restore accounting for backing memory.
+//! Restore exactness when backing memory is dirty.
 //!
-//! On the default configuration the bench workloads are L2-resident: backing
-//! memory is only written on dirty L2 evictions, which never occur, so the
-//! `memory` entry of the restored-bytes breakdown is a *true* zero there.
-//! This test forces the missing case — caches small enough that stores spill
-//! dirty lines all the way to memory — and asserts that a restore then
-//! reports nonzero memory bytes, onto a fresh core and onto a core whose
-//! suffix dirtied memory further.
+//! On the default configuration the built-in workloads are L2-resident:
+//! backing memory is only written on dirty L2 evictions, which never occur,
+//! so a snapshot's memory delta is empty there.  This test forces the other
+//! case — caches small enough that stores spill dirty lines all the way to
+//! memory — and asserts that a restore reproduces the snapshot exactly, onto
+//! a fresh core and onto a core whose suffix dirtied memory further.
 
 use merlin_cpu::{CacheConfig, Cpu, CpuConfig, NullProbe};
 use merlin_isa::{reg, AluOp, Cond, MemRef, ProgramBuilder};
@@ -52,7 +51,7 @@ fn tiny_cache_config() -> CpuConfig {
 }
 
 #[test]
-fn restore_reports_memory_bytes_when_evictions_dirty_it() {
+fn restore_is_exact_when_evictions_dirty_memory() {
     let program = spilling_program();
     let cfg = tiny_cache_config();
     let mut reference = Cpu::new(program.clone(), cfg.clone()).unwrap();
@@ -74,25 +73,16 @@ fn restore_reports_memory_bytes_when_evictions_dirty_it() {
 
     // A restore onto a fresh core lays the snapshot's memory delta.
     let mut worker = Cpu::new(program.clone(), cfg.clone()).unwrap();
-    let full = worker.restore_from(&state);
-    assert!(
-        full.bytes.memory > 0,
-        "restore of a dirtied memory must report memory bytes, got {:?}",
-        full.bytes
-    );
+    worker.restore_from(&state);
     assert_eq!(&worker.snapshot(), &state);
 
     // Run the suffix — it spills more dirty lines — then restore the same
-    // snapshot again: the restore must rewrite (and report) the memory the
-    // suffix touched as well as the snapshot's delta.
+    // snapshot again: the restore must revert the memory the suffix touched
+    // as well as lay the snapshot's delta.
     let replay = worker.run(golden.cycles * 3 + 1000, &mut NullProbe);
     assert_eq!(&replay, &golden);
-    let again = worker.restore_from(&state);
-    assert!(
-        again.bytes.memory > full.bytes.memory,
-        "restore after a memory-dirtying suffix must report its memory bytes, got {:?} vs {:?}",
-        again.bytes,
-        full.bytes
-    );
+    worker.restore_from(&state);
     assert_eq!(&worker.snapshot(), &state);
+    let replay = worker.run(golden.cycles * 3 + 1000, &mut NullProbe);
+    assert_eq!(&replay, &golden);
 }

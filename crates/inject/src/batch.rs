@@ -183,7 +183,7 @@ pub(crate) fn run_batched_range(
 
     let mut golden_core = pool.take()?;
     match catch_unwind(AssertUnwindSafe(|| golden_core.restore_from(state))) {
-        Ok(r) => stats.record_restore(&r),
+        Ok(from_quarantine) => stats.record_restore(from_quarantine),
         Err(_) => {
             abort_to_pool(pool, None, Some(golden_core));
             return None;
@@ -250,21 +250,16 @@ pub(crate) fn run_batched_range(
             fork = Some(core);
         }
         let spawned = catch_unwind(AssertUnwindSafe(|| {
-            let forked = fork.as_mut().map(|core| core.fork_from(&mut golden_core));
+            if let Some(core) = fork.as_mut() {
+                core.fork_from(&mut golden_core);
+            }
             fork.as_mut()
                 .unwrap_or(&mut golden_core)
                 .inject_fault(fault)
                 .expect("absent fault sites are resolved before a range runs");
-            forked
         }));
         match spawned {
-            Ok(forked) => {
-                if let Some(fork_bytes) = forked {
-                    stats.fork_bytes_copied += fork_bytes.copied.total();
-                    stats.fork_bytes_shared += fork_bytes.shared.total();
-                }
-                stats.forks_spawned += 1;
-            }
+            Ok(()) => stats.forks_spawned += 1,
             Err(_) => {
                 abort_faulty(pool, golden_core, fork);
                 return None;

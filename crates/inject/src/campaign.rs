@@ -21,8 +21,8 @@
 //!    golden run is checkpointed; the store rides inside the returned
 //!    [`GoldenRun`], so every campaign over that golden run shares it.
 //! 2. [`Session::campaign`](crate::Session::campaign) hands the fault list
-//!    to the [`CampaignScheduler`](crate::CampaignScheduler) (see the
-//!    [`schedule`](crate::schedule) module), which buckets it into
+//!    to the campaign scheduler (see the [`schedule`](crate::schedule)
+//!    module), which buckets it into
 //!    per-checkpoint ranges and binds workers to whole ranges so each
 //!    worker's restore snapshot stays hot.  Each range runs through the
 //!    batched driver (see the `batch` module): one golden core restores the
@@ -199,39 +199,32 @@ pub(crate) struct FaultRun {
 /// program clone): the oracle every checkpointed campaign is pinned
 /// against.  The fault's site must exist in `cfg` (callers resolve absent
 /// sites first).
+///
+/// Returns `None` when the run could not complete: the core could not be
+/// constructed, or the simulator panicked.  The caller classifies such a
+/// fault Assert by failure containment, rather than tearing the campaign
+/// down.
 pub(crate) fn run_single_fault_shared(
     program: &Arc<Program>,
     decoded: &Arc<DecodedProgram>,
     cfg: &CpuConfig,
     golden: &GoldenRun,
     fault: FaultSpec,
-) -> FaultRun {
-    let asserted = FaultRun {
-        effect: FaultEffect::Assert,
-        early_exit: false,
-        suffix_cycles: 0,
-    };
-    let Ok(mut cpu) = Cpu::with_predecoded(Arc::clone(program), Arc::clone(decoded), cfg.clone())
-    else {
-        return asserted;
-    };
-    // An internal invariant violation inside the simulator is the paper's
-    // Assert class: catch it rather than tearing the campaign down.  The
-    // panic path records zero suffix cycles.
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+) -> Option<FaultRun> {
+    let mut cpu =
+        Cpu::with_predecoded(Arc::clone(program), Arc::clone(decoded), cfg.clone()).ok()?;
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         crate::chaos::maybe_panic_fault(fault.cycle);
         cpu.inject_fault(fault)
             .expect("absent fault sites are resolved before simulation");
         cpu.run(golden.timeout_cycles, &mut NullProbe)
-    }));
-    match outcome {
-        Ok(result) => FaultRun {
-            effect: classify(&golden.result, &result),
-            early_exit: false,
-            suffix_cycles: result.cycles,
-        },
-        Err(_) => asserted,
-    }
+    }))
+    .ok()?;
+    Some(FaultRun {
+        effect: classify(&golden.result, &result),
+        early_exit: false,
+        suffix_cycles: result.cycles,
+    })
 }
 
 /// Whether `fault` targets an entry `cfg` does not have.  Such a fault

@@ -22,7 +22,7 @@
 //!   session shares one pre-decoded micro-op arena
 //!   (`merlin_isa::DecodedProgram`) across all of its cores, and restores
 //!   adopt the snapshot's copy-on-write pages instead of copying them,
-//! * the restore-aware [`CampaignScheduler`] (see the [`schedule`] module):
+//! * the restore-aware campaign scheduler (see the [`schedule`] module):
 //!   faults are bucketed into per-checkpoint ranges, workers bind to whole
 //!   ranges (keeping each worker's restore snapshot hot), steal whole
 //!   ranges when they drain, and oversized ranges are split into
@@ -81,7 +81,7 @@ pub use liveness::L1dLiveness;
 pub use sampling::{
     fault_population, generate_fault_list, probit, sample_size, z_score, SamplingPlan,
 };
-pub use schedule::{CampaignScheduler, ScheduleStats};
+pub use schedule::ScheduleStats;
 pub use session::{Session, SessionBuilder, SessionCache, SessionKey};
 
 // Re-exported so downstream crates can name fault sites and checkpoint

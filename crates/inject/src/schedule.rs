@@ -8,8 +8,8 @@
 //! consecutive grabs by one worker rarely restore from the *same* golden
 //! snapshot — between two of its faults, other workers have claimed the
 //! faults in between — so the restore source keeps leaving the worker's
-//! cache.  The [`CampaignScheduler`] keeps dynamic scheduling but changes
-//! the unit of work:
+//! cache.  The campaign scheduler keeps dynamic scheduling but changes the
+//! unit of work:
 //!
 //! 1. The cycle-sorted fault list is bucketed into **checkpoint ranges**:
 //!    all faults whose restore source is the same golden snapshot (the
@@ -48,7 +48,7 @@ use crate::campaign::{
 };
 use crate::classify::{Classification, FaultEffect};
 use merlin_analyze::ProgramAnalysis;
-use merlin_cpu::{CpuConfig, FaultSpec, RestoreStats, RestoredBytes, Structure};
+use merlin_cpu::{CpuConfig, FaultSpec, Structure};
 use merlin_isa::{DecodedProgram, Program};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -85,13 +85,6 @@ pub struct ScheduleStats {
     /// range whose fault count exceeds twice the mean is cut into
     /// near-mean-sized sub-ranges sharing the restore source).
     pub range_splits: u64,
-    /// Bytes made equal to the checkpoint across all restores, over *every*
-    /// restored structure: memory chunks, cache lines, register file,
-    /// rename state, fetch buffer, ROB, load/store queues and predictor
-    /// tables.
-    pub restored_bytes: u64,
-    /// The same bytes broken down per pipeline structure.
-    pub restored_breakdown: RestoredBytes,
     /// Total cycles simulated by faulty cores, from each fault's fork point
     /// (cycle 0 from scratch) to wherever its run ended.  The shared golden
     /// replay is counted apart, in
@@ -102,7 +95,9 @@ pub struct ScheduleStats {
     /// Faults classified [`Assert`](crate::FaultEffect::Assert) by the
     /// engine's failure containment: a panic during the fault's own
     /// simulation, a range whose retry also failed, a core that could not be
-    /// constructed, or a worker that died without reporting.
+    /// constructed, or a worker that died without reporting.  A run the
+    /// model itself ends with an assertion (a store into the code region)
+    /// is classified Assert too, but is not counted here.
     pub asserts: u64,
     /// Restores that lifted a core out of quarantine — the first restore
     /// following a panic on that core.
@@ -148,19 +143,11 @@ pub struct ScheduleStats {
     /// separate from [`ScheduleStats::suffix_cycles`], which counts
     /// faulty-core cycles only.
     pub golden_replay_cycles: u64,
-    /// Bytes the batched driver's copy-on-write forks actually copied at
-    /// fork time.  Structural sharing makes [`Cpu::fork_from`](merlin_cpu::Cpu::fork_from)
-    /// O(metadata): handles are adopted instead of bytes moved, so this
-    /// stays tiny regardless of how much state the golden core touched.
-    pub fork_bytes_copied: u64,
-    /// Bytes whose content the forks adopted by O(1) handle sharing
-    /// instead of copying.
-    pub fork_bytes_shared: u64,
-    /// Copy-on-write sharing breaks: structures privatised (copied after
-    /// all) on their first write following a fork or a handle-sharing
-    /// restore.  The deferred remainder of the copy work `fork_bytes_copied`
-    /// avoided up front — only state a fork actually touches is ever paid
-    /// for.
+    /// Copy-on-write sharing breaks: pages privatised (copied after all) on
+    /// their first write following a fork or a handle-sharing restore.
+    /// [`Cpu::fork_from`](merlin_cpu::Cpu::fork_from) and restores adopt
+    /// page handles instead of copying, so this is the copy work a campaign
+    /// actually pays.
     pub cow_breaks: u64,
 }
 
@@ -170,8 +157,6 @@ impl std::ops::AddAssign for ScheduleStats {
         self.restores += rhs.restores;
         self.range_steals += rhs.range_steals;
         self.range_splits += rhs.range_splits;
-        self.restored_bytes += rhs.restored_bytes;
-        self.restored_breakdown += rhs.restored_breakdown;
         self.suffix_cycles += rhs.suffix_cycles;
         self.asserts += rhs.asserts;
         self.poisoned_restores += rhs.poisoned_restores;
@@ -182,27 +167,24 @@ impl std::ops::AddAssign for ScheduleStats {
         self.forks_retired += rhs.forks_retired;
         self.dead_sites += rhs.dead_sites;
         self.golden_replay_cycles += rhs.golden_replay_cycles;
-        self.fork_bytes_copied += rhs.fork_bytes_copied;
-        self.fork_bytes_shared += rhs.fork_bytes_shared;
         self.cow_breaks += rhs.cow_breaks;
     }
 }
 
 impl ScheduleStats {
-    /// Accounts one simulated fault: its suffix cycles, its probe
-    /// retirement and its Assert classification.
+    /// Accounts one simulated fault: its suffix cycles and its probe
+    /// retirement.  A run the model itself classifies Assert is not a
+    /// containment event, so it leaves [`ScheduleStats::asserts`] alone.
     pub(crate) fn record(&mut self, run: &FaultRun) {
         self.suffix_cycles += run.suffix_cycles;
         self.forks_retired += u64::from(run.early_exit);
-        self.asserts += u64::from(run.effect == FaultEffect::Assert);
     }
 
-    /// Accounts one checkpoint restore.
-    pub(crate) fn record_restore(&mut self, restore: &RestoreStats) {
+    /// Accounts one checkpoint restore; `from_quarantine` is what
+    /// [`Cpu::restore_from`](merlin_cpu::Cpu::restore_from) returned.
+    pub(crate) fn record_restore(&mut self, from_quarantine: bool) {
         self.restores += 1;
-        self.poisoned_restores += u64::from(restore.from_quarantine);
-        self.restored_bytes += restore.bytes.total();
-        self.restored_breakdown += restore.bytes;
+        self.poisoned_restores += u64::from(from_quarantine);
     }
 }
 
@@ -213,7 +195,7 @@ impl ScheduleStats {
 /// Built once per campaign by [`Session::campaign`](crate::Session::campaign)
 /// /[`Session::campaign_from_scratch`](crate::Session::campaign_from_scratch),
 /// over the golden run the session built.
-pub struct CampaignScheduler<'a> {
+pub(crate) struct CampaignScheduler<'a> {
     program: Arc<Program>,
     decoded: Arc<DecodedProgram>,
     cfg: Arc<CpuConfig>,
@@ -241,6 +223,16 @@ impl<'a> CampaignScheduler<'a> {
     /// chunked contiguously and every fault simulates from cycle 0.
     /// `decoded` is the session's pre-decoded micro-op table, shared across
     /// the golden run and every campaign worker.
+    ///
+    /// With an `analysis`, register-file faults whose physical entry is
+    /// [`statically dead`] are classified Masked with zero simulation and
+    /// accounted as [`ScheduleStats::static_prunes`].  The prune is sound —
+    /// a fully simulated run of such a fault always classifies Masked — so
+    /// outcomes are byte-identical with and without it; the from-scratch
+    /// oracle passes `None` so it stays the pure differential baseline.
+    ///
+    /// [`statically dead`]: ProgramAnalysis::rf_entry_statically_dead
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         program: &Arc<Program>,
         decoded: &Arc<DecodedProgram>,
@@ -249,6 +241,7 @@ impl<'a> CampaignScheduler<'a> {
         use_checkpoints: bool,
         faults: &'a [FaultSpec],
         threads: usize,
+        analysis: Option<&'a ProgramAnalysis>,
     ) -> Self {
         let threads = threads.max(1).min(faults.len().max(1));
         // Cycle-sorted, stable on the original index, so bucketing — and
@@ -322,33 +315,8 @@ impl<'a> CampaignScheduler<'a> {
             threads: threads.min(buckets.len().max(1)),
             buckets,
             splits,
-            analysis: None,
+            analysis,
         }
-    }
-
-    /// Attaches a static program analysis: register-file faults whose
-    /// physical entry is [`statically dead`] are classified Masked with
-    /// zero simulation and accounted as [`ScheduleStats::static_prunes`].
-    ///
-    /// The prune is *sound* — a fully simulated run of such a fault always
-    /// classifies Masked — so outcomes stay byte-identical with and
-    /// without it; property tests pin this.
-    ///
-    /// [`statically dead`]: ProgramAnalysis::rf_entry_statically_dead
-    pub fn with_static_analysis(mut self, analysis: &'a ProgramAnalysis) -> Self {
-        self.analysis = Some(analysis);
-        self
-    }
-
-    /// Number of non-empty ranges the fault list was bucketed into
-    /// (oversized-range splits included).
-    pub fn ranges(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Extra ranges created by splitting oversized checkpoint ranges.
-    pub fn range_splits(&self) -> u64 {
-        self.splits
     }
 
     /// Executes one range.  Statically-pruned and absent-site faults, and
@@ -403,8 +371,16 @@ impl<'a> CampaignScheduler<'a> {
                     self.golden,
                     fault,
                 );
-                stats.record(&run);
-                out.push((idx, run.effect));
+                match run {
+                    Some(run) => {
+                        stats.record(&run);
+                        out.push((idx, run.effect));
+                    }
+                    None => {
+                        stats.asserts += 1;
+                        out.push((idx, FaultEffect::Assert));
+                    }
+                }
             }
             return out;
         }
@@ -450,7 +426,7 @@ impl<'a> CampaignScheduler<'a> {
     /// deterministically as `Assert`.  Both classifications are pure
     /// functions of (program, configuration, fault), so outcomes stay
     /// byte-identical across thread counts even under panics.
-    pub fn run(&self) -> CampaignResult {
+    pub(crate) fn run(&self) -> CampaignResult {
         let threads = self.threads.max(1).min(self.buckets.len().max(1));
         let next = AtomicUsize::new(0);
         // Ranges whose first attempt panicked, awaiting their one retry.  A
@@ -601,36 +577,6 @@ impl<'a> CampaignScheduler<'a> {
     }
 }
 
-/// Clone-free campaign entry used by the session layer: schedule and run in
-/// one call.  `analysis` enables the static register-file prune; the
-/// from-scratch path passes `None` so it stays the pure differential
-/// baseline the soundness tests compare against.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn campaign_shared(
-    program: &Arc<Program>,
-    decoded: &Arc<DecodedProgram>,
-    cfg: &Arc<CpuConfig>,
-    golden: &GoldenRun,
-    use_checkpoints: bool,
-    faults: &[FaultSpec],
-    threads: usize,
-    analysis: Option<&ProgramAnalysis>,
-) -> CampaignResult {
-    let mut sched = CampaignScheduler::new(
-        program,
-        decoded,
-        cfg,
-        golden,
-        use_checkpoints,
-        faults,
-        threads,
-    );
-    if let Some(analysis) = analysis {
-        sched = sched.with_static_analysis(analysis);
-    }
-    sched.run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -658,6 +604,7 @@ mod tests {
         use_checkpoints: bool,
         faults: &'a [FaultSpec],
         threads: usize,
+        analysis: Option<&'a ProgramAnalysis>,
     ) -> CampaignScheduler<'a> {
         let decoded = Arc::new(DecodedProgram::new(program));
         CampaignScheduler::new(
@@ -668,6 +615,7 @@ mod tests {
             use_checkpoints,
             faults,
             threads,
+            analysis,
         )
     }
 
@@ -687,16 +635,8 @@ mod tests {
         faults: &[FaultSpec],
         threads: usize,
     ) -> CampaignResult {
-        campaign_shared(
-            &Arc::new(program.clone()),
-            &Arc::new(DecodedProgram::new(program)),
-            &Arc::new(cfg.clone()),
-            golden,
-            true,
-            faults,
-            threads,
-            None,
-        )
+        let (program, cfg) = (Arc::new(program.clone()), Arc::new(cfg.clone()));
+        scheduler(&program, &cfg, golden, true, faults, threads, None).run()
     }
 
     fn campaign_scratch(
@@ -706,16 +646,8 @@ mod tests {
         faults: &[FaultSpec],
         threads: usize,
     ) -> CampaignResult {
-        campaign_shared(
-            &Arc::new(program.clone()),
-            &Arc::new(DecodedProgram::new(program)),
-            &Arc::new(cfg.clone()),
-            golden,
-            false,
-            faults,
-            threads,
-            None,
-        )
+        let (program, cfg) = (Arc::new(program.clone()), Arc::new(cfg.clone()));
+        scheduler(&program, &cfg, golden, false, faults, threads, None).run()
     }
 
     fn tiny_program() -> Program {
@@ -834,11 +766,11 @@ mod tests {
             120,
             3,
         );
-        let sched = scheduler(&program, &cfg, &golden, true, &faults, 4);
+        let sched = scheduler(&program, &cfg, &golden, true, &faults, 4, None);
         // No more ranges than checkpoints plus splits, and every bucket's
         // faults share one restore source (splitting preserves the source).
-        assert!(sched.ranges() >= 1);
-        assert!(sched.ranges() <= store_cycles.len() + sched.range_splits() as usize);
+        assert!(!sched.buckets.is_empty());
+        assert!(sched.buckets.len() <= store_cycles.len() + sched.splits as usize);
         for bucket in &sched.buckets {
             assert!(!bucket.is_empty());
             let restore_of = |f: FaultSpec| {
@@ -853,9 +785,9 @@ mod tests {
             assert!(bucket.iter().all(|&i| restore_of(faults[i]) == first));
         }
         let result = sched.run();
-        assert_eq!(result.schedule.ranges, sched.ranges() as u64);
+        assert_eq!(result.schedule.ranges, sched.buckets.len() as u64);
         // A single worker claims every range: all but its binding are steals.
-        let solo = scheduler(&program, &cfg, &golden, true, &faults, 1).run();
+        let solo = scheduler(&program, &cfg, &golden, true, &faults, 1, None).run();
         assert_eq!(solo.schedule.range_steals, solo.schedule.ranges - 1);
         assert_eq!(solo.outcomes, result.outcomes);
     }
@@ -880,9 +812,9 @@ mod tests {
         for (i, &c) in store_cycles[1..].iter().enumerate() {
             faults.push(FaultSpec::new(Structure::RegisterFile, i % 8, 3, c + 1));
         }
-        let sched = scheduler(&program, &cfg, &golden, true, &faults, 4);
+        let sched = scheduler(&program, &cfg, &golden, true, &faults, 4, None);
         assert!(
-            sched.range_splits() > 0,
+            sched.splits > 0,
             "a range holding ~90% of the faults must split"
         );
         let restore_of = |f: FaultSpec| {
@@ -900,8 +832,8 @@ mod tests {
             assert!(bucket.iter().all(|&i| restore_of(faults[i]) == first));
         }
         let split = sched.run();
-        assert_eq!(split.schedule.range_splits, sched.range_splits());
-        assert_eq!(split.schedule.ranges, sched.ranges() as u64);
+        assert_eq!(split.schedule.range_splits, sched.splits);
+        assert_eq!(split.schedule.ranges, sched.buckets.len() as u64);
         // Outcomes are untouched by splitting: identical to from-scratch.
         let scratch = campaign_scratch(&program, &cfg, &golden, &faults, 4);
         assert_eq!(split.outcomes, scratch.outcomes);
@@ -938,11 +870,9 @@ mod tests {
             sched.forks_spawned > sched.ranges,
             "the bound is not vacuous"
         );
-        assert!(sched.restored_bytes > 0);
         // The from-scratch path never restores anything.
         let scratch = campaign_scratch(&program, &cfg, &golden, &faults, 2);
         assert_eq!(scratch.schedule.restores, 0);
-        assert_eq!(scratch.schedule.restored_bytes, 0);
         assert_eq!(result.outcomes, scratch.outcomes);
     }
 
@@ -955,8 +885,8 @@ mod tests {
             build_golden_checkpointed(&program, &decoded, &cfg, 1_000_000, &small_policy())
                 .unwrap();
         for use_ck in [true, false] {
-            let sched = scheduler(&program, &cfg, &golden, use_ck, &[], 4);
-            assert_eq!(sched.ranges(), 0);
+            let sched = scheduler(&program, &cfg, &golden, use_ck, &[], 4, None);
+            assert!(sched.buckets.is_empty());
             let result = sched.run();
             assert!(result.outcomes.is_empty());
             assert_eq!(result.schedule, ScheduleStats::default());
@@ -1066,9 +996,16 @@ mod tests {
         let faults = [dead, live];
         let arc_program = Arc::new(program.clone());
         let arc_cfg = Arc::new(cfg.clone());
-        let pruned = scheduler(&arc_program, &arc_cfg, &golden, true, &faults, 1)
-            .with_static_analysis(&analysis)
-            .run();
+        let pruned = scheduler(
+            &arc_program,
+            &arc_cfg,
+            &golden,
+            true,
+            &faults,
+            1,
+            Some(&analysis),
+        )
+        .run();
         assert_eq!(pruned.schedule.static_prunes, 1);
         assert_eq!(pruned.outcomes[0].effect, FaultEffect::Masked);
         // Only the live fault reached a core.
@@ -1081,6 +1018,60 @@ mod tests {
         assert_eq!(plain.schedule.static_prunes, 0);
         assert_eq!(reached(&plain), 2);
         assert_eq!(plain.outcomes, pruned.outcomes);
+    }
+
+    #[test]
+    fn modelled_asserts_are_not_containment_asserts() {
+        use merlin_cpu::RecordingProbe;
+        use merlin_isa::DATA_BASE;
+        // r10 holds DATA_BASE + off.  The load's cold miss delays the store,
+        // whose address depends on the loaded zero, long after r10 is
+        // written and read by the load.
+        let mut b = ProgramBuilder::new();
+        let data = b.alloc_words(&[0; 8]);
+        assert_eq!(data & DATA_BASE, DATA_BASE);
+        b.movi(reg(10), data as i64);
+        let load_rip = b.load(reg(1), MemRef::base(reg(10)));
+        let store_rip = b.store(reg(1), MemRef::base(reg(10)).indexed(reg(1), 8));
+        b.out(reg(1));
+        b.halt();
+        let program = b.build().unwrap();
+        let cfg = CpuConfig::default();
+
+        // Find r10's physical entry (read by both the load and the store)
+        // and a cycle after the load read it but before the store did.
+        let mut probe = RecordingProbe::default();
+        Cpu::new(program.clone(), cfg.clone())
+            .unwrap()
+            .run(1_000_000, &mut probe);
+        let rf_reads = |rip| {
+            probe.reads.iter().filter_map(move |(s, r)| {
+                (*s == Structure::RegisterFile && r.rip == rip).then_some((r.entry, r.cycle))
+            })
+        };
+        let (entry, load_cycle) = rf_reads(load_rip).next().unwrap();
+        let (_, store_cycle) = rf_reads(store_rip).find(|&(e, _)| e == entry).unwrap();
+        assert!(load_cycle + 1 < store_cycle, "the window is not empty");
+
+        // Clearing bit 16 moves the store below DATA_BASE: the model's own
+        // StoreToCode assertion, not a containment event.
+        let faults = [FaultSpec::new(
+            Structure::RegisterFile,
+            entry,
+            16,
+            load_cycle + 1,
+        )];
+        let session = crate::Session::builder(&program, &cfg)
+            .checkpoints(small_policy())
+            .build()
+            .unwrap();
+        for result in [
+            session.campaign(&faults).unwrap(),
+            session.campaign_from_scratch(&faults).unwrap(),
+        ] {
+            assert_eq!(result.outcomes[0].effect, FaultEffect::Assert);
+            assert_eq!(result.schedule.asserts, 0);
+        }
     }
 
     #[test]

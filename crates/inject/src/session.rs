@@ -47,7 +47,7 @@ use crate::campaign::{
 };
 use crate::liveness::L1dLiveness;
 use crate::sampling::generate_fault_list;
-use crate::schedule::campaign_shared;
+use crate::schedule::CampaignScheduler;
 use merlin_analyze::ProgramAnalysis;
 use merlin_cpu::{CheckpointPolicy, CpuConfig, FaultSpec, Structure};
 use merlin_isa::binio::{BinCode, ByteReader};
@@ -400,9 +400,10 @@ impl Session {
 
     /// Runs an injection campaign over `faults` with this session's thread
     /// count.  Each checkpoint range restores once, replays its golden
-    /// prefix once and forks a faulty core per fault (see
-    /// [`CampaignScheduler`](crate::CampaignScheduler)).  Register-file faults into statically-dead entries are
-    /// classified Masked without simulation and accounted as
+    /// prefix once and forks a faulty core per fault (see the
+    /// [`schedule`](crate::schedule) module).  Register-file faults into
+    /// statically-dead entries are classified Masked without simulation and
+    /// accounted as
     /// [`ScheduleStats::static_prunes`](crate::ScheduleStats::static_prunes).
     ///
     /// # Errors
@@ -412,7 +413,7 @@ impl Session {
     pub fn campaign(&self, faults: &[FaultSpec]) -> Result<CampaignResult, CampaignError> {
         self.validate_faults(faults)?;
         let golden = self.golden()?;
-        Ok(campaign_shared(
+        Ok(CampaignScheduler::new(
             &self.program,
             &self.decoded,
             &self.cfg,
@@ -421,7 +422,8 @@ impl Session {
             faults,
             self.threads,
             Some(&self.analysis),
-        ))
+        )
+        .run())
     }
 
     /// Runs a campaign with checkpoint restoration forcibly disabled (every
@@ -440,7 +442,7 @@ impl Session {
     ) -> Result<CampaignResult, CampaignError> {
         self.validate_faults(faults)?;
         let golden = self.golden()?;
-        Ok(campaign_shared(
+        Ok(CampaignScheduler::new(
             &self.program,
             &self.decoded,
             &self.cfg,
@@ -449,7 +451,8 @@ impl Session {
             faults,
             self.threads,
             None,
-        ))
+        )
+        .run())
     }
 
     /// A reusable one-fault-at-a-time injector over this session's golden
@@ -536,24 +539,6 @@ pub struct SessionKey {
     pub fingerprint: u64,
 }
 
-/// One cached session plus its recency stamp.
-#[derive(Debug)]
-struct CacheEntry {
-    session: Arc<Session>,
-    /// Monotone access counter value at the entry's last use (LRU order).
-    last_used: u64,
-}
-
-/// Interior state of a [`SessionCache`].
-#[derive(Debug, Default)]
-struct CacheState {
-    entries: HashMap<SessionKey, CacheEntry>,
-    /// Monotone access counter driving the LRU order.
-    tick: u64,
-    /// Sessions evicted to enforce the byte budget, ever.
-    evictions: u64,
-}
-
 /// A keyed cache of [`Session`]s, so configuration sweeps and repeated
 /// campaign phases over the same `(workload, configuration)` pair share one
 /// golden run.
@@ -562,15 +547,6 @@ struct CacheState {
 /// are serialised to `<dir>/<id>-<fingerprint>.golden` and re-loaded by
 /// later processes — the instrumented golden run is then paid once per
 /// context *ever*, not once per process.
-///
-/// With a byte budget attached ([`SessionCache::with_byte_budget`]), the
-/// cache evicts least-recently-used sessions whenever the summed
-/// [`Session::checkpoint_footprint_bytes`] of its residents exceeds the
-/// budget — paper-scale sweeps (9 configurations × 10 benchmarks) then hold
-/// a bounded working set instead of ~90 checkpoint stores.  Eviction only
-/// drops the cache's reference: sessions still held by callers stay fully
-/// usable, and a re-requested evicted context rebuilds — from its persisted
-/// `.golden` file without re-simulating when a disk directory is attached.
 ///
 /// # Examples
 ///
@@ -592,9 +568,8 @@ struct CacheState {
 /// ```
 #[derive(Debug, Default)]
 pub struct SessionCache {
-    state: Mutex<CacheState>,
+    sessions: Mutex<HashMap<SessionKey, Arc<Session>>>,
     disk_dir: Option<PathBuf>,
-    byte_budget: Option<usize>,
     /// Corrupt `.golden` files quarantined at load, summed over every
     /// session this cache created (shared into each via
     /// [`SessionBuilder::reject_counter`]).
@@ -602,8 +577,7 @@ pub struct SessionCache {
 }
 
 impl SessionCache {
-    /// An in-memory cache (sessions shared within this process only),
-    /// unbounded.
+    /// An in-memory cache (sessions shared within this process only).
     pub fn new() -> Self {
         SessionCache::default()
     }
@@ -615,23 +589,6 @@ impl SessionCache {
             disk_dir: Some(dir.into()),
             ..SessionCache::default()
         }
-    }
-
-    /// Bounds the summed checkpoint footprint of resident sessions to
-    /// `bytes`, evicting least-recently-used sessions past it (see the type
-    /// docs).  The budget is enforced at every [`SessionCache::session`]
-    /// request — golden runs are built lazily, so a session's footprint
-    /// materialises after it is cached and is accounted for from the next
-    /// request on.  Composes with [`SessionCache::with_disk_dir`]:
-    ///
-    /// ```
-    /// use merlin_inject::SessionCache;
-    /// let cache = SessionCache::with_disk_dir("/tmp/golden")
-    ///     .with_byte_budget(256 << 20);
-    /// ```
-    pub fn with_byte_budget(mut self, bytes: usize) -> Self {
-        self.byte_budget = Some(bytes);
-        self
     }
 
     /// Returns the session for `(id, context)`, creating it on first
@@ -657,71 +614,22 @@ impl SessionCache {
             id: id.to_string(),
             fingerprint: builder.fingerprint(),
         };
-        let mut state = lock_unpoisoned(&self.state);
-        state.tick += 1;
-        let tick = state.tick;
-        if let Some(entry) = state.entries.get_mut(&key) {
-            entry.last_used = tick;
-            let session = Arc::clone(&entry.session);
-            self.enforce_budget(&mut state, &key);
-            return Ok(session);
+        let mut sessions = lock_unpoisoned(&self.sessions);
+        if let Some(session) = sessions.get(&key) {
+            return Ok(Arc::clone(session));
         }
         if let Some(dir) = &self.disk_dir {
             builder = builder.persist_to(dir.join(golden_file_name(id, key.fingerprint)));
         }
         builder = builder.reject_counter(Arc::clone(&self.artifact_rejects));
         let session = Arc::new(builder.build()?);
-        state.entries.insert(
-            key.clone(),
-            CacheEntry {
-                session: Arc::clone(&session),
-                last_used: tick,
-            },
-        );
-        self.enforce_budget(&mut state, &key);
+        sessions.insert(key, Arc::clone(&session));
         Ok(session)
-    }
-
-    /// Evicts least-recently-used sessions until the resident checkpoint
-    /// footprint fits the budget.  The just-requested session (`current`) is
-    /// never evicted — handing a caller a session the cache immediately
-    /// forgot would make the next request rebuild it while the caller still
-    /// holds it.  Sessions whose golden run is not built yet occupy no
-    /// checkpoint memory and are skipped.
-    fn enforce_budget(&self, state: &mut CacheState, current: &SessionKey) {
-        let Some(budget) = self.byte_budget else {
-            return;
-        };
-        loop {
-            let total: usize = state
-                .entries
-                .values()
-                .map(|e| e.session.checkpoint_footprint_bytes())
-                .sum();
-            if total <= budget {
-                return;
-            }
-            let victim = state
-                .entries
-                .iter()
-                .filter(|(k, e)| *k != current && e.session.checkpoint_footprint_bytes() > 0)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone());
-            match victim {
-                Some(k) => {
-                    state.entries.remove(&k);
-                    state.evictions += 1;
-                }
-                // Nothing evictable (the overshoot is the current session
-                // alone): an oversized context must still be usable.
-                None => return,
-            }
-        }
     }
 
     /// Number of cached sessions.
     pub fn len(&self) -> usize {
-        lock_unpoisoned(&self.state).entries.len()
+        lock_unpoisoned(&self.sessions).len()
     }
 
     /// `true` when no session has been created yet.
@@ -729,27 +637,11 @@ impl SessionCache {
         self.len() == 0
     }
 
-    /// Sessions evicted to enforce the byte budget since the cache was
-    /// created (0 without a budget).
-    pub fn evictions(&self) -> u64 {
-        lock_unpoisoned(&self.state).evictions
-    }
-
     /// Corrupt `.golden` files rejected (checksum or decode failure behind a
     /// matching header), quarantined to `<name>.golden.corrupt` and
     /// transparently rebuilt, across every session this cache created.
     pub fn artifact_rejects(&self) -> u64 {
         self.artifact_rejects.load(Ordering::Relaxed)
-    }
-
-    /// Summed checkpoint footprint of the resident sessions in bytes (only
-    /// sessions whose golden run has been built contribute).
-    pub fn resident_bytes(&self) -> usize {
-        lock_unpoisoned(&self.state)
-            .entries
-            .values()
-            .map(|e| e.session.checkpoint_footprint_bytes())
-            .sum()
     }
 }
 
@@ -1163,104 +1055,6 @@ mod tests {
     }
 
     #[test]
-    fn byte_budget_evicts_lru_sessions() {
-        let p = tiny_program();
-        let cfg = CpuConfig::default();
-        let tune = |b: SessionBuilder| b.checkpoints(small_policy()).max_cycles(1_000_000);
-
-        // Unbounded: both sessions stay resident.
-        let unbounded = SessionCache::new();
-        let a = unbounded.session("a", &p, &cfg, tune).unwrap();
-        a.golden().unwrap();
-        let footprint = a.checkpoint_footprint_bytes();
-        assert!(footprint > 0);
-        let b = unbounded.session("b", &p, &cfg, tune).unwrap();
-        b.golden().unwrap();
-        assert_eq!(unbounded.len(), 2);
-        assert_eq!(unbounded.evictions(), 0);
-        assert_eq!(unbounded.resident_bytes(), 2 * footprint);
-
-        // A budget that fits one store but not two: requesting a second
-        // session evicts the least recently used one.
-        let cache = SessionCache::new().with_byte_budget(footprint + footprint / 2);
-        let a = cache.session("a", &p, &cfg, tune).unwrap();
-        a.golden().unwrap();
-        let b = cache.session("b", &p, &cfg, tune).unwrap();
-        b.golden().unwrap();
-        assert_eq!(
-            cache.len(),
-            2,
-            "footprints are accounted from the next request"
-        );
-        // Touch "b", then request "a" again: the budget check runs, "b" is
-        // the more recently used resident, so... "a" is the requested key
-        // (never evicted) and "b" must go.
-        let a2 = cache.session("a", &p, &cfg, tune).unwrap();
-        assert_eq!(cache.evictions(), 1);
-        assert_eq!(cache.len(), 1);
-        assert!(cache.resident_bytes() <= footprint + footprint / 2);
-        // The evicted session's Arc stays fully usable.
-        let faults = b.fault_list(Structure::RegisterFile, 10, 3).unwrap();
-        assert_eq!(b.campaign(&faults).unwrap().classification.total(), 10);
-        // The survivor is still the cached "a".
-        assert!(Arc::ptr_eq(&a, &a2));
-        // Re-requesting the evicted context rebuilds it (fresh session).
-        let b2 = cache.session("b", &p, &cfg, tune).unwrap();
-        assert!(!Arc::ptr_eq(&b, &b2));
-        assert_eq!(
-            b2.golden_builds(),
-            0,
-            "golden not built yet on the fresh session"
-        );
-
-        // An oversized single session is never evicted by its own request.
-        let tight = SessionCache::new().with_byte_budget(1);
-        let only = tight.session("solo", &p, &cfg, tune).unwrap();
-        only.golden().unwrap();
-        let again = tight.session("solo", &p, &cfg, tune).unwrap();
-        assert!(Arc::ptr_eq(&only, &again));
-        assert_eq!(tight.len(), 1);
-    }
-
-    #[test]
-    fn evicted_sessions_fall_back_to_their_golden_files() {
-        let dir = temp_dir("lru-disk");
-        let p = tiny_program();
-        let cfg = CpuConfig::default();
-        let tune = |b: SessionBuilder| b.checkpoints(small_policy()).max_cycles(1_000_000);
-
-        let probe = SessionCache::with_disk_dir(&dir);
-        let s = probe.session("w", &p, &cfg, tune).unwrap();
-        s.golden().unwrap();
-        let footprint = s.checkpoint_footprint_bytes();
-        assert_eq!(s.golden_builds(), 1);
-        drop((probe, s));
-
-        // A budgeted cache over the same directory: the session loads from
-        // disk, gets evicted by a sibling, and loads from disk again on
-        // re-request — zero further golden simulations.
-        let cache = SessionCache::with_disk_dir(&dir).with_byte_budget(footprint);
-        let w = cache.session("w", &p, &cfg, tune).unwrap();
-        w.golden().unwrap();
-        assert_eq!(w.golden_builds(), 0, "first load comes from disk");
-        let sibling = cache.session("x", &p, &cfg, tune).unwrap();
-        sibling.golden().unwrap();
-        let _ = cache.session("x", &p, &cfg, tune).unwrap();
-        assert!(cache.evictions() >= 1, "the LRU resident must be evicted");
-        let w2 = cache.session("w", &p, &cfg, tune).unwrap();
-        assert!(!Arc::ptr_eq(&w, &w2));
-        let golden = w2.golden().unwrap();
-        assert_eq!(
-            w2.golden_builds(),
-            0,
-            "eviction falls back to the .golden file"
-        );
-        assert_eq!(golden.result, w.golden().unwrap().result);
-
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn disk_cache_round_trips_the_golden_run() {
         let dir = temp_dir("roundtrip");
         let p = tiny_program();
@@ -1313,7 +1107,12 @@ mod tests {
         let s1 = cache.session("tiny", &p, &cfg, tune).unwrap();
         s1.golden().unwrap();
         let ck = s1.golden_checkpoints().unwrap();
-        let dense = ck.store.dense_footprint_bytes();
+        // The store's footprint with every snapshot's memory stored densely.
+        let dense: usize = ck
+            .store
+            .snapshots()
+            .map(|s| s.footprint_bytes() - s.memory_delta_bytes() + s.memory_dense_bytes())
+            .sum();
         let delta = ck.store.footprint_bytes();
         // The session's footprint counts the store and the L1D log.
         assert_eq!(

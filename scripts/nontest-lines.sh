@@ -2,9 +2,9 @@
 # Prints the number of non-test Rust lines in the workspace: every `.rs`
 # file outside `tests/`, `vendor/`, `target/` and `campaign-bench/`
 # directories (and hidden ones), each counted up to, not including, its
-# first line that contains `#[cfg(test)]`.  The match is plain text, so a
-# comment that mentions the attribute ends the count too; this keeps the
-# number comparable with the series ROADMAP.md tracks.
+# first `#[cfg(test)]` attribute line (the attribute alone on its line,
+# indentation allowed).  A comment that mentions the attribute does not end
+# the count.
 #
 # Usage, from anywhere inside the repository:
 #
@@ -16,7 +16,7 @@ find . \( -name tests -o -name vendor -o -name target -o -name campaign-bench -o
     sort |
     xargs awk '
         FNR == 1 { counting = 1 }
-        index($0, "#[cfg(test)]") { counting = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { counting = 0 }
         counting { n++ }
         END { print n + 0 }
     '

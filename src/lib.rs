@@ -48,6 +48,4 @@ pub use merlin_workloads as workloads;
 
 pub use merlin_ace::SessionAce;
 pub use merlin_core::SessionMethodology;
-pub use merlin_inject::{
-    CampaignScheduler, ScheduleStats, Session, SessionBuilder, SessionCache, SessionKey,
-};
+pub use merlin_inject::{ScheduleStats, Session, SessionBuilder, SessionCache, SessionKey};
