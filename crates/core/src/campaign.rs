@@ -323,16 +323,13 @@ pub fn classify_truncated(
         FaultEffect::Crash => TruncatedEffect::Crash,
         FaultEffect::Assert => TruncatedEffect::Assert,
         FaultEffect::Due => TruncatedEffect::Due,
-        FaultEffect::Masked => {
-            if covering.is_none() {
-                TruncatedEffect::Masked
-            } else if covering.map(|iv| iv.end <= horizon_cycles).unwrap_or(true) {
-                // Consumed within the interval without architectural effect.
-                TruncatedEffect::Masked
-            } else {
-                TruncatedEffect::Unknown
-            }
-        }
+        FaultEffect::Masked => match covering {
+            // Read after the horizon: whether it stays masked is unknown.
+            Some(iv) if iv.end > horizon_cycles => TruncatedEffect::Unknown,
+            // Never read, or consumed within the interval without
+            // architectural effect.
+            _ => TruncatedEffect::Masked,
+        },
         // SDC or Timeout manifest only after the truncation horizon in the
         // paper's setting; before the horizon their eventual fate is unknown.
         FaultEffect::Sdc | FaultEffect::Timeout => TruncatedEffect::Unknown,

@@ -279,16 +279,6 @@ impl Cache {
         self.lines.take_cow_breaks()
     }
 
-    /// Materialises private copies of all shared pages.
-    pub(crate) fn unshare_all(&mut self) {
-        self.lines.unshare_all();
-    }
-
-    /// Whether no page is shared with any other cache.
-    pub(crate) fn fully_private(&self) -> bool {
-        self.lines.fully_private()
-    }
-
     /// Whether the cache's live contents are bit-identical to the snapshot.
     pub fn matches_snapshot(&self, snap: &CacheSnapshot) -> bool {
         if self.use_counter != snap.use_counter {
@@ -703,21 +693,6 @@ impl MemSystem {
     /// Un-share counters of both caches and the backing memory, reset.
     pub(crate) fn take_cow_breaks(&mut self) -> u64 {
         self.l1d.take_cow_breaks() + self.l2.take_cow_breaks() + self.mem.take_cow_breaks()
-    }
-
-    /// Materialises private copies of all shared cache pages and memory
-    /// chunks (the quarantine reuse guarantee).
-    pub(crate) fn unshare_all(&mut self) {
-        self.l1d.unshare_all();
-        self.l2.unshare_all();
-        self.mem.unshare_all();
-    }
-
-    /// Whether no cache page or live memory chunk is shared with any other
-    /// hierarchy (the pristine image is deliberately excluded — it is
-    /// immutable and shared by design).
-    pub(crate) fn fully_private(&self) -> bool {
-        self.l1d.fully_private() && self.l2.fully_private() && self.mem.fully_private()
     }
 
     /// Whether the hierarchy's state is bit-identical to the snapshot.

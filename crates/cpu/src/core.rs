@@ -392,11 +392,6 @@ pub struct Cpu {
     /// fault-free fast path of [`Cpu::step`] is one integer compare.
     next_fault_cycle: u64,
     finished: Option<ExitReason>,
-    /// Set by [`Cpu::quarantine`] after the core's state became untrusted
-    /// (typically a panic unwound through [`Cpu::step`]); cleared by the next
-    /// [`Cpu::restore_from`] or [`Cpu::fork_from`], which overwrite every
-    /// field.
-    quarantined: bool,
 }
 
 impl Cpu {
@@ -478,7 +473,6 @@ impl Cpu {
             faults: Vec::new(),
             next_fault_cycle: u64::MAX,
             finished: None,
-            quarantined: false,
             cycle: 0,
             next_seq: 0,
             program,
@@ -1301,17 +1295,14 @@ impl Cpu {
     ///
     /// Every mutable field is overwritten, so the core behaves identically to
     /// the one the snapshot was taken from regardless of what it executed in
-    /// between (including a run that panicked mid-cycle), and a quarantined
-    /// core is trusted again.  Copy-on-write structures adopt the snapshot's
-    /// page handles (O(pages), nothing copied until the core writes); the
-    /// caches are rebuilt from their sparse images and the backing memory
-    /// from its chunk delta.  Returns `true` when this restore lifted the
-    /// core out of quarantine (see [`Cpu::quarantine`]).
+    /// between.  Copy-on-write structures adopt the snapshot's page handles
+    /// (O(pages), nothing copied until the core writes); the caches are
+    /// rebuilt from their sparse images and the backing memory from its
+    /// chunk delta.
     ///
     /// The state must come from a core running the same program under the
     /// same configuration; this is not checked.
-    pub fn restore_from(&mut self, s: &CpuState) -> bool {
-        let from_quarantine = std::mem::take(&mut self.quarantined);
+    pub fn restore_from(&mut self, s: &CpuState) {
         self.cycle = s.cycle;
         self.next_seq = s.next_seq;
         self.fetch_pc = s.fetch_pc;
@@ -1340,7 +1331,6 @@ impl Cpu {
         self.faults.clone_from(&s.faults);
         self.next_fault_cycle = self.faults.first().map_or(u64::MAX, |f| f.cycle);
         self.finished.clone_from(&s.finished);
-        from_quarantine
     }
 
     /// Forks this core from a live source core, making `self` bit-identical
@@ -1353,14 +1343,12 @@ impl Cpu {
     /// The fork therefore copies almost nothing up front — only scalars and
     /// the small eagerly-copied structures like the rename table.  Like
     /// [`Cpu::restore_from`] it overwrites every field, so it is valid from
-    /// any state of `self` and lifts a quarantine.  `src` must run the same
-    /// program under the same configuration.
+    /// any state of `self`.  `src` must run the same program under the same
+    /// configuration.
     ///
     /// `src`'s owned pages are frozen first, hence `&mut src`.
     pub fn fork_from(&mut self, src: &mut Cpu) {
-        debug_assert!(!src.quarantined);
         src.freeze();
-        self.quarantined = false;
         self.cycle = src.cycle;
         self.next_seq = src.next_seq;
         self.fetch_pc = src.fetch_pc;
@@ -1426,41 +1414,6 @@ impl Cpu {
             + self.dyn_counts.take_cow_breaks()
     }
 
-    /// Materialises a private copy of every structurally shared page, except
-    /// memory chunks backed by this core's own pristine image (immutable and
-    /// shared by design).  Called by [`Cpu::quarantine`] so a poisoned core
-    /// holds no references into state shared with healthy cores or
-    /// snapshots.
-    pub fn unshare_all(&mut self) {
-        self.prf.unshare_all();
-        self.free_list.unshare_all();
-        self.lq.unshare_all();
-        self.sq.unshare_all();
-        self.bp.unshare_all();
-        self.btb.unshare_all();
-        self.mem.unshare_all();
-        self.fetch_buffer.unshare_all();
-        self.rob.unshare_all();
-        self.output.unshare_all();
-        self.dyn_counts.unshare_all();
-    }
-
-    /// Whether no structure shares pages with any other core or snapshot
-    /// (memory chunks backed by this core's own pristine image excepted).
-    pub fn fully_private(&self) -> bool {
-        self.prf.fully_private()
-            && self.free_list.fully_private()
-            && self.lq.fully_private()
-            && self.sq.fully_private()
-            && self.bp.fully_private()
-            && self.btb.fully_private()
-            && self.mem.fully_private()
-            && self.fetch_buffer.fully_private()
-            && self.rob.fully_private()
-            && self.output.fully_private()
-            && self.dyn_counts.fully_private()
-    }
-
     /// Whether a bit flip in `entry` of `structure`, applied at the start of
     /// the current cycle, can never be observed: the entry is overwritten
     /// before anything reads it, so the fault is Masked without simulating.
@@ -1499,30 +1452,6 @@ impl Cpu {
             }
             Structure::L1DCache => false,
         }
-    }
-
-    /// Demote this core after its state became untrusted — typically because
-    /// a panic unwound through [`Cpu::step`] mid-instruction, leaving the
-    /// pipeline or caches in an unknown state.
-    ///
-    /// Quarantine is cleared by the next [`Cpu::restore_from`] (which
-    /// reports it by returning `true`) or
-    /// [`Cpu::fork_from`]; both overwrite every field, so no stale state
-    /// survives into the next run.
-    ///
-    /// Quarantining also un-shares every structurally shared page (see
-    /// [`Cpu::unshare_all`]): the safe CoW substrate already guarantees a
-    /// poisoned core cannot corrupt a sibling through a shared handle, but
-    /// dropping the references makes the isolation unconditional.
-    pub fn quarantine(&mut self) {
-        self.quarantined = true;
-        self.unshare_all();
-    }
-
-    /// `true` while the core is quarantined (see [`Cpu::quarantine`]): its
-    /// state is untrusted until the next restore or fork.
-    pub fn is_quarantined(&self) -> bool {
-        self.quarantined
     }
 
     /// Whether the core's current state is bit-identical to `s`.

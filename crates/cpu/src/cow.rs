@@ -86,14 +86,6 @@ impl<P> Page<P> {
     fn ptr_eq(&self, other: &Self) -> bool {
         matches!((self, other), (Page::Shared(a), Page::Shared(b)) if Arc::ptr_eq(a, b))
     }
-
-    /// Whether no other structure can see this page.
-    fn is_private(&self) -> bool {
-        match self {
-            Page::Owned(_) => true,
-            Page::Shared(a) => Arc::strong_count(a) == 1,
-        }
-    }
 }
 
 impl<P: Clone + Default> Page<P> {
@@ -253,11 +245,6 @@ impl<T: Clone> CowTable<T> {
         std::mem::take(&mut self.breaks)
     }
 
-    /// Whether every page is private (owned, or shared with no one).
-    pub fn fully_private(&self) -> bool {
-        self.pages.iter().all(Page::is_private)
-    }
-
     /// Mutable access to entry `i`, un-sharing the containing page if it
     /// is shared.
     #[inline]
@@ -271,15 +258,6 @@ impl<T: Clone> CowTable<T> {
     /// [`CowTable::share_from`] share it instead of copying.
     pub fn freeze(&mut self) {
         self.pages.iter_mut().for_each(Page::freeze);
-    }
-
-    /// Makes every page owned, copying those another structure holds, so
-    /// no storage is shared with any other table (the quarantine reuse
-    /// guarantee).
-    pub fn unshare_all(&mut self) {
-        for page in &mut self.pages {
-            page.unshare(&mut self.breaks);
-        }
     }
 }
 
@@ -372,16 +350,6 @@ impl<T: Clone + Default> CowBox<T> {
     pub fn take_cow_breaks(&mut self) -> u64 {
         std::mem::take(&mut self.breaks)
     }
-
-    /// Makes the value owned, copying it if another structure holds it.
-    pub fn unshare_all(&mut self) {
-        self.inner.unshare(&mut self.breaks);
-    }
-
-    /// Whether the value is private (owned, or shared with no one).
-    pub fn fully_private(&self) -> bool {
-        self.inner.is_private()
-    }
 }
 
 /// Contents-only equality with an `Arc::ptr_eq` fast path.
@@ -462,16 +430,6 @@ impl<T: Clone> CowSeq<T> {
     /// Returns and resets the un-share counter.
     pub fn take_cow_breaks(&mut self) -> u64 {
         std::mem::take(&mut self.breaks)
-    }
-
-    /// Makes the queue owned, copying it if another structure holds it.
-    pub fn unshare_all(&mut self) {
-        self.inner.unshare(&mut self.breaks);
-    }
-
-    /// Whether the queue is private (owned, or shared with no one).
-    pub fn fully_private(&self) -> bool {
-        self.inner.is_private()
     }
 }
 
@@ -627,17 +585,6 @@ impl CowBytes {
         self.chunks[c].ptr_eq(&other.chunks[c])
     }
 
-    /// Whether chunk `c` is private (owned, or shared with no one).
-    #[inline]
-    pub fn chunk_private(&self, c: usize) -> bool {
-        self.chunks[c].is_private()
-    }
-
-    /// Makes chunk `c` owned, copying it if another store holds it.
-    pub fn unshare_chunk(&mut self, c: usize) {
-        self.chunks[c].unshare(&mut self.breaks);
-    }
-
     /// Copies taken to un-share since the last
     /// [`CowBytes::take_cow_breaks`].
     pub fn cow_breaks(&self) -> u64 {
@@ -647,18 +594,6 @@ impl CowBytes {
     /// Returns and resets the un-share counter.
     pub fn take_cow_breaks(&mut self) -> u64 {
         std::mem::take(&mut self.breaks)
-    }
-
-    /// Makes every chunk owned, copying those another store holds.
-    pub fn unshare_all(&mut self) {
-        for chunk in &mut self.chunks {
-            chunk.unshare(&mut self.breaks);
-        }
-    }
-
-    /// Whether every chunk is private.
-    pub fn fully_private(&self) -> bool {
-        self.chunks.iter().all(Page::is_private)
     }
 }
 
@@ -674,6 +609,14 @@ impl Eq for CowBytes {}
 mod tests {
     use super::*;
 
+    /// Whether no page of `t` is visible to any other structure.
+    fn fully_private<T>(t: &CowTable<T>) -> bool {
+        t.pages.iter().all(|p| match p {
+            Page::Owned(_) => true,
+            Page::Shared(a) => Arc::strong_count(a) == 1,
+        })
+    }
+
     #[test]
     fn table_pages_share_until_written() {
         let mut a = CowTable::new(100, 0u64, 16);
@@ -685,7 +628,7 @@ mod tests {
         a.freeze();
         b.share_from(&a);
         assert_eq!(a, b);
-        assert!(!b.fully_private());
+        assert!(!fully_private(&b));
         // A write to one entry breaks exactly one page.
         *b.get_mut(17) = 999;
         assert_eq!(b.cow_breaks(), 1);
@@ -709,7 +652,7 @@ mod tests {
             }
         }
         assert_eq!(a.cow_breaks(), 0);
-        assert!(a.fully_private());
+        assert!(fully_private(&a));
         // An unfrozen share copies owned pages instead of sharing them.
         b.share_from(&a);
         *a.get_mut(0) = 7;
@@ -746,7 +689,7 @@ mod tests {
         {
             let mut sharer = CowTable::new(32, 0u64, 32);
             sharer.share_from(&a);
-            assert!(!a.fully_private());
+            assert!(!fully_private(&a));
         }
         // The sharer is gone: the write takes the page back by move.
         *a.get_mut(1) = 3;
@@ -773,16 +716,20 @@ mod tests {
     }
 
     #[test]
-    fn table_share_from_and_unshare() {
+    fn table_share_from_then_writes_unshare_every_page() {
         let a = CowTable::from_fn(50, 8, |i| i as u32);
         let mut b = CowTable::new(50, 0u32, 8);
         b.share_from(&a);
         assert_eq!(a, b);
-        assert!(!b.fully_private());
-        b.unshare_all();
-        assert!(b.fully_private());
+        assert!(!fully_private(&b));
+        // Rewriting one entry per page copies each of the 7 pages once.
+        for i in (0..50).step_by(8) {
+            let v = *b.get(i);
+            *b.get_mut(i) = v;
+        }
+        assert!(fully_private(&b));
         assert_eq!(a, b);
-        assert!(b.cow_breaks() > 0);
+        assert_eq!(b.cow_breaks(), 7);
     }
 
     #[test]
@@ -797,7 +744,7 @@ mod tests {
         let mut r = ByteReader::new(&from_table);
         let back = CowTable::<u64>::decode_seq(&mut r, 8).unwrap();
         assert_eq!(back, t);
-        assert!(back.fully_private());
+        assert!(fully_private(&back));
     }
 
     #[test]

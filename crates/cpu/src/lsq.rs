@@ -244,16 +244,6 @@ impl StoreQueue {
     pub(crate) fn take_cow_breaks(&mut self) -> u64 {
         self.slots.take_cow_breaks()
     }
-
-    /// Materialises private copies of all shared pages.
-    pub(crate) fn unshare_all(&mut self) {
-        self.slots.unshare_all();
-    }
-
-    /// Whether no page is shared with any other queue.
-    pub(crate) fn fully_private(&self) -> bool {
-        self.slots.fully_private()
-    }
 }
 
 impl BinCode for StoreQueue {
@@ -358,16 +348,6 @@ impl LoadQueue {
     /// Un-share counter of the slot array, reset.
     pub(crate) fn take_cow_breaks(&mut self) -> u64 {
         self.seqs.take_cow_breaks()
-    }
-
-    /// Materialises private copies of all shared pages.
-    pub(crate) fn unshare_all(&mut self) {
-        self.seqs.unshare_all();
-    }
-
-    /// Whether no page is shared with any other queue.
-    pub(crate) fn fully_private(&self) -> bool {
-        self.seqs.fully_private()
     }
 }
 

@@ -314,24 +314,6 @@ impl Memory {
         self.bytes.take_cow_breaks()
     }
 
-    /// Materialises private copies of every live chunk not backed by this
-    /// memory's own pristine image — quarantine hygiene for a poisoned core.
-    /// Chunks sharing with the pristine image stay shared: the image is
-    /// immutable after sealing, so that sharing cannot leak state.
-    pub(crate) fn unshare_all(&mut self) {
-        for c in 0..self.chunk_count() {
-            if self.is_dirty(c) {
-                self.bytes.unshare_chunk(c);
-            }
-        }
-    }
-
-    /// Whether every live chunk is privately owned or shares only with this
-    /// memory's own pristine image (immutable, shared by design).
-    pub(crate) fn fully_private(&self) -> bool {
-        (0..self.chunk_count()).all(|c| !self.is_dirty(c) || self.bytes.chunk_private(c))
-    }
-
     /// Whether the live bytes are identical to the state `delta` captured.
     ///
     /// Chunks that are clean on both sides equal the shared pristine image by

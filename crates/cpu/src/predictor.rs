@@ -93,17 +93,6 @@ impl BranchPredictor {
     pub(crate) fn take_cow_breaks(&mut self) -> u64 {
         self.bimodal.take_cow_breaks() + self.gshare.take_cow_breaks()
     }
-
-    /// Materialises private copies of all shared pages.
-    pub(crate) fn unshare_all(&mut self) {
-        self.bimodal.unshare_all();
-        self.gshare.unshare_all();
-    }
-
-    /// Whether no page is shared with any other predictor.
-    pub(crate) fn fully_private(&self) -> bool {
-        self.bimodal.fully_private() && self.gshare.fully_private()
-    }
 }
 
 impl BinCode for BranchPredictor {
@@ -192,16 +181,6 @@ impl Btb {
     /// Un-share counter of the entry array, reset.
     pub(crate) fn take_cow_breaks(&mut self) -> u64 {
         self.entries.take_cow_breaks()
-    }
-
-    /// Materialises private copies of all shared pages.
-    pub(crate) fn unshare_all(&mut self) {
-        self.entries.unshare_all();
-    }
-
-    /// Whether no page is shared with any other BTB.
-    pub(crate) fn fully_private(&self) -> bool {
-        self.entries.fully_private()
     }
 }
 

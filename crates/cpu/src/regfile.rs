@@ -96,17 +96,6 @@ impl PhysRegFile {
     pub(crate) fn take_cow_breaks(&mut self) -> u64 {
         self.values.take_cow_breaks() + self.ready.take_cow_breaks()
     }
-
-    /// Materialises private copies of all shared pages.
-    pub(crate) fn unshare_all(&mut self) {
-        self.values.unshare_all();
-        self.ready.unshare_all();
-    }
-
-    /// Whether no page is shared with any other register file.
-    pub(crate) fn fully_private(&self) -> bool {
-        self.values.fully_private() && self.ready.fully_private()
-    }
 }
 
 impl BinCode for PhysRegFile {
@@ -178,16 +167,6 @@ impl FreeList {
     /// Un-share counter of the queue, reset.
     pub(crate) fn take_cow_breaks(&mut self) -> u64 {
         self.free.take_cow_breaks()
-    }
-
-    /// Materialises a private copy if the queue is shared.
-    pub(crate) fn unshare_all(&mut self) {
-        self.free.unshare_all();
-    }
-
-    /// Whether the queue is privately owned.
-    pub(crate) fn fully_private(&self) -> bool {
-        self.free.fully_private()
     }
 }
 

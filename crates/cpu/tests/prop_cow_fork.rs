@@ -99,8 +99,7 @@ proptest! {
     /// onto a pool core in whatever state it was left — must produce a core
     /// bit-identical to an eager full copy of the golden state (a fresh core
     /// restoring the golden core's own snapshot), and both must classify an
-    /// arbitrary fault identically.  The fork overwrites every field, so it
-    /// also lifts a quarantine.  Writes on the fork must never reach the
+    /// arbitrary fault identically.  Writes on the fork must never reach the
     /// golden parent through the shared structures: the parent's
     /// continuation stays bit-identical to an unshared reference run.
     #[test]
@@ -129,19 +128,13 @@ proptest! {
         let at_fork = golden_cpu.snapshot();
         let fault_entry = entry % golden_cpu.structure_entries(structure).max(1);
 
-        // A pool core left behind by an earlier faulty run that panicked:
-        // stale state, quarantined.
+        // A pool core left behind by an earlier faulty run: stale state.
         let mut fork = Cpu::new(program.clone(), CpuConfig::default()).unwrap();
         fork.inject_fault(FaultSpec::new(structure, fault_entry, bit, 1)).unwrap();
         step_to(&mut fork, golden.cycles / 2 + 1);
-        fork.quarantine();
 
         // CoW fork, exactly as the batched driver spawns one.
         fork.fork_from(&mut golden_cpu);
-        // Sharing replaces copying: the fork adopts its parent's pages by
-        // handle.
-        prop_assert!(!fork.fully_private(), "a fork must share structurally");
-        prop_assert!(!fork.is_quarantined(), "a fork lifts quarantine");
         prop_assert!(fork.matches_state(&at_fork));
         prop_assert_eq!(&fork.snapshot(), &at_fork);
 
@@ -209,8 +202,7 @@ proptest! {
             .inject_fault(FaultSpec::new(structure, fault_entry, bit, (ckpt_cycle + 1).max(1)))
             .unwrap();
         step_to(&mut worker, ckpt_cycle + (golden.cycles - ckpt_cycle) * run_frac / 10 + 2);
-        let lifted_quarantine = worker.restore_from(&k);
-        prop_assert!(!lifted_quarantine);
+        worker.restore_from(&k);
         prop_assert!(worker.matches_state(&k));
         prop_assert_eq!(&worker.snapshot(), &fresh_state);
         let replay = worker.run(budget, &mut NullProbe);
@@ -297,12 +289,11 @@ proptest! {
         }
     }
 
-    /// Quarantine on a forked core must drop every shared handle (the
-    /// poisoned core may not keep references into a healthy parent), and a
-    /// foreign restore after a fork must produce the foreign state exactly
-    /// — sharing is invisible to restore semantics.
+    /// A restore over a forked core must rebuild the restored state
+    /// exactly, and so must a foreign restore after a fork — sharing is
+    /// invisible to restore semantics.
     #[test]
-    fn fork_unshares_on_quarantine_and_survives_foreign_restore(
+    fn fork_survives_a_range_restore_and_a_foreign_restore(
         steps in prop::collection::vec(arb_step(), 1..25),
         range_frac in 0u64..10,
         fork_gap in 0u64..10,
@@ -327,13 +318,9 @@ proptest! {
         let mut fork = Cpu::new(program.clone(), CpuConfig::default()).unwrap();
         fork.fork_from(&mut golden_cpu);
 
-        // Quarantine severs every share: the core owns all of its state
-        // privately (or shares only with its own immutable pristine image).
-        fork.quarantine();
-        prop_assert!(fork.fully_private(), "quarantine must un-share everything");
-        // The next restore then rebuilds the range state bit for bit and
+        // A restore over the fork rebuilds the range state bit for bit and
         // the replay matches the reference run.
-        prop_assert!(fork.restore_from(&range_state), "the restore lifts the quarantine");
+        fork.restore_from(&range_state);
         prop_assert_eq!(&fork.snapshot(), &range_state);
         let replay = fork.run(budget, &mut NullProbe);
         prop_assert_eq!(&replay, &golden);

@@ -162,12 +162,12 @@ proptest! {
         prop_assert_eq!(&replay, &expected);
     }
 
-    /// A quarantined core (as campaign workers demote theirs after a caught
-    /// per-fault panic) is trusted again by its next restore, which is
-    /// reports lifting the quarantine and reproduces the state of a fresh-core
-    /// restore bit for bit.
+    /// A restore over a core dirtied by a faulty partial suffix (as a
+    /// campaign worker's pooled cores are between faults) reproduces the
+    /// state of a fresh-core restore bit for bit and replays to the golden
+    /// result.
     #[test]
-    fn quarantine_forces_a_full_restore_identical_to_a_fresh_core(
+    fn restore_over_a_dirty_faulty_core_equals_a_fresh_core(
         steps in prop::collection::vec(arb_step(), 1..25),
         ckpt_frac in 0u64..10,
         run_frac in 0u64..10,
@@ -188,12 +188,9 @@ proptest! {
         let state = golden_cpu.snapshot();
 
         let mut worker = Cpu::new(program.clone(), CpuConfig::default()).unwrap();
-        let lifted_quarantine = worker.restore_from(&state);
-        prop_assert!(!lifted_quarantine);
-        prop_assert!(!worker.is_quarantined());
+        worker.restore_from(&state);
 
-        // Dirty the core with a faulty partial suffix, then quarantine it —
-        // the worker pattern after a caught panic.
+        // Dirty the core with a faulty partial suffix.
         let fault_cycle = (ckpt_cycle + 1).max(1);
         worker
             .inject_fault(FaultSpec::new(Structure::RegisterFile, entry, bit, fault_cycle))
@@ -202,12 +199,8 @@ proptest! {
         while worker.cycle() < stop && !worker.is_finished() {
             worker.step(&mut NullProbe);
         }
-        worker.quarantine();
-        prop_assert!(worker.is_quarantined());
 
-        let lifted_quarantine = worker.restore_from(&state);
-        prop_assert!(lifted_quarantine);
-        prop_assert!(!worker.is_quarantined(), "quarantine clears on restore");
+        worker.restore_from(&state);
         prop_assert!(worker.matches_state(&state));
         prop_assert_eq!(&worker.snapshot(), &state);
 
@@ -219,9 +212,6 @@ proptest! {
         let fresh_replay = fresh.run(budget, &mut NullProbe);
         prop_assert_eq!(&replay, &fresh_replay);
         prop_assert_eq!(&replay, &golden);
-
-        // The flag reports the quarantine once.
-        prop_assert!(!worker.restore_from(&state));
     }
 
     /// A fault injected into a restored suffix behaves exactly as the same

@@ -61,27 +61,23 @@
 //!
 //! # Failure containment
 //!
-//! Every golden-replay segment, dead-site query, fork spawn and fork run
-//! executes under its own `catch_unwind`.  A panic quarantines *only the
-//! panicking core* (the golden core for replay and dead-site queries),
-//! returns every other core to the pool, and aborts the range.  The
-//! scheduler then re-runs each of the range's faults as its own one-fault
-//! range on the same pool, so a deterministically panicking fault is
-//! classified [`Assert`](crate::FaultEffect::Assert) on its own and every
-//! other fault of the range classifies as usual.
+//! The driver catches nothing.  It takes its cores out of the pool and
+//! puts each back only after it finished cleanly, so a panic unwinding out
+//! of [`run_batched_range`] drops the range's golden core and live fork
+//! with its stack frame, and a panicked core is never reused.  The
+//! scheduler catches the panic (see the `schedule` module).
 
 use crate::campaign::{FaultRun, GoldenRun};
 use crate::classify::{classify, FaultEffect};
 use crate::schedule::ScheduleStats;
 use merlin_cpu::{Cpu, CpuConfig, FaultSpec, NullProbe};
 use merlin_isa::{DecodedProgram, Program};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Per-worker (or per-injector) pool of reusable cores for the batched
-/// driver: the golden replay core plus the one live fork.  Retired forks
-/// return their cores here, so a worker builds two cores, and new ones only
-/// after a range retry clears the pool.
+/// driver: the golden replay core plus the one live fork.  Forks return
+/// their cores here once they retire, so a worker builds two cores, and new
+/// ones only after a panic dropped the ones it held.
 pub(crate) struct ForkPool {
     program: Arc<Program>,
     decoded: Arc<DecodedProgram>,
@@ -108,87 +104,51 @@ impl ForkPool {
         }
     }
 
-    /// Pops an idle core, constructing one if the pool is dry.  `None`
-    /// means the configuration cannot build a core at all; the range
-    /// aborts, and its faults end up classified Assert.
-    pub(crate) fn take(&mut self) -> Option<Cpu> {
-        self.idle.pop().or_else(|| {
+    /// Pops an idle core, constructing one if the pool is dry.
+    fn take(&mut self) -> Cpu {
+        self.idle.pop().unwrap_or_else(|| {
             Cpu::with_predecoded(
                 Arc::clone(&self.program),
                 Arc::clone(&self.decoded),
                 (*self.cfg).clone(),
             )
-            .ok()
+            .expect("the golden run was built under this configuration")
         })
     }
 
-    pub(crate) fn put(&mut self, mut cpu: Cpu) {
+    fn put(&mut self, mut cpu: Cpu) {
         self.cow_breaks += cpu.take_cow_breaks();
         self.idle.push(cpu);
-    }
-
-    /// Drops every pooled core (range retries start from fresh cores).
-    pub(crate) fn clear(&mut self) {
-        self.idle.clear();
-    }
-}
-
-/// Returns every surviving core to the pool, with the panicking core (if
-/// any) quarantined and pushed last — so the one-fault re-runs pick it up
-/// first and the restore that lifts its quarantine is exercised (and
-/// visible as a poisoned restore) instead of the core rotting at the
-/// bottom of the pool.
-fn abort_to_pool(pool: &mut ForkPool, golden_core: Option<Cpu>, bad: Option<Cpu>) {
-    if let Some(g) = golden_core {
-        pool.put(g);
-    }
-    if let Some(mut b) = bad {
-        b.quarantine();
-        pool.put(b);
-    }
-}
-
-/// Aborts the range after its faulty core panicked: the fork, if one was
-/// spawned, else the golden core that took the fault itself.
-fn abort_faulty(pool: &mut ForkPool, golden_core: Cpu, fork: Option<Cpu>) {
-    match fork {
-        Some(core) => abort_to_pool(pool, Some(golden_core), Some(core)),
-        None => abort_to_pool(pool, None, Some(golden_core)),
     }
 }
 
 /// Runs one checkpoint range's simulated faults through the batched
 /// driver.  `sim` holds the (fault-list index, fault) pairs that actually
 /// reach a core (statically-pruned and absent-site faults, and L1D faults
-/// the golden run never reads, are resolved by the caller), cycle-sorted; every fault shares the range's restore
-/// snapshot by the scheduler's bucketing.  Work is added into `stats` as
-/// it happens.  Returns `None` if any operation panicked or a core could
-/// not be built — the panicking core is quarantined, every other core is
-/// back in the pool, and the caller decides what the partial `stats` are
-/// worth.
+/// the golden run never reads, are resolved by the caller), cycle-sorted;
+/// every fault shares the range's restore snapshot by the scheduler's
+/// bucketing.  Work is added into `stats` as it happens.  A panic unwinds
+/// out with the range's cores, which are dropped (see the module docs).
 pub(crate) fn run_batched_range(
     pool: &mut ForkPool,
     golden: &GoldenRun,
     boundaries: &[u64],
     sim: &[(usize, FaultSpec)],
     stats: &mut ScheduleStats,
-) -> Option<Vec<(usize, FaultEffect)>> {
+) -> Vec<(usize, FaultEffect)> {
     let mut out = Vec::with_capacity(sim.len());
     let &[(_, first), ..] = sim else {
-        return Some(out);
+        return out;
     };
     let store = &golden.checkpoints.store;
-    let state = store.latest_at_or_before(first.cycle)?;
+    let state = store
+        .latest_at_or_before(first.cycle)
+        .expect("every golden store holds cycle 0");
     let timeout = golden.timeout_cycles;
 
-    let mut golden_core = pool.take()?;
-    match catch_unwind(AssertUnwindSafe(|| golden_core.restore_from(state))) {
-        Ok(from_quarantine) => stats.record_restore(from_quarantine),
-        Err(_) => {
-            abort_to_pool(pool, None, Some(golden_core));
-            return None;
-        }
-    }
+    let mut golden_core = pool.take();
+    golden_core.restore_from(state);
+    stats.restores += 1;
 
     for &(idx, fault) in sim {
         // Replay the golden core up to the injection cycle — never past
@@ -197,74 +157,38 @@ pub(crate) fn run_batched_range(
         // freezes and all remaining forks clone the frozen final state:
         // their faults never fire, and the cloned cores finalise
         // immediately with the golden result.
-        if !golden_core.is_finished() && golden_core.cycle() < fault.cycle {
-            let stepped = catch_unwind(AssertUnwindSafe(|| {
-                let mut n = 0u64;
-                while !golden_core.is_finished() && golden_core.cycle() < fault.cycle {
-                    golden_core.step(&mut NullProbe);
-                    n += 1;
-                }
-                n
-            }));
-            match stepped {
-                Ok(n) => stats.golden_replay_cycles += n,
-                Err(_) => {
-                    abort_to_pool(pool, None, Some(golden_core));
-                    return None;
-                }
-            }
+        while !golden_core.is_finished() && golden_core.cycle() < fault.cycle {
+            golden_core.step(&mut NullProbe);
+            stats.golden_replay_cycles += 1;
         }
 
         // Dead-site resolution, on the golden core itself: it sits at the
         // start of the fault's cycle, exactly where the flip would apply.
         // The chaos hook fires first, so an armed fault panics whether or
         // not its site is dead.
-        let at_cycle = !golden_core.is_finished() && golden_core.cycle() == fault.cycle;
-        let dead = catch_unwind(AssertUnwindSafe(|| {
-            crate::chaos::maybe_panic_fault(fault.cycle);
-            at_cycle && golden_core.fault_site_dead(fault.structure, fault.entry)
-        }));
-        match dead {
-            Ok(true) => {
-                stats.dead_sites += 1;
-                out.push((idx, FaultEffect::Masked));
-                continue;
-            }
-            Ok(false) => {}
-            Err(_) => {
-                abort_to_pool(pool, None, Some(golden_core));
-                return None;
-            }
+        crate::chaos::maybe_panic_fault(fault.cycle);
+        if !golden_core.is_finished()
+            && golden_core.cycle() == fault.cycle
+            && golden_core.fault_site_dead(fault.structure, fault.entry)
+        {
+            stats.dead_sites += 1;
+            out.push((idx, FaultEffect::Masked));
+            continue;
         }
 
         // Spawn the faulty core.  A one-fault range needs no fork: the
         // golden core is not needed past this fault, so the fault is
         // injected into it directly.
         let spawn_cycle = golden_core.cycle();
-        let mut fork = None;
-        if sim.len() > 1 {
-            let Some(core) = pool.take() else {
-                abort_to_pool(pool, Some(golden_core), None);
-                return None;
-            };
-            fork = Some(core);
-        }
-        let spawned = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(core) = fork.as_mut() {
-                core.fork_from(&mut golden_core);
-            }
-            fork.as_mut()
-                .unwrap_or(&mut golden_core)
-                .inject_fault(fault)
-                .expect("absent fault sites are resolved before a range runs");
-        }));
-        match spawned {
-            Ok(()) => stats.forks_spawned += 1,
-            Err(_) => {
-                abort_faulty(pool, golden_core, fork);
-                return None;
-            }
-        }
+        let mut fork = (sim.len() > 1).then(|| {
+            let mut core = pool.take();
+            core.fork_from(&mut golden_core);
+            core
+        });
+        let core = fork.as_mut().unwrap_or(&mut golden_core);
+        core.inject_fault(fault)
+            .expect("absent fault sites are resolved before a range runs");
+        stats.forks_spawned += 1;
 
         // Run the fork to retirement: boundary convergence probes against
         // the golden checkpoints, then a final run to halt or timeout.
@@ -272,9 +196,7 @@ pub(crate) fn run_batched_range(
         // remainder, hence Masked.  The cursor starts at the first boundary
         // strictly after the injection cycle and walks the store's cycles,
         // head midpoints included.
-        let core = fork.as_mut().unwrap_or(&mut golden_core);
-        let ran = catch_unwind(AssertUnwindSafe(|| {
-            let mut probe = NullProbe;
+        let run = 'run: {
             let mut next = boundaries.partition_point(|&c| c <= fault.cycle);
             while !core.is_finished() && core.cycle() < timeout {
                 if next < boundaries.len() {
@@ -283,7 +205,7 @@ pub(crate) fn run_batched_range(
                     } else if boundaries[next] == core.cycle() {
                         if let Some(g) = store.at_cycle(core.cycle()) {
                             if core.matches_state(g) {
-                                return FaultRun {
+                                break 'run FaultRun {
                                     effect: FaultEffect::Masked,
                                     early_exit: true,
                                     suffix_cycles: core.cycle() - spawn_cycle,
@@ -293,30 +215,22 @@ pub(crate) fn run_batched_range(
                         next += 1;
                     }
                 }
-                core.step(&mut probe);
+                core.step(&mut NullProbe);
             }
-            let result = core.run(timeout, &mut probe);
+            let result = core.run(timeout, &mut NullProbe);
             FaultRun {
                 effect: classify(&golden.result, &result),
                 early_exit: false,
                 suffix_cycles: result.cycles.saturating_sub(spawn_cycle),
             }
-        }));
-        match ran {
-            Ok(run) => {
-                stats.record(&run);
-                if let Some(core) = fork {
-                    pool.put(core);
-                }
-                out.push((idx, run.effect));
-            }
-            Err(_) => {
-                abort_faulty(pool, golden_core, fork);
-                return None;
-            }
+        };
+        stats.record(&run);
+        if let Some(core) = fork {
+            pool.put(core);
         }
+        out.push((idx, run.effect));
     }
     pool.put(golden_core);
     stats.cow_breaks += std::mem::take(&mut pool.cow_breaks);
-    Some(out)
+    out
 }

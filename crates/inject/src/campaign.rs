@@ -22,9 +22,8 @@
 //!    [`GoldenRun`], so every campaign over that golden run shares it.
 //! 2. [`Session::campaign`](crate::Session::campaign) hands the fault list
 //!    to the campaign scheduler (see the [`schedule`](crate::schedule)
-//!    module), which buckets it into
-//!    per-checkpoint ranges and binds workers to whole ranges so each
-//!    worker's restore snapshot stays hot.  Each range runs through the
+//!    module), which buckets it into per-checkpoint ranges that workers
+//!    claim whole, so each range's restore snapshot stays hot.  Each range runs through the
 //!    batched driver (see the `batch` module): one golden core restores the
 //!    range's checkpoint and replays the fault-free prefix once, and each
 //!    fault forks a faulty core from it at its injection cycle and
@@ -51,7 +50,7 @@
 use crate::batch::{run_batched_range, ForkPool};
 use crate::classify::{classify, Classification, FaultEffect};
 use crate::liveness::{L1dLiveness, L1dLogger};
-use crate::schedule::ScheduleStats;
+use crate::schedule::{contain_fault, ScheduleStats};
 use merlin_cpu::{
     CheckpointPolicy, CheckpointStore, Cpu, CpuConfig, FaultSpec, NullProbe, RunResult, Structure,
 };
@@ -198,33 +197,25 @@ pub(crate) struct FaultRun {
 /// From-scratch single-fault run over a shared program image (no per-fault
 /// program clone): the oracle every checkpointed campaign is pinned
 /// against.  The fault's site must exist in `cfg` (callers resolve absent
-/// sites first).
-///
-/// Returns `None` when the run could not complete: the core could not be
-/// constructed, or the simulator panicked.  The caller classifies such a
-/// fault Assert by failure containment, rather than tearing the campaign
-/// down.
+/// sites first).  A panic unwinds to the scheduler's containment.
 pub(crate) fn run_single_fault_shared(
     program: &Arc<Program>,
     decoded: &Arc<DecodedProgram>,
     cfg: &CpuConfig,
     golden: &GoldenRun,
     fault: FaultSpec,
-) -> Option<FaultRun> {
-    let mut cpu =
-        Cpu::with_predecoded(Arc::clone(program), Arc::clone(decoded), cfg.clone()).ok()?;
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        crate::chaos::maybe_panic_fault(fault.cycle);
-        cpu.inject_fault(fault)
-            .expect("absent fault sites are resolved before simulation");
-        cpu.run(golden.timeout_cycles, &mut NullProbe)
-    }))
-    .ok()?;
-    Some(FaultRun {
+) -> FaultRun {
+    let mut cpu = Cpu::with_predecoded(Arc::clone(program), Arc::clone(decoded), cfg.clone())
+        .expect("the golden run was built under this configuration");
+    crate::chaos::maybe_panic_fault(fault.cycle);
+    cpu.inject_fault(fault)
+        .expect("absent fault sites are resolved before simulation");
+    let result = cpu.run(golden.timeout_cycles, &mut NullProbe);
+    FaultRun {
         effect: classify(&golden.result, &result),
         early_exit: false,
         suffix_cycles: result.cycles,
-    })
+    }
 }
 
 /// Whether `fault` targets an entry `cfg` does not have.  Such a fault
@@ -285,9 +276,9 @@ impl FaultInjector {
     /// cycles simulated for the fault — from the restored checkpoint to
     /// wherever the faulty run ended (golden replay to the injection cycle
     /// plus the faulty suffix; replay only for a fault on a dead site; 0
-    /// for an L1D fault the golden run never reads) — the deterministic
-    /// per-fault latency measure the bench harness tracks tail latency
-    /// with.
+    /// for an L1D fault the golden run never reads, and for a fault whose
+    /// simulation panicked, which is Assert) — the deterministic per-fault
+    /// latency measure the bench harness tracks tail latency with.
     pub fn run_with_cycles(&mut self, fault: FaultSpec) -> (FaultEffect, u64) {
         if site_absent(&self.cfg, fault) {
             return (FaultEffect::Masked, 0);
@@ -295,17 +286,12 @@ impl FaultInjector {
         if self.golden.checkpoints.masked_by_golden_future(fault) {
             return (FaultEffect::Masked, 0);
         }
+        let (pool, golden, boundaries) = (&mut self.pool, &self.golden, &self.boundaries);
         let mut stats = ScheduleStats::default();
-        match run_batched_range(
-            &mut self.pool,
-            &self.golden,
-            &self.boundaries,
-            &[(0, fault)],
-            &mut stats,
-        ) {
-            Some(runs) => (runs[0].1, stats.golden_replay_cycles + stats.suffix_cycles),
-            None => (FaultEffect::Assert, 0),
-        }
+        let effect = contain_fault(&mut stats, |s| {
+            run_batched_range(pool, golden, boundaries, &[(0, fault)], s)[0].1
+        });
+        (effect, stats.golden_replay_cycles + stats.suffix_cycles)
     }
 }
 
@@ -333,7 +319,7 @@ pub struct CampaignResult {
     /// to the program's end — the same count as
     /// [`ScheduleStats::forks_retired`] (always 0 on the from-scratch path).
     pub early_exits: u64,
-    /// How the scheduler executed the campaign: ranges, restores, steals and
+    /// How the scheduler executed the campaign: ranges, restores, splits and
     /// total suffix cycles simulated.  Classification outcomes never depend
     /// on these — they vary with thread count and checkpoint spacing while
     /// [`CampaignResult::outcomes`] stays byte-identical.

@@ -1,27 +1,19 @@
 //! Test-only chaos hooks for exercising the failure-containment layer.
 //!
-//! The engine's robustness claims — panics become deterministic [`Assert`]
-//! classifications, a panicked worker's range is retried on a fresh core,
-//! corrupt `.golden` artifacts are quarantined — are only worth anything if
-//! they are *driven* in tests by real engine-level faults.  This module is
-//! that fault source: a process-global, normally disarmed probe that the
-//! engine polls at two points:
+//! The engine's robustness claims — a panic makes only the fault whose
+//! simulation panicked a deterministic [`Assert`], and corrupt `.golden`
+//! artifacts are quarantined — are only worth anything if they are
+//! *driven* in tests by real engine-level faults.  This module is that
+//! fault source: a process-global, normally disarmed probe that the engine
+//! polls at each fault's simulation — in the batched driver, before the
+//! dead-site query on the golden core at the fault's injection cycle, and
+//! before a from-scratch run.  Arming a fault's injection cycle via
+//! [`ChaosPlan::fault_panic_cycles`] makes *every* simulation attempt of
+//! that fault panic: its range attempt panics, and so does its one-fault
+//! re-run, which the engine must classify as [`Assert`].
 //!
-//! * **per-fault** — inside a per-fault `catch_unwind`: in the batched
-//!   driver's dead-site query on the golden core at the fault's injection
-//!   cycle, and before a from-scratch run.  Arming a fault's injection
-//!   cycle via [`ChaosPlan::fault_panic_cycles`] makes *every* simulation
-//!   attempt of that fault panic, which the engine must classify as
-//!   [`Assert`] and which must quarantine the panicking core.
-//! * **per-range** — when a scheduler worker starts a bound range, outside
-//!   the per-fault `catch_unwind` but inside the worker's range-level
-//!   containment.  Arming [`ChaosPlan::range_panic_cycle`] with a panic
-//!   budget ([`ChaosPlan::range_panic_times`]) tears down the whole worker
-//!   attempt, which the scheduler must retry on a fresh core (and, once the
-//!   retry also fails, classify deterministically as [`Assert`]).
-//!
-//! The probes cost one relaxed atomic load each while disarmed, so shipping
-//! them compiled-in is free; nothing outside `#[cfg(test)]`-style test code
+//! The probe costs one relaxed atomic load while disarmed, so shipping it
+//! compiled-in is free; nothing outside `#[cfg(test)]`-style test code
 //! should ever call [`arm`].  Arming returns a [`ChaosGuard`] that disarms
 //! on drop, and tests sharing a process must serialise around it (chaos
 //! state is global).
@@ -41,33 +33,18 @@ use std::sync::{Mutex, MutexGuard};
 /// What the armed chaos probe should do.
 #[derive(Debug, Clone, Default)]
 pub struct ChaosPlan {
-    /// Injection cycles whose faults panic on every simulation attempt
-    /// (probed inside the per-fault `catch_unwind`).  Unbudgeted: the same
-    /// fault panics again if retried, so its classification must come from
-    /// the engine's containment, not from the panic "wearing off".
+    /// Injection cycles whose faults panic on every simulation attempt.
+    /// Unbudgeted: the same fault panics again if re-run, so its
+    /// classification must come from the engine's containment, not from
+    /// the panic "wearing off".
     pub fault_panic_cycles: Vec<u64>,
-    /// If set, a scheduler worker panics when it starts a range containing a
-    /// fault with this injection cycle (probed outside the per-fault
-    /// `catch_unwind`).
-    pub range_panic_cycle: Option<u64>,
-    /// How many times the range probe fires before going quiet.  `1` models
-    /// a transient worker crash (the retry succeeds); a large value models a
-    /// deterministic range poison (the retry fails too and the range must be
-    /// classified as `Assert`).
-    pub range_panic_times: u32,
-}
-
-struct ChaosState {
-    plan: ChaosPlan,
-    range_budget: u32,
 }
 
 static ARMED: AtomicBool = AtomicBool::new(false);
-static STATE: Mutex<Option<ChaosState>> = Mutex::new(None);
+static STATE: Mutex<Option<ChaosPlan>> = Mutex::new(None);
 static FAULT_PANICS_FIRED: AtomicU64 = AtomicU64::new(0);
-static RANGE_PANICS_FIRED: AtomicU64 = AtomicU64::new(0);
 
-fn lock_state() -> MutexGuard<'static, Option<ChaosState>> {
+fn lock_state() -> MutexGuard<'static, Option<ChaosPlan>> {
     // A chaos probe panics *on purpose* while holding no lock, but a test
     // thread may still die between arm and drop; the state itself is always
     // consistent, so poisoning carries no information.
@@ -88,11 +65,7 @@ pub fn arm(plan: ChaosPlan) -> ChaosGuard {
         "chaos probe is already armed; serialise chaos tests"
     );
     FAULT_PANICS_FIRED.store(0, Ordering::SeqCst);
-    RANGE_PANICS_FIRED.store(0, Ordering::SeqCst);
-    *state = Some(ChaosState {
-        range_budget: plan.range_panic_times,
-        plan,
-    });
+    *state = Some(plan);
     ARMED.store(true, Ordering::SeqCst);
     ChaosGuard { _private: () }
 }
@@ -115,57 +88,20 @@ pub fn fault_panics_fired() -> u64 {
     FAULT_PANICS_FIRED.load(Ordering::SeqCst)
 }
 
-/// Number of range-level probe panics since the probe was last armed.
-pub fn range_panics_fired() -> u64 {
-    RANGE_PANICS_FIRED.load(Ordering::SeqCst)
-}
-
 /// Per-fault probe: panics if the armed plan targets `fault_cycle`.
 ///
-/// Called by the engine inside a per-fault `catch_unwind`: at the fault's
-/// dead-site query in the batched driver, and before a from-scratch run.
-/// Disarmed cost: one relaxed load.
+/// Called by the engine at the fault's dead-site query in the batched
+/// driver, and before a from-scratch run.  Disarmed cost: one relaxed load.
 pub(crate) fn maybe_panic_fault(fault_cycle: u64) {
     if !ARMED.load(Ordering::Relaxed) {
         return;
     }
     let fire = lock_state()
         .as_ref()
-        .is_some_and(|s| s.plan.fault_panic_cycles.contains(&fault_cycle));
+        .is_some_and(|plan| plan.fault_panic_cycles.contains(&fault_cycle));
     if fire {
         FAULT_PANICS_FIRED.fetch_add(1, Ordering::SeqCst);
         panic!("chaos: injected per-fault panic at cycle {fault_cycle}");
-    }
-}
-
-/// Range-level probe: panics if the armed plan targets any of the range's
-/// fault cycles and the panic budget is not exhausted.
-///
-/// Called by scheduler workers when they start a bound range, outside the
-/// per-fault `catch_unwind`.  Disarmed cost: one relaxed load.
-pub(crate) fn maybe_panic_range(fault_cycles: impl IntoIterator<Item = u64>) {
-    if !ARMED.load(Ordering::Relaxed) {
-        return;
-    }
-    let fire = {
-        let mut state = lock_state();
-        match state.as_mut() {
-            Some(s) if s.range_budget > 0 => {
-                let hit = s
-                    .plan
-                    .range_panic_cycle
-                    .is_some_and(|c| fault_cycles.into_iter().any(|f| f == c));
-                if hit {
-                    s.range_budget -= 1;
-                }
-                hit
-            }
-            _ => false,
-        }
-    };
-    if fire {
-        RANGE_PANICS_FIRED.fetch_add(1, Ordering::SeqCst);
-        panic!("chaos: injected range-level panic");
     }
 }
 
@@ -221,7 +157,6 @@ mod tests {
     fn disarmed_probes_are_inert() {
         let _s = serial();
         maybe_panic_fault(123);
-        maybe_panic_range([1, 2, 3]);
     }
 
     #[test]
@@ -229,7 +164,6 @@ mod tests {
         let _s = serial();
         let guard = arm(ChaosPlan {
             fault_panic_cycles: vec![77],
-            ..ChaosPlan::default()
         });
         maybe_panic_fault(76); // not armed: no panic
         let caught = std::panic::catch_unwind(|| maybe_panic_fault(77));
@@ -241,23 +175,6 @@ mod tests {
         assert_eq!(fault_panics_fired(), 2);
         drop(guard);
         maybe_panic_fault(77); // disarmed again
-    }
-
-    #[test]
-    fn range_probe_respects_its_budget() {
-        let _s = serial();
-        let _guard = arm(ChaosPlan {
-            range_panic_cycle: Some(10),
-            range_panic_times: 1,
-            ..ChaosPlan::default()
-        });
-        maybe_panic_range([5, 6]); // cycle not in range: no panic
-        let caught = std::panic::catch_unwind(|| maybe_panic_range([9, 10, 11]));
-        assert!(caught.is_err());
-        assert_eq!(range_panics_fired(), 1);
-        // Budget of one: the retry sails through.
-        maybe_panic_range([9, 10, 11]);
-        assert_eq!(range_panics_fired(), 1);
     }
 
     #[test]

@@ -23,10 +23,10 @@
 //!   (`merlin_isa::DecodedProgram`) across all of its cores, and restores
 //!   adopt the snapshot's copy-on-write pages instead of copying them,
 //! * the restore-aware campaign scheduler (see the [`schedule`] module):
-//!   faults are bucketed into per-checkpoint ranges, workers bind to whole
-//!   ranges (keeping each worker's restore snapshot hot), steal whole
-//!   ranges when they drain, and oversized ranges are split into
-//!   sub-ranges sharing the restore source — with per-campaign
+//!   faults are bucketed into per-checkpoint ranges, workers claim whole
+//!   ranges from one shared index (keeping each range's restore snapshot
+//!   hot), and oversized ranges are split into sub-ranges sharing the
+//!   restore source — with per-campaign
 //!   [`ScheduleStats`] on every [`CampaignResult`] and byte-identical
 //!   outcomes at any thread count,
 //! * fork-on-divergence batched suffix simulation (the `batch` module),

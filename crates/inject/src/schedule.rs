@@ -1,5 +1,5 @@
-//! Restore-aware campaign scheduling: checkpoint-range buckets, worker
-//! binding and whole-range work stealing.
+//! Restore-aware campaign scheduling: checkpoint-range buckets claimed
+//! whole by workers, and the engine's failure containment.
 //!
 //! # Why ranges, not single faults
 //!
@@ -14,16 +14,15 @@
 //! 1. The cycle-sorted fault list is bucketed into **checkpoint ranges**:
 //!    all faults whose restore source is the same golden snapshot (the
 //!    latest checkpoint at or before their injection cycle) share a bucket.
-//! 2. Each worker **binds** to a range — it claims a whole bucket and runs
-//!    every fault in it against the one hot restore snapshot.
-//! 3. When a worker drains its bucket it **steals a whole range**, never a
-//!    single fault, so restore locality survives stealing.  Steals are
-//!    counted in [`ScheduleStats::range_steals`].
+//! 2. Workers claim **whole ranges** from one shared atomic index: a
+//!    worker runs every fault of its range against the one hot restore
+//!    snapshot, then claims the next unclaimed range, never a single
+//!    fault.
 //!
 //! Checkpoint placement halves the earliest, suffix-heaviest ranges (see
 //! [`Cpu::run_with_adaptive_checkpoints`](merlin_cpu::Cpu::run_with_adaptive_checkpoints)),
 //! so the buckets carry roughly equal expected *work*, not equal fault
-//! counts, and range-bound workers finish together instead of one worker
+//! counts, and workers finish together instead of one worker
 //! dragging the campaign's tail.
 //!
 //! Each checkpoint range runs through the batched driver (see the `batch`
@@ -41,6 +40,27 @@
 //! Outcomes are collected per original fault-list index and merged, so
 //! [`CampaignResult::outcomes`] is byte-identical across thread counts and
 //! against the from-scratch path.  Only [`ScheduleStats`] varies.
+//!
+//! # Failure containment
+//!
+//! A run the simulator itself cannot finish is classified
+//! [`Assert`](crate::FaultEffect::Assert), and a panic is such a run.  The
+//! engine catches panics in two places only:
+//!
+//! 1. once per **range attempt**, in the worker.  The range's cores are
+//!    locals of the batched driver, so a panic drops them and the worker's
+//!    pool keeps only cores that finished cleanly.  The attempt's outcomes
+//!    and tallies are discarded (counted in
+//!    [`ScheduleStats::range_retries`]), and each of the range's faults is
+//!    re-run as its own one-fault range;
+//! 2. once per **single-fault run**, in `contain_fault`: the re-runs
+//!    above and every [`FaultInjector`](crate::FaultInjector) run.  A fault
+//!    that panics there is Assert, counted in [`ScheduleStats::asserts`].
+//!
+//! The same holds on the checkpointed and the from-scratch path.  Whether
+//! a fault's own simulation panics is a pure function of (program,
+//! configuration, fault), so outcomes stay byte-identical across thread
+//! counts even under panics.
 
 use crate::batch::{run_batched_range, ForkPool};
 use crate::campaign::{
@@ -52,11 +72,11 @@ use merlin_cpu::{CpuConfig, FaultSpec, Structure};
 use merlin_isa::{DecodedProgram, Program};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// How many ranges per worker the from-scratch path chunks the fault list
-/// into: enough that a slow chunk can be compensated by stealing, few enough
-/// that claiming stays negligible.
+/// into: enough that other workers can take up the slack of a slow chunk,
+/// few enough that claiming stays negligible.
 const SCRATCH_RANGES_PER_WORKER: usize = 4;
 
 /// A checkpoint range holding more than this multiple of the mean per-range
@@ -79,8 +99,6 @@ pub struct ScheduleStats {
     /// batched driver, for its golden core (forks adopt the golden core's
     /// state without a restore; 0 from scratch).
     pub restores: u64,
-    /// Whole ranges claimed by workers beyond their initial binding.
-    pub range_steals: u64,
     /// Extra ranges created by splitting oversized checkpoint ranges (a
     /// range whose fault count exceeds twice the mean is cut into
     /// near-mean-sized sub-ranges sharing the restore source).
@@ -93,17 +111,12 @@ pub struct ScheduleStats {
     /// `faults × golden_cycles` from scratch.
     pub suffix_cycles: u64,
     /// Faults classified [`Assert`](crate::FaultEffect::Assert) by the
-    /// engine's failure containment: a panic during the fault's own
-    /// simulation, a range whose retry also failed, a core that could not be
-    /// constructed, or a worker that died without reporting.  A run the
-    /// model itself ends with an assertion (a store into the code region)
-    /// is classified Assert too, but is not counted here.
+    /// engine's failure containment: a fault whose own simulation panicked,
+    /// or a worker that died without reporting.  A run the model itself
+    /// ends with an assertion (a store into the code region) is classified
+    /// Assert too, but is not counted here.
     pub asserts: u64,
-    /// Restores that lifted a core out of quarantine — the first restore
-    /// following a panic on that core.
-    pub poisoned_restores: u64,
-    /// Ranges whose first attempt panicked at range level and were returned
-    /// to the pool for one retry on a fresh core.
+    /// Range attempts that panicked and were re-run one fault at a time.
     pub range_retries: u64,
     /// Faults whose site does not exist in this configuration: classified
     /// Masked without simulating anything (previously invisible in stats).
@@ -148,6 +161,11 @@ pub struct ScheduleStats {
     /// [`Cpu::fork_from`](merlin_cpu::Cpu::fork_from) and restores adopt
     /// page handles instead of copying, so this is the copy work a campaign
     /// actually pays.
+    ///
+    /// Read it as a spread, not as a figure that repeats exactly: a write
+    /// copies a shared page only when another core or snapshot holds it at
+    /// that moment (otherwise the page is taken back by move), and with
+    /// more than one worker that depends on thread interleaving.
     pub cow_breaks: u64,
 }
 
@@ -155,11 +173,9 @@ impl std::ops::AddAssign for ScheduleStats {
     fn add_assign(&mut self, rhs: Self) {
         self.ranges += rhs.ranges;
         self.restores += rhs.restores;
-        self.range_steals += rhs.range_steals;
         self.range_splits += rhs.range_splits;
         self.suffix_cycles += rhs.suffix_cycles;
         self.asserts += rhs.asserts;
-        self.poisoned_restores += rhs.poisoned_restores;
         self.range_retries += rhs.range_retries;
         self.skipped_sites += rhs.skipped_sites;
         self.static_prunes += rhs.static_prunes;
@@ -179,18 +195,32 @@ impl ScheduleStats {
         self.suffix_cycles += run.suffix_cycles;
         self.forks_retired += u64::from(run.early_exit);
     }
+}
 
-    /// Accounts one checkpoint restore; `from_quarantine` is what
-    /// [`Cpu::restore_from`](merlin_cpu::Cpu::restore_from) returned.
-    pub(crate) fn record_restore(&mut self, from_quarantine: bool) {
-        self.restores += 1;
-        self.poisoned_restores += u64::from(from_quarantine);
+/// The engine's single-fault panic catch (see the [module docs](self)):
+/// runs one fault's simulation and adds its tallies into `stats` when it
+/// completes.  A panic drops the cores the run held and classifies the
+/// fault Assert, counted in [`ScheduleStats::asserts`].
+pub(crate) fn contain_fault(
+    stats: &mut ScheduleStats,
+    run: impl FnOnce(&mut ScheduleStats) -> FaultEffect,
+) -> FaultEffect {
+    let mut delta = ScheduleStats::default();
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&mut delta))) {
+        Ok(effect) => {
+            *stats += delta;
+            effect
+        }
+        Err(_) => {
+            stats.asserts += 1;
+            FaultEffect::Assert
+        }
     }
 }
 
 /// Executes one injection campaign: buckets the cycle-sorted fault list by
-/// checkpoint range, binds workers to ranges and steals whole ranges on
-/// drain (see the [module docs](self)).
+/// checkpoint range and lets workers claim whole ranges (see the
+/// [module docs](self)).
 ///
 /// Built once per campaign by [`Session::campaign`](crate::Session::campaign)
 /// /[`Session::campaign_from_scratch`](crate::Session::campaign_from_scratch),
@@ -323,15 +353,8 @@ impl<'a> CampaignScheduler<'a> {
     /// L1D faults the golden run never reads, are resolved first, without a
     /// core; the rest go through the batched driver on the worker's pool
     /// (a range with no fault left performs no restore), or, from scratch,
-    /// simulate from cycle 0 one by one.
-    ///
-    /// When the batched driver aborts (a panic or an unconstructible core),
-    /// the attempt's tallies are dropped and each of the range's faults is
-    /// re-run as its own one-fault range on the same pool.  The driver
-    /// parks the quarantined core on top of the pool, so the first re-run
-    /// restores it and lifts the quarantine.  A one-fault range that aborts again
-    /// classifies its fault Assert; its tallies are kept, so the restores
-    /// it paid (a poisoned one included) are counted.
+    /// simulate from cycle 0 one by one.  Catches nothing: a panic unwinds
+    /// to the worker (see `run`).
     fn run_range(
         &self,
         bucket: &[usize],
@@ -362,7 +385,15 @@ impl<'a> CampaignScheduler<'a> {
                 sim.push((idx, fault));
             }
         }
-        if !self.use_checkpoints {
+        if self.use_checkpoints {
+            out.extend(run_batched_range(
+                pool,
+                self.golden,
+                &self.boundaries,
+                &sim,
+                stats,
+            ));
+        } else {
             for (idx, fault) in sim {
                 let run = run_single_fault_shared(
                     &self.program,
@@ -371,37 +402,8 @@ impl<'a> CampaignScheduler<'a> {
                     self.golden,
                     fault,
                 );
-                match run {
-                    Some(run) => {
-                        stats.record(&run);
-                        out.push((idx, run.effect));
-                    }
-                    None => {
-                        stats.asserts += 1;
-                        out.push((idx, FaultEffect::Assert));
-                    }
-                }
-            }
-            return out;
-        }
-        let mut run = |sim: &[(usize, FaultSpec)], stats: &mut ScheduleStats| {
-            run_batched_range(pool, self.golden, &self.boundaries, sim, stats)
-        };
-        let mut attempt = ScheduleStats::default();
-        if let Some(effects) = run(&sim, &mut attempt) {
-            *stats += attempt;
-            out.extend(effects);
-            return out;
-        }
-        // The aborted attempt is counted like a range retry.
-        stats.range_retries += 1;
-        for &one in &sim {
-            match run(&[one], stats) {
-                Some(effects) => out.extend(effects),
-                None => {
-                    stats.asserts += 1;
-                    out.push((one.0, FaultEffect::Assert));
-                }
+                stats.record(&run);
+                out.push((idx, run.effect));
             }
         }
         out
@@ -411,100 +413,37 @@ impl<'a> CampaignScheduler<'a> {
     ///
     /// Outcomes are byte-identical across thread counts; only
     /// [`CampaignResult::schedule`] (and `early_exits`, which counts the
-    /// same events wherever they land) reflects the execution.
-    ///
-    /// # Failure containment
-    ///
-    /// A panic inside the batched driver quarantines the panicking core and
-    /// re-runs the range's faults one at a time, so only the fault whose
-    /// own simulation panics is classified
-    /// [`Assert`](crate::FaultEffect::Assert) (see `run_range`).  A panic
-    /// that tears through a worker's whole range attempt — outside the
-    /// driver's catches — discards that attempt's partial outcomes, returns
-    /// the range to a retry pool and re-runs it once on fresh cores; a
-    /// second range-level failure classifies every fault in the range
-    /// deterministically as `Assert`.  Both classifications are pure
-    /// functions of (program, configuration, fault), so outcomes stay
-    /// byte-identical across thread counts even under panics.
+    /// same events wherever they land) reflects the execution.  A range
+    /// attempt that panics is re-run one fault at a time under
+    /// [`contain_fault`] (see the [module docs](self)).
     pub(crate) fn run(&self) -> CampaignResult {
-        let threads = self.threads.max(1).min(self.buckets.len().max(1));
         let next = AtomicUsize::new(0);
-        // Ranges whose first attempt panicked, awaiting their one retry.  A
-        // poisoned lock only means a probe panicked while pushing is not in
-        // progress (panics never unwind while the lock is held), so the
-        // contents are always valid.
-        let retries: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        let pop_retry = || match retries.lock() {
-            Ok(mut g) => g.pop(),
-            Err(poisoned) => poisoned.into_inner().pop(),
-        };
-        let push_retry = |b: usize| match retries.lock() {
-            Ok(mut g) => g.push(b),
-            Err(poisoned) => poisoned.into_inner().push(b),
-        };
         let run_worker = |collected: &mut Vec<(usize, FaultEffect)>, stats: &mut ScheduleStats| {
             // Core pool for the batched driver (golden replay core + one
             // live fork); unused from scratch.
             let mut pool = ForkPool::new(&self.program, &self.decoded, &self.cfg);
-            let mut claimed = 0usize;
             loop {
-                // Failed ranges take priority over fresh ones, and the
-                // worker that pushed a retry always loops back to re-check
-                // the pool — so a retry can never be stranded by the other
-                // workers having already exited.
-                let (b, is_retry) = match pop_retry() {
-                    Some(b) => (b, true),
-                    None => {
-                        let b = next.fetch_add(1, Ordering::Relaxed);
-                        if b < self.buckets.len() {
-                            (b, false)
-                        } else {
-                            match pop_retry() {
-                                Some(b) => (b, true),
-                                None => break,
-                            }
-                        }
-                    }
+                let b = next.fetch_add(1, Ordering::Relaxed);
+                let Some(bucket) = self.buckets.get(b) else {
+                    break;
                 };
-                let bucket = &self.buckets[b];
-                if !is_retry {
-                    claimed += 1;
-                    if claimed > 1 {
-                        stats.range_steals += 1;
-                    }
-                } else {
-                    // The issue under retry may have been the core itself:
-                    // retries always start from fresh cores.
-                    pool.clear();
-                }
+                // Outcomes and tallies are collected locally, so a
+                // mid-range panic discards them atomically.
+                let mut delta = ScheduleStats::default();
                 let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    crate::chaos::maybe_panic_range(bucket.iter().map(|&i| self.faults[i].cycle));
-                    // Partial work is collected locally so a mid-range panic
-                    // discards it atomically and the retry re-runs the whole
-                    // range.
-                    let mut delta = ScheduleStats::default();
-                    let local = self.run_range(bucket, &mut pool, &mut delta);
-                    (local, delta)
+                    self.run_range(bucket, &mut pool, &mut delta)
                 }));
                 match attempt {
-                    Ok((local, delta)) => {
+                    Ok(local) => {
                         collected.extend(local);
                         *stats += delta;
                     }
                     Err(_) => {
-                        // The panic unwound outside the driver's catches, so
-                        // the worker's cores are in an unknown state: drop
-                        // them.
-                        pool.clear();
-                        if is_retry {
-                            // Second failure: the range is deterministically
-                            // poisoned — classify every fault in it Assert
-                            // rather than retrying forever.
-                            stats.asserts += bucket.len() as u64;
-                            collected.extend(bucket.iter().map(|&idx| (idx, FaultEffect::Assert)));
-                        } else {
-                            stats.range_retries += 1;
-                            push_retry(b);
+                        stats.range_retries += 1;
+                        for &idx in bucket {
+                            let effect =
+                                contain_fault(stats, |s| self.run_range(&[idx], &mut pool, s)[0].1);
+                            collected.push((idx, effect));
                         }
                     }
                 }
@@ -523,14 +462,14 @@ impl<'a> CampaignScheduler<'a> {
                 effects[idx] = Some(effect);
             }
         };
-        if threads == 1 {
+        if self.threads == 1 {
             let mut collected = Vec::with_capacity(self.faults.len());
             let mut stats = ScheduleStats::default();
             run_worker(&mut collected, &mut stats);
             merge(collected, stats);
         } else {
             std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
+                let handles: Vec<_> = (0..self.threads)
                     .map(|_| {
                         scope.spawn(|| {
                             let mut collected = Vec::new();
@@ -541,10 +480,10 @@ impl<'a> CampaignScheduler<'a> {
                     })
                     .collect();
                 for h in handles {
-                    // A worker that somehow died outside its range-level
-                    // containment loses its outcomes; the merge below
-                    // classifies whatever is missing as Assert instead of
-                    // tearing the campaign down.
+                    // A worker that somehow died outside its containment
+                    // loses its outcomes; the merge below classifies
+                    // whatever is missing as Assert instead of tearing the
+                    // campaign down.
                     if let Ok((collected, stats)) = h.join() {
                         merge(collected, stats);
                     }
@@ -751,7 +690,7 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_buckets_by_restore_source_and_steals_ranges() {
+    fn scheduler_buckets_by_restore_source() {
         let program = Arc::new(tiny_program());
         let cfg = Arc::new(CpuConfig::default());
         let decoded = Arc::new(DecodedProgram::new(&program));
@@ -786,9 +725,9 @@ mod tests {
         }
         let result = sched.run();
         assert_eq!(result.schedule.ranges, sched.buckets.len() as u64);
-        // A single worker claims every range: all but its binding are steals.
+        // A single worker claiming every range computes the same outcomes.
         let solo = scheduler(&program, &cfg, &golden, true, &faults, 1, None).run();
-        assert_eq!(solo.schedule.range_steals, solo.schedule.ranges - 1);
+        assert_eq!(solo.schedule.ranges, result.schedule.ranges);
         assert_eq!(solo.outcomes, result.outcomes);
     }
 

@@ -1,13 +1,9 @@
 //! End-to-end failure containment under engine-level faults, driven by the
-//! [`merlin_inject::chaos`] probes:
-//!
-//! * a fault whose simulation panics on every attempt is classified
-//!   `Assert`, quarantines the panicking core (its next restore lifts the
-//!   quarantine and is counted as poisoned), and leaves every other fault's classification
-//!   byte-identical to a clean campaign at any thread count;
-//! * a worker panic at range level returns the range to the pool and is
-//!   retried once on a fresh core; a persistently panicking range is
-//!   classified `Assert` wholesale, deterministically.
+//! [`merlin_inject::chaos`] probe: a fault whose simulation panics on every
+//! attempt is classified `Assert`, and every other fault's classification
+//! stays byte-identical to a clean campaign at any thread count, on the
+//! checkpointed and the from-scratch path alike.  The cores the panic ran
+//! on are dropped, so the cores that run later faults are unaffected.
 //!
 //! Chaos state is process-global, so every test here serialises on one lock.
 
@@ -82,24 +78,21 @@ fn unique_mid_cycle(s: &Session, faults: &[FaultSpec]) -> u64 {
 }
 
 #[test]
-fn fault_panic_becomes_assert_quarantines_one_core_and_reruns_the_range_per_fault() {
+fn fault_panic_becomes_assert_and_reruns_the_range_per_fault() {
     let _serial = serial();
     let clean = session(1);
     let faults = fault_list(&clean);
     let clean_result = clean.campaign(&faults).unwrap();
     assert_eq!(clean_result.schedule.asserts, 0);
-    assert_eq!(clean_result.schedule.poisoned_restores, 0);
+    assert_eq!(clean_result.schedule.range_retries, 0);
     let target = unique_mid_cycle(&clean, &faults);
 
-    // An unbudgeted chaos fault panics inside the dead-site query of the
-    // batched driver.  That query runs on the range's golden core, so the
-    // golden core is quarantined and the range aborts.  The range's faults
-    // are then re-run one per range on the same pool: the target panics
-    // again and is classified Assert, and the quarantined core surfaces as
-    // a poisoned restore when a re-run takes it from the pool.
+    // An unbudgeted chaos fault panics at the dead-site query of the
+    // batched driver, on the range's golden core.  The panic drops the
+    // range's cores and the worker re-runs the range's faults one per
+    // range: the target panics again and is classified Assert.
     let _guard = chaos::arm(ChaosPlan {
         fault_panic_cycles: vec![target],
-        ..ChaosPlan::default()
     });
     let mut reference: Option<Vec<_>> = None;
     for threads in [1usize, 2, 4, 8] {
@@ -114,14 +107,8 @@ fn fault_panic_becomes_assert_quarantines_one_core_and_reruns_the_range_per_faul
             }
         }
         assert_eq!(result.schedule.asserts, 1, "x{threads}");
-        // The aborted attempt is accounted like a range retry.
+        // The panicked attempt is counted as a range retry.
         assert!(result.schedule.range_retries >= 1, "x{threads}");
-        // Containment is per-core: the quarantined core surfaces as a
-        // poisoned restore, not as a poisoned pool.
-        assert!(
-            result.schedule.poisoned_restores >= 1,
-            "x{threads}: the post-panic restore must be counted as poisoned"
-        );
         // And byte-identical across thread counts, panics included.
         match &reference {
             None => reference = Some(result.outcomes),
@@ -135,76 +122,41 @@ fn fault_panic_becomes_assert_quarantines_one_core_and_reruns_the_range_per_faul
 }
 
 #[test]
-fn transient_range_panic_is_retried_to_a_clean_result() {
+fn from_scratch_fault_panic_becomes_assert_at_any_thread_count() {
     let _serial = serial();
     let clean = session(1);
     let faults = fault_list(&clean);
-    let clean_result = clean.campaign(&faults).unwrap();
+    let clean_result = clean.campaign_from_scratch(&faults).unwrap();
+    assert_eq!(clean_result.schedule.asserts, 0);
     let target = unique_mid_cycle(&clean, &faults);
 
-    for threads in [1usize, 2, 4, 8] {
-        let guard = chaos::arm(ChaosPlan {
-            range_panic_cycle: Some(target),
-            range_panic_times: 1,
-            ..ChaosPlan::default()
-        });
-        let result = session(threads).campaign(&faults).unwrap();
-        assert_eq!(chaos::range_panics_fired(), 1, "x{threads}");
-        drop(guard);
-        // A transient worker crash is invisible in the outcomes: the retry
-        // on a fresh core reproduces the clean campaign byte-for-byte.
-        assert_eq!(result.outcomes, clean_result.outcomes, "x{threads}");
-        assert_eq!(result.schedule.range_retries, 1, "x{threads}");
-        assert_eq!(result.schedule.asserts, 0, "x{threads}");
-    }
-}
-
-#[test]
-fn persistent_range_panic_classifies_the_range_assert_deterministically() {
-    let _serial = serial();
-    let clean = session(1);
-    let faults = fault_list(&clean);
-    let clean_result = clean.campaign(&faults).unwrap();
-    let target = unique_mid_cycle(&clean, &faults);
-
+    // The probe fires before the target's from-scratch run, in its chunk
+    // and again in its one-fault re-run.
+    let _guard = chaos::arm(ChaosPlan {
+        fault_panic_cycles: vec![target],
+    });
     let mut reference: Option<Vec<_>> = None;
     for threads in [1usize, 2, 4] {
-        let guard = chaos::arm(ChaosPlan {
-            range_panic_cycle: Some(target),
-            range_panic_times: 1_000,
-            ..ChaosPlan::default()
-        });
-        let result = session(threads).campaign(&faults).unwrap();
-        assert_eq!(
-            chaos::range_panics_fired(),
-            2,
-            "first attempt plus its one retry, x{threads}"
-        );
-        drop(guard);
-        assert_eq!(result.schedule.range_retries, 1, "x{threads}");
-        // The poisoned range is classified Assert wholesale; every fault
-        // outside it matches the clean campaign.
-        let mut asserts = 0u64;
-        let mut target_effect = None;
+        let result = session(threads).campaign_from_scratch(&faults).unwrap();
         for (out, clean_out) in result.outcomes.iter().zip(&clean_result.outcomes) {
             if out.fault.cycle == target {
-                target_effect = Some(out.effect);
+                assert_eq!(out.effect, FaultEffect::Assert, "x{threads}");
+            } else {
+                assert_eq!(out, clean_out, "x{threads}");
             }
-            if out == clean_out {
-                continue;
-            }
-            assert_eq!(out.effect, FaultEffect::Assert, "x{threads}");
-            asserts += 1;
         }
-        assert_eq!(target_effect, Some(FaultEffect::Assert), "x{threads}");
-        assert!(asserts >= 1, "x{threads}");
-        assert_eq!(result.schedule.asserts, asserts, "x{threads}");
-        // Deterministic: the same range fails the same way at any count.
+        assert_eq!(result.schedule.asserts, 1, "x{threads}");
+        assert_eq!(result.schedule.range_retries, 1, "x{threads}");
         match &reference {
             None => reference = Some(result.outcomes),
             Some(r) => assert_eq!(r, &result.outcomes, "x{threads}"),
         }
     }
+    assert_eq!(
+        chaos::fault_panics_fired(),
+        6,
+        "per campaign: once in the chunk, once in its one-fault re-run"
+    );
 }
 
 #[test]
@@ -225,15 +177,13 @@ fn injector_core_recovers_from_a_panic_bit_for_bit() {
     {
         let _guard = chaos::arm(ChaosPlan {
             fault_panic_cycles: vec![target],
-            ..ChaosPlan::default()
         });
         assert_eq!(injector.run(panicking), FaultEffect::Assert);
         assert_eq!(chaos::fault_panics_fired(), 1);
     }
 
-    // The panic left the injector's reused core quarantined; the next run
-    // must match both its own pre-panic result and a fresh injector
-    // bit-for-bit.
+    // The panic dropped the injector's cores; the next run must match both
+    // its own pre-panic result and a fresh injector bit-for-bit.
     let post_panic = injector.run_with_cycles(later);
     let fresh = s.injector().unwrap().run_with_cycles(later);
     assert_eq!(post_panic, clean_later);

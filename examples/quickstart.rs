@@ -51,11 +51,10 @@ fn main() {
     let comprehensive = session.comprehensive(&faults).expect("baseline campaign");
     let sched = &comprehensive.schedule;
     println!(
-        "scheduler: {} ranges, {} restores, {} range steals, {} suffix cycles simulated \
+        "scheduler: {} ranges, {} restores, {} suffix cycles simulated \
          (vs ~{} from scratch)",
         sched.ranges,
         sched.restores,
-        sched.range_steals,
         sched.suffix_cycles,
         golden.result.cycles * faults.len() as u64,
     );
