@@ -209,7 +209,7 @@ pub enum StaticViolationKind {
 }
 
 /// One inconsistency between a dynamic vulnerable interval and the static
-/// dataflow analysis, reported by [`AceAnalysis::validate_static`].
+/// analysis, reported by [`AceAnalysis::validate_static`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StaticViolation {
     /// The structure whose interval repository contains the contradiction.
@@ -274,7 +274,7 @@ impl AceAnalysis {
     }
 
     /// Cross-validates the dynamic vulnerable intervals against the static
-    /// dataflow `analysis` of the same program.
+    /// `analysis` of the same program.
     ///
     /// Two properties must hold for the profile to be consistent with the
     /// program text:
@@ -283,7 +283,7 @@ impl AceAnalysis {
     ///   (the static prune and the ACE-like prune must never disagree on
     ///   whether an entry can carry live data);
     /// * every interval, on every structure, is closed by a committed read
-    ///   whose RIP the static CFG can reach from the entry point.
+    ///   whose RIP a static control-flow path reaches from the entry point.
     ///
     /// # Errors
     ///
@@ -302,9 +302,7 @@ impl AceAnalysis {
                         kind: StaticViolationKind::StaticallyDeadEntry,
                     });
                 }
-                let rip = interval.rip;
-                let in_text = (rip as usize) < analysis.cfg().num_instructions();
-                if !in_text || !analysis.cfg().is_reachable(rip) {
+                if !analysis.is_reachable(interval.rip) {
                     violations.push(StaticViolation {
                         structure,
                         entry,
@@ -395,9 +393,13 @@ mod tests {
     fn validate_static_flags_contradictory_intervals() {
         use merlin_isa::{reg, DecodedProgram, ProgramBuilder};
         let mut b = ProgramBuilder::new();
-        b.movi(reg(1), 5);
-        b.out(reg(1));
-        b.halt();
+        let end = b.label();
+        b.movi(reg(1), 5); // 0
+        b.jump(end); // 1
+        b.movi(reg(1), 6); // 2: in the text, unreachable
+        b.bind(end);
+        b.out(reg(1)); // 3
+        b.halt(); // 4
         let program = b.build().unwrap();
         let decoded = DecodedProgram::new(&program);
         let analysis = ProgramAnalysis::of(&program, &decoded);
@@ -405,8 +407,8 @@ mod tests {
         ace.validate_static(&analysis).unwrap();
 
         // Tamper with the repository: an interval on the identity entry of
-        // a register the text never mentions, and an interval closed by a
-        // read outside the text.
+        // a register the text never mentions, an interval closed by a read
+        // outside the text, and one closed by an unreachable read.
         let iv = |rip| Interval {
             start: 1,
             end: 2,
@@ -418,14 +420,18 @@ mod tests {
         let rf = ace.intervals.get_mut(&Structure::RegisterFile).unwrap();
         rf.push(9, iv(0));
         rf.push(1, iv(40));
+        rf.push(1, iv(2));
         let violations = ace.validate_static(&analysis).unwrap_err();
-        assert_eq!(violations.len(), 2);
+        assert_eq!(violations.len(), 3);
         assert!(violations
             .iter()
             .any(|v| v.kind == StaticViolationKind::StaticallyDeadEntry && v.entry == 9));
         assert!(violations
             .iter()
-            .any(|v| v.kind == StaticViolationKind::UnreachableReader && v.entry == 1));
+            .any(|v| v.kind == StaticViolationKind::UnreachableReader && v.interval.rip == 40));
+        assert!(violations
+            .iter()
+            .any(|v| v.kind == StaticViolationKind::UnreachableReader && v.interval.rip == 2));
         for v in &violations {
             assert!(!v.to_string().is_empty());
         }

@@ -73,7 +73,7 @@ fn intervals_per_entry_do_not_overlap() {
 
 #[test]
 fn dynamic_intervals_are_consistent_with_static_liveness() {
-    // The ACE-like profile and the static dataflow analysis are two
+    // The ACE-like profile and the static analysis are two
     // independent views of the same program; they must never contradict:
     // no vulnerable interval on a statically dead register-file entry, no
     // interval closed by a statically unreachable read.

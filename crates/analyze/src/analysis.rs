@@ -1,28 +1,22 @@
-//! Backward liveness, initialisation dataflow and the whole-program
-//! register census, combined into one [`ProgramAnalysis`].
+//! The whole-program register census and the session-boundary lint,
+//! combined into one [`ProgramAnalysis`].
 //!
-//! All three run over the predecoded micro-op arena
+//! Both run over the predecoded micro-op arena
 //! ([`merlin_isa::DecodedProgram`]) — the exact stream the cycle-level core
-//! fetches — so def/use sets match execution by construction instead of by
-//! a parallel re-implementation of the cracker:
+//! fetches — so source and destination sets match execution by
+//! construction instead of by a parallel re-implementation of the cracker:
 //!
-//! * **liveness** (backward may-analysis): a register is live-in at an
-//!   instruction when some path from it reads the register before writing
-//!   it.  Fixed-point over the CFG with the per-micro-op transfer
-//!   `live := (live \ dst) ∪ srcs` applied in reverse uPC order.
-//! * **initialisation** (forward must-analysis): a register is
-//!   definitely-initialised at an instruction when *every* path from the
-//!   entry writes it first.  Reads outside that set are
-//!   [`ProgramAnalysis::reads_before_init`] — path-sensitive advisories,
-//!   deliberately not admission-blocking because registers reset to zero.
 //! * **register census**: which architectural registers appear anywhere in
 //!   the program text.  This is what makes the static fault prune *sound*
 //!   (see [`ProgramAnalysis::rf_entry_statically_dead`]).
+//! * **reachability**: which instructions some control-flow path from the
+//!   entry reaches ([`ProgramAnalysis::is_reachable`]).
+//! * **lint**: out-of-range control targets, reads of registers the whole
+//!   program never writes, and unreachable instructions.
 
 use crate::cfg::ControlFlowGraph;
 use crate::lint::{LintFinding, LintKind, LintReport};
-use merlin_isa::{ArchReg, DecodedProgram, Program, Rip, Upc, NUM_ARCH_REGS};
-use std::fmt;
+use merlin_isa::{ArchReg, DecodedProgram, Program, Rip, NUM_ARCH_REGS};
 
 /// A compact set of architectural registers (`NUM_ARCH_REGS` ≤ 32 bits).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -35,10 +29,6 @@ impl RegSet {
         self.0 |= 1 << r.index();
     }
 
-    fn remove(&mut self, r: ArchReg) {
-        self.0 &= !(1 << r.index());
-    }
-
     fn contains(self, r: ArchReg) -> bool {
         self.0 & (1 << r.index()) != 0
     }
@@ -46,56 +36,17 @@ impl RegSet {
     fn contains_index(self, idx: usize) -> bool {
         idx < NUM_ARCH_REGS && self.0 & (1 << idx) != 0
     }
-
-    fn union(self, other: RegSet) -> RegSet {
-        RegSet(self.0 | other.0)
-    }
-
-    fn intersect(self, other: RegSet) -> RegSet {
-        RegSet(self.0 & other.0)
-    }
-
-    fn iter(self) -> impl Iterator<Item = ArchReg> {
-        ArchReg::all().filter(move |r| self.contains(*r))
-    }
-}
-
-/// A static micro-op operand site: the `(rip, upc)` micro-op plus the
-/// register the finding concerns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct UopSite {
-    /// Instruction pointer of the macro-instruction.
-    pub rip: Rip,
-    /// Micro-op index within the macro-instruction.
-    pub upc: Upc,
-    /// The register involved.
-    pub reg: ArchReg,
-}
-
-impl fmt::Display for UopSite {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}.{} {}", self.rip, self.upc, self.reg)
-    }
 }
 
 /// The complete static-analysis result for one program, computed once per
 /// session and shared by every campaign worker (like the predecoded arena).
 #[derive(Debug, Clone)]
 pub struct ProgramAnalysis {
-    cfg: ControlFlowGraph,
+    /// `reachable[rip]` is `true` when a path from the entry reaches `rip`.
+    reachable: Vec<bool>,
     /// Registers appearing (as source or destination) in any micro-op of
     /// the whole program text, reachable or not.
     used: RegSet,
-    /// Registers written (as destination) by any micro-op of the whole
-    /// program text.
-    written: RegSet,
-    /// Per-instruction live-in sets (registers read before written on some
-    /// path from that instruction).
-    live_in: Vec<RegSet>,
-    /// Writes whose value no path can read (cracker temporaries excluded).
-    dead_writes: Vec<UopSite>,
-    /// Reads not dominated by a write on every path from the entry.
-    reads_before_init: Vec<UopSite>,
     /// The admission-control verdict.
     lint: LintReport,
 }
@@ -114,27 +65,19 @@ impl ProgramAnalysis {
         );
         let n = program.instructions.len();
         let cfg = ControlFlowGraph::of(program);
-
         let (used, written) = census(decoded, n);
-        let live_in = liveness(&cfg, decoded, n);
-        let dead_writes = dead_writes(&cfg, decoded, &live_in, n);
-        let reads_before_init = reads_before_init(&cfg, decoded, n);
         let lint = lint(&cfg, decoded, written, n);
-
         ProgramAnalysis {
-            cfg,
+            reachable: cfg.reachable,
             used,
-            written,
-            live_in,
-            dead_writes,
-            reads_before_init,
             lint,
         }
     }
 
-    /// The control-flow graph the dataflow ran over.
-    pub fn cfg(&self) -> &ControlFlowGraph {
-        &self.cfg
+    /// Whether a control-flow path from the program entry reaches `rip`;
+    /// `false` for a RIP outside the program text.
+    pub fn is_reachable(&self, rip: Rip) -> bool {
+        self.reachable.get(rip as usize).copied().unwrap_or(false)
     }
 
     /// The admission-control lint verdict.
@@ -146,11 +89,6 @@ impl ProgramAnalysis {
     /// of the program text.
     pub fn reg_used(&self, reg: ArchReg) -> bool {
         self.used.contains(reg)
-    }
-
-    /// Whether any micro-op of the program text writes `reg`.
-    pub fn reg_written(&self, reg: ArchReg) -> bool {
-        self.written.contains(reg)
     }
 
     /// Architectural registers no micro-op of the program mentions at all.
@@ -182,31 +120,6 @@ impl ProgramAnalysis {
     pub fn rf_entry_statically_dead(&self, entry: usize) -> bool {
         entry < NUM_ARCH_REGS && !self.used.contains_index(entry)
     }
-
-    /// Registers live on entry to the instruction at `rip` (read before
-    /// written on some path from it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rip` is outside the program text.
-    pub fn live_in(&self, rip: Rip) -> impl Iterator<Item = ArchReg> + '_ {
-        self.live_in[rip as usize].iter()
-    }
-
-    /// Writes whose value no path can read before it is overwritten.
-    ///
-    /// Cracker temporaries are excluded: the compare half of an
-    /// immediate-form branch structurally discards its temporary result.
-    pub fn dead_writes(&self) -> &[UopSite] {
-        &self.dead_writes
-    }
-
-    /// Reads not preceded by a write on every path from the entry.  These
-    /// observe the reset value (zero) — legal, but usually an accident, so
-    /// they are advisory rather than admission-blocking.
-    pub fn reads_before_init(&self) -> &[UopSite] {
-        &self.reads_before_init
-    }
 }
 
 /// Whole-text register census: (used anywhere, written anywhere).
@@ -227,147 +140,12 @@ fn census(decoded: &DecodedProgram, n: usize) -> (RegSet, RegSet) {
     (used, written)
 }
 
-/// Applies one instruction's micro-ops to a live-out set, yielding live-in.
-fn transfer_backward(decoded: &DecodedProgram, rip: Rip, mut live: RegSet) -> RegSet {
-    for uop in decoded.uops(rip).iter().rev() {
-        if let Some(dst) = uop.dst {
-            live.remove(dst);
-        }
-        for src in uop.sources() {
-            live.insert(src);
-        }
-    }
-    live
-}
-
-/// Backward may-liveness to a fixed point over the CFG.
-fn liveness(cfg: &ControlFlowGraph, decoded: &DecodedProgram, n: usize) -> Vec<RegSet> {
-    let mut live_in = vec![RegSet::EMPTY; n];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for rip in (0..n).rev() {
-            let rip = rip as Rip;
-            let live_out = cfg
-                .successors(rip)
-                .iter()
-                .fold(RegSet::EMPTY, |acc, &s| acc.union(live_in[s as usize]));
-            let new = transfer_backward(decoded, rip, live_out);
-            if new != live_in[rip as usize] {
-                live_in[rip as usize] = new;
-                changed = true;
-            }
-        }
-    }
-    live_in
-}
-
-/// Scans reachable instructions for destinations that are dead immediately
-/// after their write.
-fn dead_writes(
-    cfg: &ControlFlowGraph,
-    decoded: &DecodedProgram,
-    live_in: &[RegSet],
-    n: usize,
-) -> Vec<UopSite> {
-    let mut found = Vec::new();
-    for rip in 0..n {
-        let rip = rip as Rip;
-        if !cfg.is_reachable(rip) {
-            continue;
-        }
-        let mut live = cfg
-            .successors(rip)
-            .iter()
-            .fold(RegSet::EMPTY, |acc, &s| acc.union(live_in[s as usize]));
-        // Reverse uPC walk mirrors the liveness transfer, observing the
-        // live set just after each write.
-        let uops = decoded.uops(rip);
-        for uop in uops.iter().rev() {
-            if let Some(dst) = uop.dst {
-                if dst.is_gpr() && !live.contains(dst) {
-                    found.push(UopSite {
-                        rip,
-                        upc: uop.upc,
-                        reg: dst,
-                    });
-                }
-                live.remove(dst);
-            }
-            for src in uop.sources() {
-                live.insert(src);
-            }
-        }
-    }
-    found.sort_by_key(|s| (s.rip, s.upc));
-    found
-}
-
-/// Forward must-initialisation to a fixed point, then one collection pass
-/// for reads outside the definitely-initialised set.
-fn reads_before_init(cfg: &ControlFlowGraph, decoded: &DecodedProgram, n: usize) -> Vec<UopSite> {
-    // `None` is ⊤ (unvisited): intersect of nothing.
-    let mut init_in: Vec<Option<RegSet>> = vec![None; n];
-    if n > 0 && (cfg.entry() as usize) < n {
-        init_in[cfg.entry() as usize] = Some(RegSet::EMPTY);
-    }
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for rip in 0..n {
-            let rip_u = rip as Rip;
-            let Some(inited) = init_in[rip] else { continue };
-            let mut out = inited;
-            for uop in decoded.uops(rip_u) {
-                if let Some(dst) = uop.dst {
-                    out.insert(dst);
-                }
-            }
-            for &succ in cfg.successors(rip_u) {
-                let merged = match init_in[succ as usize] {
-                    None => out,
-                    Some(prev) => prev.intersect(out),
-                };
-                if init_in[succ as usize] != Some(merged) {
-                    init_in[succ as usize] = Some(merged);
-                    changed = true;
-                }
-            }
-        }
-    }
-
-    let mut found = Vec::new();
-    for (rip, slot) in init_in.iter().enumerate() {
-        let rip_u = rip as Rip;
-        let Some(mut inited) = *slot else {
-            continue;
-        };
-        for uop in decoded.uops(rip_u) {
-            for src in uop.sources() {
-                if src.is_gpr() && !inited.contains(src) {
-                    found.push(UopSite {
-                        rip: rip_u,
-                        upc: uop.upc,
-                        reg: src,
-                    });
-                }
-            }
-            if let Some(dst) = uop.dst {
-                inited.insert(dst);
-            }
-        }
-    }
-    found.sort_by_key(|s| (s.rip, s.upc, s.reg.index()));
-    found.dedup();
-    found
-}
-
 /// Assembles the admission-control verdict: out-of-range direct targets,
 /// reads of registers the whole program never writes, and unreachable
 /// instructions.
 fn lint(cfg: &ControlFlowGraph, decoded: &DecodedProgram, written: RegSet, n: usize) -> LintReport {
     let mut findings = Vec::new();
-    for &(rip, target) in cfg.out_of_range_targets() {
+    for &(rip, target) in &cfg.out_of_range {
         findings.push(LintFinding {
             rip,
             kind: LintKind::TargetOutOfRange {
@@ -378,7 +156,7 @@ fn lint(cfg: &ControlFlowGraph, decoded: &DecodedProgram, written: RegSet, n: us
     }
     for rip in 0..n {
         let rip = rip as Rip;
-        if !cfg.is_reachable(rip) {
+        if !cfg.reachable[rip as usize] {
             findings.push(LintFinding {
                 rip,
                 kind: LintKind::UnreachableInstruction,
@@ -429,29 +207,12 @@ mod tests {
     fn clean_kernel_lints_clean() {
         let a = analyse(&sum_loop());
         assert!(a.lint().is_clean(), "{}", a.lint());
-        assert!(a.dead_writes().is_empty(), "{:?}", a.dead_writes());
-        assert!(a.reads_before_init().is_empty());
-    }
-
-    #[test]
-    fn liveness_tracks_the_loop_carried_registers() {
-        let a = analyse(&sum_loop());
-        // At the loop head both sum and i are live.
-        let live: Vec<ArchReg> = a.live_in(2).collect();
-        assert!(live.contains(&reg(1)));
-        assert!(live.contains(&reg(2)));
-        // Before the first movi nothing is live: both are written first.
-        assert_eq!(a.live_in(0).count(), 0);
-        // After the loop only sum is read (by out).
-        let live_out_block: Vec<ArchReg> = a.live_in(5).collect();
-        assert_eq!(live_out_block, vec![reg(1)]);
     }
 
     #[test]
     fn census_and_static_death() {
         let a = analyse(&sum_loop());
         assert!(a.reg_used(reg(1)));
-        assert!(a.reg_written(reg(2)));
         assert!(!a.reg_used(reg(7)));
         let dead: Vec<ArchReg> = a.statically_dead_regs().collect();
         assert!(dead.contains(&reg(0)));
@@ -463,60 +224,6 @@ mod tests {
         // …but free-list entries never are.
         assert!(!a.rf_entry_statically_dead(NUM_ARCH_REGS));
         assert!(!a.rf_entry_statically_dead(63));
-    }
-
-    #[test]
-    fn branch_compare_temp_is_not_a_dead_write() {
-        // BranchRI cracks into a compare micro-op targeting a cracker
-        // temporary whose value is structurally discarded; it must not be
-        // reported.
-        let a = analyse(&sum_loop());
-        assert!(a.dead_writes().iter().all(|s| s.reg.is_gpr()));
-    }
-
-    #[test]
-    fn dead_write_is_found() {
-        let mut b = ProgramBuilder::new();
-        b.movi(reg(1), 3); // 0
-        b.movi(reg(1), 4); // 1: kills the write at 0
-        b.out(reg(1)); // 2
-        b.halt(); // 3
-        let a = analyse(&b.build().unwrap());
-        assert_eq!(
-            a.dead_writes(),
-            &[UopSite {
-                rip: 0,
-                upc: 0,
-                reg: reg(1)
-            }]
-        );
-        // The overwrite itself is a *reachable* overwrite, not a lint.
-        assert!(a.lint().is_clean());
-    }
-
-    #[test]
-    fn read_before_init_is_path_sensitive() {
-        let mut b = ProgramBuilder::new();
-        let skip = b.label();
-        b.movi(reg(2), 1); // 0
-        b.branch_ri(Cond::Eq, reg(2), 0, skip); // 1
-        b.movi(reg(1), 7); // 2: initialises r1 on one path only
-        b.bind(skip);
-        b.out(reg(1)); // 3: r1 maybe-uninitialised here
-        b.movi(reg(9), 0); // 4: r9 written → not a lint finding
-        b.out(reg(9)); // 5
-        b.halt(); // 6
-        let a = analyse(&b.build().unwrap());
-        assert_eq!(
-            a.reads_before_init(),
-            &[UopSite {
-                rip: 3,
-                upc: 0,
-                reg: reg(1)
-            }]
-        );
-        // r1 *is* written somewhere, so the whole-program lint stays clean.
-        assert!(a.lint().is_clean(), "{}", a.lint());
     }
 
     #[test]
@@ -533,8 +240,6 @@ mod tests {
                 reg: reg(5)
             }
         );
-        // It is also, by definition, a read-before-init.
-        assert_eq!(a.reads_before_init().len(), 1);
     }
 
     #[test]
@@ -552,6 +257,10 @@ mod tests {
             a.lint().findings()[0].kind,
             LintKind::UnreachableInstruction
         );
+        assert!(a.is_reachable(0));
+        assert!(!a.is_reachable(1));
+        assert!(a.is_reachable(2));
+        assert!(!a.is_reachable(3), "outside the text");
     }
 
     #[test]
@@ -571,6 +280,9 @@ mod tests {
         assert!(kinds
             .iter()
             .any(|k| matches!(k, LintKind::UnreachableInstruction)));
+        assert!(a.is_reachable(0));
+        assert!(!a.is_reachable(1));
+        assert!(!a.is_reachable(77), "the broken target is outside the text");
     }
 
     #[test]
@@ -584,7 +296,6 @@ mod tests {
         b.halt(); // 4
         let a = analyse(&b.build().unwrap());
         assert!(a.lint().is_clean(), "{}", a.lint());
-        assert!(a.reads_before_init().is_empty());
         // The load-op temporary is used, so its identity entry is not dead.
         assert!(!a.rf_entry_statically_dead(ArchReg::temp(0).index()));
     }

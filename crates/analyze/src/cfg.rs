@@ -1,11 +1,8 @@
-//! Control-flow graph over a program's macro-instruction stream.
+//! Entry reachability over a program's macro-instruction stream.
 //!
-//! The graph is built once per program from the static instruction text —
-//! the same text the predecoded micro-op arena derives from — so every
-//! consumer of a session shares one CFG exactly like they share one
-//! [`merlin_isa::DecodedProgram`].
-//!
-//! Successor rules (instruction granularity, one node per RIP):
+//! Built once per program from the static instruction text — the same text
+//! the predecoded micro-op arena derives from.  Successor rules
+//! (instruction granularity, one node per RIP):
 //!
 //! * `Halt` has no successors,
 //! * `Jump` flows only to its target,
@@ -24,209 +21,49 @@
 
 use merlin_isa::{Inst, Program, Rip};
 
-/// A maximal straight-line run of instructions: control enters only at
-/// `start` and leaves only at `end - 1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BasicBlock {
-    /// First instruction of the block.
-    pub start: Rip,
-    /// One past the last instruction of the block.
-    pub end: Rip,
-}
-
-impl BasicBlock {
-    /// Number of instructions in the block.
-    pub fn len(&self) -> usize {
-        (self.end - self.start) as usize
-    }
-
-    /// `true` for a degenerate empty block (never produced by the builder).
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-}
-
-/// Per-instruction control-flow graph with reachability and a basic-block
-/// partition of the program text.
-#[derive(Debug, Clone)]
-pub struct ControlFlowGraph {
-    /// `successors[rip]` lists every RIP control can flow to from `rip`.
-    successors: Vec<Vec<Rip>>,
+/// Which instructions the entry reaches, and which direct targets leave
+/// the text.
+pub(crate) struct ControlFlowGraph {
     /// `reachable[rip]` is `true` when `rip` is reachable from the entry.
-    reachable: Vec<bool>,
-    /// The basic-block partition of the text, in address order.
-    blocks: Vec<BasicBlock>,
-    /// `block_index[rip]` indexes into `blocks`.
-    block_index: Vec<usize>,
+    pub(crate) reachable: Vec<bool>,
     /// Direct `(rip, target)` pairs whose target lies outside the text.
-    out_of_range: Vec<(Rip, Rip)>,
-    /// The program's entry RIP.
-    entry: Rip,
+    pub(crate) out_of_range: Vec<(Rip, Rip)>,
 }
 
 impl ControlFlowGraph {
     /// Builds the graph for `program`.
-    pub fn of(program: &Program) -> Self {
-        let n = program.instructions.len();
-        let len = n as Rip;
-        let mut successors: Vec<Vec<Rip>> = Vec::with_capacity(n);
-        let mut out_of_range = Vec::new();
+    pub(crate) fn of(program: &Program) -> Self {
+        let insts = &program.instructions;
+        let len = insts.len() as Rip;
+        let out_of_range = (0..len)
+            .zip(insts)
+            .filter_map(|(rip, inst)| Some((rip, inst.direct_target().filter(|&t| t >= len)?)))
+            .collect();
 
-        for (rip, inst) in program.instructions.iter().enumerate() {
-            let rip = rip as Rip;
-            let mut succ = Vec::new();
-            let mut direct = |target: Rip, succ: &mut Vec<Rip>| {
-                if target < len {
-                    succ.push(target);
-                } else {
-                    out_of_range.push((rip, target));
-                }
-            };
+        // Depth-first from the entry; a pushed RIP outside the text (an
+        // out-of-range target, or the fall-through past the last
+        // instruction) is no edge.
+        let mut reachable = vec![false; insts.len()];
+        let mut work = vec![program.entry];
+        while let Some(rip) = work.pop() {
+            if rip >= len || reachable[rip as usize] {
+                continue;
+            }
+            reachable[rip as usize] = true;
+            let inst = &insts[rip as usize];
             match inst {
                 Inst::Halt => {}
-                Inst::Jump { target } => direct(*target, &mut succ),
-                Inst::BranchRR { target, .. }
-                | Inst::BranchRI { target, .. }
-                | Inst::Call { target, .. } => {
-                    direct(*target, &mut succ);
-                    if rip + 1 < len {
-                        succ.push(rip + 1);
-                    }
-                }
-                Inst::JumpReg { .. } => succ.extend(0..len),
-                _ => {
-                    if rip + 1 < len {
-                        succ.push(rip + 1);
-                    }
-                }
+                Inst::Jump { target } => work.push(*target),
+                Inst::JumpReg { .. } => work.extend(0..len),
+                _ => work.extend(inst.direct_target().into_iter().chain([rip + 1])),
             }
-            succ.sort_unstable();
-            succ.dedup();
-            successors.push(succ);
         }
-
-        let entry = program.entry;
-        let reachable = reach(&successors, entry, n);
-        let (blocks, block_index) = partition(program, n);
 
         ControlFlowGraph {
-            successors,
             reachable,
-            blocks,
-            block_index,
             out_of_range,
-            entry,
         }
     }
-
-    /// The RIPs control can flow to from `rip`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rip` is outside the program text.
-    pub fn successors(&self, rip: Rip) -> &[Rip] {
-        &self.successors[rip as usize]
-    }
-
-    /// Whether `rip` is reachable from the program entry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rip` is outside the program text.
-    pub fn is_reachable(&self, rip: Rip) -> bool {
-        self.reachable[rip as usize]
-    }
-
-    /// The basic-block partition of the text, in address order.
-    pub fn blocks(&self) -> &[BasicBlock] {
-        &self.blocks
-    }
-
-    /// The basic block containing `rip`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rip` is outside the program text.
-    pub fn block_of(&self, rip: Rip) -> BasicBlock {
-        self.blocks[self.block_index[rip as usize]]
-    }
-
-    /// Direct `(rip, target)` pairs whose target lies outside the text.
-    pub fn out_of_range_targets(&self) -> &[(Rip, Rip)] {
-        &self.out_of_range
-    }
-
-    /// Number of instructions the graph covers.
-    pub fn num_instructions(&self) -> usize {
-        self.successors.len()
-    }
-
-    /// The program's entry RIP.
-    pub fn entry(&self) -> Rip {
-        self.entry
-    }
-}
-
-/// Breadth-first reachability from `entry` over `successors`.
-fn reach(successors: &[Vec<Rip>], entry: Rip, n: usize) -> Vec<bool> {
-    let mut reachable = vec![false; n];
-    let mut work = Vec::new();
-    if (entry as usize) < n {
-        reachable[entry as usize] = true;
-        work.push(entry);
-    }
-    while let Some(rip) = work.pop() {
-        for &succ in &successors[rip as usize] {
-            if !reachable[succ as usize] {
-                reachable[succ as usize] = true;
-                work.push(succ);
-            }
-        }
-    }
-    reachable
-}
-
-/// Splits the text into basic blocks: a leader is the first instruction,
-/// the entry, any in-bounds direct target, and any instruction following a
-/// control instruction.
-fn partition(program: &Program, n: usize) -> (Vec<BasicBlock>, Vec<usize>) {
-    if n == 0 {
-        return (Vec::new(), Vec::new());
-    }
-    let len = n as Rip;
-    let mut leader = vec![false; n];
-    leader[0] = true;
-    if (program.entry as usize) < n {
-        leader[program.entry as usize] = true;
-    }
-    for (rip, inst) in program.instructions.iter().enumerate() {
-        if let Some(target) = inst.direct_target() {
-            if target < len {
-                leader[target as usize] = true;
-            }
-        }
-        if inst.is_control() && rip + 1 < n {
-            leader[rip + 1] = true;
-        }
-    }
-    let mut blocks = Vec::new();
-    let mut block_index = vec![0usize; n];
-    let mut start = 0usize;
-    for rip in 0..n {
-        if rip > start && leader[rip] {
-            blocks.push(BasicBlock {
-                start: start as Rip,
-                end: rip as Rip,
-            });
-            start = rip;
-        }
-        block_index[rip] = blocks.len();
-    }
-    blocks.push(BasicBlock {
-        start: start as Rip,
-        end: len,
-    });
-    (blocks, block_index)
 }
 
 #[cfg(test)]
@@ -234,7 +71,8 @@ mod tests {
     use super::*;
     use merlin_isa::{reg, AluOp, Cond, ProgramBuilder};
 
-    fn loop_program() -> Program {
+    #[test]
+    fn loop_is_reachable_throughout() {
         let mut b = ProgramBuilder::new();
         b.movi(reg(1), 0); // 0
         let top = b.bind_label(); // 1
@@ -242,42 +80,9 @@ mod tests {
         b.branch_ri(Cond::Lt, reg(1), 4, top); // 2
         b.out(reg(1)); // 3
         b.halt(); // 4
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn loop_successors_and_reachability() {
-        let p = loop_program();
-        let cfg = ControlFlowGraph::of(&p);
-        assert_eq!(cfg.num_instructions(), 5);
-        assert_eq!(cfg.successors(0), &[1]);
-        assert_eq!(cfg.successors(2), &[1, 3]);
-        assert_eq!(cfg.successors(4), &[] as &[Rip]);
-        for rip in 0..5 {
-            assert!(cfg.is_reachable(rip), "rip {rip}");
-        }
-    }
-
-    #[test]
-    fn blocks_partition_the_text() {
-        let p = loop_program();
-        let cfg = ControlFlowGraph::of(&p);
-        let blocks = cfg.blocks();
-        // [movi], [alu; branch], [out; halt]
-        assert_eq!(
-            blocks,
-            &[
-                BasicBlock { start: 0, end: 1 },
-                BasicBlock { start: 1, end: 3 },
-                BasicBlock { start: 3, end: 5 },
-            ]
-        );
-        for rip in 0..5 {
-            let b = cfg.block_of(rip);
-            assert!(b.start <= rip && rip < b.end);
-            assert!(!b.is_empty());
-            assert!(b.len() == (b.end - b.start) as usize);
-        }
+        let cfg = ControlFlowGraph::of(&b.build().unwrap());
+        assert_eq!(cfg.reachable, vec![true; 5]);
+        assert!(cfg.out_of_range.is_empty());
     }
 
     #[test]
@@ -288,11 +93,8 @@ mod tests {
         b.movi(reg(1), 7); // 1: unreachable
         b.bind(done);
         b.halt(); // 2
-        let p = b.build().unwrap();
-        let cfg = ControlFlowGraph::of(&p);
-        assert!(cfg.is_reachable(0));
-        assert!(!cfg.is_reachable(1));
-        assert!(cfg.is_reachable(2));
+        let cfg = ControlFlowGraph::of(&b.build().unwrap());
+        assert_eq!(cfg.reachable, vec![true, false, true]);
     }
 
     #[test]
@@ -303,12 +105,8 @@ mod tests {
         b.halt(); // 2
         b.movi(reg(1), 1); // 3: no direct path, but indirect target set is
         b.halt(); // 4:    unknown, so statically reachable
-        let p = b.build().unwrap();
-        let cfg = ControlFlowGraph::of(&p);
-        for rip in 0..5 {
-            assert!(cfg.is_reachable(rip), "rip {rip}");
-        }
-        assert_eq!(cfg.successors(1).len(), 5);
+        let cfg = ControlFlowGraph::of(&b.build().unwrap());
+        assert_eq!(cfg.reachable, vec![true; 5]);
     }
 
     #[test]
@@ -322,8 +120,7 @@ mod tests {
             entry: 0,
         };
         let cfg = ControlFlowGraph::of(&p);
-        assert_eq!(cfg.successors(0), &[] as &[Rip]);
-        assert_eq!(cfg.out_of_range_targets(), &[(0, 99)]);
-        assert!(!cfg.is_reachable(1));
+        assert_eq!(cfg.out_of_range, vec![(0, 99)]);
+        assert_eq!(cfg.reachable, vec![true, false]);
     }
 }

@@ -1,22 +1,18 @@
 //! # merlin-analyze
 //!
-//! Static control-flow and dataflow analysis over predecoded merlin
-//! programs — the purely static counterpart to the *dynamic* ACE-like
-//! profiling of `merlin-ace`.
+//! Static analysis over predecoded merlin programs — the purely static
+//! counterpart to the *dynamic* ACE-like profiling of `merlin-ace`.
 //!
-//! The crate builds a control-flow graph (basic blocks, successors,
-//! reachability) over a program's macro-instruction text and runs classic
-//! dataflow over the predecoded micro-op arena
-//! ([`merlin_isa::DecodedProgram`]):
+//! MeRLiN prunes with a dynamic profile, so the static side carries only
+//! what its three consumers read:
 //!
-//! * backward **liveness** of architectural registers via fixed-point
-//!   iteration, with per-micro-op def/use sets taken from [`merlin_isa::Uop`]
-//!   operands,
-//! * **dead-write** and **read-before-init** detection (advisory),
 //! * a whole-program **register census** that proves some physical
 //!   register-file entries can never affect an architected outcome — the
 //!   basis of the zero-simulation static fault prune
 //!   ([`ProgramAnalysis::rf_entry_statically_dead`]),
+//! * entry **reachability** over the macro-instruction text
+//!   ([`ProgramAnalysis::is_reachable`]), against which `merlin-ace`
+//!   cross-checks the instructions that close its vulnerable intervals,
 //! * a structured **lint** ([`LintReport`]) used as admission control at
 //!   the session boundary: out-of-range control targets, reads of registers
 //!   the program never writes, unreachable instructions.
@@ -48,6 +44,8 @@
 //! // provably Masked and need no simulation.
 //! assert!(analysis.rf_entry_statically_dead(reg(9).index()));
 //! assert!(!analysis.rf_entry_statically_dead(reg(1).index()));
+//! assert!(analysis.is_reachable(5));
+//! assert!(!analysis.is_reachable(7), "outside the text");
 //! ```
 
 #![warn(missing_docs)]
@@ -57,6 +55,5 @@ mod analysis;
 mod cfg;
 mod lint;
 
-pub use analysis::{ProgramAnalysis, UopSite};
-pub use cfg::{BasicBlock, ControlFlowGraph};
+pub use analysis::ProgramAnalysis;
 pub use lint::{LintFinding, LintKind, LintReport};

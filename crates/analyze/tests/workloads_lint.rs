@@ -42,24 +42,3 @@ fn every_workload_prunes_at_least_one_register_file_entry() {
         );
     }
 }
-
-#[test]
-fn workload_liveness_is_consistent_with_the_census() {
-    // A register live anywhere must be used somewhere; a register the text
-    // never mentions must be live nowhere.
-    for w in all_workloads() {
-        let decoded = DecodedProgram::new(&w.program);
-        let analysis = ProgramAnalysis::of(&w.program, &decoded);
-        for rip in 0..w.program.instructions.len() {
-            for reg in analysis.live_in(rip as u32) {
-                assert!(
-                    analysis.reg_used(reg),
-                    "workload {}: {} live at {} but never used",
-                    w.name,
-                    reg,
-                    rip
-                );
-            }
-        }
-    }
-}

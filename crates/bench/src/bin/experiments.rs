@@ -78,24 +78,21 @@ fn main() {
 }
 
 /// Static analysis over every built-in workload: the session-boundary lint
-/// (which must report zero findings) plus the liveness census the static
+/// (which must report zero findings) plus the register census the static
 /// fault prune is built on.  Exits non-zero on any finding, so CI can run
 /// it as a gate.
 fn lint_workloads() {
-    println!("## Static analysis — lint and liveness census over every built-in workload\n");
+    println!("## Static analysis — lint and register census over every built-in workload\n");
     let mut findings = 0usize;
     for w in merlin_workloads::all_workloads() {
         let decoded = merlin_isa::DecodedProgram::new(&w.program);
         let analysis = ProgramAnalysis::of(&w.program, &decoded);
         findings += analysis.lint().len();
         println!(
-            "{:<14} {:>3} instructions | {:>2} statically dead regs | {:>2} dead writes | \
-             {:>2} reads before init | lint: {}",
+            "{:<14} {:>3} instructions | {:>2} statically dead regs | lint: {}",
             w.name,
             w.program.instructions.len(),
             analysis.statically_dead_regs().count(),
-            analysis.dead_writes().len(),
-            analysis.reads_before_init().len(),
             analysis.lint(),
         );
     }

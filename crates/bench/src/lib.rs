@@ -17,7 +17,7 @@
 #![forbid(unsafe_code)]
 
 use merlin_ace::{AceAnalysis, SessionAce};
-use merlin_core::{MerlinCampaign, MerlinConfig, SessionMethodology};
+use merlin_core::{MerlinCampaign, SessionMethodology};
 use merlin_cpu::{CpuConfig, Structure};
 use merlin_inject::{Session, SessionCache};
 use merlin_workloads::Workload;
@@ -82,15 +82,6 @@ impl ExperimentScale {
                 .collect(),
         }
     }
-
-    /// MeRLiN configuration derived from the scale knobs.
-    pub fn merlin_config(&self) -> MerlinConfig {
-        MerlinConfig {
-            threads: self.threads,
-            max_cycles: 500_000_000,
-            seed: self.seed,
-        }
-    }
 }
 
 /// The paper's per-structure configuration sweeps (Table 1): three register
@@ -140,6 +131,9 @@ pub fn session_cache() -> &'static SessionCache {
     })
 }
 
+/// Cycle budget of every harness session's golden and profiling runs.
+const SESSION_MAX_CYCLES: u64 = 500_000_000;
+
 /// The cached session for one (workload, configuration) pair under the
 /// scale's execution knobs.  Requests with an identical context share one
 /// session — and therefore one golden run and one ACE profile.
@@ -149,11 +143,9 @@ pub fn session_cache() -> &'static SessionCache {
 /// Panics on invalid configurations — that is a harness bug, not an
 /// experimental outcome.
 pub fn session_for(workload: &Workload, cfg: &CpuConfig, scale: &ExperimentScale) -> Arc<Session> {
-    let merlin_cfg = scale.merlin_config();
     session_cache()
         .session(workload.name, &workload.program, cfg, |b| {
-            b.max_cycles(merlin_cfg.max_cycles)
-                .threads(merlin_cfg.threads)
+            b.max_cycles(SESSION_MAX_CYCLES).threads(scale.threads)
         })
         .unwrap_or_else(|e| panic!("session setup failed for {}: {e}", workload.name))
 }
@@ -236,7 +228,6 @@ mod tests {
         let filtered = s.filter(merlin_workloads::mibench_workloads());
         assert_eq!(filtered.len(), 1);
         assert_eq!(filtered[0].name, "sha");
-        assert_eq!(s.merlin_config().threads, 8);
     }
 
     #[test]

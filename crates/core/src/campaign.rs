@@ -8,49 +8,10 @@ use merlin_ace::{AceAnalysis, AceError};
 use merlin_cpu::{CpuConfig, FaultSpec, Structure};
 use merlin_inject::{
     generate_fault_list, CampaignError, Classification, FaultEffect, FaultInjector, GoldenRun,
-    Session, SessionBuilder,
+    Session,
 };
-use merlin_isa::Program;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-
-/// Tunables of a MeRLiN run.  Every campaign phase (representative
-/// injection, comprehensive and post-ACE baselines) restores the golden
-/// run's checkpoints under the default
-/// [`CheckpointPolicy`](merlin_cpu::CheckpointPolicy); a caller that needs
-/// another policy sets it on the builder [`MerlinConfig::session_builder`]
-/// returns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MerlinConfig {
-    /// Worker threads for the injection phase.
-    pub threads: usize,
-    /// Cycle budget for the golden/profiling run.
-    pub max_cycles: u64,
-    /// Seed for the statistical fault sampling.
-    pub seed: u64,
-}
-
-impl Default for MerlinConfig {
-    fn default() -> Self {
-        MerlinConfig {
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
-            max_cycles: 200_000_000,
-            seed: 0x4D45_524C, // "MERL"
-        }
-    }
-}
-
-impl MerlinConfig {
-    /// A session builder carrying this configuration's execution knobs
-    /// (cycle budget, thread count) and the default checkpoint policy.
-    pub fn session_builder(&self, program: &Program, cfg: &CpuConfig) -> SessionBuilder {
-        Session::builder(program, cfg)
-            .max_cycles(self.max_cycles)
-            .threads(self.threads)
-    }
-}
 
 /// Per-fault effect after extrapolation (every fault of a sub-group inherits
 /// its representative's observed effect; ACE-pruned faults are Masked).
@@ -341,7 +302,6 @@ mod tests {
     use super::*;
     use crate::session::SessionMethodology;
     use merlin_ace::SessionAce;
-    use merlin_cpu::CheckpointPolicy;
     use merlin_inject::TruncatedEffect;
     use merlin_workloads::workload_by_name;
 
@@ -415,25 +375,6 @@ mod tests {
         let campaign = session.merlin(Structure::StoreQueue, 300, 7).unwrap();
         assert_eq!(campaign.report.classification.total(), 300);
         assert!(campaign.report.speedup_total > 1.0);
-    }
-
-    #[test]
-    fn merlin_config_session_builder_carries_the_execution_knobs() {
-        // The builder bridge must thread every knob of the configuration
-        // through to the session it produces.
-        let w = workload_by_name("stringsearch").unwrap();
-        let merlin_cfg = MerlinConfig {
-            threads: 3,
-            max_cycles: 50_000_000,
-            seed: 7,
-        };
-        let session = merlin_cfg
-            .session_builder(&w.program, &small_cfg())
-            .build()
-            .unwrap();
-        assert_eq!(session.threads(), 3);
-        assert_eq!(session.max_cycles(), 50_000_000);
-        assert_eq!(session.policy(), &CheckpointPolicy::default());
     }
 
     #[test]

@@ -67,8 +67,8 @@ mod session;
 mod stats;
 
 pub use campaign::{
-    classify_truncated, initial_fault_list, ExtrapolatedOutcome, MerlinCampaign, MerlinConfig,
-    MerlinError, MerlinReport,
+    classify_truncated, initial_fault_list, ExtrapolatedOutcome, MerlinCampaign, MerlinError,
+    MerlinReport,
 };
 pub use grouping::{
     reduce_fault_list, FaultGroup, FaultListReduction, GroupKey, GroupedFault, SubGroup,

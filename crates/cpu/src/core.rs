@@ -11,7 +11,7 @@
 
 use crate::cache::{CacheEffects, MemSystem};
 use crate::config::{ConfigError, CpuConfig};
-use crate::cow::{CowBox, CowSeq};
+use crate::cow::CowBox;
 use crate::fault::FaultSpec;
 use crate::lsq::{LoadQueue, StoreQueue};
 use crate::memory::{MemError, Memory};
@@ -361,13 +361,13 @@ pub struct Cpu {
     fetch_pc: Rip,
     fetch_halted: bool,
     fetch_invalid: bool,
-    fetch_buffer: CowSeq<FetchedUop>,
+    fetch_buffer: CowBox<VecDeque<FetchedUop>>,
     // Rename.
     rat: RenameTable,
     free_list: FreeList,
     prf: PhysRegFile,
     // Window.
-    rob: CowSeq<RobEntry>,
+    rob: CowBox<VecDeque<RobEntry>>,
     iq_count: usize,
     lq: LoadQueue,
     sq: StoreQueue,
@@ -450,11 +450,11 @@ impl Cpu {
             fetch_pc: entry,
             fetch_halted: false,
             fetch_invalid: false,
-            fetch_buffer: CowSeq::default(),
+            fetch_buffer: CowBox::default(),
             rat: RenameTable::identity(),
             free_list: FreeList::new(NUM_ARCH_REGS, cfg.phys_int_regs),
             prf: PhysRegFile::new(cfg.phys_int_regs),
-            rob: CowSeq::from_deque(VecDeque::with_capacity(cfg.rob_entries)),
+            rob: CowBox::new(VecDeque::with_capacity(cfg.rob_entries)),
             iq_count: 0,
             lq: LoadQueue::new(cfg.lq_entries),
             sq: StoreQueue::new(cfg.sq_entries),
@@ -1540,11 +1540,11 @@ pub struct CpuState {
     fetch_pc: Rip,
     fetch_halted: bool,
     fetch_invalid: bool,
-    fetch_buffer: CowSeq<FetchedUop>,
+    fetch_buffer: CowBox<VecDeque<FetchedUop>>,
     rat: RenameTable,
     free_list: FreeList,
     prf: PhysRegFile,
-    rob: CowSeq<RobEntry>,
+    rob: CowBox<VecDeque<RobEntry>>,
     iq_count: usize,
     lq: LoadQueue,
     sq: StoreQueue,

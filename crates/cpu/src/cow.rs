@@ -34,15 +34,13 @@
 //!   (register file, LSQ slots, predictor counter tables, BTB, cache
 //!   lines).  Entries live in power-of-two-sized pages; reads index through
 //!   one extra pointer, writes go through [`CowTable::get_mut`].
-//! * [`CowSeq<T>`] — queue-shaped structures (ROB, fetch buffer, free
-//!   list).  The whole queue is one page; mutation goes through
-//!   [`CowSeq::make_mut`].
+//! * [`CowBox<T>`] — one value on a single page: the queue-shaped
+//!   structures (ROB, fetch buffer, free list) as a `CowBox<VecDeque<_>>`,
+//!   and the irregular ones (the output stream, the dynamic instance
+//!   counters).  Mutation goes through [`CowBox::make_mut`].
 //! * [`CowBytes`] — the backing memory's byte store, paged at the
 //!   delta-snapshot chunk granularity so a chunk can also share its handle
 //!   with a pristine-image chunk or a checkpoint's delta chunk.
-//!
-//! [`CowBox<T>`] holds one irregular value (the output stream, the dynamic
-//! instance counters) as a single page.
 //!
 //! Sharing is **bookkeeping, not state**: it is never serialised (the
 //! `binio` wire formats below re-encode plain `len + elements`,
@@ -53,7 +51,6 @@
 //! throughout.
 
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
-use std::collections::VecDeque;
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -288,9 +285,12 @@ impl<T: BinCode + Clone> CowTable<T> {
     }
 }
 
-/// A single value on one copy-on-write page — for irregular structures
+/// A single value on one copy-on-write page — for queues (the ROB, fetch
+/// buffer and free list, each a
+/// [`VecDeque`](std::collections::VecDeque)) and irregular structures
 /// (the dynamic-instance counters, the output stream) that are cheaper to
-/// share wholesale than to page.
+/// share wholesale than to page.  Reads deref straight to the value, and a
+/// fork or restore is one handle clone.
 #[derive(Debug, Clone)]
 pub struct CowBox<T> {
     inner: Page<T>,
@@ -366,87 +366,6 @@ impl<T: BinCode + Clone + Default> BinCode for CowBox<T> {
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
         Ok(Self::new(T::decode(r)?))
-    }
-}
-
-/// A queue on a single copy-on-write page: reads deref straight to the
-/// [`VecDeque`], mutation goes through [`CowSeq::make_mut`], and a fork or
-/// restore is one handle clone.
-#[derive(Debug, Clone)]
-pub struct CowSeq<T> {
-    inner: Page<VecDeque<T>>,
-    /// Un-share count; bookkeeping, not state.
-    breaks: u64,
-}
-
-impl<T> Default for CowSeq<T> {
-    fn default() -> Self {
-        CowSeq {
-            inner: Page::shared(VecDeque::new()),
-            breaks: 0,
-        }
-    }
-}
-
-impl<T> Deref for CowSeq<T> {
-    type Target = VecDeque<T>;
-    #[inline]
-    fn deref(&self) -> &VecDeque<T> {
-        self.inner.get()
-    }
-}
-
-impl<T: Clone> CowSeq<T> {
-    /// A queue holding `inner` on a shared page.
-    pub fn from_deque(inner: VecDeque<T>) -> Self {
-        CowSeq {
-            inner: Page::shared(inner),
-            breaks: 0,
-        }
-    }
-
-    /// Mutable access to the queue, un-sharing it if it is shared.
-    #[inline]
-    pub fn make_mut(&mut self) -> &mut VecDeque<T> {
-        self.inner.get_mut(&mut self.breaks)
-    }
-
-    /// Replaces this queue's contents with `src`'s by cloning the handle
-    /// (a copy when `src` is owned; freeze it first to share).
-    pub fn share_from(&mut self, src: &Self) {
-        self.inner.clone_from(&src.inner);
-    }
-
-    /// Moves an owned queue behind a handle so it can be shared.
-    pub fn freeze(&mut self) {
-        self.inner.freeze();
-    }
-
-    /// Copies taken to un-share since the last [`CowSeq::take_cow_breaks`].
-    pub fn cow_breaks(&self) -> u64 {
-        self.breaks
-    }
-
-    /// Returns and resets the un-share counter.
-    pub fn take_cow_breaks(&mut self) -> u64 {
-        std::mem::take(&mut self.breaks)
-    }
-}
-
-/// Contents-only equality with an `Arc::ptr_eq` fast path.
-impl<T: PartialEq> PartialEq for CowSeq<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.inner == other.inner
-    }
-}
-impl<T: Eq> Eq for CowSeq<T> {}
-
-impl<T: BinCode + Clone> BinCode for CowSeq<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.inner.get().encode(out);
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        Ok(Self::from_deque(VecDeque::decode(r)?))
     }
 }
 
@@ -608,6 +527,7 @@ impl Eq for CowBytes {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
     /// Whether no page of `t` is visible to any other structure.
     fn fully_private<T>(t: &CowTable<T>) -> bool {
@@ -663,10 +583,10 @@ mod tests {
 
     #[test]
     fn first_write_after_freeze_breaks_once_with_a_live_sharer() {
-        let mut a = CowSeq::from_deque((0..4u32).collect());
+        let mut a = CowBox::new((0..4u32).collect::<VecDeque<_>>());
         a.make_mut().push_back(4);
         a.freeze();
-        let mut sharer = CowSeq::default();
+        let mut sharer: CowBox<VecDeque<u32>> = CowBox::default();
         sharer.share_from(&a);
         a.make_mut().push_back(5);
         a.make_mut().push_back(6);
@@ -749,7 +669,7 @@ mod tests {
 
     #[test]
     fn seq_breaks_on_first_write_only() {
-        let mut a = CowSeq::from_deque((0..5u32).collect());
+        let mut a = CowBox::new((0..5u32).collect::<VecDeque<_>>());
         let mut b = a.clone();
         assert_eq!(a, b);
         b.make_mut().push_back(9);

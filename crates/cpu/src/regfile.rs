@@ -4,9 +4,10 @@
 //! [`crate::CowTable`]), so restores and forks adopt page handles instead
 //! of copying entries.
 
-use crate::cow::{CowSeq, CowTable};
+use crate::cow::{CowBox, CowTable};
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
 use merlin_isa::{ArchReg, NUM_ARCH_REGS};
+use std::collections::VecDeque;
 
 /// Index of a physical register.
 pub type PhysReg = u16;
@@ -119,14 +120,14 @@ impl BinCode for PhysRegFile {
 /// fork shares instead of copying.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FreeList {
-    free: CowSeq<PhysReg>,
+    free: CowBox<VecDeque<PhysReg>>,
 }
 
 impl FreeList {
     /// Creates a free list containing registers `first..n`.
     pub fn new(first: usize, n: usize) -> Self {
         FreeList {
-            free: CowSeq::from_deque((first as PhysReg..n as PhysReg).collect()),
+            free: CowBox::new((first as PhysReg..n as PhysReg).collect()),
         }
     }
 
@@ -176,7 +177,7 @@ impl BinCode for FreeList {
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
         Ok(FreeList {
-            free: CowSeq::decode(r)?,
+            free: CowBox::decode(r)?,
         })
     }
 }

@@ -30,7 +30,7 @@
 //!
 //! Restoring a retained snapshot is cheap to repeat: the register file,
 //! free list, ROB, fetch buffer, load/store queues and predictor tables sit
-//! on copy-on-write pages ([`crate::CowTable`], [`crate::CowSeq`]), so a
+//! on copy-on-write pages ([`crate::CowTable`], [`crate::CowBox`]), so a
 //! restore adopts the snapshot's page handles instead of copying entries,
 //! and the backing memory adopts its delta chunks by handle.  Only the
 //! caches are rebuilt line by line from their sparse images.  Sharing is

@@ -311,8 +311,8 @@ pub struct CampaignResult {
     pub outcomes: Vec<FaultOutcome>,
     /// Aggregate histogram.
     pub classification: Classification,
-    /// Number of simulation runs actually executed (excludes faults resolved
-    /// without simulation).
+    /// Number of faults the campaign classified, always `outcomes.len()`:
+    /// faults resolved without simulation (static prunes) count too.
     pub runs_executed: u64,
     /// Faults the checkpointed engine classified Masked by state
     /// re-convergence with the golden checkpoint stream, without simulating
@@ -324,21 +324,4 @@ pub struct CampaignResult {
     /// on these — they vary with thread count and checkpoint spacing while
     /// [`CampaignResult::outcomes`] stays byte-identical.
     pub schedule: ScheduleStats,
-}
-
-impl CampaignResult {
-    /// Builds the aggregate result from per-fault outcomes.
-    pub fn from_outcomes(outcomes: Vec<FaultOutcome>, runs_executed: u64) -> Self {
-        let mut classification = Classification::default();
-        for o in &outcomes {
-            classification.record(o.effect, 1);
-        }
-        CampaignResult {
-            outcomes,
-            classification,
-            runs_executed,
-            early_exits: 0,
-            schedule: ScheduleStats::default(),
-        }
-    }
 }

@@ -885,6 +885,11 @@ mod tests {
         let bad_cfg = CpuConfig::default().with_phys_regs(4);
         let err = Session::builder(&tiny_program(), &bad_cfg).build();
         assert!(matches!(err, Err(CampaignError::BadConfig(_))));
+        // Every knob set on the builder reaches the session it produces.
+        let session = test_session();
+        assert_eq!(session.threads(), 2);
+        assert_eq!(session.max_cycles(), 1_000_000);
+        assert_eq!(session.policy(), &small_policy());
     }
 
     #[test]
@@ -944,6 +949,8 @@ mod tests {
         let live = FaultSpec::new(Structure::RegisterFile, 2, 1, 10);
         let pruned = session.campaign(&[dead, live]).unwrap();
         assert_eq!(pruned.schedule.static_prunes, 1);
+        // The count covers every classified fault, the pruned one included.
+        assert_eq!(pruned.runs_executed, 2);
         assert_eq!(pruned.outcomes[0].effect, FaultEffect::Masked);
         // The from-scratch baseline runs unpruned and fully simulates the
         // dead-entry fault; byte-identity is the soundness check.
