@@ -71,11 +71,6 @@ impl Cache {
         addr / self.cfg.line_bytes / self.cfg.sets() as u64
     }
 
-    /// The line-aligned base address containing `addr`.
-    pub fn line_base(&self, addr: u64) -> u64 {
-        addr - addr % self.cfg.line_bytes
-    }
-
     /// Looks up `addr`; returns `(set, way)` on a hit.
     pub fn lookup(&mut self, addr: u64) -> Option<(usize, usize)> {
         let set = self.set_index(addr);

@@ -324,7 +324,80 @@ impl BinCode for DynCounts {
     }
 }
 
-/// The cycle-level out-of-order core.
+/// Everything about a core that changes as it runs: the one definition of
+/// "the core's state" behind [`Cpu::snapshot`], [`Cpu::restore_from`],
+/// [`Cpu::fork_from`] and [`Cpu::matches_state`], which clone, assign and
+/// compare it whole.  The memory hierarchy sits beside it in [`Cpu`], since
+/// it snapshots sparsely and compares by delta.
+///
+/// Fields are declared cheapest-first, so the derived `==` of the retire
+/// probe bails out on a scalar before it walks a page table.  A value
+/// derived from these fields (like [`Cpu`]'s `next_fault_cycle`) belongs
+/// outside, or the retire probe would compare it as state.
+#[derive(Debug, Clone, PartialEq)]
+struct CoreState {
+    cycle: u64,
+    next_seq: u64,
+    committed_instructions: u64,
+    committed_uops: u64,
+    arithmetic_exceptions: u64,
+    misaligned_exceptions: u64,
+    path_sig: u64,
+    fetch_pc: Rip,
+    fetch_halted: bool,
+    fetch_invalid: bool,
+    iq_count: usize,
+    pending_store_slot: Option<usize>,
+    finished: Option<ExitReason>,
+    // Faults pending application, sorted by cycle.
+    faults: Vec<FaultSpec>,
+    output: CowBox<Vec<u64>>,
+    path_history: VecDeque<(Rip, bool)>,
+    dyn_counts: CowBox<DynCounts>,
+    rat: RenameTable,
+    fetch_buffer: CowBox<VecDeque<FetchedUop>>,
+    rob: CowBox<VecDeque<RobEntry>>,
+    free_list: FreeList,
+    lq: LoadQueue,
+    sq: StoreQueue,
+    prf: PhysRegFile,
+    bp: BranchPredictor,
+    btb: Btb,
+}
+
+impl CoreState {
+    /// Moves the owned pages of every copy-on-write structure behind
+    /// handles, so a clone shares them instead of copying.
+    fn freeze(&mut self) {
+        self.fetch_buffer.freeze();
+        self.free_list.freeze();
+        self.prf.freeze();
+        self.rob.freeze();
+        self.lq.freeze();
+        self.sq.freeze();
+        self.bp.freeze();
+        self.btb.freeze();
+        self.output.freeze();
+        self.dyn_counts.freeze();
+    }
+
+    /// Page un-share events of every copy-on-write structure, reset.
+    fn take_cow_breaks(&mut self) -> u64 {
+        self.prf.take_cow_breaks()
+            + self.free_list.take_cow_breaks()
+            + self.lq.take_cow_breaks()
+            + self.sq.take_cow_breaks()
+            + self.bp.take_cow_breaks()
+            + self.btb.take_cow_breaks()
+            + self.fetch_buffer.take_cow_breaks()
+            + self.rob.take_cow_breaks()
+            + self.output.take_cow_breaks()
+            + self.dyn_counts.take_cow_breaks()
+    }
+}
+
+/// The cycle-level out-of-order core: the program and configuration it
+/// runs, its `CoreState` and its memory hierarchy.
 ///
 /// # Examples
 ///
@@ -355,43 +428,12 @@ pub struct Cpu {
     /// Shared pre-decoded micro-op arena: every static instruction cracked
     /// exactly once, fetched from by copy (see [`merlin_isa::DecodedProgram`]).
     decoded: Arc<DecodedProgram>,
-    cycle: u64,
-    next_seq: u64,
-    // Front end.
-    fetch_pc: Rip,
-    fetch_halted: bool,
-    fetch_invalid: bool,
-    fetch_buffer: CowBox<VecDeque<FetchedUop>>,
-    // Rename.
-    rat: RenameTable,
-    free_list: FreeList,
-    prf: PhysRegFile,
-    // Window.
-    rob: CowBox<VecDeque<RobEntry>>,
-    iq_count: usize,
-    lq: LoadQueue,
-    sq: StoreQueue,
-    pending_store_slot: Option<usize>,
-    // Memory.
+    s: CoreState,
     mem: MemSystem,
-    // Prediction.
-    bp: BranchPredictor,
-    btb: Btb,
-    // Architectural results.
-    output: CowBox<Vec<u64>>,
-    committed_instructions: u64,
-    committed_uops: u64,
-    arithmetic_exceptions: u64,
-    misaligned_exceptions: u64,
-    dyn_counts: CowBox<DynCounts>,
-    path_history: VecDeque<(Rip, bool)>,
-    path_sig: u64,
-    // Faults pending application, sorted by cycle.
-    faults: Vec<FaultSpec>,
-    /// Cycle of the earliest pending fault (`u64::MAX` when none): the
-    /// fault-free fast path of [`Cpu::step`] is one integer compare.
+    /// Cycle of the earliest pending fault in `s.faults` (`u64::MAX` when
+    /// none): the fault-free fast path of [`Cpu::step`] is one integer
+    /// compare.
     next_fault_cycle: u64,
-    finished: Option<ExitReason>,
 }
 
 impl Cpu {
@@ -445,39 +487,41 @@ impl Cpu {
         // byte-identical image to resolve those deltas against.
         memory.seal_pristine();
         let mem = MemSystem::new(cfg.l1d, cfg.l2, memory, cfg.mem_latency);
-        let entry = program.entry;
-        Ok(Cpu {
-            fetch_pc: entry,
-            fetch_halted: false,
-            fetch_invalid: false,
-            fetch_buffer: CowBox::default(),
-            rat: RenameTable::identity(),
-            free_list: FreeList::new(NUM_ARCH_REGS, cfg.phys_int_regs),
-            prf: PhysRegFile::new(cfg.phys_int_regs),
-            rob: CowBox::new(VecDeque::with_capacity(cfg.rob_entries)),
-            iq_count: 0,
-            lq: LoadQueue::new(cfg.lq_entries),
-            sq: StoreQueue::new(cfg.sq_entries),
-            pending_store_slot: None,
-            mem,
-            bp: BranchPredictor::new(cfg.predictor_entries),
-            btb: Btb::new(cfg.btb_entries),
-            output: CowBox::default(),
+        let s = CoreState {
+            cycle: 0,
+            next_seq: 0,
             committed_instructions: 0,
             committed_uops: 0,
             arithmetic_exceptions: 0,
             misaligned_exceptions: 0,
-            dyn_counts: CowBox::new(DynCounts(vec![0; program.len()])),
-            path_history: VecDeque::new(),
             path_sig: 0,
-            faults: Vec::new(),
-            next_fault_cycle: u64::MAX,
+            fetch_pc: program.entry,
+            fetch_halted: false,
+            fetch_invalid: false,
+            iq_count: 0,
+            pending_store_slot: None,
             finished: None,
-            cycle: 0,
-            next_seq: 0,
+            faults: Vec::new(),
+            output: CowBox::default(),
+            path_history: VecDeque::new(),
+            dyn_counts: CowBox::new(DynCounts(vec![0; program.len()])),
+            rat: RenameTable::identity(),
+            fetch_buffer: CowBox::default(),
+            rob: CowBox::new(VecDeque::with_capacity(cfg.rob_entries)),
+            free_list: FreeList::new(NUM_ARCH_REGS, cfg.phys_int_regs),
+            lq: LoadQueue::new(cfg.lq_entries),
+            sq: StoreQueue::new(cfg.sq_entries),
+            prf: PhysRegFile::new(cfg.phys_int_regs),
+            bp: BranchPredictor::new(cfg.predictor_entries),
+            btb: Btb::new(cfg.btb_entries),
+        };
+        Ok(Cpu {
+            cfg,
             program,
             decoded,
-            cfg,
+            s,
+            mem,
+            next_fault_cycle: u64::MAX,
         })
     }
 
@@ -498,22 +542,22 @@ impl Cpu {
 
     /// Current cycle.
     pub fn cycle(&self) -> u64 {
-        self.cycle
+        self.s.cycle
     }
 
     /// `true` once the run has ended (halt, crash, assert).
     pub fn is_finished(&self) -> bool {
-        self.finished.is_some()
+        self.s.finished.is_some()
     }
 
     /// Why the run ended, if it has.
     pub fn exit_reason(&self) -> Option<&ExitReason> {
-        self.finished.as_ref()
+        self.s.finished.as_ref()
     }
 
     /// The architected output stream so far.
     pub fn output(&self) -> &[u64] {
-        &self.output
+        &self.s.output
     }
 
     /// Number of entries a fault may target in `structure` under this
@@ -541,45 +585,45 @@ impl Cpu {
         // same-cycle faults still apply in injection order): the per-cycle
         // check collapses to one compare against `next_fault_cycle` and
         // application walks a sorted prefix without allocating.
-        let at = self.faults.partition_point(|f| f.cycle <= fault.cycle);
-        self.faults.insert(at, fault);
-        self.next_fault_cycle = self.faults[0].cycle;
+        let at = self.s.faults.partition_point(|f| f.cycle <= fault.cycle);
+        self.s.faults.insert(at, fault);
+        self.next_fault_cycle = self.s.faults[0].cycle;
         Ok(())
     }
 
     /// Runs until the program finishes or `max_cycles` is reached.
     pub fn run(&mut self, max_cycles: u64, probe: &mut dyn Probe) -> RunResult {
-        while self.finished.is_none() && self.cycle < max_cycles {
+        while self.s.finished.is_none() && self.s.cycle < max_cycles {
             self.step(probe);
         }
-        let exit = self.finished.clone().unwrap_or(ExitReason::Timeout);
+        let exit = self.s.finished.clone().unwrap_or(ExitReason::Timeout);
         RunResult {
             exit,
-            output: (*self.output).clone(),
-            cycles: self.cycle,
-            committed_instructions: self.committed_instructions,
-            committed_uops: self.committed_uops,
-            arithmetic_exceptions: self.arithmetic_exceptions,
-            misaligned_exceptions: self.misaligned_exceptions,
+            output: (*self.s.output).clone(),
+            cycles: self.s.cycle,
+            committed_instructions: self.s.committed_instructions,
+            committed_uops: self.s.committed_uops,
+            arithmetic_exceptions: self.s.arithmetic_exceptions,
+            misaligned_exceptions: self.s.misaligned_exceptions,
         }
     }
 
     /// Simulates one cycle.
     pub fn step(&mut self, probe: &mut dyn Probe) {
-        if self.finished.is_some() {
+        if self.s.finished.is_some() {
             return;
         }
         self.apply_faults();
         self.commit(probe);
-        if self.finished.is_some() {
-            self.cycle += 1;
+        if self.s.finished.is_some() {
+            self.s.cycle += 1;
             return;
         }
         self.writeback(probe);
         self.issue(probe);
         self.dispatch();
         self.fetch();
-        self.cycle += 1;
+        self.s.cycle += 1;
     }
 
     // ----- fault application ---------------------------------------------
@@ -588,21 +632,21 @@ impl Cpu {
         // Fault-free cycles (nearly all of them) cost one compare: the
         // pending list is cycle-sorted and `next_fault_cycle` caches the
         // earliest cycle at which anything could fire.
-        if self.cycle < self.next_fault_cycle {
+        if self.s.cycle < self.next_fault_cycle {
             return;
         }
-        let cycle = self.cycle;
+        let cycle = self.s.cycle;
         // Entries scheduled in the past never fire (unchanged semantics of
         // the old per-cycle equality scan); they stay pending but are
         // stepped over, and `next_fault_cycle` advances past them so the
         // fast path never scans again.
-        let start = self.faults.partition_point(|f| f.cycle < cycle);
-        let end = start + self.faults[start..].partition_point(|f| f.cycle == cycle);
+        let start = self.s.faults.partition_point(|f| f.cycle < cycle);
+        let end = start + self.s.faults[start..].partition_point(|f| f.cycle == cycle);
         for i in start..end {
-            let f = self.faults[i];
+            let f = self.s.faults[i];
             match f.structure {
-                Structure::RegisterFile => self.prf.flip_bit(f.entry, f.bit),
-                Structure::StoreQueue => self.sq.flip_bit(f.entry, f.bit),
+                Structure::RegisterFile => self.s.prf.flip_bit(f.entry, f.bit),
+                Structure::StoreQueue => self.s.sq.flip_bit(f.entry, f.bit),
                 Structure::L1DCache => {
                     let (set, way, word) = self.mem.l1d.entry_location(f.entry);
                     let byte_in_line = word * 8 + (f.bit / 8) as usize;
@@ -610,49 +654,50 @@ impl Cpu {
                 }
             }
         }
-        self.faults.drain(start..end);
-        self.next_fault_cycle = self.faults.get(start).map_or(u64::MAX, |f| f.cycle);
+        self.s.faults.drain(start..end);
+        self.next_fault_cycle = self.s.faults.get(start).map_or(u64::MAX, |f| f.cycle);
     }
 
     // ----- fetch -----------------------------------------------------------
 
     fn fetch(&mut self) {
-        if self.fetch_halted || self.fetch_invalid {
+        if self.s.fetch_halted || self.s.fetch_invalid {
             return;
         }
         let mut fetched = 0;
-        while fetched < self.cfg.fetch_width && self.fetch_buffer.len() < self.cfg.fetch_width * 3 {
-            if (self.fetch_pc as usize) >= self.program.len() {
-                self.fetch_invalid = true;
+        while fetched < self.cfg.fetch_width && self.s.fetch_buffer.len() < self.cfg.fetch_width * 3
+        {
+            if (self.s.fetch_pc as usize) >= self.program.len() {
+                self.s.fetch_invalid = true;
                 return;
             }
-            let inst = self.program.instructions[self.fetch_pc as usize];
-            let pc = self.fetch_pc;
+            let inst = self.program.instructions[self.s.fetch_pc as usize];
+            let pc = self.s.fetch_pc;
             let next_pc = match inst {
                 Inst::Jump { target } => target,
                 Inst::Call { target, .. } => target,
                 Inst::BranchRR { target, .. } | Inst::BranchRI { target, .. } => {
-                    if self.bp.predict(pc) {
+                    if self.s.bp.predict(pc) {
                         target
                     } else {
                         pc + 1
                     }
                 }
-                Inst::JumpReg { .. } => self.btb.predict(pc).unwrap_or(pc + 1),
+                Inst::JumpReg { .. } => self.s.btb.predict(pc).unwrap_or(pc + 1),
                 _ => pc + 1,
             };
             // Copy the instruction's micro-ops out of the shared pre-decoded
             // arena: no cracking, no allocation, on any fetch ever.
             for &uop in self.decoded.uops(pc) {
-                self.fetch_buffer.make_mut().push_back(FetchedUop {
+                self.s.fetch_buffer.make_mut().push_back(FetchedUop {
                     uop,
                     pred_next: next_pc,
                 });
                 fetched += 1;
             }
-            self.fetch_pc = next_pc;
+            self.s.fetch_pc = next_pc;
             if matches!(inst, Inst::Halt) {
-                self.fetch_halted = true;
+                self.s.fetch_halted = true;
                 return;
             }
         }
@@ -663,36 +708,37 @@ impl Cpu {
     fn dispatch(&mut self) {
         let mut n = 0;
         while n < self.cfg.rename_width {
-            let Some(front) = self.fetch_buffer.front() else {
+            let Some(front) = self.s.fetch_buffer.front() else {
                 break;
             };
             let uop = front.uop;
-            if self.rob.len() >= self.cfg.rob_entries
-                || self.iq_count >= self.cfg.iq_entries
-                || (uop.dst.is_some() && self.free_list.available() == 0)
-                || (uop.kind.is_load() && self.lq.is_full())
-                || (uop.kind == UopKind::StoreAddr && self.sq.is_full())
+            if self.s.rob.len() >= self.cfg.rob_entries
+                || self.s.iq_count >= self.cfg.iq_entries
+                || (uop.dst.is_some() && self.s.free_list.available() == 0)
+                || (uop.kind.is_load() && self.s.lq.is_full())
+                || (uop.kind == UopKind::StoreAddr && self.s.sq.is_full())
             {
                 break;
             }
             let fetched = self
+                .s
                 .fetch_buffer
                 .make_mut()
                 .pop_front()
                 .expect("checked front");
-            let seq = self.next_seq;
-            self.next_seq += 1;
+            let seq = self.s.next_seq;
+            self.s.next_seq += 1;
 
             let mut src_phys = [None; 3];
             for (i, s) in fetched.uop.srcs.iter().enumerate() {
                 if let Some(r) = s {
-                    src_phys[i] = Some(self.rat.lookup(*r));
+                    src_phys[i] = Some(self.s.rat.lookup(*r));
                 }
             }
             let (dst_phys, prev_phys) = if let Some(d) = fetched.uop.dst {
-                let p = self.free_list.allocate().expect("checked availability");
-                self.prf.mark_pending(p);
-                let prev = self.rat.remap(d, p);
+                let p = self.s.free_list.allocate().expect("checked availability");
+                self.s.prf.mark_pending(p);
+                let prev = self.s.rat.remap(d, p);
                 (Some(p), Some(prev))
             } else {
                 (None, None)
@@ -700,20 +746,20 @@ impl Cpu {
             let mut lq_slot = None;
             let mut sq_slot = None;
             match fetched.uop.kind {
-                UopKind::Load => lq_slot = Some(self.lq.allocate(seq)),
+                UopKind::Load => lq_slot = Some(self.s.lq.allocate(seq)),
                 UopKind::StoreAddr => {
-                    let slot = self.sq.allocate(seq, fetched.uop.rip);
-                    self.sq.slot_mut(slot).size = fetched.uop.mem_size.expect("store has a size");
+                    let slot = self.s.sq.allocate(seq, fetched.uop.rip);
+                    self.s.sq.slot_mut(slot).size = fetched.uop.mem_size.expect("store has a size");
                     sq_slot = Some(slot);
-                    self.pending_store_slot = Some(slot);
+                    self.s.pending_store_slot = Some(slot);
                 }
                 UopKind::StoreData => {
-                    sq_slot = self.pending_store_slot.take();
+                    sq_slot = self.s.pending_store_slot.take();
                     debug_assert!(sq_slot.is_some(), "STD dispatched without its STA");
                 }
                 _ => {}
             }
-            self.rob.make_mut().push_back(RobEntry {
+            self.s.rob.make_mut().push_back(RobEntry {
                 seq,
                 uop: fetched.uop,
                 src_phys,
@@ -732,7 +778,7 @@ impl Cpu {
                 sq_read: None,
                 l1d_reads: [None; 2],
             });
-            self.iq_count += 1;
+            self.s.iq_count += 1;
             n += 1;
         }
     }
@@ -746,17 +792,17 @@ impl Cpu {
         let mut mem_used = 0;
         let mut branch_used = 0;
         let mut idx = 0;
-        while idx < self.rob.len() && issued < self.cfg.issue_width {
-            if !self.rob[idx].in_iq {
+        while idx < self.s.rob.len() && issued < self.cfg.issue_width {
+            if !self.s.rob[idx].in_iq {
                 idx += 1;
                 continue;
             }
-            let kind = self.rob[idx].uop.kind;
-            let ready = self.rob[idx]
+            let kind = self.s.rob[idx].uop.kind;
+            let ready = self.s.rob[idx]
                 .src_phys
                 .iter()
                 .flatten()
-                .all(|&p| self.prf.is_ready(p));
+                .all(|&p| self.s.prf.is_ready(p));
             if !ready {
                 idx += 1;
                 continue;
@@ -778,8 +824,8 @@ impl Cpu {
                 continue;
             }
             if self.execute_uop(idx, probe) {
-                self.rob.make_mut()[idx].in_iq = false;
-                self.iq_count -= 1;
+                self.s.rob.make_mut()[idx].in_iq = false;
+                self.s.iq_count -= 1;
                 issued += 1;
                 match kind {
                     UopKind::Alu(op) if op.is_complex() => complex_used += 1,
@@ -796,14 +842,14 @@ impl Cpu {
     /// `false` if it cannot issue yet (load waiting on disambiguation or
     /// forwarding), `true` otherwise.
     fn execute_uop(&mut self, idx: usize, probe: &mut dyn Probe) -> bool {
-        let cycle = self.cycle;
-        let uop = self.rob[idx].uop;
-        let seq = self.rob[idx].seq;
-        let src_phys = self.rob[idx].src_phys;
+        let cycle = self.s.cycle;
+        let uop = self.s.rob[idx].uop;
+        let seq = self.s.rob[idx].seq;
+        let src_phys = self.s.rob[idx].src_phys;
         let mut vals = [0u64; 3];
         for (i, p) in src_phys.iter().enumerate() {
             if let Some(p) = p {
-                vals[i] = self.prf.read(*p);
+                vals[i] = self.s.prf.read(*p);
             }
         }
         // Every read is logged on the ROB entry and reported at commit; log
@@ -818,7 +864,7 @@ impl Cpu {
                 };
                 let r = op.eval(vals[0], b);
                 let exception = r.arithmetic_exception.then_some(Exception::DivByZero);
-                let entry = &mut self.rob.make_mut()[idx];
+                let entry = &mut self.s.rob.make_mut()[idx];
                 entry.log_reg_reads(cycle);
                 entry.result = Some(r.value);
                 entry.exception = exception;
@@ -826,7 +872,7 @@ impl Cpu {
                 true
             }
             UopKind::Load => {
-                if !self.sq.older_addresses_known(seq) {
+                if !self.s.sq.older_addresses_known(seq) {
                     return false;
                 }
                 let mem_ref = uop.mem.expect("load has a memory reference");
@@ -835,10 +881,11 @@ impl Cpu {
                 let addr = mem_ref.effective_address(vals[0], index_val);
                 let misaligned = !addr.is_multiple_of(size.bytes());
                 // Store-to-load forwarding.
-                if let Some((slot, covers)) = self.sq.forwarding_candidate(seq, addr, size.bytes())
+                if let Some((slot, covers)) =
+                    self.s.sq.forwarding_candidate(seq, addr, size.bytes())
                 {
                     let (s_addr, s_data, s_ready) = {
-                        let s = self.sq.slot(slot);
+                        let s = self.s.sq.slot(slot);
                         (
                             s.addr.expect("candidate has an address"),
                             s.data,
@@ -855,7 +902,7 @@ impl Cpu {
                     } else {
                         raw
                     };
-                    let entry = &mut self.rob.make_mut()[idx];
+                    let entry = &mut self.s.rob.make_mut()[idx];
                     entry.log_reg_reads(cycle);
                     entry.log_sq_read(slot, cycle);
                     entry.result = Some(value);
@@ -880,7 +927,7 @@ impl Cpu {
                             probe.physical_read(Structure::L1DCache, *w, cycle);
                         }
                         let latency = eff.latency;
-                        let entry = &mut self.rob.make_mut()[idx];
+                        let entry = &mut self.s.rob.make_mut()[idx];
                         entry.log_reg_reads(cycle);
                         entry.log_l1d_reads(&eff.word_reads, cycle);
                         entry.result = Some(value);
@@ -895,7 +942,7 @@ impl Cpu {
                             }
                             MemError::StoreToCode { addr } => Exception::StoreToCode { addr },
                         };
-                        let entry = &mut self.rob.make_mut()[idx];
+                        let entry = &mut self.s.rob.make_mut()[idx];
                         entry.log_reg_reads(cycle);
                         entry.result = Some(0);
                         entry.exception = Some(exception);
@@ -909,9 +956,9 @@ impl Cpu {
                 let size = uop.mem_size.expect("store has a size");
                 let index_val = if mem_ref.index.is_some() { vals[1] } else { 0 };
                 let addr = mem_ref.effective_address(vals[0], index_val);
-                let slot = self.rob[idx].sq_slot.expect("STA has a store-queue slot");
-                self.sq.slot_mut(slot).addr = Some(addr);
-                let entry = &mut self.rob.make_mut()[idx];
+                let slot = self.s.rob[idx].sq_slot.expect("STA has a store-queue slot");
+                self.s.sq.slot_mut(slot).addr = Some(addr);
+                let entry = &mut self.s.rob.make_mut()[idx];
                 entry.log_reg_reads(cycle);
                 entry.exception =
                     (!addr.is_multiple_of(size.bytes())).then_some(Exception::Misaligned);
@@ -919,16 +966,16 @@ impl Cpu {
                 true
             }
             UopKind::StoreData => {
-                let slot = self.rob[idx].sq_slot.expect("STD has a store-queue slot");
+                let slot = self.s.rob[idx].sq_slot.expect("STD has a store-queue slot");
                 {
-                    let s = self.sq.slot_mut(slot);
+                    let s = self.s.sq.slot_mut(slot);
                     s.data = vals[0];
                     s.data_ready = true;
                     s.upc_std = uop.upc;
                 }
                 // Depositing the data is a physical write of the SQ entry.
                 probe.write(Structure::StoreQueue, slot, cycle);
-                let entry = &mut self.rob.make_mut()[idx];
+                let entry = &mut self.s.rob.make_mut()[idx];
                 entry.log_reg_reads(cycle);
                 entry.complete_at = Some(cycle + 1);
                 true
@@ -941,7 +988,7 @@ impl Cpu {
                 };
                 let taken = cond.eval(vals[0], b);
                 let next = if taken { uop.imm as Rip } else { uop.rip + 1 };
-                let entry = &mut self.rob.make_mut()[idx];
+                let entry = &mut self.s.rob.make_mut()[idx];
                 entry.log_reg_reads(cycle);
                 entry.actual_next = Some(next);
                 entry.result = None;
@@ -953,35 +1000,35 @@ impl Cpu {
                 true
             }
             UopKind::Jump => {
-                let entry = &mut self.rob.make_mut()[idx];
+                let entry = &mut self.s.rob.make_mut()[idx];
                 entry.actual_next = Some(uop.imm as Rip);
                 entry.complete_at = Some(cycle + 1);
                 true
             }
             UopKind::JumpReg => {
                 let target = vals[0].min(u32::MAX as u64) as Rip;
-                let entry = &mut self.rob.make_mut()[idx];
+                let entry = &mut self.s.rob.make_mut()[idx];
                 entry.log_reg_reads(cycle);
                 entry.actual_next = Some(target);
                 entry.complete_at = Some(cycle + 1);
                 true
             }
             UopKind::Call => {
-                let entry = &mut self.rob.make_mut()[idx];
+                let entry = &mut self.s.rob.make_mut()[idx];
                 entry.result = Some(uop.rip as u64 + 1);
                 entry.actual_next = Some(uop.imm as Rip);
                 entry.complete_at = Some(cycle + 1);
                 true
             }
             UopKind::Out => {
-                let entry = &mut self.rob.make_mut()[idx];
+                let entry = &mut self.s.rob.make_mut()[idx];
                 entry.log_reg_reads(cycle);
                 entry.result = Some(vals[0]);
                 entry.complete_at = Some(cycle + 1);
                 true
             }
             UopKind::Halt | UopKind::Nop => {
-                let entry = &mut self.rob.make_mut()[idx];
+                let entry = &mut self.s.rob.make_mut()[idx];
                 entry.complete_at = Some(cycle + 1);
                 true
             }
@@ -991,28 +1038,28 @@ impl Cpu {
     // ----- writeback --------------------------------------------------------
 
     fn writeback(&mut self, probe: &mut dyn Probe) {
-        let cycle = self.cycle;
+        let cycle = self.s.cycle;
         let mut idx = 0;
-        while idx < self.rob.len() {
-            let due = matches!(self.rob[idx].complete_at, Some(c) if c <= cycle)
-                && !self.rob[idx].completed;
+        while idx < self.s.rob.len() {
+            let due = matches!(self.s.rob[idx].complete_at, Some(c) if c <= cycle)
+                && !self.s.rob[idx].completed;
             if !due {
                 idx += 1;
                 continue;
             }
-            if let Some(p) = self.rob[idx].dst_phys {
-                let value = self.rob[idx].result.unwrap_or(0);
-                self.prf.write(p, value);
+            if let Some(p) = self.s.rob[idx].dst_phys {
+                let value = self.s.rob[idx].result.unwrap_or(0);
+                self.s.prf.write(p, value);
                 probe.write(Structure::RegisterFile, p as usize, cycle);
             }
-            self.rob.make_mut()[idx].completed = true;
+            self.s.rob.make_mut()[idx].completed = true;
             // Branch resolution: squash on a mispredicted next PC.
-            if self.rob[idx].uop.kind.is_control() {
-                let actual = self.rob[idx]
+            if self.s.rob[idx].uop.kind.is_control() {
+                let actual = self.s.rob[idx]
                     .actual_next
                     .expect("control uop resolved its target");
-                if actual != self.rob[idx].pred_next {
-                    let seq = self.rob[idx].seq;
+                if actual != self.s.rob[idx].pred_next {
+                    let seq = self.s.rob[idx].seq;
                     self.squash_after(seq, actual, probe);
                     // Indices beyond the squash point are gone; the remaining
                     // completions are picked up next cycle.
@@ -1024,72 +1071,73 @@ impl Cpu {
     }
 
     fn squash_after(&mut self, branch_seq: u64, new_pc: Rip, probe: &mut dyn Probe) {
-        let cycle = self.cycle;
-        while let Some(back) = self.rob.back() {
+        let cycle = self.s.cycle;
+        while let Some(back) = self.s.rob.back() {
             if back.seq <= branch_seq {
                 break;
             }
-            let e = self.rob.make_mut().pop_back().expect("checked back");
+            let e = self.s.rob.make_mut().pop_back().expect("checked back");
             if let (Some(d), Some(prev)) = (e.uop.dst, e.prev_phys) {
-                self.rat.restore(d, prev);
+                self.s.rat.restore(d, prev);
             }
             if let Some(p) = e.dst_phys {
-                self.free_list.release(p);
-                self.prf.mark_ready(p);
+                self.s.free_list.release(p);
+                self.s.prf.mark_ready(p);
                 probe.invalidate(Structure::RegisterFile, p as usize, cycle);
             }
             if e.in_iq {
-                self.iq_count -= 1;
+                self.s.iq_count -= 1;
             }
             if let Some(l) = e.lq_slot {
-                self.lq.release(l);
+                self.s.lq.release(l);
             }
             if e.uop.kind == UopKind::StoreAddr {
                 if let Some(s) = e.sq_slot {
-                    self.sq.release_tail(s);
+                    self.s.sq.release_tail(s);
                     probe.invalidate(Structure::StoreQueue, s, cycle);
                 }
             }
         }
-        self.fetch_buffer.make_mut().clear();
-        self.pending_store_slot = None;
-        self.fetch_pc = new_pc;
-        self.fetch_halted = false;
-        self.fetch_invalid = false;
+        self.s.fetch_buffer.make_mut().clear();
+        self.s.pending_store_slot = None;
+        self.s.fetch_pc = new_pc;
+        self.s.fetch_halted = false;
+        self.s.fetch_invalid = false;
     }
 
     // ----- commit ------------------------------------------------------------
 
     fn commit(&mut self, probe: &mut dyn Probe) {
-        let cycle = self.cycle;
+        let cycle = self.s.cycle;
         let mut committed = 0;
         while committed < self.cfg.commit_width {
-            let ready = matches!(self.rob.front(), Some(e) if e.completed);
+            let ready = matches!(self.s.rob.front(), Some(e) if e.completed);
             if !ready {
                 break;
             }
-            let e = self.rob.make_mut().pop_front().expect("checked front");
+            let e = self.s.rob.make_mut().pop_front().expect("checked front");
             committed += 1;
-            self.committed_uops += 1;
+            self.s.committed_uops += 1;
 
             if let Some(exc) = e.exception {
                 match exc {
                     Exception::MemOutOfBounds { addr } => {
-                        self.finished =
+                        self.s.finished =
                             Some(ExitReason::Crash(CrashKind::MemoryOutOfBounds { addr }));
                         return;
                     }
                     Exception::StoreToCode { addr } => {
-                        self.finished = Some(ExitReason::Assert(AssertKind::StoreToCode { addr }));
+                        self.s.finished =
+                            Some(ExitReason::Assert(AssertKind::StoreToCode { addr }));
                         return;
                     }
-                    Exception::DivByZero => self.arithmetic_exceptions += 1,
-                    Exception::Misaligned => self.misaligned_exceptions += 1,
+                    Exception::DivByZero => self.s.arithmetic_exceptions += 1,
+                    Exception::Misaligned => self.s.misaligned_exceptions += 1,
                 }
             }
 
-            let dyn_instance = self.dyn_counts.get(e.uop.rip);
-            let path_sig = self.path_sig;
+            let dyn_instance = self.s.dyn_counts.get(e.uop.rip);
+            let path_sig = self.s.path_sig;
             for (p, read_cycle) in e.reg_reads() {
                 probe.committed_read(
                     Structure::RegisterFile,
@@ -1131,19 +1179,19 @@ impl Cpu {
             }
 
             if let Some(prev) = e.prev_phys {
-                self.free_list.release(prev);
-                self.prf.mark_ready(prev);
+                self.s.free_list.release(prev);
+                self.s.prf.mark_ready(prev);
                 probe.invalidate(Structure::RegisterFile, prev as usize, cycle);
             }
 
             match e.uop.kind {
-                UopKind::Out => self.output.make_mut().push(e.result.unwrap_or(0)),
+                UopKind::Out => self.s.output.make_mut().push(e.result.unwrap_or(0)),
                 UopKind::Halt => {
-                    self.finished = Some(ExitReason::Halted);
+                    self.s.finished = Some(ExitReason::Halted);
                 }
                 UopKind::Load => {
                     if let Some(l) = e.lq_slot {
-                        self.lq.release(l);
+                        self.s.lq.release(l);
                     }
                 }
                 UopKind::StoreData if self.drain_store(&e, dyn_instance, probe).is_err() => {
@@ -1151,12 +1199,12 @@ impl Cpu {
                 }
                 UopKind::Branch(_) => {
                     let taken = e.result.unwrap_or(0) != 0;
-                    self.bp.update(e.uop.rip, taken);
+                    self.s.bp.update(e.uop.rip, taken);
                     self.push_path(e.uop.rip, taken);
                 }
                 UopKind::JumpReg => {
                     if let Some(t) = e.actual_next {
-                        self.btb.update(e.uop.rip, t);
+                        self.s.btb.update(e.uop.rip, t);
                     }
                     self.push_path(e.uop.rip, true);
                 }
@@ -1164,22 +1212,22 @@ impl Cpu {
             }
 
             if e.uop.last_in_inst {
-                self.committed_instructions += 1;
-                self.dyn_counts.make_mut().bump(e.uop.rip);
+                self.s.committed_instructions += 1;
+                self.s.dyn_counts.make_mut().bump(e.uop.rip);
             }
-            if self.finished.is_some() {
+            if self.s.finished.is_some() {
                 return;
             }
         }
         // The committed path reached an invalid instruction address: the
         // machine has drained and cannot make progress.
-        if self.finished.is_none()
-            && self.rob.is_empty()
-            && self.fetch_buffer.is_empty()
-            && self.fetch_invalid
+        if self.s.finished.is_none()
+            && self.s.rob.is_empty()
+            && self.s.fetch_buffer.is_empty()
+            && self.s.fetch_invalid
         {
-            self.finished = Some(ExitReason::Crash(CrashKind::InvalidFetchPc {
-                pc: self.fetch_pc,
+            self.s.finished = Some(ExitReason::Crash(CrashKind::InvalidFetchPc {
+                pc: self.s.fetch_pc,
             }));
         }
     }
@@ -1191,10 +1239,10 @@ impl Cpu {
         dyn_instance: u64,
         probe: &mut dyn Probe,
     ) -> Result<(), ()> {
-        let cycle = self.cycle;
+        let cycle = self.s.cycle;
         let slot = e.sq_slot.expect("committed store has a slot");
         let (addr, size, data, rip, upc_std) = {
-            let s = self.sq.slot(slot);
+            let s = self.s.sq.slot(slot);
             (
                 s.addr.expect("committed store has an address"),
                 s.size,
@@ -1212,38 +1260,38 @@ impl Cpu {
                 rip,
                 upc: upc_std,
                 dyn_instance,
-                path_sig: self.path_sig,
+                path_sig: self.s.path_sig,
             },
         );
         match self.mem.store(addr, data, size) {
             Ok(eff) => {
                 report_cache_effects(&eff, cycle, probe);
-                self.sq.release_head(slot);
+                self.s.sq.release_head(slot);
                 probe.invalidate(Structure::StoreQueue, slot, cycle);
                 Ok(())
             }
             Err(MemError::OutOfBounds { addr, .. }) => {
-                self.finished = Some(ExitReason::Crash(CrashKind::MemoryOutOfBounds { addr }));
+                self.s.finished = Some(ExitReason::Crash(CrashKind::MemoryOutOfBounds { addr }));
                 Err(())
             }
             Err(MemError::StoreToCode { addr }) => {
-                self.finished = Some(ExitReason::Assert(AssertKind::StoreToCode { addr }));
+                self.s.finished = Some(ExitReason::Assert(AssertKind::StoreToCode { addr }));
                 Err(())
             }
         }
     }
 
     fn push_path(&mut self, rip: Rip, taken: bool) {
-        self.path_history.push_back((rip, taken));
-        while self.path_history.len() > 5 {
-            self.path_history.pop_front();
+        self.s.path_history.push_back((rip, taken));
+        while self.s.path_history.len() > 5 {
+            self.s.path_history.pop_front();
         }
         let mut sig: u64 = 0xcbf2_9ce4_8422_2325;
-        for (r, t) in &self.path_history {
+        for (r, t) in &self.s.path_history {
             sig ^= (*r as u64) << 1 | *t as u64;
             sig = sig.wrapping_mul(0x1000_0000_01b3);
         }
-        self.path_sig = sig;
+        self.s.path_sig = sig;
     }
 
     // ----- checkpoint/restore ---------------------------------------------
@@ -1259,159 +1307,59 @@ impl Cpu {
     /// owned ones first, hence `&mut self`, and the core un-shares a page
     /// on its next write to it.
     pub fn snapshot(&mut self) -> CpuState {
-        self.freeze();
+        self.s.freeze();
         CpuState {
-            cycle: self.cycle,
-            next_seq: self.next_seq,
-            fetch_pc: self.fetch_pc,
-            fetch_halted: self.fetch_halted,
-            fetch_invalid: self.fetch_invalid,
-            fetch_buffer: self.fetch_buffer.clone(),
-            rat: self.rat.clone(),
-            free_list: self.free_list.clone(),
-            prf: self.prf.clone(),
-            rob: self.rob.clone(),
-            iq_count: self.iq_count,
-            lq: self.lq.clone(),
-            sq: self.sq.clone(),
-            pending_store_slot: self.pending_store_slot,
+            core: self.s.clone(),
             mem: self.mem.snapshot(),
-            bp: self.bp.clone(),
-            btb: self.btb.clone(),
-            output: self.output.clone(),
-            committed_instructions: self.committed_instructions,
-            committed_uops: self.committed_uops,
-            arithmetic_exceptions: self.arithmetic_exceptions,
-            misaligned_exceptions: self.misaligned_exceptions,
-            dyn_counts: self.dyn_counts.clone(),
-            path_history: self.path_history.clone(),
-            path_sig: self.path_sig,
-            faults: self.faults.clone(),
-            finished: self.finished.clone(),
         }
     }
 
     /// Restores the core to a previously captured state.
     ///
-    /// Every mutable field is overwritten, so the core behaves identically to
-    /// the one the snapshot was taken from regardless of what it executed in
-    /// between.  Copy-on-write structures adopt the snapshot's page handles
-    /// (O(pages), nothing copied until the core writes); the caches are
-    /// rebuilt from their sparse images and the backing memory from its
-    /// chunk delta.
+    /// The core's `CoreState` is overwritten whole by a clone of the
+    /// snapshot's, so the core behaves identically to the one the snapshot
+    /// was taken from regardless of what it executed in between.
+    /// Copy-on-write structures adopt the snapshot's page handles (O(pages),
+    /// nothing copied until the core writes); the caches are rebuilt from
+    /// their sparse images and the backing memory from its chunk delta.
     ///
     /// The state must come from a core running the same program under the
     /// same configuration; this is not checked.
     pub fn restore_from(&mut self, s: &CpuState) {
-        self.cycle = s.cycle;
-        self.next_seq = s.next_seq;
-        self.fetch_pc = s.fetch_pc;
-        self.fetch_halted = s.fetch_halted;
-        self.fetch_invalid = s.fetch_invalid;
+        self.s = s.core.clone();
+        self.next_fault_cycle = self.s.faults.first().map_or(u64::MAX, |f| f.cycle);
         self.mem.restore_snapshot(&s.mem);
-        self.fetch_buffer.share_from(&s.fetch_buffer);
-        self.rat.share_from(&s.rat);
-        self.free_list.share_from(&s.free_list);
-        self.prf.share_from(&s.prf);
-        self.rob.share_from(&s.rob);
-        self.lq.share_from(&s.lq);
-        self.sq.share_from(&s.sq);
-        self.bp.share_from(&s.bp);
-        self.btb.share_from(&s.btb);
-        self.iq_count = s.iq_count;
-        self.pending_store_slot = s.pending_store_slot;
-        self.output.share_from(&s.output);
-        self.committed_instructions = s.committed_instructions;
-        self.committed_uops = s.committed_uops;
-        self.arithmetic_exceptions = s.arithmetic_exceptions;
-        self.misaligned_exceptions = s.misaligned_exceptions;
-        self.dyn_counts.share_from(&s.dyn_counts);
-        self.path_history.clone_from(&s.path_history);
-        self.path_sig = s.path_sig;
-        self.faults.clone_from(&s.faults);
-        self.next_fault_cycle = self.faults.first().map_or(u64::MAX, |f| f.cycle);
-        self.finished.clone_from(&s.finished);
     }
 
     /// Forks this core from a live source core, making `self` bit-identical
     /// to `src` at O(metadata) cost — the lazy fork-spawn of the batched
     /// suffix driver.
     ///
-    /// Every heavy structure shares `src`'s page handles structurally
-    /// instead of copying entries (see [`CowTable`](crate::CowTable));
-    /// sharing breaks lazily, per page, on whichever side writes first.
-    /// The fork therefore copies almost nothing up front — only scalars and
-    /// the small eagerly-copied structures like the rename table.  Like
-    /// [`Cpu::restore_from`] it overwrites every field, so it is valid from
-    /// any state of `self`.  `src` must run the same program under the same
-    /// configuration.
+    /// The core's `CoreState` is overwritten whole by a clone of `src`'s,
+    /// which shares every heavy structure's page handles instead of copying
+    /// entries (see [`CowTable`](crate::CowTable)); sharing breaks lazily,
+    /// per page, on whichever side writes first.  The fork therefore copies
+    /// almost nothing up front — only scalars and the small eagerly-copied
+    /// structures like the rename table.  Like [`Cpu::restore_from`] it is
+    /// valid from any state of `self`.  `src` must run the same program
+    /// under the same configuration.
     ///
     /// `src`'s owned pages are frozen first, hence `&mut src`.
     pub fn fork_from(&mut self, src: &mut Cpu) {
-        src.freeze();
-        self.cycle = src.cycle;
-        self.next_seq = src.next_seq;
-        self.fetch_pc = src.fetch_pc;
-        self.fetch_halted = src.fetch_halted;
-        self.fetch_invalid = src.fetch_invalid;
-        self.fetch_buffer.share_from(&src.fetch_buffer);
-        self.rat.share_from(&src.rat);
-        self.free_list.share_from(&src.free_list);
-        self.prf.share_from(&src.prf);
-        self.rob.share_from(&src.rob);
-        self.lq.share_from(&src.lq);
-        self.sq.share_from(&src.sq);
-        self.mem.fork_from(&mut src.mem);
-        self.bp.share_from(&src.bp);
-        self.btb.share_from(&src.btb);
-        self.iq_count = src.iq_count;
-        self.pending_store_slot = src.pending_store_slot;
-        self.output.share_from(&src.output);
-        self.committed_instructions = src.committed_instructions;
-        self.committed_uops = src.committed_uops;
-        self.arithmetic_exceptions = src.arithmetic_exceptions;
-        self.misaligned_exceptions = src.misaligned_exceptions;
-        self.dyn_counts.share_from(&src.dyn_counts);
-        self.path_history.clone_from(&src.path_history);
-        self.path_sig = src.path_sig;
-        self.faults.clone_from(&src.faults);
+        src.s.freeze();
+        self.s = src.s.clone();
         self.next_fault_cycle = src.next_fault_cycle;
-        self.finished.clone_from(&src.finished);
-    }
-
-    /// Moves the owned pages of every copy-on-write structure outside the
-    /// memory system behind handles, so they can be shared; the memory
-    /// system freezes what its own snapshot and fork share.
-    fn freeze(&mut self) {
-        self.fetch_buffer.freeze();
-        self.free_list.freeze();
-        self.prf.freeze();
-        self.rob.freeze();
-        self.lq.freeze();
-        self.sq.freeze();
-        self.bp.freeze();
-        self.btb.freeze();
-        self.output.freeze();
-        self.dyn_counts.freeze();
+        self.mem.fork_from(&mut src.mem);
     }
 
     /// Page un-share events accumulated across every CoW-backed structure
     /// since the last call (see [`CowTable`](crate::CowTable)): each count
     /// is one page that was shared — with a fork sibling, a snapshot, or
     /// the pristine memory image — and had to be materialised privately on
-    /// first write.
+    /// first write.  Counts are per core: a restore or fork starts the
+    /// core's structures at zero and leaves the source's count with it.
     pub fn take_cow_breaks(&mut self) -> u64 {
-        self.prf.take_cow_breaks()
-            + self.free_list.take_cow_breaks()
-            + self.lq.take_cow_breaks()
-            + self.sq.take_cow_breaks()
-            + self.bp.take_cow_breaks()
-            + self.btb.take_cow_breaks()
-            + self.mem.take_cow_breaks()
-            + self.fetch_buffer.take_cow_breaks()
-            + self.rob.take_cow_breaks()
-            + self.output.take_cow_breaks()
-            + self.dyn_counts.take_cow_breaks()
+        self.s.take_cow_breaks() + self.mem.take_cow_breaks()
     }
 
     /// Whether a bit flip in `entry` of `structure`, applied at the start of
@@ -1444,10 +1392,10 @@ impl Cpu {
         match structure {
             Structure::RegisterFile => {
                 let p = entry as PhysReg;
-                !self.prf.is_ready(p) || self.free_list.contains(p)
+                !self.s.prf.is_ready(p) || self.s.free_list.contains(p)
             }
             Structure::StoreQueue => {
-                let slot = self.sq.slot(entry);
+                let slot = self.s.sq.slot(entry);
                 !slot.valid || !slot.data_ready
             }
             Structure::L1DCache => false,
@@ -1465,33 +1413,7 @@ impl Cpu {
     /// restored or forked from the golden stream pays only for the pages it
     /// (or the golden run between the two checkpoints) wrote.
     pub fn matches_state(&self, s: &CpuState) -> bool {
-        self.cycle == s.cycle
-            && self.next_seq == s.next_seq
-            && self.committed_instructions == s.committed_instructions
-            && self.committed_uops == s.committed_uops
-            && self.arithmetic_exceptions == s.arithmetic_exceptions
-            && self.misaligned_exceptions == s.misaligned_exceptions
-            && self.path_sig == s.path_sig
-            && self.fetch_pc == s.fetch_pc
-            && self.fetch_halted == s.fetch_halted
-            && self.fetch_invalid == s.fetch_invalid
-            && self.iq_count == s.iq_count
-            && self.pending_store_slot == s.pending_store_slot
-            && self.finished == s.finished
-            && self.faults == s.faults
-            && self.output == s.output
-            && self.path_history == s.path_history
-            && self.dyn_counts == s.dyn_counts
-            && self.rat == s.rat
-            && self.fetch_buffer == s.fetch_buffer
-            && self.rob == s.rob
-            && self.free_list == s.free_list
-            && self.lq == s.lq
-            && self.sq == s.sq
-            && self.prf == s.prf
-            && self.bp == s.bp
-            && self.btb == s.btb
-            && self.mem.matches_snapshot(&s.mem)
+        self.s == s.core && self.mem.matches_snapshot(&s.mem)
     }
 }
 
@@ -1522,7 +1444,8 @@ fn report_cache_effects(eff: &CacheEffects, cycle: u64, probe: &mut dyn Probe) {
 }
 
 /// A complete snapshot of the core's microarchitectural state, produced by
-/// [`Cpu::snapshot`] and consumed by [`Cpu::restore_from`].
+/// [`Cpu::snapshot`] and consumed by [`Cpu::restore_from`]: a clone of the
+/// core's `CoreState` and a snapshot of its memory hierarchy.
 ///
 /// The snapshot does not include the program or the configuration — those
 /// are immutable over a run and shared (via `Arc`) between the cores of a
@@ -1535,54 +1458,30 @@ fn report_cache_effects(eff: &CacheEffects, cycle: u64, probe: &mut dyn Probe) {
 /// the same (program, configuration) pair.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CpuState {
-    cycle: u64,
-    next_seq: u64,
-    fetch_pc: Rip,
-    fetch_halted: bool,
-    fetch_invalid: bool,
-    fetch_buffer: CowBox<VecDeque<FetchedUop>>,
-    rat: RenameTable,
-    free_list: FreeList,
-    prf: PhysRegFile,
-    rob: CowBox<VecDeque<RobEntry>>,
-    iq_count: usize,
-    lq: LoadQueue,
-    sq: StoreQueue,
-    pending_store_slot: Option<usize>,
+    core: CoreState,
     mem: crate::cache::MemSystemSnapshot,
-    bp: BranchPredictor,
-    btb: Btb,
-    output: CowBox<Vec<u64>>,
-    committed_instructions: u64,
-    committed_uops: u64,
-    arithmetic_exceptions: u64,
-    misaligned_exceptions: u64,
-    dyn_counts: CowBox<DynCounts>,
-    path_history: VecDeque<(Rip, bool)>,
-    path_sig: u64,
-    faults: Vec<FaultSpec>,
-    finished: Option<ExitReason>,
 }
 
 impl CpuState {
     /// The cycle at which the snapshot was taken.
     pub fn cycle(&self) -> u64 {
-        self.cycle
+        self.core.cycle
     }
 
     /// Whether the captured run had already ended.
     pub fn is_finished(&self) -> bool {
-        self.finished.is_some()
+        self.core.finished.is_some()
     }
 
     /// Approximate heap footprint of the snapshot in bytes (dominated by the
     /// memory delta and the touched cache lines).
     pub fn footprint_bytes(&self) -> usize {
+        let c = &self.core;
         self.mem.footprint_bytes()
-            + self.prf.len() * 9
-            + self.output.len() * 8
-            + self.rob.len() * std::mem::size_of::<RobEntry>()
-            + self.fetch_buffer.len() * std::mem::size_of::<FetchedUop>()
+            + c.prf.len() * 9
+            + c.output.len() * 8
+            + c.rob.len() * std::mem::size_of::<RobEntry>()
+            + c.fetch_buffer.len() * std::mem::size_of::<FetchedUop>()
     }
 
     /// Bytes the chunk-level memory delta occupies within
@@ -1591,8 +1490,10 @@ impl CpuState {
         self.mem.memory_delta_bytes()
     }
 
-    /// Bytes a dense memory image of this snapshot would occupy instead (the
-    /// pre-delta representation; kept for footprint accounting).
+    /// Size in bytes of the backing memory the snapshot was captured from,
+    /// which a dense image of it would occupy.  Loading a `.golden` file
+    /// checks it against the session's memory size, since restoring a
+    /// snapshot of another size panics.
     pub fn memory_dense_bytes(&self) -> usize {
         self.mem.memory_dense_bytes()
     }
@@ -1826,38 +1727,44 @@ fn encode_reads<E: BinCode>(reads: impl Iterator<Item = (E, u64)> + Clone, out: 
     }
 }
 
+/// Encoded field by field, with the memory snapshot between
+/// `pending_store_slot` and `bp` (the `.golden` v5 layout).
 impl BinCode for CpuState {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.cycle.encode(out);
-        self.next_seq.encode(out);
-        self.fetch_pc.encode(out);
-        self.fetch_halted.encode(out);
-        self.fetch_invalid.encode(out);
-        self.fetch_buffer.encode(out);
-        self.rat.encode(out);
-        self.free_list.encode(out);
-        self.prf.encode(out);
-        self.rob.encode(out);
-        self.iq_count.encode(out);
-        self.lq.encode(out);
-        self.sq.encode(out);
-        self.pending_store_slot.encode(out);
+        let c = &self.core;
+        c.cycle.encode(out);
+        c.next_seq.encode(out);
+        c.fetch_pc.encode(out);
+        c.fetch_halted.encode(out);
+        c.fetch_invalid.encode(out);
+        c.fetch_buffer.encode(out);
+        c.rat.encode(out);
+        c.free_list.encode(out);
+        c.prf.encode(out);
+        c.rob.encode(out);
+        c.iq_count.encode(out);
+        c.lq.encode(out);
+        c.sq.encode(out);
+        c.pending_store_slot.encode(out);
         self.mem.encode(out);
-        self.bp.encode(out);
-        self.btb.encode(out);
-        self.output.encode(out);
-        self.committed_instructions.encode(out);
-        self.committed_uops.encode(out);
-        self.arithmetic_exceptions.encode(out);
-        self.misaligned_exceptions.encode(out);
-        self.dyn_counts.encode(out);
-        self.path_history.encode(out);
-        self.path_sig.encode(out);
-        self.faults.encode(out);
-        self.finished.encode(out);
+        c.bp.encode(out);
+        c.btb.encode(out);
+        c.output.encode(out);
+        c.committed_instructions.encode(out);
+        c.committed_uops.encode(out);
+        c.arithmetic_exceptions.encode(out);
+        c.misaligned_exceptions.encode(out);
+        c.dyn_counts.encode(out);
+        c.path_history.encode(out);
+        c.path_sig.encode(out);
+        c.faults.encode(out);
+        c.finished.encode(out);
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        Ok(CpuState {
+        // A struct literal evaluates its fields in the order written, which
+        // here is the wire order; `mem` is read where it sits on the wire.
+        let mem;
+        let core = CoreState {
             cycle: BinCode::decode(r)?,
             next_seq: BinCode::decode(r)?,
             fetch_pc: BinCode::decode(r)?,
@@ -1872,8 +1779,10 @@ impl BinCode for CpuState {
             lq: BinCode::decode(r)?,
             sq: BinCode::decode(r)?,
             pending_store_slot: BinCode::decode(r)?,
-            mem: BinCode::decode(r)?,
-            bp: BinCode::decode(r)?,
+            bp: {
+                mem = BinCode::decode(r)?;
+                BinCode::decode(r)?
+            },
             btb: BinCode::decode(r)?,
             output: BinCode::decode(r)?,
             committed_instructions: BinCode::decode(r)?,
@@ -1885,7 +1794,8 @@ impl BinCode for CpuState {
             path_sig: BinCode::decode(r)?,
             faults: BinCode::decode(r)?,
             finished: BinCode::decode(r)?,
-        })
+        };
+        Ok(CpuState { core, mem })
     }
 }
 
@@ -2029,8 +1939,9 @@ mod tests {
         let mut cpu = Cpu::new(program, CpuConfig::default()).unwrap();
         // Stop mid-run, after some commits, with an entry in the ROB that
         // read two registers.
-        while cpu.committed_instructions == 0
+        while cpu.s.committed_instructions == 0
             || !cpu
+                .s
                 .rob
                 .iter()
                 .any(|e| e.src_phys.iter().flatten().count() == 2 && e.read_cycle.is_some())
@@ -2044,31 +1955,31 @@ mod tests {
 
         // Byte offsets of the ROB and of the dynamic-instance counters.
         let mut head = Vec::new();
-        state.cycle.encode(&mut head);
-        state.next_seq.encode(&mut head);
-        state.fetch_pc.encode(&mut head);
-        state.fetch_halted.encode(&mut head);
-        state.fetch_invalid.encode(&mut head);
-        state.fetch_buffer.encode(&mut head);
-        state.rat.encode(&mut head);
-        state.free_list.encode(&mut head);
-        state.prf.encode(&mut head);
+        state.core.cycle.encode(&mut head);
+        state.core.next_seq.encode(&mut head);
+        state.core.fetch_pc.encode(&mut head);
+        state.core.fetch_halted.encode(&mut head);
+        state.core.fetch_invalid.encode(&mut head);
+        state.core.fetch_buffer.encode(&mut head);
+        state.core.rat.encode(&mut head);
+        state.core.free_list.encode(&mut head);
+        state.core.prf.encode(&mut head);
         let rob_at = head.len();
-        let rob_len = encode_to_vec(&state.rob).len();
+        let rob_len = encode_to_vec(&state.core.rob).len();
         let mut tail = Vec::new();
-        state.dyn_counts.encode(&mut tail);
-        state.path_history.encode(&mut tail);
-        state.path_sig.encode(&mut tail);
-        state.faults.encode(&mut tail);
-        state.finished.encode(&mut tail);
+        state.core.dyn_counts.encode(&mut tail);
+        state.core.path_history.encode(&mut tail);
+        state.core.path_sig.encode(&mut tail);
+        state.core.faults.encode(&mut tail);
+        state.core.finished.encode(&mut tail);
         let counts_at = bytes.len() - tail.len();
-        let counts_len = encode_to_vec(&state.dyn_counts).len();
+        let counts_len = encode_to_vec(&state.core.dyn_counts).len();
         let splice =
             |at: usize, len: usize, with: &[u8]| [&bytes[..at], with, &bytes[at + len..]].concat();
 
         // One entry's register reads logged at two different cycles.
-        let mut rob = encode_to_vec(&state.rob.len());
-        for e in state.rob.iter() {
+        let mut rob = encode_to_vec(&state.core.rob.len());
+        for e in state.core.rob.iter() {
             match e.reg_reads().collect::<Vec<_>>()[..] {
                 [(a, c), (b, _)] => {
                     let mut blank = e.clone();
@@ -2088,15 +1999,35 @@ mod tests {
         ));
 
         // A zero count among the dynamic-instance counters.
-        let mut counts: std::collections::HashMap<Rip, u64> = (0..state.dyn_counts.0.len())
-            .filter(|&r| state.dyn_counts.get(r as Rip) != 0)
-            .map(|r| (r as Rip, state.dyn_counts.get(r as Rip)))
+        let mut counts: std::collections::HashMap<Rip, u64> = (0..state.core.dyn_counts.0.len())
+            .filter(|&r| state.core.dyn_counts.get(r as Rip) != 0)
+            .map(|r| (r as Rip, state.core.dyn_counts.get(r as Rip)))
             .collect();
         *counts.values_mut().next().unwrap() = 0;
         assert!(matches!(
             decode_from_slice::<CpuState>(&splice(counts_at, counts_len, &encode_to_vec(&counts))),
             Err(DecodeError::Invalid(_))
         ));
+    }
+
+    #[test]
+    fn restored_and_forked_cores_start_with_no_unshare_count() {
+        let program = merlin_workloads::workload_by_name("sha").unwrap().program;
+        let mut src = Cpu::new(program, CpuConfig::default()).unwrap();
+        let steps = |cpu: &mut Cpu| (0..300).for_each(|_| cpu.step(&mut crate::NullProbe));
+        steps(&mut src);
+        // Writes after a snapshot un-share pages the snapshot still holds,
+        // so the source has breaks pending.
+        let _held = src.snapshot();
+        steps(&mut src);
+        let mut fork = Cpu::new(Arc::clone(src.program()), CpuConfig::default()).unwrap();
+        fork.fork_from(&mut src);
+        assert_eq!(fork.take_cow_breaks(), 0);
+        let state = src.snapshot();
+        let mut restored = Cpu::new(Arc::clone(src.program()), CpuConfig::default()).unwrap();
+        restored.restore_from(&state);
+        assert_eq!(restored.take_cow_breaks(), 0);
+        assert!(src.take_cow_breaks() > 0, "the source keeps its count");
     }
 
     #[test]

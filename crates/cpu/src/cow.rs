@@ -18,7 +18,9 @@
 //! and [`Memory`](crate::Memory).  Pages built by `new`, `from_fn` and
 //! `binio` decode start out shared, so a `CpuState` holds only shared pages
 //! and `Cpu::restore_from` adopts its handles without copying.  `clone()`
-//! shares shared pages and deep-copies owned ones.
+//! shares shared pages, deep-copies owned ones and starts the copy's own
+//! un-share count at 0: the count belongs to the instance that broke the
+//! pages, so a restore or fork never counts the source's breaks again.
 //!
 //! A page whose handle is still `Arc::ptr_eq` to the checkpoint's page is
 //! untouched by definition: comparisons skip it without reading it, and
@@ -28,19 +30,20 @@
 //! suffix never writes stays shared across the golden core, its snapshots
 //! and every fork.
 //!
-//! Three shapes of storage need three wrappers:
+//! Two shapes of storage need two wrappers:
 //!
 //! * [`CowTable<T>`] — array-shaped structures with stable entry indices
 //!   (register file, LSQ slots, predictor counter tables, BTB, cache
-//!   lines).  Entries live in power-of-two-sized pages; reads index through
-//!   one extra pointer, writes go through [`CowTable::get_mut`].
+//!   lines, and the backing memory's bytes).  Entries live in
+//!   power-of-two-sized pages; reads index through one extra pointer,
+//!   writes go through [`CowTable::get_mut`].  The page-level accessors
+//!   let the memory, paged at the delta-snapshot chunk granularity, share
+//!   a page's handle with a pristine-image chunk or a checkpoint's delta
+//!   chunk.
 //! * [`CowBox<T>`] — one value on a single page: the queue-shaped
 //!   structures (ROB, fetch buffer, free list) as a `CowBox<VecDeque<_>>`,
 //!   and the irregular ones (the output stream, the dynamic instance
 //!   counters).  Mutation goes through [`CowBox::make_mut`].
-//! * [`CowBytes`] — the backing memory's byte store, paged at the
-//!   delta-snapshot chunk granularity so a chunk can also share its handle
-//!   with a pristine-image chunk or a checkpoint's delta chunk.
 //!
 //! Sharing is **bookkeeping, not state**: it is never serialised (the
 //! `binio` wire formats below re-encode plain `len + elements`,
@@ -153,8 +156,9 @@ impl<P: PartialEq> PartialEq for Page<P> {
 
 /// An array of `T` split into power-of-two-sized pages.  Writes go through
 /// [`CowTable::get_mut`]; [`CowTable::share_from`] adopts another table's
-/// handles.
-#[derive(Debug, Clone)]
+/// handles, and the page-level accessors let the backing memory share a
+/// page with its pristine image or a checkpoint's delta.
+#[derive(Debug)]
 pub struct CowTable<T> {
     pages: Vec<Page<Vec<T>>>,
     len: usize,
@@ -256,6 +260,76 @@ impl<T: Clone> CowTable<T> {
     pub fn freeze(&mut self) {
         self.pages.iter_mut().for_each(Page::freeze);
     }
+
+    /// Number of pages.
+    #[inline]
+    pub fn page_count(&self) -> usize {
+        self.pages.len()
+    }
+
+    /// Shared read access to page `c`'s entries.
+    #[inline]
+    pub fn page(&self, c: usize) -> &[T] {
+        self.pages[c].get()
+    }
+
+    /// The handle of page `c`, for capturing it without a copy.  Freezes
+    /// the page first if it is owned.
+    pub fn page_handle(&mut self, c: usize) -> Arc<Vec<T>> {
+        Arc::clone(self.pages[c].handle())
+    }
+
+    /// Whether page `c` currently is `handle` — lets a comparison against
+    /// a captured page skip reading it.
+    #[inline]
+    pub fn page_is(&self, c: usize, handle: &Arc<Vec<T>>) -> bool {
+        matches!(&self.pages[c], Page::Shared(a) if Arc::ptr_eq(a, handle))
+    }
+
+    /// Whether page `c` shares its handle with `other`'s page `c` — lets
+    /// comparisons skip shared pages without reading them.
+    #[inline]
+    pub fn page_ptr_eq(&self, c: usize, other: &Self) -> bool {
+        self.pages[c].ptr_eq(&other.pages[c])
+    }
+
+    /// Replaces page `c`'s contents with the entries behind `handle` by
+    /// cloning the handle — the zero-copy restore of a captured page.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `handle`'s length differs from the page's (a corrupt
+    /// memory delta would otherwise silently change the table's length).
+    pub fn set_page_handle(&mut self, c: usize, handle: &Arc<Vec<T>>) {
+        assert_eq!(
+            handle.len(),
+            self.pages[c].get().len(),
+            "page handle length does not match the page's length"
+        );
+        self.pages[c] = Page::Shared(Arc::clone(handle));
+    }
+
+    /// Replaces page `c`'s contents with `src`'s page `c` by cloning the
+    /// handle — the zero-copy revert to a pristine-image page.
+    pub fn share_page_from(&mut self, c: usize, src: &Self) {
+        debug_assert_eq!(self.len, src.len);
+        debug_assert_eq!(self.shift, src.shift);
+        self.pages[c].clone_from(&src.pages[c]);
+    }
+}
+
+/// Shares shared pages and deep-copies owned ones; the copy starts its own
+/// un-share count at 0, so a restore or fork does not count the source's
+/// pending breaks a second time.
+impl<T: Clone> Clone for CowTable<T> {
+    fn clone(&self) -> Self {
+        CowTable {
+            pages: self.pages.clone(),
+            len: self.len,
+            shift: self.shift,
+            breaks: 0,
+        }
+    }
 }
 
 /// Contents-only equality with a per-page `Arc::ptr_eq` fast path; the
@@ -291,7 +365,7 @@ impl<T: BinCode + Clone> CowTable<T> {
 /// (the dynamic-instance counters, the output stream) that are cheaper to
 /// share wholesale than to page.  Reads deref straight to the value, and a
 /// fork or restore is one handle clone.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CowBox<T> {
     inner: Page<T>,
     /// Un-share count; bookkeeping, not state.
@@ -330,12 +404,6 @@ impl<T: Clone + Default> CowBox<T> {
         self.inner.get_mut(&mut self.breaks)
     }
 
-    /// Replaces this value with `src`'s by cloning the handle (a copy when
-    /// `src` is owned; freeze it first to share).
-    pub fn share_from(&mut self, src: &Self) {
-        self.inner.clone_from(&src.inner);
-    }
-
     /// Moves an owned value behind a handle so it can be shared.
     pub fn freeze(&mut self) {
         self.inner.freeze();
@@ -349,6 +417,17 @@ impl<T: Clone + Default> CowBox<T> {
     /// Returns and resets the un-share counter.
     pub fn take_cow_breaks(&mut self) -> u64 {
         std::mem::take(&mut self.breaks)
+    }
+}
+
+/// Shares a shared value and deep-copies an owned one; the copy starts its
+/// own un-share count at 0, like a [`CowTable`]'s.
+impl<T: Clone> Clone for CowBox<T> {
+    fn clone(&self) -> Self {
+        CowBox {
+            inner: self.inner.clone(),
+            breaks: 0,
+        }
     }
 }
 
@@ -368,161 +447,6 @@ impl<T: BinCode + Clone + Default> BinCode for CowBox<T> {
         Ok(Self::new(T::decode(r)?))
     }
 }
-
-/// A flat byte store split into fixed-size chunk pages — the backing
-/// memory's storage.  The chunk size is the delta snapshot granularity, so
-/// a chunk can share its handle three ways: with the sealed pristine image
-/// (clean chunks cost nothing to revert), with a checkpoint's delta chunks
-/// (captured and restored by handle), and with a fork parent's live chunks.
-#[derive(Debug, Clone)]
-pub struct CowBytes {
-    chunks: Vec<Page<Vec<u8>>>,
-    len: usize,
-    /// log2 of the chunk size in bytes.
-    shift: u32,
-    /// Un-share count; bookkeeping, not state.
-    breaks: u64,
-}
-
-impl CowBytes {
-    /// A zeroed store of `len` bytes in shared chunks of `chunk_len` (must
-    /// be a power of two); the last chunk may be short.
-    pub fn new(len: usize, chunk_len: usize) -> Self {
-        assert!(chunk_len.is_power_of_two());
-        let shift = chunk_len.trailing_zeros();
-        let mut chunks = Vec::with_capacity(len.div_ceil(chunk_len));
-        let mut i = 0;
-        while i < len {
-            let n = chunk_len.min(len - i);
-            chunks.push(Page::shared(vec![0u8; n]));
-            i += n;
-        }
-        CowBytes {
-            chunks,
-            len,
-            shift,
-            breaks: 0,
-        }
-    }
-
-    /// Total length in bytes.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of chunks.
-    #[inline]
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// The chunk index containing byte offset `off`.
-    #[inline]
-    pub fn chunk_of(&self, off: usize) -> usize {
-        off >> self.shift
-    }
-
-    /// Shared read access to chunk `c`'s bytes.
-    #[inline]
-    pub fn chunk(&self, c: usize) -> &[u8] {
-        self.chunks[c].get()
-    }
-
-    /// Mutable access to chunk `c`'s bytes, un-sharing it if shared.
-    #[inline]
-    pub fn chunk_mut(&mut self, c: usize) -> &mut [u8] {
-        self.chunks[c].get_mut(&mut self.breaks)
-    }
-
-    /// Reads the byte at offset `off`.
-    #[inline]
-    pub fn byte(&self, off: usize) -> u8 {
-        let mask = (1usize << self.shift) - 1;
-        self.chunks[off >> self.shift].get()[off & mask]
-    }
-
-    /// The handle of chunk `c`, for capturing a zero-copy delta snapshot.
-    /// Freezes the chunk first if it is owned.
-    pub fn chunk_handle(&mut self, c: usize) -> Arc<Vec<u8>> {
-        Arc::clone(self.chunks[c].handle())
-    }
-
-    /// Whether chunk `c` currently is `handle` — lets a comparison against
-    /// a delta chunk skip reading it.
-    #[inline]
-    pub fn chunk_is(&self, c: usize, handle: &Arc<Vec<u8>>) -> bool {
-        matches!(&self.chunks[c], Page::Shared(a) if Arc::ptr_eq(a, handle))
-    }
-
-    /// Replaces chunk `c`'s contents with the bytes behind `handle` by
-    /// cloning the handle — the zero-copy restore of a delta chunk.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `handle`'s length differs from the chunk's physical size
-    /// (a corrupt delta would otherwise silently change the memory length).
-    pub fn set_chunk_handle(&mut self, c: usize, handle: &Arc<Vec<u8>>) {
-        assert_eq!(
-            handle.len(),
-            self.chunks[c].get().len(),
-            "delta chunk length does not match the memory's chunk size"
-        );
-        self.chunks[c] = Page::Shared(Arc::clone(handle));
-    }
-
-    /// Replaces chunk `c`'s contents with `src`'s chunk `c` by cloning the
-    /// handle — the zero-copy revert to a pristine-image chunk.
-    pub fn share_chunk_from(&mut self, c: usize, src: &Self) {
-        debug_assert_eq!(self.len, src.len);
-        self.chunks[c].clone_from(&src.chunks[c]);
-    }
-
-    /// Moves every owned chunk behind a handle, so clones and
-    /// [`CowBytes::share_from`] share it instead of copying.
-    pub fn freeze(&mut self) {
-        self.chunks.iter_mut().for_each(Page::freeze);
-    }
-
-    /// Replaces the whole store's contents with `src`'s by cloning every
-    /// chunk handle — O(chunks), no byte is copied when `src` is frozen.
-    pub fn share_from(&mut self, src: &Self) {
-        debug_assert_eq!(self.len, src.len);
-        debug_assert_eq!(self.shift, src.shift);
-        self.chunks.clone_from(&src.chunks);
-    }
-
-    /// Whether chunk `c` shares its handle with `other`'s chunk `c` — lets
-    /// comparisons skip shared chunks without reading them.
-    #[inline]
-    pub fn chunk_ptr_eq(&self, c: usize, other: &Self) -> bool {
-        self.chunks[c].ptr_eq(&other.chunks[c])
-    }
-
-    /// Copies taken to un-share since the last
-    /// [`CowBytes::take_cow_breaks`].
-    pub fn cow_breaks(&self) -> u64 {
-        self.breaks
-    }
-
-    /// Returns and resets the un-share counter.
-    pub fn take_cow_breaks(&mut self) -> u64 {
-        std::mem::take(&mut self.breaks)
-    }
-}
-
-/// Contents-only equality with a per-chunk `Arc::ptr_eq` fast path.
-impl PartialEq for CowBytes {
-    fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.chunks == other.chunks
-    }
-}
-impl Eq for CowBytes {}
 
 #[cfg(test)]
 mod tests {
@@ -586,15 +510,14 @@ mod tests {
         let mut a = CowBox::new((0..4u32).collect::<VecDeque<_>>());
         a.make_mut().push_back(4);
         a.freeze();
-        let mut sharer: CowBox<VecDeque<u32>> = CowBox::default();
-        sharer.share_from(&a);
+        let mut sharer = a.clone();
         a.make_mut().push_back(5);
         a.make_mut().push_back(6);
         assert_eq!(a.cow_breaks(), 1);
         assert_eq!(sharer.len(), 5, "the sharer keeps the frozen contents");
         // A second freeze-and-write round breaks once more.
         a.freeze();
-        sharer.share_from(&a);
+        sharer = a.clone();
         a.make_mut().pop_front();
         assert_eq!(a.take_cow_breaks(), 2);
         assert_eq!(sharer.len(), 7);
@@ -620,19 +543,16 @@ mod tests {
 
     #[test]
     fn owned_pages_are_never_ptr_eq() {
-        let mut m = CowBytes::new(512, 256);
-        assert!(m.chunk_ptr_eq(0, &m), "a shared chunk is its own handle");
-        m.chunk_mut(0)[0] = 1;
-        assert!(!m.chunk_ptr_eq(0, &m), "an owned chunk matches nothing");
+        let mut m = CowTable::new(512, 0u8, 256);
+        assert!(m.page_ptr_eq(0, &m), "a shared page is its own handle");
+        *m.get_mut(0) = 1;
+        assert!(!m.page_ptr_eq(0, &m), "an owned page matches nothing");
         let copy = m.clone();
-        assert!(!m.chunk_ptr_eq(0, &copy));
-        assert!(m.chunk_ptr_eq(1, &copy));
+        assert!(!m.page_ptr_eq(0, &copy));
+        assert!(m.page_ptr_eq(1, &copy));
         assert_eq!(m, copy, "contents equality does not need the handle");
-        let handle = m.chunk_handle(0);
-        assert!(
-            m.chunk_is(0, &handle),
-            "capturing a handle freezes the chunk"
-        );
+        let handle = m.page_handle(0);
+        assert!(m.page_is(0, &handle), "capturing a handle freezes the page");
     }
 
     #[test]
@@ -685,32 +605,52 @@ mod tests {
 
     #[test]
     fn bytes_chunks_share_with_pristine_and_break_on_write() {
-        let mut m = CowBytes::new(1024 + 100, 256);
-        assert_eq!(m.chunk_count(), 5);
-        m.chunk_mut(1)[3] = 7;
+        let mut m = CowTable::new(1024 + 100, 0u8, 256);
+        assert_eq!(m.page_count(), 5);
+        *m.get_mut(256 + 3) = 7;
         m.freeze();
-        let mut pristine = CowBytes::new(1024 + 100, 256);
+        let mut pristine = CowTable::new(1024 + 100, 0u8, 256);
         pristine.share_from(&m);
         m.take_cow_breaks();
-        m.chunk_mut(1)[3] = 9;
+        *m.get_mut(256 + 3) = 9;
         assert_eq!(m.cow_breaks(), 1);
-        assert_eq!(pristine.chunk(1)[3], 7);
-        assert_eq!(m.byte(256 + 3), 9);
-        assert!(!m.chunk_ptr_eq(1, &pristine));
-        assert!(m.chunk_ptr_eq(0, &pristine));
-        // Handle-revert makes the chunk pristine again without a copy.
-        m.share_chunk_from(1, &pristine);
+        assert_eq!(pristine.page(1)[3], 7);
+        assert_eq!(*m.get(256 + 3), 9);
+        assert!(!m.page_ptr_eq(1, &pristine));
+        assert!(m.page_ptr_eq(0, &pristine));
+        // Handle-revert makes the page pristine again without a copy.
+        m.share_page_from(1, &pristine);
         assert_eq!(m, pristine);
-        assert!(m.chunk_ptr_eq(1, &pristine));
-        // Short last chunk keeps its physical size across handle swaps.
-        assert_eq!(m.chunk(4).len(), 100);
+        assert!(m.page_ptr_eq(1, &pristine));
+        // Short last page keeps its physical size across handle swaps.
+        assert_eq!(m.page(4).len(), 100);
     }
 
     #[test]
-    #[should_panic(expected = "delta chunk length")]
+    #[should_panic(expected = "page handle length")]
     fn bytes_rejects_mis_sized_chunk_handles() {
-        let mut m = CowBytes::new(1024, 256);
+        let mut m = CowTable::new(1024, 0u8, 256);
         let wrong = Arc::new(vec![0u8; 17]);
-        m.set_chunk_handle(0, &wrong);
+        m.set_page_handle(0, &wrong);
+    }
+
+    #[test]
+    fn a_clone_starts_its_own_unshare_count() {
+        let mut t = CowTable::new(64, 0u32, 16);
+        let _sharer = t.clone();
+        *t.get_mut(0) = 1;
+        *t.get_mut(16) = 1;
+        assert_eq!(t.cow_breaks(), 2);
+        let copy = t.clone();
+        assert_eq!(copy.cow_breaks(), 0, "the table's count stays with it");
+        assert_eq!(t.cow_breaks(), 2);
+        assert_eq!(copy, t);
+
+        let mut b = CowBox::new(vec![1u64]);
+        let _sharer = b.clone();
+        b.make_mut().push(2);
+        assert_eq!(b.cow_breaks(), 1);
+        assert_eq!(b.clone().cow_breaks(), 0, "the box's count stays with it");
+        assert_eq!(b.cow_breaks(), 1);
     }
 }

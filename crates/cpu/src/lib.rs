@@ -65,7 +65,7 @@ mod snapshot;
 pub use cache::{Cache, CacheEffects, CacheSnapshot, MemSystem, MemSystemSnapshot};
 pub use config::{CacheConfig, ConfigError, CpuConfig};
 pub use core::{AssertKind, Cpu, CpuState, CrashKind, ExitReason, InjectError, RunResult};
-pub use cow::{CowBox, CowBytes, CowTable};
+pub use cow::{CowBox, CowTable};
 // The pre-decoded micro-op arena `Cpu::with_predecoded` shares across cores.
 pub use fault::{FaultSpec, FaultSpecError};
 pub use interp::{interpret, InterpExit, InterpResult};

@@ -227,14 +227,6 @@ impl StoreQueue {
         self.slots.get_mut(slot).data ^= 1u64 << bit;
     }
 
-    /// Makes `self` equal to `src` by sharing its page handles.
-    pub(crate) fn share_from(&mut self, src: &Self) {
-        self.head = src.head;
-        self.tail = src.tail;
-        self.count = src.count;
-        self.slots.share_from(&src.slots);
-    }
-
     /// Moves every owned page behind a handle, so it can be shared.
     pub(crate) fn freeze(&mut self) {
         self.slots.freeze();
@@ -332,12 +324,6 @@ impl LoadQueue {
             *self.seqs.get_mut(slot) = None;
             self.count -= 1;
         }
-    }
-
-    /// Makes `self` equal to `src` by sharing its page handles.
-    pub(crate) fn share_from(&mut self, src: &Self) {
-        self.count = src.count;
-        self.seqs.share_from(&src.seqs);
     }
 
     /// Moves every owned page behind a handle, so it can be shared.

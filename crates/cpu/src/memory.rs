@@ -13,7 +13,7 @@
 //! revert to the program image, dirty chunks adopt the delta's handles —
 //! byte-exact, with no dense copy anywhere.
 
-use crate::cow::CowBytes;
+use crate::cow::CowTable;
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
 use merlin_isa::{MemSize, DATA_BASE};
 use serde::{Deserialize, Serialize};
@@ -68,7 +68,7 @@ impl std::error::Error for MemError {}
 
 /// Byte-addressable backing memory covering `[DATA_BASE, DATA_BASE + len)`.
 ///
-/// The live bytes are a [`CowBytes`] store chunked at the delta-snapshot
+/// The live bytes are a [`CowTable<u8>`] paged at the delta-snapshot chunk
 /// granularity, so a chunk can share its `Arc` handle with the pristine
 /// image (clean chunks), with a checkpoint's delta chunks (restores are
 /// handle swaps), and with a fork parent's live chunks ([`Memory::fork_from`]
@@ -77,10 +77,10 @@ impl std::error::Error for MemError {}
 /// image, not the architectural state.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Memory {
-    bytes: CowBytes,
+    bytes: CowTable<u8>,
     /// The sealed program image.  A live chunk is dirty — written since the
     /// seal, or laid from a delta — iff its handle is not this image's.
-    pristine: CowBytes,
+    pristine: CowTable<u8>,
 }
 
 impl PartialEq for Memory {
@@ -96,7 +96,7 @@ impl Memory {
     /// [`DATA_BASE`], sealed: the zero image is its pristine image until
     /// [`Memory::seal_pristine`] seals another.
     pub fn new(len: u64) -> Self {
-        let bytes = CowBytes::new(len as usize, CHUNK_BYTES);
+        let bytes = CowTable::new(len as usize, 0, CHUNK_BYTES);
         Memory {
             pristine: bytes.clone(),
             bytes,
@@ -105,14 +105,14 @@ impl Memory {
 
     /// Number of chunks the memory is divided into for dirty tracking.
     fn chunk_count(&self) -> usize {
-        self.bytes.chunk_count()
+        self.bytes.page_count()
     }
 
     /// Whether chunk `c` may differ from the pristine image.  Every write
     /// breaks a chunk's share with the image (the image holds the handle
     /// too, so it is never unique), and only a restore re-adopts it.
     fn is_dirty(&self, c: usize) -> bool {
-        !self.bytes.chunk_ptr_eq(c, &self.pristine)
+        !self.bytes.page_ptr_eq(c, &self.pristine)
     }
 
     /// Seals the current contents as the pristine image: subsequent
@@ -167,7 +167,7 @@ impl Memory {
         let n = size.bytes() as usize;
         let mut v: u64 = 0;
         for i in 0..n {
-            v |= (self.bytes.byte(off + i) as u64) << (8 * i);
+            v |= (*self.bytes.get(off + i) as u64) << (8 * i);
         }
         Ok(v)
     }
@@ -183,9 +183,7 @@ impl Memory {
         let off = (addr - DATA_BASE) as usize;
         let n = size.bytes() as usize;
         for i in 0..n {
-            let o = off + i;
-            let c = self.bytes.chunk_of(o);
-            self.bytes.chunk_mut(c)[o % CHUNK_BYTES] = ((value >> (8 * i)) & 0xFF) as u8;
+            *self.bytes.get_mut(off + i) = ((value >> (8 * i)) & 0xFF) as u8;
         }
         Ok(())
     }
@@ -198,14 +196,8 @@ impl Memory {
     pub fn load_segment(&mut self, addr: u64, data: &[u8]) -> Result<(), MemError> {
         self.check_range(addr, data.len() as u64, false)?;
         let off = (addr - DATA_BASE) as usize;
-        let mut pos = 0;
-        while pos < data.len() {
-            let o = off + pos;
-            let c = self.bytes.chunk_of(o);
-            let co = o % CHUNK_BYTES;
-            let n = (CHUNK_BYTES - co).min(data.len() - pos);
-            self.bytes.chunk_mut(c)[co..co + n].copy_from_slice(&data[pos..pos + n]);
-            pos += n;
+        for (i, &b) in data.iter().enumerate() {
+            *self.bytes.get_mut(off + i) = b;
         }
         Ok(())
     }
@@ -220,7 +212,7 @@ impl Memory {
         for (i, b) in out.iter_mut().enumerate() {
             let a = addr + i as u64;
             if a >= DATA_BASE && a < DATA_BASE + self.len() {
-                *b = self.bytes.byte((a - DATA_BASE) as usize);
+                *b = *self.bytes.get((a - DATA_BASE) as usize);
             }
         }
         out
@@ -232,9 +224,7 @@ impl Memory {
         for (i, &b) in data.iter().enumerate() {
             let a = addr + i as u64;
             if a >= DATA_BASE && a < DATA_BASE + self.len() {
-                let off = (a - DATA_BASE) as usize;
-                let c = self.bytes.chunk_of(off);
-                self.bytes.chunk_mut(c)[off % CHUNK_BYTES] = b;
+                *self.bytes.get_mut((a - DATA_BASE) as usize) = b;
             }
         }
     }
@@ -253,7 +243,7 @@ impl Memory {
             if self.is_dirty(c) {
                 chunks.push(DeltaChunk {
                     index: c as u32,
-                    data: self.bytes.chunk_handle(c),
+                    data: self.bytes.page_handle(c),
                 });
             }
         }
@@ -285,12 +275,12 @@ impl Memory {
         );
         for c in 0..self.chunk_count() {
             if self.is_dirty(c) {
-                self.bytes.share_chunk_from(c, &self.pristine);
+                self.bytes.share_page_from(c, &self.pristine);
             }
         }
         for chunk in &delta.chunks {
             let c = chunk.index as usize;
-            self.bytes.set_chunk_handle(c, &chunk.data);
+            self.bytes.set_page_handle(c, &chunk.data);
         }
     }
 
@@ -309,7 +299,7 @@ impl Memory {
     }
 
     /// Chunk un-share events since the last call (see
-    /// [`CowBytes::take_cow_breaks`]).
+    /// [`CowTable::take_cow_breaks`]).
     pub(crate) fn take_cow_breaks(&mut self) -> u64 {
         self.bytes.take_cow_breaks()
     }
@@ -333,12 +323,12 @@ impl Memory {
                 Some(d) => {
                     // Handle equality (the common case after a handle-swap
                     // restore) proves byte equality without reading.
-                    if !self.bytes.chunk_is(c, &d.data) && self.bytes.chunk(c) != &d.data[..] {
+                    if !self.bytes.page_is(c, &d.data) && self.bytes.page(c) != &d.data[..] {
                         return false;
                     }
                 }
                 None => {
-                    if self.is_dirty(c) && self.bytes.chunk(c) != self.pristine.chunk(c) {
+                    if self.is_dirty(c) && self.bytes.page(c) != self.pristine.page(c) {
                         return false;
                     }
                 }
@@ -351,7 +341,7 @@ impl Memory {
 /// One dirty chunk captured by [`Memory::delta_snapshot`]: its index and its
 /// live bytes (`CHUNK_BYTES` long except for a short final chunk).  The
 /// bytes sit behind an `Arc` so capture and restore are handle swaps against
-/// the memory's [`CowBytes`] store; the sharing never reaches the wire — the
+/// the memory's [`CowTable<u8>`] store; the sharing never reaches the wire — the
 /// binary encoding is the raw bytes, unchanged from the owned layout.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct DeltaChunk {

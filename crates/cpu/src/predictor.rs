@@ -74,15 +74,6 @@ impl BranchPredictor {
         self.history = ((self.history << 1) | taken as u64) & ((1 << self.history_bits) - 1);
     }
 
-    /// Makes `self` equal to `src` by sharing its page handles — no
-    /// counter is copied.
-    pub(crate) fn share_from(&mut self, src: &Self) {
-        self.history = src.history;
-        self.history_bits = src.history_bits;
-        self.bimodal.share_from(&src.bimodal);
-        self.gshare.share_from(&src.gshare);
-    }
-
     /// Moves every owned page behind a handle, so it can be shared.
     pub(crate) fn freeze(&mut self) {
         self.bimodal.freeze();
@@ -166,11 +157,6 @@ impl Btb {
     pub fn update(&mut self, rip: Rip, target: Rip) {
         let idx = self.index(rip);
         *self.entries.get_mut(idx) = Some((rip, target));
-    }
-
-    /// Makes `self` equal to `src` by sharing its page handles.
-    pub(crate) fn share_from(&mut self, src: &Self) {
-        self.entries.share_from(&src.entries);
     }
 
     /// Moves every owned page behind a handle, so it can be shared.

@@ -80,13 +80,6 @@ impl PhysRegFile {
         *self.values.get_mut(p) ^= 1u64 << bit;
     }
 
-    /// Makes `self` equal to `src` by sharing its page handles — O(pages),
-    /// no entry is copied.  Restores and forks both take this path.
-    pub(crate) fn share_from(&mut self, src: &Self) {
-        self.values.share_from(&src.values);
-        self.ready.share_from(&src.ready);
-    }
-
     /// Moves every owned page behind a handle, so it can be shared.
     pub(crate) fn freeze(&mut self) {
         self.values.freeze();
@@ -155,11 +148,6 @@ impl FreeList {
         self.free.contains(&p)
     }
 
-    /// Makes `self` equal to `src` with one handle share.
-    pub(crate) fn share_from(&mut self, src: &Self) {
-        self.free.share_from(&src.free);
-    }
-
     /// Moves an owned queue behind a handle, so it can be shared.
     pub(crate) fn freeze(&mut self) {
         self.free.freeze();
@@ -212,13 +200,6 @@ impl RenameTable {
     /// Restores a previous mapping (squash recovery).
     pub fn restore(&mut self, r: ArchReg, previous: PhysReg) {
         self.map[r.index()] = previous;
-    }
-
-    /// Makes `self` equal to `src` by copying the whole map — at
-    /// [`NUM_ARCH_REGS`] entries it is smaller than a page handle, so a copy
-    /// is the cheap option.
-    pub(crate) fn share_from(&mut self, src: &Self) {
-        self.map = src.map;
     }
 }
 

@@ -153,15 +153,6 @@ impl ProgramBuilder {
         self.alloc_bytes(&bytes)
     }
 
-    /// Allocates and initialises an array of 32-bit words; returns its address.
-    pub fn alloc_words32(&mut self, words: &[u32]) -> u64 {
-        let mut bytes = Vec::with_capacity(words.len() * 4);
-        for w in words {
-            bytes.extend_from_slice(&w.to_le_bytes());
-        }
-        self.alloc_bytes(&bytes)
-    }
-
     /// Reserves `len` zero-initialised bytes and returns the address.
     pub fn reserve(&mut self, len: u64) -> u64 {
         let addr = self.next_data;

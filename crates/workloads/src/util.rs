@@ -1,7 +1,7 @@
 //! Shared code-generation helpers and deterministic input generation used by
 //! every workload kernel.
 
-use merlin_isa::{reg, AluOp, ArchReg, Cond, MemRef, ProgramBuilder};
+use merlin_isa::{AluOp, ArchReg, Cond, MemRef, ProgramBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -70,17 +70,11 @@ pub fn emit_zero_words(
     b.branch_ri(Cond::Lt, idx, count, top);
 }
 
-/// Conventional scratch registers used by the kernels (documented so kernels
-/// stay readable): `r1..r9` computation, `r10..r13` base pointers, `r15`
-/// link.
-pub fn base_reg(n: usize) -> ArchReg {
-    reg(10 + n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use merlin_cpu::interpret;
+    use merlin_isa::reg;
 
     #[test]
     fn inputs_are_deterministic() {
