@@ -12,7 +12,6 @@
 use merlin_cpu::Structure;
 use merlin_isa::{Rip, Upc};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// One vulnerable interval of one entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -54,8 +53,9 @@ impl Interval {
 /// All vulnerable intervals of one structure for one program execution.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct VulnerableIntervals {
-    /// Per-entry interval lists, sorted by start cycle.
-    per_entry: HashMap<usize, Vec<Interval>>,
+    /// Per-entry interval lists, indexed by entry (`total_entries` of
+    /// them), each sorted by start cycle.
+    per_entry: Vec<Vec<Interval>>,
     /// Number of entries the structure has (including never-touched ones).
     pub total_entries: usize,
     /// Bits per entry.
@@ -69,7 +69,7 @@ impl VulnerableIntervals {
     /// entries over an execution of `total_cycles` cycles.
     pub fn new(structure: Structure, total_entries: usize, total_cycles: u64) -> Self {
         VulnerableIntervals {
-            per_entry: HashMap::new(),
+            per_entry: vec![Vec::new(); total_entries],
             total_entries,
             bits_per_entry: structure.bits_per_entry(),
             total_cycles,
@@ -78,20 +78,27 @@ impl VulnerableIntervals {
 
     /// Adds an interval for `entry` (intervals must be pushed in
     /// non-decreasing start order per entry, which the profiler guarantees).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entry` is not below `total_entries`.
     pub fn push(&mut self, entry: usize, interval: Interval) {
-        let v = self.per_entry.entry(entry).or_default();
+        let entries = self.per_entry.len();
+        assert!(entry < entries, "entry {entry} out of range (0..{entries})");
+        let v = &mut self.per_entry[entry];
         debug_assert!(v.last().is_none_or(|last| last.start <= interval.start));
         v.push(interval);
     }
 
-    /// The intervals of one entry (empty slice if the entry was never read).
+    /// The intervals of one entry (empty slice if the entry was never read
+    /// or does not exist).
     pub fn entry_intervals(&self, entry: usize) -> &[Interval] {
-        self.per_entry.get(&entry).map_or(&[], |v| v.as_slice())
+        self.per_entry.get(entry).map_or(&[], Vec::as_slice)
     }
 
     /// Finds the interval (if any) that a fault at `(entry, cycle)` lands in.
     pub fn lookup(&self, entry: usize, cycle: u64) -> Option<&Interval> {
-        let intervals = self.per_entry.get(&entry)?;
+        let intervals = self.per_entry.get(entry)?;
         // Binary search on start, then check the candidate (intervals of one
         // entry never overlap: each starts where the previous one ended or
         // later).
@@ -106,23 +113,18 @@ impl VulnerableIntervals {
 
     /// Total number of vulnerable intervals.
     pub fn interval_count(&self) -> usize {
-        self.per_entry.values().map(|v| v.len()).sum()
+        self.per_entry.iter().map(Vec::len).sum()
     }
 
     /// Number of entries with at least one vulnerable interval.
     pub fn touched_entries(&self) -> usize {
-        self.per_entry.values().filter(|v| !v.is_empty()).count()
+        self.per_entry.iter().filter(|v| !v.is_empty()).count()
     }
 
     /// Total vulnerable bit-cycles (interval length × bits per entry summed
     /// over all intervals) — the numerator of the ACE-like AVF.
     pub fn vulnerable_bit_cycles(&self) -> u64 {
-        let cycles: u64 = self
-            .per_entry
-            .values()
-            .flat_map(|v| v.iter())
-            .map(|iv| iv.len())
-            .sum();
+        let cycles: u64 = self.per_entry.iter().flatten().map(Interval::len).sum();
         cycles * self.bits_per_entry as u64
     }
 
@@ -139,11 +141,13 @@ impl VulnerableIntervals {
         }
     }
 
-    /// Iterates over `(entry, interval)` pairs.
+    /// Iterates over `(entry, interval)` pairs, in ascending entry order and
+    /// each entry's intervals by start cycle.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &Interval)> {
         self.per_entry
             .iter()
-            .flat_map(|(e, v)| v.iter().map(move |iv| (*e, iv)))
+            .enumerate()
+            .flat_map(|(e, v)| v.iter().map(move |iv| (e, iv)))
     }
 }
 
@@ -178,6 +182,26 @@ mod tests {
         assert_eq!(r.lookup(3, 55).unwrap().rip, 3);
         assert!(r.lookup(3, 61).is_none());
         assert!(r.lookup(4, 15).is_none());
+        // An entry past the structure holds nothing.
+        assert!(r.lookup(8, 15).is_none());
+        assert!(r.entry_intervals(8).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn push_rejects_an_entry_past_the_structure() {
+        VulnerableIntervals::new(Structure::RegisterFile, 8, 1000).push(8, iv(1, 2, 0));
+    }
+
+    #[test]
+    fn iter_yields_entries_in_ascending_order() {
+        let mut r = VulnerableIntervals::new(Structure::RegisterFile, 8, 1000);
+        for entry in [6, 1, 4, 1] {
+            let start = r.entry_intervals(entry).len() as u64 * 10;
+            r.push(entry, iv(start, start + 5, entry as Rip));
+        }
+        let order: Vec<(usize, u64)> = r.iter().map(|(e, iv)| (e, iv.start)).collect();
+        assert_eq!(order, [(1, 0), (1, 10), (4, 0), (6, 0)]);
     }
 
     #[test]

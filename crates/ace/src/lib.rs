@@ -12,6 +12,16 @@
 //! yields the conservative ACE-style AVF upper bound the paper contrasts
 //! against injection (Figure 16).
 //!
+//! The profile is built as the run goes.  [`AceProfiler`] keeps one lane of
+//! pending events per structure entry, and [`AceAnalysis::run`] flushes the
+//! lanes every 256 cycles up to the core's event floor
+//! ([`merlin_cpu::Cpu::event_floor`]), below which no event can still
+//! arrive.  The intervals are exactly those of sorting each entry's whole
+//! event stream stably by cycle, the same-cycle ties included, at a buffer
+//! of a few hundred cycles' events instead of the whole run's.  Attached to
+//! a plain [`merlin_cpu::Cpu::run`], the profiler flushes once in
+//! [`AceProfiler::finish`] and gives the same result.
+//!
 //! # Examples
 //!
 //! ```

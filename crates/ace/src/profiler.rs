@@ -2,12 +2,61 @@
 //! core's lifetime events into [`VulnerableIntervals`] for the three target
 //! structures in a single fault-free execution (the paper's "preprocessing"
 //! phase, §3.1.1).
+//!
+//! # Streaming
+//!
+//! An entry's intervals follow from its events taken in cycle order,
+//! stably: a write opens an interval, a committed read closes it and opens
+//! the next, and an invalidation drops the open one.  The events do not
+//! arrive in that order, because a read is reported at commit but carries
+//! the cycle it happened at.  So [`AceProfiler`] keeps one *lane* per
+//! (structure, entry), holding the events it has not consumed yet and the
+//! start of the open interval.  [`AceProfiler::flush`] stable-sorts each
+//! lane that received events by cycle and turns those below a given floor
+//! into intervals; the rest wait for a later flush.
+//!
+//! [`AceAnalysis::run`] flushes every 256 cycles at [`Cpu::event_floor`],
+//! the lowest cycle an event the core has yet to report can carry.  No
+//! event below the floor can still arrive, so every later event sorts after
+//! the ones a flush consumes, and each lane is consumed in the order a
+//! stable sort of its whole event stream gives.  The intervals therefore do
+//! not depend on when, or how often, the profiler flushes: flushing only
+//! in [`AceProfiler::finish`], as a plain [`Probe`] under [`Cpu::run`] does,
+//! gives the same result.  Buffering stays bounded by the events of a few
+//! hundred cycles instead of the whole run.
+//!
+//! # Order within a cycle
+//!
+//! The core emits every write, invalidation and writeback read at once, in
+//! the order it happens (an evicted line's writeback read and invalidation
+//! before the refill's writes), so within a cycle the stable sort keeps that
+//! order; a read reported at commit sorts after every event emitted during
+//! its cycle, the write that produced its value included.
+//!
+//! One order a stable sort cannot recover: a load reads a word, and a later
+//! load of the same issue pass evicts the word's line.  The read would sort
+//! after the eviction and the refill, close an empty interval on the new
+//! line, and leave the victim's interval to end at its writeback read (or,
+//! for a clean line, to be dropped).  It needs as many further accesses to
+//! the line's set in the same issue pass as the set has ways, since the
+//! read made the line the most recently used, and an issue pass makes at
+//! most `mem_ports` accesses (2 against 4 ways by default; 0 occurrences
+//! over the 20 built-in workloads with a 16 KB L1D).  Streaming leaves this
+//! tie as it was: until the load commits, its logged read holds the floor
+//! at or below the eviction's cycle, so the eviction is still pending when
+//! the read arrives, and the read sorts after it exactly as in a sort of
+//! the whole stream.
 
 use crate::intervals::{Interval, VulnerableIntervals};
 use merlin_analyze::ProgramAnalysis;
 use merlin_cpu::{Cpu, CpuConfig, Probe, ReadInfo, RunResult, Structure};
 use merlin_isa::Program;
 use std::collections::HashMap;
+
+/// Cycles between two flushes of [`AceAnalysis::run`].  Any cadence gives
+/// the same intervals; this one keeps each lane to a few pending events
+/// while the flush's walk over the ROB stays rare.
+const FLUSH_CYCLES: u64 = 256;
 
 /// A raw lifetime event collected during profiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,73 +77,41 @@ struct Event {
     kind: EventKind,
 }
 
-/// Probe that records every lifetime event of the three target structures.
-#[derive(Debug, Default)]
-pub struct AceProfiler {
-    events: HashMap<(Structure, usize), Vec<Event>>,
+/// One (structure, entry) lane of the streaming builder.
+#[derive(Debug, Clone, Default)]
+struct Lane {
+    /// Events not consumed yet: those a flush left (all at or above its
+    /// floor, already in order), then those that arrived since.
+    pending: Vec<Event>,
+    /// Start of the interval the next committed read closes; `None` before
+    /// the first write and after an invalidation.
+    open_start: Option<u64>,
 }
 
-impl AceProfiler {
-    /// Creates an empty profiler.
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// The lanes of one structure and the intervals consumed from them.
+#[derive(Debug)]
+struct LaneSet {
+    lanes: Vec<Lane>,
+    /// The entries whose lane has pending events, each listed once.
+    dirty: Vec<usize>,
+    intervals: VulnerableIntervals,
+}
 
-    fn push(&mut self, structure: Structure, entry: usize, event: Event) {
-        self.events
-            .entry((structure, entry))
-            .or_default()
-            .push(event);
-    }
-
-    /// Converts the collected events into per-structure vulnerable-interval
-    /// repositories.
-    pub fn into_intervals(
-        self,
-        entry_counts: &HashMap<Structure, usize>,
-        total_cycles: u64,
-    ) -> HashMap<Structure, VulnerableIntervals> {
-        let mut out: HashMap<Structure, VulnerableIntervals> = Structure::all()
-            .iter()
-            .map(|&s| {
-                (
-                    s,
-                    VulnerableIntervals::new(
-                        s,
-                        entry_counts.get(&s).copied().unwrap_or(0),
-                        total_cycles,
-                    ),
-                )
-            })
-            .collect();
-        for ((structure, entry), mut events) in self.events {
-            // Events arrive out of cycle order (reads are reported at commit
-            // but carry their read cycle), so sort first, by cycle alone and
-            // stably.  The core emits every write, invalidation and
-            // writeback read at once, in the order it happens (an evicted
-            // line's writeback read and invalidation before the refill's
-            // writes), so within a cycle that order survives; a read
-            // reported at commit sorts after every event emitted during its
-            // cycle, the write that produced its value included.
-            //
-            // One order a stable sort cannot recover: a load reads a word,
-            // and a later load of the same issue pass evicts the word's
-            // line.  The read would sort after the eviction and the refill,
-            // close an empty interval on the new line, and leave the
-            // victim's interval to end at its writeback read (or, for a
-            // clean line, to be dropped).  It needs as many further
-            // accesses to the line's set in the same issue pass as the set
-            // has ways, since the read made the line the most recently
-            // used, and an issue pass makes at most `mem_ports` accesses (2
-            // against 4 ways by default; 0 occurrences over the 20 built-in
-            // workloads with a 16 KB L1D).
-            events.sort_by_key(|e| e.cycle);
-            let repo = out.get_mut(&structure).expect("all structures present");
-            let mut open_start: Option<u64> = None;
-            for e in events {
+impl LaneSet {
+    fn flush(&mut self, floor: u64) {
+        let LaneSet {
+            lanes,
+            dirty,
+            intervals,
+        } = self;
+        dirty.retain(|&entry| {
+            let lane = &mut lanes[entry];
+            lane.pending.sort_by_key(|e| e.cycle);
+            let ready = lane.pending.partition_point(|e| e.cycle < floor);
+            for e in lane.pending.drain(..ready) {
                 match e.kind {
-                    EventKind::Write => open_start = Some(e.cycle),
-                    EventKind::Invalidate => open_start = None,
+                    EventKind::Write => lane.open_start = Some(e.cycle),
+                    EventKind::Invalidate => lane.open_start = None,
                     EventKind::Read {
                         rip,
                         upc,
@@ -104,8 +121,8 @@ impl AceProfiler {
                         // Architectural initial state (registers holding
                         // zero at cycle 0, untouched-but-resident cache
                         // words) counts as written at cycle 0.
-                        let start = open_start.unwrap_or(0);
-                        repo.push(
+                        let start = lane.open_start.unwrap_or(0);
+                        intervals.push(
                             entry,
                             Interval {
                                 start,
@@ -116,12 +133,72 @@ impl AceProfiler {
                                 path_sig,
                             },
                         );
-                        open_start = Some(e.cycle);
+                        lane.open_start = Some(e.cycle);
                     }
                 }
             }
+            !lane.pending.is_empty()
+        });
+    }
+}
+
+/// Probe that builds the vulnerable intervals of the three target
+/// structures as the core reports their lifetime events (see the module
+/// docs for why flushing early gives the same intervals).
+#[derive(Debug)]
+pub struct AceProfiler {
+    /// One lane set per structure, indexed by `structure as usize`.
+    sets: Vec<LaneSet>,
+}
+
+impl AceProfiler {
+    /// Creates an empty profiler for a core configured by `cfg`.
+    pub fn new(cfg: &CpuConfig) -> Self {
+        let sets = Structure::all()
+            .iter()
+            .map(|&s| {
+                let entries = cfg.structure_entries(s);
+                LaneSet {
+                    lanes: vec![Lane::default(); entries],
+                    dirty: Vec::new(),
+                    intervals: VulnerableIntervals::new(s, entries, 0),
+                }
+            })
+            .collect();
+        AceProfiler { sets }
+    }
+
+    /// Turns every event below `floor` into intervals.  The caller promises
+    /// that no event below `floor` arrives later: [`Cpu::event_floor`]
+    /// keeps that promise.
+    pub fn flush(&mut self, floor: u64) {
+        for set in &mut self.sets {
+            set.flush(floor);
         }
-        out
+    }
+
+    /// Consumes every remaining event and returns the per-structure
+    /// vulnerable intervals of a run of `total_cycles` cycles.
+    pub fn finish(mut self, total_cycles: u64) -> HashMap<Structure, VulnerableIntervals> {
+        self.flush(u64::MAX);
+        Structure::all()
+            .iter()
+            .zip(self.sets)
+            .map(|(&s, set)| {
+                let mut intervals = set.intervals;
+                intervals.total_cycles = total_cycles;
+                (s, intervals)
+            })
+            .collect()
+    }
+
+    fn push(&mut self, structure: Structure, entry: usize, event: Event) {
+        let set = &mut self.sets[structure as usize];
+        let lane = &mut set.lanes[entry];
+        if lane.pending.is_empty() {
+            set.dirty.push(entry);
+        }
+        lane.pending.push(event);
     }
 }
 
@@ -242,8 +319,9 @@ impl std::fmt::Display for StaticViolation {
 }
 
 impl AceAnalysis {
-    /// Runs `program` once under `cfg` with the profiler attached and builds
-    /// the vulnerable-interval repositories for all three structures.
+    /// Runs `program` once under `cfg` with the profiler attached, flushing
+    /// it every 256 cycles at the core's event floor, and builds the
+    /// vulnerable-interval repositories for all three structures.
     ///
     /// # Errors
     ///
@@ -252,11 +330,14 @@ impl AceAnalysis {
     pub fn run(program: &Program, cfg: &CpuConfig, max_cycles: u64) -> Result<Self, AceError> {
         let mut cpu = Cpu::new(program.clone(), cfg.clone())
             .map_err(|e| AceError::BadConfig(e.to_string()))?;
-        let entry_counts: HashMap<Structure, usize> = Structure::all()
-            .iter()
-            .map(|&s| (s, cpu.structure_entries(s)))
-            .collect();
-        let mut profiler = AceProfiler::new();
+        let mut profiler = AceProfiler::new(cfg);
+        while !cpu.is_finished() && cpu.cycle() < max_cycles {
+            cpu.step(&mut profiler);
+            if cpu.cycle() % FLUSH_CYCLES == 0 {
+                profiler.flush(cpu.event_floor());
+            }
+        }
+        // The loop ran the core to its end, so `run` only reports.
         let golden = cpu.run(max_cycles, &mut profiler);
         if !golden.exit.is_halted() {
             return Err(AceError::RunFailed(format!(
@@ -264,7 +345,7 @@ impl AceAnalysis {
                 golden.exit, golden.cycles
             )));
         }
-        let intervals = profiler.into_intervals(&entry_counts, golden.cycles);
+        let intervals = profiler.finish(golden.cycles);
         Ok(AceAnalysis { golden, intervals })
     }
 
@@ -326,7 +407,7 @@ mod tests {
 
     #[test]
     fn interval_construction_from_events() {
-        let mut p = AceProfiler::new();
+        let mut p = AceProfiler::new(&CpuConfig::default());
         let s = Structure::RegisterFile;
         // Entry 5: write@10, read@20 (rip 1), read@30 (rip 2), write@40,
         // invalidate@50, write@60, read@70 (rip 3).
@@ -337,12 +418,9 @@ mod tests {
         p.invalidate(s, 5, 50);
         p.write(s, 5, 60);
         p.committed_read(s, &read_info(5, 70, 3));
-        let mut counts = HashMap::new();
-        counts.insert(s, 8usize);
-        counts.insert(Structure::StoreQueue, 4);
-        counts.insert(Structure::L1DCache, 16);
-        let repos = p.into_intervals(&counts, 100);
+        let repos = p.finish(100);
         let rf = &repos[&s];
+        assert_eq!(rf.total_cycles, 100);
         let ivs = rf.entry_intervals(5);
         assert_eq!(ivs.len(), 3);
         assert_eq!((ivs[0].start, ivs[0].end, ivs[0].rip), (10, 20, 1));
@@ -356,34 +434,34 @@ mod tests {
 
     #[test]
     fn out_of_order_event_arrival_is_sorted() {
-        let mut p = AceProfiler::new();
+        let mut p = AceProfiler::new(&CpuConfig::default());
         let s = Structure::StoreQueue;
         // The read is reported (at commit) before the write event of a
         // younger store to the same slot, but with an older cycle.
         p.write(s, 0, 10);
         p.committed_read(s, &read_info(0, 15, 9));
-        p.write(s, 0, 12); // arrives after the read event but is older
-        let mut counts = HashMap::new();
-        for &st in Structure::all() {
-            counts.insert(st, 4usize);
-        }
-        let repos = p.into_intervals(&counts, 50);
+        // A flush at floor 12 consumes the write at 10 and keeps the read
+        // at 15 pending; the write at 12 arrives after the read but is
+        // older.
+        p.flush(12);
+        p.write(s, 0, 12);
+        // An event at the floor may still arrive after a flush at it.
+        p.flush(20);
+        p.write(s, 0, 20);
+        p.committed_read(s, &read_info(0, 26, 3));
+        let repos = p.finish(50);
         let ivs = repos[&s].entry_intervals(0);
-        assert_eq!(ivs.len(), 1);
-        assert_eq!(ivs[0].start, 12);
-        assert_eq!(ivs[0].end, 15);
+        assert_eq!(ivs.len(), 2);
+        assert_eq!((ivs[0].start, ivs[0].end, ivs[0].rip), (12, 15, 9));
+        assert_eq!((ivs[1].start, ivs[1].end, ivs[1].rip), (20, 26, 3));
     }
 
     #[test]
     fn read_of_initial_state_starts_at_cycle_zero() {
-        let mut p = AceProfiler::new();
+        let mut p = AceProfiler::new(&CpuConfig::default());
         let s = Structure::RegisterFile;
         p.committed_read(s, &read_info(2, 8, 4));
-        let mut counts = HashMap::new();
-        for &st in Structure::all() {
-            counts.insert(st, 4usize);
-        }
-        let repos = p.into_intervals(&counts, 50);
+        let repos = p.finish(50);
         let ivs = repos[&s].entry_intervals(2);
         assert_eq!(ivs.len(), 1);
         assert_eq!(ivs[0].start, 0);

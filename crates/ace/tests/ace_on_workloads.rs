@@ -2,12 +2,153 @@
 //! consistency property MeRLiN depends on — faults pruned by the ACE-like
 //! step really are masked when injected.
 
-use merlin_ace::{AceAnalysis, SessionAce};
+use merlin_ace::{AceAnalysis, AceProfiler, Interval, SessionAce, VulnerableIntervals};
 use merlin_analyze::ProgramAnalysis;
-use merlin_cpu::{Cpu, CpuConfig, NullProbe, Structure};
+use merlin_cpu::{Cpu, CpuConfig, NullProbe, Probe, ReadInfo, RunResult, Structure};
 use merlin_inject::{FaultEffect, Session};
-use merlin_isa::DecodedProgram;
+use merlin_isa::{DecodedProgram, Program};
 use merlin_workloads::{all_workloads, workload_by_name};
+use std::collections::{BTreeMap, HashMap};
+
+const MAX_CYCLES: u64 = 50_000_000;
+
+#[derive(Debug, Clone, Copy)]
+enum Logged {
+    Write,
+    Read(ReadInfo),
+    Invalidate,
+}
+
+/// Every lifetime event the core reports, in emission order.
+#[derive(Default)]
+struct EventLog(Vec<(Structure, usize, u64, Logged)>);
+
+impl Probe for EventLog {
+    fn write(&mut self, structure: Structure, entry: usize, cycle: u64) {
+        self.0.push((structure, entry, cycle, Logged::Write));
+    }
+
+    fn committed_read(&mut self, structure: Structure, info: &ReadInfo) {
+        self.0
+            .push((structure, info.entry, info.cycle, Logged::Read(*info)));
+    }
+
+    fn invalidate(&mut self, structure: Structure, entry: usize, cycle: u64) {
+        self.0.push((structure, entry, cycle, Logged::Invalidate));
+    }
+}
+
+/// The profile built the buffered way: record the whole run, then stable-sort
+/// each entry's events by cycle and walk them into intervals.
+fn buffered_profile(
+    program: &Program,
+    cfg: &CpuConfig,
+) -> (RunResult, HashMap<Structure, VulnerableIntervals>) {
+    let mut cpu = Cpu::new(program.clone(), cfg.clone()).unwrap();
+    let mut log = EventLog::default();
+    let golden = cpu.run(MAX_CYCLES, &mut log);
+    let mut per_entry: BTreeMap<(Structure, usize), Vec<(u64, Logged)>> = BTreeMap::new();
+    for (structure, entry, cycle, event) in log.0 {
+        per_entry
+            .entry((structure, entry))
+            .or_default()
+            .push((cycle, event));
+    }
+    let mut repos: HashMap<Structure, VulnerableIntervals> = Structure::all()
+        .iter()
+        .map(|&s| {
+            let entries = cfg.structure_entries(s);
+            (s, VulnerableIntervals::new(s, entries, golden.cycles))
+        })
+        .collect();
+    for ((structure, entry), mut events) in per_entry {
+        events.sort_by_key(|&(cycle, _)| cycle);
+        let repo = repos.get_mut(&structure).unwrap();
+        let mut open_start: Option<u64> = None;
+        for (cycle, event) in events {
+            match event {
+                Logged::Write => open_start = Some(cycle),
+                Logged::Invalidate => open_start = None,
+                Logged::Read(info) => {
+                    repo.push(
+                        entry,
+                        Interval {
+                            start: open_start.unwrap_or(0),
+                            end: cycle,
+                            rip: info.rip,
+                            upc: info.upc,
+                            dyn_instance: info.dyn_instance,
+                            path_sig: info.path_sig,
+                        },
+                    );
+                    open_start = Some(cycle);
+                }
+            }
+        }
+    }
+    (golden, repos)
+}
+
+/// Asserts two profiles equal, naming the first entry that differs.
+fn assert_same_profile(
+    what: &str,
+    got: &HashMap<Structure, VulnerableIntervals>,
+    want: &HashMap<Structure, VulnerableIntervals>,
+) {
+    for &s in Structure::all() {
+        let (got, want) = (&got[&s], &want[&s]);
+        for entry in 0..want.total_entries {
+            assert_eq!(
+                got.entry_intervals(entry),
+                want.entry_intervals(entry),
+                "{what}: {s} entry {entry}"
+            );
+        }
+        assert!(got == want, "{what}: {s} repositories differ");
+    }
+}
+
+#[test]
+fn streamed_profile_matches_buffered_oracle() {
+    // The 16 KB L1D evicts lines, so same-cycle event order matters there.
+    let configs = [
+        ("default", CpuConfig::default()),
+        ("16 KB L1D", CpuConfig::default().with_l1d_kb(16)),
+    ];
+    for w in all_workloads() {
+        for (label, cfg) in &configs {
+            let what = format!("{} at {label}", w.name);
+            let ace = AceAnalysis::run(&w.program, cfg, MAX_CYCLES).unwrap();
+            let (golden, intervals) = buffered_profile(&w.program, cfg);
+            assert_eq!(ace.golden, golden, "{what}");
+            assert_same_profile(&what, &ace.intervals, &intervals);
+        }
+    }
+}
+
+#[test]
+fn flush_cadence_does_not_change_the_profile() {
+    let cfg = CpuConfig::default();
+    for w in all_workloads() {
+        let mut cpu = Cpu::new(w.program.clone(), cfg.clone()).unwrap();
+        let mut every_cycle = AceProfiler::new(&cfg);
+        while !cpu.is_finished() {
+            assert!(cpu.cycle() < MAX_CYCLES, "{} did not halt", w.name);
+            cpu.step(&mut every_cycle);
+            every_cycle.flush(cpu.event_floor());
+        }
+        let mut at_finish = AceProfiler::new(&cfg);
+        let golden = Cpu::new(w.program.clone(), cfg.clone())
+            .unwrap()
+            .run(MAX_CYCLES, &mut at_finish);
+        assert_eq!(cpu.cycle(), golden.cycles, "{}", w.name);
+        assert_same_profile(
+            w.name,
+            &every_cycle.finish(golden.cycles),
+            &at_finish.finish(golden.cycles),
+        );
+    }
+}
 
 #[test]
 fn ace_avf_decreases_with_register_file_size() {

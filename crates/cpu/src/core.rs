@@ -545,6 +545,26 @@ impl Cpu {
         self.s.cycle
     }
 
+    /// The lowest cycle any probe event the core has yet to report can
+    /// carry: the current cycle, or the oldest read cycle logged in the ROB
+    /// if that is lower.
+    ///
+    /// The bound is exact.  Every write, invalidation and writeback read is
+    /// reported at once with the cycle being simulated, which is at least
+    /// [`Cpu::cycle`].  Every other read is reported at commit with the
+    /// cycle it was logged at, and a micro-op that has not read yet will
+    /// read at [`Cpu::cycle`] or later.  So a probe may finalise every event
+    /// below the floor: none can still arrive.  The floor is derived from
+    /// the ROB, not stored, so snapshots and [`Cpu::matches_state`] ignore
+    /// it.
+    pub fn event_floor(&self) -> u64 {
+        self.s
+            .rob
+            .iter()
+            .filter_map(|e| e.read_cycle)
+            .fold(self.s.cycle, u64::min)
+    }
+
     /// `true` once the run has ended (halt, crash, assert).
     pub fn is_finished(&self) -> bool {
         self.s.finished.is_some()
@@ -2008,6 +2028,39 @@ mod tests {
             decode_from_slice::<CpuState>(&splice(counts_at, counts_len, &encode_to_vec(&counts))),
             Err(DecodeError::Invalid(_))
         ));
+    }
+
+    #[test]
+    fn event_floor_bounds_every_event_still_to_come() {
+        let program = merlin_workloads::workload_by_name("sha").unwrap().program;
+        let mut cpu = Cpu::new(program, CpuConfig::default()).unwrap();
+        let (mut last_floor, mut held_below) = (0, 0);
+        while !cpu.is_finished() {
+            let floor = cpu.event_floor();
+            assert!(floor <= cpu.cycle());
+            assert!(floor >= last_floor, "the floor never falls");
+            if cpu.s.rob.is_empty() {
+                assert_eq!(floor, cpu.cycle());
+            }
+            // A micro-op that has read and waits to commit holds the floor
+            // at its read cycle, which is in the past.
+            if cpu.s.rob.iter().any(|e| e.read_cycle.is_some()) {
+                assert!(floor < cpu.cycle());
+                held_below += 1;
+            }
+            // Since the floor never falls, bounding the next cycle's events
+            // bounds every later one.
+            let mut events = crate::RecordingProbe::default();
+            cpu.step(&mut events);
+            let cycles = (events.writes.iter().map(|w| w.2))
+                .chain(events.invalidates.iter().map(|i| i.2))
+                .chain(events.reads.iter().map(|r| r.1.cycle));
+            for c in cycles {
+                assert!(c >= floor, "event at {c} below the floor {floor}");
+            }
+            last_floor = floor;
+        }
+        assert!(held_below > 0);
     }
 
     #[test]
