@@ -396,6 +396,140 @@ impl CoreState {
     }
 }
 
+/// The ROB entries that issue and writeback visit, as two bitsets over ring
+/// positions: the issue-queue members (`in_iq`), and the issued entries
+/// that have not completed (`complete_at` set, `completed` clear).
+///
+/// Entry `i` of the ROB sits at ring position `(head + i) & mask`, where
+/// the ring has a power-of-two number of positions, at least `rob_entries`
+/// and at least one word.  Commit advances `head`, so an entry keeps its
+/// position for its whole life in the ROB.  The sets are derived from the
+/// ROB's flags, like `next_fault_cycle`: they live beside `CoreState`, so
+/// snapshots, `.golden` bytes and [`Cpu::matches_state`] never see them.
+#[derive(Debug, PartialEq, Eq)]
+struct RobSets {
+    head: usize,
+    mask: usize,
+    iq: Vec<u64>,
+    in_flight: Vec<u64>,
+}
+
+impl RobSets {
+    fn new(rob_entries: usize) -> Self {
+        let positions = rob_entries.next_power_of_two().max(64);
+        RobSets {
+            head: 0,
+            mask: positions - 1,
+            iq: vec![0; positions / 64],
+            in_flight: vec![0; positions / 64],
+        }
+    }
+
+    /// The sets of `rob`, with its head at position 0.
+    fn rebuild(&mut self, rob: &VecDeque<RobEntry>) {
+        self.head = 0;
+        self.iq.fill(0);
+        self.in_flight.fill(0);
+        for (i, e) in rob.iter().enumerate() {
+            if e.in_iq {
+                set_bit(&mut self.iq, i);
+            }
+            if e.complete_at.is_some() && !e.completed {
+                set_bit(&mut self.in_flight, i);
+            }
+        }
+    }
+
+    /// Makes `self` equal to `src` without allocating.
+    fn copy_from(&mut self, src: &RobSets) {
+        self.head = src.head;
+        self.mask = src.mask;
+        self.iq.clone_from(&src.iq);
+        self.in_flight.clone_from(&src.in_flight);
+    }
+
+    fn pos(&self, idx: usize) -> usize {
+        (self.head + idx) & self.mask
+    }
+
+    /// Entry `idx` was dispatched into the issue queue.
+    fn dispatched(&mut self, idx: usize) {
+        let pos = self.pos(idx);
+        set_bit(&mut self.iq, pos);
+    }
+
+    /// Entry `idx` issued: it leaves the issue queue and is in flight.
+    fn issued(&mut self, idx: usize) {
+        let pos = self.pos(idx);
+        clear_bit(&mut self.iq, pos);
+        set_bit(&mut self.in_flight, pos);
+    }
+
+    /// Entry `idx` completed at writeback.
+    fn completed(&mut self, idx: usize) {
+        let pos = self.pos(idx);
+        clear_bit(&mut self.in_flight, pos);
+    }
+
+    /// Entry `idx` was squashed.
+    fn squashed(&mut self, idx: usize) {
+        let pos = self.pos(idx);
+        clear_bit(&mut self.iq, pos);
+        clear_bit(&mut self.in_flight, pos);
+    }
+
+    /// The head committed.  Only a completed entry commits, and it left
+    /// both sets on its way there, so commit only advances the ring.
+    fn committed(&mut self) {
+        debug_assert!(!has_bit(&self.iq, self.head) && !has_bit(&self.in_flight, self.head));
+        self.head = (self.head + 1) & self.mask;
+    }
+
+    /// The next member of `set` (`iq` or `in_flight`) on `walk`, which
+    /// visits the members oldest-first: it takes one word at a time,
+    /// shifted down to the walk's position, and each member by its trailing
+    /// zeros, so empty stretches of the ring cost one word each.
+    fn next_in(&self, set: &[u64], walk: &mut Walk) -> Option<usize> {
+        while walk.bits == 0 {
+            if walk.next > self.mask {
+                return None;
+            }
+            let pos = self.pos(walk.next);
+            walk.bits = set[pos / 64] >> (pos % 64);
+            walk.base = walk.next;
+            walk.next += 64 - pos % 64;
+        }
+        let found = walk.base + walk.bits.trailing_zeros() as usize;
+        walk.bits &= walk.bits - 1;
+        // A bit past the ring's end wraps to an older entry.
+        (found <= self.mask).then_some(found)
+    }
+}
+
+/// A walk over one of [`RobSets`]' sets: the ROB index of bit 0 of `bits`,
+/// the members of the word being walked not yet visited, and the ROB index
+/// the next word starts at.  The walk reads each word once, so a member
+/// the walker removes as it visits it (issue and writeback do) does not
+/// disturb it.
+#[derive(Default)]
+struct Walk {
+    base: usize,
+    bits: u64,
+    next: usize,
+}
+
+fn set_bit(words: &mut [u64], pos: usize) {
+    words[pos / 64] |= 1 << (pos % 64);
+}
+
+fn clear_bit(words: &mut [u64], pos: usize) {
+    words[pos / 64] &= !(1 << (pos % 64));
+}
+
+fn has_bit(words: &[u64], pos: usize) -> bool {
+    words[pos / 64] >> (pos % 64) & 1 != 0
+}
+
 /// The cycle-level out-of-order core: the program and configuration it
 /// runs, its `CoreState` and its memory hierarchy.
 ///
@@ -434,6 +568,8 @@ pub struct Cpu {
     /// none): the fault-free fast path of [`Cpu::step`] is one integer
     /// compare.
     next_fault_cycle: u64,
+    /// The ROB entries issue and writeback visit, derived from its flags.
+    sets: RobSets,
 }
 
 impl Cpu {
@@ -487,6 +623,7 @@ impl Cpu {
         // byte-identical image to resolve those deltas against.
         memory.seal_pristine();
         let mem = MemSystem::new(cfg.l1d, cfg.l2, memory, cfg.mem_latency);
+        let sets = RobSets::new(cfg.rob_entries);
         let s = CoreState {
             cycle: 0,
             next_seq: 0,
@@ -522,6 +659,7 @@ impl Cpu {
             s,
             mem,
             next_fault_cycle: u64::MAX,
+            sets,
         })
     }
 
@@ -779,6 +917,7 @@ impl Cpu {
                 }
                 _ => {}
             }
+            self.sets.dispatched(self.s.rob.len());
             self.s.rob.make_mut().push_back(RobEntry {
                 seq,
                 uop: fetched.uop,
@@ -811,12 +950,11 @@ impl Cpu {
         let mut complex_used = 0;
         let mut mem_used = 0;
         let mut branch_used = 0;
-        let mut idx = 0;
-        while idx < self.s.rob.len() && issued < self.cfg.issue_width {
-            if !self.s.rob[idx].in_iq {
-                idx += 1;
-                continue;
-            }
+        let mut walk = Walk::default();
+        while issued < self.cfg.issue_width {
+            let Some(idx) = self.sets.next_in(&self.sets.iq, &mut walk) else {
+                break;
+            };
             let kind = self.s.rob[idx].uop.kind;
             let ready = self.s.rob[idx]
                 .src_phys
@@ -824,7 +962,6 @@ impl Cpu {
                 .flatten()
                 .all(|&p| self.s.prf.is_ready(p));
             if !ready {
-                idx += 1;
                 continue;
             }
             let fu_ok = match kind {
@@ -840,11 +977,11 @@ impl Cpu {
                 }
             };
             if !fu_ok {
-                idx += 1;
                 continue;
             }
             if self.execute_uop(idx, probe) {
                 self.s.rob.make_mut()[idx].in_iq = false;
+                self.sets.issued(idx);
                 self.s.iq_count -= 1;
                 issued += 1;
                 match kind {
@@ -854,7 +991,6 @@ impl Cpu {
                     _ => branch_used += 1,
                 }
             }
-            idx += 1;
         }
     }
 
@@ -1011,12 +1147,9 @@ impl Cpu {
                 let entry = &mut self.s.rob.make_mut()[idx];
                 entry.log_reg_reads(cycle);
                 entry.actual_next = Some(next);
-                entry.result = None;
-                // Branch outcome needed at commit for predictor training.
-                entry.exception = None;
-                entry.complete_at = Some(cycle + 1);
-                // Stash the direction for commit-time training.
+                // The direction, for the predictor's training at commit.
                 entry.result = Some(taken as u64);
+                entry.complete_at = Some(cycle + 1);
                 true
             }
             UopKind::Jump => {
@@ -1059,12 +1192,9 @@ impl Cpu {
 
     fn writeback(&mut self, probe: &mut dyn Probe) {
         let cycle = self.s.cycle;
-        let mut idx = 0;
-        while idx < self.s.rob.len() {
-            let due = matches!(self.s.rob[idx].complete_at, Some(c) if c <= cycle)
-                && !self.s.rob[idx].completed;
-            if !due {
-                idx += 1;
+        let mut walk = Walk::default();
+        while let Some(idx) = self.sets.next_in(&self.sets.in_flight, &mut walk) {
+            if !matches!(self.s.rob[idx].complete_at, Some(c) if c <= cycle) {
                 continue;
             }
             if let Some(p) = self.s.rob[idx].dst_phys {
@@ -1073,6 +1203,7 @@ impl Cpu {
                 probe.write(Structure::RegisterFile, p as usize, cycle);
             }
             self.s.rob.make_mut()[idx].completed = true;
+            self.sets.completed(idx);
             // Branch resolution: squash on a mispredicted next PC.
             if self.s.rob[idx].uop.kind.is_control() {
                 let actual = self.s.rob[idx]
@@ -1086,7 +1217,6 @@ impl Cpu {
                     return;
                 }
             }
-            idx += 1;
         }
     }
 
@@ -1097,6 +1227,7 @@ impl Cpu {
                 break;
             }
             let e = self.s.rob.make_mut().pop_back().expect("checked back");
+            self.sets.squashed(self.s.rob.len());
             if let (Some(d), Some(prev)) = (e.uop.dst, e.prev_phys) {
                 self.s.rat.restore(d, prev);
             }
@@ -1136,6 +1267,7 @@ impl Cpu {
                 break;
             }
             let e = self.s.rob.make_mut().pop_front().expect("checked front");
+            self.sets.committed();
             committed += 1;
             self.s.committed_uops += 1;
 
@@ -1348,6 +1480,7 @@ impl Cpu {
     pub fn restore_from(&mut self, s: &CpuState) {
         self.s = s.core.clone();
         self.next_fault_cycle = self.s.faults.first().map_or(u64::MAX, |f| f.cycle);
+        self.sets.rebuild(&self.s.rob);
         self.mem.restore_snapshot(&s.mem);
     }
 
@@ -1369,6 +1502,7 @@ impl Cpu {
         src.s.freeze();
         self.s = src.s.clone();
         self.next_fault_cycle = src.next_fault_cycle;
+        self.sets.copy_from(&src.sets);
         self.mem.fork_from(&mut src.mem);
     }
 
@@ -2061,6 +2195,94 @@ mod tests {
             last_floor = floor;
         }
         assert!(held_below > 0);
+    }
+
+    /// Asserts that `cpu`'s derived sets hold exactly the ROB entries its
+    /// flags name: the issue-queue members and the issued entries that have
+    /// not completed, and no position past the ROB's tail.
+    fn assert_rob_sets_exact(cpu: &Cpu) {
+        let sets = &cpu.sets;
+        for idx in 0..=sets.mask {
+            let e = cpu.s.rob.get(idx);
+            let pos = sets.pos(idx);
+            assert_eq!(
+                has_bit(&sets.iq, pos),
+                e.is_some_and(|e| e.in_iq),
+                "issue-queue bit of ROB index {idx} at cycle {}",
+                cpu.cycle()
+            );
+            assert_eq!(
+                has_bit(&sets.in_flight, pos),
+                e.is_some_and(|e| e.complete_at.is_some() && !e.completed),
+                "in-flight bit of ROB index {idx} at cycle {}",
+                cpu.cycle()
+            );
+        }
+    }
+
+    /// Steps `cpu` to `cycle` or its end, checking the derived sets every
+    /// cycle; returns how many cycles squashed ROB entries.
+    fn step_checking_sets(cpu: &mut Cpu, cycle: u64) -> usize {
+        let mut squashes = 0;
+        assert_rob_sets_exact(cpu);
+        while !cpu.is_finished() && cpu.cycle() < cycle {
+            let youngest = cpu.s.rob.back().map(|e| e.seq);
+            cpu.step(&mut crate::NullProbe);
+            // Only a squash removes the youngest entry while others stay.
+            if matches!((youngest, cpu.s.rob.back()), (Some(y), Some(e)) if e.seq < y) {
+                squashes += 1;
+            }
+            assert_rob_sets_exact(cpu);
+        }
+        squashes
+    }
+
+    #[test]
+    fn rob_sets_match_the_rob_flags_every_cycle() {
+        for rob_entries in [4, 100, 200] {
+            let cfg = CpuConfig {
+                rob_entries,
+                ..CpuConfig::default()
+            };
+            // Every workload at the default size, every fourth at the others.
+            let stride = if rob_entries == 100 { 1 } else { 4 };
+            for w in merlin_workloads::all_workloads()
+                .into_iter()
+                .step_by(stride)
+            {
+                let program = Arc::new(w.program);
+                let fresh = || Cpu::new(Arc::clone(&program), cfg.clone()).unwrap();
+                let mut cpu = fresh();
+                // Register-file flips that send branches the wrong way.
+                for (i, cycle) in [300, 1_500, 4_000].into_iter().enumerate() {
+                    let fault = FaultSpec {
+                        structure: Structure::RegisterFile,
+                        entry: (7 + 13 * i) % cfg.phys_int_regs,
+                        bit: i as u8,
+                        cycle,
+                    };
+                    cpu.inject_fault(fault).unwrap();
+                }
+                let mut squashes = step_checking_sets(&mut cpu, 1_000);
+                let mid = cpu.snapshot();
+                squashes += step_checking_sets(&mut cpu, 2_500);
+
+                // A fork, and a restore of the snapshot, into cores whose
+                // ring heads have moved.
+                let mut fork = fresh();
+                step_checking_sets(&mut fork, 777);
+                fork.fork_from(&mut cpu);
+                assert_eq!(fork.sets, cpu.sets);
+                let mut restored = fresh();
+                step_checking_sets(&mut restored, 555);
+                restored.restore_from(&mid);
+                squashes += step_checking_sets(&mut restored, 100_000);
+                squashes += step_checking_sets(&mut fork, 100_000);
+                let end = |cpu: &mut Cpu| cpu.run(0, &mut crate::NullProbe);
+                assert_eq!(end(&mut restored), end(&mut fork), "{}", w.name);
+                assert!(squashes > 0, "{} with {rob_entries} ROB entries", w.name);
+            }
+        }
     }
 
     #[test]

@@ -183,40 +183,47 @@ impl StoreQueue {
         self.slots.iter().enumerate().filter(|(_, s)| s.valid)
     }
 
+    /// The valid slots oldest-first: the `count` slots from `head`, which
+    /// hold their stores in increasing sequence-number order, since
+    /// [`Self::allocate`] appends at the tail and stores leave only from the
+    /// head (commit) or the tail (squash).
+    fn ring(&self) -> impl DoubleEndedIterator<Item = (usize, &SqSlot)> {
+        let cap = self.capacity();
+        (self.head..self.head + self.count).map(move |i| {
+            let i = if i >= cap { i - cap } else { i };
+            (i, self.slots.get(i))
+        })
+    }
+
     /// Checks whether every older (by sequence number) valid store has a
     /// known address — the conservative memory-disambiguation condition a
-    /// load must satisfy before issuing.
+    /// load must satisfy before issuing.  Walks the ring from the oldest
+    /// store and stops at the first one that is not older than the load.
     pub fn older_addresses_known(&self, load_seq: u64) -> bool {
-        self.valid_slots()
-            .filter(|(_, s)| s.seq < load_seq)
+        self.ring()
+            .take_while(|(_, s)| s.seq < load_seq)
             .all(|(_, s)| s.addr.is_some())
     }
 
     /// Finds the youngest older store that overlaps `[addr, addr+len)`.
-    /// Returns `(slot index, fully_covers)`.
+    /// Returns `(slot index, fully_covers)`.  Walks the ring backwards from
+    /// the youngest store older than the load and returns the first overlap.
     pub fn forwarding_candidate(
         &self,
         load_seq: u64,
         addr: u64,
         len: u64,
     ) -> Option<(usize, bool)> {
-        let mut best: Option<(usize, u64, bool)> = None;
-        for (i, s) in self.valid_slots() {
-            if s.seq >= load_seq {
-                continue;
-            }
-            let Some(saddr) = s.addr else { continue };
-            let slen = s.size.bytes();
-            let overlap = saddr < addr + len && addr < saddr + slen;
-            if !overlap {
-                continue;
-            }
-            let covers = saddr <= addr && saddr + slen >= addr + len;
-            if best.is_none_or(|(_, bseq, _)| s.seq > bseq) {
-                best = Some((i, s.seq, covers));
-            }
-        }
-        best.map(|(i, _, covers)| (i, covers))
+        self.ring()
+            .rev()
+            .skip_while(|(_, s)| s.seq >= load_seq)
+            .find_map(|(i, s)| {
+                let saddr = s.addr?;
+                let slen = s.size.bytes();
+                let overlap = saddr < addr + len && addr < saddr + slen;
+                let covers = saddr <= addr && saddr + slen >= addr + len;
+                overlap.then_some((i, covers))
+            })
     }
 
     /// Flips one bit of a slot's data field — the store-queue fault-injection
@@ -254,16 +261,28 @@ impl BinCode for StoreQueue {
             || head >= slots.len()
             || tail >= slots.len()
             || count > slots.len()
-            || count != slots.iter().filter(|s| s.valid).count()
+            || tail != (head + count) % slots.len()
         {
             return Err(DecodeError::Invalid("store queue shape"));
         }
-        Ok(StoreQueue {
+        let sq = StoreQueue {
             slots,
             head,
             tail,
             count,
-        })
+        };
+        // The ring walks of `older_addresses_known` and
+        // `forwarding_candidate` visit only the `count` slots from `head`,
+        // and rely on their sequence numbers ascending.
+        let in_ring = sq.ring().all(|(_, s)| s.valid);
+        let ascending = sq
+            .ring()
+            .zip(sq.ring().skip(1))
+            .all(|((_, a), (_, b))| a.seq < b.seq);
+        if !in_ring || !ascending || sq.count != sq.valid_slots().count() {
+            return Err(DecodeError::Invalid("store queue ring"));
+        }
+        Ok(sq)
     }
 }
 
@@ -443,6 +462,64 @@ mod tests {
         sq.flip_bit(s, 7);
         assert_eq!(sq.slot(s).data, 1 << 7);
         assert_eq!(sq.slot(s).addr, None);
+    }
+
+    #[test]
+    fn decode_rejects_a_store_queue_that_is_not_a_ring() {
+        use merlin_isa::binio::{decode_from_slice, encode_to_vec};
+        // Capacity 4; `slots` lists `(slot, seq, valid)` for the slots that
+        // are not blank.
+        let encode = |slots: &[(usize, u64, bool)], head: usize, tail: usize, count: usize| {
+            let mut table = vec![SqSlot::empty(); 4];
+            for &(i, seq, valid) in slots {
+                table[i].seq = seq;
+                table[i].valid = valid;
+            }
+            let mut bytes = encode_to_vec(&table);
+            head.encode(&mut bytes);
+            tail.encode(&mut bytes);
+            count.encode(&mut bytes);
+            bytes
+        };
+        let decode = |bytes: Vec<u8>| decode_from_slice::<StoreQueue>(&bytes);
+        // A wrapped queue: slots 2, 3 and 0 from head 2.
+        let mut sq = StoreQueue::new(4);
+        for seq in [1, 2, 3] {
+            sq.allocate(seq, 0);
+        }
+        sq.release_head(0);
+        sq.release_head(1);
+        sq.allocate(5, 0);
+        sq.allocate(8, 0);
+        assert_eq!(decode(encode_to_vec(&sq)).unwrap(), sq);
+        let ring = decode(encode(&[(2, 3, true), (3, 5, true), (0, 8, true)], 2, 1, 3)).unwrap();
+        assert_eq!(ring.len(), 3);
+        assert!(decode(encode(&[], 1, 1, 0)).is_ok());
+        // Each encoding breaks one rule only.
+        for (what, bytes) in [
+            (
+                "a released slot inside the ring, a valid one outside",
+                encode(&[(0, 1, true), (1, 2, false), (2, 3, true)], 0, 2, 2),
+            ),
+            (
+                "tail not head + count",
+                encode(&[(0, 1, true), (1, 2, true)], 0, 3, 2),
+            ),
+            ("tail not head + count", encode(&[], 2, 3, 0)),
+            (
+                "count not the valid slots",
+                encode(&[(0, 1, true)], 0, 0, 0),
+            ),
+            (
+                "sequence numbers not ascending",
+                encode(&[(3, 7, true), (0, 6, true)], 3, 1, 2),
+            ),
+        ] {
+            assert!(
+                matches!(decode(bytes), Err(DecodeError::Invalid(_))),
+                "{what} must be rejected"
+            );
+        }
     }
 
     #[test]
