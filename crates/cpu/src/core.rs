@@ -9,6 +9,7 @@
 //! squashed; reads are attributed to the (RIP, uPC) of the reading micro-op
 //! and reported only if that micro-op commits.
 
+use crate::bits::{clear_bit, has_bit, set_bit};
 use crate::cache::{CacheEffects, MemSystem};
 use crate::config::{ConfigError, CpuConfig};
 use crate::cow::CowBox;
@@ -331,7 +332,11 @@ impl BinCode for DynCounts {
 /// it snapshots sparsely and compares by delta.
 ///
 /// Fields are declared cheapest-first, so the derived `==` of the retire
-/// probe bails out on a scalar before it walks a page table.  A value
+/// probe bails out on a scalar before it walks an array.  The structures
+/// every cycle writes (ROB, fetch buffer, free list, register file, load
+/// and store queues, dynamic-instance counters) are plain owned values that
+/// a clone copies; only the predictor, the BTB and the output stream sit on
+/// copy-on-write storage (see [`CowTable`](crate::CowTable)).  A value
 /// derived from these fields (like [`Cpu`]'s `next_fault_cycle`) belongs
 /// outside, or the retire probe would compare it as state.
 #[derive(Debug, Clone, PartialEq)]
@@ -353,10 +358,10 @@ struct CoreState {
     faults: Vec<FaultSpec>,
     output: CowBox<Vec<u64>>,
     path_history: VecDeque<(Rip, bool)>,
-    dyn_counts: CowBox<DynCounts>,
+    dyn_counts: DynCounts,
     rat: RenameTable,
-    fetch_buffer: CowBox<VecDeque<FetchedUop>>,
-    rob: CowBox<VecDeque<RobEntry>>,
+    fetch_buffer: VecDeque<FetchedUop>,
+    rob: VecDeque<RobEntry>,
     free_list: FreeList,
     lq: LoadQueue,
     sq: StoreQueue,
@@ -369,30 +374,14 @@ impl CoreState {
     /// Moves the owned pages of every copy-on-write structure behind
     /// handles, so a clone shares them instead of copying.
     fn freeze(&mut self) {
-        self.fetch_buffer.freeze();
-        self.free_list.freeze();
-        self.prf.freeze();
-        self.rob.freeze();
-        self.lq.freeze();
-        self.sq.freeze();
         self.bp.freeze();
         self.btb.freeze();
         self.output.freeze();
-        self.dyn_counts.freeze();
     }
 
     /// Page un-share events of every copy-on-write structure, reset.
     fn take_cow_breaks(&mut self) -> u64 {
-        self.prf.take_cow_breaks()
-            + self.free_list.take_cow_breaks()
-            + self.lq.take_cow_breaks()
-            + self.sq.take_cow_breaks()
-            + self.bp.take_cow_breaks()
-            + self.btb.take_cow_breaks()
-            + self.fetch_buffer.take_cow_breaks()
-            + self.rob.take_cow_breaks()
-            + self.output.take_cow_breaks()
-            + self.dyn_counts.take_cow_breaks()
+        self.bp.take_cow_breaks() + self.btb.take_cow_breaks() + self.output.take_cow_breaks()
     }
 }
 
@@ -518,18 +507,6 @@ struct Walk {
     next: usize,
 }
 
-fn set_bit(words: &mut [u64], pos: usize) {
-    words[pos / 64] |= 1 << (pos % 64);
-}
-
-fn clear_bit(words: &mut [u64], pos: usize) {
-    words[pos / 64] &= !(1 << (pos % 64));
-}
-
-fn has_bit(words: &[u64], pos: usize) -> bool {
-    words[pos / 64] >> (pos % 64) & 1 != 0
-}
-
 /// The cycle-level out-of-order core: the program and configuration it
 /// runs, its `CoreState` and its memory hierarchy.
 ///
@@ -641,10 +618,10 @@ impl Cpu {
             faults: Vec::new(),
             output: CowBox::default(),
             path_history: VecDeque::new(),
-            dyn_counts: CowBox::new(DynCounts(vec![0; program.len()])),
+            dyn_counts: DynCounts(vec![0; program.len()]),
             rat: RenameTable::identity(),
-            fetch_buffer: CowBox::default(),
-            rob: CowBox::new(VecDeque::with_capacity(cfg.rob_entries)),
+            fetch_buffer: VecDeque::new(),
+            rob: VecDeque::with_capacity(cfg.rob_entries),
             free_list: FreeList::new(NUM_ARCH_REGS, cfg.phys_int_regs),
             lq: LoadQueue::new(cfg.lq_entries),
             sq: StoreQueue::new(cfg.sq_entries),
@@ -847,7 +824,7 @@ impl Cpu {
             // Copy the instruction's micro-ops out of the shared pre-decoded
             // arena: no cracking, no allocation, on any fetch ever.
             for &uop in self.decoded.uops(pc) {
-                self.s.fetch_buffer.make_mut().push_back(FetchedUop {
+                self.s.fetch_buffer.push_back(FetchedUop {
                     uop,
                     pred_next: next_pc,
                 });
@@ -878,12 +855,7 @@ impl Cpu {
             {
                 break;
             }
-            let fetched = self
-                .s
-                .fetch_buffer
-                .make_mut()
-                .pop_front()
-                .expect("checked front");
+            let fetched = self.s.fetch_buffer.pop_front().expect("checked front");
             let seq = self.s.next_seq;
             self.s.next_seq += 1;
 
@@ -918,7 +890,7 @@ impl Cpu {
                 _ => {}
             }
             self.sets.dispatched(self.s.rob.len());
-            self.s.rob.make_mut().push_back(RobEntry {
+            self.s.rob.push_back(RobEntry {
                 seq,
                 uop: fetched.uop,
                 src_phys,
@@ -980,7 +952,7 @@ impl Cpu {
                 continue;
             }
             if self.execute_uop(idx, probe) {
-                self.s.rob.make_mut()[idx].in_iq = false;
+                self.s.rob[idx].in_iq = false;
                 self.sets.issued(idx);
                 self.s.iq_count -= 1;
                 issued += 1;
@@ -1020,7 +992,7 @@ impl Cpu {
                 };
                 let r = op.eval(vals[0], b);
                 let exception = r.arithmetic_exception.then_some(Exception::DivByZero);
-                let entry = &mut self.s.rob.make_mut()[idx];
+                let entry = &mut self.s.rob[idx];
                 entry.log_reg_reads(cycle);
                 entry.result = Some(r.value);
                 entry.exception = exception;
@@ -1058,7 +1030,7 @@ impl Cpu {
                     } else {
                         raw
                     };
-                    let entry = &mut self.s.rob.make_mut()[idx];
+                    let entry = &mut self.s.rob[idx];
                     entry.log_reg_reads(cycle);
                     entry.log_sq_read(slot, cycle);
                     entry.result = Some(value);
@@ -1083,7 +1055,7 @@ impl Cpu {
                             probe.physical_read(Structure::L1DCache, *w, cycle);
                         }
                         let latency = eff.latency;
-                        let entry = &mut self.s.rob.make_mut()[idx];
+                        let entry = &mut self.s.rob[idx];
                         entry.log_reg_reads(cycle);
                         entry.log_l1d_reads(&eff.word_reads, cycle);
                         entry.result = Some(value);
@@ -1098,7 +1070,7 @@ impl Cpu {
                             }
                             MemError::StoreToCode { addr } => Exception::StoreToCode { addr },
                         };
-                        let entry = &mut self.s.rob.make_mut()[idx];
+                        let entry = &mut self.s.rob[idx];
                         entry.log_reg_reads(cycle);
                         entry.result = Some(0);
                         entry.exception = Some(exception);
@@ -1114,7 +1086,7 @@ impl Cpu {
                 let addr = mem_ref.effective_address(vals[0], index_val);
                 let slot = self.s.rob[idx].sq_slot.expect("STA has a store-queue slot");
                 self.s.sq.slot_mut(slot).addr = Some(addr);
-                let entry = &mut self.s.rob.make_mut()[idx];
+                let entry = &mut self.s.rob[idx];
                 entry.log_reg_reads(cycle);
                 entry.exception =
                     (!addr.is_multiple_of(size.bytes())).then_some(Exception::Misaligned);
@@ -1131,7 +1103,7 @@ impl Cpu {
                 }
                 // Depositing the data is a physical write of the SQ entry.
                 probe.write(Structure::StoreQueue, slot, cycle);
-                let entry = &mut self.s.rob.make_mut()[idx];
+                let entry = &mut self.s.rob[idx];
                 entry.log_reg_reads(cycle);
                 entry.complete_at = Some(cycle + 1);
                 true
@@ -1144,7 +1116,7 @@ impl Cpu {
                 };
                 let taken = cond.eval(vals[0], b);
                 let next = if taken { uop.imm as Rip } else { uop.rip + 1 };
-                let entry = &mut self.s.rob.make_mut()[idx];
+                let entry = &mut self.s.rob[idx];
                 entry.log_reg_reads(cycle);
                 entry.actual_next = Some(next);
                 // The direction, for the predictor's training at commit.
@@ -1153,35 +1125,35 @@ impl Cpu {
                 true
             }
             UopKind::Jump => {
-                let entry = &mut self.s.rob.make_mut()[idx];
+                let entry = &mut self.s.rob[idx];
                 entry.actual_next = Some(uop.imm as Rip);
                 entry.complete_at = Some(cycle + 1);
                 true
             }
             UopKind::JumpReg => {
                 let target = vals[0].min(u32::MAX as u64) as Rip;
-                let entry = &mut self.s.rob.make_mut()[idx];
+                let entry = &mut self.s.rob[idx];
                 entry.log_reg_reads(cycle);
                 entry.actual_next = Some(target);
                 entry.complete_at = Some(cycle + 1);
                 true
             }
             UopKind::Call => {
-                let entry = &mut self.s.rob.make_mut()[idx];
+                let entry = &mut self.s.rob[idx];
                 entry.result = Some(uop.rip as u64 + 1);
                 entry.actual_next = Some(uop.imm as Rip);
                 entry.complete_at = Some(cycle + 1);
                 true
             }
             UopKind::Out => {
-                let entry = &mut self.s.rob.make_mut()[idx];
+                let entry = &mut self.s.rob[idx];
                 entry.log_reg_reads(cycle);
                 entry.result = Some(vals[0]);
                 entry.complete_at = Some(cycle + 1);
                 true
             }
             UopKind::Halt | UopKind::Nop => {
-                let entry = &mut self.s.rob.make_mut()[idx];
+                let entry = &mut self.s.rob[idx];
                 entry.complete_at = Some(cycle + 1);
                 true
             }
@@ -1202,7 +1174,7 @@ impl Cpu {
                 self.s.prf.write(p, value);
                 probe.write(Structure::RegisterFile, p as usize, cycle);
             }
-            self.s.rob.make_mut()[idx].completed = true;
+            self.s.rob[idx].completed = true;
             self.sets.completed(idx);
             // Branch resolution: squash on a mispredicted next PC.
             if self.s.rob[idx].uop.kind.is_control() {
@@ -1226,7 +1198,7 @@ impl Cpu {
             if back.seq <= branch_seq {
                 break;
             }
-            let e = self.s.rob.make_mut().pop_back().expect("checked back");
+            let e = self.s.rob.pop_back().expect("checked back");
             self.sets.squashed(self.s.rob.len());
             if let (Some(d), Some(prev)) = (e.uop.dst, e.prev_phys) {
                 self.s.rat.restore(d, prev);
@@ -1249,7 +1221,7 @@ impl Cpu {
                 }
             }
         }
-        self.s.fetch_buffer.make_mut().clear();
+        self.s.fetch_buffer.clear();
         self.s.pending_store_slot = None;
         self.s.fetch_pc = new_pc;
         self.s.fetch_halted = false;
@@ -1266,7 +1238,7 @@ impl Cpu {
             if !ready {
                 break;
             }
-            let e = self.s.rob.make_mut().pop_front().expect("checked front");
+            let e = self.s.rob.pop_front().expect("checked front");
             self.sets.committed();
             committed += 1;
             self.s.committed_uops += 1;
@@ -1365,7 +1337,7 @@ impl Cpu {
 
             if e.uop.last_in_inst {
                 self.s.committed_instructions += 1;
-                self.s.dyn_counts.make_mut().bump(e.uop.rip);
+                self.s.dyn_counts.bump(e.uop.rip);
             }
             if self.s.finished.is_some() {
                 return;
@@ -1455,9 +1427,9 @@ impl Cpu {
     /// continuing the original run — the foundation of the checkpointed
     /// injection engine in `merlin-inject`.
     ///
-    /// The snapshot shares the core's copy-on-write pages: it freezes the
-    /// owned ones first, hence `&mut self`, and the core un-shares a page
-    /// on its next write to it.
+    /// The snapshot copies the core's plain arrays and shares its
+    /// copy-on-write pages: it freezes the owned ones first, hence
+    /// `&mut self`, and the core un-shares a page on its next write to it.
     pub fn snapshot(&mut self) -> CpuState {
         self.s.freeze();
         CpuState {
@@ -1472,8 +1444,9 @@ impl Cpu {
     /// snapshot's, so the core behaves identically to the one the snapshot
     /// was taken from regardless of what it executed in between.
     /// Copy-on-write structures adopt the snapshot's page handles (O(pages),
-    /// nothing copied until the core writes); the caches are rebuilt from
-    /// their sparse images and the backing memory from its chunk delta.
+    /// nothing copied until the core writes), the plain arrays are copied;
+    /// the caches are rebuilt from their sparse images and the backing
+    /// memory from its chunk delta.
     ///
     /// The state must come from a core running the same program under the
     /// same configuration; this is not checked.
@@ -1485,15 +1458,14 @@ impl Cpu {
     }
 
     /// Forks this core from a live source core, making `self` bit-identical
-    /// to `src` at O(metadata) cost — the lazy fork-spawn of the batched
-    /// suffix driver.
+    /// to `src` — the lazy fork-spawn of the batched suffix driver.
     ///
     /// The core's `CoreState` is overwritten whole by a clone of `src`'s,
-    /// which shares every heavy structure's page handles instead of copying
-    /// entries (see [`CowTable`](crate::CowTable)); sharing breaks lazily,
-    /// per page, on whichever side writes first.  The fork therefore copies
-    /// almost nothing up front — only scalars and the small eagerly-copied
-    /// structures like the rename table.  Like [`Cpu::restore_from`] it is
+    /// which copies the per-cycle arrays (both sides write them in their
+    /// first cycle anyway) and shares the memory, caches, predictor, BTB
+    /// and output by page handle (see [`CowTable`](crate::CowTable));
+    /// sharing breaks lazily, per page, on whichever side writes first.
+    /// Like [`Cpu::restore_from`] it is
     /// valid from any state of `self`.  `src` must run the same program
     /// under the same configuration.
     ///
@@ -1507,10 +1479,11 @@ impl Cpu {
     }
 
     /// Page un-share events accumulated across every CoW-backed structure
-    /// since the last call (see [`CowTable`](crate::CowTable)): each count
-    /// is one page that was shared — with a fork sibling, a snapshot, or
-    /// the pristine memory image — and had to be materialised privately on
-    /// first write.  Counts are per core: a restore or fork starts the
+    /// (the backing memory, the L1D and L2 line tables, the predictor, the
+    /// BTB and the output stream) since the last call (see
+    /// [`CowTable`](crate::CowTable)): each count is one page that was
+    /// shared — with a fork sibling, a snapshot, or the pristine memory
+    /// image — and had to be materialised privately on first write.  Counts are per core: a restore or fork starts the
     /// core's structures at zero and leaves the source's count with it.
     pub fn take_cow_breaks(&mut self) -> u64 {
         self.s.take_cow_breaks() + self.mem.take_cow_breaks()
@@ -1562,10 +1535,11 @@ impl Cpu {
     /// state re-converges with a golden checkpoint, the remainder of the run
     /// is guaranteed identical to the golden run, so the fault is Masked.
     /// Cheap scalar fields are compared first so divergent states bail out
-    /// without touching the memory image, and every copy-on-write structure
-    /// skips the pages whose handle it still shares with `s` — so a core
-    /// restored or forked from the golden stream pays only for the pages it
-    /// (or the golden run between the two checkpoints) wrote.
+    /// without touching the memory image.  The per-cycle arrays compare by
+    /// contents; every copy-on-write structure skips the pages whose handle
+    /// it still shares with `s`, so there a core restored or forked from
+    /// the golden stream pays only for the pages it (or the golden run
+    /// between the two checkpoints) wrote.
     pub fn matches_state(&self, s: &CpuState) -> bool {
         self.s == s.core && self.mem.matches_snapshot(&s.mem)
     }

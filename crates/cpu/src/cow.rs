@@ -1,5 +1,17 @@
-//! Copy-on-write storage substrate for the pipeline structures, and the
-//! only record of how a core has diverged from a checkpoint.
+//! Copy-on-write storage substrate for the structures a faulty suffix
+//! mostly leaves unwritten, and the record of how they have diverged from
+//! a checkpoint.
+//!
+//! **CoW only where a suffix leaves pages unwritten.**  Sharing pays when a
+//! fork or restore would otherwise copy pages that neither side writes
+//! again: the backing memory's bytes, the L1D and L2 line tables, the
+//! branch predictor's counters, the BTB and the output stream.  The
+//! structures the core writes nearly every cycle — the physical register
+//! file and its ready bits, the free list, the ROB, the fetch buffer, the
+//! load and store queues and the dynamic-instance counters — are plain
+//! owned arrays: both the fork and the core it came from write them in
+//! their first cycle, so sharing them would never save a copy, only add a
+//! match and a pointer hop to every access.
 //!
 //! Heavy storage is split into fixed-size pages.  Each page is either
 //! **owned** outright by one structure or **shared** behind an [`Arc`]
@@ -33,17 +45,15 @@
 //! Two shapes of storage need two wrappers:
 //!
 //! * [`CowTable<T>`] — array-shaped structures with stable entry indices
-//!   (register file, LSQ slots, predictor counter tables, BTB, cache
-//!   lines, and the backing memory's bytes).  Entries live in
-//!   power-of-two-sized pages; reads index through one extra pointer,
-//!   writes go through [`CowTable::get_mut`].  The page-level accessors
-//!   let the memory, paged at the delta-snapshot chunk granularity, share
-//!   a page's handle with a pristine-image chunk or a checkpoint's delta
-//!   chunk.
-//! * [`CowBox<T>`] — one value on a single page: the queue-shaped
-//!   structures (ROB, fetch buffer, free list) as a `CowBox<VecDeque<_>>`,
-//!   and the irregular ones (the output stream, the dynamic instance
-//!   counters).  Mutation goes through [`CowBox::make_mut`].
+//!   (predictor counter tables, BTB, cache lines, and the backing memory's
+//!   bytes).  Entries live in power-of-two-sized pages; reads index
+//!   through one extra pointer, writes go through [`CowTable::get_mut`].
+//!   The page-level accessors let the memory, paged at the delta-snapshot
+//!   chunk granularity, share a page's handle with a pristine-image chunk
+//!   or a checkpoint's delta chunk.
+//! * [`CowBox<T>`] — one value on a single page: the output stream, which
+//!   only grows and is cheaper to share wholesale than to page.  Mutation
+//!   goes through [`CowBox::make_mut`].
 //!
 //! Sharing is **bookkeeping, not state**: it is never serialised (the
 //! `binio` wire formats below re-encode plain `len + elements`,
@@ -177,7 +187,7 @@ impl<T: Clone> CowTable<T> {
     }
 
     /// A table of `len` entries produced by `f(index)`, on shared pages.
-    pub fn from_fn(len: usize, page_len: usize, mut f: impl FnMut(usize) -> T) -> Self {
+    fn from_fn(len: usize, page_len: usize, mut f: impl FnMut(usize) -> T) -> Self {
         let page_len = page_len.max(1).next_power_of_two();
         let shift = page_len.trailing_zeros();
         let mut pages = Vec::with_capacity(len.div_ceil(page_len));
@@ -193,14 +203,6 @@ impl<T: Clone> CowTable<T> {
             shift,
             breaks: 0,
         }
-    }
-
-    /// A table holding the entries of `v`, paged in `page_len` entries
-    /// (rounded up to a power of two).  Used by `binio` decode.
-    pub fn from_vec(v: Vec<T>, page_len: usize) -> Self {
-        let len = v.len();
-        let mut it = v.into_iter();
-        Self::from_fn(len, page_len, |_| it.next().expect("length just measured"))
     }
 
     /// Number of entries.
@@ -355,16 +357,18 @@ impl<T: BinCode + Clone> CowTable<T> {
     /// Decodes a `len + elements` sequence into a freshly paged table on
     /// shared pages no one else holds.
     pub fn decode_seq(r: &mut ByteReader<'_>, page_len: usize) -> Result<Self, DecodeError> {
-        Ok(Self::from_vec(Vec::<T>::decode(r)?, page_len))
+        let v = Vec::<T>::decode(r)?;
+        let len = v.len();
+        let mut it = v.into_iter();
+        Ok(Self::from_fn(len, page_len, |_| {
+            it.next().expect("length just measured")
+        }))
     }
 }
 
-/// A single value on one copy-on-write page — for queues (the ROB, fetch
-/// buffer and free list, each a
-/// [`VecDeque`](std::collections::VecDeque)) and irregular structures
-/// (the dynamic-instance counters, the output stream) that are cheaper to
-/// share wholesale than to page.  Reads deref straight to the value, and a
-/// fork or restore is one handle clone.
+/// A single value on one copy-on-write page — for a structure (the output
+/// stream) that is cheaper to share wholesale than to page.  Reads deref
+/// straight to the value, and a fork or restore is one handle clone.
 #[derive(Debug)]
 pub struct CowBox<T> {
     inner: Page<T>,
@@ -575,7 +579,7 @@ mod tests {
     #[test]
     fn table_encode_matches_vec_layout() {
         let v: Vec<u64> = (0..37).collect();
-        let t = CowTable::from_vec(v.clone(), 8);
+        let t = CowTable::from_fn(v.len(), 8, |i| v[i]);
         let mut from_vec = Vec::new();
         v.encode(&mut from_vec);
         let mut from_table = Vec::new();

@@ -49,6 +49,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod bits;
 mod cache;
 mod config;
 mod core;

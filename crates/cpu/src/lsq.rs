@@ -6,12 +6,9 @@
 //! when the store drains to the cache at commit.  Slots are allocated
 //! circularly so a fault specification's entry index denotes a physical slot.
 
-use crate::cow::CowTable;
+use crate::bits::{clear_bit, set_bit};
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
 use merlin_isa::{MemSize, Rip, Upc};
-
-/// Copy-on-write page size for the queue slot arrays, in slots.
-const LSQ_PAGE: usize = 16;
 
 /// One store-queue slot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,11 +72,10 @@ impl BinCode for SqSlot {
     }
 }
 
-/// Circular store queue.  Slots live on copy-on-write pages, so restores
-/// and forks share them structurally.
+/// Circular store queue.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreQueue {
-    slots: CowTable<SqSlot>,
+    slots: Vec<SqSlot>,
     head: usize,
     tail: usize,
     count: usize,
@@ -89,7 +85,7 @@ impl StoreQueue {
     /// Creates a store queue with `n` slots.
     pub fn new(n: usize) -> Self {
         StoreQueue {
-            slots: CowTable::from_fn(n, LSQ_PAGE, |_| SqSlot::empty()),
+            slots: vec![SqSlot::empty(); n],
             head: 0,
             tail: 0,
             count: 0,
@@ -125,7 +121,7 @@ impl StoreQueue {
     pub fn allocate(&mut self, seq: u64, rip: Rip) -> usize {
         assert!(!self.is_full(), "store queue overflow");
         let slot = self.tail;
-        *self.slots.get_mut(slot) = SqSlot {
+        self.slots[slot] = SqSlot {
             valid: true,
             seq,
             addr: None,
@@ -147,8 +143,8 @@ impl StoreQueue {
     /// Panics if the freed slot is not the oldest valid slot.
     pub fn release_head(&mut self, slot: usize) {
         assert_eq!(slot, self.head, "stores must drain in order");
-        assert!(self.slots.get(slot).valid);
-        self.slots.get_mut(slot).valid = false;
+        assert!(self.slots[slot].valid);
+        self.slots[slot].valid = false;
         self.head = (self.head + 1) % self.capacity();
         self.count -= 1;
     }
@@ -161,21 +157,20 @@ impl StoreQueue {
     pub fn release_tail(&mut self, slot: usize) {
         let youngest = (self.tail + self.capacity() - 1) % self.capacity();
         assert_eq!(slot, youngest, "squash must free stores youngest-first");
-        assert!(self.slots.get(slot).valid);
-        self.slots.get_mut(slot).valid = false;
+        assert!(self.slots[slot].valid);
+        self.slots[slot].valid = false;
         self.tail = youngest;
         self.count -= 1;
     }
 
     /// Immutable access to a slot.
     pub fn slot(&self, idx: usize) -> &SqSlot {
-        self.slots.get(idx)
+        &self.slots[idx]
     }
 
-    /// Mutable access to a slot (breaks its page's sharing — callers take
-    /// this only to write).
+    /// Mutable access to a slot.
     pub fn slot_mut(&mut self, idx: usize) -> &mut SqSlot {
-        self.slots.get_mut(idx)
+        &mut self.slots[idx]
     }
 
     /// Iterates over the valid slots (any order).
@@ -191,7 +186,7 @@ impl StoreQueue {
         let cap = self.capacity();
         (self.head..self.head + self.count).map(move |i| {
             let i = if i >= cap { i - cap } else { i };
-            (i, self.slots.get(i))
+            (i, &self.slots[i])
         })
     }
 
@@ -231,29 +226,19 @@ impl StoreQueue {
     /// or one whose data has not arrived is overwritten before any read
     /// (see [`Cpu::fault_site_dead`](crate::Cpu::fault_site_dead)).
     pub fn flip_bit(&mut self, slot: usize, bit: u8) {
-        self.slots.get_mut(slot).data ^= 1u64 << bit;
-    }
-
-    /// Moves every owned page behind a handle, so it can be shared.
-    pub(crate) fn freeze(&mut self) {
-        self.slots.freeze();
-    }
-
-    /// Un-share counter of the slot array, reset.
-    pub(crate) fn take_cow_breaks(&mut self) -> u64 {
-        self.slots.take_cow_breaks()
+        self.slots[slot].data ^= 1u64 << bit;
     }
 }
 
 impl BinCode for StoreQueue {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.slots.encode_seq(out);
+        self.slots.encode(out);
         self.head.encode(out);
         self.tail.encode(out);
         self.count.encode(out);
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        let slots = CowTable::<SqSlot>::decode_seq(r, LSQ_PAGE)?;
+        let slots = Vec::<SqSlot>::decode(r)?;
         let head = usize::decode(r)?;
         let tail = usize::decode(r)?;
         let count = usize::decode(r)?;
@@ -287,11 +272,13 @@ impl BinCode for StoreQueue {
 }
 
 /// Load queue: only tracks occupancy (Gem5 models no data field in the load
-/// queue, and neither does the paper).  Slots live on copy-on-write pages
-/// like the store queue's.
+/// queue, and neither does the paper).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoadQueue {
-    seqs: CowTable<Option<u64>>,
+    seqs: Vec<Option<u64>>,
+    /// Occupancy bitset of `seqs`: bit `i` is set iff slot `i` holds a
+    /// load.  Bits past the last slot stay clear.
+    occupied: Vec<u64>,
     count: usize,
 }
 
@@ -299,7 +286,8 @@ impl LoadQueue {
     /// Creates a load queue with `n` slots.
     pub fn new(n: usize) -> Self {
         LoadQueue {
-            seqs: CowTable::new(n, None, LSQ_PAGE),
+            seqs: vec![None; n],
+            occupied: vec![0; n.div_ceil(64)],
             count: 0,
         }
     }
@@ -319,55 +307,59 @@ impl LoadQueue {
         self.count == self.seqs.len()
     }
 
-    /// Allocates a slot for the load with sequence number `seq`.
+    /// Allocates the lowest free slot for the load with sequence number
+    /// `seq`.  A free slot exists below every padding bit, so the lowest
+    /// clear bit is never past the last slot.
     ///
     /// # Panics
     ///
     /// Panics if the queue is full.
     pub fn allocate(&mut self, seq: u64) -> usize {
         assert!(!self.is_full(), "load queue overflow");
-        let slot = self
-            .seqs
+        let (w, word) = self
+            .occupied
             .iter()
-            .position(|s| s.is_none())
+            .enumerate()
+            .find(|(_, &word)| word != u64::MAX)
             .expect("free load-queue slot");
-        *self.seqs.get_mut(slot) = Some(seq);
+        let slot = w * 64 + word.trailing_ones() as usize;
+        set_bit(&mut self.occupied, slot);
+        self.seqs[slot] = Some(seq);
         self.count += 1;
         slot
     }
 
-    /// Releases the slot of the load with sequence number `seq` (commit or
-    /// squash).
+    /// Releases `slot` (commit or squash); a free slot is left as it is.
     pub fn release(&mut self, slot: usize) {
-        if self.seqs.get(slot).is_some() {
-            *self.seqs.get_mut(slot) = None;
+        if self.seqs[slot].take().is_some() {
+            clear_bit(&mut self.occupied, slot);
             self.count -= 1;
         }
     }
-
-    /// Moves every owned page behind a handle, so it can be shared.
-    pub(crate) fn freeze(&mut self) {
-        self.seqs.freeze();
-    }
-
-    /// Un-share counter of the slot array, reset.
-    pub(crate) fn take_cow_breaks(&mut self) -> u64 {
-        self.seqs.take_cow_breaks()
-    }
 }
 
+/// Encoded as the slots' sequence numbers (`len + Option<u64>s`) and the
+/// count; the occupancy bitset is rebuilt on decode.
 impl BinCode for LoadQueue {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.seqs.encode_seq(out);
+        self.seqs.encode(out);
         self.count.encode(out);
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        let seqs = CowTable::<Option<u64>>::decode_seq(r, LSQ_PAGE)?;
+        let seqs = Vec::<Option<u64>>::decode(r)?;
         let count = usize::decode(r)?;
         if count != seqs.iter().filter(|s| s.is_some()).count() {
             return Err(DecodeError::Invalid("load queue count"));
         }
-        Ok(LoadQueue { seqs, count })
+        let mut occupied = vec![0; seqs.len().div_ceil(64)];
+        for (i, _) in seqs.iter().enumerate().filter(|(_, s)| s.is_some()) {
+            set_bit(&mut occupied, i);
+        }
+        Ok(LoadQueue {
+            seqs,
+            occupied,
+            count,
+        })
     }
 }
 
@@ -519,6 +511,46 @@ mod tests {
                 matches!(decode(bytes), Err(DecodeError::Invalid(_))),
                 "{what} must be rejected"
             );
+        }
+    }
+
+    #[test]
+    fn load_queue_allocates_the_lowest_free_slot_like_a_whole_table_scan() {
+        use merlin_isa::binio::{decode_from_slice, encode_to_vec};
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        for n in [1, 2, 5, 32, 63, 64, 65, 100, 130] {
+            let mut lq = LoadQueue::new(n);
+            // The oracle: the slot table, scanned whole for a free slot.
+            let mut oracle: Vec<Option<u64>> = vec![None; n];
+            for seq in 0..4000u64 {
+                // Allocate three times in four while the queue is less than
+                // three-quarters full and once in four after, so queues
+                // both fill up and drain.
+                let odds = if lq.len() * 4 < n * 3 { 3 } else { 1 };
+                if next(4) < odds && !lq.is_full() {
+                    let want = oracle.iter().position(|s| s.is_none()).unwrap();
+                    assert_eq!(lq.allocate(seq), want, "{n} slots, seq {seq}");
+                    oracle[want] = Some(seq);
+                } else {
+                    let slot = next(n as u64) as usize;
+                    lq.release(slot);
+                    oracle[slot] = None;
+                }
+                assert_eq!(lq.seqs, oracle, "{n} slots, seq {seq}");
+                assert_eq!(lq.len(), oracle.iter().flatten().count());
+                // Decode rebuilds the occupancy bitset from the slots, so
+                // a round trip checks the one kept up to date.
+                assert_eq!(
+                    decode_from_slice::<LoadQueue>(&encode_to_vec(&lq)).unwrap(),
+                    lq
+                );
+            }
         }
     }
 

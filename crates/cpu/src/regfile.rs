@@ -1,10 +1,10 @@
 //! Physical register file, free list and register alias table (RAT).
 //!
-//! The register file and free list live on copy-on-write storage (see
-//! [`crate::CowTable`]), so restores and forks adopt page handles instead
-//! of copying entries.
+//! All three are plain owned arrays: the core writes them nearly every
+//! cycle, so a fork or restore copies them whole (see [`crate::CowTable`]
+//! for the structures that stay shared).
 
-use crate::cow::{CowBox, CowTable};
+use crate::bits::{clear_bit, has_bit, set_bit};
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
 use merlin_isa::{ArchReg, NUM_ARCH_REGS};
 use std::collections::VecDeque;
@@ -12,24 +12,24 @@ use std::collections::VecDeque;
 /// Index of a physical register.
 pub type PhysReg = u16;
 
-/// Copy-on-write page size for the register-file arrays, in entries.
-const PRF_PAGE: usize = 64;
-
-/// The physical integer register file: actual 64-bit storage plus per-entry
-/// ready bits, both on copy-on-write pages so forks share untouched pages
-/// with their parent.  The value array is a fault-injection target.
+/// The physical integer register file: actual 64-bit storage plus one ready
+/// bit per register, 64 to a word.  The bits past the last register stay
+/// clear, so two files with equal contents compare equal.  The value array
+/// is a fault-injection target.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhysRegFile {
-    values: CowTable<u64>,
-    ready: CowTable<bool>,
+    values: Vec<u64>,
+    ready: Vec<u64>,
 }
 
 impl PhysRegFile {
     /// Creates a register file of `n` physical registers, all zero and ready.
     pub fn new(n: usize) -> Self {
+        let mut ready = vec![0; n.div_ceil(64)];
+        (0..n).for_each(|p| set_bit(&mut ready, p));
         PhysRegFile {
-            values: CowTable::new(n, 0, PRF_PAGE),
-            ready: CowTable::new(n, true, PRF_PAGE),
+            values: vec![0; n],
+            ready,
         }
     }
 
@@ -45,31 +45,39 @@ impl PhysRegFile {
     }
 
     /// Reads a physical register's current value.
+    #[inline]
     pub fn read(&self, p: PhysReg) -> u64 {
-        *self.values.get(p as usize)
+        self.values[p as usize]
     }
 
     /// Writes a physical register and marks it ready.
+    #[inline]
     pub fn write(&mut self, p: PhysReg, value: u64) {
-        *self.values.get_mut(p as usize) = value;
-        *self.ready.get_mut(p as usize) = true;
+        self.values[p as usize] = value;
+        set_bit(&mut self.ready, p as usize);
     }
 
     /// Marks a freshly allocated register as not-ready (its producer has not
     /// executed yet).
+    #[inline]
     pub fn mark_pending(&mut self, p: PhysReg) {
-        *self.ready.get_mut(p as usize) = false;
+        debug_assert!((p as usize) < self.len(), "register {p} past the file");
+        clear_bit(&mut self.ready, p as usize);
     }
 
     /// Marks a register ready without changing its value (used when squash
     /// recovery returns a register to the free pool).
+    #[inline]
     pub fn mark_ready(&mut self, p: PhysReg) {
-        *self.ready.get_mut(p as usize) = true;
+        debug_assert!((p as usize) < self.len(), "register {p} past the file");
+        set_bit(&mut self.ready, p as usize);
     }
 
     /// Whether the register's value has been produced.
+    #[inline]
     pub fn is_ready(&self, p: PhysReg) -> bool {
-        *self.ready.get(p as usize)
+        debug_assert!((p as usize) < self.len(), "register {p} past the file");
+        has_bit(&self.ready, p as usize)
     }
 
     /// Flips one stored bit — the register-file fault-injection hook.  The
@@ -77,56 +85,51 @@ impl PhysRegFile {
     /// in a free or not-yet-written register is overwritten before any read
     /// (see [`Cpu::fault_site_dead`](crate::Cpu::fault_site_dead)).
     pub fn flip_bit(&mut self, p: usize, bit: u8) {
-        *self.values.get_mut(p) ^= 1u64 << bit;
-    }
-
-    /// Moves every owned page behind a handle, so it can be shared.
-    pub(crate) fn freeze(&mut self) {
-        self.values.freeze();
-        self.ready.freeze();
-    }
-
-    /// Un-share counters of both arrays, reset.
-    pub(crate) fn take_cow_breaks(&mut self) -> u64 {
-        self.values.take_cow_breaks() + self.ready.take_cow_breaks()
+        self.values[p] ^= 1u64 << bit;
     }
 }
 
+/// Encoded as `len + u64s` (the values), then `len + bools` (the ready
+/// bits): the word packing of the ready bits never reaches the wire.
 impl BinCode for PhysRegFile {
     fn encode(&self, out: &mut Vec<u8>) {
-        // Page boundaries are bookkeeping, never serialised — the on-disk
-        // format is identical to the pre-CoW layout.
-        self.values.encode_seq(out);
-        self.ready.encode_seq(out);
+        self.values.encode(out);
+        self.len().encode(out);
+        for p in 0..self.len() {
+            has_bit(&self.ready, p).encode(out);
+        }
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        let values = CowTable::<u64>::decode_seq(r, PRF_PAGE)?;
-        let ready = CowTable::<bool>::decode_seq(r, PRF_PAGE)?;
-        if values.len() != ready.len() {
+        let values = Vec::<u64>::decode(r)?;
+        let ready_bools = Vec::<bool>::decode(r)?;
+        if values.len() != ready_bools.len() {
             return Err(DecodeError::Invalid("register file array lengths"));
+        }
+        let mut ready = vec![0; values.len().div_ceil(64)];
+        for (p, _) in ready_bools.iter().enumerate().filter(|(_, &b)| b) {
+            set_bit(&mut ready, p);
         }
         Ok(PhysRegFile { values, ready })
     }
 }
 
-/// FIFO free list of physical registers, behind one copy-on-write handle a
-/// fork shares instead of copying.
+/// FIFO free list of physical registers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FreeList {
-    free: CowBox<VecDeque<PhysReg>>,
+    free: VecDeque<PhysReg>,
 }
 
 impl FreeList {
     /// Creates a free list containing registers `first..n`.
     pub fn new(first: usize, n: usize) -> Self {
         FreeList {
-            free: CowBox::new((first as PhysReg..n as PhysReg).collect()),
+            free: (first as PhysReg..n as PhysReg).collect(),
         }
     }
 
     /// Takes a register from the free list.
     pub fn allocate(&mut self) -> Option<PhysReg> {
-        self.free.make_mut().pop_front()
+        self.free.pop_front()
     }
 
     /// Returns a register to the free list.
@@ -135,7 +138,7 @@ impl FreeList {
             !self.free.contains(&p),
             "physical register {p} released twice"
         );
-        self.free.make_mut().push_back(p);
+        self.free.push_back(p);
     }
 
     /// Registers currently free.
@@ -147,16 +150,6 @@ impl FreeList {
     pub fn contains(&self, p: PhysReg) -> bool {
         self.free.contains(&p)
     }
-
-    /// Moves an owned queue behind a handle, so it can be shared.
-    pub(crate) fn freeze(&mut self) {
-        self.free.freeze();
-    }
-
-    /// Un-share counter of the queue, reset.
-    pub(crate) fn take_cow_breaks(&mut self) -> u64 {
-        self.free.take_cow_breaks()
-    }
 }
 
 impl BinCode for FreeList {
@@ -165,7 +158,7 @@ impl BinCode for FreeList {
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
         Ok(FreeList {
-            free: CowBox::decode(r)?,
+            free: BinCode::decode(r)?,
         })
     }
 }
@@ -240,6 +233,74 @@ mod tests {
         assert_eq!(prf.read(3), 0b1000);
         prf.flip_bit(3, 63);
         assert_eq!(prf.read(3), 0b1000 | (1 << 63));
+    }
+
+    /// The register file's wire bytes, built by hand: `len` and the values
+    /// as little-endian `u64`s, then `len` and one byte per ready bit.
+    fn hand_encoded(values: &[u64], ready: &[bool]) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(&(values.len() as u64).to_le_bytes());
+        values
+            .iter()
+            .for_each(|v| out.extend_from_slice(&v.to_le_bytes()));
+        out.extend_from_slice(&(ready.len() as u64).to_le_bytes());
+        out.extend(ready.iter().map(|&b| u8::from(b)));
+        out
+    }
+
+    #[test]
+    fn register_file_encodes_as_len_u64s_then_len_bools_and_compares_by_contents() {
+        use merlin_isa::binio::{decode_from_slice, encode_to_vec};
+        for n in [100, 256] {
+            let mut prf = PhysRegFile::new(n);
+            let mut values = vec![0u64; n];
+            let mut ready = vec![true; n];
+            for p in (0..n).step_by(3) {
+                values[p] = (p as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                prf.write(p as PhysReg, values[p]);
+            }
+            for p in (1..n).step_by(7).chain([n - 1]) {
+                ready[p] = false;
+                prf.mark_pending(p as PhysReg);
+            }
+            prf.flip_bit(n - 1, 63);
+            values[n - 1] ^= 1 << 63;
+
+            let bytes = encode_to_vec(&prf);
+            assert_eq!(bytes, hand_encoded(&values, &ready), "n = {n}");
+            let back = decode_from_slice::<PhysRegFile>(&bytes).unwrap();
+            assert_eq!(back, prf, "n = {n}");
+            assert_eq!(encode_to_vec(&back), bytes, "n = {n}");
+
+            for (v, r) in [(n, n - 1), (n - 1, n), (0, n)] {
+                let bad = hand_encoded(&vec![0; v], &vec![true; r]);
+                assert!(
+                    matches!(
+                        decode_from_slice::<PhysRegFile>(&bad),
+                        Err(DecodeError::Invalid(_))
+                    ),
+                    "{v} values with {r} ready bits must be rejected"
+                );
+            }
+
+            // Equal contents reached three ways compare equal, so the
+            // padding bits past `n` never differ.
+            let fresh = PhysRegFile::new(n);
+            let decoded =
+                decode_from_slice::<PhysRegFile>(&hand_encoded(&vec![0; n], &vec![true; n]))
+                    .unwrap();
+            let mut cycled = PhysRegFile::new(n);
+            for p in 0..n as PhysReg {
+                cycled.mark_pending(p);
+                cycled.write(p, 0);
+            }
+            assert_eq!(decoded, fresh, "n = {n}");
+            assert_eq!(cycled, fresh, "n = {n}");
+            cycled.mark_pending(0);
+            assert_ne!(cycled, fresh, "one ready bit differs");
+            cycled.mark_ready(0);
+            assert_eq!(cycled, fresh, "n = {n}");
+        }
     }
 
     #[test]

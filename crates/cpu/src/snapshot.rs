@@ -28,15 +28,17 @@
 //! never empty and always holds a snapshot at or before any later cycle of
 //! the run that built it (the cycle-0 reset state when the core is fresh).
 //!
-//! Restoring a retained snapshot is cheap to repeat: the register file,
-//! free list, ROB, fetch buffer, load/store queues and predictor tables sit
-//! on copy-on-write pages ([`crate::CowTable`], [`crate::CowBox`]), so a
-//! restore adopts the snapshot's page handles instead of copying entries,
-//! and the backing memory adopts its delta chunks by handle.  Only the
-//! caches are rebuilt line by line from their sparse images.  Sharing is
-//! runtime-only bookkeeping: it is never serialised, so the on-disk `binio`
-//! format is unchanged, and decoding a snapshot yields shared pages no one
-//! else holds yet, which restores adopt by handle like a live snapshot's.
+//! Restoring a retained snapshot is cheap to repeat: the predictor tables,
+//! the BTB and the output stream sit on copy-on-write pages
+//! ([`crate::CowTable`], [`crate::CowBox`]), so a restore adopts the
+//! snapshot's page handles instead of copying entries, and the backing
+//! memory adopts its delta chunks by handle.  The per-cycle arrays (register
+//! file, free list, ROB, fetch buffer, load/store queues, dynamic-instance
+//! counters) are small and copied; the caches are rebuilt line by line from
+//! their sparse images.  Sharing is runtime-only bookkeeping: it is never
+//! serialised, so the on-disk `binio` format is unchanged, and decoding a
+//! snapshot yields shared pages no one else holds yet, which restores adopt
+//! by handle like a live snapshot's.
 
 use crate::core::{Cpu, CpuState, RunResult};
 use crate::probe::Probe;

@@ -28,10 +28,10 @@
 //!    stepped for it.  This and the L1D log are the first step of MeRLiN's
 //!    ACE-like analysis applied per fault,
 //! 3. **forks** a faulty core for every other fault: [`Cpu::fork_from`]
-//!    makes a pool core adopt the golden core's copy-on-write page handles
-//!    — O(metadata), from whatever state the pool core was left in; a page
-//!    is copied only when the fork first writes it — and the fault is
-//!    injected.  A one-fault range (every
+//!    makes a pool core copy the golden core's per-cycle arrays and adopt
+//!    its copy-on-write page handles — from whatever state the pool core
+//!    was left in; a shared page is copied only when the fork first writes
+//!    it — and the fault is injected.  A one-fault range (every
 //!    [`FaultInjector`](crate::FaultInjector) run) skips the fork: its
 //!    golden core is not needed afterwards and takes the fault itself,
 //! 4. runs the fork **to retirement on the spot**: at each retained

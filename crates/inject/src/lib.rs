@@ -21,7 +21,8 @@
 //!   its state re-converges with the golden run's — every
 //!   session shares one pre-decoded micro-op arena
 //!   (`merlin_isa::DecodedProgram`) across all of its cores, and restores
-//!   adopt the snapshot's copy-on-write pages instead of copying them,
+//!   adopt the snapshot's copy-on-write pages (memory, caches, predictor)
+//!   instead of copying them,
 //! * the restore-aware campaign scheduler (see the [`schedule`] module):
 //!   faults are bucketed into per-checkpoint ranges, workers claim whole
 //!   ranges from one shared index (keeping each range's restore snapshot
