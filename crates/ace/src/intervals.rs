@@ -76,6 +76,21 @@ impl VulnerableIntervals {
         }
     }
 
+    /// A repository over the given per-entry interval lists, one per entry
+    /// of the structure, each sorted by start cycle.
+    pub(crate) fn from_entries(
+        structure: Structure,
+        per_entry: Vec<Vec<Interval>>,
+        total_cycles: u64,
+    ) -> Self {
+        VulnerableIntervals {
+            total_entries: per_entry.len(),
+            per_entry,
+            bits_per_entry: structure.bits_per_entry(),
+            total_cycles,
+        }
+    }
+
     /// Adds an interval for `entry` (intervals must be pushed in
     /// non-decreasing start order per entry, which the profiler guarantees).
     ///

@@ -40,6 +40,7 @@
 #![forbid(unsafe_code)]
 
 mod intervals;
+mod persist;
 mod profiler;
 mod session;
 

@@ -243,7 +243,7 @@ impl Probe for AceProfiler {
 }
 
 /// Result of the ACE-like preprocessing run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AceAnalysis {
     /// The fault-free run the profile was collected on.
     pub golden: RunResult,

@@ -14,7 +14,7 @@ use crate::cache::{CacheEffects, MemSystem};
 use crate::config::{ConfigError, CpuConfig};
 use crate::cow::CowBox;
 use crate::fault::FaultSpec;
-use crate::lsq::{LoadQueue, StoreQueue};
+use crate::lsq::{LoadQueue, SqSlot, StoreQueue};
 use crate::memory::{MemError, Memory};
 use crate::predictor::{BranchPredictor, Btb};
 use crate::probe::{Probe, ReadInfo, Structure, WRITEBACK_RIP};
@@ -1602,14 +1602,21 @@ impl CpuState {
     }
 
     /// Approximate heap footprint of the snapshot in bytes (dominated by the
-    /// memory delta and the touched cache lines).
+    /// memory delta and the touched cache lines): every array the snapshot
+    /// holds its own copy of, at its length.
     pub fn footprint_bytes(&self) -> usize {
+        use std::mem::size_of;
         let c = &self.core;
         self.mem.footprint_bytes()
             + c.prf.len() * 9
             + c.output.len() * 8
-            + c.rob.len() * std::mem::size_of::<RobEntry>()
-            + c.fetch_buffer.len() * std::mem::size_of::<FetchedUop>()
+            + c.rob.len() * size_of::<RobEntry>()
+            + c.fetch_buffer.len() * size_of::<FetchedUop>()
+            + c.dyn_counts.0.len() * size_of::<u64>()
+            + c.free_list.available() * size_of::<PhysReg>()
+            + c.sq.capacity() * size_of::<SqSlot>()
+            + c.lq.capacity() * size_of::<Option<u64>>()
+            + c.lq.capacity().div_ceil(64) * size_of::<u64>()
     }
 
     /// Bytes the chunk-level memory delta occupies within
@@ -1970,6 +1977,51 @@ mod tests {
         sq.encode(&mut bytes);
         l1d.encode(&mut bytes);
         bytes
+    }
+
+    #[test]
+    fn footprint_counts_the_queues_the_free_list_and_the_instance_counters() {
+        use merlin_isa::{reg, AluOp, Cond, ProgramBuilder};
+        use std::mem::size_of;
+        let mut b = ProgramBuilder::new();
+        b.movi(reg(1), 0);
+        let top = b.bind_label();
+        b.alu_ri(AluOp::Add, reg(1), reg(1), 1);
+        b.branch_ri(Cond::Lt, reg(1), 20, top);
+        b.out(reg(1));
+        b.halt();
+        let program = b.build().unwrap();
+        let footprint = |cfg: CpuConfig| {
+            Cpu::new(program.clone(), cfg)
+                .unwrap()
+                .snapshot()
+                .footprint_bytes()
+        };
+        let cfg = CpuConfig::default();
+        let base = footprint(cfg.clone());
+        // Each per-entry array is counted at its length.
+        let mut sq = cfg.clone();
+        sq.sq_entries += 8;
+        assert_eq!(footprint(sq) - base, 8 * size_of::<SqSlot>());
+        let mut lq = cfg.clone();
+        lq.lq_entries += 64;
+        assert_eq!(
+            footprint(lq) - base,
+            64 * size_of::<Option<u64>>() + size_of::<u64>()
+        );
+        let regs = cfg.clone().with_phys_regs(cfg.phys_int_regs + 8);
+        assert_eq!(footprint(regs) - base, 8 * (9 + size_of::<PhysReg>()));
+        // The instance counters hold one count per committed RIP.
+        let mut cpu = Cpu::new(program.clone(), cfg).unwrap();
+        cpu.run(100_000, &mut crate::NullProbe);
+        let end = cpu.snapshot();
+        let mut without_counts = end.clone();
+        without_counts.core.dyn_counts = DynCounts::default();
+        assert!(!end.core.dyn_counts.0.is_empty());
+        assert_eq!(
+            end.footprint_bytes() - without_counts.footprint_bytes(),
+            end.core.dyn_counts.0.len() * size_of::<u64>()
+        );
     }
 
     #[test]

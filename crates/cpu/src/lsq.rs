@@ -292,6 +292,11 @@ impl LoadQueue {
         }
     }
 
+    /// Number of slots.
+    pub fn capacity(&self) -> usize {
+        self.seqs.len()
+    }
+
     /// Occupied slots.
     pub fn len(&self) -> usize {
         self.count

@@ -65,6 +65,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod artifact;
 mod batch;
 mod campaign;
 pub mod chaos;

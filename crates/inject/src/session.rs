@@ -16,7 +16,10 @@
 //! * a [`SessionCache`] keyed by `(workload id, context fingerprint)` lets
 //!   configuration sweeps and repeated phases share sessions — in memory
 //!   within a process, and optionally on disk across processes via a
-//!   bincode-style serialisation of the golden run and its checkpoint store.
+//!   bincode-style serialisation of the golden run and its checkpoint store,
+//!   which a load replays in part before trusting it, and beside which higher
+//!   layers persist their own artifacts (see the [`artifact`](crate::artifact)
+//!   module).
 //!
 //! Higher layers extend the session by trait: `merlin-ace` adds
 //! `ace_profile()` and `merlin-core` adds `merlin()`, `comprehensive()`,
@@ -41,6 +44,7 @@
 //! assert_eq!(session.golden_builds(), 1);
 //! ```
 
+use crate::artifact::{self, fnv1a_bytes, quarantine, write_atomic, ArtifactFormat};
 use crate::campaign::{
     build_golden_checkpointed, CampaignError, CampaignResult, FaultInjector, GoldenCheckpoints,
     GoldenRun,
@@ -49,7 +53,7 @@ use crate::liveness::L1dLiveness;
 use crate::sampling::generate_fault_list;
 use crate::schedule::CampaignScheduler;
 use merlin_analyze::ProgramAnalysis;
-use merlin_cpu::{CheckpointPolicy, CpuConfig, FaultSpec, Structure};
+use merlin_cpu::{CheckpointPolicy, Cpu, CpuConfig, FaultSpec, NullProbe, Structure};
 use merlin_isa::binio::{BinCode, ByteReader};
 use merlin_isa::{DecodedProgram, Program};
 use std::any::{Any, TypeId};
@@ -57,7 +61,6 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use std::{fs, io};
 
 /// Builder for a [`Session`].
 ///
@@ -118,7 +121,9 @@ impl SessionBuilder {
 
     /// Persists the golden run (checkpoint store included) to `path` on
     /// first build, and loads it from there instead of simulating when a
-    /// file with a matching fingerprint already exists.  Normally set by
+    /// file with a matching fingerprint already exists.  Artifacts saved
+    /// through [`Session::save_artifact`] go beside it, under the same name
+    /// with their own extension.  Normally set by
     /// [`SessionCache::with_disk_dir`] rather than by hand.
     pub fn persist_to(mut self, path: impl Into<PathBuf>) -> Self {
         self.persist_path = Some(path.into());
@@ -158,12 +163,12 @@ impl SessionBuilder {
             seg.addr.encode(&mut bytes);
             seg.bytes.encode(&mut bytes);
         }
-        let mut hash = fnv1a(FNV_OFFSET, &bytes);
+        let mut hash = fnv1a_bytes(&bytes);
         // The instruction stream, via its canonical listing (one line per
         // instruction, so the encoding is unambiguous; the ISA types predate
         // the binary codec and need no byte-exact encoding of their own for
         // identity purposes).
-        hash = fnv1a(hash, self.program.listing().as_bytes());
+        hash = artifact::fnv1a_from(hash, self.program.listing().as_bytes());
         self.fingerprint.set(Some(hash));
         hash
     }
@@ -205,6 +210,7 @@ impl SessionBuilder {
             persist_path: self.persist_path,
             fingerprint,
             golden: OnceLock::new(),
+            golden_checksum: OnceLock::new(),
             golden_builds: AtomicU64::new(0),
             artifact_rejects: self.artifact_rejects,
             ext: Mutex::new(HashMap::new()),
@@ -232,9 +238,12 @@ pub struct Session {
     persist_path: Option<PathBuf>,
     fingerprint: u64,
     golden: OnceLock<Result<GoldenRun, CampaignError>>,
+    /// Checksum of the `.golden` file the golden run was loaded from or
+    /// written to; set only when the session persists.
+    golden_checksum: OnceLock<u64>,
     golden_builds: AtomicU64,
-    /// Corrupt `.golden` files quarantined at load (shared with the owning
-    /// [`SessionCache`] when the session came from one).
+    /// Artifacts rejected at load (shared with the owning [`SessionCache`]
+    /// when the session came from one).
     artifact_rejects: Arc<AtomicU64>,
     /// Type-keyed storage for per-session artifacts owned by higher layers
     /// (e.g. the cached ACE analysis of `merlin-ace`).
@@ -294,6 +303,15 @@ impl Session {
     /// The golden run, built (or loaded from the persist path) on first use
     /// and shared by every subsequent phase.
     ///
+    /// A loaded file is trusted only if this build of the core reproduces
+    /// it: restoring a checkpoint chosen by the fingerprint must step to
+    /// exactly the next checkpoint's state, and the last checkpoint must
+    /// run to the stored result.  The fingerprint cannot see a change to
+    /// the core's behaviour, so this is what keeps a file written by an
+    /// older core from classifying campaigns.  A file that fails is renamed
+    /// `<name>.golden.stale`, counted in [`Session::artifact_rejects`], and
+    /// rebuilt.
+    ///
     /// # Errors
     ///
     /// Returns [`CampaignError::GoldenRunFailed`] if the program does not
@@ -314,26 +332,77 @@ impl Session {
         self.golden_builds.load(Ordering::Relaxed)
     }
 
-    /// Corrupt `.golden` artifacts this session rejected at load: files whose
-    /// header matched this context but whose content failed the checksum (or
-    /// decode), quarantined to `<name>.golden.corrupt` and rebuilt.  When the
-    /// session came from a [`SessionCache`], the counter is shared cache-wide
-    /// ([`SessionCache::artifact_rejects`]).
+    /// Artifacts this session rejected at load and rebuilt, each renamed
+    /// so it is never read again:
+    ///
+    /// - a `.golden` or `.ace` file whose header matched this context but
+    ///   whose content failed the checksum or decode, renamed
+    ///   `<name>.corrupt`;
+    /// - a `.golden` file that decoded but that this build of the core does
+    ///   not replay exactly (see [`Session::golden`]), renamed
+    ///   `<name>.golden.stale`.
+    ///
+    /// When the session came from a [`SessionCache`], the counter is shared
+    /// cache-wide ([`SessionCache::artifact_rejects`]).
     pub fn artifact_rejects(&self) -> u64 {
         self.artifact_rejects.load(Ordering::Relaxed)
     }
 
+    /// With a disk directory: the golden run, built or loaded, and the
+    /// checksum of its `.golden` file, which artifacts persisted beside it
+    /// record to bind themselves to it.  `None` without a disk directory,
+    /// and when the golden run fails.
+    pub fn persisted_golden(&self) -> Option<(&GoldenRun, u64)> {
+        self.persist_path.as_ref()?;
+        let golden = self.golden().ok()?;
+        let checksum = *self
+            .golden_checksum
+            .get()
+            .expect("a persisting session records its golden checksum");
+        Some((golden, checksum))
+    }
+
+    /// Loads the artifact of `format` persisted beside this session's
+    /// `.golden` file (the same name with `format.extension`), if its
+    /// header names this session's fingerprint and `binding`.  `decode`
+    /// gets the checksum-verified payload and returns `None` to reject it.
+    /// A missing file, or one for another format, version, fingerprint or
+    /// binding, is a silent miss; a file that fails its checksum or decode
+    /// is quarantined and counted in [`Session::artifact_rejects`].
+    /// Always `None` without a disk directory.
+    pub fn load_artifact<T>(
+        &self,
+        format: &ArtifactFormat,
+        binding: u64,
+        decode: impl FnOnce(&[u8]) -> Option<T>,
+    ) -> Option<T> {
+        let path = self.persist_path.as_ref()?.with_extension(format.extension);
+        let key = [self.fingerprint, binding];
+        format
+            .load(&path, &key, &self.artifact_rejects, decode)
+            .map(|(value, _)| value)
+    }
+
+    /// Persists an artifact of `format` beside this session's `.golden`
+    /// file for [`Session::load_artifact`] to find, its payload appended by
+    /// `payload`.  Best-effort, like the `.golden` file itself: a write
+    /// that fails is dropped.  Does nothing without a disk directory.
+    pub fn save_artifact(
+        &self,
+        format: &ArtifactFormat,
+        binding: u64,
+        payload: impl FnOnce(&mut Vec<u8>),
+    ) {
+        if let Some(path) = &self.persist_path {
+            let file = format.frame(&[self.fingerprint, binding], payload);
+            let _ = write_atomic(&path.with_extension(format.extension), &file);
+        }
+    }
+
     fn build_golden(&self) -> Result<GoldenRun, CampaignError> {
         if let Some(path) = &self.persist_path {
-            let mem_len = (self.program.data_size + self.cfg.extra_memory_bytes) as usize;
-            let l1d_words = self.cfg.l1d.total_words();
-            if let Some(golden) = load_golden(
-                path,
-                self.fingerprint,
-                mem_len,
-                l1d_words,
-                &self.artifact_rejects,
-            ) {
+            if let Some((golden, checksum)) = self.load_golden(path) {
+                let _ = self.golden_checksum.set(checksum);
                 return Ok(golden);
             }
         }
@@ -346,11 +415,74 @@ impl Session {
             &self.policy,
         )?;
         if let Some(path) = &self.persist_path {
+            let file = golden_file(self.fingerprint, &golden);
+            let _ = self.golden_checksum.set(artifact::trailer(&file));
             // Persistence is best-effort: a read-only disk must not fail the
             // campaign.
-            let _ = save_golden(path, self.fingerprint, &golden);
+            let _ = write_atomic(path, &file);
         }
         Ok(golden)
+    }
+
+    /// The golden run persisted at `path` and its checksum, if the file is
+    /// this context's, intact, and replayed exactly by this build of the
+    /// core.  A file that decodes but does not replay is renamed
+    /// `<path>.stale` and counted.
+    fn load_golden(&self, path: &Path) -> Option<(GoldenRun, u64)> {
+        let mem_len = (self.program.data_size + self.cfg.extra_memory_bytes) as usize;
+        let l1d_words = self.cfg.l1d.total_words();
+        let (golden, checksum) = GOLDEN.load(
+            path,
+            &[self.fingerprint],
+            &self.artifact_rejects,
+            |payload| decode_golden_payload(payload, mem_len, l1d_words),
+        )?;
+        if !self.replays_exactly(&golden) {
+            return quarantine(path, "stale", &self.artifact_rejects);
+        }
+        Some((golden, checksum))
+    }
+
+    /// Whether this build of the core reproduces a decoded golden run.  The
+    /// fingerprint covers the program, the configuration and the policy,
+    /// but not the core's behaviour, so a file written before the core's
+    /// timing changed still decodes.  Two replays catch it:
+    ///
+    /// - restore checkpoint `k` (chosen by the fingerprint, so different
+    ///   files check different ranges) and step to checkpoint `k + 1`,
+    ///   whose state must match exactly;
+    /// - restore the last checkpoint and run to the end, whose result must
+    ///   equal the stored one, and the stored timeout must be the one the
+    ///   result implies.
+    ///
+    /// Together they cost about two checkpoint intervals of simulation.
+    fn replays_exactly(&self, golden: &GoldenRun) -> bool {
+        if golden.timeout_cycles != GoldenRun::timeout_for(golden.result.cycles) {
+            return false;
+        }
+        let snapshots: Vec<_> = golden.checkpoints.store.snapshots().collect();
+        let Ok(mut cpu) = Cpu::with_predecoded(
+            Arc::clone(&self.program),
+            Arc::clone(&self.decoded),
+            (*self.cfg).clone(),
+        ) else {
+            return false;
+        };
+        // Decode admits only stores that start at reset, so there is a last.
+        let last = snapshots.len() - 1;
+        if last > 0 {
+            let k = (self.fingerprint % last as u64) as usize;
+            let (from, to) = (snapshots[k], snapshots[k + 1]);
+            cpu.restore_from(from);
+            while !cpu.is_finished() && cpu.cycle() < to.cycle() {
+                cpu.step(&mut NullProbe);
+            }
+            if !cpu.matches_state(to) {
+                return false;
+            }
+        }
+        cpu.restore_from(snapshots[last]);
+        cpu.run(self.max_cycles, &mut NullProbe) == golden.result
     }
 
     /// Checks a fault list against the fault model — the session boundary
@@ -546,7 +678,13 @@ pub struct SessionKey {
 /// With a disk directory attached, golden runs (checkpoint store included)
 /// are serialised to `<dir>/<id>-<fingerprint>.golden` and re-loaded by
 /// later processes — the instrumented golden run is then paid once per
-/// context *ever*, not once per process.
+/// context *ever*, not once per process.  A load checks the file's checksum,
+/// decodes it against the context, and replays part of it on the current
+/// core (see [`Session::golden`]); a file that fails is renamed, counted in
+/// [`SessionCache::artifact_rejects`], and rebuilt.  Higher layers persist
+/// their own per-context artifacts beside it through
+/// [`Session::save_artifact`] and [`Session::load_artifact`]: `merlin-ace`
+/// keeps the ACE-like profile in `<id>-<fingerprint>.ace`.
 ///
 /// # Examples
 ///
@@ -570,9 +708,8 @@ pub struct SessionKey {
 pub struct SessionCache {
     sessions: Mutex<HashMap<SessionKey, Arc<Session>>>,
     disk_dir: Option<PathBuf>,
-    /// Corrupt `.golden` files quarantined at load, summed over every
-    /// session this cache created (shared into each via
-    /// [`SessionBuilder::reject_counter`]).
+    /// Artifacts rejected at load, summed over every session this cache
+    /// created (shared into each via [`SessionBuilder::reject_counter`]).
     artifact_rejects: Arc<AtomicU64>,
 }
 
@@ -582,8 +719,9 @@ impl SessionCache {
         SessionCache::default()
     }
 
-    /// A cache that additionally persists golden runs under `dir` for
-    /// cross-process reuse.  The directory is created on first save.
+    /// A cache that additionally persists golden runs, and the artifacts
+    /// higher layers keep beside them, under `dir` for cross-process reuse.
+    /// The directory is created on first save.
     pub fn with_disk_dir(dir: impl Into<PathBuf>) -> Self {
         SessionCache {
             disk_dir: Some(dir.into()),
@@ -637,9 +775,11 @@ impl SessionCache {
         self.len() == 0
     }
 
-    /// Corrupt `.golden` files rejected (checksum or decode failure behind a
-    /// matching header), quarantined to `<name>.golden.corrupt` and
-    /// transparently rebuilt, across every session this cache created.
+    /// Artifacts rejected at load and transparently rebuilt, across every
+    /// session this cache created: `.golden` and `.ace` files whose checksum
+    /// or decode failed behind a matching header (renamed `<name>.corrupt`),
+    /// and `.golden` files the current core does not replay exactly
+    /// (renamed `<name>.golden.stale`).  See [`Session::artifact_rejects`].
     pub fn artifact_rejects(&self) -> u64 {
         self.artifact_rejects.load(Ordering::Relaxed)
     }
@@ -647,7 +787,6 @@ impl SessionCache {
 
 // --- Disk persistence ----------------------------------------------------
 
-const GOLDEN_MAGIC: &[u8; 8] = b"MRLNGLD\0";
 /// Version 5: the payload is the run result, the timeout, the checkpoint
 /// store and the L1D liveness log; the checkpoint policy is covered by the
 /// fingerprint, not stored.  Version 4 added the L1D liveness log
@@ -660,106 +799,32 @@ const GOLDEN_MAGIC: &[u8; 8] = b"MRLNGLD\0";
 /// older-version files are ordinary cache misses and are rebuilt, not
 /// quarantined.
 const GOLDEN_VERSION: u32 = 5;
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// Bytes of the fixed `.golden` header: magic, version, fingerprint.
-const GOLDEN_HEADER_LEN: usize = GOLDEN_MAGIC.len() + 4 + 8;
-/// Bytes of the checksum trailer.
-const GOLDEN_TRAILER_LEN: usize = 8;
 
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
+/// The `.golden` file: header `MRLNGLD\0`, [`GOLDEN_VERSION`] and the
+/// fingerprint, checksummed byte by byte.
+const GOLDEN: ArtifactFormat = ArtifactFormat {
+    magic: b"MRLNGLD\0",
+    version: GOLDEN_VERSION,
+    extension: "golden",
+    checksum: fnv1a_bytes,
+};
 
 fn golden_file_name(id: &str, fingerprint: u64) -> String {
     let sanitized: String = id
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
         .collect();
-    format!("{sanitized}-{fingerprint:016x}.golden")
+    format!("{sanitized}-{fingerprint:016x}.{}", GOLDEN.extension)
 }
 
-fn save_golden(path: &Path, fingerprint: u64, golden: &GoldenRun) -> io::Result<()> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(GOLDEN_MAGIC);
-    GOLDEN_VERSION.encode(&mut buf);
-    fingerprint.encode(&mut buf);
-    golden.result.encode(&mut buf);
-    golden.timeout_cycles.encode(&mut buf);
-    golden.checkpoints.store.encode(&mut buf);
-    golden.checkpoints.l1d.encode(&mut buf);
-    // Content checksum over header and payload, as the trailer.
-    fnv1a(FNV_OFFSET, &buf).encode(&mut buf);
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent)?;
-    }
-    // Write-then-rename so a concurrent reader never observes a torn file.
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    fs::write(&tmp, &buf)?;
-    fs::rename(&tmp, path).inspect_err(|_| {
-        // A failed rename must not leak the temp file (a read-only target
-        // directory would otherwise accumulate one orphan per process).
-        let _ = fs::remove_file(&tmp);
+/// The complete `.golden` file of `golden`.
+fn golden_file(fingerprint: u64, golden: &GoldenRun) -> Vec<u8> {
+    GOLDEN.frame(&[fingerprint], |buf| {
+        golden.result.encode(buf);
+        golden.timeout_cycles.encode(buf);
+        golden.checkpoints.store.encode(buf);
+        golden.checkpoints.l1d.encode(buf);
     })
-}
-
-/// Quarantines a corrupt artifact: renames it to `<path>.corrupt` so the
-/// bytes survive for diagnosis (and cannot be re-read as a live artifact),
-/// counts the rejection, and reports a cache miss so the caller rebuilds.
-fn reject_corrupt(path: &Path, rejects: &AtomicU64) -> Option<GoldenRun> {
-    let mut corrupt = path.as_os_str().to_owned();
-    corrupt.push(".corrupt");
-    let _ = fs::rename(path, PathBuf::from(corrupt));
-    rejects.fetch_add(1, Ordering::Relaxed);
-    None
-}
-
-fn load_golden(
-    path: &Path,
-    fingerprint: u64,
-    mem_len: usize,
-    l1d_words: usize,
-    rejects: &AtomicU64,
-) -> Option<GoldenRun> {
-    // A file that never claimed to be this context's v5 artifact (foreign
-    // magic, older version, different fingerprint) is a silent cache miss.
-    // A file whose header *does* match but whose content fails the checksum
-    // or decode is corruption: quarantined via `reject_corrupt` so a flipped
-    // bit can never be gambled through the decoder into wrong
-    // classifications — and never silently overwritten either.
-    let buf = fs::read(path).ok()?;
-    let mut r = ByteReader::new(&buf);
-    if r.take(GOLDEN_MAGIC.len()).ok()? != GOLDEN_MAGIC {
-        return None;
-    }
-    if u32::decode(&mut r).ok()? != GOLDEN_VERSION {
-        return None;
-    }
-    if u64::decode(&mut r).ok()? != fingerprint {
-        return None;
-    }
-    // Header matched: from here on, failures are corruption.
-    let Some(payload_end) = buf
-        .len()
-        .checked_sub(GOLDEN_TRAILER_LEN)
-        .filter(|&end| end >= GOLDEN_HEADER_LEN)
-    else {
-        return reject_corrupt(path, rejects);
-    };
-    let mut t = ByteReader::new(&buf[payload_end..]);
-    let stored = u64::decode(&mut t).ok()?;
-    if fnv1a(FNV_OFFSET, &buf[..payload_end]) != stored {
-        return reject_corrupt(path, rejects);
-    }
-    // Checksum verified: a decode failure now means the writer itself was
-    // broken — still corruption, still quarantined.
-    match decode_golden_payload(&buf[GOLDEN_HEADER_LEN..payload_end], mem_len, l1d_words) {
-        Some(golden) => Some(golden),
-        None => reject_corrupt(path, rejects),
-    }
 }
 
 /// Decodes the payload between a `.golden` file's verified header and its
@@ -795,6 +860,12 @@ mod tests {
     use super::*;
     use crate::classify::FaultEffect;
     use merlin_isa::{reg, AluOp, Cond, MemRef, ProgramBuilder};
+    use std::fs;
+
+    /// Bytes of the `.golden` header (magic, version, fingerprint) and of
+    /// its checksum trailer.
+    const GOLDEN_HEADER_LEN: usize = 8 + 4 + 8;
+    const GOLDEN_TRAILER_LEN: usize = 8;
 
     fn tiny_program() -> Program {
         let mut b = ProgramBuilder::new();
@@ -1206,7 +1277,7 @@ mod tests {
         let bytes = fs::read(&file).unwrap();
         let mut forged = bytes[..bytes.len() - GOLDEN_TRAILER_LEN].to_vec();
         forged.push(0);
-        fnv1a(FNV_OFFSET, &forged).encode(&mut forged);
+        fnv1a_bytes(&forged).encode(&mut forged);
         fs::write(&file, &forged).unwrap();
 
         let second = SessionCache::with_disk_dir(&dir);
@@ -1238,7 +1309,7 @@ mod tests {
         // Rewrite the version field to the previous format's.
         let file = dir.join(golden_file_name("tiny", s1.fingerprint()));
         let mut bytes = fs::read(&file).unwrap();
-        bytes[GOLDEN_MAGIC.len()..GOLDEN_MAGIC.len() + 4]
+        bytes[GOLDEN.magic.len()..GOLDEN.magic.len() + 4]
             .copy_from_slice(&(GOLDEN_VERSION - 1).to_le_bytes());
         fs::write(&file, &bytes).unwrap();
 
@@ -1250,28 +1321,6 @@ mod tests {
         let mut corrupt_os = file.as_os_str().to_owned();
         corrupt_os.push(".corrupt");
         assert!(!PathBuf::from(corrupt_os).exists());
-
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn failed_rename_does_not_leak_the_temp_file() {
-        let dir = temp_dir("tmp-leak");
-        fs::create_dir_all(&dir).unwrap();
-        // A directory squatting on the target path makes the final rename
-        // fail after the temp file was written.
-        let target = dir.join("blocked.golden");
-        fs::create_dir_all(&target).unwrap();
-        let session = test_session();
-        let golden = session.golden().unwrap();
-        let err = save_golden(&target, session.fingerprint(), golden);
-        assert!(err.is_err(), "rename onto a directory must fail");
-        let leftovers: Vec<_> = fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name())
-            .filter(|n| n != "blocked.golden")
-            .collect();
-        assert!(leftovers.is_empty(), "temp file leaked: {leftovers:?}");
 
         let _ = fs::remove_dir_all(&dir);
     }
