@@ -1,11 +1,19 @@
 //! Set-associative write-back caches and the two-level memory system.
 //!
 //! The L1 data cache's data array is one of the paper's three fault-injection
-//! targets, so the cache stores *actual data bytes*: a bit flipped in a line
+//! targets, so the L1D stores *actual data bytes*: a bit flipped in a line
 //! propagates to loads, writebacks and refills exactly as it would in
-//! hardware.  The L2 is modelled with the same structure (1 MB, 16-way in the
-//! baseline configuration) but is not a fault target.
+//! hardware.  The L2 (1 MB, 16-way in the baseline configuration) is not a
+//! fault target, and no latency depends on its data or its dirty bit, so it
+//! keeps tags, valid bits and LRU stamps only: a dirty L1D victim goes
+//! straight to memory, refills read memory, and the L2 decides only whether
+//! a refill pays the memory latency.
+//!
+//! Tags and L1D bytes sit on copy-on-write pages of one set each, and a
+//! valid-line bitset lets snapshot, restore and compare walk only the
+//! valid lines, so every cost scales with the lines in use.
 
+use crate::bits::{ones, set_bit};
 use crate::config::CacheConfig;
 use crate::cow::CowTable;
 use crate::memory::{MemError, Memory, MemoryDelta};
@@ -13,40 +21,55 @@ use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
 use merlin_isa::MemSize;
 use serde::{Deserialize, Serialize};
 
-/// One cache line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct CacheLine {
+/// The tag half of one cache line.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Tag {
     valid: bool,
     dirty: bool,
     tag: u64,
-    data: Vec<u8>,
     last_use: u64,
 }
 
-/// A set-associative, write-back, write-allocate cache with true data
-/// storage and LRU replacement.
+/// A set-associative, write-back, write-allocate cache with LRU
+/// replacement, storing line data ([`Cache::new`]) or tags only
+/// ([`Cache::tags_only`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// Lines in `set * ways + way` order, on copy-on-write pages of one set
+    /// Tags in `set * ways + way` order, on copy-on-write pages of one set
     /// each — a fork shares every set the faulty suffix never writes.
-    lines: CowTable<CacheLine>,
+    tags: CowTable<Tag>,
+    /// Line bytes, way after way, on one page per set of `ways ×
+    /// line_bytes` rounded up to a power of two; empty in a tags-only cache.
+    data: CowTable<u8>,
+    /// Bytes stored per line: `line_bytes`, or 0 in a tags-only cache.
+    line_len: usize,
+    /// Bit `set * ways + way` is the line's `valid` flag.
+    valid: Vec<u64>,
     use_counter: u64,
 }
 
 impl Cache {
-    /// Creates an empty (all-invalid) cache with the given geometry.
+    /// Creates an empty (all-invalid) cache with the given geometry that
+    /// stores line data.
     pub fn new(cfg: CacheConfig) -> Self {
-        let line = CacheLine {
-            valid: false,
-            dirty: false,
-            tag: 0,
-            data: vec![0; cfg.line_bytes as usize],
-            last_use: 0,
-        };
+        let mut cache = Self::tags_only(cfg);
+        cache.line_len = cfg.line_bytes as usize;
+        // A power-of-two page per set, so no line straddles a page.
+        let page_bytes = (cfg.ways * cache.line_len).next_power_of_two();
+        cache.data = CowTable::new(cfg.sets() * page_bytes, 0, page_bytes);
+        cache
+    }
+
+    /// Creates an empty cache that keeps tags, valid bits and LRU stamps
+    /// but no line data.
+    pub fn tags_only(cfg: CacheConfig) -> Self {
         let lines = cfg.sets() * cfg.ways;
         Cache {
-            lines: CowTable::new(lines, line, cfg.ways),
+            tags: CowTable::new(lines, Tag::default(), cfg.ways),
+            data: CowTable::new(0, 0, 1),
+            line_len: 0,
+            valid: vec![0; lines.div_ceil(64)],
             cfg,
             use_counter: 0,
         }
@@ -72,115 +95,97 @@ impl Cache {
     }
 
     /// Looks up `addr`; returns `(set, way)` on a hit.
-    pub fn lookup(&mut self, addr: u64) -> Option<(usize, usize)> {
+    pub fn lookup(&self, addr: u64) -> Option<(usize, usize)> {
         let set = self.set_index(addr);
         let tag = self.tag(addr);
-        for way in 0..self.cfg.ways {
-            let l = self.lines.get(self.line_index(set, way));
-            if l.valid && l.tag == tag {
-                return Some((set, way));
-            }
-        }
-        None
+        (0..self.cfg.ways)
+            .find(|&way| {
+                let t = self.tags.get(self.line_index(set, way));
+                t.valid && t.tag == tag
+            })
+            .map(|way| (set, way))
     }
 
-    fn touch(&mut self, set: usize, way: usize) {
+    /// Stamps the line at `(set, way)` most recently used.
+    fn touch(&mut self, set: usize, way: usize) -> &mut Tag {
         self.use_counter += 1;
         let idx = self.line_index(set, way);
-        self.lines.get_mut(idx).last_use = self.use_counter;
+        let t = self.tags.get_mut(idx);
+        t.last_use = self.use_counter;
+        t
     }
 
     /// Picks the LRU victim way within `set` (invalid ways first).
     pub fn victim_way(&self, set: usize) -> usize {
         for way in 0..self.cfg.ways {
-            if !self.lines.get(self.line_index(set, way)).valid {
+            if !self.tags.get(self.line_index(set, way)).valid {
                 return way;
             }
         }
         (0..self.cfg.ways)
-            .min_by_key(|&w| self.lines.get(self.line_index(set, w)).last_use)
+            .min_by_key(|&w| self.tags.get(self.line_index(set, w)).last_use)
             .expect("cache has at least one way")
     }
 
     /// Reads bytes `[offset, offset+len)` of the line at `(set, way)`.
     pub fn read_bytes(&mut self, set: usize, way: usize, offset: usize, len: usize) -> u64 {
         self.touch(set, way);
-        let line = self.lines.get(self.line_index(set, way));
-        let mut v = 0u64;
-        for i in 0..len {
-            v |= (line.data[offset + i] as u64) << (8 * i);
-        }
-        v
+        let line = &self.line_data(set, way)[offset..offset + len];
+        line.iter()
+            .enumerate()
+            .fold(0, |v, (i, &b)| v | (b as u64) << (8 * i))
     }
 
     /// Writes the low `len` bytes of `value` at `offset` of the line at
     /// `(set, way)` and marks it dirty.
     pub fn write_bytes(&mut self, set: usize, way: usize, offset: usize, len: usize, value: u64) {
-        self.touch(set, way);
-        let idx = self.line_index(set, way);
-        let line = self.lines.get_mut(idx);
-        for i in 0..len {
-            line.data[offset + i] = ((value >> (8 * i)) & 0xFF) as u8;
+        self.touch(set, way).dirty = true;
+        let line = &mut self.line_mut(set, way)[offset..offset + len];
+        for (i, b) in line.iter_mut().enumerate() {
+            *b = (value >> (8 * i)) as u8;
         }
-        line.dirty = true;
     }
 
-    /// Installs a whole line for `addr`, returning the evicted victim
-    /// `(set, way, dirty, victim_line_addr, old_data)` if a valid line had to
-    /// be displaced.
-    #[allow(clippy::type_complexity)]
-    pub fn install(
-        &mut self,
-        addr: u64,
-        data: Vec<u8>,
-        dirty: bool,
-    ) -> (usize, usize, Option<(bool, u64, Vec<u8>)>) {
-        assert_eq!(data.len(), self.cfg.line_bytes as usize);
-        // If the line is already resident, update it in place (no duplicate
-        // copies, no eviction).
+    /// Installs the tag of `addr` as a clean, most recently used line, or
+    /// only touches it if it is already resident.  Returns where it sits
+    /// and, if a valid line had to be displaced, `(dirty, victim_line_addr)`;
+    /// the displaced bytes stay in place until the caller refills them.
+    fn install(&mut self, addr: u64) -> (usize, usize, Option<(bool, u64)>) {
         if let Some((set, way)) = self.lookup(addr) {
-            self.use_counter += 1;
-            let last_use = self.use_counter;
-            let idx = self.line_index(set, way);
-            let line = self.lines.get_mut(idx);
-            line.data = data;
-            line.dirty = line.dirty || dirty;
-            line.last_use = last_use;
+            self.touch(set, way);
             return (set, way, None);
         }
         let set = self.set_index(addr);
         let way = self.victim_way(set);
-        let evicted = {
-            let l = self.lines.get(self.line_index(set, way));
-            if l.valid {
-                let victim_addr =
-                    (l.tag * self.cfg.sets() as u64 + set as u64) * self.cfg.line_bytes;
-                Some((l.dirty, victim_addr, l.data.clone()))
-            } else {
-                None
-            }
-        };
-        let tag = self.tag(addr);
-        self.use_counter += 1;
-        let last_use = self.use_counter;
         let idx = self.line_index(set, way);
-        let line = self.lines.get_mut(idx);
-        line.valid = true;
-        line.dirty = dirty;
-        line.tag = tag;
-        line.data = data;
-        line.last_use = last_use;
+        let old = *self.tags.get(idx);
+        let victim_addr = (old.tag * self.cfg.sets() as u64 + set as u64) * self.cfg.line_bytes;
+        let evicted = old.valid.then_some((old.dirty, victim_addr));
+        self.use_counter += 1;
+        *self.tags.get_mut(idx) = Tag {
+            valid: true,
+            dirty: false,
+            tag: self.tag(addr),
+            last_use: self.use_counter,
+        };
+        set_bit(&mut self.valid, idx);
         (set, way, evicted)
     }
 
-    /// A copy of the line data at `(set, way)`.
+    /// The bytes of the line at `(set, way)`.  Panics in a tags-only cache.
     pub fn line_data(&self, set: usize, way: usize) -> &[u8] {
-        &self.lines.get(self.line_index(set, way)).data
+        &self.data.page(set)[way * self.line_len..][..self.line_len]
+    }
+
+    /// Mutable bytes of the line at `(set, way)`, un-sharing its set.
+    fn line_mut(&mut self, set: usize, way: usize) -> &mut [u8] {
+        let len = self.line_len;
+        &mut self.data.page_mut(set)[way * len..][..len]
     }
 
     /// Whether the line at `(set, way)` is dirty.
     pub fn is_dirty(&self, set: usize, way: usize) -> bool {
-        self.lines.get(self.line_index(set, way)).dirty
+        self.tags.get(self.line_index(set, way)).dirty
     }
 
     /// Flips a single stored bit — the L1D fault-injection hook.  The flip
@@ -188,8 +193,7 @@ impl Cache {
     /// either way); a flip in an invalid line is overwritten by the next
     /// refill before any read.
     pub fn flip_bit(&mut self, set: usize, way: usize, byte: usize, bit: u8) {
-        let idx = self.line_index(set, way);
-        self.lines.get_mut(idx).data[byte] ^= 1 << bit;
+        self.line_mut(set, way)[byte] ^= 1 << bit;
     }
 
     /// Flattened 8-byte-word entry index of `(set, way, word_in_line)` used
@@ -208,52 +212,55 @@ impl Cache {
         (set, way, word)
     }
 
-    /// Captures the live contents of the cache.  Only valid lines are stored,
-    /// so the snapshot footprint is proportional to the data actually cached,
-    /// not to the cache's capacity (a mostly-idle 1 MB L2 snapshots in a few
-    /// hundred bytes).
+    /// Captures the live contents of the cache: the valid lines only, in
+    /// (set, way) order, so the snapshot's footprint and cost are
+    /// proportional to the data actually cached, not to the capacity.
     pub fn snapshot(&self) -> CacheSnapshot {
-        let mut lines = Vec::new();
-        for (idx, l) in self.lines.iter().enumerate() {
-            if l.valid {
-                lines.push(LineSnapshot {
-                    set: (idx / self.cfg.ways) as u32,
-                    way: (idx % self.cfg.ways) as u32,
-                    tag: l.tag,
-                    dirty: l.dirty,
-                    last_use: l.last_use,
-                    data: l.data.clone().into_boxed_slice(),
-                });
+        let n: usize = self.valid.iter().map(|w| w.count_ones() as usize).sum();
+        let (mut lines, mut bytes) = (Vec::with_capacity(n), Vec::with_capacity(n * self.line_len));
+        for idx in ones(&self.valid) {
+            let (set, way) = (idx / self.cfg.ways, idx % self.cfg.ways);
+            let t = self.tags.get(idx);
+            lines.push(LineSnapshot {
+                set: set as u32,
+                way: way as u32,
+                tag: t.tag,
+                dirty: t.dirty,
+                last_use: t.last_use,
+            });
+            if self.line_len > 0 {
+                bytes.extend_from_slice(self.line_data(set, way));
             }
         }
         CacheSnapshot {
             use_counter: self.use_counter,
             lines,
+            bytes: bytes.into_boxed_slice(),
         }
     }
 
-    /// Restores the cache to a previously captured snapshot, reusing the
-    /// existing line buffers (no allocation on the restore path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot was taken from a cache with different geometry.
+    /// Restores the cache to a snapshot of a cache of the same geometry,
+    /// in place.
     pub fn restore_snapshot(&mut self, snap: &CacheSnapshot) {
-        for idx in 0..self.lines.len() {
-            // Invalidating a line that is already invalid is a no-op; the
-            // guard keeps idle pages shared instead of breaking them.
-            if self.lines.get(idx).valid {
-                self.lines.get_mut(idx).valid = false;
-            }
+        for idx in ones(&self.valid) {
+            self.tags.get_mut(idx).valid = false;
         }
-        for s in &snap.lines {
-            let idx = s.set as usize * self.cfg.ways + s.way as usize;
-            let line = self.lines.get_mut(idx);
-            line.valid = true;
-            line.dirty = s.dirty;
-            line.tag = s.tag;
-            line.last_use = s.last_use;
-            line.data.copy_from_slice(&s.data);
+        self.valid.fill(0);
+        let len = self.line_len;
+        for (i, s) in snap.lines.iter().enumerate() {
+            let (set, way) = (s.set as usize, s.way as usize);
+            let idx = self.line_index(set, way);
+            *self.tags.get_mut(idx) = Tag {
+                valid: true,
+                dirty: s.dirty,
+                tag: s.tag,
+                last_use: s.last_use,
+            };
+            set_bit(&mut self.valid, idx);
+            if len > 0 {
+                self.line_mut(set, way)
+                    .copy_from_slice(&snap.bytes[i * len..][..len]);
+            }
         }
         self.use_counter = snap.use_counter;
     }
@@ -264,14 +271,17 @@ impl Cache {
     /// un-share a page on their next write to it.
     pub fn fork_from(&mut self, src: &mut Self) {
         debug_assert_eq!(self.cfg, src.cfg);
-        src.lines.freeze();
-        self.lines.share_from(&src.lines);
+        src.tags.freeze();
+        src.data.freeze();
+        self.tags.share_from(&src.tags);
+        self.data.share_from(&src.data);
+        self.valid.copy_from_slice(&src.valid);
         self.use_counter = src.use_counter;
     }
 
-    /// Un-share counter of the line array, reset.
+    /// Un-share counter of the tag and byte pages, reset.
     pub(crate) fn take_cow_breaks(&mut self) -> u64 {
-        self.lines.take_cow_breaks()
+        self.tags.take_cow_breaks() + self.data.take_cow_breaks()
     }
 
     /// Whether the cache's live contents are bit-identical to the snapshot.
@@ -279,27 +289,26 @@ impl Cache {
         if self.use_counter != snap.use_counter {
             return false;
         }
-        let mut it = snap.lines.iter();
-        for (idx, l) in self.lines.iter().enumerate() {
-            if !l.valid {
-                continue;
-            }
-            let Some(s) = it.next() else { return false };
-            if s.set as usize != idx / self.cfg.ways
-                || s.way as usize != idx % self.cfg.ways
-                || s.tag != l.tag
-                || s.dirty != l.dirty
-                || s.last_use != l.last_use
-                || *s.data != *l.data
+        let len = self.line_len;
+        let mut valid = ones(&self.valid);
+        for (i, s) in snap.lines.iter().enumerate() {
+            let Some(idx) = valid.next() else {
+                return false;
+            };
+            let (set, way) = (idx / self.cfg.ways, idx % self.cfg.ways);
+            let t = self.tags.get(idx);
+            if (s.set as usize, s.way as usize) != (set, way)
+                || (s.tag, s.dirty, s.last_use) != (t.tag, t.dirty, t.last_use)
+                || (len > 0 && snap.bytes[i * len..][..len] != *self.line_data(set, way))
             {
                 return false;
             }
         }
-        it.next().is_none()
+        valid.next().is_none()
     }
 }
 
-/// One valid line captured by [`Cache::snapshot`].
+/// The tag record of one valid line captured by [`Cache::snapshot`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct LineSnapshot {
     set: u32,
@@ -307,7 +316,6 @@ struct LineSnapshot {
     tag: u64,
     dirty: bool,
     last_use: u64,
-    data: Box<[u8]>,
 }
 
 impl BinCode for LineSnapshot {
@@ -317,7 +325,6 @@ impl BinCode for LineSnapshot {
         self.tag.encode(out);
         self.dirty.encode(out);
         self.last_use.encode(out);
-        self.data.encode(out);
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
         Ok(LineSnapshot {
@@ -326,23 +333,25 @@ impl BinCode for LineSnapshot {
             tag: BinCode::decode(r)?,
             dirty: BinCode::decode(r)?,
             last_use: BinCode::decode(r)?,
-            data: BinCode::decode(r)?,
         })
     }
 }
 
 /// The live contents of one cache, valid lines only (see
-/// [`Cache::snapshot`]).
+/// [`Cache::snapshot`]): their tag records, and the line bytes of a cache
+/// that stores data, in record order.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheSnapshot {
     use_counter: u64,
     lines: Vec<LineSnapshot>,
+    bytes: Box<[u8]>,
 }
 
 impl BinCode for CacheSnapshot {
     fn encode(&self, out: &mut Vec<u8>) {
         self.use_counter.encode(out);
         self.lines.encode(out);
+        self.bytes.encode(out);
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
         let use_counter = u64::decode(r)?;
@@ -358,7 +367,12 @@ impl BinCode for CacheSnapshot {
         if !ascending {
             return Err(DecodeError::Invalid("cache snapshot lines not ascending"));
         }
-        Ok(CacheSnapshot { use_counter, lines })
+        let bytes = BinCode::decode(r)?;
+        Ok(CacheSnapshot {
+            use_counter,
+            lines,
+            bytes,
+        })
     }
 }
 
@@ -370,10 +384,17 @@ impl CacheSnapshot {
 
     /// Approximate heap footprint of the snapshot in bytes.
     pub fn footprint_bytes(&self) -> usize {
-        self.lines
-            .iter()
-            .map(|l| l.data.len() + std::mem::size_of::<LineSnapshot>())
-            .sum()
+        self.lines.len() * std::mem::size_of::<LineSnapshot>() + self.bytes.len()
+    }
+
+    /// Whether the snapshot restores without a panic into a cache of
+    /// geometry `cfg` that stores `line_len` bytes per line: every line
+    /// inside the geometry, and `line_len` bytes per line.  Decoding cannot
+    /// check this, since the wire does not carry the geometry.
+    pub(crate) fn fits(&self, cfg: &CacheConfig, line_len: usize) -> bool {
+        self.bytes.len() == self.lines.len() * line_len
+            && (self.lines.iter())
+                .all(|l| (l.set as usize) < cfg.sets() && (l.way as usize) < cfg.ways)
     }
 }
 
@@ -383,8 +404,8 @@ impl CacheSnapshot {
 /// [`Memory::delta_snapshot`]).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MemSystemSnapshot {
-    l1d: CacheSnapshot,
-    l2: CacheSnapshot,
+    pub(crate) l1d: CacheSnapshot,
+    pub(crate) l2: CacheSnapshot,
     mem: MemoryDelta,
 }
 
@@ -437,7 +458,7 @@ pub struct CacheEffects {
     /// Words of lines that were evicted (their storage no longer holds live
     /// data for the old address).
     pub word_invalidates: Vec<usize>,
-    /// Words of dirty lines that were read out and written back to L2.
+    /// Words of dirty lines that were read out and written back to memory.
     pub writeback_reads: Vec<usize>,
     /// Total access latency in cycles.
     pub latency: u64,
@@ -453,12 +474,14 @@ impl CacheEffects {
     }
 }
 
-/// The two-level data memory system: L1D + L2 backed by flat [`Memory`].
+/// The two-level data memory system: L1D + tags-only L2 backed by flat
+/// [`Memory`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemSystem {
     /// L1 data cache (fault-injection target).
     pub l1d: Cache,
-    /// Unified L2.
+    /// Unified L2, tags only: it holds no data, so memory always holds
+    /// every line the L1D does not.
     pub l2: Cache,
     /// Backing memory.
     pub mem: Memory,
@@ -470,7 +493,7 @@ impl MemSystem {
     pub fn new(l1d: CacheConfig, l2: CacheConfig, mem: Memory, mem_latency: u64) -> Self {
         MemSystem {
             l1d: Cache::new(l1d),
-            l2: Cache::new(l2),
+            l2: Cache::tags_only(l2),
             mem,
             mem_latency,
         }
@@ -588,15 +611,19 @@ impl MemSystem {
         Ok((value, effects))
     }
 
-    /// Brings the line containing `addr` into the L1D, handling the victim
-    /// writeback.  Returns the (set, way) it landed in and the extra latency.
+    /// Brings the line containing `addr` into the L1D, writing a dirty
+    /// victim back to memory and filling the line from memory, both in
+    /// place.  Returns the (set, way) it landed in and the extra latency,
+    /// which the L2's tags decide.
     fn refill_l1d(&mut self, addr: u64, effects: &mut CacheEffects) -> ((usize, usize), u64) {
         let line_bytes = self.l1d.config().line_bytes;
         let line_addr = addr - addr % line_bytes;
-        let (data, lat) = self.l2_get_line(line_addr);
-        let (set, way, evicted) = self.l1d.install(line_addr, data, false);
+        let l2_miss = self.l2.lookup(line_addr).is_none();
+        self.l2.install(line_addr);
+        let lat = self.l2.config().hit_latency + if l2_miss { self.mem_latency } else { 0 };
+        let (set, way, evicted) = self.l1d.install(line_addr);
         let wpl = self.l1d.config().words_per_line();
-        if let Some((dirty, victim_addr, old_data)) = evicted {
+        if let Some((dirty, victim_addr)) = evicted {
             for w in 0..wpl {
                 let e = self.l1d.word_entry(set, way, w);
                 if dirty {
@@ -605,46 +632,22 @@ impl MemSystem {
                 effects.word_invalidates.push(e);
             }
             if dirty {
-                self.l2_put_line(victim_addr, old_data);
+                self.mem
+                    .write_line(victim_addr, self.l1d.line_data(set, way));
+                self.l2.install(victim_addr);
             }
         }
+        self.mem.read_line(line_addr, self.l1d.line_mut(set, way));
         for w in 0..wpl {
             effects.word_writes.push(self.l1d.word_entry(set, way, w));
         }
         ((set, way), lat)
     }
 
-    /// Fetches a line from the L2 (refilling from memory on an L2 miss).
-    fn l2_get_line(&mut self, line_addr: u64) -> (Vec<u8>, u64) {
-        if let Some((set, way)) = self.l2.lookup(line_addr) {
-            let data = self.l2.line_data(set, way).to_vec();
-            self.l2.read_bytes(set, way, 0, 1); // LRU touch
-            return (data, self.l2.config().hit_latency);
-        }
-        let data = self.mem.read_line(line_addr, self.l2.config().line_bytes);
-        let (_, _, evicted) = self.l2.install(line_addr, data.clone(), false);
-        if let Some((dirty, victim_addr, old)) = evicted {
-            if dirty {
-                self.mem.write_line(victim_addr, &old);
-            }
-        }
-        (data, self.l2.config().hit_latency + self.mem_latency)
-    }
-
-    /// Writes an evicted dirty L1D line into the L2.
-    fn l2_put_line(&mut self, line_addr: u64, data: Vec<u8>) {
-        let (_, _, evicted) = self.l2.install(line_addr, data, true);
-        if let Some((dirty, victim_addr, old)) = evicted {
-            if dirty {
-                self.mem.write_line(victim_addr, &old);
-            }
-        }
-    }
-
-    /// Architecturally visible value at `addr` considering every level of the
-    /// hierarchy (L1D, then L2, then memory) without disturbing any state —
-    /// used by tests and by output extraction.
-    pub fn peek(&mut self, addr: u64, size: MemSize) -> Result<u64, MemError> {
+    /// Architecturally visible value at `addr` — the L1D's copy if the line
+    /// is resident, else memory's — without disturbing any state.  The
+    /// simulator itself never needs it; tests use it to read the hierarchy.
+    pub fn peek(&self, addr: u64, size: MemSize) -> Result<u64, MemError> {
         self.mem.check_range(addr, size.bytes(), false)?;
         let mut v = 0u64;
         for i in 0..size.bytes() {
@@ -697,16 +700,14 @@ impl MemSystem {
             && self.mem.matches_delta(&snap.mem)
     }
 
-    fn peek_byte(&mut self, addr: u64) -> u8 {
+    fn peek_byte(&self, addr: u64) -> u8 {
         if let Some((set, way)) = self.l1d.lookup(addr) {
             let off = (addr % self.l1d.config().line_bytes) as usize;
             return self.l1d.line_data(set, way)[off];
         }
-        if let Some((set, way)) = self.l2.lookup(addr) {
-            let off = (addr % self.l2.config().line_bytes) as usize;
-            return self.l2.line_data(set, way)[off];
-        }
-        self.mem.read_line(addr, 1)[0]
+        let mut byte = [0];
+        self.mem.read_line(addr, &mut byte);
+        byte[0]
     }
 }
 
@@ -719,9 +720,18 @@ fn low_mask(bytes: usize) -> u64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use merlin_isa::DATA_BASE;
+
+    /// Asserts that `cache`'s valid-line bitset holds exactly the lines
+    /// whose tag is valid, and no bit past the last line.
+    pub(crate) fn assert_valid_set_exact(cache: &Cache, what: &str) {
+        let flags: Vec<usize> = (cache.tags.iter().enumerate())
+            .filter_map(|(idx, t)| t.valid.then_some(idx))
+            .collect();
+        assert_eq!(ones(&cache.valid).collect::<Vec<_>>(), flags, "{what}");
+    }
 
     fn small_system() -> MemSystem {
         let l1d = CacheConfig {
@@ -778,7 +788,7 @@ mod tests {
             "dirty victim must be read out for writeback"
         );
         assert!(!eff.word_invalidates.is_empty());
-        // The evicted value is still architecturally visible (now in L2).
+        // The evicted value is still architecturally visible (now in memory).
         let (v, _) = ms.load(a0, MemSize::B8).unwrap();
         assert_eq!(v, 0x1111);
     }
@@ -805,7 +815,7 @@ mod tests {
         let a1 = DATA_BASE + 512;
         let a2 = DATA_BASE + 1024;
         ms.load(a1, MemSize::B8).unwrap();
-        ms.load(a2, MemSize::B8).unwrap(); // a0 evicted (dirty → L2)
+        ms.load(a2, MemSize::B8).unwrap(); // a0 evicted (dirty → memory)
         ms.load(a0, MemSize::B8).unwrap(); // reloaded, clean copy
         let (set, way) = ms.l1d.lookup(a0).unwrap();
         assert!(!ms.l1d.is_dirty(set, way));
@@ -879,7 +889,7 @@ mod tests {
         let mut ms = small_system();
         let a0 = DATA_BASE;
         ms.store(a0, 0x77, MemSize::B8).unwrap();
-        // Evict to L2.
+        // Evict to memory.
         ms.load(DATA_BASE + 512, MemSize::B8).unwrap();
         ms.load(DATA_BASE + 1024, MemSize::B8).unwrap();
         assert_eq!(ms.peek(a0, MemSize::B8).unwrap(), 0x77);

@@ -1479,12 +1479,13 @@ impl Cpu {
     }
 
     /// Page un-share events accumulated across every CoW-backed structure
-    /// (the backing memory, the L1D and L2 line tables, the predictor, the
-    /// BTB and the output stream) since the last call (see
-    /// [`CowTable`](crate::CowTable)): each count is one page that was
-    /// shared — with a fork sibling, a snapshot, or the pristine memory
-    /// image — and had to be materialised privately on first write.  Counts are per core: a restore or fork starts the
-    /// core's structures at zero and leaves the source's count with it.
+    /// (the backing memory, the L1D's tag and byte pages, the L2's tag
+    /// pages, the predictor, the BTB and the output stream) since the last
+    /// call (see [`CowTable`](crate::CowTable)): each count is one page that
+    /// was shared — with a fork sibling, a snapshot, or the pristine memory
+    /// image — and had to be materialised privately on first write.  Counts
+    /// are per core: a restore or fork starts the core's structures at zero
+    /// and leaves the source's count with it.
     pub fn take_cow_breaks(&mut self) -> u64 {
         self.s.take_cow_breaks() + self.mem.take_cow_breaks()
     }
@@ -1631,6 +1632,17 @@ impl CpuState {
     /// snapshot of another size panics.
     pub fn memory_dense_bytes(&self) -> usize {
         self.mem.memory_dense_bytes()
+    }
+
+    /// Whether the snapshot restores without a panic into a core under
+    /// `cfg` whose memory is `mem_len` bytes: every cache line inside its
+    /// cache's geometry with the bytes that cache stores, and a memory of
+    /// that size.  Loading a `.golden` file checks it for every snapshot.
+    pub fn fits(&self, cfg: &CpuConfig, mem_len: usize) -> bool {
+        let (l1d, l2) = (&self.mem.l1d, &self.mem.l2);
+        l1d.fits(&cfg.l1d, cfg.l1d.line_bytes as usize)
+            && l2.fits(&cfg.l2, 0)
+            && self.memory_dense_bytes() == mem_len
     }
 }
 
@@ -1863,7 +1875,7 @@ fn encode_reads<E: BinCode>(reads: impl Iterator<Item = (E, u64)> + Clone, out: 
 }
 
 /// Encoded field by field, with the memory snapshot between
-/// `pending_store_slot` and `bp` (the `.golden` v5 layout).
+/// `pending_store_slot` and `bp` (the `.golden` v6 layout).
 impl BinCode for CpuState {
     fn encode(&self, out: &mut Vec<u8>) {
         let c = &self.core;
@@ -2307,6 +2319,49 @@ mod tests {
                 let end = |cpu: &mut Cpu| cpu.run(0, &mut crate::NullProbe);
                 assert_eq!(end(&mut restored), end(&mut fork), "{}", w.name);
                 assert!(squashes > 0, "{} with {rob_entries} ROB entries", w.name);
+            }
+        }
+    }
+
+    /// Steps `cpu` to `cycle` or its end, checking both caches' valid-line
+    /// bitsets after every cycle.
+    fn step_checking_valid_sets(cpu: &mut Cpu, cycle: u64) {
+        while !cpu.is_finished() && cpu.cycle() < cycle {
+            cpu.step(&mut crate::NullProbe);
+            assert_valid_sets_exact(cpu, "step");
+        }
+    }
+
+    fn assert_valid_sets_exact(cpu: &Cpu, what: &str) {
+        let what = format!("{what} at cycle {}", cpu.cycle());
+        crate::cache::tests::assert_valid_set_exact(&cpu.mem.l1d, &format!("L1D, {what}"));
+        crate::cache::tests::assert_valid_set_exact(&cpu.mem.l2, &format!("L2, {what}"));
+    }
+
+    #[test]
+    fn cache_valid_sets_match_the_tag_flags_every_cycle() {
+        for l1d_bytes in [CpuConfig::default().l1d.size_bytes, 16 * 1024] {
+            let mut cfg = CpuConfig::default();
+            cfg.l1d.size_bytes = l1d_bytes;
+            for w in merlin_workloads::all_workloads() {
+                let program = Arc::new(w.program);
+                let fresh = || Cpu::new(Arc::clone(&program), cfg.clone()).unwrap();
+                let mut cpu = fresh();
+                step_checking_valid_sets(&mut cpu, 2_000);
+                let mid = cpu.snapshot();
+                step_checking_valid_sets(&mut cpu, 4_000);
+                let late = cpu.snapshot();
+                // A fork into a core that ran elsewhere, then a restore of a
+                // core past the snapshot, which drops the lines it gained.
+                let mut fork = fresh();
+                step_checking_valid_sets(&mut fork, 500);
+                fork.fork_from(&mut cpu);
+                assert_valid_sets_exact(&fork, "fork");
+                cpu.restore_from(&mid);
+                assert_valid_sets_exact(&cpu, "restore");
+                step_checking_valid_sets(&mut cpu, 4_000);
+                assert!(cpu.matches_state(&late), "{}", w.name);
+                step_checking_valid_sets(&mut fork, 6_000);
             }
         }
     }

@@ -4,14 +4,15 @@
 //!
 //! **CoW only where a suffix leaves pages unwritten.**  Sharing pays when a
 //! fork or restore would otherwise copy pages that neither side writes
-//! again: the backing memory's bytes, the L1D and L2 line tables, the
-//! branch predictor's counters, the BTB and the output stream.  The
-//! structures the core writes nearly every cycle — the physical register
-//! file and its ready bits, the free list, the ROB, the fetch buffer, the
-//! load and store queues and the dynamic-instance counters — are plain
-//! owned arrays: both the fork and the core it came from write them in
-//! their first cycle, so sharing them would never save a copy, only add a
-//! match and a pointer hop to every access.
+//! again: the backing memory's bytes, the L1D's tag and byte pages and the
+//! L2's tag pages (one set per page), the branch predictor's counters, the
+//! BTB and the output stream.  The structures the core writes nearly every
+//! cycle — the physical register file and its ready bits, the free list,
+//! the ROB, the fetch buffer, the load and store queues and the
+//! dynamic-instance counters — are plain owned arrays: both the fork and
+//! the core it came from write them in their first cycle, so sharing them
+//! would never save a copy, only add a match and a pointer hop to every
+//! access.
 //!
 //! Heavy storage is split into fixed-size pages.  Each page is either
 //! **owned** outright by one structure or **shared** behind an [`Arc`]
@@ -45,9 +46,10 @@
 //! Two shapes of storage need two wrappers:
 //!
 //! * [`CowTable<T>`] — array-shaped structures with stable entry indices
-//!   (predictor counter tables, BTB, cache lines, and the backing memory's
-//!   bytes).  Entries live in power-of-two-sized pages; reads index
-//!   through one extra pointer, writes go through [`CowTable::get_mut`].
+//!   (predictor counter tables, BTB, cache tags and L1D bytes, and the
+//!   backing memory's bytes).  Entries live in power-of-two-sized pages;
+//!   reads index through one extra pointer, writes go through
+//!   [`CowTable::get_mut`] or [`CowTable::page_mut`].
 //!   The page-level accessors let the memory, paged at the delta-snapshot
 //!   chunk granularity, share a page's handle with a pristine-image chunk
 //!   or a checkpoint's delta chunk.
@@ -273,6 +275,12 @@ impl<T: Clone> CowTable<T> {
     #[inline]
     pub fn page(&self, c: usize) -> &[T] {
         self.pages[c].get()
+    }
+
+    /// Mutable access to page `c`'s entries, un-sharing it if it is shared.
+    #[inline]
+    pub fn page_mut(&mut self, c: usize) -> &mut [T] {
+        self.pages[c].get_mut(&mut self.breaks)
     }
 
     /// The handle of page `c`, for capturing it without a copy.  Freezes

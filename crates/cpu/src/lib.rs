@@ -10,7 +10,8 @@
 //!   architectural registers are renamed onto,
 //! * a store queue whose data field holds the value to be stored, with
 //!   store-to-load forwarding and commit-time drain,
-//! * write-back L1D and L2 caches storing real bytes,
+//! * a write-back L1D storing real bytes, behind a tags-only L2 that sets
+//!   the refill latency,
 //! * branch prediction with wrong-path execution and squash,
 //! * precise exceptions (crashes, simulator asserts, recoverable arithmetic
 //!   and alignment exceptions),

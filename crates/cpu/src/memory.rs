@@ -202,20 +202,21 @@ impl Memory {
         Ok(())
     }
 
-    /// Reads an entire cache line (`len` bytes, `addr` assumed line-aligned).
+    /// Fills `line` with the bytes at `addr` — a cache refill, in place.
     ///
     /// Bytes outside the mapped region read as zero so that cache refills
     /// near the end of memory do not fault (only architectural accesses
     /// fault).
-    pub fn read_line(&self, addr: u64, len: u64) -> Vec<u8> {
-        let mut out = vec![0u8; len as usize];
-        for (i, b) in out.iter_mut().enumerate() {
+    pub fn read_line(&self, addr: u64, line: &mut [u8]) {
+        for (i, b) in line.iter_mut().enumerate() {
             let a = addr + i as u64;
-            if a >= DATA_BASE && a < DATA_BASE + self.len() {
-                *b = *self.bytes.get((a - DATA_BASE) as usize);
-            }
+            let mapped = a >= DATA_BASE && a < DATA_BASE + self.len();
+            *b = if mapped {
+                *self.bytes.get((a - DATA_BASE) as usize)
+            } else {
+                0
+            };
         }
-        out
     }
 
     /// Writes an entire cache line back; bytes outside the mapped region are
@@ -481,9 +482,10 @@ mod tests {
         let mut m = Memory::new(256);
         m.load_segment(DATA_BASE + 8, &[1, 2, 3, 4]).unwrap();
         assert_eq!(m.read(DATA_BASE + 8, MemSize::B4).unwrap(), 0x0403_0201);
-        let line = m.read_line(DATA_BASE, 64);
+        let mut line = [0xEE; 64];
+        m.read_line(DATA_BASE, &mut line);
         assert_eq!(line[8], 1);
-        let mut line2 = line.clone();
+        let mut line2 = line;
         line2[0] = 0xFF;
         m.write_line(DATA_BASE, &line2);
         assert_eq!(m.read(DATA_BASE, MemSize::B1).unwrap(), 0xFF);
@@ -492,8 +494,8 @@ mod tests {
     #[test]
     fn line_access_beyond_bounds_is_zero_and_dropped() {
         let mut m = Memory::new(32);
-        let line = m.read_line(DATA_BASE + 16, 64);
-        assert_eq!(line.len(), 64);
+        let mut line = [0xEE; 64];
+        m.read_line(DATA_BASE + 16, &mut line);
         assert!(line.iter().all(|&b| b == 0));
         m.write_line(DATA_BASE + 16, &[0xAA; 64]);
         assert_eq!(m.read(DATA_BASE + 31, MemSize::B1).unwrap(), 0xAA);

@@ -1,11 +1,11 @@
 //! Restore exactness when backing memory is dirty.
 //!
-//! On the default configuration the built-in workloads are L2-resident:
-//! backing memory is only written on dirty L2 evictions, which never occur,
-//! so a snapshot's memory delta is empty there.  This test forces the other
-//! case — caches small enough that stores spill dirty lines all the way to
-//! memory — and asserts that a restore reproduces the snapshot exactly, onto
-//! a fresh core and onto a core whose suffix dirtied memory further.
+//! Backing memory is written only when a dirty line leaves the L1D, so a
+//! snapshot's memory delta holds program stores only once the L1D has
+//! evicted them.  This test forces that case — caches small enough that
+//! stores spill dirty lines to memory — and asserts that a restore
+//! reproduces the snapshot exactly, onto a fresh core and onto a core whose
+//! suffix dirtied memory further.
 
 use merlin_cpu::{CacheConfig, Cpu, CpuConfig, NullProbe};
 use merlin_isa::{reg, AluOp, Cond, MemRef, ProgramBuilder};

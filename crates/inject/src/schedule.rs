@@ -159,11 +159,11 @@ pub struct ScheduleStats {
     /// Copy-on-write sharing breaks: pages privatised (copied after all) on
     /// their first write following a fork or a handle-sharing restore.
     /// [`Cpu::fork_from`](merlin_cpu::Cpu::fork_from) and restores adopt
-    /// page handles for the backing memory, the L1D and L2 line tables, the
-    /// branch predictor, the BTB and the output stream, so this counts the
-    /// copy work a campaign defers on those.  The per-cycle arrays
-    /// (register file, ROB, queues) are copied whole by every fork and
-    /// restore and never count.
+    /// page handles for the backing memory, the L1D's tag and byte pages,
+    /// the L2's tag pages, the branch predictor, the BTB and the output
+    /// stream, so this counts the copy work a campaign defers on those.
+    /// The per-cycle arrays (register file, ROB, queues) are copied whole
+    /// by every fork and restore and never count.
     ///
     /// Read it as a spread, not as a figure that repeats exactly: a write
     /// copies a shared page only when another core or snapshot holds it at

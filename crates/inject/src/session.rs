@@ -430,12 +430,11 @@ impl Session {
     /// `<path>.stale` and counted.
     fn load_golden(&self, path: &Path) -> Option<(GoldenRun, u64)> {
         let mem_len = (self.program.data_size + self.cfg.extra_memory_bytes) as usize;
-        let l1d_words = self.cfg.l1d.total_words();
         let (golden, checksum) = GOLDEN.load(
             path,
             &[self.fingerprint],
             &self.artifact_rejects,
-            |payload| decode_golden_payload(payload, mem_len, l1d_words),
+            |payload| decode_golden_payload(payload, &self.cfg, mem_len),
         )?;
         if !self.replays_exactly(&golden) {
             return quarantine(path, "stale", &self.artifact_rejects);
@@ -787,10 +786,12 @@ impl SessionCache {
 
 // --- Disk persistence ----------------------------------------------------
 
-/// Version 5: the payload is the run result, the timeout, the checkpoint
+/// Version 6: the payload is the run result, the timeout, the checkpoint
 /// store and the L1D liveness log; the checkpoint policy is covered by the
-/// fingerprint, not stored.  Version 4 added the L1D liveness log
-/// ([`L1dLiveness`](crate::L1dLiveness)).  Since version 3 the file ends
+/// fingerprint, not stored.  Version 6 stores each cache snapshot's line
+/// bytes in one flat vector, and none for the tags-only L2.  Version 4
+/// added the L1D liveness log ([`L1dLiveness`](crate::L1dLiveness)).
+/// Since version 3 the file ends
 /// with a little-endian FNV-1a checksum over everything before it, so
 /// content corruption is *detected and quarantined* (renamed to
 /// `<name>.golden.corrupt`, counted in [`SessionCache::artifact_rejects`])
@@ -798,7 +799,7 @@ impl SessionCache {
 /// checkpoint memory as chunk-level deltas, version 1 as dense images;
 /// older-version files are ordinary cache misses and are rebuilt, not
 /// quarantined.
-const GOLDEN_VERSION: u32 = 5;
+const GOLDEN_VERSION: u32 = 6;
 
 /// The `.golden` file: header `MRLNGLD\0`, [`GOLDEN_VERSION`] and the
 /// fingerprint, checksummed byte by byte.
@@ -829,22 +830,24 @@ fn golden_file(fingerprint: u64, golden: &GoldenRun) -> Vec<u8> {
 
 /// Decodes the payload between a `.golden` file's verified header and its
 /// checksum trailer.  `None` on any decode failure or invariant violation:
-/// a store that does not start with the cycle-0 snapshot, a snapshot whose
-/// memory does not fit a `mem_len`-byte memory, or an L1D log that does not
-/// fit a `l1d_words`-word L1D.  This is where a store from outside the
-/// process enters, and the fingerprint header cannot vouch for these
-/// invariants; campaigns rely on them without checking again.
-fn decode_golden_payload(payload: &[u8], mem_len: usize, l1d_words: usize) -> Option<GoldenRun> {
+/// a store that does not start with the cycle-0 snapshot, a snapshot that
+/// does not fit a core under `cfg` with a `mem_len`-byte memory (see
+/// [`CpuState::fits`](merlin_cpu::CpuState::fits)), or an L1D log that does
+/// not fit `cfg`'s L1D.  This is where a store from outside the process
+/// enters, and the fingerprint header cannot vouch for these invariants;
+/// campaigns rely on them without checking again.
+fn decode_golden_payload(payload: &[u8], cfg: &CpuConfig, mem_len: usize) -> Option<GoldenRun> {
     let mut r = ByteReader::new(payload);
     let result = BinCode::decode(&mut r).ok()?;
     let timeout_cycles = u64::decode(&mut r).ok()?;
     let store: merlin_cpu::CheckpointStore = BinCode::decode(&mut r).ok()?;
     // Without the cycle-0 snapshot an early fault has no restore point, and
-    // with a foreign memory size restoring would panic a campaign worker.
-    if !store.starts_at_reset() || !store.snapshots().all(|s| s.memory_dense_bytes() == mem_len) {
+    // a snapshot of foreign cache contents or memory size would panic a
+    // campaign worker's restore.
+    if !store.starts_at_reset() || !store.snapshots().all(|s| s.fits(cfg, mem_len)) {
         return None;
     }
-    let l1d = L1dLiveness::decode(&mut r, l1d_words).ok()?;
+    let l1d = L1dLiveness::decode(&mut r, cfg.l1d.total_words()).ok()?;
     if !r.is_at_end() {
         return None;
     }
@@ -1292,6 +1295,71 @@ mod tests {
         let mut corrupt = file.as_os_str().to_owned();
         corrupt.push(".corrupt");
         assert_eq!(fs::read(PathBuf::from(corrupt)).unwrap(), forged);
+
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn golden_whose_l1d_snapshot_has_a_wrong_byte_count_is_quarantined() {
+        use merlin_isa::binio::{decode_from_slice, encode_to_vec};
+        let dir = temp_dir("l1d-bytes-reject");
+        let p = tiny_program();
+        let cfg = CpuConfig::default();
+        let tune = |b: SessionBuilder| b.checkpoints(small_policy()).max_cycles(1_000_000);
+
+        let first = SessionCache::with_disk_dir(&dir);
+        let s1 = first.session("tiny", &p, &cfg, tune).unwrap();
+        let golden1 = s1.golden().unwrap().clone();
+        // The last checkpoint, which every load replays from.  Its L1D
+        // snapshot is a line count, that many 25-byte tag records, and a
+        // byte vector of `lines × line_bytes`; forge one line's bytes away,
+        // keeping the vector's own length prefix consistent.
+        let last = s1
+            .golden_checkpoints()
+            .unwrap()
+            .store
+            .snapshots()
+            .last()
+            .unwrap()
+            .clone();
+        let state = encode_to_vec(&last);
+        let line_bytes = cfg.l1d.line_bytes as usize;
+        let word = |at: usize| u64::from_le_bytes(state[at..at + 8].try_into().unwrap()) as usize;
+        let (count_at, lines) = (0..state.len() - 8)
+            .map(|at| (at, word(at)))
+            .find(|&(at, n)| {
+                let bytes_at = at + 8 + 25 * n;
+                (1..=cfg.l1d.lines()).contains(&n)
+                    && bytes_at + 8 <= state.len()
+                    && word(bytes_at) == n * line_bytes
+            })
+            .expect("the last checkpoint holds L1D lines");
+        let bytes_at = count_at + 8 + 25 * lines;
+        let mut forged = state[..bytes_at].to_vec();
+        ((lines - 1) * line_bytes).encode(&mut forged);
+        forged.extend_from_slice(&state[bytes_at + 8..bytes_at + 8 + (lines - 1) * line_bytes]);
+        forged.extend_from_slice(&state[bytes_at + 8 + lines * line_bytes..]);
+        let decoded: merlin_cpu::CpuState = decode_from_slice(&forged).unwrap();
+        assert!(!decoded.fits(&cfg, last.memory_dense_bytes()));
+
+        // Splice the forged checkpoint in behind a checksum that matches.
+        let file = dir.join(golden_file_name("tiny", s1.fingerprint()));
+        let bytes = fs::read(&file).unwrap();
+        let at = (bytes.windows(state.len()).rposition(|w| w == state)).unwrap();
+        let mut spliced = bytes[..at].to_vec();
+        spliced.extend_from_slice(&forged);
+        spliced.extend_from_slice(&bytes[at + state.len()..bytes.len() - GOLDEN_TRAILER_LEN]);
+        fnv1a_bytes(&spliced).encode(&mut spliced);
+        fs::write(&file, &spliced).unwrap();
+
+        let second = SessionCache::with_disk_dir(&dir);
+        let s2 = second.session("tiny", &p, &cfg, tune).unwrap();
+        assert_eq!(s2.golden().unwrap(), &golden1, "rebuild matches original");
+        assert_eq!(s2.golden_builds(), 1, "the forged file must not be used");
+        assert_eq!(second.artifact_rejects(), 1);
+        let mut corrupt = file.as_os_str().to_owned();
+        corrupt.push(".corrupt");
+        assert_eq!(fs::read(PathBuf::from(corrupt)).unwrap(), spliced);
 
         let _ = fs::remove_dir_all(&dir);
     }

@@ -1,4 +1,4 @@
-//! Pins the `.golden` v5 wire format byte for byte.
+//! Pins the `.golden` v6 wire format byte for byte.
 //!
 //! Persists the golden runs (checkpoint store and L1D liveness log
 //! included) of four short workloads under `CpuConfig::default()` and the
@@ -15,10 +15,10 @@ use std::fs;
 
 /// `(workload, FNV-1a 64 of the persisted file, file length in bytes)`.
 const PINNED: &[(&str, u64, usize)] = &[
-    ("sha", 0xe5c1_362f_608e_a03b, 308_242),
-    ("susan_e", 0xc3b3_4cba_d56c_2753, 323_203),
-    ("fft", 0x2faf_b787_ccd2_71f1, 712_379),
-    ("qsort", 0x45bf_ac41_b5be_5b91, 1_015_411),
+    ("sha", 0x8167_0f2f_fd10_aeeb, 301_922),
+    ("susan_e", 0xf45a_a18c_177a_cdee, 319_491),
+    ("fft", 0xae08_db46_d7a5_f59f, 651_083),
+    ("qsort", 0x8ca0_9b1e_0f3d_02ce, 954_963),
 ];
 
 fn fnv1a(bytes: &[u8]) -> u64 {
