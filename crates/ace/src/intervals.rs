@@ -8,12 +8,21 @@
 //! micro-op — the key of MeRLiN's grouping — plus the reader's dynamic
 //! instance index and control-flow-path signature (used for representative
 //! selection and for the Relyzer baseline, respectively).
+//!
+//! Every stored interval covers at least one cycle (`start < end`).  A read
+//! in the cycle its interval opened — two consumers of one value issuing
+//! together, or in the producer's writeback cycle — closes an empty one: no
+//! fault lands in it and it adds nothing to the AVF, so it is not stored.
+//! [`VulnerableIntervals::lookup`] answers as if it were: it returns the
+//! last interval starting before the fault's cycle, and an empty `[s, s]`
+//! before that cycle would not cover it either.
 
 use merlin_cpu::Structure;
 use merlin_isa::{Rip, Upc};
 use serde::{Deserialize, Serialize};
 
-/// One vulnerable interval of one entry.
+/// One vulnerable interval of one entry.  A stored interval covers at
+/// least one cycle: `start < end`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Interval {
     /// Cycle of the write or read that opens the interval.
@@ -93,13 +102,22 @@ impl VulnerableIntervals {
 
     /// Adds an interval for `entry` (intervals must be pushed in
     /// non-decreasing start order per entry, which the profiler guarantees).
+    /// The interval must cover at least one cycle: an empty one can hold no
+    /// fault, so the repository never stores it.
     ///
     /// # Panics
     ///
-    /// Panics if `entry` is not below `total_entries`.
+    /// Panics if `entry` is not below `total_entries`, or if the interval
+    /// is empty (`start >= end`).
     pub fn push(&mut self, entry: usize, interval: Interval) {
         let entries = self.per_entry.len();
         assert!(entry < entries, "entry {entry} out of range (0..{entries})");
+        assert!(
+            interval.start < interval.end,
+            "empty interval [{}, {}] on entry {entry}",
+            interval.start,
+            interval.end
+        );
         let v = &mut self.per_entry[entry];
         debug_assert!(v.last().is_none_or(|last| last.start <= interval.start));
         v.push(interval);
@@ -109,6 +127,11 @@ impl VulnerableIntervals {
     /// or does not exist).
     pub fn entry_intervals(&self, entry: usize) -> &[Interval] {
         self.per_entry.get(entry).map_or(&[], Vec::as_slice)
+    }
+
+    /// Releases the spare capacity of every entry's list.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.per_entry.iter_mut().for_each(Vec::shrink_to_fit);
     }
 
     /// Finds the interval (if any) that a fault at `(entry, cycle)` lands in.
@@ -206,6 +229,12 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn push_rejects_an_entry_past_the_structure() {
         VulnerableIntervals::new(Structure::RegisterFile, 8, 1000).push(8, iv(1, 2, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "empty interval")]
+    fn push_rejects_an_empty_interval() {
+        VulnerableIntervals::new(Structure::RegisterFile, 8, 1000).push(3, iv(5, 5, 0));
     }
 
     #[test]

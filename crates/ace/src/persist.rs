@@ -14,6 +14,11 @@
 //! entry an interval count (`u64`) and that many fixed 37-byte records:
 //! start, end (`u64`), RIP (`u32`), uPC (`u8`), dynamic instance and path
 //! signature (`u64`), all little-endian.
+//!
+//! Version 2 stores only intervals that cover a cycle: every record has
+//! `start < end`, and a record with `end <= start` is corruption.  Version 1
+//! also stored the empty intervals of same-cycle reads; its files are
+//! misses, and the session profiles again.
 
 use crate::intervals::{Interval, VulnerableIntervals};
 use crate::profiler::AceAnalysis;
@@ -23,11 +28,11 @@ use merlin_inject::Session;
 use merlin_isa::binio::{BinCode, ByteReader};
 use std::collections::HashMap;
 
-/// Version 1.  Bump it whenever [`AceProfiler`](crate::AceProfiler)'s
+/// Version 2.  Bump it whenever [`AceProfiler`](crate::AceProfiler)'s
 /// interval rules change: the binding to the `.golden` checksum sees a
 /// change to the core's behaviour, but not one to the profiler, so an old
 /// file would otherwise load.
-const ACE_VERSION: u32 = 1;
+const ACE_VERSION: u32 = 2;
 
 /// The `.ace` file format.
 pub(crate) const ACE: ArtifactFormat = ArtifactFormat {
@@ -68,7 +73,7 @@ pub(crate) fn encode(ace: &AceAnalysis, buf: &mut Vec<u8>) {
 /// ended with `golden`.  `None` rejects it: a decode failure, an entry
 /// count other than the session's, bits per entry other than 64, a run
 /// result or cycle count other than the golden run's, or an entry whose
-/// intervals are not ascending and disjoint within the run.
+/// intervals are not non-empty, ascending and disjoint within the run.
 pub(crate) fn decode(payload: &[u8], session: &Session, golden: &RunResult) -> Option<AceAnalysis> {
     let mut r = ByteReader::new(payload);
     let result = RunResult::decode(&mut r).ok()?;
@@ -104,7 +109,7 @@ pub(crate) fn decode(payload: &[u8], session: &Session, golden: &RunResult) -> O
 }
 
 /// One entry's intervals from its records, if they are ascending and
-/// disjoint with `start <= end <= total_cycles`.
+/// disjoint with `start < end <= total_cycles`.
 fn decode_records(records: &[u8], total_cycles: u64) -> Option<Vec<Interval>> {
     let u64_at = |rec: &[u8], at: usize| u64::from_le_bytes(rec[at..at + 8].try_into().unwrap());
     let mut intervals = Vec::with_capacity(records.len() / RECORD_LEN);
@@ -118,7 +123,7 @@ fn decode_records(records: &[u8], total_cycles: u64) -> Option<Vec<Interval>> {
             dyn_instance: u64_at(rec, 21),
             path_sig: u64_at(rec, 29),
         };
-        if iv.start < floor || iv.end < iv.start || iv.end > total_cycles {
+        if iv.start < floor || iv.end <= iv.start || iv.end > total_cycles {
             return None;
         }
         floor = iv.end;

@@ -5,9 +5,12 @@
 //!
 //! # Streaming
 //!
-//! An entry's intervals follow from its events taken in cycle order,
-//! stably: a write opens an interval, a committed read closes it and opens
-//! the next, and an invalidation drops the open one.  The events do not
+//! An entry's intervals follow from its events taken in cycle order, stably:
+//! a write opens an interval, a committed read closes it and opens the next,
+//! and an invalidation drops the open one.  A read in the cycle the open
+//! interval started (a second consumer issuing with the first, or in the
+//! producer's writeback cycle) closes an interval that covers no cycle: it
+//! is not stored, and the read still opens the next one.  The events do not
 //! arrive in that order, because a read is reported at commit but carries
 //! the cycle it happened at.  So [`AceProfiler`] keeps one *lane* per
 //! (structure, entry), holding the events it has not consumed yet and the
@@ -35,17 +38,17 @@
 //!
 //! One order a stable sort cannot recover: a load reads a word, and a later
 //! load of the same issue pass evicts the word's line.  The read would sort
-//! after the eviction and the refill, close an empty interval on the new
-//! line, and leave the victim's interval to end at its writeback read (or,
-//! for a clean line, to be dropped).  It needs as many further accesses to
-//! the line's set in the same issue pass as the set has ways, since the
-//! read made the line the most recently used, and an issue pass makes at
-//! most `mem_ports` accesses (2 against 4 ways by default; 0 occurrences
-//! over the 20 built-in workloads with a 16 KB L1D).  Streaming leaves this
-//! tie as it was: until the load commits, its logged read holds the floor
-//! at or below the eviction's cycle, so the eviction is still pending when
-//! the read arrives, and the read sorts after it exactly as in a sort of
-//! the whole stream.
+//! after the eviction and the refill, close an empty interval (not stored)
+//! on the new line, and leave the victim's interval to end at its writeback
+//! read (or, for a clean line, to be dropped).  It needs as many further
+//! accesses to the line's set in the same issue pass as the set has ways,
+//! since the read made the line the most recently used, and an issue pass
+//! makes at most `mem_ports` accesses (2 against 4 ways by default; 0
+//! occurrences over the 20 built-in workloads with a 16 KB L1D).  Streaming
+//! leaves this tie as it was: until the load commits, its logged read holds
+//! the floor at or below the eviction's cycle, so the eviction is still
+//! pending when the read arrives, and the read sorts after it exactly as in
+//! a sort of the whole stream.
 
 use crate::intervals::{Interval, VulnerableIntervals};
 use merlin_analyze::ProgramAnalysis;
@@ -122,17 +125,21 @@ impl LaneSet {
                         // zero at cycle 0, untouched-but-resident cache
                         // words) counts as written at cycle 0.
                         let start = lane.open_start.unwrap_or(0);
-                        intervals.push(
-                            entry,
-                            Interval {
-                                start,
-                                end: e.cycle,
-                                rip,
-                                upc,
-                                dyn_instance,
-                                path_sig,
-                            },
-                        );
+                        // A read in the cycle the interval opened closes an
+                        // empty one, which no fault can land in.
+                        if start < e.cycle {
+                            intervals.push(
+                                entry,
+                                Interval {
+                                    start,
+                                    end: e.cycle,
+                                    rip,
+                                    upc,
+                                    dyn_instance,
+                                    path_sig,
+                                },
+                            );
+                        }
                         lane.open_start = Some(e.cycle);
                     }
                 }
@@ -178,7 +185,8 @@ impl AceProfiler {
     }
 
     /// Consumes every remaining event and returns the per-structure
-    /// vulnerable intervals of a run of `total_cycles` cycles.
+    /// vulnerable intervals of a run of `total_cycles` cycles, each entry's
+    /// list sized to its intervals.
     pub fn finish(mut self, total_cycles: u64) -> HashMap<Structure, VulnerableIntervals> {
         self.flush(u64::MAX);
         Structure::all()
@@ -187,6 +195,7 @@ impl AceProfiler {
             .map(|(&s, set)| {
                 let mut intervals = set.intervals;
                 intervals.total_cycles = total_cycles;
+                intervals.shrink_to_fit();
                 (s, intervals)
             })
             .collect()

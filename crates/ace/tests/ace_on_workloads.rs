@@ -38,12 +38,18 @@ impl Probe for EventLog {
     }
 }
 
+/// One structure's intervals as the paper defines them: per entry, every
+/// span a committed read closes, the empty ones of same-cycle reads
+/// included.
+type EntryLists = Vec<Vec<Interval>>;
+
 /// The profile built the buffered way: record the whole run, then stable-sort
-/// each entry's events by cycle and walk them into intervals.
+/// each entry's events by cycle and walk them into intervals, keeping every
+/// interval a read closes.
 fn buffered_profile(
     program: &Program,
     cfg: &CpuConfig,
-) -> (RunResult, HashMap<Structure, VulnerableIntervals>) {
+) -> (RunResult, HashMap<Structure, EntryLists>) {
     let mut cpu = Cpu::new(program.clone(), cfg.clone()).unwrap();
     let mut log = EventLog::default();
     let golden = cpu.run(MAX_CYCLES, &mut log);
@@ -54,39 +60,72 @@ fn buffered_profile(
             .or_default()
             .push((cycle, event));
     }
-    let mut repos: HashMap<Structure, VulnerableIntervals> = Structure::all()
+    let mut lists: HashMap<Structure, EntryLists> = Structure::all()
         .iter()
-        .map(|&s| {
-            let entries = cfg.structure_entries(s);
-            (s, VulnerableIntervals::new(s, entries, golden.cycles))
-        })
+        .map(|&s| (s, vec![Vec::new(); cfg.structure_entries(s)]))
         .collect();
     for ((structure, entry), mut events) in per_entry {
         events.sort_by_key(|&(cycle, _)| cycle);
-        let repo = repos.get_mut(&structure).unwrap();
+        let list = &mut lists.get_mut(&structure).unwrap()[entry];
         let mut open_start: Option<u64> = None;
         for (cycle, event) in events {
             match event {
                 Logged::Write => open_start = Some(cycle),
                 Logged::Invalidate => open_start = None,
                 Logged::Read(info) => {
-                    repo.push(
-                        entry,
-                        Interval {
-                            start: open_start.unwrap_or(0),
-                            end: cycle,
-                            rip: info.rip,
-                            upc: info.upc,
-                            dyn_instance: info.dyn_instance,
-                            path_sig: info.path_sig,
-                        },
-                    );
+                    list.push(Interval {
+                        start: open_start.unwrap_or(0),
+                        end: cycle,
+                        rip: info.rip,
+                        upc: info.upc,
+                        dyn_instance: info.dyn_instance,
+                        path_sig: info.path_sig,
+                    });
                     open_start = Some(cycle);
                 }
             }
         }
     }
-    (golden, repos)
+    (golden, lists)
+}
+
+/// The oracle's intervals that cover a cycle, as repositories.
+fn non_empty(
+    lists: &HashMap<Structure, EntryLists>,
+    total_cycles: u64,
+) -> HashMap<Structure, VulnerableIntervals> {
+    lists
+        .iter()
+        .map(|(&s, entries)| {
+            let mut repo = VulnerableIntervals::new(s, entries.len(), total_cycles);
+            for (entry, list) in entries.iter().enumerate() {
+                for iv in list.iter().filter(|iv| !iv.is_empty()) {
+                    repo.push(entry, *iv);
+                }
+            }
+            (s, repo)
+        })
+        .collect()
+}
+
+/// The interval of `list` a fault at `cycle` lands in: the first one that
+/// ends at or after `cycle`, if it starts before it.
+fn oracle_lookup(list: &[Interval], cycle: u64) -> Option<&Interval> {
+    let first = list.partition_point(|iv| iv.end < cycle);
+    list.get(first).filter(|iv| iv.start < cycle)
+}
+
+/// The ACE-like AVF of one structure's oracle lists, by the definition:
+/// vulnerable bit-cycles over total bit-cycles.
+fn oracle_avf(structure: Structure, lists: &EntryLists, total_cycles: u64) -> f64 {
+    let bits = u64::from(structure.bits_per_entry());
+    let cycles: u64 = lists.iter().flatten().map(Interval::len).sum();
+    let total_bit_cycles = (lists.len() as u64 * bits).saturating_mul(total_cycles);
+    if total_bit_cycles == 0 {
+        0.0
+    } else {
+        (cycles * bits) as f64 / total_bit_cycles as f64
+    }
 }
 
 /// Asserts two profiles equal, naming the first entry that differs.
@@ -108,22 +147,63 @@ fn assert_same_profile(
     }
 }
 
-#[test]
-fn streamed_profile_matches_buffered_oracle() {
-    // The 16 KB L1D evicts lines, so same-cycle event order matters there.
-    let configs = [
+/// The configurations the oracle comparisons sweep.  The 16 KB L1D evicts
+/// lines, so same-cycle event order matters there.
+fn oracle_configs() -> [(&'static str, CpuConfig); 2] {
+    [
         ("default", CpuConfig::default()),
         ("16 KB L1D", CpuConfig::default().with_l1d_kb(16)),
-    ];
+    ]
+}
+
+#[test]
+fn streamed_profile_matches_buffered_oracle() {
+    // The profile stores the oracle's intervals that cover a cycle.
     for w in all_workloads() {
-        for (label, cfg) in &configs {
+        for (label, cfg) in &oracle_configs() {
             let what = format!("{} at {label}", w.name);
             let ace = AceAnalysis::run(&w.program, cfg, MAX_CYCLES).unwrap();
-            let (golden, intervals) = buffered_profile(&w.program, cfg);
+            let (golden, lists) = buffered_profile(&w.program, cfg);
             assert_eq!(ace.golden, golden, "{what}");
-            assert_same_profile(&what, &ace.intervals, &intervals);
+            assert_same_profile(&what, &ace.intervals, &non_empty(&lists, golden.cycles));
         }
     }
+}
+
+#[test]
+fn dropping_zero_length_intervals_changes_no_lookup() {
+    // A fault at either edge of every oracle interval, the empty ones
+    // included, lands in the profile where it lands in the unfiltered
+    // oracle, and the AVF is the same to the bit.
+    let mut empty = 0;
+    for w in all_workloads() {
+        for (label, cfg) in &oracle_configs() {
+            let ace = AceAnalysis::run(&w.program, cfg, MAX_CYCLES).unwrap();
+            let (golden, lists) = buffered_profile(&w.program, cfg);
+            for &s in Structure::all() {
+                let what = format!("{} at {label}: {s}", w.name);
+                let (repo, lists) = (ace.structure(s), &lists[&s]);
+                for (entry, list) in lists.iter().enumerate() {
+                    for iv in list {
+                        empty += usize::from(iv.is_empty());
+                        for c in [iv.start, iv.start + 1, iv.end, iv.end + 1] {
+                            assert_eq!(
+                                repo.lookup(entry, c),
+                                oracle_lookup(list, c),
+                                "{what} entry {entry} cycle {c}"
+                            );
+                        }
+                    }
+                }
+                assert_eq!(
+                    repo.ace_avf().to_bits(),
+                    oracle_avf(s, lists, golden.cycles).to_bits(),
+                    "{what}"
+                );
+            }
+        }
+    }
+    assert!(empty > 0, "the oracle holds no zero-length interval");
 }
 
 #[test]
@@ -176,9 +256,9 @@ fn intervals_exist_for_all_three_structures() {
         assert!(iv.interval_count() > 0, "{s} has no vulnerable intervals");
         assert!(iv.ace_avf() > 0.0, "{s} ACE AVF is zero");
         assert!(iv.ace_avf() <= 1.0, "{s} ACE AVF above 1");
-        // Intervals lie within the execution and are well formed.
+        // Intervals lie within the execution and each covers a cycle.
         for (_, interval) in iv.iter() {
-            assert!(interval.end >= interval.start);
+            assert!(interval.end > interval.start);
             assert!(interval.end <= ace.golden.cycles);
         }
     }

@@ -194,7 +194,7 @@ fn a_replaced_golden_makes_the_ace_a_miss() {
         fs::read(ace_file(&other_dir, &other, "ace").with_extension("golden")).unwrap();
     let mut golden = other_bytes[..other_bytes.len() - 8].to_vec();
     golden[12..20].copy_from_slice(&session.fingerprint().to_le_bytes());
-    let checksum = merlin_inject::artifact::fnv1a_bytes(&golden);
+    let checksum = fnv1a_words(&golden);
     golden.extend_from_slice(&checksum.to_le_bytes());
     fs::write(path.with_extension("golden"), &golden).unwrap();
 
@@ -263,6 +263,12 @@ fn tampered_payloads_behind_a_valid_checksum_are_quarantined() {
             b[first_record..first_record + 8].copy_from_slice(&cycles.to_le_bytes());
             b
         }),
+        // The first interval ends where it starts: it covers no cycle, and
+        // version 2 stores no such interval.
+        (
+            "zero-length interval",
+            zero_length_first_record(body, first_record),
+        ),
     ];
     for (what, mut bytes) in tampers {
         let checksum = fnv1a_words(&bytes);
@@ -278,4 +284,35 @@ fn tampered_payloads_behind_a_valid_checksum_are_quarantined() {
         assert!(*session.ace_profile().unwrap() == p.ace, "{what}");
         let _ = fs::remove_dir_all(&dir);
     }
+}
+
+/// `body` with the first register-file record's end moved back to its
+/// start.
+fn zero_length_first_record(body: &[u8], first_record: usize) -> Vec<u8> {
+    let mut b = body.to_vec();
+    b.copy_within(first_record..first_record + 8, first_record + 8);
+    b
+}
+
+/// A version-1 file, which may hold zero-length intervals, is a miss, not
+/// corruption: the session profiles again and replaces it with the current
+/// version's file.
+#[test]
+fn an_ace_file_of_version_1_is_a_miss() {
+    let p = pristine();
+    let (_, first_record) = rf_offsets(p);
+    let mut bytes = zero_length_first_record(&p.bytes[..p.bytes.len() - 8], first_record);
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let checksum = fnv1a_words(&bytes);
+    bytes.extend_from_slice(&checksum.to_le_bytes());
+    assert_ne!(p.bytes[8..12], bytes[8..12], "the pristine file is not v1");
+
+    let (dir, path, cache, session) = stage("v1", &bytes);
+    assert!(session.persisted_ace_profile().is_none(), "v1 file loaded");
+    assert_eq!(cache.artifact_rejects(), 0, "a miss is not corruption");
+    assert!(!with_suffix(&path, ".corrupt").exists());
+    assert_eq!(fs::read(&path).unwrap(), bytes, "a miss leaves the file");
+    assert!(*session.ace_profile().unwrap() == p.ace);
+    assert_eq!(fs::read(&path).unwrap(), p.bytes, "profiling rewrote it");
+    let _ = fs::remove_dir_all(&dir);
 }

@@ -1875,7 +1875,7 @@ fn encode_reads<E: BinCode>(reads: impl Iterator<Item = (E, u64)> + Clone, out: 
 }
 
 /// Encoded field by field, with the memory snapshot between
-/// `pending_store_slot` and `bp` (the `.golden` v6 layout).
+/// `pending_store_slot` and `bp` (the `.golden` layout since v6).
 impl BinCode for CpuState {
     fn encode(&self, out: &mut Vec<u8>) {
         let c = &self.core;

@@ -44,7 +44,7 @@
 //! assert_eq!(session.golden_builds(), 1);
 //! ```
 
-use crate::artifact::{self, fnv1a_bytes, quarantine, write_atomic, ArtifactFormat};
+use crate::artifact::{self, fnv1a_bytes, fnv1a_words, quarantine, write_atomic, ArtifactFormat};
 use crate::campaign::{
     build_golden_checkpointed, CampaignError, CampaignResult, FaultInjector, GoldenCheckpoints,
     GoldenRun,
@@ -786,12 +786,13 @@ impl SessionCache {
 
 // --- Disk persistence ----------------------------------------------------
 
-/// Version 6: the payload is the run result, the timeout, the checkpoint
+/// Version 7: the payload is the run result, the timeout, the checkpoint
 /// store and the L1D liveness log; the checkpoint policy is covered by the
-/// fingerprint, not stored.  Version 6 stores each cache snapshot's line
-/// bytes in one flat vector, and none for the tags-only L2.  Version 4
-/// added the L1D liveness log ([`L1dLiveness`](crate::L1dLiveness)).
-/// Since version 3 the file ends
+/// fingerprint, not stored.  Version 7 checksums the file one 8-byte word
+/// per step ([`fnv1a_words`]) instead of one byte per step.  Version 6
+/// stores each cache snapshot's line bytes in one flat vector, and none for
+/// the tags-only L2.  Version 4 added the L1D liveness log
+/// ([`L1dLiveness`](crate::L1dLiveness)).  Since version 3 the file ends
 /// with a little-endian FNV-1a checksum over everything before it, so
 /// content corruption is *detected and quarantined* (renamed to
 /// `<name>.golden.corrupt`, counted in [`SessionCache::artifact_rejects`])
@@ -799,15 +800,15 @@ impl SessionCache {
 /// checkpoint memory as chunk-level deltas, version 1 as dense images;
 /// older-version files are ordinary cache misses and are rebuilt, not
 /// quarantined.
-const GOLDEN_VERSION: u32 = 6;
+const GOLDEN_VERSION: u32 = 7;
 
 /// The `.golden` file: header `MRLNGLD\0`, [`GOLDEN_VERSION`] and the
-/// fingerprint, checksummed byte by byte.
+/// fingerprint, checksummed word by word.
 const GOLDEN: ArtifactFormat = ArtifactFormat {
     magic: b"MRLNGLD\0",
     version: GOLDEN_VERSION,
     extension: "golden",
-    checksum: fnv1a_bytes,
+    checksum: fnv1a_words,
 };
 
 fn golden_file_name(id: &str, fingerprint: u64) -> String {
@@ -1280,7 +1281,7 @@ mod tests {
         let bytes = fs::read(&file).unwrap();
         let mut forged = bytes[..bytes.len() - GOLDEN_TRAILER_LEN].to_vec();
         forged.push(0);
-        fnv1a_bytes(&forged).encode(&mut forged);
+        (GOLDEN.checksum)(&forged).encode(&mut forged);
         fs::write(&file, &forged).unwrap();
 
         let second = SessionCache::with_disk_dir(&dir);
@@ -1349,7 +1350,7 @@ mod tests {
         let mut spliced = bytes[..at].to_vec();
         spliced.extend_from_slice(&forged);
         spliced.extend_from_slice(&bytes[at + state.len()..bytes.len() - GOLDEN_TRAILER_LEN]);
-        fnv1a_bytes(&spliced).encode(&mut spliced);
+        (GOLDEN.checksum)(&spliced).encode(&mut spliced);
         fs::write(&file, &spliced).unwrap();
 
         let second = SessionCache::with_disk_dir(&dir);

@@ -1,4 +1,4 @@
-//! Pins the `.golden` v6 wire format byte for byte.
+//! Pins the `.golden` v7 wire format byte for byte.
 //!
 //! Persists the golden runs (checkpoint store and L1D liveness log
 //! included) of four short workloads under `CpuConfig::default()` and the
@@ -15,10 +15,10 @@ use std::fs;
 
 /// `(workload, FNV-1a 64 of the persisted file, file length in bytes)`.
 const PINNED: &[(&str, u64, usize)] = &[
-    ("sha", 0x8167_0f2f_fd10_aeeb, 301_922),
-    ("susan_e", 0xf45a_a18c_177a_cdee, 319_491),
-    ("fft", 0xae08_db46_d7a5_f59f, 651_083),
-    ("qsort", 0x8ca0_9b1e_0f3d_02ce, 954_963),
+    ("sha", 0xfa02_d68d_9b79_fd39, 301_922),
+    ("susan_e", 0x52a8_ae67_9870_10de, 319_491),
+    ("fft", 0xb2f7_2b73_6216_17d8, 651_083),
+    ("qsort", 0x5970_65a2_8fb8_7f10, 954_963),
 ];
 
 fn fnv1a(bytes: &[u8]) -> u64 {

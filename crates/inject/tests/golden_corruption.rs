@@ -14,6 +14,7 @@
 //! bytes were never trusted.
 
 use merlin_cpu::{CheckpointPolicy, CheckpointStore, CpuConfig, FaultSpec, Structure};
+use merlin_inject::artifact::fnv1a_words;
 use merlin_inject::chaos;
 use merlin_inject::{GoldenRun, SessionCache};
 use merlin_isa::binio::{decode_from_slice, encode_to_vec};
@@ -174,7 +175,7 @@ fn a_tampered_log_behind_a_valid_checksum_is_quarantined() {
         let _ = fs::remove_file(&quarantine);
         let mut bytes = p.bytes[..payload_end].to_vec();
         bytes[at..at + patch.len()].copy_from_slice(&patch);
-        let checksum = fnv1a(&bytes);
+        let checksum = fnv1a_words(&bytes);
         bytes.extend_from_slice(&checksum.to_le_bytes());
         fs::write(&path, &bytes).unwrap();
 
@@ -219,7 +220,7 @@ fn a_store_that_cannot_serve_cycle_zero_is_quarantined() {
     let mut bytes = p.bytes[..store_start].to_vec();
     bytes.extend_from_slice(&late);
     bytes.extend_from_slice(&p.bytes[store_end..payload_end]);
-    let checksum = fnv1a(&bytes);
+    let checksum = fnv1a_words(&bytes);
     bytes.extend_from_slice(&checksum.to_le_bytes());
     // A directory of its own: the property above rewrites the pristine
     // path concurrently.
@@ -244,13 +245,4 @@ fn a_store_that_cannot_serve_cycle_zero_is_quarantined() {
     assert_eq!(campaign.outcomes, scratch.outcomes);
     assert_eq!(campaign.schedule.asserts, scratch.schedule.asserts);
     let _ = fs::remove_dir_all(&dir);
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
 }

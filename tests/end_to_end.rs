@@ -19,13 +19,15 @@ fn session_for(name: &str, cfg: &CpuConfig) -> Session {
         .unwrap()
 }
 
-#[test]
-fn merlin_is_accurate_and_cheap_across_structures() {
+/// MeRLiN against comprehensive injection of the same 300 faults (seed 11)
+/// on each structure of `name`, under small structures: at most 8 points of
+/// inaccuracy, AVF within 0.08, and fewer injections than faults.
+fn assert_merlin_accurate_and_cheap(name: &str) {
     let cfg = CpuConfig::default()
         .with_phys_regs(64)
         .with_store_queue(16)
         .with_l1d_kb(16);
-    let session = session_for("stringsearch", &cfg);
+    let session = session_for(name, &cfg);
     for &structure in Structure::all() {
         let faults = session.fault_list(structure, 300, 11).unwrap();
         let merlin = session.merlin_with_faults(structure, &faults).unwrap();
@@ -36,21 +38,34 @@ fn merlin_is_accurate_and_cheap_across_structures() {
             .max_inaccuracy(&baseline.classification);
         assert!(
             inaccuracy <= 8.0,
-            "{structure}: inaccuracy {inaccuracy:.2} too large\n merlin   {}\n baseline {}",
+            "{name} {structure}: inaccuracy {inaccuracy:.2} too large\n merlin   {}\n baseline {}",
             merlin.report.classification,
             baseline.classification
         );
         assert!(
             merlin.report.injections < faults.len(),
-            "{structure}: no reduction achieved"
+            "{name} {structure}: no reduction achieved"
         );
         assert_eq!(merlin.report.classification.total() as usize, faults.len());
         // AVF agreement within a few points.
-        assert!((merlin.report.avf() - baseline.classification.avf()).abs() < 0.08);
+        let delta = (merlin.report.avf() - baseline.classification.avf()).abs();
+        assert!(delta < 0.08, "{name} {structure}: AVF delta {delta:.3}");
     }
     // Six campaign phases (MeRLiN + comprehensive, three structures), one
     // golden simulation and one ACE profile.
-    assert_eq!(session.golden_builds(), 1);
+    assert_eq!(session.golden_builds(), 1, "{name}");
+}
+
+#[test]
+fn merlin_is_accurate_and_cheap_across_structures() {
+    assert_merlin_accurate_and_cheap("stringsearch");
+}
+
+#[test]
+fn merlin_is_accurate_and_cheap_beyond_stringsearch() {
+    for name in ["sha", "qsort", "fft", "susan_c", "bzip2", "mcf"] {
+        assert_merlin_accurate_and_cheap(name);
+    }
 }
 
 #[test]
