@@ -8,7 +8,7 @@ use merlin_ace::{AceAnalysis, SessionAce};
 use merlin_cpu::{CheckpointPolicy, CpuConfig, Structure};
 use merlin_inject::artifact::fnv1a_words;
 use merlin_inject::chaos;
-use merlin_inject::{Session, SessionBuilder, SessionCache};
+use merlin_inject::{Session, SessionBuilder, SessionCache, GOLDEN};
 use merlin_isa::binio::encode_to_vec;
 use merlin_isa::Program;
 use proptest::prelude::*;
@@ -194,7 +194,7 @@ fn a_replaced_golden_makes_the_ace_a_miss() {
         fs::read(ace_file(&other_dir, &other, "ace").with_extension("golden")).unwrap();
     let mut golden = other_bytes[..other_bytes.len() - 8].to_vec();
     golden[12..20].copy_from_slice(&session.fingerprint().to_le_bytes());
-    let checksum = fnv1a_words(&golden);
+    let checksum = (GOLDEN.checksum)(&golden);
     golden.extend_from_slice(&checksum.to_le_bytes());
     fs::write(path.with_extension("golden"), &golden).unwrap();
 

@@ -18,7 +18,7 @@ use merlin_core::{
     merlin_exhaustive_row, reduce_fault_list, relyzer_exhaustive_row, relyzer_reduce,
     structure_bits, AvfMoments, SessionMethodology, WallClock,
 };
-use merlin_cpu::{Cpu, CpuConfig, NullProbe, Structure};
+use merlin_cpu::{Cpu, CpuConfig, FaultSpec, NullProbe, Structure};
 use merlin_inject::{Classification, FaultEffect, SamplingPlan, TruncatedEffect};
 use merlin_workloads::{mibench_workloads, spec_workloads, workload_by_name};
 use std::collections::HashMap;
@@ -225,7 +225,6 @@ fn table4(scale: &ExperimentScale) {
         // Truncation horizon: half of the execution, standing in for the end
         // of the Simpoint interval.
         let horizon = session.golden().expect("golden").result.cycles / 2;
-        let mut injector = session.injector().expect("injector");
         let faults = initial_fault_list(
             &cfg,
             Structure::RegisterFile,
@@ -233,32 +232,27 @@ fn table4(scale: &ExperimentScale) {
             scale.baseline_faults.min(1500),
             scale.seed,
         );
-        let reduction = reduce_fault_list(&faults, ace.structure(Structure::RegisterFile));
-        // Baseline: truncated classification of every fault; MeRLiN:
-        // representatives extrapolated to their groups.  Each fault is
-        // classified once; the representative is one of its sub-group's
-        // faults, so its effect comes from that pass.
+        let intervals = ace.structure(Structure::RegisterFile);
+        let reduction = reduce_fault_list(&faults, intervals);
+        // Baseline: truncated classification of every post-ACE fault, from
+        // one campaign; MeRLiN: representatives extrapolated to their
+        // groups.  The representative is one of its sub-group's faults, so
+        // its effect comes from the same campaign.
+        let post = session
+            .post_ace_baseline(&reduction)
+            .expect("post-ACE baseline");
+        let effects: HashMap<_, _> = post.outcomes.iter().map(|o| (o.fault, o.effect)).collect();
+        let truncated =
+            |fault: FaultSpec| classify_truncated(effects[&fault], fault, intervals, horizon);
         let ace_masked = reduction.ace_masked.len() as u64;
         let mut baseline = HashMap::from([(TruncatedEffect::Masked, ace_masked)]);
         let mut merlin = baseline.clone();
+        for o in &post.outcomes {
+            *baseline.entry(truncated(o.fault)).or_default() += 1;
+        }
         for g in &reduction.groups {
             for s in &g.subgroups {
-                let mut rep_effect = None;
-                for f in &s.faults {
-                    let e = classify_truncated(
-                        &mut injector,
-                        &ace,
-                        Structure::RegisterFile,
-                        f.fault,
-                        horizon,
-                    );
-                    *baseline.entry(e).or_default() += 1;
-                    if f.fault == s.representative {
-                        rep_effect = Some(e);
-                    }
-                }
-                let rep_effect = rep_effect.expect("the representative is a sub-group fault");
-                *merlin.entry(rep_effect).or_default() += s.faults.len() as u64;
+                *merlin.entry(truncated(s.representative)).or_default() += s.faults.len() as u64;
             }
         }
         let total = faults.len() as f64;

@@ -4,11 +4,11 @@
 //! baseline campaign used for accuracy comparisons.
 
 use crate::grouping::{reduce_fault_list, FaultListReduction};
-use merlin_ace::{AceAnalysis, AceError};
+use merlin_ace::{AceAnalysis, AceError, VulnerableIntervals};
 use merlin_cpu::{CpuConfig, FaultSpec, Structure};
 use merlin_inject::{
-    generate_fault_list, CampaignError, Classification, FaultEffect, FaultInjector, GoldenRun,
-    Session,
+    generate_fault_list, CampaignError, Classification, FaultEffect, GoldenRun, Session,
+    TruncatedEffect,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -261,30 +261,24 @@ pub(crate) fn post_ace_fault_list(reduction: &FaultListReduction) -> Vec<FaultSp
 /// compared against the golden run at the end of a truncated interval; faults
 /// that are still architecturally live are `Unknown`.
 ///
-/// Takes a reusable [`FaultInjector`] (build one per (program, config,
-/// golden) triple) so callers classifying whole fault lists pay no per-fault
-/// program clone and get checkpoint-restore suffix simulation whenever the
-/// injector's golden run carries a store.
+/// A pure function of the fault's observed full-run `effect` (from a
+/// campaign over the same golden run), the fault itself, the structure's
+/// vulnerable `intervals` and the truncation horizon.
 pub fn classify_truncated(
-    injector: &mut FaultInjector,
-    ace: &AceAnalysis,
-    structure: Structure,
+    effect: FaultEffect,
     fault: FaultSpec,
+    intervals: &VulnerableIntervals,
     horizon_cycles: u64,
-) -> merlin_inject::TruncatedEffect {
-    use merlin_inject::TruncatedEffect;
-    let intervals = ace.structure(structure);
-    // A fault outside every vulnerable interval that starts before the
-    // horizon is masked within the interval.
-    let covering = intervals.lookup(fault.entry, fault.cycle);
+) -> TruncatedEffect {
+    // A fault injected after the horizon is masked within the interval.
     if fault.cycle > horizon_cycles {
         return TruncatedEffect::Masked;
     }
-    match injector.run(fault) {
+    match effect {
         FaultEffect::Crash => TruncatedEffect::Crash,
         FaultEffect::Assert => TruncatedEffect::Assert,
         FaultEffect::Due => TruncatedEffect::Due,
-        FaultEffect::Masked => match covering {
+        FaultEffect::Masked => match intervals.lookup(fault.entry, fault.cycle) {
             // Read after the horizon: whether it stays masked is unknown.
             Some(iv) if iv.end > horizon_cycles => TruncatedEffect::Unknown,
             // Never read, or consumed within the interval without
@@ -302,7 +296,6 @@ mod tests {
     use super::*;
     use crate::session::SessionMethodology;
     use merlin_ace::SessionAce;
-    use merlin_inject::TruncatedEffect;
     use merlin_workloads::workload_by_name;
 
     fn small_cfg() -> CpuConfig {
@@ -383,15 +376,15 @@ mod tests {
         let ace = session.ace_profile().unwrap();
         let golden_cycles = session.golden().unwrap().result.cycles;
         let horizon = golden_cycles / 2;
-        let mut injector = session.injector().unwrap();
         let faults = session
             .fault_list(Structure::RegisterFile, 300, 23)
             .unwrap();
+        let outcomes = session.campaign(&faults).unwrap().outcomes;
         let intervals = ace.structure(Structure::RegisterFile);
         let mut seen: HashMap<TruncatedEffect, u64> = HashMap::new();
-        for &fault in &faults {
-            let effect =
-                classify_truncated(&mut injector, &ace, Structure::RegisterFile, fault, horizon);
+        for o in &outcomes {
+            let fault = o.fault;
+            let effect = classify_truncated(o.effect, fault, intervals, horizon);
             *seen.entry(effect).or_default() += 1;
             // Branch contracts, checked per fault:
             if fault.cycle > horizon {
@@ -418,10 +411,12 @@ mod tests {
             seen.get(&TruncatedEffect::Unknown).copied().unwrap_or(0) > 0,
             "no fault was live across the horizon: {seen:?}"
         );
-        // A fault injected after the horizon is masked by definition.
+        // A fault injected after the horizon is masked by definition, and
+        // its campaign outcome agrees.
         let late = FaultSpec::new(Structure::RegisterFile, 0, 1, horizon + 1);
+        let late_effect = session.campaign(&[late]).unwrap().outcomes[0].effect;
         assert_eq!(
-            classify_truncated(&mut injector, &ace, Structure::RegisterFile, late, horizon),
+            classify_truncated(late_effect, late, intervals, horizon),
             TruncatedEffect::Masked
         );
     }

@@ -12,7 +12,6 @@
 use crate::bits::{clear_bit, has_bit, set_bit};
 use crate::cache::{CacheEffects, MemSystem};
 use crate::config::{ConfigError, CpuConfig};
-use crate::cow::CowBox;
 use crate::fault::FaultSpec;
 use crate::lsq::{LoadQueue, SqSlot, StoreQueue};
 use crate::memory::{MemError, Memory};
@@ -334,9 +333,9 @@ impl BinCode for DynCounts {
 /// Fields are declared cheapest-first, so the derived `==` of the retire
 /// probe bails out on a scalar before it walks an array.  The structures
 /// every cycle writes (ROB, fetch buffer, free list, register file, load
-/// and store queues, dynamic-instance counters) are plain owned values that
-/// a clone copies; only the predictor, the BTB and the output stream sit on
-/// copy-on-write storage (see [`CowTable`](crate::CowTable)).  A value
+/// and store queues, dynamic-instance counters) and the output stream are
+/// plain owned values that a clone copies; only the predictor and the BTB
+/// sit on copy-on-write storage (see [`CowTable`](crate::CowTable)).  A value
 /// derived from these fields (like [`Cpu`]'s `next_fault_cycle`) belongs
 /// outside, or the retire probe would compare it as state.
 #[derive(Debug, Clone, PartialEq)]
@@ -356,7 +355,7 @@ struct CoreState {
     finished: Option<ExitReason>,
     // Faults pending application, sorted by cycle.
     faults: Vec<FaultSpec>,
-    output: CowBox<Vec<u64>>,
+    output: Vec<u64>,
     path_history: VecDeque<(Rip, bool)>,
     dyn_counts: DynCounts,
     rat: RenameTable,
@@ -376,12 +375,11 @@ impl CoreState {
     fn freeze(&mut self) {
         self.bp.freeze();
         self.btb.freeze();
-        self.output.freeze();
     }
 
     /// Page un-share events of every copy-on-write structure, reset.
     fn take_cow_breaks(&mut self) -> u64 {
-        self.bp.take_cow_breaks() + self.btb.take_cow_breaks() + self.output.take_cow_breaks()
+        self.bp.take_cow_breaks() + self.btb.take_cow_breaks()
     }
 }
 
@@ -616,7 +614,7 @@ impl Cpu {
             pending_store_slot: None,
             finished: None,
             faults: Vec::new(),
-            output: CowBox::default(),
+            output: Vec::new(),
             path_history: VecDeque::new(),
             dyn_counts: DynCounts(vec![0; program.len()]),
             rat: RenameTable::identity(),
@@ -685,11 +683,6 @@ impl Cpu {
         self.s.finished.is_some()
     }
 
-    /// Why the run ended, if it has.
-    pub fn exit_reason(&self) -> Option<&ExitReason> {
-        self.s.finished.as_ref()
-    }
-
     /// The architected output stream so far.
     pub fn output(&self) -> &[u64] {
         &self.s.output
@@ -734,7 +727,7 @@ impl Cpu {
         let exit = self.s.finished.clone().unwrap_or(ExitReason::Timeout);
         RunResult {
             exit,
-            output: (*self.s.output).clone(),
+            output: self.s.output.clone(),
             cycles: self.s.cycle,
             committed_instructions: self.s.committed_instructions,
             committed_uops: self.s.committed_uops,
@@ -1309,7 +1302,7 @@ impl Cpu {
             }
 
             match e.uop.kind {
-                UopKind::Out => self.s.output.make_mut().push(e.result.unwrap_or(0)),
+                UopKind::Out => self.s.output.push(e.result.unwrap_or(0)),
                 UopKind::Halt => {
                     self.s.finished = Some(ExitReason::Halted);
                 }
@@ -1462,8 +1455,8 @@ impl Cpu {
     ///
     /// The core's `CoreState` is overwritten whole by a clone of `src`'s,
     /// which copies the per-cycle arrays (both sides write them in their
-    /// first cycle anyway) and shares the memory, caches, predictor, BTB
-    /// and output by page handle (see [`CowTable`](crate::CowTable));
+    /// first cycle anyway) and shares the memory, caches, predictor and BTB
+    /// by page handle (see [`CowTable`](crate::CowTable));
     /// sharing breaks lazily, per page, on whichever side writes first.
     /// Like [`Cpu::restore_from`] it is
     /// valid from any state of `self`.  `src` must run the same program
@@ -1480,7 +1473,7 @@ impl Cpu {
 
     /// Page un-share events accumulated across every CoW-backed structure
     /// (the backing memory, the L1D's tag and byte pages, the L2's tag
-    /// pages, the predictor, the BTB and the output stream) since the last
+    /// pages, the predictor and the BTB) since the last
     /// call (see [`CowTable`](crate::CowTable)): each count is one page that
     /// was shared — with a fork sibling, a snapshot, or the pristine memory
     /// image — and had to be materialised privately on first write.  Counts
@@ -2190,12 +2183,13 @@ mod tests {
             Err(DecodeError::Invalid(_))
         ));
 
-        // A zero count among the dynamic-instance counters.
-        let mut counts: std::collections::HashMap<Rip, u64> = (0..state.core.dyn_counts.0.len())
+        // A zero count among the dynamic-instance counters, which encode as
+        // a length and ascending (RIP, count) pairs.
+        let mut counts: Vec<(Rip, u64)> = (0..state.core.dyn_counts.0.len())
             .filter(|&r| state.core.dyn_counts.get(r as Rip) != 0)
             .map(|r| (r as Rip, state.core.dyn_counts.get(r as Rip)))
             .collect();
-        *counts.values_mut().next().unwrap() = 0;
+        counts[0].1 = 0;
         assert!(matches!(
             decode_from_slice::<CpuState>(&splice(counts_at, counts_len, &encode_to_vec(&counts))),
             Err(DecodeError::Invalid(_))
@@ -2400,7 +2394,7 @@ mod tests {
         assert_ne!(short, long);
         assert_ne!(long, short);
 
-        let map: std::collections::HashMap<Rip, u64> = [(2, 1), (9, 2), (40, 1), (63, 1)].into();
+        let map: Vec<(Rip, u64)> = vec![(2, 1), (9, 2), (40, 1), (63, 1)];
         let bytes = encode_to_vec(&map);
         assert_eq!(encode_to_vec(&long), bytes);
         assert_eq!(decode_from_slice::<DynCounts>(&bytes).unwrap(), long);

@@ -5,14 +5,14 @@
 //! **CoW only where a suffix leaves pages unwritten.**  Sharing pays when a
 //! fork or restore would otherwise copy pages that neither side writes
 //! again: the backing memory's bytes, the L1D's tag and byte pages and the
-//! L2's tag pages (one set per page), the branch predictor's counters, the
-//! BTB and the output stream.  The structures the core writes nearly every
-//! cycle — the physical register file and its ready bits, the free list,
-//! the ROB, the fetch buffer, the load and store queues and the
-//! dynamic-instance counters — are plain owned arrays: both the fork and
-//! the core it came from write them in their first cycle, so sharing them
-//! would never save a copy, only add a match and a pointer hop to every
-//! access.
+//! L2's tag pages (one set per page), the branch predictor's counters and
+//! the BTB.  The structures the core writes nearly every cycle — the
+//! physical register file and its ready bits, the free list, the ROB, the
+//! fetch buffer, the load and store queues and the dynamic-instance
+//! counters — are plain owned arrays: both the fork and the core it came
+//! from write them in their first cycle, so sharing them would never save
+//! a copy, only add a match and a pointer hop to every access.  So is the
+//! output stream, which holds a few words.
 //!
 //! Heavy storage is split into fixed-size pages.  Each page is either
 //! **owned** outright by one structure or **shared** behind an [`Arc`]
@@ -43,19 +43,14 @@
 //! suffix never writes stays shared across the golden core, its snapshots
 //! and every fork.
 //!
-//! Two shapes of storage need two wrappers:
-//!
-//! * [`CowTable<T>`] — array-shaped structures with stable entry indices
-//!   (predictor counter tables, BTB, cache tags and L1D bytes, and the
-//!   backing memory's bytes).  Entries live in power-of-two-sized pages;
-//!   reads index through one extra pointer, writes go through
-//!   [`CowTable::get_mut`] or [`CowTable::page_mut`].
-//!   The page-level accessors let the memory, paged at the delta-snapshot
-//!   chunk granularity, share a page's handle with a pristine-image chunk
-//!   or a checkpoint's delta chunk.
-//! * [`CowBox<T>`] — one value on a single page: the output stream, which
-//!   only grows and is cheaper to share wholesale than to page.  Mutation
-//!   goes through [`CowBox::make_mut`].
+//! One wrapper, [`CowTable<T>`], holds every such structure: array-shaped,
+//! with stable entry indices (predictor counter tables, BTB, cache tags and
+//! L1D bytes, and the backing memory's bytes).  Entries live in
+//! power-of-two-sized pages; reads index through one extra pointer, writes
+//! go through [`CowTable::get_mut`] or [`CowTable::page_mut`].  The
+//! page-level accessors let the memory, paged at the delta-snapshot chunk
+//! granularity, share a page's handle with a pristine-image chunk or a
+//! checkpoint's delta chunk.
 //!
 //! Sharing is **bookkeeping, not state**: it is never serialised (the
 //! `binio` wire formats below re-encode plain `len + elements`,
@@ -66,7 +61,6 @@
 //! throughout.
 
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
-use std::ops::Deref;
 use std::sync::Arc;
 
 /// One unit of copy-on-write storage: owned outright, or shared behind an
@@ -374,96 +368,9 @@ impl<T: BinCode + Clone> CowTable<T> {
     }
 }
 
-/// A single value on one copy-on-write page — for a structure (the output
-/// stream) that is cheaper to share wholesale than to page.  Reads deref
-/// straight to the value, and a fork or restore is one handle clone.
-#[derive(Debug)]
-pub struct CowBox<T> {
-    inner: Page<T>,
-    /// Un-share count; bookkeeping, not state.
-    breaks: u64,
-}
-
-impl<T: Default> Default for CowBox<T> {
-    fn default() -> Self {
-        CowBox {
-            inner: Page::shared(T::default()),
-            breaks: 0,
-        }
-    }
-}
-
-impl<T> Deref for CowBox<T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        self.inner.get()
-    }
-}
-
-impl<T: Clone + Default> CowBox<T> {
-    /// A box holding `value` on a shared page.
-    pub fn new(value: T) -> Self {
-        CowBox {
-            inner: Page::shared(value),
-            breaks: 0,
-        }
-    }
-
-    /// Mutable access, un-sharing the value if it is shared.
-    #[inline]
-    pub fn make_mut(&mut self) -> &mut T {
-        self.inner.get_mut(&mut self.breaks)
-    }
-
-    /// Moves an owned value behind a handle so it can be shared.
-    pub fn freeze(&mut self) {
-        self.inner.freeze();
-    }
-
-    /// Copies taken to un-share since the last [`CowBox::take_cow_breaks`].
-    pub fn cow_breaks(&self) -> u64 {
-        self.breaks
-    }
-
-    /// Returns and resets the un-share counter.
-    pub fn take_cow_breaks(&mut self) -> u64 {
-        std::mem::take(&mut self.breaks)
-    }
-}
-
-/// Shares a shared value and deep-copies an owned one; the copy starts its
-/// own un-share count at 0, like a [`CowTable`]'s.
-impl<T: Clone> Clone for CowBox<T> {
-    fn clone(&self) -> Self {
-        CowBox {
-            inner: self.inner.clone(),
-            breaks: 0,
-        }
-    }
-}
-
-/// Contents-only equality with an `Arc::ptr_eq` fast path.
-impl<T: PartialEq> PartialEq for CowBox<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.inner == other.inner
-    }
-}
-impl<T: Eq> Eq for CowBox<T> {}
-
-impl<T: BinCode + Clone + Default> BinCode for CowBox<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.inner.get().encode(out);
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        Ok(Self::new(T::decode(r)?))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::VecDeque;
 
     /// Whether no page of `t` is visible to any other structure.
     fn fully_private<T>(t: &CowTable<T>) -> bool {
@@ -515,24 +422,6 @@ mod tests {
         *b.get_mut(0) = 9;
         assert_eq!((a.cow_breaks(), b.cow_breaks()), (0, 0));
         assert_eq!((*a.get(0), *b.get(0)), (7, 9));
-    }
-
-    #[test]
-    fn first_write_after_freeze_breaks_once_with_a_live_sharer() {
-        let mut a = CowBox::new((0..4u32).collect::<VecDeque<_>>());
-        a.make_mut().push_back(4);
-        a.freeze();
-        let mut sharer = a.clone();
-        a.make_mut().push_back(5);
-        a.make_mut().push_back(6);
-        assert_eq!(a.cow_breaks(), 1);
-        assert_eq!(sharer.len(), 5, "the sharer keeps the frozen contents");
-        // A second freeze-and-write round breaks once more.
-        a.freeze();
-        sharer = a.clone();
-        a.make_mut().pop_front();
-        assert_eq!(a.take_cow_breaks(), 2);
-        assert_eq!(sharer.len(), 7);
     }
 
     #[test]
@@ -600,22 +489,6 @@ mod tests {
     }
 
     #[test]
-    fn seq_breaks_on_first_write_only() {
-        let mut a = CowBox::new((0..5u32).collect::<VecDeque<_>>());
-        let mut b = a.clone();
-        assert_eq!(a, b);
-        b.make_mut().push_back(9);
-        assert_eq!(b.cow_breaks(), 1);
-        assert_eq!(a.len(), 5);
-        assert_eq!(b.len(), 6);
-        assert_ne!(a, b);
-        b.make_mut().push_back(10);
-        assert_eq!(b.cow_breaks(), 1);
-        a.make_mut().clear();
-        assert_eq!(a.cow_breaks(), 0, "unique handles mutate in place");
-    }
-
-    #[test]
     fn bytes_chunks_share_with_pristine_and_break_on_write() {
         let mut m = CowTable::new(1024 + 100, 0u8, 256);
         assert_eq!(m.page_count(), 5);
@@ -657,12 +530,5 @@ mod tests {
         assert_eq!(copy.cow_breaks(), 0, "the table's count stays with it");
         assert_eq!(t.cow_breaks(), 2);
         assert_eq!(copy, t);
-
-        let mut b = CowBox::new(vec![1u64]);
-        let _sharer = b.clone();
-        b.make_mut().push(2);
-        assert_eq!(b.cow_breaks(), 1);
-        assert_eq!(b.clone().cow_breaks(), 0, "the box's count stays with it");
-        assert_eq!(b.cow_breaks(), 1);
     }
 }

@@ -343,11 +343,17 @@ proptest! {
         prop_assert_eq!(&replay2, &golden);
 
         // Writes after a fork surface as sharing breaks, and the tally
-        // drains: bookkeeping, never state.
+        // drains: bookkeeping, never state.  The fork's first cycle flips
+        // an L1D bit, a write into a page it shares with its parent, so the
+        // fork writes shared state even where the rest of the program
+        // touches only plain arrays and the output stream.
         let mut fork3 = Cpu::new(program, CpuConfig::default()).unwrap();
         fork3.fork_from(&mut golden_cpu);
         fork3.take_cow_breaks();
         let before = fork3.snapshot();
+        fork3
+            .inject_fault(FaultSpec::new(Structure::L1DCache, 0, 0, fork3.cycle()))
+            .unwrap();
         let mut breaks = 0u64;
         let mut stepped = false;
         for _ in 0..500 {

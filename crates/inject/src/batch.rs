@@ -2,13 +2,10 @@
 //! checkpoint range, dead-site resolution at each injection cycle, faulty
 //! cores forked lazily from the live golden state and probe-driven
 //! retirement.  This driver is the only checkpointed classification path:
-//! campaigns run every checkpoint range through it, and
-//! [`FaultInjector`](crate::FaultInjector) runs each fault as a one-fault
-//! range.
+//! campaigns run every checkpoint range through it.
 //!
 //! L1D faults never reach it when the golden run does not read the flipped
-//! word again: the scheduler and the injector resolve those Masked from
-//! the golden run's [`L1dLiveness`](crate::L1dLiveness) log before any
+//! word again: the scheduler resolves those Masked from the golden run's [`L1dLiveness`](crate::L1dLiveness) log before any
 //! restore (`dead_sites`), and a range left without faults restores
 //! nothing.
 //!
@@ -31,9 +28,8 @@
 //!    makes a pool core copy the golden core's per-cycle arrays and adopt
 //!    its copy-on-write page handles — from whatever state the pool core
 //!    was left in; a shared page is copied only when the fork first writes
-//!    it — and the fault is injected.  A one-fault range (every
-//!    [`FaultInjector`](crate::FaultInjector) run) skips the fork: its
-//!    golden core is not needed afterwards and takes the fault itself,
+//!    it — and the fault is injected.  A one-fault range skips the fork:
+//!    its golden core is not needed afterwards and takes the fault itself,
 //! 4. runs the fork **to retirement on the spot**: at each retained
 //!    checkpoint boundary the fork crosses, [`Cpu::matches_state`] compares
 //!    its state against the golden checkpoint, skipping every page the fork
@@ -74,7 +70,7 @@ use merlin_cpu::{Cpu, CpuConfig, FaultSpec, NullProbe};
 use merlin_isa::{DecodedProgram, Program};
 use std::sync::Arc;
 
-/// Per-worker (or per-injector) pool of reusable cores for the batched
+/// Per-worker pool of reusable cores for the batched
 /// driver: the golden replay core plus the one live fork.  Forks return
 /// their cores here once they retire, so a worker builds two cores, and new
 /// ones only after a panic dropped the ones it held.

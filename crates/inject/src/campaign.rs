@@ -47,10 +47,9 @@
 //! anything reads it.  Both paths therefore classify every fault
 //! identically.
 
-use crate::batch::{run_batched_range, ForkPool};
 use crate::classify::{classify, Classification, FaultEffect};
 use crate::liveness::{L1dLiveness, L1dLogger};
-use crate::schedule::{contain_fault, ScheduleStats};
+use crate::schedule::ScheduleStats;
 use merlin_cpu::{
     CheckpointPolicy, CheckpointStore, Cpu, CpuConfig, FaultSpec, NullProbe, RunResult, Structure,
 };
@@ -97,8 +96,8 @@ pub struct GoldenCheckpoints {
 impl GoldenCheckpoints {
     /// Whether `fault` is Masked by the golden run's future alone: an L1D
     /// flip the golden run never reads before overwriting or evicting the
-    /// word.  Campaigns and [`FaultInjector`] resolve such faults before
-    /// any restore; the site must exist in the configuration.
+    /// word.  Campaigns resolve such faults before any restore; the site
+    /// must exist in the configuration.
     pub(crate) fn masked_by_golden_future(&self, fault: FaultSpec) -> bool {
         fault.structure == Structure::L1DCache && !self.l1d.is_live(fault.entry, fault.cycle)
     }
@@ -223,76 +222,6 @@ pub(crate) fn run_single_fault_shared(
 /// anything and counted in [`ScheduleStats::skipped_sites`].
 pub(crate) fn site_absent(cfg: &CpuConfig, fault: FaultSpec) -> bool {
     fault.entry >= cfg.structure_entries(fault.structure)
-}
-
-/// A reusable single-fault runner for callers that classify faults one at a
-/// time (e.g. truncated-run studies) rather than through
-/// [`Session::campaign`](crate::Session::campaign).
-///
-/// Shares the program and configuration across faults via `Arc`.  Each
-/// fault runs as a one-fault range of the batched driver that campaigns use
-/// (see the `batch` module): a reused core restores the fault's checkpoint,
-/// replays to the injection cycle and takes the fault itself.
-pub struct FaultInjector {
-    cfg: Arc<CpuConfig>,
-    golden: GoldenRun,
-    /// Ascending checkpoint cycles of the golden store — computed once so
-    /// per-fault runs allocate nothing.
-    boundaries: Vec<u64>,
-    /// Reused golden-replay and fork cores.
-    pool: ForkPool,
-}
-
-impl FaultInjector {
-    /// Clone-free constructor used by [`Session::injector`](crate::Session):
-    /// the session already holds the program, its pre-decoded table and the
-    /// configuration behind `Arc`s.
-    pub(crate) fn new(
-        program: &Arc<Program>,
-        decoded: &Arc<DecodedProgram>,
-        cfg: Arc<CpuConfig>,
-        golden: GoldenRun,
-    ) -> Self {
-        FaultInjector {
-            pool: ForkPool::new(program, decoded, &cfg),
-            cfg,
-            boundaries: golden.checkpoints.store.cycles().collect(),
-            golden,
-        }
-    }
-
-    /// The golden run faults are classified against.
-    pub fn golden(&self) -> &GoldenRun {
-        &self.golden
-    }
-
-    /// Runs one fault and classifies its effect, without per-fault clones
-    /// and with checkpoint-restore suffix simulation.
-    pub fn run(&mut self, fault: FaultSpec) -> FaultEffect {
-        self.run_with_cycles(fault).0
-    }
-
-    /// Like [`FaultInjector::run`], additionally returning the number of
-    /// cycles simulated for the fault — from the restored checkpoint to
-    /// wherever the faulty run ended (golden replay to the injection cycle
-    /// plus the faulty suffix; replay only for a fault on a dead site; 0
-    /// for an L1D fault the golden run never reads, and for a fault whose
-    /// simulation panicked, which is Assert) — the deterministic per-fault
-    /// latency measure the bench harness tracks tail latency with.
-    pub fn run_with_cycles(&mut self, fault: FaultSpec) -> (FaultEffect, u64) {
-        if site_absent(&self.cfg, fault) {
-            return (FaultEffect::Masked, 0);
-        }
-        if self.golden.checkpoints.masked_by_golden_future(fault) {
-            return (FaultEffect::Masked, 0);
-        }
-        let (pool, golden, boundaries) = (&mut self.pool, &self.golden, &self.boundaries);
-        let mut stats = ScheduleStats::default();
-        let effect = contain_fault(&mut stats, |s| {
-            run_batched_range(pool, golden, boundaries, &[(0, fault)], s)[0].1
-        });
-        (effect, stats.golden_replay_cycles + stats.suffix_cycles)
-    }
 }
 
 /// Outcome of one injection.

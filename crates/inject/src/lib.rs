@@ -75,16 +75,14 @@ mod sampling;
 pub mod schedule;
 mod session;
 
-pub use campaign::{
-    CampaignError, CampaignResult, FaultInjector, FaultOutcome, GoldenCheckpoints, GoldenRun,
-};
+pub use campaign::{CampaignError, CampaignResult, FaultOutcome, GoldenCheckpoints, GoldenRun};
 pub use classify::{classify, Classification, FaultEffect, TruncatedEffect};
 pub use liveness::L1dLiveness;
 pub use sampling::{
     fault_population, generate_fault_list, probit, sample_size, z_score, SamplingPlan,
 };
 pub use schedule::ScheduleStats;
-pub use session::{Session, SessionBuilder, SessionCache, SessionKey};
+pub use session::{Session, SessionBuilder, SessionCache, SessionKey, GOLDEN};
 
 // Re-exported so downstream crates can name fault sites and checkpoint
 // policies without depending on merlin-cpu directly.

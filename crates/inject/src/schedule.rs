@@ -54,8 +54,8 @@
 //!    [`ScheduleStats::range_retries`]), and each of the range's faults is
 //!    re-run as its own one-fault range;
 //! 2. once per **single-fault run**, in `contain_fault`: the re-runs
-//!    above and every [`FaultInjector`](crate::FaultInjector) run.  A fault
-//!    that panics there is Assert, counted in [`ScheduleStats::asserts`].
+//!    above.  A fault that panics there is Assert, counted in
+//!    [`ScheduleStats::asserts`].
 //!
 //! The same holds on the checkpointed and the from-scratch path.  Whether
 //! a fault's own simulation panics is a pure function of (program,
@@ -160,9 +160,9 @@ pub struct ScheduleStats {
     /// their first write following a fork or a handle-sharing restore.
     /// [`Cpu::fork_from`](merlin_cpu::Cpu::fork_from) and restores adopt
     /// page handles for the backing memory, the L1D's tag and byte pages,
-    /// the L2's tag pages, the branch predictor, the BTB and the output
-    /// stream, so this counts the copy work a campaign defers on those.
-    /// The per-cycle arrays (register file, ROB, queues) are copied whole
+    /// the L2's tag pages, the branch predictor and the BTB, so this counts
+    /// the copy work a campaign defers on those.  The per-cycle arrays
+    /// (register file, ROB, queues) and the output stream are copied whole
     /// by every fork and restore and never count.
     ///
     /// Read it as a spread, not as a figure that repeats exactly: a write
@@ -204,7 +204,7 @@ impl ScheduleStats {
 /// runs one fault's simulation and adds its tallies into `stats` when it
 /// completes.  A panic drops the cores the run held and classifies the
 /// fault Assert, counted in [`ScheduleStats::asserts`].
-pub(crate) fn contain_fault(
+fn contain_fault(
     stats: &mut ScheduleStats,
     run: impl FnOnce(&mut ScheduleStats) -> FaultEffect,
 ) -> FaultEffect {
@@ -522,7 +522,7 @@ impl<'a> CampaignScheduler<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{build_golden_checkpointed, CampaignError, FaultInjector};
+    use crate::campaign::{build_golden_checkpointed, CampaignError};
     use crate::classify::FaultEffect;
     use crate::sampling::generate_fault_list;
     use merlin_cpu::{CheckpointPolicy, Cpu, NullProbe, Structure};
@@ -558,15 +558,6 @@ mod tests {
             faults,
             threads,
             analysis,
-        )
-    }
-
-    fn injector(program: &Program, cfg: &CpuConfig, golden: &GoldenRun) -> FaultInjector {
-        FaultInjector::new(
-            &Arc::new(program.clone()),
-            &Arc::new(DecodedProgram::new(program)),
-            Arc::new(cfg.clone()),
-            golden.clone(),
         )
     }
 
@@ -892,9 +883,6 @@ mod tests {
             (out.schedule.dead_sites, out.schedule.forks_spawned),
             (1, 1)
         );
-        let mut injector = injector(&program, &cfg, &golden);
-        assert_eq!(injector.run_with_cycles(dead), (FaultEffect::Masked, 0));
-        assert_eq!(injector.run(live), scratch.outcomes[1].effect);
     }
 
     #[test]
@@ -902,13 +890,9 @@ mod tests {
         let program = tiny_program();
         let cfg = CpuConfig::default().with_phys_regs(64);
         let golden = golden_ck(&program, &cfg, 1_000_000, &small_policy()).unwrap();
-        let mut injector = injector(&program, &cfg, &golden);
         let absent = FaultSpec::new(Structure::RegisterFile, 200, 1, 10);
-        let (effect, cycles) = injector.run_with_cycles(absent);
-        assert_eq!(effect, FaultEffect::Masked);
-        assert_eq!(cycles, 0, "absent fault sites simulate nothing");
-        // Same through the scheduler, which now accounts for the skip
-        // instead of silently reporting Masked with zero context.
+        // The scheduler accounts for the skip instead of silently reporting
+        // Masked with zero context.
         let out = campaign(&program, &cfg, &golden, &[absent], 1);
         assert_eq!(out.outcomes[0].effect, FaultEffect::Masked);
         assert_eq!(out.schedule.restores, 0);
@@ -1017,17 +1001,26 @@ mod tests {
     }
 
     #[test]
-    fn injector_reports_per_fault_cycles() {
+    fn a_late_fault_simulates_fewer_cycles_than_an_early_one() {
         let program = tiny_program();
         let cfg = CpuConfig::default();
         let golden = golden_ck(&program, &cfg, 1_000_000, &small_policy()).unwrap();
-        let mut injector = injector(&program, &cfg, &golden);
         // A late fault must simulate fewer cycles than an early one with the
         // same (masked-at-end) fate — that is the whole point of restoring.
-        let early = FaultSpec::new(Structure::RegisterFile, 3, 5, 2);
-        let late = FaultSpec::new(Structure::RegisterFile, 3, 5, golden.result.cycles - 2);
-        let (_, early_cycles) = injector.run_with_cycles(early);
-        let (_, late_cycles) = injector.run_with_cycles(late);
+        // Each runs as a one-fault campaign, so its schedule counts its own
+        // golden replay and suffix alone.
+        let cycles = |fault: FaultSpec| {
+            let s = campaign(&program, &cfg, &golden, &[fault], 1).schedule;
+            assert_eq!(s.forks_spawned, 1, "{fault} reached a core");
+            s.golden_replay_cycles + s.suffix_cycles
+        };
+        let early_cycles = cycles(FaultSpec::new(Structure::RegisterFile, 3, 5, 2));
+        let late_cycles = cycles(FaultSpec::new(
+            Structure::RegisterFile,
+            3,
+            5,
+            golden.result.cycles - 2,
+        ));
         assert!(early_cycles > 0 && late_cycles > 0);
         assert!(
             late_cycles < early_cycles,

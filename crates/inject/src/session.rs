@@ -46,8 +46,7 @@
 
 use crate::artifact::{self, fnv1a_bytes, fnv1a_words, quarantine, write_atomic, ArtifactFormat};
 use crate::campaign::{
-    build_golden_checkpointed, CampaignError, CampaignResult, FaultInjector, GoldenCheckpoints,
-    GoldenRun,
+    build_golden_checkpointed, CampaignError, CampaignResult, GoldenCheckpoints, GoldenRun,
 };
 use crate::liveness::L1dLiveness;
 use crate::sampling::generate_fault_list;
@@ -188,9 +187,9 @@ impl SessionBuilder {
             .validate()
             .map_err(|e| CampaignError::BadConfig(e.to_string()))?;
         let fingerprint = self.fingerprint();
-        // Decode the whole program exactly once per session: the golden run,
-        // every campaign worker and every injector fetch micro-ops from this
-        // shared table instead of cracking per fetched instruction.
+        // Decode the whole program exactly once per session: the golden run
+        // and every campaign worker fetch micro-ops from this shared table
+        // instead of cracking per fetched instruction.
         let decoded = Arc::new(DecodedProgram::new(&self.program));
         // Static analysis rides the session the same way: computed once,
         // shared by every campaign (the register-file prune) and by higher
@@ -263,7 +262,7 @@ impl Session {
     }
 
     /// The shared pre-decoded micro-op table (built once per session; every
-    /// golden-run, campaign-worker and injector core fetches from it).
+    /// golden-run and campaign-worker core fetches from it).
     pub fn decoded(&self) -> &Arc<DecodedProgram> {
         &self.decoded
     }
@@ -586,22 +585,6 @@ impl Session {
         .run())
     }
 
-    /// A reusable one-fault-at-a-time injector over this session's golden
-    /// run (used by truncated-run studies); shares the session's `Arc`s.
-    ///
-    /// # Errors
-    ///
-    /// Propagates golden-run errors.
-    pub fn injector(&self) -> Result<FaultInjector, CampaignError> {
-        let golden = self.golden()?.clone();
-        Ok(FaultInjector::new(
-            &self.program,
-            &self.decoded,
-            Arc::clone(&self.cfg),
-            golden,
-        ))
-    }
-
     /// Peak heap footprint of the session's checkpoint store and L1D
     /// liveness log in bytes (0 until the golden run is built, and when
     /// its build failed).
@@ -802,9 +785,9 @@ impl SessionCache {
 /// quarantined.
 const GOLDEN_VERSION: u32 = 7;
 
-/// The `.golden` file: header `MRLNGLD\0`, [`GOLDEN_VERSION`] and the
-/// fingerprint, checksummed word by word.
-const GOLDEN: ArtifactFormat = ArtifactFormat {
+/// The `.golden` file: header `MRLNGLD\0`, the format version
+/// (`GOLDEN_VERSION`) and the fingerprint, checksummed word by word.
+pub const GOLDEN: ArtifactFormat = ArtifactFormat {
     magic: b"MRLNGLD\0",
     version: GOLDEN_VERSION,
     extension: "golden",
@@ -920,11 +903,8 @@ mod tests {
         let faults = session.fault_list(Structure::RegisterFile, 40, 7).unwrap();
         let a = session.campaign(&faults).unwrap();
         let b = session.campaign_from_scratch(&faults).unwrap();
-        let mut injector = session.injector().unwrap();
-        let one = injector.run(faults[0]);
         assert_eq!(session.golden_builds(), 1);
         assert_eq!(a.outcomes, b.outcomes);
-        assert_eq!(one, a.outcomes[0].effect);
         assert!(session.checkpoint_footprint_bytes() > 0);
         assert!(session.golden_checkpoints().is_some());
     }

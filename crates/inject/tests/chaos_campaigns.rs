@@ -158,34 +158,3 @@ fn from_scratch_fault_panic_becomes_assert_at_any_thread_count() {
         "per campaign: once in the chunk, once in its one-fault re-run"
     );
 }
-
-#[test]
-fn injector_core_recovers_from_a_panic_bit_for_bit() {
-    let _serial = serial();
-    let s = session(1);
-    let faults = fault_list(&s);
-    let target = unique_mid_cycle(&s, &faults);
-    let panicking = *faults.iter().find(|f| f.cycle == target).unwrap();
-    let later = *faults
-        .iter()
-        .max_by_key(|f| (f.cycle, f.entry, f.bit))
-        .unwrap();
-
-    let mut injector = s.injector().unwrap();
-    let clean_later = injector.run_with_cycles(later);
-
-    {
-        let _guard = chaos::arm(ChaosPlan {
-            fault_panic_cycles: vec![target],
-        });
-        assert_eq!(injector.run(panicking), FaultEffect::Assert);
-        assert_eq!(chaos::fault_panics_fired(), 1);
-    }
-
-    // The panic dropped the injector's cores; the next run must match both
-    // its own pre-panic result and a fresh injector bit-for-bit.
-    let post_panic = injector.run_with_cycles(later);
-    let fresh = s.injector().unwrap().run_with_cycles(later);
-    assert_eq!(post_panic, clean_later);
-    assert_eq!(post_panic, fresh);
-}

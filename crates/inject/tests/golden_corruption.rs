@@ -14,9 +14,8 @@
 //! bytes were never trusted.
 
 use merlin_cpu::{CheckpointPolicy, CheckpointStore, CpuConfig, FaultSpec, Structure};
-use merlin_inject::artifact::fnv1a_words;
 use merlin_inject::chaos;
-use merlin_inject::{GoldenRun, SessionCache};
+use merlin_inject::{GoldenRun, SessionCache, GOLDEN};
 use merlin_isa::binio::{decode_from_slice, encode_to_vec};
 use merlin_isa::Program;
 use proptest::prelude::*;
@@ -175,7 +174,7 @@ fn a_tampered_log_behind_a_valid_checksum_is_quarantined() {
         let _ = fs::remove_file(&quarantine);
         let mut bytes = p.bytes[..payload_end].to_vec();
         bytes[at..at + patch.len()].copy_from_slice(&patch);
-        let checksum = fnv1a_words(&bytes);
+        let checksum = (GOLDEN.checksum)(&bytes);
         bytes.extend_from_slice(&checksum.to_le_bytes());
         fs::write(&path, &bytes).unwrap();
 
@@ -220,7 +219,7 @@ fn a_store_that_cannot_serve_cycle_zero_is_quarantined() {
     let mut bytes = p.bytes[..store_start].to_vec();
     bytes.extend_from_slice(&late);
     bytes.extend_from_slice(&p.bytes[store_end..payload_end]);
-    let checksum = fnv1a_words(&bytes);
+    let checksum = (GOLDEN.checksum)(&bytes);
     bytes.extend_from_slice(&checksum.to_le_bytes());
     // A directory of its own: the property above rewrites the pristine
     // path concurrently.

@@ -11,8 +11,7 @@
 //! match.
 
 use merlin_cpu::{CheckpointPolicy, CpuConfig};
-use merlin_inject::artifact::fnv1a_words;
-use merlin_inject::{Session, SessionBuilder, SessionCache};
+use merlin_inject::{Session, SessionBuilder, SessionCache, GOLDEN};
 use std::fs;
 use std::path::PathBuf;
 
@@ -56,7 +55,7 @@ fn a_golden_from_another_core_timing_is_quarantined_as_stale() {
     assert_ne!(fingerprint, old.fingerprint());
     let mut forged = bytes[..bytes.len() - 8].to_vec();
     forged[12..20].copy_from_slice(&fingerprint.to_le_bytes());
-    let checksum = fnv1a_words(&forged);
+    let checksum = (GOLDEN.checksum)(&forged);
     forged.extend_from_slice(&checksum.to_le_bytes());
     let file = dir.join(format!("{ID}-{fingerprint:016x}.golden"));
     fs::write(&file, &forged).unwrap();

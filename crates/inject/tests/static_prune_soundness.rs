@@ -5,19 +5,20 @@
 //! mentions; the prune classifies faults into such entries as Masked with
 //! zero simulation.  Two properties keep that honest:
 //!
-//! * **any** statically-pruned site, when fully simulated through the
-//!   injector (which never consults the analysis), really classifies Masked
-//!   — for every dead entry, every bit, every injection cycle;
+//! * **any** statically-pruned site, when fully simulated from cycle 0
+//!   ([`Session::campaign_from_scratch`], which never consults the
+//!   analysis), really classifies Masked — for every dead entry, every bit,
+//!   every injection cycle;
 //! * a pruned campaign ([`Session::campaign`]) and an unpruned from-scratch
 //!   campaign ([`Session::campaign_from_scratch`]) produce byte-identical
 //!   outcome vectors at 1/2/4/8 worker threads, with the pruned run
 //!   accounting exactly the faults the census predicts.
 
 use merlin_cpu::{CheckpointPolicy, CpuConfig};
-use merlin_inject::{FaultEffect, FaultInjector, FaultSpec, Session, Structure};
+use merlin_inject::{FaultEffect, FaultSpec, Session, Structure};
 use merlin_isa::{reg, AluOp, Cond, MemRef, Program, ProgramBuilder};
 use proptest::prelude::*;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 fn tiny_program() -> Program {
     let mut b = ProgramBuilder::new();
@@ -50,8 +51,6 @@ fn session(threads: usize) -> Session {
 struct Shared {
     /// Sessions at 1, 2, 4 and 8 worker threads over the same program.
     sessions: Vec<Session>,
-    /// A full-simulation injector that never consults the static analysis.
-    injector: Mutex<FaultInjector>,
     /// Every register-file entry the analysis proves statically dead.
     dead_entries: Vec<usize>,
     golden_cycles: u64,
@@ -70,10 +69,8 @@ fn shared() -> &'static Shared {
             !dead_entries.is_empty(),
             "the property needs at least one statically dead entry"
         );
-        let injector = Mutex::new(sessions[0].injector().unwrap());
         Shared {
             sessions,
-            injector,
             dead_entries,
             golden_cycles,
         }
@@ -93,7 +90,7 @@ proptest! {
         let entry = s.dead_entries[entry_sel % s.dead_entries.len()];
         let cycle = cycle_sel % s.golden_cycles + 1;
         let fault = FaultSpec::new(Structure::RegisterFile, entry, bit, cycle);
-        let effect = s.injector.lock().unwrap().run(fault);
+        let effect = s.sessions[0].campaign_from_scratch(&[fault]).unwrap().outcomes[0].effect;
         prop_assert_eq!(
             effect,
             FaultEffect::Masked,

@@ -28,9 +28,8 @@
 //! ```
 
 use crate::{AluOp, ArchReg, Cond, MemRef, MemSize, Uop, UopKind, NUM_ARCH_REGS};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
-use std::hash::Hash;
 
 /// Errors produced while decoding a byte stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -288,35 +287,6 @@ impl<T: BinCode, const N: usize> BinCode for [T; N] {
     }
 }
 
-// Hash maps are written in ascending key order so the encoding of a given
-// map is unique — the session fingerprint hashes encoded bytes and must not
-// depend on iteration order.
-impl<K: BinCode + Ord + Hash + Eq, V: BinCode> BinCode for HashMap<K, V> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let sorted: BTreeMap<&K, &V> = self.iter().collect();
-        sorted.len().encode(out);
-        for (k, v) in sorted {
-            k.encode(out);
-            v.encode(out);
-        }
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        let n = usize::decode(r)?;
-        if n > r.remaining() {
-            return Err(DecodeError::UnexpectedEof);
-        }
-        let mut out = HashMap::with_capacity(bounded_capacity(n));
-        for _ in 0..n {
-            let k = K::decode(r)?;
-            let v = V::decode(r)?;
-            if out.insert(k, v).is_some() {
-                return Err(DecodeError::Invalid("duplicate map key"));
-            }
-        }
-        Ok(out)
-    }
-}
-
 // --- ISA types -----------------------------------------------------------
 
 impl BinCode for ArchReg {
@@ -480,23 +450,6 @@ mod tests {
         roundtrip(VecDeque::from(vec![(1u32, false), (2, true)]));
         roundtrip([Some(reg(1)), None, Some(reg(5))]);
         roundtrip(vec![0u8, 255].into_boxed_slice());
-        let mut m = HashMap::new();
-        m.insert(3u32, 30u64);
-        m.insert(1, 10);
-        roundtrip(m);
-    }
-
-    #[test]
-    fn map_encoding_is_order_independent() {
-        let mut a = HashMap::new();
-        let mut b = HashMap::new();
-        for k in 0..100u32 {
-            a.insert(k, u64::from(k) * 3);
-        }
-        for k in (0..100u32).rev() {
-            b.insert(k, u64::from(k) * 3);
-        }
-        assert_eq!(encode_to_vec(&a), encode_to_vec(&b));
     }
 
     #[test]
@@ -565,10 +518,6 @@ mod tests {
         (usize::MAX / 2).encode(&mut buf);
         assert_eq!(
             decode_from_slice::<Vec<u64>>(&buf),
-            Err(DecodeError::UnexpectedEof)
-        );
-        assert_eq!(
-            decode_from_slice::<HashMap<u64, u64>>(&buf),
             Err(DecodeError::UnexpectedEof)
         );
 

@@ -12,7 +12,7 @@
 //!
 //! The table is immutable and derived purely from the [`Program`], so one
 //! `Arc<DecodedProgram>` is shared by every core of a fault-injection
-//! campaign (golden run, per-worker cores, single-fault injectors alike);
+//! campaign (golden run and per-worker cores alike);
 //! it is never persisted, because rebuilding it costs one linear pass over
 //! the program text.
 //!
