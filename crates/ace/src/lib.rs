@@ -45,5 +45,6 @@ mod profiler;
 mod session;
 
 pub use intervals::{Interval, VulnerableIntervals};
+pub use persist::ACE;
 pub use profiler::{AceAnalysis, AceError, AceProfiler, StaticViolation, StaticViolationKind};
 pub use session::SessionAce;

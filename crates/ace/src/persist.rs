@@ -34,8 +34,10 @@ use std::collections::HashMap;
 /// file would otherwise load.
 const ACE_VERSION: u32 = 2;
 
-/// The `.ace` file format.
-pub(crate) const ACE: ArtifactFormat = ArtifactFormat {
+/// The `.ace` file format: header `MRLNACE\0`, the format version
+/// (`ACE_VERSION`), the fingerprint and the `.golden` checksum, checksummed
+/// word by word.
+pub const ACE: ArtifactFormat = ArtifactFormat {
     magic: b"MRLNACE\0",
     version: ACE_VERSION,
     extension: "ace",

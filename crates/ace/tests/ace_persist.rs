@@ -4,9 +4,8 @@
 //! file must never be trusted: it is quarantined as `<name>.ace.corrupt` or
 //! ignored as a miss, and the profile is computed again.
 
-use merlin_ace::{AceAnalysis, SessionAce};
+use merlin_ace::{AceAnalysis, SessionAce, ACE};
 use merlin_cpu::{CheckpointPolicy, CpuConfig, Structure};
-use merlin_inject::artifact::fnv1a_words;
 use merlin_inject::chaos;
 use merlin_inject::{Session, SessionBuilder, SessionCache, GOLDEN};
 use merlin_isa::binio::encode_to_vec;
@@ -181,12 +180,16 @@ fn a_replaced_golden_makes_the_ace_a_miss() {
     let (dir, path, cache, session) = stage("replaced", &p.bytes);
     // Another valid golden run for the same context: the same program and
     // configuration checkpointed under another policy, relabelled with this
-    // session's fingerprint and re-checksummed.
+    // session's fingerprint and re-checksummed.  From a minimum interval of
+    // 12 the store's interval is never the pristine policy's (8 times a
+    // power of two), so the stores differ.
     let other_dir = temp_dir("replaced-other");
     let other = SessionCache::with_disk_dir(&other_dir)
         .session("ace", &program(), &CpuConfig::default(), |b| {
-            b.max_cycles(MAX_CYCLES)
-                .checkpoints(CheckpointPolicy::with_target(4))
+            b.max_cycles(MAX_CYCLES).checkpoints(CheckpointPolicy {
+                target_checkpoints: 6,
+                min_interval: 12,
+            })
         })
         .unwrap();
     other.golden().unwrap();
@@ -196,6 +199,8 @@ fn a_replaced_golden_makes_the_ace_a_miss() {
     golden[12..20].copy_from_slice(&session.fingerprint().to_le_bytes());
     let checksum = (GOLDEN.checksum)(&golden);
     golden.extend_from_slice(&checksum.to_le_bytes());
+    let original = fs::read(path.with_extension("golden")).unwrap();
+    assert_ne!(golden, original, "the replacement is the original");
     fs::write(path.with_extension("golden"), &golden).unwrap();
 
     assert!(
@@ -271,7 +276,7 @@ fn tampered_payloads_behind_a_valid_checksum_are_quarantined() {
         ),
     ];
     for (what, mut bytes) in tampers {
-        let checksum = fnv1a_words(&bytes);
+        let checksum = (ACE.checksum)(&bytes);
         bytes.extend_from_slice(&checksum.to_le_bytes());
         let (dir, path, cache, session) = stage("tamper", &bytes);
         assert!(session.persisted_ace_profile().is_none(), "{what}: trusted");
@@ -303,7 +308,7 @@ fn an_ace_file_of_version_1_is_a_miss() {
     let (_, first_record) = rf_offsets(p);
     let mut bytes = zero_length_first_record(&p.bytes[..p.bytes.len() - 8], first_record);
     bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-    let checksum = fnv1a_words(&bytes);
+    let checksum = (ACE.checksum)(&bytes);
     bytes.extend_from_slice(&checksum.to_le_bytes());
     assert_ne!(p.bytes[8..12], bytes[8..12], "the pristine file is not v1");
 

@@ -588,8 +588,8 @@ fn accuracy_figures(scale: &ExperimentScale) {
     }
     println!(
         "scheduler totals across comprehensive baselines: {} ranges, {} restores, \
-         {} range splits, {} suffix cycles simulated\n",
-        sched_sum.ranges, sched_sum.restores, sched_sum.range_splits, sched_sum.suffix_cycles
+         {} suffix cycles simulated\n",
+        sched_sum.ranges, sched_sum.restores, sched_sum.suffix_cycles
     );
     println!(
         "failure containment: {} engine asserts, {} range retries, \

@@ -93,11 +93,8 @@ pub struct CheckpointStore {
 }
 
 impl CheckpointStore {
-    /// The body-grid interval the store converged to.  Besides the entry
-    /// snapshot and the multiples of this interval, the store holds head
-    /// midpoints at odd multiples of half this interval, so consumers must
-    /// walk [`CheckpointStore::cycles`] rather than reconstruct the grid
-    /// from the interval alone.
+    /// The grid interval the store converged to: besides the entry
+    /// snapshot, every checkpoint sits on a multiple of it.
     pub fn interval(&self) -> u64 {
         self.interval
     }
@@ -199,28 +196,13 @@ impl Cpu {
     /// Runs like [`Cpu::run`] while building a checkpoint store in a single
     /// pass, without knowing the run length in advance.
     ///
-    /// Snapshots are taken every `min_interval` cycles; whenever the body
-    /// grid (the entry snapshot and the multiples of the interval) exceeds
-    /// `2 × target` checkpoints the interval doubles and every snapshot off
-    /// the new grid is dropped, so the body converges to `target..2 ×
+    /// Snapshots are taken every `min_interval` cycles; whenever the store
+    /// (the entry snapshot and the multiples of the interval) exceeds `2 ×
+    /// target` checkpoints the interval doubles and every snapshot off the
+    /// new grid is dropped, so a store that thinned holds `target + 1..=2 ×
     /// target` equally spaced checkpoints regardless of how long the run
-    /// turns out to be.  The budget headroom left in the `2 × target` band
-    /// is spent on **head midpoints**: snapshots halfway into each of the
-    /// earliest body ranges.
-    ///
-    /// The placement balances estimated suffix work.  Campaign fault lists
-    /// are sampled uniformly over cycles, so a range's expected fault count
-    /// is proportional to its width, but a fault's cost is dominated by its
-    /// suffix (everything from the restore point to the run's end): the
-    /// earliest ranges carry ~3× the work of mid-run ranges.  Halving
-    /// exactly those ranges cuts the replay and early-exit wait of the
-    /// tail-latency faults at unchanged body cost.  Head midpoints exist
-    /// only once the grid has doubled at least once (they are the previous,
-    /// finer grid's snapshots), so they always respect `min_interval`.
-    ///
-    /// The live store never holds more than `2 × target + 1` snapshots plus
-    /// the bounded head extras, and the entire golden run is simulated
-    /// exactly once (no sizing pre-pass).
+    /// turns out to be.  The entire golden run is simulated exactly once (no
+    /// sizing pre-pass).
     ///
     /// The state at entry is snapshotted unconditionally and survives every
     /// thinning round, so the store is never empty and a store built on a
@@ -232,8 +214,7 @@ impl Cpu {
         min_interval: u64,
         target: u32,
     ) -> (RunResult, CheckpointStore) {
-        let min_interval = min_interval.max(1);
-        let mut interval = min_interval;
+        let mut interval = min_interval.max(1);
         let target = target.max(1) as usize;
         let entry_cycle = self.cycle();
         let mut checkpoints = vec![self.snapshot()];
@@ -241,23 +222,15 @@ impl Cpu {
             let cycle = self.cycle();
             if cycle > entry_cycle && cycle.is_multiple_of(interval) {
                 checkpoints.push(self.snapshot());
-                // The thinning trigger counts only body-grid snapshots
-                // (entry included), so head midpoints never move the body
-                // grid.  Head midpoints need no capture of their own:
-                // when the interval doubles, the old body snapshots at odd
-                // multiples of the new half-interval become the midpoints,
-                // and `retain_grid` keeps the earliest of them.
-                while body_len(&checkpoints, entry_cycle, interval) > 2 * target {
+                while checkpoints.len() > 2 * target {
                     interval *= 2;
-                    retain_grid(&mut checkpoints, entry_cycle, interval, target);
+                    checkpoints
+                        .retain(|s| s.cycle() == entry_cycle || s.cycle().is_multiple_of(interval));
                 }
             }
             self.step(probe);
         }
         let result = self.run(max_cycles, probe);
-        // Re-apply the retention filter: the budget headroom for head
-        // midpoints depends on the now-final body count.
-        retain_grid(&mut checkpoints, entry_cycle, interval, target);
         (
             result,
             CheckpointStore {
@@ -266,31 +239,6 @@ impl Cpu {
             },
         )
     }
-}
-
-/// Number of snapshots on the body grid (entry snapshot included) — the
-/// count the doubling trigger compares against `2 × target`.
-fn body_len(checkpoints: &[CpuState], entry_cycle: u64, interval: u64) -> usize {
-    checkpoints
-        .iter()
-        .filter(|s| s.cycle() == entry_cycle || s.cycle().is_multiple_of(interval))
-        .count()
-}
-
-/// Retains the entry snapshot, the body grid (multiples of `interval`) and
-/// head midpoints: odd multiples of `interval/2` within the earliest body
-/// ranges, as many as fit in the `2 × target` budget after the body.
-fn retain_grid(checkpoints: &mut Vec<CpuState>, entry_cycle: u64, interval: u64, target: usize) {
-    let body = body_len(checkpoints, entry_cycle, interval);
-    let allowed = (target / 2).min((2 * target + 1).saturating_sub(body)) as u64;
-    let head_end = entry_cycle + allowed * interval;
-    let half = interval / 2;
-    checkpoints.retain(|s| {
-        let c = s.cycle();
-        c == entry_cycle
-            || c.is_multiple_of(interval)
-            || (half > 0 && c.is_multiple_of(half) && c <= head_end)
-    });
 }
 
 #[cfg(test)]
@@ -370,7 +318,7 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_store_is_dense_early_and_retains_cycle_zero() {
+    fn adaptive_store_is_a_doubling_grid_from_cycle_zero() {
         let program = looped_program();
         let mut cpu = Cpu::new(program.clone(), CpuConfig::default()).unwrap();
         let target = 8;
@@ -384,36 +332,24 @@ mod tests {
         assert_eq!(cycles[0], 0);
         assert!(store.starts_at_reset());
         assert!(cycles.windows(2).all(|w| w[0] < w[1]));
-        // Store shape: the run thinned at least once, every snapshot sits on
-        // the body grid or on a head midpoint between two of its points, and
-        // the store stays within the budget.
+        // Store shape: the run thinned at least once, every snapshot is the
+        // entry or sits on the grid, and the store holds more than `target`
+        // but at most `2 × target` snapshots.
         assert!(store.interval() >= 4);
-        assert!(cycles
-            .iter()
-            .all(|c| c.is_multiple_of(store.interval() / 2)));
+        assert!(cycles.iter().all(|c| c.is_multiple_of(store.interval())));
+        let target = target as usize;
         assert!(
-            store.len() <= 2 * target as usize + 1,
+            store.len() > target && store.len() <= 2 * target,
             "store kept {} snapshots",
             store.len()
         );
-        assert!(store.len() >= 2);
-        // Denser early than late: the first retained range must be no wider
-        // than the last (strictly narrower once the run thinned at least
-        // once, but degenerate short runs only guarantee ≤).
-        if store.len() >= 4 {
-            let first = cycles[1] - cycles[0];
-            let last = cycles[cycles.len() - 1] - cycles[cycles.len() - 2];
-            assert!(
-                first <= last,
-                "spacing must not be denser late: first {first}, last {last} ({cycles:?})"
-            );
-        }
         // Every retained snapshot supports exact restore.
-        let mid = store.latest_at_or_before(result.cycles / 3).unwrap();
-        let mut other = Cpu::new(program, CpuConfig::default()).unwrap();
-        other.restore_from(mid);
-        assert!(other.matches_state(mid));
-        assert_eq!(other.run(100_000, &mut NullProbe), result);
+        for state in store.snapshots() {
+            let mut other = Cpu::new(program.clone(), CpuConfig::default()).unwrap();
+            other.restore_from(state);
+            assert!(other.matches_state(state));
+            assert_eq!(other.run(100_000, &mut NullProbe), result);
+        }
     }
 
     #[test]

@@ -28,8 +28,7 @@
 //!    makes a pool core copy the golden core's per-cycle arrays and adopt
 //!    its copy-on-write page handles — from whatever state the pool core
 //!    was left in; a shared page is copied only when the fork first writes
-//!    it — and the fault is injected.  A one-fault range skips the fork:
-//!    its golden core is not needed afterwards and takes the fault itself,
+//!    it — and the fault is injected,
 //! 4. runs the fork **to retirement on the spot**: at each retained
 //!    checkpoint boundary the fork crosses, [`Cpu::matches_state`] compares
 //!    its state against the golden checkpoint, skipping every page the fork
@@ -172,16 +171,9 @@ pub(crate) fn run_batched_range(
             continue;
         }
 
-        // Spawn the faulty core.  A one-fault range needs no fork: the
-        // golden core is not needed past this fault, so the fault is
-        // injected into it directly.
         let spawn_cycle = golden_core.cycle();
-        let mut fork = (sim.len() > 1).then(|| {
-            let mut core = pool.take();
-            core.fork_from(&mut golden_core);
-            core
-        });
-        let core = fork.as_mut().unwrap_or(&mut golden_core);
+        let mut core = pool.take();
+        core.fork_from(&mut golden_core);
         core.inject_fault(fault)
             .expect("absent fault sites are resolved before a range runs");
         stats.forks_spawned += 1;
@@ -190,8 +182,7 @@ pub(crate) fn run_batched_range(
         // the golden checkpoints, then a final run to halt or timeout.
         // Bit-identical state at a boundary implies an identical
         // remainder, hence Masked.  The cursor starts at the first boundary
-        // strictly after the injection cycle and walks the store's cycles,
-        // head midpoints included.
+        // strictly after the injection cycle and walks the store's cycles.
         let run = 'run: {
             let mut next = boundaries.partition_point(|&c| c <= fault.cycle);
             while !core.is_finished() && core.cycle() < timeout {
@@ -221,9 +212,7 @@ pub(crate) fn run_batched_range(
             }
         };
         stats.record(&run);
-        if let Some(core) = fork {
-            pool.put(core);
-        }
+        pool.put(core);
         out.push((idx, run.effect));
     }
     pool.put(golden_core);

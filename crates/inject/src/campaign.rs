@@ -12,9 +12,8 @@
 //!    exactly once while snapshotting the complete microarchitectural state
 //!    ([`CpuState`](merlin_cpu::CpuState)) into a [`CheckpointStore`], in a
 //!    single adaptive pass: snapshots are taken at the policy's minimum
-//!    interval, the grid doubles whenever it exceeds twice the
-//!    [`CheckpointPolicy`] target, and the spare budget halves the earliest,
-//!    suffix-heaviest ranges (see
+//!    interval and the grid doubles whenever it exceeds twice the
+//!    [`CheckpointPolicy`] target (see
 //!    [`Cpu::run_with_adaptive_checkpoints`](merlin_cpu::Cpu::run_with_adaptive_checkpoints))
 //!    — so a run of any length ends up with ~target..2×target checkpoints,
 //!    starting with the cycle-0 snapshot, without a sizing pre-pass.  Every
@@ -248,7 +247,7 @@ pub struct CampaignResult {
     /// to the program's end — the same count as
     /// [`ScheduleStats::forks_retired`] (always 0 on the from-scratch path).
     pub early_exits: u64,
-    /// How the scheduler executed the campaign: ranges, restores, splits and
+    /// How the scheduler executed the campaign: ranges, restores, forks and
     /// total suffix cycles simulated.  Classification outcomes never depend
     /// on these — they vary with thread count and checkpoint spacing while
     /// [`CampaignResult::outcomes`] stays byte-identical.

@@ -26,10 +26,8 @@
 //! * the restore-aware campaign scheduler (see the [`schedule`] module):
 //!   faults are bucketed into per-checkpoint ranges, workers claim whole
 //!   ranges from one shared index (keeping each range's restore snapshot
-//!   hot), and oversized ranges are split into sub-ranges sharing the
-//!   restore source — with per-campaign
-//!   [`ScheduleStats`] on every [`CampaignResult`] and byte-identical
-//!   outcomes at any thread count,
+//!   hot) — with per-campaign [`ScheduleStats`] on every
+//!   [`CampaignResult`] and byte-identical outcomes at any thread count,
 //! * fork-on-divergence batched suffix simulation (the `batch` module),
 //!   the one checkpointed engine: one golden replay per checkpoint range,
 //!   faults on dead sites resolved at their injection cycles, and a faulty

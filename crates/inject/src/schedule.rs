@@ -19,12 +19,6 @@
 //!    snapshot, then claims the next unclaimed range, never a single
 //!    fault.
 //!
-//! Checkpoint placement halves the earliest, suffix-heaviest ranges (see
-//! [`Cpu::run_with_adaptive_checkpoints`](merlin_cpu::Cpu::run_with_adaptive_checkpoints)),
-//! so the buckets carry roughly equal expected *work*, not equal fault
-//! counts, and workers finish together instead of one worker
-//! dragging the campaign's tail.
-//!
 //! Each checkpoint range runs through the batched driver (see the `batch`
 //! module); statically-pruned and absent-site faults, and L1D faults the
 //! golden run never reads again, are resolved first, without a core.
@@ -79,11 +73,6 @@ use std::sync::Arc;
 /// few enough that claiming stays negligible.
 const SCRATCH_RANGES_PER_WORKER: usize = 4;
 
-/// A checkpoint range holding more than this multiple of the mean per-range
-/// fault count is split into near-mean-sized sub-ranges (same restore
-/// source), so one hot range no longer serialises on a single worker.
-const SPLIT_FACTOR: usize = 2;
-
 /// Aggregate scheduling statistics of one campaign (attached to
 /// [`CampaignResult::schedule`]).
 ///
@@ -99,10 +88,6 @@ pub struct ScheduleStats {
     /// batched driver, for its golden core (forks adopt the golden core's
     /// state without a restore; 0 from scratch).
     pub restores: u64,
-    /// Extra ranges created by splitting oversized checkpoint ranges (a
-    /// range whose fault count exceeds twice the mean is cut into
-    /// near-mean-sized sub-ranges sharing the restore source).
-    pub range_splits: u64,
     /// Total cycles simulated by faulty cores, from each fault's fork point
     /// (cycle 0 from scratch) to wherever its run ended.  The shared golden
     /// replay is counted apart, in
@@ -128,8 +113,7 @@ pub struct ScheduleStats {
     /// Zero work is paid for them — no restore, no suffix cycles.
     pub static_prunes: u64,
     /// Faulty cores forked from a live golden replay: one per simulated
-    /// fault on the checkpoint path.  A one-fault range counts its golden
-    /// core, which takes the fault itself instead of being forked.
+    /// fault on the checkpoint path.
     pub forks_spawned: u64,
     /// Forks retired early by the boundary re-convergence probe; reported
     /// as [`CampaignResult::early_exits`].
@@ -176,7 +160,6 @@ impl std::ops::AddAssign for ScheduleStats {
     fn add_assign(&mut self, rhs: Self) {
         self.ranges += rhs.ranges;
         self.restores += rhs.restores;
-        self.range_splits += rhs.range_splits;
         self.suffix_cycles += rhs.suffix_cycles;
         self.asserts += rhs.asserts;
         self.range_retries += rhs.range_retries;
@@ -241,8 +224,6 @@ pub(crate) struct CampaignScheduler<'a> {
     /// Fault-list indices per range, cycle-sorted within each range; no
     /// range is empty.
     buckets: Vec<Vec<usize>>,
-    /// Extra ranges produced by splitting oversized buckets.
-    splits: u64,
     threads: usize,
     /// Static dataflow analysis of the program, when the caller computed
     /// one: register-file faults into statically-dead entries are then
@@ -286,7 +267,6 @@ impl<'a> CampaignScheduler<'a> {
         } else {
             Vec::new()
         };
-        let mut splits = 0u64;
         let buckets = if use_checkpoints {
             // One bucket per checkpoint range [c_k, c_{k+1}): every
             // fault in it restores from the snapshot at c_k.
@@ -301,31 +281,6 @@ impl<'a> CampaignScheduler<'a> {
             }
             if start < order.len() {
                 buckets.push(order[start..].to_vec());
-            }
-            // Work-estimate-driven splitting: faults are sampled
-            // uniformly over cycles, so a range's fault count is its
-            // work estimate.  A range holding more than SPLIT_FACTOR×
-            // the mean would serialise one worker while the rest drain;
-            // cut it into near-mean-sized sub-ranges.  Sub-ranges keep
-            // the shared restore source (same snapshot, still hot) and
-            // the cycle-sorted order, so outcomes are untouched.
-            if buckets.len() > 1 {
-                let mean = (order.len() / buckets.len()).max(1);
-                let threshold = SPLIT_FACTOR * mean;
-                if buckets.iter().any(|b| b.len() > threshold) {
-                    let mut split_buckets = Vec::with_capacity(buckets.len());
-                    for bucket in buckets {
-                        if bucket.len() > threshold {
-                            let pieces = bucket.len().div_ceil(mean);
-                            let size = bucket.len().div_ceil(pieces);
-                            splits += (bucket.len().div_ceil(size) - 1) as u64;
-                            split_buckets.extend(bucket.chunks(size).map(<[usize]>::to_vec));
-                        } else {
-                            split_buckets.push(bucket);
-                        }
-                    }
-                    buckets = split_buckets;
-                }
             }
             buckets
         } else if order.is_empty() {
@@ -347,7 +302,6 @@ impl<'a> CampaignScheduler<'a> {
             // contend on the claim counter and exit.
             threads: threads.min(buckets.len().max(1)),
             buckets,
-            splits,
             analysis,
         }
     }
@@ -455,7 +409,6 @@ impl<'a> CampaignScheduler<'a> {
 
         let mut schedule = ScheduleStats {
             ranges: self.buckets.len() as u64,
-            range_splits: self.splits,
             ..ScheduleStats::default()
         };
         let mut effects: Vec<Option<FaultEffect>> = vec![None; self.faults.len()];
@@ -700,10 +653,10 @@ mod tests {
             3,
         );
         let sched = scheduler(&program, &cfg, &golden, true, &faults, 4, None);
-        // No more ranges than checkpoints plus splits, and every bucket's
-        // faults share one restore source (splitting preserves the source).
+        // No more ranges than checkpoints, and every bucket's faults share
+        // one restore source.
         assert!(!sched.buckets.is_empty());
-        assert!(sched.buckets.len() <= store_cycles.len() + sched.splits as usize);
+        assert!(sched.buckets.len() <= store_cycles.len());
         for bucket in &sched.buckets {
             assert!(!bucket.is_empty());
             let restore_of = |f: FaultSpec| {
@@ -723,54 +676,6 @@ mod tests {
         let solo = scheduler(&program, &cfg, &golden, true, &faults, 1, None).run();
         assert_eq!(solo.schedule.ranges, result.schedule.ranges);
         assert_eq!(solo.outcomes, result.outcomes);
-    }
-
-    #[test]
-    fn oversized_ranges_are_split_with_shared_restore_source() {
-        let program = Arc::new(tiny_program());
-        let cfg = Arc::new(CpuConfig::default());
-        let decoded = Arc::new(DecodedProgram::new(&program));
-        let golden =
-            build_golden_checkpointed(&program, &decoded, &cfg, 1_000_000, &small_policy())
-                .unwrap();
-        let store_cycles: Vec<u64> = golden.checkpoints.store.cycles().collect();
-        assert!(store_cycles.len() >= 3, "test needs several ranges");
-        // A lopsided list: nearly every fault lands in the first checkpoint
-        // range, a token few elsewhere — the hot range must be split instead
-        // of serialising one worker.
-        let hot_upper = store_cycles[1];
-        let mut faults: Vec<FaultSpec> = (0..90)
-            .map(|i| FaultSpec::new(Structure::RegisterFile, (i % 8) as usize, 5, i % hot_upper))
-            .collect();
-        for (i, &c) in store_cycles[1..].iter().enumerate() {
-            faults.push(FaultSpec::new(Structure::RegisterFile, i % 8, 3, c + 1));
-        }
-        let sched = scheduler(&program, &cfg, &golden, true, &faults, 4, None);
-        assert!(
-            sched.splits > 0,
-            "a range holding ~90% of the faults must split"
-        );
-        let restore_of = |f: FaultSpec| {
-            store_cycles
-                .iter()
-                .rev()
-                .find(|&&c| c <= f.cycle)
-                .copied()
-                .unwrap()
-        };
-        // Splitting preserves the per-bucket shared restore source.
-        for bucket in &sched.buckets {
-            assert!(!bucket.is_empty());
-            let first = restore_of(faults[bucket[0]]);
-            assert!(bucket.iter().all(|&i| restore_of(faults[i]) == first));
-        }
-        let split = sched.run();
-        assert_eq!(split.schedule.range_splits, sched.splits);
-        assert_eq!(split.schedule.ranges, sched.buckets.len() as u64);
-        // Outcomes are untouched by splitting: identical to from-scratch.
-        let scratch = campaign_scratch(&program, &cfg, &golden, &faults, 4);
-        assert_eq!(split.outcomes, scratch.outcomes);
-        assert_eq!(scratch.schedule.range_splits, 0);
     }
 
     #[test]

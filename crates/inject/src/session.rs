@@ -444,16 +444,19 @@ impl Session {
     /// Whether this build of the core reproduces a decoded golden run.  The
     /// fingerprint covers the program, the configuration and the policy,
     /// but not the core's behaviour, so a file written before the core's
-    /// timing changed still decodes.  Two replays catch it:
+    /// timing changed still decodes.  These replays catch it:
     ///
+    /// - restore checkpoint 0 and step to checkpoint 1: from reset the
+    ///   caches are cold, so the first accesses miss all the way to memory
+    ///   whatever the checkpoints' placement;
     /// - restore checkpoint `k` (chosen by the fingerprint, so different
-    ///   files check different ranges) and step to checkpoint `k + 1`,
-    ///   whose state must match exactly;
-    /// - restore the last checkpoint and run to the end, whose result must
-    ///   equal the stored one, and the stored timeout must be the one the
-    ///   result implies.
+    ///   files check different ranges) and step to checkpoint `k + 1`.
     ///
-    /// Together they cost about two checkpoint intervals of simulation.
+    /// Each must end in the stored state exactly.  Last, restore the last
+    /// checkpoint and run to the end, whose result must equal the stored
+    /// one, and the stored timeout must be the one the result implies.
+    ///
+    /// Together they cost about three checkpoint intervals of simulation.
     fn replays_exactly(&self, golden: &GoldenRun) -> bool {
         if golden.timeout_cycles != GoldenRun::timeout_for(golden.result.cycles) {
             return false;
@@ -470,13 +473,15 @@ impl Session {
         let last = snapshots.len() - 1;
         if last > 0 {
             let k = (self.fingerprint % last as u64) as usize;
-            let (from, to) = (snapshots[k], snapshots[k + 1]);
-            cpu.restore_from(from);
-            while !cpu.is_finished() && cpu.cycle() < to.cycle() {
-                cpu.step(&mut NullProbe);
-            }
-            if !cpu.matches_state(to) {
-                return false;
+            for i in [0, k] {
+                let (from, to) = (snapshots[i], snapshots[i + 1]);
+                cpu.restore_from(from);
+                while !cpu.is_finished() && cpu.cycle() < to.cycle() {
+                    cpu.step(&mut NullProbe);
+                }
+                if !cpu.matches_state(to) {
+                    return false;
+                }
             }
         }
         cpu.restore_from(snapshots[last]);
