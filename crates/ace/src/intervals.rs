@@ -19,11 +19,10 @@
 
 use merlin_cpu::Structure;
 use merlin_isa::{Rip, Upc};
-use serde::{Deserialize, Serialize};
 
 /// One vulnerable interval of one entry.  A stored interval covers at
 /// least one cycle: `start < end`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Interval {
     /// Cycle of the write or read that opens the interval.
     pub start: u64,
@@ -60,7 +59,7 @@ impl Interval {
 }
 
 /// All vulnerable intervals of one structure for one program execution.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VulnerableIntervals {
     /// Per-entry interval lists, indexed by entry (`total_entries` of
     /// them), each sorted by start cycle.

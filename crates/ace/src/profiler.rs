@@ -3,6 +3,19 @@
 //! structures in a single fault-free execution (the paper's "preprocessing"
 //! phase, §3.1.1).
 //!
+//! # Committed reads
+//!
+//! The core reports each read at issue, with the reader's sequence number,
+//! and each commit.  The profiler holds a micro-op's reads until it
+//! retires, and drops them once a younger one retires first (it was
+//! squashed).  It stamps each read with the reader's RIP and uPC, its
+//! dynamic instance (the earlier commits of its instruction) and the
+//! signature of the last five committed control transfers, the key of the
+//! Relyzer baseline; a store's drain read is stamped the same way, a
+//! writeback read with zeros.  These facts of one fault-free run live
+//! here, so the core's forks, snapshots and `.golden` files never carry
+//! them.
+//!
 //! # Streaming
 //!
 //! An entry's intervals follow from its events taken in cycle order, stably:
@@ -11,30 +24,33 @@
 //! interval started (a second consumer issuing with the first, or in the
 //! producer's writeback cycle) closes an interval that covers no cycle: it
 //! is not stored, and the read still opens the next one.  The events do not
-//! arrive in that order, because a read is reported at commit but carries
-//! the cycle it happened at.  So [`AceProfiler`] keeps one *lane* per
-//! (structure, entry), holding the events it has not consumed yet and the
-//! start of the open interval.  [`AceProfiler::flush`] stable-sorts each
-//! lane that received events by cycle and turns those below a given floor
-//! into intervals; the rest wait for a later flush.
+//! arrive in that order, because an issue-time read enters at retirement
+//! but carries the cycle it happened at.  So [`AceProfiler`] keeps one
+//! *lane* per (structure, entry), holding the events it has not consumed
+//! yet and the start of the open interval.  [`AceProfiler::flush`]
+//! stable-sorts each lane that received events by cycle and turns those
+//! below a floor into intervals; the rest wait for a later flush.
 //!
-//! [`AceAnalysis::run`] flushes every 256 cycles at [`Cpu::event_floor`],
-//! the lowest cycle an event the core has yet to report can carry.  No
-//! event below the floor can still arrive, so every later event sorts after
-//! the ones a flush consumes, and each lane is consumed in the order a
-//! stable sort of its whole event stream gives.  The intervals therefore do
-//! not depend on when, or how often, the profiler flushes: flushing only
-//! in [`AceProfiler::finish`], as a plain [`Probe`] under [`Cpu::run`] does,
-//! gives the same result.  Buffering stays bounded by the events of a few
-//! hundred cycles instead of the whole run.
+//! [`AceAnalysis::run`] flushes every 256 cycles at the core's cycle.  The
+//! floor is that cycle, or the oldest read still waiting for its micro-op
+//! to retire if that is lower: the core reports nothing below its current
+//! cycle later, so no event below the floor can still enter a lane, every
+//! later event sorts after the ones a flush consumes, and each lane is
+//! consumed in the order a stable sort of its whole event stream gives.
+//! The intervals therefore do not depend on when, or how often, the
+//! profiler flushes: flushing only in [`AceProfiler::finish`], as a plain
+//! [`Probe`] under [`Cpu::run`] does, gives the same result.  Buffering
+//! stays bounded by the events of a few hundred cycles instead of the whole
+//! run.
 //!
 //! # Order within a cycle
 //!
 //! The core emits every write, invalidation and writeback read at once, in
 //! the order it happens (an evicted line's writeback read and invalidation
 //! before the refill's writes), so within a cycle the stable sort keeps that
-//! order; a read reported at commit sorts after every event emitted during
-//! its cycle, the write that produced its value included.
+//! order; an issue-time read enters at retirement, cycles later, so it
+//! sorts after every event emitted during its cycle, the write that
+//! produced its value included.  Reads of one cycle enter in commit order.
 //!
 //! One order a stable sort cannot recover: a load reads a word, and a later
 //! load of the same issue pass evicts the word's line.  The read would sort
@@ -45,20 +61,20 @@
 //! since the read made the line the most recently used, and an issue pass
 //! makes at most `mem_ports` accesses (2 against 4 ways by default; 0
 //! occurrences over the 20 built-in workloads with a 16 KB L1D).  Streaming
-//! leaves this tie as it was: until the load commits, its logged read holds
-//! the floor at or below the eviction's cycle, so the eviction is still
-//! pending when the read arrives, and the read sorts after it exactly as in
-//! a sort of the whole stream.
+//! leaves this tie as it was: until the load retires, its pending read
+//! holds the floor at or below the eviction's cycle, so the eviction is
+//! still pending when the read arrives, and the read sorts after it exactly
+//! as in a sort of the whole stream.
 
 use crate::intervals::{Interval, VulnerableIntervals};
 use merlin_analyze::ProgramAnalysis;
-use merlin_cpu::{Cpu, CpuConfig, Probe, ReadInfo, RunResult, Structure};
-use merlin_isa::Program;
-use std::collections::HashMap;
+use merlin_cpu::{Cpu, CpuConfig, Probe, ReadInfo, RunResult, Structure, WRITEBACK_RIP};
+use merlin_isa::{Program, Rip, Upc};
+use std::collections::{HashMap, VecDeque};
 
 /// Cycles between two flushes of [`AceAnalysis::run`].  Any cadence gives
 /// the same intervals; this one keeps each lane to a few pending events
-/// while the flush's walk over the ROB stays rare.
+/// while the flush's walk over the pending reads stays rare.
 const FLUSH_CYCLES: u64 = 256;
 
 /// A raw lifetime event collected during profiling.
@@ -149,6 +165,23 @@ impl LaneSet {
     }
 }
 
+/// The reads one micro-op made at issue, waiting for it to retire: all in
+/// its issue cycle, at most three register sources plus two L1D words or
+/// one store-queue slot.
+#[derive(Debug, Clone, Copy)]
+struct PendingReads {
+    cycle: u64,
+    len: u8,
+    reads: [(Structure, u32); 5],
+}
+
+/// The record of a micro-op that has not read.
+const NO_READS: PendingReads = PendingReads {
+    cycle: 0,
+    len: 0,
+    reads: [(Structure::RegisterFile, 0); 5],
+};
+
 /// Probe that builds the vulnerable intervals of the three target
 /// structures as the core reports their lifetime events (see the module
 /// docs for why flushing early gives the same intervals).
@@ -156,6 +189,15 @@ impl LaneSet {
 pub struct AceProfiler {
     /// One lane set per structure, indexed by `structure as usize`.
     sets: Vec<LaneSet>,
+    /// The issue-time reads of micro-ops `pending_base..`, indexed by
+    /// sequence number; a micro-op that has not read has an empty record.
+    pending: VecDeque<PendingReads>,
+    pending_base: u64,
+    /// Committed instances per RIP, grown on demand.
+    instances: Vec<u64>,
+    /// The last five committed control transfers, and their signature.
+    path: VecDeque<(Rip, bool)>,
+    path_sig: u64,
 }
 
 impl AceProfiler {
@@ -172,13 +214,22 @@ impl AceProfiler {
                 }
             })
             .collect();
-        AceProfiler { sets }
+        AceProfiler {
+            sets,
+            pending: VecDeque::new(),
+            pending_base: 0,
+            instances: Vec::new(),
+            path: VecDeque::new(),
+            path_sig: 0,
+        }
     }
 
-    /// Turns every event below `floor` into intervals.  The caller promises
-    /// that no event below `floor` arrives later: [`Cpu::event_floor`]
-    /// keeps that promise.
-    pub fn flush(&mut self, floor: u64) {
+    /// Turns every event below `cycle`, or below the oldest read still
+    /// waiting for its micro-op to retire, into intervals.  The caller
+    /// promises that the core reports no event below `cycle` later: the
+    /// core's current cycle keeps that promise.
+    pub fn flush(&mut self, cycle: u64) {
+        let floor = self.floor(cycle);
         for set in &mut self.sets {
             set.flush(floor);
         }
@@ -201,53 +252,107 @@ impl AceProfiler {
             .collect()
     }
 
-    fn push(&mut self, structure: Structure, entry: usize, event: Event) {
+    /// The lowest cycle an event can still enter a lane at, if the core
+    /// reports none below `cycle` from now on: `cycle`, or the oldest read
+    /// waiting for its micro-op to retire if that is lower.
+    fn floor(&self, cycle: u64) -> u64 {
+        self.pending
+            .iter()
+            .filter(|p| p.len > 0)
+            .map(|p| p.cycle)
+            .fold(cycle, u64::min)
+    }
+
+    fn push(&mut self, structure: Structure, entry: usize, cycle: u64, kind: EventKind) {
         let set = &mut self.sets[structure as usize];
         let lane = &mut set.lanes[entry];
         if lane.pending.is_empty() {
             set.dirty.push(entry);
         }
-        lane.pending.push(event);
+        lane.pending.push(Event { cycle, kind });
+    }
+
+    fn push_read(&mut self, structure: Structure, entry: usize, cycle: u64, rip: Rip, upc: Upc) {
+        // A read's instance counts its instruction's earlier commits.
+        let (dyn_instance, path_sig) = if rip == WRITEBACK_RIP {
+            (0, 0)
+        } else {
+            let instance = self.instances.get(rip as usize).copied();
+            (instance.unwrap_or(0), self.path_sig)
+        };
+        let kind = EventKind::Read {
+            rip,
+            upc,
+            dyn_instance,
+            path_sig,
+        };
+        self.push(structure, entry, cycle, kind);
     }
 }
 
 impl Probe for AceProfiler {
     fn write(&mut self, structure: Structure, entry: usize, cycle: u64) {
-        self.push(
-            structure,
-            entry,
-            Event {
-                cycle,
-                kind: EventKind::Write,
-            },
-        );
+        self.push(structure, entry, cycle, EventKind::Write);
     }
 
     fn committed_read(&mut self, structure: Structure, info: &ReadInfo) {
-        self.push(
-            structure,
-            info.entry,
-            Event {
-                cycle: info.cycle,
-                kind: EventKind::Read {
-                    rip: info.rip,
-                    upc: info.upc,
-                    dyn_instance: info.dyn_instance,
-                    path_sig: info.path_sig,
-                },
-            },
-        );
+        self.push_read(structure, info.entry, info.cycle, info.rip, info.upc);
     }
 
     fn invalidate(&mut self, structure: Structure, entry: usize, cycle: u64) {
-        self.push(
-            structure,
-            entry,
-            Event {
-                cycle,
-                kind: EventKind::Invalidate,
-            },
-        );
+        self.push(structure, entry, cycle, EventKind::Invalidate);
+    }
+
+    fn physical_read(&mut self, structure: Structure, entry: usize, cycle: u64, seq: u64) {
+        if self.pending.is_empty() {
+            self.pending_base = seq;
+        }
+        // An older micro-op may issue after a younger one.
+        while seq < self.pending_base {
+            self.pending.push_front(NO_READS);
+            self.pending_base -= 1;
+        }
+        let i = (seq - self.pending_base) as usize;
+        if i >= self.pending.len() {
+            self.pending.resize(i + 1, NO_READS);
+        }
+        let p = &mut self.pending[i];
+        p.reads[p.len as usize] = (structure, entry as u32);
+        p.len += 1;
+        p.cycle = cycle;
+    }
+
+    fn retired(&mut self, seq: u64, rip: Rip, upc: Upc, last_in_inst: bool, taken: Option<bool>) {
+        // Every older micro-op has retired or was squashed: drop the reads
+        // of the squashed ones, then take this one's.
+        while self.pending_base <= seq {
+            let Some(p) = self.pending.pop_front() else {
+                break;
+            };
+            self.pending_base += 1;
+            if self.pending_base > seq {
+                for &(structure, entry) in &p.reads[..p.len as usize] {
+                    self.push_read(structure, entry as usize, p.cycle, rip, upc);
+                }
+            }
+        }
+        if let Some(taken) = taken {
+            self.path.push_back((rip, taken));
+            if self.path.len() > 5 {
+                self.path.pop_front();
+            }
+            let fnv = |sig: u64, &(r, t): &(Rip, bool)| {
+                (sig ^ (u64::from(r) << 1 | u64::from(t))).wrapping_mul(0x1000_0000_01b3)
+            };
+            self.path_sig = self.path.iter().fold(0xcbf2_9ce4_8422_2325, fnv);
+        }
+        if last_in_inst {
+            let i = rip as usize;
+            if i >= self.instances.len() {
+                self.instances.resize(i + 1, 0);
+            }
+            self.instances[i] += 1;
+        }
     }
 }
 
@@ -329,7 +434,7 @@ impl std::fmt::Display for StaticViolation {
 
 impl AceAnalysis {
     /// Runs `program` once under `cfg` with the profiler attached, flushing
-    /// it every 256 cycles at the core's event floor, and builds the
+    /// it every 256 cycles at the core's cycle, and builds the
     /// vulnerable-interval repositories for all three structures.
     ///
     /// # Errors
@@ -343,7 +448,7 @@ impl AceAnalysis {
         while !cpu.is_finished() && cpu.cycle() < max_cycles {
             cpu.step(&mut profiler);
             if cpu.cycle() % FLUSH_CYCLES == 0 {
-                profiler.flush(cpu.event_floor());
+                profiler.flush(cpu.cycle());
             }
         }
         // The loop ran the core to its end, so `run` only reports.
@@ -530,8 +635,103 @@ mod tests {
             cycle,
             rip,
             upc: 0,
-            dyn_instance: 0,
-            path_sig: 0,
         }
+    }
+
+    #[test]
+    fn issue_reads_enter_at_retirement_stamped_with_the_commits_before_them() {
+        let mut p = AceProfiler::new(&CpuConfig::default());
+        let rf = Structure::RegisterFile;
+        // Micro-op 3 reads entry 1 at cycle 5; micro-op 4, younger, issues
+        // first; micro-op 2 is squashed after reading entry 1 at cycle 4.
+        p.physical_read(rf, 1, 6, 4);
+        p.physical_read(rf, 1, 5, 3);
+        p.physical_read(rf, 1, 4, 2);
+        assert_eq!(p.floor(10), 4);
+        // Before micro-op 3, instruction 7 commits once and a taken branch
+        // at 9 once; micro-ops 3 and 4 are the next instance of 7.
+        p.retired(0, 7, 0, true, None);
+        p.retired(1, 9, 0, true, Some(true));
+        p.retired(3, 7, 1, false, None);
+        // The squashed read is dropped, the pending one holds the floor.
+        assert_eq!(p.floor(10), 6);
+        p.retired(4, 7, 2, true, None);
+        assert_eq!(p.floor(10), 10);
+        let repos = p.finish(20);
+        let ivs = repos[&rf].entry_intervals(1);
+        assert_eq!(ivs.len(), 2);
+        // FNV-1a of the one transfer `(9 << 1) | taken`.
+        let sig = (0xcbf2_9ce4_8422_2325 ^ 19u64).wrapping_mul(0x1000_0000_01b3);
+        assert_eq!(
+            (ivs[0].start, ivs[0].end, ivs[0].upc, ivs[0].dyn_instance),
+            (0, 5, 1, 1)
+        );
+        assert_eq!(ivs[0].path_sig, sig);
+        // The second micro-op of the same instance reads with the same
+        // stamp: the count moves only at the instruction's last micro-op.
+        assert_eq!(
+            (ivs[1].start, ivs[1].end, ivs[1].upc, ivs[1].dyn_instance),
+            (5, 6, 2, 1)
+        );
+    }
+
+    #[test]
+    fn the_flush_floor_bounds_every_event_still_to_come() {
+        /// Feeds the profiler and keeps, per micro-op, the cycle of its
+        /// issue-time reads, and the events of the current step.
+        struct Tee {
+            profiler: AceProfiler,
+            issued: HashMap<u64, u64>,
+            step_events: Vec<u64>,
+        }
+        impl Probe for Tee {
+            fn write(&mut self, s: Structure, entry: usize, cycle: u64) {
+                self.profiler.write(s, entry, cycle);
+                self.step_events.push(cycle);
+            }
+            fn committed_read(&mut self, s: Structure, info: &ReadInfo) {
+                self.profiler.committed_read(s, info);
+                self.step_events.push(info.cycle);
+            }
+            fn invalidate(&mut self, s: Structure, entry: usize, cycle: u64) {
+                self.profiler.invalidate(s, entry, cycle);
+                self.step_events.push(cycle);
+            }
+            fn physical_read(&mut self, s: Structure, entry: usize, cycle: u64, seq: u64) {
+                self.profiler.physical_read(s, entry, cycle, seq);
+                self.issued.insert(seq, cycle);
+            }
+            fn retired(&mut self, seq: u64, rip: Rip, upc: Upc, last: bool, taken: Option<bool>) {
+                self.profiler.retired(seq, rip, upc, last, taken);
+                // The retiring micro-op's reads enter the lanes now.
+                self.step_events.extend(self.issued.remove(&seq));
+            }
+        }
+        let program = merlin_workloads::workload_by_name("sha").unwrap().program;
+        let cfg = CpuConfig::default();
+        let mut cpu = Cpu::new(program, cfg.clone()).unwrap();
+        let mut tee = Tee {
+            profiler: AceProfiler::new(&cfg),
+            issued: HashMap::new(),
+            step_events: Vec::new(),
+        };
+        let (mut last_floor, mut held_below) = (0, 0);
+        while !cpu.is_finished() {
+            let floor = tee.profiler.floor(cpu.cycle());
+            assert!(floor <= cpu.cycle());
+            assert!(floor >= last_floor, "the floor never falls");
+            // A micro-op that has read and waits to retire holds the floor
+            // at its read cycle, which is in the past.
+            held_below += usize::from(floor < cpu.cycle());
+            // Since the floor never falls, bounding the next cycle's events
+            // bounds every later one.
+            tee.step_events.clear();
+            cpu.step(&mut tee);
+            for &c in &tee.step_events {
+                assert!(c >= floor, "event at {c} below the floor {floor}");
+            }
+            last_floor = floor;
+        }
+        assert!(held_below > 0);
     }
 }

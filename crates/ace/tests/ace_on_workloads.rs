@@ -4,9 +4,9 @@
 
 use merlin_ace::{AceAnalysis, AceProfiler, Interval, SessionAce, VulnerableIntervals};
 use merlin_analyze::ProgramAnalysis;
-use merlin_cpu::{Cpu, CpuConfig, NullProbe, Probe, ReadInfo, RunResult, Structure};
+use merlin_cpu::{Cpu, CpuConfig, NullProbe, Probe, ReadInfo, RunResult, Structure, WRITEBACK_RIP};
 use merlin_inject::{FaultEffect, Session};
-use merlin_isa::{DecodedProgram, Program};
+use merlin_isa::{DecodedProgram, Program, Rip, Upc};
 use merlin_workloads::{all_workloads, workload_by_name};
 use std::collections::{BTreeMap, HashMap};
 
@@ -15,26 +15,94 @@ const MAX_CYCLES: u64 = 50_000_000;
 #[derive(Debug, Clone, Copy)]
 enum Logged {
     Write,
-    Read(ReadInfo),
+    Read {
+        rip: Rip,
+        upc: Upc,
+        dyn_instance: u64,
+        path_sig: u64,
+    },
     Invalidate,
 }
 
-/// Every lifetime event the core reports, in emission order.
+/// Every lifetime event the core reports, in the order the paper's
+/// committed reads become known: writes, invalidations, drain and
+/// writeback reads as they happen, and a micro-op's issue-time reads when
+/// it retires.  A read carries the committed instances of its RIP before
+/// its own commit and the signature of the last five committed control
+/// transfers (conditional branches and indirect jumps) before it; a
+/// writeback read carries zeros.
 #[derive(Default)]
-struct EventLog(Vec<(Structure, usize, u64, Logged)>);
+struct EventLog {
+    events: Vec<(Structure, usize, u64, Logged)>,
+    issued: BTreeMap<u64, Vec<(Structure, usize, u64)>>,
+    instances: HashMap<Rip, u64>,
+    path: Vec<(Rip, bool)>,
+}
+
+impl EventLog {
+    fn read(&mut self, structure: Structure, entry: usize, cycle: u64, rip: Rip, upc: Upc) {
+        let (dyn_instance, path_sig) = if rip == WRITEBACK_RIP {
+            (0, 0)
+        } else {
+            let mut sig: u64 = 0xcbf2_9ce4_8422_2325;
+            for &(r, t) in &self.path[self.path.len().saturating_sub(5)..] {
+                sig ^= u64::from(r) << 1 | u64::from(t);
+                sig = sig.wrapping_mul(0x1000_0000_01b3);
+            }
+            let sig = if self.path.is_empty() { 0 } else { sig };
+            (self.instances.get(&rip).copied().unwrap_or(0), sig)
+        };
+        let read = Logged::Read {
+            rip,
+            upc,
+            dyn_instance,
+            path_sig,
+        };
+        self.events.push((structure, entry, cycle, read));
+    }
+}
 
 impl Probe for EventLog {
     fn write(&mut self, structure: Structure, entry: usize, cycle: u64) {
-        self.0.push((structure, entry, cycle, Logged::Write));
+        self.events.push((structure, entry, cycle, Logged::Write));
     }
 
     fn committed_read(&mut self, structure: Structure, info: &ReadInfo) {
-        self.0
-            .push((structure, info.entry, info.cycle, Logged::Read(*info)));
+        self.read(structure, info.entry, info.cycle, info.rip, info.upc);
     }
 
     fn invalidate(&mut self, structure: Structure, entry: usize, cycle: u64) {
-        self.0.push((structure, entry, cycle, Logged::Invalidate));
+        self.events
+            .push((structure, entry, cycle, Logged::Invalidate));
+    }
+
+    fn physical_read(&mut self, structure: Structure, entry: usize, cycle: u64, seq: u64) {
+        self.issued
+            .entry(seq)
+            .or_default()
+            .push((structure, entry, cycle));
+    }
+
+    fn retired(&mut self, seq: u64, rip: Rip, upc: Upc, last_in_inst: bool, taken: Option<bool>) {
+        // Older micro-ops still listed were squashed.
+        while let Some(first) = self.issued.first_entry() {
+            if *first.key() > seq {
+                break;
+            }
+            let mine = *first.key() == seq;
+            let reads = first.remove();
+            if mine {
+                for (structure, entry, cycle) in reads {
+                    self.read(structure, entry, cycle, rip, upc);
+                }
+            }
+        }
+        if let Some(taken) = taken {
+            self.path.push((rip, taken));
+        }
+        if last_in_inst {
+            *self.instances.entry(rip).or_default() += 1;
+        }
     }
 }
 
@@ -54,7 +122,7 @@ fn buffered_profile(
     let mut log = EventLog::default();
     let golden = cpu.run(MAX_CYCLES, &mut log);
     let mut per_entry: BTreeMap<(Structure, usize), Vec<(u64, Logged)>> = BTreeMap::new();
-    for (structure, entry, cycle, event) in log.0 {
+    for (structure, entry, cycle, event) in log.events {
         per_entry
             .entry((structure, entry))
             .or_default()
@@ -72,14 +140,19 @@ fn buffered_profile(
             match event {
                 Logged::Write => open_start = Some(cycle),
                 Logged::Invalidate => open_start = None,
-                Logged::Read(info) => {
+                Logged::Read {
+                    rip,
+                    upc,
+                    dyn_instance,
+                    path_sig,
+                } => {
                     list.push(Interval {
                         start: open_start.unwrap_or(0),
                         end: cycle,
-                        rip: info.rip,
-                        upc: info.upc,
-                        dyn_instance: info.dyn_instance,
-                        path_sig: info.path_sig,
+                        rip,
+                        upc,
+                        dyn_instance,
+                        path_sig,
                     });
                     open_start = Some(cycle);
                 }
@@ -215,7 +288,7 @@ fn flush_cadence_does_not_change_the_profile() {
         while !cpu.is_finished() {
             assert!(cpu.cycle() < MAX_CYCLES, "{} did not halt", w.name);
             cpu.step(&mut every_cycle);
-            every_cycle.flush(cpu.event_floor());
+            every_cycle.flush(cpu.cycle());
         }
         let mut at_finish = AceProfiler::new(&cfg);
         let golden = Cpu::new(w.program.clone(), cfg.clone())
@@ -227,6 +300,54 @@ fn flush_cadence_does_not_change_the_profile() {
             &every_cycle.finish(golden.cycles),
             &at_finish.finish(golden.cycles),
         );
+    }
+}
+
+#[test]
+fn profiled_dynamic_instances_are_monotonic_per_rip() {
+    // A read made at issue carries the number of commits of its
+    // instruction before the reading micro-op's own, so per static
+    // micro-op, in commit order, the instances never decrease.
+    let cfg = CpuConfig::default();
+    for name in ["sha", "qsort"] {
+        let program = workload_by_name(name).unwrap().program;
+        let mut probe = merlin_cpu::RecordingProbe::default();
+        Cpu::new(program.clone(), cfg.clone())
+            .unwrap()
+            .run(MAX_CYCLES, &mut probe);
+        let mut commits: HashMap<Rip, u64> = HashMap::new();
+        let mut last: HashMap<(Rip, Upc), u64> = HashMap::new();
+        let mut instance = HashMap::new();
+        for r in &probe.retired {
+            let count = commits.entry(r.rip).or_default();
+            let prev = last.insert((r.rip, r.upc), *count);
+            assert!(prev.is_none_or(|p| p <= *count), "{name}: {r:?}");
+            instance.insert(r.seq, (r.rip, r.upc, *count));
+            *count += u64::from(r.last_in_inst);
+        }
+        // The instances each issue-time read may carry (one static micro-op
+        // can read one entry twice in a cycle, in two instances).
+        let mut stamps: HashMap<(Structure, usize, u64, Rip, Upc), Vec<u64>> = HashMap::new();
+        for &(s, entry, cycle, seq) in &probe.physical_reads {
+            if let Some(&(rip, upc, i)) = instance.get(&seq) {
+                stamps
+                    .entry((s, entry, cycle, rip, upc))
+                    .or_default()
+                    .push(i);
+            }
+        }
+        let ace = AceAnalysis::run(&program, &cfg, MAX_CYCLES).unwrap();
+        let mut checked = 0;
+        for &s in Structure::all() {
+            for (entry, iv) in ace.structure(s).iter() {
+                let key = (s, entry, iv.end, iv.rip, iv.upc);
+                if let Some(instances) = stamps.get(&key) {
+                    assert!(instances.contains(&iv.dyn_instance), "{name}: {iv:?}");
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 1_000, "{name}: {checked} intervals checked");
     }
 }
 

@@ -10,12 +10,11 @@ use merlin_inject::{
     generate_fault_list, CampaignError, Classification, FaultEffect, GoldenRun, Session,
     TruncatedEffect,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Per-fault effect after extrapolation (every fault of a sub-group inherits
 /// its representative's observed effect; ACE-pruned faults are Masked).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExtrapolatedOutcome {
     /// The fault.
     pub fault: FaultSpec,
@@ -27,7 +26,7 @@ pub struct ExtrapolatedOutcome {
 
 /// Result of one MeRLiN campaign on one (benchmark, structure, configuration)
 /// triple.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MerlinReport {
     /// Target structure.
     pub structure: Structure,
@@ -36,7 +35,6 @@ pub struct MerlinReport {
     /// Faults pruned by the static liveness analysis before any dynamic
     /// profile was consulted (register-file faults into identity entries of
     /// architectural registers the program text never mentions).
-    #[serde(default)]
     pub static_pruned: usize,
     /// Faults pruned by the ACE-like step.
     pub ace_pruned: usize,

@@ -11,12 +11,11 @@
 use merlin_ace::VulnerableIntervals;
 use merlin_cpu::FaultSpec;
 use merlin_isa::{Rip, Upc};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
 /// Identity of a step-1 group: the static micro-op that consumes the faulty
 /// value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GroupKey {
     /// Instruction pointer of the reading static instruction.
     pub rip: Rip,
@@ -26,7 +25,7 @@ pub struct GroupKey {
 
 /// A fault that survived the ACE-like pruning, annotated with the interval
 /// that will consume it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupedFault {
     /// The fault itself.
     pub fault: FaultSpec,
@@ -39,7 +38,7 @@ pub struct GroupedFault {
 
 /// A step-2 sub-group: all faults of one (RIP, uPC) group that hit the same
 /// byte of their entries, together with the selected representative.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubGroup {
     /// Byte position within the 64-bit entry (0–7).
     pub byte: u8,
@@ -62,7 +61,7 @@ impl SubGroup {
 }
 
 /// A step-1 group with its step-2 sub-groups.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultGroup {
     /// Group identity.
     pub key: GroupKey,
@@ -83,7 +82,7 @@ impl FaultGroup {
 }
 
 /// The outcome of MeRLiN's fault-list reduction phase.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultListReduction {
     /// Faults pruned by the ACE-like step (guaranteed Masked, not injected).
     pub ace_masked: Vec<FaultSpec>,

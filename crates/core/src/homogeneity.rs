@@ -8,11 +8,10 @@
 use crate::grouping::FaultListReduction;
 use merlin_cpu::FaultSpec;
 use merlin_inject::FaultEffect;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Homogeneity measurements for one reduction + full-injection pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Homogeneity {
     /// Eq. (1) over the six fine-grained classes of Table 2.
     pub fine_grained: f64,

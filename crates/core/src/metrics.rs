@@ -3,7 +3,6 @@
 //! comparison against Relyzer (Table 3).
 
 use merlin_cpu::{CpuConfig, Structure};
-use serde::{Deserialize, Serialize};
 
 /// Raw failure rate per bit used by the paper for Figure 16 (0.01 FIT/bit).
 pub const RAW_FIT_PER_BIT: f64 = 0.01;
@@ -25,7 +24,7 @@ pub fn fit_rate(avf: f64, bits: u64) -> f64 {
 
 /// Wall-clock projection of a sequential injection campaign, mirroring the
 /// assumptions of Figure 11 and Table 3.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WallClock {
     /// Number of injection runs.
     pub runs: u64,
@@ -53,7 +52,7 @@ impl WallClock {
 }
 
 /// One row of the Table 3 comparison (method vs exhaustive fault list).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExhaustiveComparison {
     /// Size of the exhaustive fault list at the method's abstraction level.
     pub exhaustive_faults: f64,

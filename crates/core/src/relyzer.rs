@@ -12,11 +12,10 @@ use merlin_ace::VulnerableIntervals;
 use merlin_cpu::FaultSpec;
 use merlin_inject::{CampaignResult, Classification, FaultEffect};
 use merlin_isa::Rip;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
 /// One control-equivalence group.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ControlGroup {
     /// RIP of the reading static instruction.
     pub rip: Rip,
@@ -29,7 +28,7 @@ pub struct ControlGroup {
 }
 
 /// The reduction produced by the control-equivalence heuristic.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RelyzerReduction {
     /// Faults pruned by the ACE-like step (shared with MeRLiN).
     pub ace_masked: Vec<FaultSpec>,

@@ -9,11 +9,9 @@
 //! formulas so the claim can be checked numerically against measured group
 //! statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// One group's statistics: its size and its per-fault probability of
 /// non-masking.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GroupStat {
     /// Group size `s_i`.
     pub size: u64,
@@ -24,7 +22,7 @@ pub struct GroupStat {
 
 /// Mean and variance of the AVF estimator of a comprehensive campaign and of
 /// MeRLiN's extrapolated campaign over the same faults.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AvfMoments {
     /// Total faults `F` (including the `m·F` faults pruned as Masked).
     pub total_faults: u64,

@@ -19,7 +19,6 @@ use crate::cow::CowTable;
 use crate::memory::{MemError, Memory, MemoryDelta};
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
 use merlin_isa::MemSize;
-use serde::{Deserialize, Serialize};
 
 /// The tag half of one cache line.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -309,7 +308,7 @@ impl Cache {
 }
 
 /// The tag record of one valid line captured by [`Cache::snapshot`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct LineSnapshot {
     set: u32,
     way: u32,
@@ -340,7 +339,7 @@ impl BinCode for LineSnapshot {
 /// The live contents of one cache, valid lines only (see
 /// [`Cache::snapshot`]): their tag records, and the line bytes of a cache
 /// that stores data, in record order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheSnapshot {
     use_counter: u64,
     lines: Vec<LineSnapshot>,
@@ -402,7 +401,7 @@ impl CacheSnapshot {
 /// sparse cache images plus a chunk-level [`MemoryDelta`] of the backing
 /// memory against the pristine program image (see
 /// [`Memory::delta_snapshot`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemSystemSnapshot {
     pub(crate) l1d: CacheSnapshot,
     pub(crate) l2: CacheSnapshot,

@@ -1,7 +1,6 @@
 //! Core and cache configuration, mirroring Table 1 of the paper.
 
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one set-associative cache level.
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(l1d.sets(), 128);
 /// assert_eq!(l1d.words_per_line(), 8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,
@@ -126,7 +125,7 @@ impl BinCode for CacheConfig {
 /// assert_eq!(cfg.sq_entries, 16);
 /// cfg.validate().unwrap();
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuConfig {
     /// Physical integer register file size (paper: 256 / 128 / 64).
     pub phys_int_regs: usize,

@@ -8,11 +8,11 @@
 //! L2's tag pages (one set per page), the branch predictor's counters and
 //! the BTB.  The structures the core writes nearly every cycle — the
 //! physical register file and its ready bits, the free list, the ROB, the
-//! fetch buffer, the load and store queues and the dynamic-instance
-//! counters — are plain owned arrays: both the fork and the core it came
-//! from write them in their first cycle, so sharing them would never save
-//! a copy, only add a match and a pointer hop to every access.  So is the
-//! output stream, which holds a few words.
+//! fetch buffer and the load and store queues — are plain owned arrays:
+//! both the fork and the core it came from write them in their first
+//! cycle, so sharing them would never save a copy, only add a match and a
+//! pointer hop to every access.  So is the output stream, which holds a
+//! few words.
 //!
 //! Heavy storage is split into fixed-size pages.  Each page is either
 //! **owned** outright by one structure or **shared** behind an [`Arc`]

@@ -2,7 +2,6 @@
 
 use crate::Structure;
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error returned by [`FaultSpec::try_new`] for specifications that violate
@@ -38,7 +37,7 @@ impl std::error::Error for FaultSpecError {}
 /// let f = FaultSpec::new(Structure::StoreQueue, 3, 63, 42);
 /// assert_eq!(f.byte(), 7);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FaultSpec {
     /// Target structure.
     pub structure: Structure,

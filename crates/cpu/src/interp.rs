@@ -8,10 +8,9 @@
 
 use crate::memory::{MemError, Memory};
 use merlin_isa::{branch_compare_immediate, Inst, Program, Rip, NUM_GPRS};
-use serde::{Deserialize, Serialize};
 
 /// How an architectural (reference) execution ended.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InterpExit {
     /// The program executed `Halt`.
     Halted,
@@ -24,7 +23,7 @@ pub enum InterpExit {
 }
 
 /// Result of a reference execution.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InterpResult {
     /// Why execution stopped.
     pub exit: InterpExit,

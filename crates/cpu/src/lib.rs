@@ -15,9 +15,10 @@
 //! * branch prediction with wrong-path execution and squash,
 //! * precise exceptions (crashes, simulator asserts, recoverable arithmetic
 //!   and alignment exceptions),
-//! * a [`Probe`] interface reporting per-entry writes, committed reads
-//!   (with RIP, uPC, dynamic instance and control-flow-path signature) and
-//!   invalidations — the raw material of the ACE-like analysis,
+//! * a [`Probe`] interface reporting per-entry writes, reads (at issue,
+//!   with the reading micro-op's sequence number, or at commit) and
+//!   invalidations, and every commit — the raw material of the ACE-like
+//!   analysis,
 //! * a [`FaultSpec`] hook that flips one stored bit at a chosen cycle — the
 //!   raw material of the injection campaigns,
 //! * an architectural reference interpreter ([`interpret`]) used as the
@@ -75,6 +76,6 @@ pub use lsq::{LoadQueue, SqSlot, StoreQueue};
 pub use memory::{MemError, Memory, MemoryDelta, CHUNK_BYTES};
 pub use merlin_isa::DecodedProgram;
 pub use predictor::{BranchPredictor, Btb};
-pub use probe::{NullProbe, Probe, ReadInfo, RecordingProbe, Structure, WRITEBACK_RIP};
+pub use probe::{NullProbe, Probe, ReadInfo, RecordingProbe, Retired, Structure, WRITEBACK_RIP};
 pub use regfile::{FreeList, PhysReg, PhysRegFile, RenameTable};
 pub use snapshot::{CheckpointPolicy, CheckpointStore};

@@ -16,7 +16,6 @@
 use crate::cow::CowTable;
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
 use merlin_isa::{MemSize, DATA_BASE};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -32,7 +31,7 @@ pub const CHUNK_BYTES: usize = 256;
 /// Out-of-bounds accesses correspond to the paper's *Crash* outcomes
 /// (the simulated process dies); stores into the read-only code region
 /// correspond to *Assert* outcomes (the simulator refuses to continue).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemError {
     /// Access outside the program's data region.
     OutOfBounds {
@@ -75,7 +74,7 @@ impl std::error::Error for MemError {}
 /// copies nothing).  Equality compares the live bytes only; which chunks
 /// share the image's handles encodes *how* the bytes diverge from the
 /// image, not the architectural state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Memory {
     bytes: CowTable<u8>,
     /// The sealed program image.  A live chunk is dirty — written since the
@@ -344,7 +343,7 @@ impl Memory {
 /// bytes sit behind an `Arc` so capture and restore are handle swaps against
 /// the memory's [`CowTable<u8>`] store; the sharing never reaches the wire — the
 /// binary encoding is the raw bytes, unchanged from the owned layout.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct DeltaChunk {
     index: u32,
     data: Arc<Vec<u8>>,
@@ -357,7 +356,7 @@ struct DeltaChunk {
 /// Chunk indices are strictly ascending and every chunk carries exactly the
 /// bytes of its range; both invariants are validated on decode so a corrupt
 /// `.golden` file surfaces as a [`DecodeError`], not a bogus restore.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoryDelta {
     len: u64,
     chunks: Vec<DeltaChunk>,

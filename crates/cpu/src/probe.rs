@@ -1,38 +1,41 @@
-//! Observation interface used by the ACE-like analysis.
+//! Observation interface used by the ACE-like analysis and the L1D
+//! liveness log.
 //!
-//! The core reports four kinds of events per microarchitectural structure
-//! entry:
+//! The core reports five kinds of events, each as it happens:
 //!
 //! * **Write** — the entry's storage was physically written (register
 //!   writeback, store-data deposit into the store queue, cache-line refill or
 //!   store drain).  Writes are reported even for wrong-path micro-ops,
 //!   because the bits really change.
-//! * **CommittedRead** — the entry was read by a micro-op that later
-//!   committed, or consumed by a dirty-line writeback.  Reads performed by
-//!   squashed (wrong-path) micro-ops are never reported; this is exactly the
-//!   paper's ACE-like interval definition, where squashed reads do not end a
-//!   vulnerable interval.  The event carries the cycle at which the physical
-//!   read happened (not the commit cycle), plus the reading micro-op's RIP,
-//!   uPC, dynamic-instance index and a depth-5 control-flow-path signature.
+//! * **PhysicalRead** — micro-op `seq` read the entry at issue: a register
+//!   source, the store-queue slot a load forwards from, or an L1D word a
+//!   load reads.  Reported whether or not the micro-op later commits.
+//! * **Retired** — micro-op `seq` committed.  Its issue-time reads are the
+//!   committed reads of the paper's ACE-like interval definition; the reads
+//!   of squashed (wrong-path) micro-ops never end a vulnerable interval.  A
+//!   probe that wants only committed reads keeps each micro-op's reads until
+//!   it retires or a younger one does.
+//! * **CommittedRead** — a read no squash can undo, made outside issue: a
+//!   committed store's drain reads its store-queue slot, and a dirty-line
+//!   writeback reads L1D words (with [`WRITEBACK_RIP`]).  A drain's reads
+//!   precede the retirement of its store-data micro-op.
 //! * **Invalidate** — the entry stopped holding live data (physical register
 //!   returned to the free list, store-queue slot deallocated, cache line
 //!   evicted).
-//! * **PhysicalRead** — an L1D data word was read by a load at issue,
-//!   whether or not the load later commits.  Together with the writeback
-//!   reads (committed reads with [`WRITEBACK_RIP`], reported at once),
-//!   writes and invalidations, these are every physical event on an L1D
-//!   word, and the core reports each access's events in the order they
-//!   happen: the victim's writeback reads, the victim's invalidations, the
-//!   refill and store writes, then the load's word reads.
+//!
+//! The physical reads of L1D words, the writeback reads, the writes and the
+//! invalidations are every physical event on an L1D word, and the core
+//! reports each access's events in the order they happen: the victim's
+//! writeback reads, the victim's invalidations, the refill and store
+//! writes, then the load's word reads.
 
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
 use merlin_isa::{Rip, Upc};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The microarchitectural structures whose data bits can be profiled and
 /// fault-injected — the three structures evaluated in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Structure {
     /// Physical integer register file (entry = physical register index,
     /// 64 bits per entry).
@@ -104,24 +107,19 @@ impl BinCode for Structure {
 /// consume cache data without an associated program instruction.
 pub const WRITEBACK_RIP: Rip = u32::MAX;
 
-/// Details of a committed read of a structure entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// A read made outside issue: the store-queue slot a committed store
+/// drains, or an L1D word a dirty-line writeback consumes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadInfo {
     /// Entry index within the structure.
     pub entry: usize,
-    /// Cycle at which the physical read happened.
+    /// Cycle at which the read happened.
     pub cycle: u64,
     /// Instruction pointer of the reading static instruction
     /// ([`WRITEBACK_RIP`] for cache writebacks).
     pub rip: Rip,
     /// Micro program counter of the reading micro-op.
     pub upc: Upc,
-    /// Dynamic instance index of the reading static instruction (how many
-    /// times that RIP had committed before this instance).
-    pub dyn_instance: u64,
-    /// Signature of the depth-5 control-flow path that led to the reading
-    /// instruction (used by the Relyzer control-equivalence baseline).
-    pub path_sig: u64,
 }
 
 /// Observer of structure lifetime events.
@@ -134,7 +132,8 @@ pub trait Probe {
         let _ = (structure, entry, cycle);
     }
 
-    /// The entry was read by a micro-op that committed (or by a writeback).
+    /// The entry was read by a committed store's drain, or by a dirty-line
+    /// writeback.
     fn committed_read(&mut self, structure: Structure, info: &ReadInfo) {
         let _ = (structure, info);
     }
@@ -144,10 +143,19 @@ pub trait Probe {
         let _ = (structure, entry, cycle);
     }
 
-    /// The entry was physically read at `cycle` by a micro-op at issue,
-    /// committed or squashed later.  Fired for L1D data words only.
-    fn physical_read(&mut self, structure: Structure, entry: usize, cycle: u64) {
-        let _ = (structure, entry, cycle);
+    /// The entry was physically read at `cycle` by micro-op `seq` at issue,
+    /// committed or squashed later: a register source, the store-queue slot
+    /// a load forwards from, or an L1D word a load reads.
+    fn physical_read(&mut self, structure: Structure, entry: usize, cycle: u64, seq: u64) {
+        let _ = (structure, entry, cycle, seq);
+    }
+
+    /// Micro-op `seq` of instruction `rip` committed, after its reads at
+    /// commit.  `last_in_inst` marks the instruction's last micro-op;
+    /// `taken` is a conditional branch's direction, `Some(true)` for an
+    /// indirect jump and `None` for every other micro-op.
+    fn retired(&mut self, seq: u64, rip: Rip, upc: Upc, last_in_inst: bool, taken: Option<bool>) {
+        let _ = (seq, rip, upc, last_in_inst, taken);
     }
 }
 
@@ -158,17 +166,62 @@ pub struct NullProbe;
 
 impl Probe for NullProbe {}
 
+/// One [`Probe::retired`] event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Retired {
+    /// Sequence number of the committed micro-op.
+    pub seq: u64,
+    /// Its instruction pointer.
+    pub rip: Rip,
+    /// Its micro program counter.
+    pub upc: Upc,
+    /// Whether it is its instruction's last micro-op.
+    pub last_in_inst: bool,
+    /// The control transfer it made, if any (see [`Probe::retired`]).
+    pub taken: Option<bool>,
+}
+
 /// A probe that records every event verbatim; convenient in tests.
 #[derive(Debug, Default, Clone)]
 pub struct RecordingProbe {
     /// All write events as (structure, entry, cycle).
     pub writes: Vec<(Structure, usize, u64)>,
-    /// All committed-read events.
+    /// All committed-read events (drains and writebacks).
     pub reads: Vec<(Structure, ReadInfo)>,
     /// All invalidate events as (structure, entry, cycle).
     pub invalidates: Vec<(Structure, usize, u64)>,
-    /// All physical-read events as (structure, entry, cycle).
-    pub physical_reads: Vec<(Structure, usize, u64)>,
+    /// All physical-read events as (structure, entry, cycle, seq).
+    pub physical_reads: Vec<(Structure, usize, u64, u64)>,
+    /// All retirements, in commit order.
+    pub retired: Vec<Retired>,
+}
+
+impl RecordingProbe {
+    /// Every read of a committed micro-op: the reads made at issue by
+    /// micro-ops that later retired, each attributed to its micro-op's RIP
+    /// and uPC, in commit order, then the drain and writeback reads.
+    pub fn committed_reads(&self) -> Vec<(Structure, ReadInfo)> {
+        let mut issued: Vec<_> = (self.physical_reads.iter())
+            .filter_map(|&(s, entry, cycle, seq)| {
+                let r = self.retired.binary_search_by_key(&seq, |r| r.seq).ok()?;
+                let (rip, upc) = (self.retired[r].rip, self.retired[r].upc);
+                Some((
+                    seq,
+                    s,
+                    ReadInfo {
+                        entry,
+                        cycle,
+                        rip,
+                        upc,
+                    },
+                ))
+            })
+            .collect();
+        // Stable: each micro-op's reads stay in the order it made them.
+        issued.sort_by_key(|&(seq, _, _)| seq);
+        let issued = issued.into_iter().map(|(_, s, info)| (s, info));
+        issued.chain(self.reads.iter().copied()).collect()
+    }
 }
 
 impl Probe for RecordingProbe {
@@ -184,8 +237,18 @@ impl Probe for RecordingProbe {
         self.invalidates.push((structure, entry, cycle));
     }
 
-    fn physical_read(&mut self, structure: Structure, entry: usize, cycle: u64) {
-        self.physical_reads.push((structure, entry, cycle));
+    fn physical_read(&mut self, structure: Structure, entry: usize, cycle: u64, seq: u64) {
+        self.physical_reads.push((structure, entry, cycle, seq));
+    }
+
+    fn retired(&mut self, seq: u64, rip: Rip, upc: Upc, last_in_inst: bool, taken: Option<bool>) {
+        self.retired.push(Retired {
+            seq,
+            rip,
+            upc,
+            last_in_inst,
+            taken,
+        });
     }
 }
 
@@ -209,23 +272,39 @@ mod tests {
         let mut p = RecordingProbe::default();
         p.write(Structure::RegisterFile, 3, 10);
         p.invalidate(Structure::StoreQueue, 1, 20);
-        p.physical_read(Structure::L1DCache, 7, 12);
+        p.physical_read(Structure::L1DCache, 7, 12, 5);
+        p.physical_read(Structure::RegisterFile, 2, 12, 5);
+        p.physical_read(Structure::RegisterFile, 9, 13, 6);
         p.committed_read(
-            Structure::L1DCache,
+            Structure::StoreQueue,
             &ReadInfo {
-                entry: 7,
+                entry: 1,
                 cycle: 15,
-                rip: 2,
-                upc: 0,
-                dyn_instance: 4,
-                path_sig: 0xabc,
+                rip: 4,
+                upc: 1,
             },
         );
+        p.retired(5, 2, 0, true, None);
         assert_eq!(p.writes.len(), 1);
         assert_eq!(p.invalidates.len(), 1);
         assert_eq!(p.reads.len(), 1);
-        assert_eq!(p.reads[0].1.entry, 7);
-        assert_eq!(p.physical_reads, vec![(Structure::L1DCache, 7, 12)]);
+        assert_eq!(p.physical_reads.len(), 3);
+        assert_eq!(p.retired[0].seq, 5);
+        // Micro-op 6 never retired: its read is not a committed one.
+        let read = |entry, cycle, rip, upc| ReadInfo {
+            entry,
+            cycle,
+            rip,
+            upc,
+        };
+        assert_eq!(
+            p.committed_reads(),
+            vec![
+                (Structure::L1DCache, read(7, 12, 2, 0)),
+                (Structure::RegisterFile, read(2, 12, 2, 0)),
+                (Structure::StoreQueue, read(1, 15, 4, 1)),
+            ]
+        );
     }
 
     #[test]
@@ -233,6 +312,8 @@ mod tests {
         let mut p = NullProbe;
         p.write(Structure::RegisterFile, 0, 0);
         p.invalidate(Structure::RegisterFile, 0, 0);
+        p.physical_read(Structure::RegisterFile, 0, 0, 0);
+        p.retired(0, 0, 0, true, Some(true));
         p.committed_read(
             Structure::RegisterFile,
             &ReadInfo {
@@ -240,8 +321,6 @@ mod tests {
                 cycle: 0,
                 rip: 0,
                 upc: 0,
-                dyn_instance: 0,
-                path_sig: 0,
             },
         );
     }

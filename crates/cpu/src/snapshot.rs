@@ -32,9 +32,9 @@
 //! and the BTB sit on copy-on-write pages ([`crate::CowTable`]), so a
 //! restore adopts the snapshot's page handles instead of copying entries,
 //! and the backing memory adopts its delta chunks by handle.  The per-cycle
-//! arrays (register file, free list, ROB, fetch buffer, load/store queues,
-//! dynamic-instance counters) and the output stream are small and copied; the caches are rebuilt line by line from
-//! their sparse images.  Sharing is runtime-only bookkeeping: it is never
+//! arrays (register file, free list, ROB, fetch buffer, load/store queues)
+//! and the output stream are small and copied; the caches are rebuilt line
+//! by line from their sparse images.  Sharing is runtime-only bookkeeping: it is never
 //! serialised, so the on-disk `binio` format is unchanged, and decoding a
 //! snapshot yields shared pages no one else holds yet, which restores adopt
 //! by handle like a live snapshot's.
@@ -42,7 +42,6 @@
 use crate::core::{Cpu, CpuState, RunResult};
 use crate::probe::Probe;
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
-use serde::{Deserialize, Serialize};
 
 /// How a golden run is checkpointed.
 ///
@@ -54,7 +53,7 @@ use serde::{Deserialize, Serialize};
 /// not memory size) and by copy-on-write restores (most of the state is
 /// adopted by handle, not copied).  Placement is described at
 /// [`Cpu::run_with_adaptive_checkpoints`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointPolicy {
     /// Desired number of checkpoints across the golden run (8–32 is the
     /// sensible band; the cycle-0 snapshot comes on top).

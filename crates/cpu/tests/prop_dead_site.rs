@@ -80,7 +80,7 @@ proptest! {
             cpu.step(&mut probe);
         }
         let mut read_soon = vec![false; n];
-        for (_, info) in probe.reads.iter().filter(|(s, _)| *s == structure) {
+        for (_, info) in probe.committed_reads().iter().filter(|(s, _)| *s == structure) {
             read_soon[info.entry] = true;
         }
         let order = || (0..n).map(|k| (entry + k) % n);

@@ -53,7 +53,6 @@ use merlin_cpu::{
     CheckpointPolicy, CheckpointStore, Cpu, CpuConfig, FaultSpec, NullProbe, RunResult, Structure,
 };
 use merlin_isa::{DecodedProgram, Program};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// The fault-free reference execution a campaign compares against, built
@@ -224,7 +223,7 @@ pub(crate) fn site_absent(cfg: &CpuConfig, fault: FaultSpec) -> bool {
 }
 
 /// Outcome of one injection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultOutcome {
     /// The injected fault.
     pub fault: FaultSpec,
@@ -233,7 +232,7 @@ pub struct FaultOutcome {
 }
 
 /// Result of a full injection campaign.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignResult {
     /// Per-fault outcomes, in the order of the input fault list.
     pub outcomes: Vec<FaultOutcome>,

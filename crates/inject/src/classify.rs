@@ -2,12 +2,11 @@
 //! classification histograms.
 
 use merlin_cpu::{ExitReason, RunResult};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
 /// The six fault-effect classes of Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FaultEffect {
     /// Output and exceptions identical to the golden run.
     Masked,
@@ -65,7 +64,7 @@ impl fmt::Display for FaultEffect {
 /// Classification used for truncated (Simpoint-interval) runs, §4.4.3.4 /
 /// Table 4: SDC and Timeout cannot be established before the program ends,
 /// so surviving faults are reported as `Unknown`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TruncatedEffect {
     /// The fault was over-written or never read within the interval and the
     /// architectural behaviour so far matches the golden run.
@@ -145,7 +144,7 @@ pub fn classify(golden: &RunResult, faulty: &RunResult) -> FaultEffect {
 }
 
 /// Aggregate histogram over the six fault-effect classes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Classification {
     /// Count of faults classified as Masked.
     pub masked: u64,

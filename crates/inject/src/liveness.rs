@@ -13,8 +13,9 @@
 //! [`Probe`](merlin_cpu::Probe)):
 //!
 //! * **reads** — loads at issue, committed or squashed
-//!   ([`Probe::physical_read`]), and dirty-line writebacks (committed reads
-//!   with [`WRITEBACK_RIP`]);
+//!   ([`Probe::physical_read`]), and dirty-line writebacks
+//!   ([`Probe::committed_read`], with
+//!   [`WRITEBACK_RIP`](merlin_cpu::WRITEBACK_RIP));
 //! * **kills** — full-word overwrites by refills and stores
 //!   ([`Probe::write`]), and evictions ([`Probe::invalidate`]).
 //!
@@ -27,7 +28,7 @@
 //! read in the same cycle makes that cycle dead; a word never read again
 //! is dead up to the end of the run.
 
-use merlin_cpu::{Probe, ReadInfo, Structure, WRITEBACK_RIP};
+use merlin_cpu::{Probe, ReadInfo, Structure};
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
 
 /// Per-word spans of the flip cycles at which the golden run reads an L1D
@@ -167,9 +168,8 @@ impl Probe for L1dLogger {
     }
 
     fn committed_read(&mut self, structure: Structure, info: &ReadInfo) {
-        // Load reads were logged at issue; only writebacks, reported as
-        // they happen, are new here.
-        if structure == Structure::L1DCache && info.rip == WRITEBACK_RIP {
+        // Every L1D read that is not a load's is a writeback.
+        if structure == Structure::L1DCache {
             self.read(info.entry, info.cycle);
         }
     }
@@ -180,7 +180,7 @@ impl Probe for L1dLogger {
         }
     }
 
-    fn physical_read(&mut self, structure: Structure, entry: usize, cycle: u64) {
+    fn physical_read(&mut self, structure: Structure, entry: usize, cycle: u64, _seq: u64) {
         if structure == Structure::L1DCache {
             self.read(entry, cycle);
         }
@@ -190,6 +190,7 @@ impl Probe for L1dLogger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use merlin_cpu::WRITEBACK_RIP;
 
     const L1D: Structure = Structure::L1DCache;
 
@@ -200,15 +201,15 @@ mod tests {
         let mut log = L1dLogger::new(3);
         log.write(L1D, 0, 10);
         log.write(L1D, 1, 10);
-        log.physical_read(L1D, 0, 12);
-        log.physical_read(L1D, 0, 15);
+        log.physical_read(L1D, 0, 12, 0);
+        log.physical_read(L1D, 0, 15, 0);
         log.write(L1D, 0, 20);
-        log.physical_read(L1D, 0, 20);
-        log.physical_read(L1D, 0, 25);
+        log.physical_read(L1D, 0, 20, 0);
+        log.physical_read(L1D, 0, 25, 0);
         log.invalidate(L1D, 0, 30);
-        log.physical_read(L1D, 2, 4);
+        log.physical_read(L1D, 2, 4, 0);
         // Other structures are ignored.
-        log.physical_read(Structure::RegisterFile, 1, 40);
+        log.physical_read(Structure::RegisterFile, 1, 40, 0);
         log.finish()
     }
 
@@ -238,14 +239,10 @@ mod tests {
             cycle: 9,
             rip: WRITEBACK_RIP,
             upc: 0,
-            dyn_instance: 0,
-            path_sig: 0,
         };
         log.committed_read(L1D, &wb);
         log.invalidate(L1D, 0, 9);
         log.write(L1D, 0, 9);
-        // A committed load read was already logged at issue.
-        log.committed_read(L1D, &ReadInfo { rip: 7, ..wb });
         let log = log.finish();
         assert!((4..=9).all(|c| log.is_live(0, c)));
         assert!(!log.is_live(0, 3) && !log.is_live(0, 10));

@@ -5,10 +5,9 @@
 use merlin_cpu::{FaultSpec, Structure};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Statistical parameters of an injection campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SamplingPlan {
     /// Confidence level in (0, 1), e.g. 0.998.
     pub confidence: f64,

@@ -64,7 +64,6 @@ use crate::classify::{Classification, FaultEffect};
 use merlin_analyze::ProgramAnalysis;
 use merlin_cpu::{CpuConfig, FaultSpec, Structure};
 use merlin_isa::{DecodedProgram, Program};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -79,7 +78,7 @@ const SCRATCH_RANGES_PER_WORKER: usize = 4;
 /// These describe *how* the campaign executed, never *what* it computed:
 /// outcomes are byte-identical across thread counts while these counters
 /// vary.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScheduleStats {
     /// Non-empty ranges the fault list was bucketed into (checkpoint ranges
     /// on the restore path, contiguous chunks on the from-scratch path).
@@ -875,8 +874,9 @@ mod tests {
         Cpu::new(program.clone(), cfg.clone())
             .unwrap()
             .run(1_000_000, &mut probe);
+        let reads = probe.committed_reads();
         let rf_reads = |rip| {
-            probe.reads.iter().filter_map(move |(s, r)| {
+            reads.iter().filter_map(move |(s, r)| {
                 (*s == Structure::RegisterFile && r.rip == rip).then_some((r.entry, r.cycle))
             })
         };

@@ -774,21 +774,23 @@ impl SessionCache {
 
 // --- Disk persistence ----------------------------------------------------
 
-/// Version 7: the payload is the run result, the timeout, the checkpoint
+/// Version 8: the payload is the run result, the timeout, the checkpoint
 /// store and the L1D liveness log; the checkpoint policy is covered by the
-/// fingerprint, not stored.  Version 7 checksums the file one 8-byte word
-/// per step ([`fnv1a_words`]) instead of one byte per step.  Version 6
-/// stores each cache snapshot's line bytes in one flat vector, and none for
-/// the tags-only L2.  Version 4 added the L1D liveness log
-/// ([`L1dLiveness`](crate::L1dLiveness)).  Since version 3 the file ends
-/// with a little-endian FNV-1a checksum over everything before it, so
-/// content corruption is *detected and quarantined* (renamed to
-/// `<name>.golden.corrupt`, counted in [`SessionCache::artifact_rejects`])
-/// instead of gambling on the decoder happening to fail.  Version 2 encoded
-/// checkpoint memory as chunk-level deltas, version 1 as dense images;
-/// older-version files are ordinary cache misses and are rebuilt, not
-/// quarantined.
-const GOLDEN_VERSION: u32 = 7;
+/// fingerprint, not stored.  Version 8 drops from every snapshot what only
+/// the ACE profiler reads: the per-RIP instance counts, the control-flow
+/// path and its signature, and each ROB entry's read log.  Version 7
+/// checksums the file one 8-byte word per step ([`fnv1a_words`]) instead
+/// of one byte per step.  Version 6 stores each cache snapshot's line bytes
+/// in one flat vector, and none for the tags-only L2.  Version 4 added the
+/// L1D liveness log ([`L1dLiveness`](crate::L1dLiveness)).  Since version 3
+/// the file ends with a little-endian FNV-1a checksum over everything
+/// before it, so content corruption is *detected and quarantined* (renamed
+/// to `<name>.golden.corrupt`, counted in
+/// [`SessionCache::artifact_rejects`]) instead of gambling on the decoder
+/// happening to fail.  Version 2 encoded checkpoint memory as chunk-level
+/// deltas, version 1 as dense images; older-version files are ordinary
+/// cache misses and are rebuilt, not quarantined.
+const GOLDEN_VERSION: u32 = 8;
 
 /// The `.golden` file: header `MRLNGLD\0`, the format version
 /// (`GOLDEN_VERSION`) and the fingerprint, checksummed word by word.

@@ -146,7 +146,7 @@ impl Probe for L1dTape {
         }
     }
 
-    fn physical_read(&mut self, s: Structure, entry: usize, cycle: u64) {
+    fn physical_read(&mut self, s: Structure, entry: usize, cycle: u64, _seq: u64) {
         if s == Structure::L1DCache {
             self.0[entry].push((cycle, L1dEvent::Read));
         }

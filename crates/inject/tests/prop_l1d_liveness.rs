@@ -99,7 +99,7 @@ impl Probe for ReadsSoon {
         }
     }
 
-    fn physical_read(&mut self, s: Structure, entry: usize, _cycle: u64) {
+    fn physical_read(&mut self, s: Structure, entry: usize, _cycle: u64, _seq: u64) {
         if s == Structure::L1DCache {
             self.any[entry] = true;
         }
@@ -213,8 +213,11 @@ fn a_word_is_live_from_its_fill_to_its_last_read_and_dead_elsewhere() {
         .run(100_000, &mut probe);
     // The first load fills the line and reads word 0 in the same cycle;
     // the second reads word 1 at `late`.
-    let &[(_, first, fill), (_, second, late)] = probe.physical_reads.as_slice() else {
-        panic!("two loads: {:?}", probe.physical_reads);
+    let loads: Vec<_> = (probe.physical_reads.iter())
+        .filter(|r| r.0 == Structure::L1DCache)
+        .collect();
+    let &[&(_, first, fill, _), &(_, second, late, _)] = loads.as_slice() else {
+        panic!("two loads: {loads:?}");
     };
     assert!(late > fill + 10, "the divide chain must delay the load");
     let session = Session::builder(&program, &cfg)

@@ -6,7 +6,6 @@
 //! test-suites all share a single definition of the architecture's
 //! arithmetic.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Integer ALU operation performed by an [`crate::UopKind::Alu`] micro-op.
@@ -22,7 +21,7 @@ use std::fmt;
 /// assert_eq!(AluOp::Div.eval(7, 0).value, 0);
 /// assert!(AluOp::Div.eval(7, 0).arithmetic_exception);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AluOp {
     /// Wrapping addition.
     Add,
@@ -180,7 +179,7 @@ impl fmt::Display for AluOp {
 /// assert!(Cond::Lt.eval((-1i64) as u64, 5)); // Lt compares as signed
 /// assert!(!Cond::Ltu.eval((-1i64) as u64, 5)); // Ltu compares as unsigned
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Cond {
     /// Equal.
     Eq,

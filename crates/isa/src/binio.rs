@@ -1,14 +1,13 @@
 //! A small self-describing binary codec used to persist checkpoint stores
 //! to disk.
 //!
-//! The workspace builds offline, so `serde` is a marker-trait stub and real
-//! serialisation frameworks are unavailable; this module provides the
-//! minimal bincode-style encoding the session cache needs: fixed-width
-//! little-endian scalars, `u64` length prefixes for containers, and a one
-//! byte tag per enum variant.  Every implementation round-trips exactly
-//! (`decode(encode(x)) == x`) and decoding validates tags, lengths and
-//! invariants so a truncated or corrupt cache file surfaces as a
-//! [`DecodeError`] rather than a panic or a bogus value.
+//! The workspace builds offline, without a serialisation framework; this
+//! module provides the minimal bincode-style encoding the session cache
+//! needs: fixed-width little-endian scalars, `u64` length prefixes for
+//! containers, and a one byte tag per enum variant.  Every implementation
+//! round-trips exactly (`decode(encode(x)) == x`) and decoding validates
+//! tags, lengths and invariants so a truncated or corrupt cache file
+//! surfaces as a [`DecodeError`] rather than a panic or a bogus value.
 //!
 //! The trait lives in `merlin-isa` — the bottom of the crate stack — so the
 //! CPU crate can implement it for its snapshot types without orphan-rule

@@ -8,7 +8,6 @@
 //! instruction is simply its index in the program's instruction stream.
 
 use crate::{AluOp, ArchReg, Cond, MemRef, MemSize};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Instruction pointer: the index of a static macro-instruction in the
@@ -23,7 +22,7 @@ pub type Rip = u32;
 /// fusion (memory source operand), compare-and-branch, calls through a link
 /// register, an `Out` instruction that appends a 64-bit value to the
 /// program's architected output stream, and `Halt`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Inst {
     /// `rd = op(rs1, rs2)`
     AluRR {

@@ -1,7 +1,6 @@
 //! Memory access widths and addressing-mode descriptions.
 
 use crate::ArchReg;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Width of a memory access in bytes.
@@ -13,7 +12,7 @@ use std::fmt;
 /// assert_eq!(MemSize::B8.bytes(), 8);
 /// assert_eq!(MemSize::B2.mask(), 0xFFFF);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemSize {
     /// 1 byte.
     B1,
@@ -81,7 +80,7 @@ impl fmt::Display for MemSize {
 /// let m = MemRef::base(reg(2)).indexed(reg(3), 8).disp(16);
 /// assert_eq!(m.to_string(), "[r2 + r3*8 + 16]");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemRef {
     /// Base address register.
     pub base: ArchReg,

@@ -1,7 +1,6 @@
 //! Executable program images: instruction stream plus initial data memory.
 
 use crate::{Inst, Rip};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Base virtual address of the data region.  Addresses below this value are
@@ -12,7 +11,7 @@ use std::fmt;
 pub const DATA_BASE: u64 = 0x1_0000;
 
 /// An initialised data segment copied into memory before execution.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataSegment {
     /// Start address (absolute, `>= DATA_BASE`).
     pub addr: u64,
@@ -25,7 +24,7 @@ pub struct DataSegment {
 ///
 /// Programs are produced by [`crate::ProgramBuilder`] and consumed by the
 /// `merlin-cpu` core.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     /// Static instruction stream; the instruction pointer (RIP) of an
     /// instruction is its index in this vector.

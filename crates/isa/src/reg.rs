@@ -7,7 +7,6 @@
 //! renamed onto the physical register file exactly like ordinary registers
 //! but are never live across macro-instruction boundaries.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Number of program-visible general purpose registers.
@@ -34,7 +33,7 @@ pub const NUM_ARCH_REGS: usize = NUM_GPRS + NUM_TEMPS;
 /// assert_eq!(r3.index(), 3);
 /// assert_eq!(r3.to_string(), "r3");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ArchReg(u8);
 
 impl ArchReg {

@@ -7,14 +7,13 @@
 //! assignment stable and deterministic.
 
 use crate::{AluOp, ArchReg, Cond, MemRef, MemSize, Rip};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Micro program counter: index of a micro-op within its macro-instruction.
 pub type Upc = u8;
 
 /// The operation class of a micro-op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UopKind {
     /// Integer ALU operation on the sources, writing the destination.
     Alu(AluOp),
@@ -63,7 +62,7 @@ impl UopKind {
 }
 
 /// A micro-op, the unit the out-of-order core renames, issues and executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Uop {
     /// Instruction pointer of the parent macro-instruction.
     pub rip: Rip,

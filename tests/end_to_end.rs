@@ -69,6 +69,27 @@ fn merlin_is_accurate_and_cheap_beyond_stringsearch() {
 }
 
 #[test]
+fn merlin_is_accurate_and_cheap_on_the_other_thirteen_workloads() {
+    for name in [
+        "susan_s",
+        "susan_e",
+        "djpeg",
+        "cjpeg",
+        "caes",
+        "gcc",
+        "gobmk",
+        "hmmer",
+        "sjeng",
+        "libquantum",
+        "h264ref",
+        "omnetpp",
+        "astar",
+    ] {
+        assert_merlin_accurate_and_cheap(name);
+    }
+}
+
+#[test]
 fn groups_are_homogeneous_on_a_real_workload() {
     let session = session_for("sha", &CpuConfig::default().with_phys_regs(128));
     let ace = session.ace_profile().unwrap();
