@@ -1,6 +1,6 @@
 //! Word bitsets: `words[pos / 64]` holds bit `pos % 64`.  The core's
-//! ROB-position sets, the register file's ready bits, the load queue's
-//! occupancy and the caches' valid lines use them.
+//! ROB-position sets, the register file's ready bits and the caches' valid
+//! lines use them.
 
 #[inline]
 pub(crate) fn set_bit(words: &mut [u64], pos: usize) {

@@ -17,6 +17,7 @@ use crate::bits::{ones, set_bit};
 use crate::config::CacheConfig;
 use crate::cow::CowTable;
 use crate::memory::{MemError, Memory, MemoryDelta};
+use crate::probe::{Probe, ReadInfo, Structure, WRITEBACK_RIP};
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
 use merlin_isa::MemSize;
 
@@ -441,38 +442,6 @@ impl BinCode for MemSystemSnapshot {
     }
 }
 
-/// Per-access side effects on the L1D data array, expressed as flattened
-/// word-entry indices (see [`Cache::word_entry`]).  The lists group effects
-/// by kind; the core turns them into probe events in physical order
-/// (writeback reads, invalidations, writes, then word reads), reports the
-/// word reads once more at commit, and only if the reading micro-op
-/// commits.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct CacheEffects {
-    /// Words read by this access.
-    pub word_reads: Vec<usize>,
-    /// Words written by this access (stores covering the full word, refills,
-    /// drains).
-    pub word_writes: Vec<usize>,
-    /// Words of lines that were evicted (their storage no longer holds live
-    /// data for the old address).
-    pub word_invalidates: Vec<usize>,
-    /// Words of dirty lines that were read out and written back to memory.
-    pub writeback_reads: Vec<usize>,
-    /// Total access latency in cycles.
-    pub latency: u64,
-}
-
-impl CacheEffects {
-    fn merge(&mut self, other: CacheEffects) {
-        self.word_reads.extend(other.word_reads);
-        self.word_writes.extend(other.word_writes);
-        self.word_invalidates.extend(other.word_invalidates);
-        self.writeback_reads.extend(other.writeback_reads);
-        self.latency = self.latency.max(other.latency);
-    }
-}
-
 /// The two-level data memory system: L1D + tags-only L2 backed by flat
 /// [`Memory`].
 #[derive(Debug, Clone, PartialEq)]
@@ -498,20 +467,33 @@ impl MemSystem {
         }
     }
 
-    /// Architectural load: reads `size` bytes at `addr` through the cache
-    /// hierarchy, returning the zero-extended value and the L1D side
-    /// effects.
+    /// Architectural load by micro-op `seq` at `cycle`: reads `size` bytes
+    /// at `addr` through the cache hierarchy and returns the zero-extended
+    /// value and the latency.  The access's L1D events go to `probe` as
+    /// they happen (see [`Probe`]): a refill's writeback reads, its
+    /// invalidations and its writes, then the load's word reads; a
+    /// line-crossing load reports its low line, then its high line.
     ///
     /// # Errors
     ///
     /// Returns [`MemError::OutOfBounds`] for unmapped addresses; the cache
-    /// state is left unchanged in that case.
-    pub fn load(&mut self, addr: u64, size: MemSize) -> Result<(u64, CacheEffects), MemError> {
+    /// state is left unchanged and nothing is reported in that case.
+    pub fn load(
+        &mut self,
+        addr: u64,
+        size: MemSize,
+        cycle: u64,
+        seq: u64,
+        probe: &mut dyn Probe,
+    ) -> Result<(u64, u64), MemError> {
         self.mem.check_range(addr, size.bytes(), false)?;
-        self.access(addr, size, None)
+        Ok(self.access(addr, size, Access::Load { seq }, cycle, probe))
     }
 
-    /// Architectural store: writes the low `size` bytes of `value` at `addr`.
+    /// Architectural store at `cycle`: writes the low `size` bytes of
+    /// `value` at `addr` and returns the latency, reporting its L1D events
+    /// to `probe` as [`Self::load`] does, with the writes of the words it
+    /// covers whole in place of word reads.
     ///
     /// # Errors
     ///
@@ -522,123 +504,132 @@ impl MemSystem {
         addr: u64,
         value: u64,
         size: MemSize,
-    ) -> Result<CacheEffects, MemError> {
+        cycle: u64,
+        probe: &mut dyn Probe,
+    ) -> Result<u64, MemError> {
         self.mem.check_range(addr, size.bytes(), true)?;
-        let (_, eff) = self.access(addr, size, Some(value))?;
-        Ok(eff)
+        let (_, latency) = self.access(addr, size, Access::Store(value), cycle, probe);
+        Ok(latency)
     }
 
+    /// An access checked to be in bounds: `(value, latency)`.
     fn access(
         &mut self,
         addr: u64,
         size: MemSize,
-        write: Option<u64>,
-    ) -> Result<(u64, CacheEffects), MemError> {
+        access: Access,
+        cycle: u64,
+        probe: &mut dyn Probe,
+    ) -> (u64, u64) {
         let line_bytes = self.l1d.config().line_bytes;
         let first_line = addr / line_bytes;
         let last_line = (addr + size.bytes() - 1) / line_bytes;
         if first_line == last_line {
-            return self.access_within_line(addr, size.bytes() as usize, write);
+            return self.access_within_line(addr, size.bytes() as usize, access, cycle, probe);
         }
         // Line-crossing access (possible when a fault corrupts an address):
         // split at the line boundary.
         let lo_bytes = (line_bytes - addr % line_bytes) as usize;
         let hi_bytes = size.bytes() as usize - lo_bytes;
-        let mut effects = CacheEffects::default();
-        let (lo_write, hi_write) = match write {
-            Some(v) => (
-                Some(v & low_mask(lo_bytes)),
-                Some(v >> (8 * lo_bytes as u32)),
+        let (lo, hi) = match access {
+            Access::Store(v) => (
+                Access::Store(v & low_mask(lo_bytes)),
+                Access::Store(v >> (8 * lo_bytes as u32)),
             ),
-            None => (None, None),
+            load => (load, load),
         };
-        let (lo_val, lo_eff) = self.access_within_line(addr, lo_bytes, lo_write)?;
-        effects.merge(lo_eff);
-        let (hi_val, hi_eff) =
-            self.access_within_line(addr + lo_bytes as u64, hi_bytes, hi_write)?;
-        effects.merge(hi_eff);
+        let (lo_val, lo_lat) = self.access_within_line(addr, lo_bytes, lo, cycle, probe);
+        let hi_addr = addr + lo_bytes as u64;
+        let (hi_val, hi_lat) = self.access_within_line(hi_addr, hi_bytes, hi, cycle, probe);
         let value = lo_val | hi_val.wrapping_shl(8 * lo_bytes as u32);
-        Ok((value, effects))
+        (value, lo_lat.max(hi_lat))
     }
 
-    /// Access fully contained in one L1D line.
+    /// Access fully contained in one L1D line: `(value, latency)`.
     fn access_within_line(
         &mut self,
         addr: u64,
         len: usize,
-        write: Option<u64>,
-    ) -> Result<(u64, CacheEffects), MemError> {
-        let mut effects = CacheEffects::default();
-        let (set, way) = match self.l1d.lookup(addr) {
-            Some(sw) => {
-                effects.latency = self.l1d.config().hit_latency;
-                sw
-            }
+        access: Access,
+        cycle: u64,
+        probe: &mut dyn Probe,
+    ) -> (u64, u64) {
+        let hit_latency = self.l1d.config().hit_latency;
+        let ((set, way), latency) = match self.l1d.lookup(addr) {
+            Some(sw) => (sw, hit_latency),
             None => {
-                let (sw, lat) = self.refill_l1d(addr, &mut effects);
-                effects.latency = self.l1d.config().hit_latency + lat;
-                sw
+                let (sw, lat) = self.refill_l1d(addr, cycle, probe);
+                (sw, hit_latency + lat)
             }
         };
         let offset = (addr % self.l1d.config().line_bytes) as usize;
-        let wpl_bytes = 8;
-        let first_word = offset / wpl_bytes;
-        let last_word = (offset + len - 1) / wpl_bytes;
-        let value = match write {
-            Some(v) => {
+        let words = offset / 8..=(offset + len - 1) / 8;
+        let value = match access {
+            Access::Store(v) => {
                 self.l1d.write_bytes(set, way, offset, len, v);
-                for w in first_word..=last_word {
-                    // Only fully covered words are reported as overwritten;
-                    // partially covered words keep their old vulnerable
-                    // interval open (conservative, see DESIGN.md).
-                    let word_start = w * wpl_bytes;
-                    let word_end = word_start + wpl_bytes;
-                    if offset <= word_start && offset + len >= word_end {
-                        effects.word_writes.push(self.l1d.word_entry(set, way, w));
+                for w in words {
+                    // Only fully covered words are reported as overwritten:
+                    // a partially covered word keeps the rest of its old
+                    // bytes, so its vulnerable interval stays open.
+                    if offset <= w * 8 && offset + len >= w * 8 + 8 {
+                        probe.write(Structure::L1DCache, self.l1d.word_entry(set, way, w), cycle);
                     }
                 }
                 v & low_mask(len)
             }
-            None => {
+            Access::Load { seq } => {
                 let v = self.l1d.read_bytes(set, way, offset, len);
-                for w in first_word..=last_word {
-                    effects.word_reads.push(self.l1d.word_entry(set, way, w));
+                for w in words {
+                    let entry = self.l1d.word_entry(set, way, w);
+                    probe.physical_read(Structure::L1DCache, entry, cycle, seq);
                 }
                 v
             }
         };
-        Ok((value, effects))
+        (value, latency)
     }
 
     /// Brings the line containing `addr` into the L1D, writing a dirty
     /// victim back to memory and filling the line from memory, both in
-    /// place.  Returns the (set, way) it landed in and the extra latency,
-    /// which the L2's tags decide.
-    fn refill_l1d(&mut self, addr: u64, effects: &mut CacheEffects) -> ((usize, usize), u64) {
+    /// place, and reports the victim's writeback reads and invalidations,
+    /// then the refill's writes.  Returns the (set, way) it landed in and
+    /// the extra latency, which the L2's tags decide.
+    fn refill_l1d(
+        &mut self,
+        addr: u64,
+        cycle: u64,
+        probe: &mut dyn Probe,
+    ) -> ((usize, usize), u64) {
         let line_bytes = self.l1d.config().line_bytes;
         let line_addr = addr - addr % line_bytes;
         let l2_miss = self.l2.lookup(line_addr).is_none();
         self.l2.install(line_addr);
         let lat = self.l2.config().hit_latency + if l2_miss { self.mem_latency } else { 0 };
         let (set, way, evicted) = self.l1d.install(line_addr);
-        let wpl = self.l1d.config().words_per_line();
+        let words = self.l1d.config().words_per_line();
+        let entries = self.l1d.word_entry(set, way, 0)..self.l1d.word_entry(set, way, words);
         if let Some((dirty, victim_addr)) = evicted {
-            for w in 0..wpl {
-                let e = self.l1d.word_entry(set, way, w);
-                if dirty {
-                    effects.writeback_reads.push(e);
-                }
-                effects.word_invalidates.push(e);
-            }
             if dirty {
+                for entry in entries.clone() {
+                    let read = ReadInfo {
+                        entry,
+                        cycle,
+                        rip: WRITEBACK_RIP,
+                        upc: 0,
+                    };
+                    probe.committed_read(Structure::L1DCache, &read);
+                }
                 self.mem
                     .write_line(victim_addr, self.l1d.line_data(set, way));
                 self.l2.install(victim_addr);
             }
+            for entry in entries.clone() {
+                probe.invalidate(Structure::L1DCache, entry, cycle);
+            }
         }
         self.mem.read_line(line_addr, self.l1d.line_mut(set, way));
-        for w in 0..wpl {
-            effects.word_writes.push(self.l1d.word_entry(set, way, w));
+        for entry in entries {
+            probe.write(Structure::L1DCache, entry, cycle);
         }
         ((set, way), lat)
     }
@@ -710,6 +701,15 @@ impl MemSystem {
     }
 }
 
+/// What an access does to the bytes it touches.
+#[derive(Debug, Clone, Copy)]
+enum Access {
+    /// Micro-op `seq` reads them.
+    Load { seq: u64 },
+    /// They take the low bytes of the value.
+    Store(u64),
+}
+
 fn low_mask(bytes: usize) -> u64 {
     if bytes >= 8 {
         u64::MAX
@@ -721,6 +721,7 @@ fn low_mask(bytes: usize) -> u64 {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::probe::{Event, RecordingProbe};
     use merlin_isa::DATA_BASE;
 
     /// Asserts that `cache`'s valid-line bitset holds exactly the lines
@@ -748,27 +749,81 @@ pub(crate) mod tests {
         MemSystem::new(l1d, l2, Memory::new(64 * 1024), 50)
     }
 
+    /// Loads `size` bytes at `addr` as micro-op 7 at cycle 5: the value,
+    /// the latency and the events, in order.
+    fn load(ms: &mut MemSystem, addr: u64, size: MemSize) -> (u64, u64, Vec<Event>) {
+        let mut probe = RecordingProbe::default();
+        let (value, latency) = ms.load(addr, size, 5, 7, &mut probe).unwrap();
+        (value, latency, probe.events)
+    }
+
+    /// Stores `value` at `addr` at cycle 5: the latency and the events, in
+    /// order.
+    fn store(ms: &mut MemSystem, addr: u64, value: u64, size: MemSize) -> (u64, Vec<Event>) {
+        let mut probe = RecordingProbe::default();
+        let latency = ms.store(addr, value, size, 5, &mut probe).unwrap();
+        (latency, probe.events)
+    }
+
+    /// The L1D word entries of the line holding `addr`.
+    fn line_words(ms: &MemSystem, addr: u64) -> std::ops::Range<usize> {
+        let (set, way) = ms.l1d.lookup(addr).expect("resident line");
+        ms.l1d.word_entry(set, way, 0)..ms.l1d.word_entry(set, way, 8)
+    }
+
+    fn write(entry: usize) -> Event {
+        Event::Write(Structure::L1DCache, entry, 5)
+    }
+
+    fn read(entry: usize) -> Event {
+        Event::PhysicalRead(Structure::L1DCache, entry, 5, 7)
+    }
+
+    /// The events of a refill into the line `words`, evicting a dirty
+    /// victim: its writeback reads, its invalidations, then the refill.
+    fn dirty_refill(words: std::ops::Range<usize>) -> Vec<Event> {
+        let writeback = |entry| {
+            let info = ReadInfo {
+                entry,
+                cycle: 5,
+                rip: WRITEBACK_RIP,
+                upc: 0,
+            };
+            Event::CommittedRead(Structure::L1DCache, info)
+        };
+        let invalidate = |entry| Event::Invalidate(Structure::L1DCache, entry, 5);
+        (words.clone().map(writeback))
+            .chain(words.clone().map(invalidate))
+            .chain(words.map(write))
+            .collect()
+    }
+
     #[test]
     fn load_after_store_returns_value() {
         let mut ms = small_system();
         let addr = DATA_BASE + 0x100;
-        ms.store(addr, 0xDEAD_BEEF_1234_5678, MemSize::B8).unwrap();
-        let (v, eff) = ms.load(addr, MemSize::B8).unwrap();
+        store(&mut ms, addr, 0xDEAD_BEEF_1234_5678, MemSize::B8);
+        let (v, latency, events) = load(&mut ms, addr, MemSize::B8);
         assert_eq!(v, 0xDEAD_BEEF_1234_5678);
-        assert_eq!(eff.word_reads.len(), 1);
-        assert!(eff.latency >= 3);
+        assert_eq!(events, [read(line_words(&ms, addr).start)]);
+        assert_eq!(latency, 3);
     }
 
     #[test]
     fn miss_then_hit_latency() {
         let mut ms = small_system();
-        let addr = DATA_BASE + 0x200;
-        let (_, miss) = ms.load(addr, MemSize::B8).unwrap();
-        let (_, hit) = ms.load(addr, MemSize::B8).unwrap();
-        assert!(miss.latency > hit.latency);
-        assert_eq!(hit.latency, 3);
-        // The refill reported writes for every word of the line.
-        assert_eq!(miss.word_writes.len(), 8);
+        let addr = DATA_BASE + 0x200 + 8;
+        let (_, miss, miss_events) = load(&mut ms, addr, MemSize::B8);
+        let (_, hit, hit_events) = load(&mut ms, addr, MemSize::B8);
+        assert!(miss > hit);
+        assert_eq!(hit, 3);
+        // The refill writes every word of the line, then the load reads its
+        // word; a hit only reads.
+        let words = line_words(&ms, addr);
+        let word = words.start + 1;
+        let refill: Vec<_> = words.map(write).chain([read(word)]).collect();
+        assert_eq!(miss_events, refill);
+        assert_eq!(hit_events, [read(word)]);
     }
 
     #[test]
@@ -778,62 +833,75 @@ pub(crate) mod tests {
         // the same set.  Three distinct lines in one set force an eviction.
         let a0 = DATA_BASE;
         let a1 = DATA_BASE + 512;
-        let a2 = DATA_BASE + 1024;
-        ms.store(a0, 0x1111, MemSize::B8).unwrap();
-        ms.store(a1, 0x2222, MemSize::B8).unwrap();
-        let eff = ms.store(a2, 0x3333, MemSize::B8).unwrap();
-        assert!(
-            !eff.writeback_reads.is_empty(),
-            "dirty victim must be read out for writeback"
-        );
-        assert!(!eff.word_invalidates.is_empty());
+        let a2 = DATA_BASE + 1024 + 16;
+        store(&mut ms, a0, 0x1111, MemSize::B8);
+        store(&mut ms, a1, 0x2222, MemSize::B8);
+        let victim = line_words(&ms, a0);
+        let (_, events) = store(&mut ms, a2, 0x3333, MemSize::B8);
+        // The dirty victim is read out for writeback and invalidated, its
+        // storage refilled, and then the store overwrites its word.
+        assert_eq!(line_words(&ms, a2), victim);
+        let mut want = dirty_refill(victim.clone());
+        want.push(write(victim.start + 2));
+        assert_eq!(events, want);
         // The evicted value is still architecturally visible (now in memory).
-        let (v, _) = ms.load(a0, MemSize::B8).unwrap();
-        assert_eq!(v, 0x1111);
+        assert_eq!(load(&mut ms, a0, MemSize::B8).0, 0x1111);
     }
 
     #[test]
     fn flipped_bit_is_visible_to_loads() {
         let mut ms = small_system();
         let addr = DATA_BASE + 0x40;
-        ms.store(addr, 0, MemSize::B8).unwrap();
+        store(&mut ms, addr, 0, MemSize::B8);
         let (set, way) = ms.l1d.lookup(addr).unwrap();
         let offset = (addr % 64) as usize;
         ms.l1d.flip_bit(set, way, offset, 5);
-        let (v, _) = ms.load(addr, MemSize::B8).unwrap();
-        assert_eq!(v, 1 << 5);
+        assert_eq!(load(&mut ms, addr, MemSize::B8).0, 1 << 5);
     }
 
     #[test]
     fn flipped_bit_in_clean_line_discarded_on_eviction() {
         let mut ms = small_system();
         let a0 = DATA_BASE;
-        ms.store(a0, 0xAB, MemSize::B8).unwrap();
+        store(&mut ms, a0, 0xAB, MemSize::B8);
         // Make the line clean by forcing it through an eviction+reload cycle:
         // evict dirty, reload clean.
         let a1 = DATA_BASE + 512;
         let a2 = DATA_BASE + 1024;
-        ms.load(a1, MemSize::B8).unwrap();
-        ms.load(a2, MemSize::B8).unwrap(); // a0 evicted (dirty → memory)
-        ms.load(a0, MemSize::B8).unwrap(); // reloaded, clean copy
+        load(&mut ms, a1, MemSize::B8);
+        load(&mut ms, a2, MemSize::B8); // a0 evicted (dirty → memory)
+        load(&mut ms, a0, MemSize::B8); // reloaded, clean copy
         let (set, way) = ms.l1d.lookup(a0).unwrap();
         assert!(!ms.l1d.is_dirty(set, way));
         ms.l1d.flip_bit(set, way, 0, 0);
         // Evict the clean, corrupted line.
-        ms.load(a1, MemSize::B8).unwrap();
-        ms.load(a2, MemSize::B8).unwrap();
+        load(&mut ms, a1, MemSize::B8);
+        load(&mut ms, a2, MemSize::B8);
         // The corruption was dropped with the clean line.
-        let (v, _) = ms.load(a0, MemSize::B8).unwrap();
-        assert_eq!(v, 0xAB);
+        assert_eq!(load(&mut ms, a0, MemSize::B8).0, 0xAB);
     }
 
     #[test]
     fn line_crossing_access_is_consistent() {
         let mut ms = small_system();
-        let addr = DATA_BASE + 64 - 4; // crosses a line boundary
-        ms.store(addr, 0x1122_3344_5566_7788, MemSize::B8).unwrap();
-        let (v, _) = ms.load(addr, MemSize::B8).unwrap();
+        let addr = DATA_BASE + 64 - 4; // crosses from set 0 into set 1
+                                       // Fill both sets with dirty lines, so each half evicts one.
+        for line in [512, 1024, 512 + 64, 1024 + 64] {
+            store(&mut ms, DATA_BASE + line, line, MemSize::B8);
+        }
+        let (lo, hi) = (
+            line_words(&ms, DATA_BASE + 512),
+            line_words(&ms, DATA_BASE + 576),
+        );
+        let (_, events) = store(&mut ms, addr, 0x1122_3344_5566_7788, MemSize::B8);
+        // The low line's events, then the high line's; the store covers no
+        // word whole, so it reports no write of its own.
+        let mut want = dirty_refill(lo.clone());
+        want.extend(dirty_refill(hi.clone()));
+        assert_eq!(events, want);
+        let (v, _, events) = load(&mut ms, addr, MemSize::B8);
         assert_eq!(v, 0x1122_3344_5566_7788);
+        assert_eq!(events, [read(lo.end - 1), read(hi.start)]);
     }
 
     #[test]
@@ -842,20 +910,23 @@ pub(crate) mod tests {
         let addr = DATA_BASE + 0x80;
         // Bring the line in first so the refill's word writes do not obscure
         // what the store itself reports.
-        ms.load(addr, MemSize::B8).unwrap();
-        let eff = ms.store(addr, 0xFF, MemSize::B1).unwrap();
-        assert!(eff.word_writes.is_empty());
-        let eff = ms.store(addr, 0xFFFF_FFFF_FFFF_FFFF, MemSize::B8).unwrap();
-        assert_eq!(eff.word_writes.len(), 1);
+        load(&mut ms, addr, MemSize::B8);
+        assert_eq!(store(&mut ms, addr, 0xFF, MemSize::B1).1, []);
+        let (_, events) = store(&mut ms, addr, u64::MAX, MemSize::B8);
+        assert_eq!(events, [write(line_words(&ms, addr).start)]);
     }
 
     #[test]
     fn out_of_bounds_rejected_without_state_change() {
         let mut ms = small_system();
         let bad = DATA_BASE + 10 * 1024 * 1024;
-        assert!(ms.load(bad, MemSize::B8).is_err());
-        assert!(ms.store(bad, 0, MemSize::B8).is_err());
-        assert!(ms.store(0x10, 0, MemSize::B8).is_err());
+        let before = ms.clone();
+        let mut probe = RecordingProbe::default();
+        assert!(ms.load(bad, MemSize::B8, 0, 0, &mut probe).is_err());
+        assert!(ms.store(bad, 0, MemSize::B8, 0, &mut probe).is_err());
+        assert!(ms.store(0x10, 0, MemSize::B8, 0, &mut probe).is_err());
+        assert_eq!(probe.events, []);
+        assert_eq!(ms, before);
     }
 
     #[test]
@@ -871,8 +942,8 @@ pub(crate) mod tests {
     fn unordered_cache_snapshot_lines_rejected_on_decode() {
         use merlin_isa::binio::{decode_from_slice, encode_to_vec};
         let mut ms = small_system();
-        ms.store(DATA_BASE, 0x11, MemSize::B8).unwrap();
-        ms.store(DATA_BASE + 64, 0x22, MemSize::B8).unwrap();
+        store(&mut ms, DATA_BASE, 0x11, MemSize::B8);
+        store(&mut ms, DATA_BASE + 64, 0x22, MemSize::B8);
         let mut snap = ms.l1d.snapshot();
         assert!(snap.lines.len() >= 2);
         let back: CacheSnapshot = decode_from_slice(&encode_to_vec(&snap)).unwrap();
@@ -887,10 +958,10 @@ pub(crate) mod tests {
     fn peek_sees_all_levels() {
         let mut ms = small_system();
         let a0 = DATA_BASE;
-        ms.store(a0, 0x77, MemSize::B8).unwrap();
+        store(&mut ms, a0, 0x77, MemSize::B8);
         // Evict to memory.
-        ms.load(DATA_BASE + 512, MemSize::B8).unwrap();
-        ms.load(DATA_BASE + 1024, MemSize::B8).unwrap();
+        load(&mut ms, DATA_BASE + 512, MemSize::B8);
+        load(&mut ms, DATA_BASE + 1024, MemSize::B8);
         assert_eq!(ms.peek(a0, MemSize::B8).unwrap(), 0x77);
     }
 }

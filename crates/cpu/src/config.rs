@@ -133,7 +133,7 @@ pub struct CpuConfig {
     pub rob_entries: usize,
     /// Issue queue entries.
     pub iq_entries: usize,
-    /// Load queue entries (paper: 64 / 32 / 16).
+    /// Load queue entries (paper: 64 / 32 / 16): the most loads in flight.
     pub lq_entries: usize,
     /// Store queue entries (paper: 64 / 32 / 16).
     pub sq_entries: usize,

@@ -14,13 +14,13 @@
 //! core's: forks, snapshots and the retire probe never carry it.
 
 use crate::bits::{clear_bit, has_bit, set_bit};
-use crate::cache::{CacheEffects, MemSystem};
+use crate::cache::MemSystem;
 use crate::config::{ConfigError, CpuConfig};
 use crate::fault::FaultSpec;
-use crate::lsq::{LoadQueue, SqSlot, StoreQueue};
+use crate::lsq::{SqSlot, StoreQueue};
 use crate::memory::{MemError, Memory};
 use crate::predictor::{BranchPredictor, Btb};
-use crate::probe::{Probe, ReadInfo, Structure, WRITEBACK_RIP};
+use crate::probe::{Probe, ReadInfo, Structure};
 use crate::regfile::{FreeList, PhysReg, PhysRegFile, RenameTable};
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
 use merlin_isa::{DecodedProgram, Inst, Program, Rip, Uop, UopKind, NUM_ARCH_REGS};
@@ -189,7 +189,6 @@ struct RobEntry {
     actual_next: Option<Rip>,
     result: Option<u64>,
     exception: Option<Exception>,
-    lq_slot: Option<usize>,
     sq_slot: Option<usize>,
 }
 
@@ -201,12 +200,13 @@ struct RobEntry {
 ///
 /// Fields are declared cheapest-first, so the derived `==` of the retire
 /// probe bails out on a scalar before it walks an array.  The structures
-/// every cycle writes (ROB, fetch buffer, free list, register file, load
-/// and store queues) and the output stream are
-/// plain owned values that a clone copies; only the predictor and the BTB
-/// sit on copy-on-write storage (see [`CowTable`](crate::CowTable)).  A value
-/// derived from these fields (like [`Cpu`]'s `next_fault_cycle`) belongs
-/// outside, or the retire probe would compare it as state.
+/// every cycle writes (ROB, fetch buffer, free list, register file, store
+/// queue) and the output stream are plain owned values that a clone copies;
+/// only the predictor and the BTB sit on copy-on-write storage (see
+/// [`CowTable`](crate::CowTable)).  A value derived from these fields
+/// (like [`Cpu`]'s `next_fault_cycle`, or the issue-queue and load counts
+/// in [`RobSets`]) belongs outside, or the retire probe would compare it as
+/// state.
 #[derive(Debug, Clone, PartialEq)]
 struct CoreState {
     cycle: u64,
@@ -218,7 +218,6 @@ struct CoreState {
     fetch_pc: Rip,
     fetch_halted: bool,
     fetch_invalid: bool,
-    iq_count: usize,
     pending_store_slot: Option<usize>,
     finished: Option<ExitReason>,
     // Faults pending application, sorted by cycle.
@@ -228,7 +227,6 @@ struct CoreState {
     fetch_buffer: VecDeque<FetchedUop>,
     rob: VecDeque<RobEntry>,
     free_list: FreeList,
-    lq: LoadQueue,
     sq: StoreQueue,
     prf: PhysRegFile,
     bp: BranchPredictor,
@@ -251,20 +249,26 @@ impl CoreState {
 
 /// The ROB entries that issue and writeback visit, as two bitsets over ring
 /// positions: the issue-queue members (`in_iq`), and the issued entries
-/// that have not completed (`complete_at` set, `completed` clear).
+/// that have not completed (`complete_at` set, `completed` clear); and the
+/// counts dispatch stalls on: the issue-queue members, and the loads in
+/// the ROB (the load queue holds no data, so its occupancy is all the core
+/// models of it).
 ///
 /// Entry `i` of the ROB sits at ring position `(head + i) & mask`, where
 /// the ring has a power-of-two number of positions, at least `rob_entries`
 /// and at least one word.  Commit advances `head`, so an entry keeps its
-/// position for its whole life in the ROB.  The sets are derived from the
-/// ROB's flags, like `next_fault_cycle`: they live beside `CoreState`, so
-/// snapshots, `.golden` bytes and [`Cpu::matches_state`] never see them.
+/// position for its whole life in the ROB.  The sets and counts are
+/// derived from the ROB, like `next_fault_cycle`: they live beside
+/// `CoreState`, so snapshots, `.golden` bytes and [`Cpu::matches_state`]
+/// never see them.
 #[derive(Debug, PartialEq, Eq)]
 struct RobSets {
     head: usize,
     mask: usize,
     iq: Vec<u64>,
     in_flight: Vec<u64>,
+    iq_len: usize,
+    loads: usize,
 }
 
 impl RobSets {
@@ -275,21 +279,27 @@ impl RobSets {
             mask: positions - 1,
             iq: vec![0; positions / 64],
             in_flight: vec![0; positions / 64],
+            iq_len: 0,
+            loads: 0,
         }
     }
 
-    /// The sets of `rob`, with its head at position 0.
+    /// The sets and counts of `rob`, with its head at position 0.
     fn rebuild(&mut self, rob: &VecDeque<RobEntry>) {
         self.head = 0;
         self.iq.fill(0);
         self.in_flight.fill(0);
+        self.iq_len = 0;
+        self.loads = 0;
         for (i, e) in rob.iter().enumerate() {
             if e.in_iq {
                 set_bit(&mut self.iq, i);
+                self.iq_len += 1;
             }
             if e.complete_at.is_some() && !e.completed {
                 set_bit(&mut self.in_flight, i);
             }
+            self.loads += usize::from(e.uop.kind.is_load());
         }
     }
 
@@ -299,16 +309,20 @@ impl RobSets {
         self.mask = src.mask;
         self.iq.clone_from(&src.iq);
         self.in_flight.clone_from(&src.in_flight);
+        self.iq_len = src.iq_len;
+        self.loads = src.loads;
     }
 
     fn pos(&self, idx: usize) -> usize {
         (self.head + idx) & self.mask
     }
 
-    /// Entry `idx` was dispatched into the issue queue.
-    fn dispatched(&mut self, idx: usize) {
+    /// Entry `idx`, a load if `load`, was dispatched into the issue queue.
+    fn dispatched(&mut self, idx: usize, load: bool) {
         let pos = self.pos(idx);
         set_bit(&mut self.iq, pos);
+        self.iq_len += 1;
+        self.loads += usize::from(load);
     }
 
     /// Entry `idx` issued: it leaves the issue queue and is in flight.
@@ -316,6 +330,7 @@ impl RobSets {
         let pos = self.pos(idx);
         clear_bit(&mut self.iq, pos);
         set_bit(&mut self.in_flight, pos);
+        self.iq_len -= 1;
     }
 
     /// Entry `idx` completed at writeback.
@@ -324,18 +339,22 @@ impl RobSets {
         clear_bit(&mut self.in_flight, pos);
     }
 
-    /// Entry `idx` was squashed.
-    fn squashed(&mut self, idx: usize) {
+    /// Entry `idx`, a load if `load`, was squashed.
+    fn squashed(&mut self, idx: usize, load: bool) {
         let pos = self.pos(idx);
+        self.iq_len -= usize::from(has_bit(&self.iq, pos));
+        self.loads -= usize::from(load);
         clear_bit(&mut self.iq, pos);
         clear_bit(&mut self.in_flight, pos);
     }
 
-    /// The head committed.  Only a completed entry commits, and it left
-    /// both sets on its way there, so commit only advances the ring.
-    fn committed(&mut self) {
+    /// The head, a load if `load`, committed.  Only a completed entry
+    /// commits, and it left both sets on its way there, so commit only
+    /// advances the ring and counts the load.
+    fn committed(&mut self, load: bool) {
         debug_assert!(!has_bit(&self.iq, self.head) && !has_bit(&self.in_flight, self.head));
         self.head = (self.head + 1) & self.mask;
+        self.loads -= usize::from(load);
     }
 
     /// The next member of `set` (`iq` or `in_flight`) on `walk`, which
@@ -475,7 +494,6 @@ impl Cpu {
             fetch_pc: program.entry,
             fetch_halted: false,
             fetch_invalid: false,
-            iq_count: 0,
             pending_store_slot: None,
             finished: None,
             faults: Vec::new(),
@@ -484,7 +502,6 @@ impl Cpu {
             fetch_buffer: VecDeque::new(),
             rob: VecDeque::with_capacity(cfg.rob_entries),
             free_list: FreeList::new(NUM_ARCH_REGS, cfg.phys_int_regs),
-            lq: LoadQueue::new(cfg.lq_entries),
             sq: StoreQueue::new(cfg.sq_entries),
             prf: PhysRegFile::new(cfg.phys_int_regs),
             bp: BranchPredictor::new(cfg.predictor_entries),
@@ -684,9 +701,9 @@ impl Cpu {
             };
             let uop = front.uop;
             if self.s.rob.len() >= self.cfg.rob_entries
-                || self.s.iq_count >= self.cfg.iq_entries
+                || self.sets.iq_len >= self.cfg.iq_entries
                 || (uop.dst.is_some() && self.s.free_list.available() == 0)
-                || (uop.kind.is_load() && self.s.lq.is_full())
+                || (uop.kind.is_load() && self.sets.loads >= self.cfg.lq_entries)
                 || (uop.kind == UopKind::StoreAddr && self.s.sq.is_full())
             {
                 break;
@@ -709,12 +726,10 @@ impl Cpu {
             } else {
                 (None, None)
             };
-            let mut lq_slot = None;
             let mut sq_slot = None;
             match fetched.uop.kind {
-                UopKind::Load => lq_slot = Some(self.s.lq.allocate(seq)),
                 UopKind::StoreAddr => {
-                    let slot = self.s.sq.allocate(seq, fetched.uop.rip);
+                    let slot = self.s.sq.allocate(seq);
                     self.s.sq.slot_mut(slot).size = fetched.uop.mem_size.expect("store has a size");
                     sq_slot = Some(slot);
                     self.s.pending_store_slot = Some(slot);
@@ -725,7 +740,7 @@ impl Cpu {
                 }
                 _ => {}
             }
-            self.sets.dispatched(self.s.rob.len());
+            self.sets.dispatched(self.s.rob.len(), uop.kind.is_load());
             self.s.rob.push_back(RobEntry {
                 seq,
                 uop: fetched.uop,
@@ -739,10 +754,8 @@ impl Cpu {
                 actual_next: None,
                 result: None,
                 exception: None,
-                lq_slot,
                 sq_slot,
             });
-            self.s.iq_count += 1;
             n += 1;
         }
     }
@@ -792,7 +805,6 @@ impl Cpu {
                 }
                 e.in_iq = false;
                 self.sets.issued(idx);
-                self.s.iq_count -= 1;
                 issued += 1;
                 match kind {
                     UopKind::Alu(op) if op.is_complex() => complex_used += 1,
@@ -872,22 +884,14 @@ impl Cpu {
                     entry.complete_at = Some(cycle + self.cfg.l1d.hit_latency);
                     return true;
                 }
-                match self.mem.load(addr, size) {
-                    Ok((raw, eff)) => {
+                match self.mem.load(addr, size, cycle, seq, probe) {
+                    Ok((raw, latency)) => {
                         let raw = raw & size.mask();
                         let value = if uop.mem_signed {
                             size.sign_extend(raw)
                         } else {
                             raw
                         };
-                        // Physical side effects (writebacks, evictions,
-                        // refill writes, then the word reads themselves)
-                        // are reported in the order they happen.
-                        report_cache_effects(&eff, cycle, probe);
-                        for w in &eff.word_reads {
-                            probe.physical_read(Structure::L1DCache, *w, cycle, seq);
-                        }
-                        let latency = eff.latency;
                         let entry = &mut self.s.rob[idx];
                         entry.result = Some(value);
                         entry.exception = misaligned.then_some(Exception::Misaligned);
@@ -928,7 +932,6 @@ impl Cpu {
                     let s = self.s.sq.slot_mut(slot);
                     s.data = vals[0];
                     s.data_ready = true;
-                    s.upc_std = uop.upc;
                 }
                 // Depositing the data is a physical write of the SQ entry.
                 probe.write(Structure::StoreQueue, slot, cycle);
@@ -1024,7 +1027,7 @@ impl Cpu {
                 break;
             }
             let e = self.s.rob.pop_back().expect("checked back");
-            self.sets.squashed(self.s.rob.len());
+            self.sets.squashed(self.s.rob.len(), e.uop.kind.is_load());
             if let (Some(d), Some(prev)) = (e.uop.dst, e.prev_phys) {
                 self.s.rat.restore(d, prev);
             }
@@ -1032,12 +1035,6 @@ impl Cpu {
                 self.s.free_list.release(p);
                 self.s.prf.mark_ready(p);
                 probe.invalidate(Structure::RegisterFile, p as usize, cycle);
-            }
-            if e.in_iq {
-                self.s.iq_count -= 1;
-            }
-            if let Some(l) = e.lq_slot {
-                self.s.lq.release(l);
             }
             if e.uop.kind == UopKind::StoreAddr {
                 if let Some(s) = e.sq_slot {
@@ -1064,7 +1061,7 @@ impl Cpu {
                 break;
             }
             let e = self.s.rob.pop_front().expect("checked front");
-            self.sets.committed();
+            self.sets.committed(e.uop.kind.is_load());
             committed += 1;
             self.s.committed_uops += 1;
 
@@ -1102,11 +1099,6 @@ impl Cpu {
                 UopKind::Halt => {
                     self.s.finished = Some(ExitReason::Halted);
                 }
-                UopKind::Load => {
-                    if let Some(l) = e.lq_slot {
-                        self.s.lq.release(l);
-                    }
-                }
                 UopKind::StoreData => drained = self.drain_store(&e, probe),
                 UopKind::Branch(_) => self.s.bp.update(e.uop.rip, taken == Some(true)),
                 UopKind::JumpReg => {
@@ -1142,33 +1134,29 @@ impl Cpu {
         }
     }
 
-    /// Drains the committed store in ROB entry `e` to the cache hierarchy.
+    /// Drains the committed store whose store-data micro-op is ROB entry
+    /// `e` to the cache hierarchy.
     fn drain_store(&mut self, e: &RobEntry, probe: &mut dyn Probe) -> Result<(), ()> {
         let cycle = self.s.cycle;
         let slot = e.sq_slot.expect("committed store has a slot");
-        let (addr, size, data, rip, upc_std) = {
-            let s = self.s.sq.slot(slot);
-            (
-                s.addr.expect("committed store has an address"),
-                s.size,
-                s.data,
-                s.rip,
-                s.upc_std,
-            )
-        };
+        let s = self.s.sq.slot(slot);
+        let (addr, size, data) = (
+            s.addr.expect("committed store has an address"),
+            s.size,
+            s.data,
+        );
         // Draining reads the store-queue data field.
         probe.committed_read(
             Structure::StoreQueue,
             &ReadInfo {
                 entry: slot,
                 cycle,
-                rip,
-                upc: upc_std,
+                rip: e.uop.rip,
+                upc: e.uop.upc,
             },
         );
-        match self.mem.store(addr, data, size) {
-            Ok(eff) => {
-                report_cache_effects(&eff, cycle, probe);
+        match self.mem.store(addr, data, size, cycle, probe) {
+            Ok(_) => {
                 self.s.sq.release_head(slot);
                 probe.invalidate(Structure::StoreQueue, slot, cycle);
                 Ok(())
@@ -1312,30 +1300,6 @@ impl Cpu {
     }
 }
 
-/// Reports an L1D access's physical side effects in the order they happen:
-/// the victim's writeback reads, then its invalidations, then the refill
-/// and store writes.  A liveness log built from this stream sees a dirty
-/// victim's words read before the refill overwrites them.
-fn report_cache_effects(eff: &CacheEffects, cycle: u64, probe: &mut dyn Probe) {
-    for w in &eff.writeback_reads {
-        probe.committed_read(
-            Structure::L1DCache,
-            &ReadInfo {
-                entry: *w,
-                cycle,
-                rip: WRITEBACK_RIP,
-                upc: 0,
-            },
-        );
-    }
-    for w in &eff.word_invalidates {
-        probe.invalidate(Structure::L1DCache, *w, cycle);
-    }
-    for w in &eff.word_writes {
-        probe.write(Structure::L1DCache, *w, cycle);
-    }
-}
-
 /// A complete snapshot of the core's microarchitectural state, produced by
 /// [`Cpu::snapshot`] and consumed by [`Cpu::restore_from`]: a clone of the
 /// core's `CoreState` and a snapshot of its memory hierarchy.
@@ -1379,8 +1343,6 @@ impl CpuState {
             + c.fetch_buffer.len() * size_of::<FetchedUop>()
             + c.free_list.available() * size_of::<PhysReg>()
             + c.sq.capacity() * size_of::<SqSlot>()
-            + c.lq.capacity() * size_of::<Option<u64>>()
-            + c.lq.capacity().div_ceil(64) * size_of::<u64>()
     }
 
     /// Bytes the chunk-level memory delta occupies within
@@ -1572,7 +1534,6 @@ impl BinCode for RobEntry {
         self.actual_next.encode(out);
         self.result.encode(out);
         self.exception.encode(out);
-        self.lq_slot.encode(out);
         self.sq_slot.encode(out);
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
@@ -1589,7 +1550,6 @@ impl BinCode for RobEntry {
             actual_next: BinCode::decode(r)?,
             result: BinCode::decode(r)?,
             exception: BinCode::decode(r)?,
-            lq_slot: BinCode::decode(r)?,
             sq_slot: BinCode::decode(r)?,
         })
     }
@@ -1610,8 +1570,6 @@ impl BinCode for CpuState {
         c.free_list.encode(out);
         c.prf.encode(out);
         c.rob.encode(out);
-        c.iq_count.encode(out);
-        c.lq.encode(out);
         c.sq.encode(out);
         c.pending_store_slot.encode(out);
         self.mem.encode(out);
@@ -1640,8 +1598,6 @@ impl BinCode for CpuState {
             free_list: BinCode::decode(r)?,
             prf: BinCode::decode(r)?,
             rob: BinCode::decode(r)?,
-            iq_count: BinCode::decode(r)?,
-            lq: BinCode::decode(r)?,
             sq: BinCode::decode(r)?,
             pending_store_slot: BinCode::decode(r)?,
             bp: {
@@ -1689,21 +1645,27 @@ mod tests {
         let mut sq = cfg.clone();
         sq.sq_entries += 8;
         assert_eq!(footprint(sq) - base, 8 * size_of::<SqSlot>());
+        // The load queue is a count the ROB's loads are held to, not state.
         let mut lq = cfg.clone();
         lq.lq_entries += 64;
-        assert_eq!(
-            footprint(lq) - base,
-            64 * size_of::<Option<u64>>() + size_of::<u64>()
-        );
+        assert_eq!(footprint(lq), base);
         let regs = cfg.clone().with_phys_regs(cfg.phys_int_regs + 8);
         assert_eq!(footprint(regs) - base, 8 * (9 + size_of::<PhysReg>()));
     }
 
     /// Asserts that `cpu`'s derived sets hold exactly the ROB entries its
     /// flags name: the issue-queue members and the issued entries that have
-    /// not completed, and no position past the ROB's tail.
+    /// not completed, and no position past the ROB's tail; and that its
+    /// derived counts are the ROB's issue-queue members and loads.
     fn assert_rob_sets_exact(cpu: &Cpu) {
         let sets = &cpu.sets;
+        let rob = &cpu.s.rob;
+        let at = cpu.cycle();
+        let in_iq = rob.iter().filter(|e| e.in_iq).count();
+        assert_eq!(sets.iq_len, in_iq, "issue-queue count at cycle {at}");
+        let loads = rob.iter().filter(|e| e.uop.kind.is_load()).count();
+        assert_eq!(sets.loads, loads, "load count at cycle {at}");
+        assert!(loads <= cpu.cfg.lq_entries && in_iq <= cpu.cfg.iq_entries);
         for idx in 0..=sets.mask {
             let e = cpu.s.rob.get(idx);
             let pos = sets.pos(idx);
@@ -1722,28 +1684,40 @@ mod tests {
         }
     }
 
-    /// Steps `cpu` to `cycle` or its end, checking the derived sets every
-    /// cycle; returns how many cycles squashed ROB entries.
-    fn step_checking_sets(cpu: &mut Cpu, cycle: u64) -> usize {
-        let mut squashes = 0;
+    /// What [`step_checking_sets`] saw: cycles that squashed ROB entries,
+    /// and cycles that ended with the ROB holding `lq_entries` loads.
+    #[derive(Default)]
+    struct Seen {
+        squashes: usize,
+        lq_full: usize,
+    }
+
+    /// Steps `cpu` to `cycle` or its end, checking the derived sets and
+    /// counts every cycle.
+    fn step_checking_sets(cpu: &mut Cpu, cycle: u64, seen: &mut Seen) {
         assert_rob_sets_exact(cpu);
         while !cpu.is_finished() && cpu.cycle() < cycle {
             let youngest = cpu.s.rob.back().map(|e| e.seq);
             cpu.step(&mut crate::NullProbe);
             // Only a squash removes the youngest entry while others stay.
             if matches!((youngest, cpu.s.rob.back()), (Some(y), Some(e)) if e.seq < y) {
-                squashes += 1;
+                seen.squashes += 1;
             }
+            seen.lq_full += usize::from(cpu.sets.loads == cpu.cfg.lq_entries);
             assert_rob_sets_exact(cpu);
         }
-        squashes
     }
 
     #[test]
     fn rob_sets_match_the_rob_flags_every_cycle() {
+        let mut lq_full = 0;
         for rob_entries in [4, 100, 200] {
+            // Few enough load-queue entries at 200 that dispatch stalls on
+            // them.
+            let lq_entries = if rob_entries == 200 { 6 } else { 64 };
             let cfg = CpuConfig {
                 rob_entries,
+                lq_entries,
                 ..CpuConfig::default()
             };
             // Every workload at the default size, every fourth at the others.
@@ -1765,26 +1739,35 @@ mod tests {
                     };
                     cpu.inject_fault(fault).unwrap();
                 }
-                let mut squashes = step_checking_sets(&mut cpu, 1_000);
+                let mut seen = Seen::default();
+                step_checking_sets(&mut cpu, 1_000, &mut seen);
                 let mid = cpu.snapshot();
-                squashes += step_checking_sets(&mut cpu, 2_500);
+                step_checking_sets(&mut cpu, 2_500, &mut seen);
 
                 // A fork, and a restore of the snapshot, into cores whose
                 // ring heads have moved.
                 let mut fork = fresh();
-                step_checking_sets(&mut fork, 777);
+                step_checking_sets(&mut fork, 777, &mut Seen::default());
                 fork.fork_from(&mut cpu);
                 assert_eq!(fork.sets, cpu.sets);
                 let mut restored = fresh();
-                step_checking_sets(&mut restored, 555);
+                step_checking_sets(&mut restored, 555, &mut Seen::default());
                 restored.restore_from(&mid);
-                squashes += step_checking_sets(&mut restored, 100_000);
-                squashes += step_checking_sets(&mut fork, 100_000);
+                step_checking_sets(&mut restored, 100_000, &mut seen);
+                step_checking_sets(&mut fork, 100_000, &mut seen);
                 let end = |cpu: &mut Cpu| cpu.run(0, &mut crate::NullProbe);
                 assert_eq!(end(&mut restored), end(&mut fork), "{}", w.name);
-                assert!(squashes > 0, "{} with {rob_entries} ROB entries", w.name);
+                assert!(
+                    seen.squashes > 0,
+                    "{} with {rob_entries} ROB entries",
+                    w.name
+                );
+                lq_full += seen.lq_full;
             }
         }
+        // Dispatch held the loads in the ROB to the load queue's size (see
+        // `assert_rob_sets_exact`), and the limit was reached.
+        assert!(lq_full > 0);
     }
 
     /// Steps `cpu` to `cycle` or its end, checking both caches' valid-line

@@ -2,7 +2,7 @@
 //!
 //! A cycle-level out-of-order core with true data storage in its
 //! microarchitectural structures, built as the Gem5 substitute for the MeRLiN
-//! reproduction (see DESIGN.md at the workspace root).
+//! reproduction (see the workspace README).
 //!
 //! The model provides everything the paper's methodology depends on:
 //!
@@ -65,17 +65,19 @@ mod probe;
 mod regfile;
 mod snapshot;
 
-pub use cache::{Cache, CacheEffects, CacheSnapshot, MemSystem, MemSystemSnapshot};
+pub use cache::{Cache, CacheSnapshot, MemSystem, MemSystemSnapshot};
 pub use config::{CacheConfig, ConfigError, CpuConfig};
 pub use core::{AssertKind, Cpu, CpuState, CrashKind, ExitReason, InjectError, RunResult};
 pub use cow::CowTable;
 // The pre-decoded micro-op arena `Cpu::with_predecoded` shares across cores.
 pub use fault::{FaultSpec, FaultSpecError};
 pub use interp::{interpret, InterpExit, InterpResult};
-pub use lsq::{LoadQueue, SqSlot, StoreQueue};
+pub use lsq::{SqSlot, StoreQueue};
 pub use memory::{MemError, Memory, MemoryDelta, CHUNK_BYTES};
 pub use merlin_isa::DecodedProgram;
 pub use predictor::{BranchPredictor, Btb};
-pub use probe::{NullProbe, Probe, ReadInfo, RecordingProbe, Retired, Structure, WRITEBACK_RIP};
+pub use probe::{
+    Event, NullProbe, Probe, ReadInfo, RecordingProbe, Retired, Structure, WRITEBACK_RIP,
+};
 pub use regfile::{FreeList, PhysReg, PhysRegFile, RenameTable};
 pub use snapshot::{CheckpointPolicy, CheckpointStore};

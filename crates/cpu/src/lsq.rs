@@ -1,4 +1,6 @@
-//! Load queue and store queue.
+//! The store queue.  The load queue has no data field (neither gem5's nor
+//! the paper's), so the core models it only as a dispatch limit on the
+//! loads in the ROB.
 //!
 //! The store queue's *data field* is one of the paper's fault-injection
 //! targets: store-data micro-ops physically deposit the value to be stored
@@ -6,9 +8,8 @@
 //! when the store drains to the cache at commit.  Slots are allocated
 //! circularly so a fault specification's entry index denotes a physical slot.
 
-use crate::bits::{clear_bit, set_bit};
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
-use merlin_isa::{MemSize, Rip, Upc};
+use merlin_isa::MemSize;
 
 /// One store-queue slot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,11 +26,6 @@ pub struct SqSlot {
     pub data: u64,
     /// Whether the STD micro-op has deposited the data.
     pub data_ready: bool,
-    /// RIP of the owning store.
-    pub rip: Rip,
-    /// uPC of the store-data micro-op (the reader attributed when the store
-    /// drains or forwards).
-    pub upc_std: Upc,
 }
 
 impl SqSlot {
@@ -41,8 +37,6 @@ impl SqSlot {
             size: MemSize::B8,
             data: 0,
             data_ready: false,
-            rip: 0,
-            upc_std: 0,
         }
     }
 }
@@ -55,8 +49,6 @@ impl BinCode for SqSlot {
         self.size.encode(out);
         self.data.encode(out);
         self.data_ready.encode(out);
-        self.rip.encode(out);
-        self.upc_std.encode(out);
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
         Ok(SqSlot {
@@ -66,8 +58,6 @@ impl BinCode for SqSlot {
             size: BinCode::decode(r)?,
             data: BinCode::decode(r)?,
             data_ready: BinCode::decode(r)?,
-            rip: BinCode::decode(r)?,
-            upc_std: BinCode::decode(r)?,
         })
     }
 }
@@ -118,7 +108,7 @@ impl StoreQueue {
     /// # Panics
     ///
     /// Panics if the queue is full (the dispatcher must check first).
-    pub fn allocate(&mut self, seq: u64, rip: Rip) -> usize {
+    pub fn allocate(&mut self, seq: u64) -> usize {
         assert!(!self.is_full(), "store queue overflow");
         let slot = self.tail;
         self.slots[slot] = SqSlot {
@@ -128,8 +118,6 @@ impl StoreQueue {
             size: MemSize::B8,
             data: 0,
             data_ready: false,
-            rip,
-            upc_std: 1,
         };
         self.tail = (self.tail + 1) % self.capacity();
         self.count += 1;
@@ -271,103 +259,6 @@ impl BinCode for StoreQueue {
     }
 }
 
-/// Load queue: only tracks occupancy (Gem5 models no data field in the load
-/// queue, and neither does the paper).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LoadQueue {
-    seqs: Vec<Option<u64>>,
-    /// Occupancy bitset of `seqs`: bit `i` is set iff slot `i` holds a
-    /// load.  Bits past the last slot stay clear.
-    occupied: Vec<u64>,
-    count: usize,
-}
-
-impl LoadQueue {
-    /// Creates a load queue with `n` slots.
-    pub fn new(n: usize) -> Self {
-        LoadQueue {
-            seqs: vec![None; n],
-            occupied: vec![0; n.div_ceil(64)],
-            count: 0,
-        }
-    }
-
-    /// Number of slots.
-    pub fn capacity(&self) -> usize {
-        self.seqs.len()
-    }
-
-    /// Occupied slots.
-    pub fn len(&self) -> usize {
-        self.count
-    }
-
-    /// `true` when no loads are in flight.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// `true` when no more loads can be dispatched.
-    pub fn is_full(&self) -> bool {
-        self.count == self.seqs.len()
-    }
-
-    /// Allocates the lowest free slot for the load with sequence number
-    /// `seq`.  A free slot exists below every padding bit, so the lowest
-    /// clear bit is never past the last slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the queue is full.
-    pub fn allocate(&mut self, seq: u64) -> usize {
-        assert!(!self.is_full(), "load queue overflow");
-        let (w, word) = self
-            .occupied
-            .iter()
-            .enumerate()
-            .find(|(_, &word)| word != u64::MAX)
-            .expect("free load-queue slot");
-        let slot = w * 64 + word.trailing_ones() as usize;
-        set_bit(&mut self.occupied, slot);
-        self.seqs[slot] = Some(seq);
-        self.count += 1;
-        slot
-    }
-
-    /// Releases `slot` (commit or squash); a free slot is left as it is.
-    pub fn release(&mut self, slot: usize) {
-        if self.seqs[slot].take().is_some() {
-            clear_bit(&mut self.occupied, slot);
-            self.count -= 1;
-        }
-    }
-}
-
-/// Encoded as the slots' sequence numbers (`len + Option<u64>s`) and the
-/// count; the occupancy bitset is rebuilt on decode.
-impl BinCode for LoadQueue {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.seqs.encode(out);
-        self.count.encode(out);
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        let seqs = Vec::<Option<u64>>::decode(r)?;
-        let count = usize::decode(r)?;
-        if count != seqs.iter().filter(|s| s.is_some()).count() {
-            return Err(DecodeError::Invalid("load queue count"));
-        }
-        let mut occupied = vec![0; seqs.len().div_ceil(64)];
-        for (i, _) in seqs.iter().enumerate().filter(|(_, s)| s.is_some()) {
-            set_bit(&mut occupied, i);
-        }
-        Ok(LoadQueue {
-            seqs,
-            occupied,
-            count,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,52 +266,52 @@ mod tests {
     #[test]
     fn circular_allocation_and_ordered_release() {
         let mut sq = StoreQueue::new(4);
-        let a = sq.allocate(10, 1);
-        let b = sq.allocate(11, 2);
-        let c = sq.allocate(12, 3);
+        let a = sq.allocate(10);
+        let b = sq.allocate(11);
+        let c = sq.allocate(12);
         assert_eq!((a, b, c), (0, 1, 2));
         assert_eq!(sq.len(), 3);
         sq.release_head(a);
         sq.release_head(b);
-        let d = sq.allocate(13, 4);
-        let e = sq.allocate(14, 5);
+        let d = sq.allocate(13);
+        let e = sq.allocate(14);
         assert_eq!(d, 3);
         assert_eq!(e, 0, "allocation wraps around");
         assert!(!sq.is_full());
-        sq.allocate(15, 6);
+        sq.allocate(15);
         assert!(sq.is_full());
     }
 
     #[test]
     fn squash_releases_youngest_first() {
         let mut sq = StoreQueue::new(4);
-        let a = sq.allocate(1, 0);
-        let b = sq.allocate(2, 0);
+        let a = sq.allocate(1);
+        let b = sq.allocate(2);
         sq.release_tail(b);
         sq.release_tail(a);
         assert!(sq.is_empty());
         // Queue is usable again.
-        assert_eq!(sq.allocate(3, 0), 0);
+        assert_eq!(sq.allocate(3), 0);
     }
 
     #[test]
     #[should_panic]
     fn out_of_order_head_release_panics() {
         let mut sq = StoreQueue::new(4);
-        let _a = sq.allocate(1, 0);
-        let b = sq.allocate(2, 0);
+        let _a = sq.allocate(1);
+        let b = sq.allocate(2);
         sq.release_head(b);
     }
 
     #[test]
     fn forwarding_picks_youngest_covering_store() {
         let mut sq = StoreQueue::new(8);
-        let s0 = sq.allocate(10, 0);
+        let s0 = sq.allocate(10);
         sq.slot_mut(s0).addr = Some(0x1000);
         sq.slot_mut(s0).size = MemSize::B8;
         sq.slot_mut(s0).data = 0xAAAA;
         sq.slot_mut(s0).data_ready = true;
-        let s1 = sq.allocate(20, 0);
+        let s1 = sq.allocate(20);
         sq.slot_mut(s1).addr = Some(0x1000);
         sq.slot_mut(s1).size = MemSize::B8;
         sq.slot_mut(s1).data = 0xBBBB;
@@ -442,19 +333,19 @@ mod tests {
     #[test]
     fn older_address_disambiguation() {
         let mut sq = StoreQueue::new(4);
-        let s0 = sq.allocate(5, 0);
+        let s0 = sq.allocate(5);
         assert!(!sq.older_addresses_known(10));
         sq.slot_mut(s0).addr = Some(0x1000);
         assert!(sq.older_addresses_known(10));
         // Stores younger than the load do not matter.
-        let _s1 = sq.allocate(20, 0);
+        let _s1 = sq.allocate(20);
         assert!(sq.older_addresses_known(10));
     }
 
     #[test]
     fn flip_bit_touches_only_data_field() {
         let mut sq = StoreQueue::new(2);
-        let s = sq.allocate(1, 0);
+        let s = sq.allocate(1);
         sq.slot_mut(s).data = 0;
         sq.flip_bit(s, 7);
         assert_eq!(sq.slot(s).data, 1 << 7);
@@ -482,12 +373,12 @@ mod tests {
         // A wrapped queue: slots 2, 3 and 0 from head 2.
         let mut sq = StoreQueue::new(4);
         for seq in [1, 2, 3] {
-            sq.allocate(seq, 0);
+            sq.allocate(seq);
         }
         sq.release_head(0);
         sq.release_head(1);
-        sq.allocate(5, 0);
-        sq.allocate(8, 0);
+        sq.allocate(5);
+        sq.allocate(8);
         assert_eq!(decode(encode_to_vec(&sq)).unwrap(), sq);
         let ring = decode(encode(&[(2, 3, true), (3, 5, true), (0, 8, true)], 2, 1, 3)).unwrap();
         assert_eq!(ring.len(), 3);
@@ -517,58 +408,5 @@ mod tests {
                 "{what} must be rejected"
             );
         }
-    }
-
-    #[test]
-    fn load_queue_allocates_the_lowest_free_slot_like_a_whole_table_scan() {
-        use merlin_isa::binio::{decode_from_slice, encode_to_vec};
-        let mut rng = 0x2545_f491_4f6c_dd1du64;
-        let mut next = move |n: u64| {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng % n
-        };
-        for n in [1, 2, 5, 32, 63, 64, 65, 100, 130] {
-            let mut lq = LoadQueue::new(n);
-            // The oracle: the slot table, scanned whole for a free slot.
-            let mut oracle: Vec<Option<u64>> = vec![None; n];
-            for seq in 0..4000u64 {
-                // Allocate three times in four while the queue is less than
-                // three-quarters full and once in four after, so queues
-                // both fill up and drain.
-                let odds = if lq.len() * 4 < n * 3 { 3 } else { 1 };
-                if next(4) < odds && !lq.is_full() {
-                    let want = oracle.iter().position(|s| s.is_none()).unwrap();
-                    assert_eq!(lq.allocate(seq), want, "{n} slots, seq {seq}");
-                    oracle[want] = Some(seq);
-                } else {
-                    let slot = next(n as u64) as usize;
-                    lq.release(slot);
-                    oracle[slot] = None;
-                }
-                assert_eq!(lq.seqs, oracle, "{n} slots, seq {seq}");
-                assert_eq!(lq.len(), oracle.iter().flatten().count());
-                // Decode rebuilds the occupancy bitset from the slots, so
-                // a round trip checks the one kept up to date.
-                assert_eq!(
-                    decode_from_slice::<LoadQueue>(&encode_to_vec(&lq)).unwrap(),
-                    lq
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn load_queue_capacity() {
-        let mut lq = LoadQueue::new(2);
-        assert!(lq.is_empty());
-        let a = lq.allocate(1);
-        let b = lq.allocate(2);
-        assert!(lq.is_full());
-        lq.release(a);
-        assert_eq!(lq.len(), 1);
-        lq.release(b);
-        assert!(lq.is_empty());
     }
 }

@@ -24,10 +24,11 @@
 //!   evicted).
 //!
 //! The physical reads of L1D words, the writeback reads, the writes and the
-//! invalidations are every physical event on an L1D word, and the core
-//! reports each access's events in the order they happen: the victim's
-//! writeback reads, the victim's invalidations, the refill and store
-//! writes, then the load's word reads.
+//! invalidations are every physical event on an L1D word.
+//! [`MemSystem`](crate::MemSystem) reports them as each access makes them:
+//! the victim's writeback reads, the victim's invalidations, the refill and
+//! store writes, then the load's word reads, and for an access that crosses
+//! a line, all of its low line's events before its high line's.
 
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
 use merlin_isa::{Rip, Upc};
@@ -181,9 +182,27 @@ pub struct Retired {
     pub taken: Option<bool>,
 }
 
-/// A probe that records every event verbatim; convenient in tests.
+/// One event a [`RecordingProbe`] recorded, with the arguments it came with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Event {
+    /// [`Probe::write`]: `(structure, entry, cycle)`.
+    Write(Structure, usize, u64),
+    /// [`Probe::committed_read`].
+    CommittedRead(Structure, ReadInfo),
+    /// [`Probe::invalidate`]: `(structure, entry, cycle)`.
+    Invalidate(Structure, usize, u64),
+    /// [`Probe::physical_read`]: `(structure, entry, cycle, seq)`.
+    PhysicalRead(Structure, usize, u64, u64),
+    /// [`Probe::retired`].
+    Retired(Retired),
+}
+
+/// A probe that records every event verbatim, by kind and in one ordered
+/// stream; convenient in tests.
 #[derive(Debug, Default, Clone)]
 pub struct RecordingProbe {
+    /// Every event, in the order it was reported.
+    pub events: Vec<Event>,
     /// All write events as (structure, entry, cycle).
     pub writes: Vec<(Structure, usize, u64)>,
     /// All committed-read events (drains and writebacks).
@@ -227,28 +246,35 @@ impl RecordingProbe {
 impl Probe for RecordingProbe {
     fn write(&mut self, structure: Structure, entry: usize, cycle: u64) {
         self.writes.push((structure, entry, cycle));
+        self.events.push(Event::Write(structure, entry, cycle));
     }
 
     fn committed_read(&mut self, structure: Structure, info: &ReadInfo) {
         self.reads.push((structure, *info));
+        self.events.push(Event::CommittedRead(structure, *info));
     }
 
     fn invalidate(&mut self, structure: Structure, entry: usize, cycle: u64) {
         self.invalidates.push((structure, entry, cycle));
+        self.events.push(Event::Invalidate(structure, entry, cycle));
     }
 
     fn physical_read(&mut self, structure: Structure, entry: usize, cycle: u64, seq: u64) {
         self.physical_reads.push((structure, entry, cycle, seq));
+        self.events
+            .push(Event::PhysicalRead(structure, entry, cycle, seq));
     }
 
     fn retired(&mut self, seq: u64, rip: Rip, upc: Upc, last_in_inst: bool, taken: Option<bool>) {
-        self.retired.push(Retired {
+        let retired = Retired {
             seq,
             rip,
             upc,
             last_in_inst,
             taken,
-        });
+        };
+        self.retired.push(retired);
+        self.events.push(Event::Retired(retired));
     }
 }
 
@@ -290,6 +316,13 @@ mod tests {
         assert_eq!(p.reads.len(), 1);
         assert_eq!(p.physical_reads.len(), 3);
         assert_eq!(p.retired[0].seq, 5);
+        assert_eq!(p.events.len(), 7);
+        assert_eq!(p.events[0], Event::Write(Structure::RegisterFile, 3, 10));
+        assert_eq!(
+            p.events[2],
+            Event::PhysicalRead(Structure::L1DCache, 7, 12, 5)
+        );
+        assert_eq!(p.events[6], Event::Retired(p.retired[0]));
         // Micro-op 6 never retired: its read is not a committed one.
         let read = |entry, cycle, rip, upc| ReadInfo {
             entry,

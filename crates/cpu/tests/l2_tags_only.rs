@@ -7,11 +7,15 @@
 //! dirty bits — dirty L1D victims land in the L2, refills read the L2 on a
 //! hit, dirty L2 victims go to memory — and drives both with the same
 //! random loads and stores over caches small enough that both kinds of
-//! eviction happen.  Every access must return the same value, latency and
-//! L1D side effects, and at the end the L1Ds must hold the same lines and
-//! every mapped byte must read the same through `peek`.
+//! eviction happen.  Every access must return the same value and latency
+//! and report the same L1D events in the same order, each hierarchy's
+//! recorded by a [`RecordingProbe`], and at the end the L1Ds must hold the
+//! same lines and every mapped byte must read the same through `peek`.
 
-use merlin_cpu::{CacheConfig, CacheEffects, MemError, MemSystem, Memory};
+use merlin_cpu::{
+    CacheConfig, Event, MemError, MemSystem, Memory, Probe, ReadInfo, RecordingProbe, Structure,
+    WRITEBACK_RIP,
+};
 use merlin_isa::{MemSize, DATA_BASE};
 use proptest::prelude::*;
 
@@ -138,29 +142,35 @@ struct RefSystem {
     mem_latency: u64,
 }
 
+/// The cycle and the reading micro-op every access is made with.
+const CYCLE: u64 = 9;
+const SEQ: u64 = 4;
+
 impl RefSystem {
+    /// `(value, latency)` of a load, or of a store of `write`, reporting
+    /// the access's L1D events to `probe` as [`MemSystem`] does.
     fn access(
         &mut self,
         addr: u64,
         size: MemSize,
         write: Option<u64>,
-    ) -> Result<(u64, CacheEffects), MemError> {
+        probe: &mut dyn Probe,
+    ) -> Result<(u64, u64), MemError> {
         self.mem.check_range(addr, size.bytes(), write.is_some())?;
         let line_bytes = self.l1d.cfg.line_bytes;
         let len = size.bytes() as usize;
         let lo = len.min((line_bytes - addr % line_bytes) as usize);
-        let (lo_val, mut eff) = self.within_line(addr, lo, write.map(|v| v & low_mask(lo)))?;
+        let lo_write = write.map(|v| v & low_mask(lo));
+        let (lo_val, lo_lat) = self.within_line(addr, lo, lo_write, probe);
         if lo == len {
-            return Ok((lo_val, eff));
+            return Ok((lo_val, lo_lat));
         }
         let hi_write = write.map(|v| v >> (8 * lo));
-        let (hi_val, hi) = self.within_line(addr + lo as u64, len - lo, hi_write)?;
-        eff.word_reads.extend(hi.word_reads);
-        eff.word_writes.extend(hi.word_writes);
-        eff.word_invalidates.extend(hi.word_invalidates);
-        eff.writeback_reads.extend(hi.writeback_reads);
-        eff.latency = eff.latency.max(hi.latency);
-        Ok((lo_val | hi_val.wrapping_shl(8 * lo as u32), eff))
+        let (hi_val, hi_lat) = self.within_line(addr + lo as u64, len - lo, hi_write, probe);
+        Ok((
+            lo_val | hi_val.wrapping_shl(8 * lo as u32),
+            lo_lat.max(hi_lat),
+        ))
     }
 
     fn within_line(
@@ -168,18 +178,14 @@ impl RefSystem {
         addr: u64,
         len: usize,
         write: Option<u64>,
-    ) -> Result<(u64, CacheEffects), MemError> {
-        let mut eff = CacheEffects::default();
+        probe: &mut dyn Probe,
+    ) -> (u64, u64) {
         let hit = self.l1d.cfg.hit_latency;
-        let (set, way) = match self.l1d.lookup(addr) {
-            Some(sw) => {
-                eff.latency = hit;
-                sw
-            }
+        let ((set, way), latency) = match self.l1d.lookup(addr) {
+            Some(sw) => (sw, hit),
             None => {
-                let (sw, lat) = self.refill(addr, &mut eff);
-                eff.latency = hit + lat;
-                sw
+                let (sw, lat) = self.refill(addr, probe);
+                (sw, hit + lat)
             }
         };
         let offset = (addr % self.l1d.cfg.line_bytes) as usize;
@@ -194,7 +200,8 @@ impl RefSystem {
                 line.dirty = true;
                 for w in words {
                     if offset <= w * 8 && offset + len >= w * 8 + 8 {
-                        eff.word_writes.push(self.l1d.word_entry(set, way, w));
+                        let entry = self.l1d.word_entry(set, way, w);
+                        probe.write(Structure::L1DCache, entry, CYCLE);
                     }
                 }
                 v & low_mask(len)
@@ -203,15 +210,16 @@ impl RefSystem {
                 let line = self.l1d.line(set, way);
                 let v = (0..len).fold(0, |v, i| v | (line.data[offset + i] as u64) << (8 * i));
                 for w in words {
-                    eff.word_reads.push(self.l1d.word_entry(set, way, w));
+                    let entry = self.l1d.word_entry(set, way, w);
+                    probe.physical_read(Structure::L1DCache, entry, CYCLE, SEQ);
                 }
                 v
             }
         };
-        Ok((value, eff))
+        (value, latency)
     }
 
-    fn refill(&mut self, addr: u64, eff: &mut CacheEffects) -> ((usize, usize), u64) {
+    fn refill(&mut self, addr: u64, probe: &mut dyn Probe) -> ((usize, usize), u64) {
         let line_bytes = self.l1d.cfg.line_bytes;
         let line_addr = addr - addr % line_bytes;
         let (data, lat) = match self.l2.lookup(line_addr) {
@@ -229,20 +237,28 @@ impl RefSystem {
         };
         let (set, way, evicted) = self.l1d.install(line_addr, data, false);
         let wpl = self.l1d.cfg.words_per_line();
+        let entries = self.l1d.word_entry(set, way, 0)..self.l1d.word_entry(set, way, wpl);
         if let Some((dirty, victim_addr, old)) = evicted {
-            for w in 0..wpl {
-                let e = self.l1d.word_entry(set, way, w);
-                if dirty {
-                    eff.writeback_reads.push(e);
+            if dirty {
+                for entry in entries.clone() {
+                    let read = ReadInfo {
+                        entry,
+                        cycle: CYCLE,
+                        rip: WRITEBACK_RIP,
+                        upc: 0,
+                    };
+                    probe.committed_read(Structure::L1DCache, &read);
                 }
-                eff.word_invalidates.push(e);
+            }
+            for entry in entries.clone() {
+                probe.invalidate(Structure::L1DCache, entry, CYCLE);
             }
             if dirty {
                 self.l2_install(victim_addr, old, true);
             }
         }
-        for w in 0..wpl {
-            eff.word_writes.push(self.l1d.word_entry(set, way, w));
+        for entry in entries {
+            probe.write(Structure::L1DCache, entry, CYCLE);
         }
         ((set, way), lat)
     }
@@ -331,15 +347,19 @@ proptest! {
             // Keep the access inside the mapped region; unaligned ones may
             // cross a line.
             let addr = DATA_BASE + offset.min(MEM_BYTES - size.bytes());
+            let (mut got_events, mut want_events) = (RecordingProbe::default(), RecordingProbe::default());
             let got = match write {
-                Some(v) => ms.store(addr, v, size).map(|eff| (v & size.mask(), eff)),
-                None => ms.load(addr, size),
+                Some(v) => (ms.store(addr, v, size, CYCLE, &mut got_events))
+                    .map(|latency| (v & size.mask(), latency)),
+                None => ms.load(addr, size, CYCLE, SEQ, &mut got_events),
             };
-            let want = reference.access(addr, size, write.map(|v| v & size.mask()));
+            let write = write.map(|v| v & size.mask());
+            let want = reference.access(addr, size, write, &mut want_events);
             prop_assert_eq!(&got, &want, "access #{} at {:#x}", i, addr);
-            let eff = want.unwrap().1;
-            l1d_dirty_evictions += usize::from(!eff.writeback_reads.is_empty());
-            l2_misses += usize::from(eff.latency > L1D.hit_latency + L2.hit_latency);
+            prop_assert_eq!(&got_events.events, &want_events.events, "access #{} at {:#x}", i, addr);
+            let writeback = |e: &Event| matches!(e, Event::CommittedRead(..));
+            l1d_dirty_evictions += usize::from(want_events.events.iter().any(writeback));
+            l2_misses += usize::from(want.unwrap().1 > L1D.hit_latency + L2.hit_latency);
         }
         if accesses.len() >= 200 {
             // More L2 misses than the L2 has lines means L2 evictions.

@@ -112,7 +112,7 @@ proptest! {
             match *op {
                 Op::Allocate { gap } if !sq.is_full() => {
                     next_seq += gap;
-                    sq.allocate(next_seq, 0);
+                    sq.allocate(next_seq);
                 }
                 Op::SetAddress { k, addr, size } if !by_age.is_empty() => {
                     let slot = sq.slot_mut(by_age[k % by_age.len()]);

@@ -14,11 +14,12 @@
 //!   [`generate_fault_list`]),
 //! * the checkpoint-and-restore injection engine behind
 //!   [`Session::campaign`]: every golden run is snapshotted in one adaptive
-//!   pass, from the cycle-0 snapshot on, with the earliest,
-//!   suffix-heaviest ranges halved (see [`CheckpointPolicy`]), and every
-//!   faulty run starts from the nearest checkpoint and simulates only its
-//!   post-injection suffix, retiring Masked at the first checkpoint where
-//!   its state re-converges with the golden run's — every
+//!   pass on a plain doubling grid, the cycle-0 snapshot and the multiples
+//!   of one interval, which doubles whenever the store outgrows twice its
+//!   target (see [`CheckpointPolicy`]), and every faulty run starts from
+//!   the nearest checkpoint and simulates only its post-injection suffix,
+//!   retiring Masked at the first checkpoint where its state re-converges
+//!   with the golden run's — every
 //!   session shares one pre-decoded micro-op arena
 //!   (`merlin_isa::DecodedProgram`) across all of its cores, and restores
 //!   adopt the snapshot's copy-on-write pages (memory, caches, predictor)

@@ -122,9 +122,10 @@ impl SessionBuilder {
     /// first build, and loads it from there instead of simulating when a
     /// file with a matching fingerprint already exists.  Artifacts saved
     /// through [`Session::save_artifact`] go beside it, under the same name
-    /// with their own extension.  Normally set by
-    /// [`SessionCache::with_disk_dir`] rather than by hand.
-    pub fn persist_to(mut self, path: impl Into<PathBuf>) -> Self {
+    /// with their own extension.  Set by [`SessionCache::session`] for a
+    /// cache with a disk directory, so a persisting session always has the
+    /// cache's file name and shares its rejection counter.
+    pub(crate) fn persist_to(mut self, path: impl Into<PathBuf>) -> Self {
         self.persist_path = Some(path.into());
         self
     }
@@ -774,9 +775,11 @@ impl SessionCache {
 
 // --- Disk persistence ----------------------------------------------------
 
-/// Version 8: the payload is the run result, the timeout, the checkpoint
+/// Version 9: the payload is the run result, the timeout, the checkpoint
 /// store and the L1D liveness log; the checkpoint policy is covered by the
-/// fingerprint, not stored.  Version 8 drops from every snapshot what only
+/// fingerprint, not stored.  Version 9 drops from every snapshot the load
+/// queue, the issue-queue count, each ROB entry's load-queue slot and each
+/// store-queue slot's RIP and store-data uPC.  Version 8 dropped from every snapshot what only
 /// the ACE profiler reads: the per-RIP instance counts, the control-flow
 /// path and its signature, and each ROB entry's read log.  Version 7
 /// checksums the file one 8-byte word per step ([`fnv1a_words`]) instead
@@ -790,7 +793,7 @@ impl SessionCache {
 /// happening to fail.  Version 2 encoded checkpoint memory as chunk-level
 /// deltas, version 1 as dense images; older-version files are ordinary
 /// cache misses and are rebuilt, not quarantined.
-const GOLDEN_VERSION: u32 = 8;
+const GOLDEN_VERSION: u32 = 9;
 
 /// The `.golden` file: header `MRLNGLD\0`, the format version
 /// (`GOLDEN_VERSION`) and the fingerprint, checksummed word by word.

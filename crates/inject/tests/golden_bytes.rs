@@ -1,4 +1,4 @@
-//! Pins the `.golden` v8 wire format byte for byte.
+//! Pins the `.golden` v9 wire format byte for byte.
 //!
 //! Persists the golden runs (checkpoint store and L1D liveness log
 //! included) of four short workloads under `CpuConfig::default()` and the
@@ -15,10 +15,10 @@ use std::fs;
 
 /// `(workload, FNV-1a 64 of the persisted file, file length in bytes)`.
 const PINNED: &[(&str, u64, usize)] = &[
-    ("sha", 0x3e43_0326_7ad4_344b, 276_639),
-    ("susan_e", 0xab93_01c1_1cc1_c0c2, 301_869),
-    ("fft", 0x43c4_ed4c_5012_cea3, 593_035),
-    ("qsort", 0x5d33_5b91_8517_c861, 901_727),
+    ("sha", 0xb03d_6646_20fa_aca5, 271_289),
+    ("susan_e", 0x358a_b84c_47f2_a9b8, 294_950),
+    ("fft", 0x595d_1a3e_5b0d_9e57, 580_265),
+    ("qsort", 0xa9e8_7059_769f_179d, 882_784),
 ];
 
 fn fnv1a(bytes: &[u8]) -> u64 {
