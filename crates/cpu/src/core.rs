@@ -24,7 +24,7 @@ use crate::probe::{Probe, ReadInfo, Structure};
 use crate::regfile::{FreeList, PhysReg, PhysRegFile, RenameTable};
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
 use merlin_isa::{DecodedProgram, Inst, Program, Rip, Uop, UopKind, NUM_ARCH_REGS};
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
@@ -1332,7 +1332,8 @@ impl CpuState {
 
     /// Approximate heap footprint of the snapshot in bytes (dominated by the
     /// memory delta and the touched cache lines): every array the snapshot
-    /// holds its own copy of, at its length.
+    /// holds its own copy of, at its length.  The predictor and BTB pages,
+    /// which snapshots share, are counted by [`Self::unseen_page_bytes`].
     pub fn footprint_bytes(&self) -> usize {
         use std::mem::size_of;
         let c = &self.core;
@@ -1343,6 +1344,23 @@ impl CpuState {
             + c.fetch_buffer.len() * size_of::<FetchedUop>()
             + c.free_list.available() * size_of::<PhysReg>()
             + c.sq.capacity() * size_of::<SqSlot>()
+    }
+
+    /// Bytes of the predictor and BTB pages `seen` does not hold yet,
+    /// which [`Self::footprint_bytes`] leaves out: snapshots share them, so
+    /// [`CheckpointStore::footprint_bytes`](crate::CheckpointStore::footprint_bytes)
+    /// counts each page once per store.
+    pub fn unseen_page_bytes(&self, seen: &mut HashSet<*const ()>) -> usize {
+        self.core.bp.unseen_page_bytes(seen) + self.core.btb.unseen_page_bytes(seen)
+    }
+
+    /// Takes `prev`'s handle for every predictor and BTB page whose
+    /// contents equal this snapshot's, as the snapshots of one run share
+    /// the pages the run left unwritten between them.  Decoding a store
+    /// calls it per checkpoint, so a loaded store shares like a built one.
+    pub(crate) fn share_equal_pages(&mut self, prev: &CpuState) {
+        self.core.bp.share_equal_pages(&prev.core.bp);
+        self.core.btb.share_equal_pages(&prev.core.btb);
     }
 
     /// Bytes the chunk-level memory delta occupies within

@@ -30,7 +30,11 @@
 //! `fork_from` of [`Cache`](crate::Cache), [`MemSystem`](crate::MemSystem)
 //! and [`Memory`](crate::Memory).  Pages built by `new`, `from_fn` and
 //! `binio` decode start out shared, so a `CpuState` holds only shared pages
-//! and `Cpu::restore_from` adopts its handles without copying.  `clone()`
+//! and `Cpu::restore_from` adopts its handles without copying.  A decoded
+//! page at first has no other holder; decoding a checkpoint store then
+//! hands each checkpoint its predecessor's handle for every equal page
+//! ([`CowTable::share_equal_pages`]), so a loaded store shares its
+//! unchanged pages across checkpoints as a built one does.  `clone()`
 //! shares shared pages, deep-copies owned ones and starts the copy's own
 //! un-share count at 0: the count belongs to the instance that broke the
 //! pages, so a restore or fork never counts the source's breaks again.
@@ -61,6 +65,8 @@
 //! throughout.
 
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
+use std::collections::HashSet;
+use std::mem::size_of;
 use std::sync::Arc;
 
 /// One unit of copy-on-write storage: owned outright, or shared behind an
@@ -320,6 +326,38 @@ impl<T: Clone> CowTable<T> {
         debug_assert_eq!(self.shift, src.shift);
         self.pages[c].clone_from(&src.pages[c]);
     }
+
+    /// Bytes of the pages whose handles `seen` does not hold yet, adding
+    /// them to it; an owned page is always counted.  Summed over several
+    /// tables with one `seen`, this counts each shared page once.
+    pub fn unseen_page_bytes(&self, seen: &mut HashSet<*const ()>) -> usize {
+        self.pages
+            .iter()
+            .filter(|p| match p {
+                Page::Owned(_) => true,
+                Page::Shared(a) => seen.insert(Arc::as_ptr(a).cast()),
+            })
+            .map(|p| p.get().len() * size_of::<T>())
+            .sum()
+    }
+}
+
+impl<T: Clone + PartialEq> CowTable<T> {
+    /// Takes `prev`'s handle for every page whose contents equal this
+    /// table's, so a decoded checkpoint shares the pages its predecessor
+    /// holds unchanged.  `prev`'s pages should be shared (a snapshot's
+    /// are): an owned one is copied, not shared.  Tables of different
+    /// geometry share nothing, since both may come from a file.
+    pub fn share_equal_pages(&mut self, prev: &Self) {
+        if (self.len, self.shift) != (prev.len, prev.shift) {
+            return;
+        }
+        for c in 0..self.page_count() {
+            if !self.page_ptr_eq(c, prev) && self.page(c) == prev.page(c) {
+                self.share_page_from(c, prev);
+            }
+        }
+    }
 }
 
 /// Shares shared pages and deep-copies owned ones; the copy starts its own
@@ -357,7 +395,8 @@ impl<T: BinCode + Clone> CowTable<T> {
     }
 
     /// Decodes a `len + elements` sequence into a freshly paged table on
-    /// shared pages no one else holds.
+    /// shared pages no one else holds yet; [`CowTable::share_equal_pages`]
+    /// can then hand it a predecessor's equal pages.
     pub fn decode_seq(r: &mut ByteReader<'_>, page_len: usize) -> Result<Self, DecodeError> {
         let v = Vec::<T>::decode(r)?;
         let len = v.len();
@@ -517,6 +556,74 @@ mod tests {
         let mut m = CowTable::new(1024, 0u8, 256);
         let wrong = Arc::new(vec![0u8; 17]);
         m.set_page_handle(0, &wrong);
+    }
+
+    /// A decoded-looking pair: `prev` and `next` built apart, equal but on
+    /// page 1 (entries 16..32).
+    fn decoded_pair() -> (CowTable<u32>, CowTable<u32>) {
+        let prev = CowTable::from_fn(64, 16, |i| i as u32);
+        let next = CowTable::from_fn(64, 16, |i| if i == 20 { 7 } else { i as u32 });
+        (prev, next)
+    }
+
+    #[test]
+    fn equal_pages_take_the_predecessors_handle() {
+        let (prev, mut next) = decoded_pair();
+        assert!((0..4).all(|c| !next.page_ptr_eq(c, &prev)));
+        next.share_equal_pages(&prev);
+        for c in [0, 2, 3] {
+            assert!(next.page_ptr_eq(c, &prev), "equal page {c} is shared");
+        }
+        assert!(
+            !next.page_ptr_eq(1, &prev),
+            "the differing page keeps its own"
+        );
+        assert_eq!(*next.get(20), 7);
+        assert_eq!(next.cow_breaks(), 0);
+    }
+
+    #[test]
+    fn writing_a_taken_page_copies_it_once_and_spares_the_predecessor() {
+        let (prev, mut next) = decoded_pair();
+        next.share_equal_pages(&prev);
+        *next.get_mut(3) = 99;
+        *next.get_mut(4) = 98;
+        assert_eq!(next.cow_breaks(), 1);
+        assert!(!next.page_ptr_eq(0, &prev));
+        assert_eq!((*prev.get(3), *prev.get(4)), (3, 4));
+        assert_eq!((*next.get(3), *next.get(4)), (99, 98));
+    }
+
+    #[test]
+    fn tables_of_another_geometry_share_nothing() {
+        let (prev, _) = decoded_pair();
+        let mut shorter = CowTable::from_fn(48, 16, |i| i as u32);
+        shorter.share_equal_pages(&prev);
+        let mut repaged = CowTable::from_fn(64, 32, |i| i as u32);
+        repaged.share_equal_pages(&prev);
+        let mut empty = CowTable::<u32>::from_fn(0, 16, |i| i as u32);
+        empty.share_equal_pages(&prev);
+        for c in 0..3 {
+            assert!(!shorter.page_ptr_eq(c, &prev));
+        }
+        assert!((0..2).all(|c| !repaged.page_ptr_eq(c, &prev)));
+        assert_eq!(shorter, CowTable::from_fn(48, 16, |i| i as u32));
+        assert_eq!(repaged, CowTable::from_fn(64, 32, |i| i as u32));
+    }
+
+    #[test]
+    fn shared_pages_count_once_across_tables() {
+        let (prev, mut next) = decoded_pair();
+        let page = 16 * size_of::<u32>();
+        let mut seen = HashSet::new();
+        assert_eq!(prev.unseen_page_bytes(&mut seen), 4 * page);
+        assert_eq!(next.unseen_page_bytes(&mut HashSet::new()), 4 * page);
+        next.share_equal_pages(&prev);
+        assert_eq!(next.unseen_page_bytes(&mut seen), page);
+        // An owned page is always counted.
+        *next.get_mut(0) = 5;
+        assert_eq!(next.unseen_page_bytes(&mut seen), page);
+        assert_eq!(next.unseen_page_bytes(&mut seen), page);
     }
 
     #[test]

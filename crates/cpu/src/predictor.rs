@@ -8,6 +8,7 @@
 use crate::cow::CowTable;
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
 use merlin_isa::Rip;
+use std::collections::HashSet;
 
 /// Copy-on-write page size for the direction counter tables, in counters.
 const COUNTER_PAGE: usize = 512;
@@ -83,6 +84,18 @@ impl BranchPredictor {
     /// Un-share counters of both tables, reset.
     pub(crate) fn take_cow_breaks(&mut self) -> u64 {
         self.bimodal.take_cow_breaks() + self.gshare.take_cow_breaks()
+    }
+
+    /// Takes `prev`'s handle for every counter page equal to this one's.
+    pub(crate) fn share_equal_pages(&mut self, prev: &Self) {
+        self.bimodal.share_equal_pages(&prev.bimodal);
+        self.gshare.share_equal_pages(&prev.gshare);
+    }
+
+    /// Bytes of the counter pages `seen` does not hold yet (see
+    /// [`CowTable::unseen_page_bytes`]).
+    pub(crate) fn unseen_page_bytes(&self, seen: &mut HashSet<*const ()>) -> usize {
+        self.bimodal.unseen_page_bytes(seen) + self.gshare.unseen_page_bytes(seen)
     }
 }
 
@@ -167,6 +180,17 @@ impl Btb {
     /// Un-share counter of the entry array, reset.
     pub(crate) fn take_cow_breaks(&mut self) -> u64 {
         self.entries.take_cow_breaks()
+    }
+
+    /// Takes `prev`'s handle for every entry page equal to this one's.
+    pub(crate) fn share_equal_pages(&mut self, prev: &Self) {
+        self.entries.share_equal_pages(&prev.entries);
+    }
+
+    /// Bytes of the entry pages `seen` does not hold yet (see
+    /// [`CowTable::unseen_page_bytes`]).
+    pub(crate) fn unseen_page_bytes(&self, seen: &mut HashSet<*const ()>) -> usize {
+        self.entries.unseen_page_bytes(seen)
     }
 }
 

@@ -35,13 +35,16 @@
 //! arrays (register file, free list, ROB, fetch buffer, load/store queues)
 //! and the output stream are small and copied; the caches are rebuilt line
 //! by line from their sparse images.  Sharing is runtime-only bookkeeping: it is never
-//! serialised, so the on-disk `binio` format is unchanged, and decoding a
-//! snapshot yields shared pages no one else holds yet, which restores adopt
-//! by handle like a live snapshot's.
+//! serialised, so the on-disk `binio` format is unchanged.  Decoding a
+//! store yields shared pages, which restores adopt by handle like a live
+//! snapshot's, and each decoded checkpoint takes its predecessor's handle
+//! for every predictor and BTB page with equal contents, so a loaded store
+//! shares the pages the run left unchanged, as the built store does.
 
 use crate::core::{Cpu, CpuState, RunResult};
 use crate::probe::Probe;
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
+use std::collections::HashSet;
 
 /// How a golden run is checkpointed.
 ///
@@ -144,9 +147,14 @@ impl CheckpointStore {
     }
 
     /// Approximate heap footprint of the whole store in bytes (memory held
-    /// as chunk-level deltas).
+    /// as chunk-level deltas), with each predictor and BTB page the
+    /// checkpoints share counted once.
     pub fn footprint_bytes(&self) -> usize {
-        self.checkpoints.iter().map(|s| s.footprint_bytes()).sum()
+        let mut seen = HashSet::new();
+        self.checkpoints
+            .iter()
+            .map(|s| s.footprint_bytes() + s.unseen_page_bytes(&mut seen))
+            .sum()
     }
 }
 
@@ -179,7 +187,23 @@ impl BinCode for CheckpointStore {
         // the cycle-0 snapshot check `starts_at_reset` instead of relying
         // on decode-time rejection — a decode stricter than encode turned
         // validly saved stores into silent, permanent cache misses.
-        let checkpoints = Vec::<CpuState>::decode(r)?;
+        //
+        // Checkpoints decode one at a time, each taking its predecessor's
+        // equal predictor and BTB pages before the next is read, so at most
+        // one checkpoint's duplicate pages exist at once.  The length bound
+        // is `Vec::decode`'s.
+        let n = usize::decode(r)?;
+        if n > r.remaining() {
+            return Err(DecodeError::UnexpectedEof);
+        }
+        let mut checkpoints: Vec<CpuState> = Vec::new();
+        for _ in 0..n {
+            let mut s = CpuState::decode(r)?;
+            if let Some(prev) = checkpoints.last() {
+                s.share_equal_pages(prev);
+            }
+            checkpoints.push(s);
+        }
         let ascending = checkpoints.windows(2).all(|w| w[0].cycle() < w[1].cycle());
         if !ascending {
             return Err(DecodeError::Invalid("store cycles not ascending"));
@@ -450,11 +474,11 @@ mod tests {
         let (result, store) = every(&mut cpu, 100_000, 10);
         assert!(result.exit.is_halted());
         let delta = store.footprint_bytes();
-        // The footprint with every snapshot's memory stored densely.
-        let dense: usize = store
-            .snapshots()
-            .map(|s| s.footprint_bytes() - s.memory_delta_bytes() + s.memory_dense_bytes())
-            .sum();
+        // The footprint with every snapshot's memory stored densely; both
+        // sides count the same predictor and BTB pages.
+        let dense = store.snapshots().fold(delta, |d, s| {
+            d - s.memory_delta_bytes() + s.memory_dense_bytes()
+        });
         // The looped program touches one 64-byte buffer out of a 64 KB+
         // memory; the delta representation must be far below dense.
         assert!(
