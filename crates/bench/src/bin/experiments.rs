@@ -14,12 +14,14 @@ use merlin_ace::SessionAce;
 use merlin_analyze::ProgramAnalysis;
 use merlin_bench::{row, run_cell, session_for, spec_config, structure_sweep, ExperimentScale};
 use merlin_core::{
-    classify_truncated, fit_rate, group_stats_from_counts, homogeneity, initial_fault_list,
-    merlin_exhaustive_row, reduce_fault_list, relyzer_exhaustive_row, relyzer_reduce,
-    structure_bits, AvfMoments, SessionMethodology, WallClock,
+    classify_truncated, fit_rate, group_stats_from_counts, homogeneity, merlin_exhaustive_row,
+    reduce_fault_list, relyzer_exhaustive_row, relyzer_reduce, structure_bits, AvfMoments,
+    SessionMethodology, WallClock,
 };
 use merlin_cpu::{Cpu, CpuConfig, FaultSpec, NullProbe, Structure};
-use merlin_inject::{Classification, FaultEffect, SamplingPlan, TruncatedEffect};
+use merlin_inject::{
+    generate_fault_list, Classification, FaultEffect, SamplingPlan, TruncatedEffect,
+};
 use merlin_workloads::{mibench_workloads, spec_workloads, workload_by_name};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -180,7 +182,9 @@ fn table3(scale: &ExperimentScale) {
     let mut exhaustive = 0f64;
     let mut injections = 0f64;
     for &s in Structure::all() {
-        let initial = initial_fault_list(&cfg, s, golden_cycles, 60_000, scale.seed);
+        let initial = session
+            .fault_list(s, 60_000, scale.seed)
+            .expect("fault list");
         let red = reduce_fault_list(&initial, ace.structure(s));
         let bits = structure_bits(&cfg, s) as f64;
         let pop = bits * golden_cycles as f64;
@@ -225,9 +229,9 @@ fn table4(scale: &ExperimentScale) {
         // Truncation horizon: half of the execution, standing in for the end
         // of the Simpoint interval.
         let horizon = session.golden().expect("golden").result.cycles / 2;
-        let faults = initial_fault_list(
-            &cfg,
+        let faults = generate_fault_list(
             Structure::RegisterFile,
+            session.structure_entries(Structure::RegisterFile),
             horizon,
             scale.baseline_faults.min(1500),
             scale.seed,

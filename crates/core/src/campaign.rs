@@ -5,10 +5,9 @@
 
 use crate::grouping::{reduce_fault_list, FaultListReduction};
 use merlin_ace::{AceAnalysis, AceError, VulnerableIntervals};
-use merlin_cpu::{CpuConfig, FaultSpec, Structure};
+use merlin_cpu::{FaultSpec, Structure};
 use merlin_inject::{
-    generate_fault_list, CampaignError, Classification, FaultEffect, GoldenRun, Session,
-    TruncatedEffect,
+    CampaignError, Classification, FaultEffect, GoldenRun, Session, TruncatedEffect,
 };
 use std::collections::HashMap;
 
@@ -115,24 +114,6 @@ impl From<AceError> for MerlinError {
     fn from(e: AceError) -> Self {
         MerlinError::Preprocessing(e.to_string())
     }
-}
-
-/// Generates the initial statistical fault list for `structure` given the
-/// golden execution length (phase 1, task 2 of the paper).
-pub fn initial_fault_list(
-    cfg: &CpuConfig,
-    structure: Structure,
-    golden_cycles: u64,
-    count: usize,
-    seed: u64,
-) -> Vec<FaultSpec> {
-    generate_fault_list(
-        structure,
-        cfg.structure_entries(structure),
-        golden_cycles,
-        count,
-        seed,
-    )
 }
 
 /// The methodology proper, over a session: reduce, inject representatives,
@@ -294,6 +275,7 @@ mod tests {
     use super::*;
     use crate::session::SessionMethodology;
     use merlin_ace::SessionAce;
+    use merlin_cpu::CpuConfig;
     use merlin_workloads::workload_by_name;
 
     fn small_cfg() -> CpuConfig {

@@ -9,7 +9,7 @@
 //!
 //! 1. **Preprocessing** — a single instrumented run builds the vulnerable
 //!    interval repository (`merlin-ace`) and the statistical initial fault
-//!    list is drawn ([`initial_fault_list`]).
+//!    list is drawn ([`Session::fault_list`](merlin_inject::Session::fault_list)).
 //! 2. **Fault-list reduction** — [`reduce_fault_list`] prunes faults outside
 //!    every vulnerable interval (guaranteed Masked) and groups the rest by
 //!    the (RIP, uPC) of the reading micro-op and by byte position, selecting
@@ -67,8 +67,7 @@ mod session;
 mod stats;
 
 pub use campaign::{
-    classify_truncated, initial_fault_list, ExtrapolatedOutcome, MerlinCampaign, MerlinError,
-    MerlinReport,
+    classify_truncated, ExtrapolatedOutcome, MerlinCampaign, MerlinError, MerlinReport,
 };
 pub use grouping::{
     reduce_fault_list, FaultGroup, FaultListReduction, GroupKey, GroupedFault, SubGroup,

@@ -1,6 +1,6 @@
 //! Core and cache configuration, mirroring Table 1 of the paper.
 
-use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
+use merlin_isa::binio::BinCode;
 
 /// Configuration of one set-associative cache level.
 ///
@@ -87,22 +87,14 @@ impl CacheConfig {
     pub fn total_bits(&self) -> u64 {
         self.size_bytes * 8
     }
-}
 
-impl BinCode for CacheConfig {
-    fn encode(&self, out: &mut Vec<u8>) {
+    /// Appends the configuration to `out` field by field, for the session
+    /// fingerprint to hash.
+    pub fn encode(&self, out: &mut Vec<u8>) {
         self.size_bytes.encode(out);
         self.line_bytes.encode(out);
         self.ways.encode(out);
         self.hit_latency.encode(out);
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        Ok(CacheConfig {
-            size_bytes: BinCode::decode(r)?,
-            line_bytes: BinCode::decode(r)?,
-            ways: BinCode::decode(r)?,
-            hit_latency: BinCode::decode(r)?,
-        })
     }
 }
 
@@ -195,55 +187,6 @@ impl Default for CpuConfig {
             btb_entries: 4096,
             extra_memory_bytes: 64 * 1024,
         }
-    }
-}
-
-impl BinCode for CpuConfig {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.phys_int_regs.encode(out);
-        self.rob_entries.encode(out);
-        self.iq_entries.encode(out);
-        self.lq_entries.encode(out);
-        self.sq_entries.encode(out);
-        self.fetch_width.encode(out);
-        self.rename_width.encode(out);
-        self.issue_width.encode(out);
-        self.commit_width.encode(out);
-        self.int_alus.encode(out);
-        self.complex_alus.encode(out);
-        self.mem_ports.encode(out);
-        self.branch_units.encode(out);
-        self.l1i.encode(out);
-        self.l1d.encode(out);
-        self.l2.encode(out);
-        self.mem_latency.encode(out);
-        self.predictor_entries.encode(out);
-        self.btb_entries.encode(out);
-        self.extra_memory_bytes.encode(out);
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        Ok(CpuConfig {
-            phys_int_regs: BinCode::decode(r)?,
-            rob_entries: BinCode::decode(r)?,
-            iq_entries: BinCode::decode(r)?,
-            lq_entries: BinCode::decode(r)?,
-            sq_entries: BinCode::decode(r)?,
-            fetch_width: BinCode::decode(r)?,
-            rename_width: BinCode::decode(r)?,
-            issue_width: BinCode::decode(r)?,
-            commit_width: BinCode::decode(r)?,
-            int_alus: BinCode::decode(r)?,
-            complex_alus: BinCode::decode(r)?,
-            mem_ports: BinCode::decode(r)?,
-            branch_units: BinCode::decode(r)?,
-            l1i: BinCode::decode(r)?,
-            l1d: BinCode::decode(r)?,
-            l2: BinCode::decode(r)?,
-            mem_latency: BinCode::decode(r)?,
-            predictor_entries: BinCode::decode(r)?,
-            btb_entries: BinCode::decode(r)?,
-            extra_memory_bytes: BinCode::decode(r)?,
-        })
     }
 }
 
@@ -386,6 +329,31 @@ impl CpuConfig {
     /// Number of fault-injectable bits in the L1D data array.
     pub fn l1d_bits(&self) -> u64 {
         self.l1d.total_bits()
+    }
+
+    /// Appends the configuration to `out` field by field, for the session
+    /// fingerprint to hash.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        self.phys_int_regs.encode(out);
+        self.rob_entries.encode(out);
+        self.iq_entries.encode(out);
+        self.lq_entries.encode(out);
+        self.sq_entries.encode(out);
+        self.fetch_width.encode(out);
+        self.rename_width.encode(out);
+        self.issue_width.encode(out);
+        self.commit_width.encode(out);
+        self.int_alus.encode(out);
+        self.complex_alus.encode(out);
+        self.mem_ports.encode(out);
+        self.branch_units.encode(out);
+        self.l1i.encode(out);
+        self.l1d.encode(out);
+        self.l2.encode(out);
+        self.mem_latency.encode(out);
+        self.predictor_entries.encode(out);
+        self.btb_entries.encode(out);
+        self.extra_memory_bytes.encode(out);
     }
 }
 

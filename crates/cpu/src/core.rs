@@ -22,7 +22,7 @@ use crate::memory::{MemError, Memory};
 use crate::predictor::{BranchPredictor, Btb};
 use crate::probe::{Probe, ReadInfo, Structure};
 use crate::regfile::{FreeList, PhysReg, PhysRegFile, RenameTable};
-use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
+use merlin_isa::binio::{decode_seq, BinCode, ByteReader, DecodeError};
 use merlin_isa::{DecodedProgram, Inst, Program, Rip, Uop, UopKind, NUM_ARCH_REGS};
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
@@ -1391,10 +1391,13 @@ impl CpuState {
 
 // --- Binary encoding of the snapshot types -------------------------------
 //
-// The session cache persists checkpoint stores to disk, so every type
-// reachable from `CpuState` carries a hand-written `BinCode`
-// implementation.  Round-trip exactness is enforced
-// by `CpuState` equality tests (the snapshot types all derive `PartialEq`).
+// The session cache persists checkpoint stores to disk.  A micro-op in the
+// fetch buffer or the ROB is written as its `(rip, upc)` name and decoded
+// against the program's `DecodedProgram`, so `CpuState`, `RobEntry` and
+// `FetchedUop` encode and decode through inherent methods taking that
+// table; every other type reachable from `CpuState` carries a hand-written
+// `BinCode` implementation.  Round-trip exactness is enforced by `CpuState`
+// equality tests (the snapshot types all derive `PartialEq`).
 
 impl BinCode for Exception {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -1461,7 +1464,8 @@ impl BinCode for AssertKind {
             }
             AssertKind::InternalInvariant(msg) => {
                 out.push(1);
-                msg.encode(out);
+                msg.len().encode(out);
+                out.extend_from_slice(msg.as_bytes());
             }
         }
     }
@@ -1470,7 +1474,10 @@ impl BinCode for AssertKind {
             0 => AssertKind::StoreToCode {
                 addr: BinCode::decode(r)?,
             },
-            1 => AssertKind::InternalInvariant(BinCode::decode(r)?),
+            1 => AssertKind::InternalInvariant(
+                String::from_utf8(Box::<[u8]>::decode(r)?.into_vec())
+                    .map_err(|_| DecodeError::Invalid("utf-8 string"))?,
+            ),
             _ => return Err(DecodeError::Invalid("AssertKind")),
         })
     }
@@ -1525,23 +1532,35 @@ impl BinCode for RunResult {
     }
 }
 
-impl BinCode for FetchedUop {
+/// Writes `uop` as its `(rip, upc)` name.
+fn encode_uop(uop: &Uop, out: &mut Vec<u8>) {
+    uop.rip.encode(out);
+    uop.upc.encode(out);
+}
+
+/// Reads a `(rip, upc)` name and returns the micro-op `decoded` holds
+/// under it, rejecting a name the program lacks.
+fn decode_uop(r: &mut ByteReader<'_>, decoded: &DecodedProgram) -> Result<Uop, DecodeError> {
+    decoded.uop(u32::decode(r)?, u8::decode(r)?)
+}
+
+impl FetchedUop {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.uop.encode(out);
+        encode_uop(&self.uop, out);
         self.pred_next.encode(out);
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
+    fn decode(r: &mut ByteReader<'_>, decoded: &DecodedProgram) -> Result<Self, DecodeError> {
         Ok(FetchedUop {
-            uop: BinCode::decode(r)?,
+            uop: decode_uop(r, decoded)?,
             pred_next: BinCode::decode(r)?,
         })
     }
 }
 
-impl BinCode for RobEntry {
+impl RobEntry {
     fn encode(&self, out: &mut Vec<u8>) {
         self.seq.encode(out);
-        self.uop.encode(out);
+        encode_uop(&self.uop, out);
         self.src_phys.encode(out);
         self.dst_phys.encode(out);
         self.prev_phys.encode(out);
@@ -1554,10 +1573,10 @@ impl BinCode for RobEntry {
         self.exception.encode(out);
         self.sq_slot.encode(out);
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
+    fn decode(r: &mut ByteReader<'_>, decoded: &DecodedProgram) -> Result<Self, DecodeError> {
         Ok(RobEntry {
             seq: BinCode::decode(r)?,
-            uop: BinCode::decode(r)?,
+            uop: decode_uop(r, decoded)?,
             src_phys: BinCode::decode(r)?,
             dst_phys: BinCode::decode(r)?,
             prev_phys: BinCode::decode(r)?,
@@ -1573,21 +1592,28 @@ impl BinCode for RobEntry {
     }
 }
 
-/// Encoded field by field, with the memory snapshot between
-/// `pending_store_slot` and `bp` (the `.golden` layout since v6).
-impl BinCode for CpuState {
-    fn encode(&self, out: &mut Vec<u8>) {
+impl CpuState {
+    /// Appends the snapshot to `out` field by field, with the memory
+    /// snapshot between `pending_store_slot` and `bp` (the `.golden` layout
+    /// since v6), and each micro-op as its `(rip, upc)` name (since v10).
+    pub fn encode(&self, out: &mut Vec<u8>) {
         let c = &self.core;
         c.cycle.encode(out);
         c.next_seq.encode(out);
         c.fetch_pc.encode(out);
         c.fetch_halted.encode(out);
         c.fetch_invalid.encode(out);
-        c.fetch_buffer.encode(out);
+        c.fetch_buffer.len().encode(out);
+        for f in &c.fetch_buffer {
+            f.encode(out);
+        }
         c.rat.encode(out);
         c.free_list.encode(out);
         c.prf.encode(out);
-        c.rob.encode(out);
+        c.rob.len().encode(out);
+        for e in &c.rob {
+            e.encode(out);
+        }
         c.sq.encode(out);
         c.pending_store_slot.encode(out);
         self.mem.encode(out);
@@ -1601,7 +1627,16 @@ impl BinCode for CpuState {
         c.faults.encode(out);
         c.finished.encode(out);
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
+
+    /// Decodes one snapshot of a core running the program `decoded` was
+    /// built from: each micro-op in the fetch buffer and the ROB is looked
+    /// up by its `(rip, upc)` name.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`DecodeError`] on truncated input, invalid content, or a
+    /// micro-op name the program lacks.
+    pub fn decode(r: &mut ByteReader<'_>, decoded: &DecodedProgram) -> Result<Self, DecodeError> {
         // A struct literal evaluates its fields in the order written, which
         // here is the wire order; `mem` is read where it sits on the wire.
         let mem;
@@ -1611,11 +1646,11 @@ impl BinCode for CpuState {
             fetch_pc: BinCode::decode(r)?,
             fetch_halted: BinCode::decode(r)?,
             fetch_invalid: BinCode::decode(r)?,
-            fetch_buffer: BinCode::decode(r)?,
+            fetch_buffer: decode_seq(r, |r| FetchedUop::decode(r, decoded))?.into(),
             rat: BinCode::decode(r)?,
             free_list: BinCode::decode(r)?,
             prf: BinCode::decode(r)?,
-            rob: BinCode::decode(r)?,
+            rob: decode_seq(r, |r| RobEntry::decode(r, decoded))?.into(),
             sq: BinCode::decode(r)?,
             pending_store_slot: BinCode::decode(r)?,
             bp: {

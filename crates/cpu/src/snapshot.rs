@@ -44,6 +44,7 @@
 use crate::core::{Cpu, CpuState, RunResult};
 use crate::probe::Probe;
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
+use merlin_isa::DecodedProgram;
 use std::collections::HashSet;
 
 /// How a golden run is checkpointed.
@@ -82,6 +83,13 @@ impl CheckpointPolicy {
             ..CheckpointPolicy::default()
         }
     }
+
+    /// Appends the policy to `out` field by field, for the session
+    /// fingerprint to hash.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        self.target_checkpoints.encode(out);
+        self.min_interval.encode(out);
+    }
 }
 
 /// Checkpoints of one golden run, cycle-ascending and never empty: the
@@ -90,17 +98,10 @@ impl CheckpointPolicy {
 /// injection cycle has a checkpoint at or before it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointStore {
-    interval: u64,
     checkpoints: Vec<CpuState>,
 }
 
 impl CheckpointStore {
-    /// The grid interval the store converged to: besides the entry
-    /// snapshot, every checkpoint sits on a multiple of it.
-    pub fn interval(&self) -> u64 {
-        self.interval
-    }
-
     /// Number of checkpoints held (including the cycle-0 snapshot).
     pub fn len(&self) -> usize {
         self.checkpoints.len()
@@ -156,31 +157,24 @@ impl CheckpointStore {
             .map(|s| s.footprint_bytes() + s.unseen_page_bytes(&mut seen))
             .sum()
     }
-}
 
-impl BinCode for CheckpointPolicy {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.target_checkpoints.encode(out);
-        self.min_interval.encode(out);
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        Ok(CheckpointPolicy {
-            target_checkpoints: BinCode::decode(r)?,
-            min_interval: BinCode::decode(r)?,
-        })
-    }
-}
-
-impl BinCode for CheckpointStore {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.interval.encode(out);
-        self.checkpoints.encode(out);
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        let interval = u64::decode(r)?;
-        if interval == 0 {
-            return Err(DecodeError::Invalid("checkpoint interval"));
+    /// Appends the store to `out`: the checkpoint count, then each
+    /// checkpoint.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        self.checkpoints.len().encode(out);
+        for s in &self.checkpoints {
+            s.encode(out);
         }
+    }
+
+    /// Decodes a store of checkpoints of the program `decoded` was built
+    /// from (see [`CpuState::decode`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`DecodeError`] on truncated or invalid input, and on
+    /// checkpoints whose cycles do not ascend.
+    pub fn decode(r: &mut ByteReader<'_>, decoded: &DecodedProgram) -> Result<Self, DecodeError> {
         // Accept exactly what `encode` can produce: any cycle-ascending
         // checkpoint list, including an empty one and one starting past
         // cycle 0 (a store built on a mid-run core).  Consumers that need
@@ -191,14 +185,14 @@ impl BinCode for CheckpointStore {
         // Checkpoints decode one at a time, each taking its predecessor's
         // equal predictor and BTB pages before the next is read, so at most
         // one checkpoint's duplicate pages exist at once.  The length bound
-        // is `Vec::decode`'s.
+        // is `decode_seq`'s.
         let n = usize::decode(r)?;
         if n > r.remaining() {
             return Err(DecodeError::UnexpectedEof);
         }
         let mut checkpoints: Vec<CpuState> = Vec::new();
         for _ in 0..n {
-            let mut s = CpuState::decode(r)?;
+            let mut s = CpuState::decode(r, decoded)?;
             if let Some(prev) = checkpoints.last() {
                 s.share_equal_pages(prev);
             }
@@ -208,10 +202,7 @@ impl BinCode for CheckpointStore {
         if !ascending {
             return Err(DecodeError::Invalid("store cycles not ascending"));
         }
-        Ok(CheckpointStore {
-            interval,
-            checkpoints,
-        })
+        Ok(CheckpointStore { checkpoints })
     }
 }
 
@@ -254,13 +245,7 @@ impl Cpu {
             self.step(probe);
         }
         let result = self.run(max_cycles, probe);
-        (
-            result,
-            CheckpointStore {
-                interval,
-                checkpoints,
-            },
-        )
+        (result, CheckpointStore { checkpoints })
     }
 }
 
@@ -284,6 +269,20 @@ mod tests {
         b.out(reg(2));
         b.halt();
         b.build().unwrap()
+    }
+
+    fn encode(store: &CheckpointStore) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        store.encode(&mut bytes);
+        bytes
+    }
+
+    /// Decodes a store of `program`'s checkpoints from exactly `bytes`.
+    fn decode(bytes: &[u8], program: &merlin_isa::Program) -> Result<CheckpointStore, DecodeError> {
+        let mut r = ByteReader::new(bytes);
+        let store = CheckpointStore::decode(&mut r, &DecodedProgram::new(program))?;
+        assert!(r.is_at_end(), "trailing bytes");
+        Ok(store)
     }
 
     /// A store holding the entry state and every multiple of `interval`:
@@ -358,8 +357,9 @@ mod tests {
         // Store shape: the run thinned at least once, every snapshot is the
         // entry or sits on the grid, and the store holds more than `target`
         // but at most `2 × target` snapshots.
-        assert!(store.interval() >= 4);
-        assert!(cycles.iter().all(|c| c.is_multiple_of(store.interval())));
+        let interval = cycles[1];
+        assert!(interval >= 4);
+        assert!(cycles.windows(2).all(|w| w[1] - w[0] == interval));
         let target = target as usize;
         assert!(
             store.len() > target && store.len() <= 2 * target,
@@ -390,22 +390,20 @@ mod tests {
 
     #[test]
     fn store_and_policy_binary_roundtrip() {
-        use merlin_isa::binio::{decode_from_slice, encode_to_vec};
         let program = looped_program();
-        let mut cpu = Cpu::new(program, CpuConfig::default()).unwrap();
+        let mut cpu = Cpu::new(program.clone(), CpuConfig::default()).unwrap();
         let (_, store) = every(&mut cpu, 100_000, 10);
-        let bytes = encode_to_vec(&store);
-        let back: CheckpointStore = decode_from_slice(&bytes).unwrap();
+        let bytes = encode(&store);
+        let back = decode(&bytes, &program).unwrap();
         assert_eq!(back, store);
         let policy = CheckpointPolicy::with_target(9);
-        let bytes = encode_to_vec(&policy);
+        let mut bytes = Vec::new();
+        policy.encode(&mut bytes);
         assert_eq!(bytes.len(), 12, "a policy is its two fields");
-        let back: CheckpointPolicy = decode_from_slice(&bytes).unwrap();
-        assert_eq!(back, policy);
-        // Corrupting the interval to zero is rejected.
-        let mut bytes = encode_to_vec(&store);
-        bytes[..8].fill(0);
-        assert!(decode_from_slice::<CheckpointStore>(&bytes).is_err());
+        // A checkpoint count past the remaining bytes is rejected.
+        let mut bytes = encode(&store);
+        bytes[..8].fill(0xff);
+        assert_eq!(decode(&bytes, &program), Err(DecodeError::UnexpectedEof));
     }
 
     #[test]
@@ -442,27 +440,25 @@ mod tests {
 
     #[test]
     fn empty_and_mid_run_stores_roundtrip() {
-        use merlin_isa::binio::{decode_from_slice, encode_to_vec};
         // Regression: encode used to accept what decode rejected, so a
         // saved store could become a silent, permanent cache miss.  Both
         // now agree on every encodable store.
+        let program = looped_program();
         let empty = CheckpointStore {
-            interval: 8,
             checkpoints: Vec::new(),
         };
-        let back: CheckpointStore = decode_from_slice(&encode_to_vec(&empty)).unwrap();
+        let back = decode(&encode(&empty), &program).unwrap();
         assert_eq!(back, empty);
         assert!(back.is_empty());
         assert!(!back.starts_at_reset());
 
         // A store starting past cycle 0 round-trips too.
-        let program = looped_program();
-        let mut cpu = Cpu::new(program, CpuConfig::default()).unwrap();
+        let mut cpu = Cpu::new(program.clone(), CpuConfig::default()).unwrap();
         for _ in 0..17 {
             cpu.step(&mut NullProbe);
         }
         let (_, store) = every(&mut cpu, 100_000, 10);
-        let back: CheckpointStore = decode_from_slice(&encode_to_vec(&store)).unwrap();
+        let back = decode(&encode(&store), &program).unwrap();
         assert_eq!(back, store);
         assert!(!back.starts_at_reset());
     }

@@ -4,7 +4,8 @@
 //! probes exact, on every workload under two configurations.
 
 use merlin_cpu::{CheckpointPolicy, CheckpointStore, Cpu, CpuConfig, CpuState, NullProbe};
-use merlin_isa::binio::{decode_from_slice, encode_to_vec};
+use merlin_isa::binio::ByteReader;
+use merlin_isa::DecodedProgram;
 use std::collections::HashSet;
 
 /// Bytes of the distinct predictor and BTB pages the store's checkpoints
@@ -44,7 +45,12 @@ fn decoded_stores_share_predictor_pages_like_built_ones() {
                 policy.target_checkpoints,
             );
             assert!(result.exit.is_halted(), "{id}: {:?}", result.exit);
-            let decoded: CheckpointStore = decode_from_slice(&encode_to_vec(&built)).unwrap();
+            let mut bytes = Vec::new();
+            built.encode(&mut bytes);
+            let mut r = ByteReader::new(&bytes);
+            let decoded =
+                CheckpointStore::decode(&mut r, &DecodedProgram::new(&w.program)).unwrap();
+            assert!(r.is_at_end(), "{id}: trailing bytes");
             assert_eq!(decoded, built, "{id}: decode changed the contents");
             let (shared, own) = (distinct_page_bytes(&decoded), distinct_page_bytes(&built));
             assert!(

@@ -234,7 +234,7 @@ proptest! {
         structure in prop::sample::select(
             vec![Structure::RegisterFile, Structure::StoreQueue, Structure::L1DCache]),
     ) {
-        use merlin_isa::binio::{decode_from_slice, encode_to_vec};
+        use merlin_isa::{binio::ByteReader, DecodedProgram};
         let program = build_program(&steps);
         let cfg = CpuConfig::default();
         let mut reference = Cpu::new(program.clone(), cfg.clone()).unwrap();
@@ -247,7 +247,11 @@ proptest! {
             .unwrap()
             .run_with_adaptive_checkpoints(2_000_000, &mut NullProbe, interval, 6);
         prop_assert_eq!(&result, &golden);
-        let decoded: CheckpointStore = decode_from_slice(&encode_to_vec(&store)).unwrap();
+        let mut bytes = Vec::new();
+        store.encode(&mut bytes);
+        let mut r = ByteReader::new(&bytes);
+        let decoded = CheckpointStore::decode(&mut r, &DecodedProgram::new(&program)).unwrap();
+        prop_assert!(r.is_at_end());
         prop_assert_eq!(&decoded, &store);
         let fork_cycle = golden.cycles * fork_frac / 10;
 

@@ -132,7 +132,7 @@ proptest! {
         steps in prop::collection::vec(arb_step(), 1..30),
         ckpt_frac in 0u64..20,
     ) {
-        use merlin_isa::binio::{decode_from_slice, encode_to_vec};
+        use merlin_isa::{binio::ByteReader, DecodedProgram};
         let program = build_program(&steps);
         let mut reference = Cpu::new(program.clone(), CpuConfig::default()).unwrap();
         let expected = reference.run(2_000_000, &mut NullProbe);
@@ -152,8 +152,12 @@ proptest! {
 
         // Through the binary codec (the on-disk representation) and onto a
         // fresh core: bit-identical state, identical continuation.
-        let decoded: merlin_cpu::CpuState =
-            decode_from_slice(&encode_to_vec(&state)).unwrap();
+        let mut bytes = Vec::new();
+        state.encode(&mut bytes);
+        let mut r = ByteReader::new(&bytes);
+        let decoded =
+            merlin_cpu::CpuState::decode(&mut r, &DecodedProgram::new(&program)).unwrap();
+        prop_assert!(r.is_at_end());
         prop_assert_eq!(&decoded, &state);
         let mut fresh = Cpu::new(program, CpuConfig::default()).unwrap();
         fresh.restore_from(&decoded);

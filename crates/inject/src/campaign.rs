@@ -64,7 +64,8 @@ pub struct GoldenRun {
     /// Result of the fault-free run.
     pub result: RunResult,
     /// Cycle budget granted to faulty runs: the paper's 3× rule for
-    /// deadlock/livelock detection.
+    /// deadlock/livelock detection, [`GoldenRun::timeout_for`] the result
+    /// (recomputed, not stored, when a `.golden` file is loaded).
     pub timeout_cycles: u64,
     /// Checkpoints of the golden run, starting with the cycle-0 snapshot,
     /// and its L1D liveness log.

@@ -52,7 +52,9 @@ use crate::liveness::L1dLiveness;
 use crate::sampling::generate_fault_list;
 use crate::schedule::CampaignScheduler;
 use merlin_analyze::ProgramAnalysis;
-use merlin_cpu::{CheckpointPolicy, Cpu, CpuConfig, FaultSpec, NullProbe, Structure};
+use merlin_cpu::{
+    CheckpointPolicy, CheckpointStore, Cpu, CpuConfig, FaultSpec, NullProbe, RunResult, Structure,
+};
 use merlin_isa::binio::{BinCode, ByteReader};
 use merlin_isa::{DecodedProgram, Program};
 use std::any::{Any, TypeId};
@@ -434,7 +436,7 @@ impl Session {
             path,
             &[self.fingerprint],
             &self.artifact_rejects,
-            |payload| decode_golden_payload(payload, &self.cfg, mem_len),
+            |payload| decode_golden_payload(payload, &self.decoded, &self.cfg, mem_len),
         )?;
         if !self.replays_exactly(&golden) {
             return quarantine(path, "stale", &self.artifact_rejects);
@@ -456,13 +458,10 @@ impl Session {
     ///
     /// Each must end in the stored state exactly.  Last, restore the last
     /// checkpoint and run to the end, whose result must equal the stored
-    /// one, and the stored timeout must be the one the result implies.
+    /// one.
     ///
     /// Together they cost about three checkpoint intervals of simulation.
     fn replays_exactly(&self, golden: &GoldenRun) -> bool {
-        if golden.timeout_cycles != GoldenRun::timeout_for(golden.result.cycles) {
-            return false;
-        }
         let snapshots: Vec<_> = golden.checkpoints.store.snapshots().collect();
         let Ok(mut cpu) = Cpu::with_predecoded(
             Arc::clone(&self.program),
@@ -777,13 +776,17 @@ impl SessionCache {
 
 // --- Disk persistence ----------------------------------------------------
 
-/// Version 9: the payload is the run result, the timeout, the checkpoint
-/// store and the L1D liveness log; the checkpoint policy is covered by the
-/// fingerprint, not stored.  Version 9 drops from every snapshot the load
-/// queue, the issue-queue count, each ROB entry's load-queue slot and each
-/// store-queue slot's RIP and store-data uPC.  Version 8 dropped from every snapshot what only
-/// the ACE profiler reads: the per-RIP instance counts, the control-flow
-/// path and its signature, and each ROB entry's read log.  Version 7
+/// Version 10: the payload is the run result, the checkpoint store and the
+/// L1D liveness log; the checkpoint policy is covered by the fingerprint,
+/// and the timeout follows from the result, so neither is stored.  Version
+/// 10 writes each fetch-buffer and ROB micro-op as its `(rip, upc)` name,
+/// decoded against the session's [`DecodedProgram`], and drops the stored
+/// timeout and the store's checkpoint interval.  Version 9 drops from every
+/// snapshot the load queue, the issue-queue count, each ROB entry's
+/// load-queue slot and each store-queue slot's RIP and store-data uPC.
+/// Version 8 dropped from every snapshot what only the ACE profiler reads:
+/// the per-RIP instance counts, the control-flow path and its signature,
+/// and each ROB entry's read log.  Version 7
 /// checksums the file one 8-byte word per step ([`fnv1a_words`]) instead
 /// of one byte per step.  Version 6 stores each cache snapshot's line bytes
 /// in one flat vector, and none for the tags-only L2.  Version 4 added the
@@ -795,7 +798,7 @@ impl SessionCache {
 /// happening to fail.  Version 2 encoded checkpoint memory as chunk-level
 /// deltas, version 1 as dense images; older-version files are ordinary
 /// cache misses and are rebuilt, not quarantined.
-const GOLDEN_VERSION: u32 = 9;
+const GOLDEN_VERSION: u32 = 10;
 
 /// The `.golden` file: header `MRLNGLD\0`, the format version
 /// (`GOLDEN_VERSION`) and the fingerprint, checksummed word by word.
@@ -818,25 +821,29 @@ fn golden_file_name(id: &str, fingerprint: u64) -> String {
 fn golden_file(fingerprint: u64, golden: &GoldenRun) -> Vec<u8> {
     GOLDEN.frame(&[fingerprint], |buf| {
         golden.result.encode(buf);
-        golden.timeout_cycles.encode(buf);
         golden.checkpoints.store.encode(buf);
         golden.checkpoints.l1d.encode(buf);
     })
 }
 
 /// Decodes the payload between a `.golden` file's verified header and its
-/// checksum trailer.  `None` on any decode failure or invariant violation:
-/// a store that does not start with the cycle-0 snapshot, a snapshot that
-/// does not fit a core under `cfg` with a `mem_len`-byte memory (see
+/// checksum trailer, against the session's decoded program.  `None` on any
+/// decode failure or invariant violation: a micro-op name the program
+/// lacks, a store that does not start with the cycle-0 snapshot, a snapshot
+/// that does not fit a core under `cfg` with a `mem_len`-byte memory (see
 /// [`CpuState::fits`](merlin_cpu::CpuState::fits)), or an L1D log that does
 /// not fit `cfg`'s L1D.  This is where a store from outside the process
 /// enters, and the fingerprint header cannot vouch for these invariants;
 /// campaigns rely on them without checking again.
-fn decode_golden_payload(payload: &[u8], cfg: &CpuConfig, mem_len: usize) -> Option<GoldenRun> {
+fn decode_golden_payload(
+    payload: &[u8],
+    decoded: &DecodedProgram,
+    cfg: &CpuConfig,
+    mem_len: usize,
+) -> Option<GoldenRun> {
     let mut r = ByteReader::new(payload);
-    let result = BinCode::decode(&mut r).ok()?;
-    let timeout_cycles = u64::decode(&mut r).ok()?;
-    let store: merlin_cpu::CheckpointStore = BinCode::decode(&mut r).ok()?;
+    let result: RunResult = BinCode::decode(&mut r).ok()?;
+    let store = CheckpointStore::decode(&mut r, decoded).ok()?;
     // Without the cycle-0 snapshot an early fault has no restore point, and
     // a snapshot of foreign cache contents or memory size would panic a
     // campaign worker's restore.
@@ -848,8 +855,8 @@ fn decode_golden_payload(payload: &[u8], cfg: &CpuConfig, mem_len: usize) -> Opt
         return None;
     }
     Some(GoldenRun {
+        timeout_cycles: GoldenRun::timeout_for(result.cycles),
         result,
-        timeout_cycles,
         checkpoints: Arc::new(GoldenCheckpoints { store, l1d }),
     })
 }
@@ -1293,7 +1300,6 @@ mod tests {
 
     #[test]
     fn golden_whose_l1d_snapshot_has_a_wrong_byte_count_is_quarantined() {
-        use merlin_isa::binio::{decode_from_slice, encode_to_vec};
         let dir = temp_dir("l1d-bytes-reject");
         let p = tiny_program();
         let cfg = CpuConfig::default();
@@ -1314,7 +1320,8 @@ mod tests {
             .last()
             .unwrap()
             .clone();
-        let state = encode_to_vec(&last);
+        let mut state = Vec::new();
+        last.encode(&mut state);
         let line_bytes = cfg.l1d.line_bytes as usize;
         let word = |at: usize| u64::from_le_bytes(state[at..at + 8].try_into().unwrap()) as usize;
         let (count_at, lines) = (0..state.len() - 8)
@@ -1331,7 +1338,9 @@ mod tests {
         ((lines - 1) * line_bytes).encode(&mut forged);
         forged.extend_from_slice(&state[bytes_at + 8..bytes_at + 8 + (lines - 1) * line_bytes]);
         forged.extend_from_slice(&state[bytes_at + 8 + lines * line_bytes..]);
-        let decoded: merlin_cpu::CpuState = decode_from_slice(&forged).unwrap();
+        let mut r = ByteReader::new(&forged);
+        let decoded = merlin_cpu::CpuState::decode(&mut r, s1.decoded()).unwrap();
+        assert!(r.is_at_end());
         assert!(!decoded.fits(&cfg, last.memory_dense_bytes()));
 
         // Splice the forged checkpoint in behind a checksum that matches.

@@ -1,12 +1,12 @@
-//! Pins the `.golden` v9 wire format byte for byte.
+//! Pins the `.golden` v10 wire format byte for byte.
 //!
 //! Persists the golden runs (checkpoint store and L1D liveness log
 //! included) of four short workloads under `CpuConfig::default()` and the
 //! default session knobs, and asserts each file's FNV-1a digest against a
 //! recorded constant.  Any change to how a persisted type encodes — the
-//! core state, the checkpoint deltas, the run result, the log — changes a
-//! digest and fails here, even when a decode of the new bytes would
-//! round-trip.  A deliberate format change must bump `GOLDEN_VERSION` and
+//! core state and its `(rip, upc)` micro-op names, the checkpoint deltas,
+//! the run result, the log — changes a digest and fails here, even when a
+//! decode of the new bytes would round-trip.  A deliberate format change must bump `GOLDEN_VERSION` and
 //! re-record these constants.
 
 use merlin_cpu::CpuConfig;
@@ -15,10 +15,10 @@ use std::fs;
 
 /// `(workload, FNV-1a 64 of the persisted file, file length in bytes)`.
 const PINNED: &[(&str, u64, usize)] = &[
-    ("sha", 0xb03d_6646_20fa_aca5, 271_289),
-    ("susan_e", 0x358a_b84c_47f2_a9b8, 294_950),
-    ("fft", 0x595d_1a3e_5b0d_9e57, 580_265),
-    ("qsort", 0xa9e8_7059_769f_179d, 882_784),
+    ("sha", 0x3527_3779_f1bf_5043, 247_362),
+    ("susan_e", 0x1e03_99e3_24fa_8def, 275_007),
+    ("fft", 0x91d2_6c87_2fce_6ed2, 527_023),
+    ("qsort", 0x2e09_6047_9ef9_2291, 834_263),
 ];
 
 fn fnv1a(bytes: &[u8]) -> u64 {

@@ -16,8 +16,8 @@
 use merlin_cpu::{CheckpointPolicy, CheckpointStore, CpuConfig, FaultSpec, Structure};
 use merlin_inject::chaos;
 use merlin_inject::{GoldenRun, SessionCache, GOLDEN};
-use merlin_isa::binio::{decode_from_slice, encode_to_vec};
-use merlin_isa::Program;
+use merlin_isa::binio::ByteReader;
+use merlin_isa::{DecodedProgram, Program};
 use proptest::prelude::*;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -201,17 +201,20 @@ fn a_store_that_cannot_serve_cycle_zero_is_quarantined() {
     // Layout of the payload's tail: store, L1D log, checksum.
     let payload_end = p.bytes.len() - 8;
     let log_len = 8 + 4 * (ck.l1d.words() + 1) + 8 + 16 * ck.l1d.span_count();
-    let store_bytes = encode_to_vec(&ck.store);
+    let mut store_bytes = Vec::new();
+    ck.store.encode(&mut store_bytes);
     let store_end = payload_end - log_len;
     let store_start = store_end - store_bytes.len();
     assert_eq!(&p.bytes[store_start..store_end], &store_bytes[..]);
-    // Store encoding: interval (u64), snapshot count (u64), snapshots.
+    // Store encoding: snapshot count (u64), snapshots.
     let first = ck.store.snapshots().next().unwrap();
     assert_eq!(first.cycle(), 0);
-    let mut late = store_bytes[..8].to_vec();
-    late.extend_from_slice(&(ck.store.len() as u64 - 1).to_le_bytes());
-    late.extend_from_slice(&store_bytes[16 + encode_to_vec(first).len()..]);
-    let late_store: CheckpointStore = decode_from_slice(&late).unwrap();
+    let mut first_bytes = Vec::new();
+    first.encode(&mut first_bytes);
+    let mut late = (ck.store.len() as u64 - 1).to_le_bytes().to_vec();
+    late.extend_from_slice(&store_bytes[8 + first_bytes.len()..]);
+    let decoded = DecodedProgram::new(&program());
+    let late_store = CheckpointStore::decode(&mut ByteReader::new(&late), &decoded).unwrap();
     assert!(!late_store.starts_at_reset());
     let second = late_store.cycles().next().unwrap();
     assert!(second > 2, "the first remaining checkpoint is past cycle 2");
@@ -243,5 +246,107 @@ fn a_store_that_cannot_serve_cycle_zero_is_quarantined() {
     let scratch = session.campaign_from_scratch(&faults).unwrap();
     assert_eq!(campaign.outcomes, scratch.outcomes);
     assert_eq!(campaign.schedule.asserts, scratch.schedule.asserts);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A broken writer's micro-op, behind a valid checksum: one fetch-buffer
+/// entry of a checkpoint that no load-time replay restores or ends at names
+/// an instruction past the program text, or a micro-op past its
+/// instruction's last.  Only the decode's lookup of each `(rip, upc)` name
+/// in the session's decoded program stands between it and a campaign
+/// worker that restores that checkpoint.  Each forged file must be
+/// quarantined and counted, the golden run rebuilt, and the campaign must
+/// classify like from-scratch simulation.
+#[test]
+fn a_micro_op_the_program_lacks_is_quarantined() {
+    let p = pristine();
+    let ck = &p.golden.checkpoints;
+    let program = program();
+    let decoded = DecodedProgram::new(&program);
+    // Layout of the payload's tail: store, L1D log, checksum; the store is
+    // its snapshot count (u64) and the snapshots.
+    let payload_end = p.bytes.len() - 8;
+    let log_len = 8 + 4 * (ck.l1d.words() + 1) + 8 + 16 * ck.l1d.span_count();
+    let mut store_bytes = Vec::new();
+    ck.store.encode(&mut store_bytes);
+    let store_start = payload_end - log_len - store_bytes.len();
+    let mut starts = Vec::new();
+    let mut at = store_start + 8;
+    for s in ck.store.snapshots() {
+        starts.push(at);
+        let mut bytes = Vec::new();
+        s.encode(&mut bytes);
+        at += bytes.len();
+    }
+    assert_eq!(at, payload_end - log_len);
+    let word = |at: usize, n: usize| {
+        let mut le = [0u8; 8];
+        le[..n].copy_from_slice(&p.bytes[at..at + n]);
+        u64::from_le_bytes(le)
+    };
+    // The load replays restore checkpoints 0, `k` and the last and compare
+    // against 1 and `k + 1`, where `k` is the fingerprint (the header's
+    // word after the magic and the version) modulo the last index; forge
+    // a checkpoint they never touch.
+    let last = ck.store.len() - 1;
+    let k = (word(8 + 4, 8) % last as u64) as usize;
+    // Snapshot encoding: cycle (u64), next sequence number (u64), fetch PC
+    // (u32), two fetch flags (bool), the fetch buffer's length (u64), then
+    // each entry as rip (u32), upc (u8), predicted next RIP (u32).
+    let (fetch_len_at, rip_at) = (8 + 8 + 4 + 1 + 1, 8 + 8 + 4 + 1 + 1 + 8);
+    let target = (2..last)
+        .filter(|&i| ![k, k + 1].contains(&i))
+        .find(|&i| word(starts[i] + fetch_len_at, 8) > 0)
+        .expect("a checkpoint off the replays with a fetched micro-op");
+    let entry = starts[target] + rip_at;
+    let rip = word(entry, 4) as u32;
+    let upc = word(entry + 4, 1) as u8;
+    assert!(decoded.uop(rip, upc).is_ok(), "the layout names a micro-op");
+    let forgeries: [(&str, usize, Vec<u8>); 2] = [
+        (
+            "rip past the text",
+            entry,
+            (program.len() as u32).to_le_bytes().to_vec(),
+        ),
+        (
+            "upc past the instruction",
+            entry + 4,
+            vec![decoded.uops(rip).len() as u8],
+        ),
+    ];
+    // A directory of its own: the property above rewrites the pristine
+    // path concurrently.
+    let dir = p.dir.with_extension("uop");
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(p.path.file_name().unwrap());
+    let quarantine = corrupt_path(&path);
+    for (what, at, patch) in forgeries {
+        let _ = fs::remove_file(&quarantine);
+        let mut bytes = p.bytes[..payload_end].to_vec();
+        bytes[at..at + patch.len()].copy_from_slice(&patch);
+        let checksum = (GOLDEN.checksum)(&bytes);
+        bytes.extend_from_slice(&checksum.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+
+        let (cache, session) = build_session(&dir);
+        assert_eq!(session.golden().unwrap(), &p.golden, "{what}");
+        assert_eq!(session.golden_builds(), 1, "{what}: forged store used");
+        assert_eq!(cache.artifact_rejects(), 1, "{what}");
+        assert_eq!(fs::read(&quarantine).unwrap(), bytes, "{what}");
+        // Faults in the forged checkpoint's range included.
+        let cycle = ck.store.snapshots().nth(target).unwrap().cycle();
+        let mut faults = session
+            .fault_list(Structure::RegisterFile, 40, 2017)
+            .unwrap();
+        faults.extend((0..8).map(|e| FaultSpec::new(Structure::RegisterFile, e, 3, cycle + 1)));
+        let campaign = session.campaign(&faults).unwrap();
+        let scratch = session.campaign_from_scratch(&faults).unwrap();
+        assert_eq!(campaign.outcomes, scratch.outcomes, "{what}");
+        assert_eq!(
+            campaign.schedule.asserts, scratch.schedule.asserts,
+            "{what}"
+        );
+    }
     let _ = fs::remove_dir_all(&dir);
 }

@@ -11,7 +11,11 @@
 //!
 //! The trait lives in `merlin-isa` — the bottom of the crate stack — so the
 //! CPU crate can implement it for its snapshot types without orphan-rule
-//! trouble.
+//! trouble.  Micro-ops have no codec: a snapshot names each by its
+//! `(rip, upc)` pair and decodes it against the program's
+//! [`DecodedProgram`](crate::DecodedProgram), which is why the core state
+//! and the checkpoint store decode through inherent methods taking that
+//! table, with [`decode_seq`] for their containers.
 //!
 //! # Examples
 //!
@@ -26,7 +30,7 @@
 //! assert!(r.is_at_end());
 //! ```
 
-use crate::{AluOp, ArchReg, Cond, MemRef, MemSize, Uop, UopKind, NUM_ARCH_REGS};
+use crate::MemSize;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -146,6 +150,32 @@ pub fn decode_from_slice<T: BinCode>(buf: &[u8]) -> Result<T, DecodeError> {
     Ok(value)
 }
 
+/// Decodes a `u64` length prefix and that many elements with `decode`:
+/// the decode of `Vec<T>`, for element types whose decode takes context.
+///
+/// # Errors
+///
+/// Returns [`DecodeError::UnexpectedEof`] for a prefix larger than the
+/// bytes remaining, and any error of an element's decode.
+pub fn decode_seq<T>(
+    r: &mut ByteReader<'_>,
+    mut decode: impl FnMut(&mut ByteReader<'_>) -> Result<T, DecodeError>,
+) -> Result<Vec<T>, DecodeError> {
+    let n = usize::decode(r)?;
+    // Every element consumes at least one byte, so `remaining` bounds the
+    // plausible length; the reserved capacity is additionally capped so a
+    // corrupt prefix cannot trigger a huge up-front allocation even for
+    // wide element types.
+    if n > r.remaining() {
+        return Err(DecodeError::UnexpectedEof);
+    }
+    let mut out = Vec::with_capacity(bounded_capacity(n));
+    for _ in 0..n {
+        out.push(decode(r)?);
+    }
+    Ok(out)
+}
+
 macro_rules! impl_scalar {
     ($($ty:ty),*) => {$(
         impl BinCode for $ty {
@@ -210,19 +240,7 @@ impl<T: BinCode> BinCode for Vec<T> {
         }
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        let n = usize::decode(r)?;
-        // Every element consumes at least one byte, so `remaining` bounds the
-        // plausible length; the reserved capacity is additionally capped so a
-        // corrupt prefix cannot trigger a huge up-front allocation even for
-        // wide element types.
-        if n > r.remaining() {
-            return Err(DecodeError::UnexpectedEof);
-        }
-        let mut out = Vec::with_capacity(bounded_capacity(n));
-        for _ in 0..n {
-            out.push(T::decode(r)?);
-        }
-        Ok(out)
+        decode_seq(r, T::decode)
     }
 }
 
@@ -234,17 +252,6 @@ impl BinCode for Box<[u8]> {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
         let n = usize::decode(r)?;
         Ok(r.take(n)?.to_vec().into_boxed_slice())
-    }
-}
-
-impl BinCode for String {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.len().encode(out);
-        out.extend_from_slice(self.as_bytes());
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        let n = usize::decode(r)?;
-        String::from_utf8(r.take(n)?.to_vec()).map_err(|_| DecodeError::Invalid("utf-8 string"))
     }
 }
 
@@ -286,149 +293,29 @@ impl<T: BinCode, const N: usize> BinCode for [T; N] {
     }
 }
 
-// --- ISA types -----------------------------------------------------------
-
-impl BinCode for ArchReg {
+impl BinCode for MemSize {
     fn encode(&self, out: &mut Vec<u8>) {
-        (self.index() as u8).encode(out);
+        out.push(match self {
+            MemSize::B1 => 0,
+            MemSize::B2 => 1,
+            MemSize::B4 => 2,
+            MemSize::B8 => 3,
+        });
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        let idx = u8::decode(r)? as usize;
-        if idx >= NUM_ARCH_REGS {
-            return Err(DecodeError::Invalid("architectural register index"));
+        match u8::decode(r)? {
+            0 => Ok(MemSize::B1),
+            1 => Ok(MemSize::B2),
+            2 => Ok(MemSize::B4),
+            3 => Ok(MemSize::B8),
+            _ => Err(DecodeError::Invalid("MemSize")),
         }
-        Ok(crate::reg::from_index(idx))
-    }
-}
-
-macro_rules! impl_fieldless_enum {
-    ($ty:ident { $($variant:ident = $tag:literal),* $(,)? }) => {
-        impl BinCode for $ty {
-            fn encode(&self, out: &mut Vec<u8>) {
-                out.push(match self { $($ty::$variant => $tag),* });
-            }
-            fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-                match u8::decode(r)? {
-                    $($tag => Ok($ty::$variant),)*
-                    _ => Err(DecodeError::Invalid(stringify!($ty))),
-                }
-            }
-        }
-    };
-}
-
-impl_fieldless_enum!(AluOp {
-    Add = 0, Sub = 1, And = 2, Or = 3, Xor = 4, Shl = 5, Shr = 6, Sar = 7,
-    Mul = 8, Div = 9, Rem = 10, Slt = 11, Sltu = 12, Min = 13, Max = 14,
-});
-
-impl_fieldless_enum!(Cond {
-    Eq = 0, Ne = 1, Lt = 2, Ge = 3, Le = 4, Gt = 5, Ltu = 6, Geu = 7,
-});
-
-impl_fieldless_enum!(MemSize { B1 = 0, B2 = 1, B4 = 2, B8 = 3 });
-
-impl BinCode for MemRef {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.base.encode(out);
-        self.index.encode(out);
-        self.scale.encode(out);
-        self.displacement.encode(out);
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        let base = ArchReg::decode(r)?;
-        let index = Option::<ArchReg>::decode(r)?;
-        let scale = u8::decode(r)?;
-        if !matches!(scale, 1 | 2 | 4 | 8) {
-            return Err(DecodeError::Invalid("memory reference scale"));
-        }
-        let displacement = i64::decode(r)?;
-        Ok(MemRef {
-            base,
-            index,
-            scale,
-            displacement,
-        })
-    }
-}
-
-impl BinCode for UopKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            UopKind::Alu(op) => {
-                out.push(0);
-                op.encode(out);
-            }
-            UopKind::Load => out.push(1),
-            UopKind::StoreAddr => out.push(2),
-            UopKind::StoreData => out.push(3),
-            UopKind::Branch(c) => {
-                out.push(4);
-                c.encode(out);
-            }
-            UopKind::Jump => out.push(5),
-            UopKind::JumpReg => out.push(6),
-            UopKind::Call => out.push(7),
-            UopKind::Out => out.push(8),
-            UopKind::Halt => out.push(9),
-            UopKind::Nop => out.push(10),
-        }
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        Ok(match u8::decode(r)? {
-            0 => UopKind::Alu(AluOp::decode(r)?),
-            1 => UopKind::Load,
-            2 => UopKind::StoreAddr,
-            3 => UopKind::StoreData,
-            4 => UopKind::Branch(Cond::decode(r)?),
-            5 => UopKind::Jump,
-            6 => UopKind::JumpReg,
-            7 => UopKind::Call,
-            8 => UopKind::Out,
-            9 => UopKind::Halt,
-            10 => UopKind::Nop,
-            _ => return Err(DecodeError::Invalid("UopKind")),
-        })
-    }
-}
-
-impl BinCode for Uop {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.rip.encode(out);
-        self.upc.encode(out);
-        self.kind.encode(out);
-        self.srcs.encode(out);
-        self.dst.encode(out);
-        self.imm.encode(out);
-        self.mem.encode(out);
-        self.mem_size.encode(out);
-        self.mem_signed.encode(out);
-        self.cmp_with_imm.encode(out);
-        self.cmp_imm.encode(out);
-        self.last_in_inst.encode(out);
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        Ok(Uop {
-            rip: BinCode::decode(r)?,
-            upc: BinCode::decode(r)?,
-            kind: BinCode::decode(r)?,
-            srcs: BinCode::decode(r)?,
-            dst: BinCode::decode(r)?,
-            imm: BinCode::decode(r)?,
-            mem: BinCode::decode(r)?,
-            mem_size: BinCode::decode(r)?,
-            mem_signed: BinCode::decode(r)?,
-            cmp_with_imm: BinCode::decode(r)?,
-            cmp_imm: BinCode::decode(r)?,
-            last_in_inst: BinCode::decode(r)?,
-        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reg;
 
     fn roundtrip<T: BinCode + PartialEq + std::fmt::Debug>(value: T) {
         let bytes = encode_to_vec(&value);
@@ -445,32 +332,16 @@ mod tests {
         roundtrip(Option::<u32>::None);
         roundtrip(Some(7u8));
         roundtrip(vec![1u64, 2, 3]);
-        roundtrip(String::from("golden"));
         roundtrip(VecDeque::from(vec![(1u32, false), (2, true)]));
-        roundtrip([Some(reg(1)), None, Some(reg(5))]);
+        roundtrip([Some(1u8), None, Some(5)]);
         roundtrip(vec![0u8, 255].into_boxed_slice());
     }
 
     #[test]
     fn isa_types_roundtrip() {
-        for op in [AluOp::Add, AluOp::Max, AluOp::Div] {
-            roundtrip(op);
-        }
-        for c in [Cond::Eq, Cond::Geu] {
-            roundtrip(c);
-        }
         for s in [MemSize::B1, MemSize::B8] {
             roundtrip(s);
         }
-        roundtrip(reg(7));
-        roundtrip(MemRef::base(reg(2)).indexed(reg(3), 8).disp(-16));
-        let mut u = Uop::blank(17, 2, UopKind::Branch(Cond::Lt));
-        u.srcs = [Some(reg(1)), Some(reg(2)), None];
-        u.imm = 99;
-        u.cmp_with_imm = true;
-        u.cmp_imm = -5;
-        u.last_in_inst = true;
-        roundtrip(u);
     }
 
     #[test]
@@ -482,13 +353,11 @@ mod tests {
         );
         // Bad enum tag.
         assert_eq!(
-            decode_from_slice::<AluOp>(&[200]),
-            Err(DecodeError::Invalid("AluOp"))
+            decode_from_slice::<MemSize>(&[200]),
+            Err(DecodeError::Invalid("MemSize"))
         );
         // Bad bool.
         assert!(decode_from_slice::<bool>(&[9]).is_err());
-        // Register index out of range.
-        assert!(decode_from_slice::<ArchReg>(&[250]).is_err());
         // Length prefix larger than the remaining input.
         let mut buf = Vec::new();
         1_000_000usize.encode(&mut buf);
@@ -500,13 +369,6 @@ mod tests {
         let mut buf = encode_to_vec(&5u8);
         buf.push(0);
         assert!(decode_from_slice::<u8>(&buf).is_err());
-        // Invalid scale.
-        let mut buf = Vec::new();
-        reg(0).encode(&mut buf);
-        Option::<ArchReg>::None.encode(&mut buf);
-        3u8.encode(&mut buf); // scale 3 is not 1/2/4/8
-        0i64.encode(&mut buf);
-        assert!(decode_from_slice::<MemRef>(&buf).is_err());
     }
 
     #[test]

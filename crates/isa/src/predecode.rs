@@ -14,15 +14,18 @@
 //! `Arc<DecodedProgram>` is shared by every core of a fault-injection
 //! campaign (golden run and per-worker cores alike);
 //! it is never persisted, because rebuilding it costs one linear pass over
-//! the program text.
+//! the program text.  A persisted checkpoint names each in-flight micro-op
+//! by its `(rip, upc)` pair alone, and decoding looks the micro-op up here
+//! ([`DecodedProgram::uop`]).
 //!
 //! Equivalence with the per-fetch cracker is structural — both paths run
 //! the same [`decode_into`](crate::decode_into) — and pinned by tests that
 //! compare the arena against [`decode`](crate::decode) instruction by
 //! instruction.
 
+use crate::binio::DecodeError;
 use crate::decode::{decode_into, MAX_UOPS_PER_INST};
-use crate::{Program, Rip, Uop};
+use crate::{Program, Rip, Uop, Upc};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -112,6 +115,20 @@ impl DecodedProgram {
         &self.uops[self.offsets[rip] as usize..self.offsets[rip + 1] as usize]
     }
 
+    /// The micro-op named `(rip, upc)`: the checked lookup behind decoding
+    /// a persisted micro-op, which a file from outside the process names.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError::Invalid`] when `rip` is outside the program
+    /// text or its instruction has no micro-op `upc`.
+    pub fn uop(&self, rip: Rip, upc: Upc) -> Result<Uop, DecodeError> {
+        let inst = (rip as usize) < self.num_instructions();
+        inst.then(|| self.uops(rip).get(upc as usize).copied())
+            .flatten()
+            .ok_or(DecodeError::Invalid("micro-op (rip, upc)"))
+    }
+
     /// Number of static instructions the table covers.
     pub fn num_instructions(&self) -> usize {
         self.offsets.len() - 1
@@ -194,6 +211,28 @@ mod tests {
         let decoded = DecodedProgram::new(&program);
         assert!(decoded.is_empty());
         assert_eq!(decoded.num_uops(), 0);
+    }
+
+    #[test]
+    fn checked_lookup_names_every_micro_op_and_nothing_else() {
+        let program = mixed_program();
+        let decoded = DecodedProgram::new(&program);
+        for rip in 0..program.len() as Rip {
+            let uops = decoded.uops(rip);
+            for u in uops {
+                assert_eq!(decoded.uop(u.rip, u.upc), Ok(*u));
+            }
+            // One past the instruction's last micro-op.
+            let past = uops.len() as Upc;
+            assert!(decoded.uop(rip, past).is_err(), "rip {rip} upc {past}");
+        }
+        let end = program.len() as Rip;
+        for (rip, upc) in [(end, 0), (Rip::MAX, 0), (0, Upc::MAX)] {
+            assert_eq!(
+                decoded.uop(rip, upc),
+                Err(DecodeError::Invalid("micro-op (rip, upc)"))
+            );
+        }
     }
 
     #[test]

@@ -81,13 +81,6 @@ impl ArchReg {
     }
 }
 
-/// Rebuilds a register from its flat index (decoder internal; the index must
-/// already be validated against [`NUM_ARCH_REGS`]).
-pub(crate) fn from_index(idx: usize) -> ArchReg {
-    debug_assert!(idx < NUM_ARCH_REGS);
-    ArchReg(idx as u8)
-}
-
 impl fmt::Display for ArchReg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.is_gpr() {
