@@ -23,7 +23,7 @@
 use crate::intervals::{Interval, VulnerableIntervals};
 use crate::profiler::AceAnalysis;
 use merlin_cpu::{RunResult, Structure};
-use merlin_inject::artifact::{fnv1a_words, ArtifactFormat};
+use merlin_inject::artifact::ArtifactFormat;
 use merlin_inject::Session;
 use merlin_isa::binio::{BinCode, ByteReader};
 use std::collections::HashMap;
@@ -41,7 +41,6 @@ pub const ACE: ArtifactFormat = ArtifactFormat {
     magic: b"MRLNACE\0",
     version: ACE_VERSION,
     extension: "ace",
-    checksum: fnv1a_words,
 };
 
 /// Bytes of one encoded interval.

@@ -318,7 +318,7 @@ fn profiled_dynamic_instances_are_monotonic_per_rip() {
         let mut commits: HashMap<Rip, u64> = HashMap::new();
         let mut last: HashMap<(Rip, Upc), u64> = HashMap::new();
         let mut instance = HashMap::new();
-        for r in &probe.retired {
+        for r in &probe.retired() {
             let count = commits.entry(r.rip).or_default();
             let prev = last.insert((r.rip, r.upc), *count);
             assert!(prev.is_none_or(|p| p <= *count), "{name}: {r:?}");
@@ -328,7 +328,7 @@ fn profiled_dynamic_instances_are_monotonic_per_rip() {
         // The instances each issue-time read may carry (one static micro-op
         // can read one entry twice in a cycle, in two instances).
         let mut stamps: HashMap<(Structure, usize, u64, Rip, Upc), Vec<u64>> = HashMap::new();
-        for &(s, entry, cycle, seq) in &probe.physical_reads {
+        for &(s, entry, cycle, seq) in &probe.physical_reads() {
             if let Some(&(rip, upc, i)) = instance.get(&seq) {
                 stamps
                     .entry((s, entry, cycle, rip, upc))

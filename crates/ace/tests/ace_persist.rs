@@ -4,10 +4,11 @@
 //! file must never be trusted: it is quarantined as `<name>.ace.corrupt` or
 //! ignored as a miss, and the profile is computed again.
 
-use merlin_ace::{AceAnalysis, SessionAce, ACE};
+use merlin_ace::{AceAnalysis, SessionAce};
 use merlin_cpu::{CheckpointPolicy, CpuConfig, Structure};
+use merlin_inject::artifact::fnv1a_words;
 use merlin_inject::chaos;
-use merlin_inject::{Session, SessionBuilder, SessionCache, GOLDEN};
+use merlin_inject::{Session, SessionBuilder, SessionCache};
 use merlin_isa::binio::encode_to_vec;
 use merlin_isa::Program;
 use proptest::prelude::*;
@@ -197,7 +198,7 @@ fn a_replaced_golden_makes_the_ace_a_miss() {
         fs::read(ace_file(&other_dir, &other, "ace").with_extension("golden")).unwrap();
     let mut golden = other_bytes[..other_bytes.len() - 8].to_vec();
     golden[12..20].copy_from_slice(&session.fingerprint().to_le_bytes());
-    let checksum = (GOLDEN.checksum)(&golden);
+    let checksum = fnv1a_words(&golden);
     golden.extend_from_slice(&checksum.to_le_bytes());
     let original = fs::read(path.with_extension("golden")).unwrap();
     assert_ne!(golden, original, "the replacement is the original");
@@ -276,7 +277,7 @@ fn tampered_payloads_behind_a_valid_checksum_are_quarantined() {
         ),
     ];
     for (what, mut bytes) in tampers {
-        let checksum = (ACE.checksum)(&bytes);
+        let checksum = fnv1a_words(&bytes);
         bytes.extend_from_slice(&checksum.to_le_bytes());
         let (dir, path, cache, session) = stage("tamper", &bytes);
         assert!(session.persisted_ace_profile().is_none(), "{what}: trusted");
@@ -308,7 +309,7 @@ fn an_ace_file_of_version_1_is_a_miss() {
     let (_, first_record) = rf_offsets(p);
     let mut bytes = zero_length_first_record(&p.bytes[..p.bytes.len() - 8], first_record);
     bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-    let checksum = (ACE.checksum)(&bytes);
+    let checksum = fnv1a_words(&bytes);
     bytes.extend_from_slice(&checksum.to_le_bytes());
     assert_ne!(p.bytes[8..12], bytes[8..12], "the pristine file is not v1");
 

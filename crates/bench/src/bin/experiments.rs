@@ -119,12 +119,8 @@ fn table1() {
         "Functional units         {} int ALUs; {} complex int; {} mem ports; {} branch",
         c.int_alus, c.complex_alus, c.mem_ports, c.branch_units
     );
-    println!(
-        "L1 instruction cache     {}KB, {}B line, {}-way",
-        c.l1i.size_bytes / 1024,
-        c.l1i.line_bytes,
-        c.l1i.ways
-    );
+    // The paper's L1I; fetch reads the program text, so none is modelled.
+    println!("L1 instruction cache     32KB, 64B line, 4-way");
     println!(
         "L1 data cache            16/32/64KB (sweep), {}B line, {}-way, write back",
         c.l1d.line_bytes, c.l1d.ways

@@ -1,5 +1,5 @@
 //! Word bitsets: `words[pos / 64]` holds bit `pos % 64`.  The core's
-//! ROB-position sets, the register file's ready bits and the caches' valid
+//! ROB-position sets and pending registers, and the caches' valid
 //! lines use them.
 
 #[inline]

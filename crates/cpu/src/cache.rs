@@ -13,7 +13,7 @@
 //! valid-line bitset lets snapshot, restore and compare walk only the
 //! valid lines, so every cost scales with the lines in use.
 
-use crate::bits::{ones, set_bit};
+use crate::bits::{has_bit, ones, set_bit};
 use crate::config::CacheConfig;
 use crate::cow::CowTable;
 use crate::memory::{MemError, Memory, MemoryDelta};
@@ -21,10 +21,10 @@ use crate::probe::{Probe, ReadInfo, Structure, WRITEBACK_RIP};
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
 use merlin_isa::MemSize;
 
-/// The tag half of one cache line.
+/// The tag half of one cache line; whether the line is valid is its bit
+/// in [`Cache`]'s valid-line bitset.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Tag {
-    valid: bool,
     dirty: bool,
     tag: u64,
     last_use: u64,
@@ -44,7 +44,8 @@ pub struct Cache {
     data: CowTable<u8>,
     /// Bytes stored per line: `line_bytes`, or 0 in a tags-only cache.
     line_len: usize,
-    /// Bit `set * ways + way` is the line's `valid` flag.
+    /// Bit `set * ways + way` is set while the line is valid; the bits
+    /// past the last line stay clear.  A tag whose bit is clear is stale.
     valid: Vec<u64>,
     use_counter: u64,
 }
@@ -100,8 +101,8 @@ impl Cache {
         let tag = self.tag(addr);
         (0..self.cfg.ways)
             .find(|&way| {
-                let t = self.tags.get(self.line_index(set, way));
-                t.valid && t.tag == tag
+                let idx = self.line_index(set, way);
+                has_bit(&self.valid, idx) && self.tags.get(idx).tag == tag
             })
             .map(|way| (set, way))
     }
@@ -118,7 +119,7 @@ impl Cache {
     /// Picks the LRU victim way within `set` (invalid ways first).
     pub fn victim_way(&self, set: usize) -> usize {
         for way in 0..self.cfg.ways {
-            if !self.tags.get(self.line_index(set, way)).valid {
+            if !has_bit(&self.valid, self.line_index(set, way)) {
                 return way;
             }
         }
@@ -160,10 +161,9 @@ impl Cache {
         let idx = self.line_index(set, way);
         let old = *self.tags.get(idx);
         let victim_addr = (old.tag * self.cfg.sets() as u64 + set as u64) * self.cfg.line_bytes;
-        let evicted = old.valid.then_some((old.dirty, victim_addr));
+        let evicted = has_bit(&self.valid, idx).then_some((old.dirty, victim_addr));
         self.use_counter += 1;
         *self.tags.get_mut(idx) = Tag {
-            valid: true,
             dirty: false,
             tag: self.tag(addr),
             last_use: self.use_counter,
@@ -242,16 +242,12 @@ impl Cache {
     /// Restores the cache to a snapshot of a cache of the same geometry,
     /// in place.
     pub fn restore_snapshot(&mut self, snap: &CacheSnapshot) {
-        for idx in ones(&self.valid) {
-            self.tags.get_mut(idx).valid = false;
-        }
         self.valid.fill(0);
         let len = self.line_len;
         for (i, s) in snap.lines.iter().enumerate() {
             let (set, way) = (s.set as usize, s.way as usize);
             let idx = self.line_index(set, way);
             *self.tags.get_mut(idx) = Tag {
-                valid: true,
                 dirty: s.dirty,
                 tag: s.tag,
                 last_use: s.last_use,
@@ -724,13 +720,33 @@ pub(crate) mod tests {
     use crate::probe::{Event, RecordingProbe};
     use merlin_isa::DATA_BASE;
 
-    /// Asserts that `cache`'s valid-line bitset holds exactly the lines
-    /// whose tag is valid, and no bit past the last line.
-    pub(crate) fn assert_valid_set_exact(cache: &Cache, what: &str) {
-        let flags: Vec<usize> = (cache.tags.iter().enumerate())
-            .filter_map(|(idx, t)| t.valid.then_some(idx))
-            .collect();
-        assert_eq!(ones(&cache.valid).collect::<Vec<_>>(), flags, "{what}");
+    /// Asserts that `cache`'s valid-line bitset has no bit past the last
+    /// line, and that no two valid ways of one set hold the same tag, so a
+    /// lookup has at most one hit.
+    pub(crate) fn assert_valid_set_sound(cache: &Cache, what: &str) {
+        let lines = cache.cfg.lines();
+        assert!(ones(&cache.valid).all(|idx| idx < lines), "{what}");
+        let mut seen = std::collections::HashSet::new();
+        for idx in ones(&cache.valid) {
+            let set = idx / cache.cfg.ways;
+            let tag = cache.tags.get(idx).tag;
+            assert!(
+                seen.insert((set, tag)),
+                "{what}: tag {tag} twice in set {set}"
+            );
+        }
+    }
+
+    /// The valid lines of `snap`, as line indices.
+    pub(crate) fn snapshot_lines(cache: &Cache, snap: &CacheSnapshot) -> Vec<usize> {
+        (snap.lines.iter())
+            .map(|l| cache.line_index(l.set as usize, l.way as usize))
+            .collect()
+    }
+
+    /// The valid lines of `cache`, as line indices.
+    pub(crate) fn valid_lines(cache: &Cache) -> Vec<usize> {
+        ones(&cache.valid).collect()
     }
 
     fn small_system() -> MemSystem {

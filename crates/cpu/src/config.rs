@@ -51,17 +51,6 @@ impl CacheConfig {
         }
     }
 
-    /// The paper's 32 KB, 4-way L1 instruction cache (kept for configuration
-    /// completeness; instruction fetch is modelled as ideal).
-    pub fn l1i_32kb() -> Self {
-        CacheConfig {
-            size_bytes: 32 * 1024,
-            line_bytes: 64,
-            ways: 4,
-            hit_latency: 1,
-        }
-    }
-
     /// Number of sets.
     pub fn sets(&self) -> usize {
         (self.size_bytes / (self.line_bytes * self.ways as u64)) as usize
@@ -146,8 +135,6 @@ pub struct CpuConfig {
     pub mem_ports: usize,
     /// Branch resolution units.
     pub branch_units: usize,
-    /// L1 instruction cache (not timed; kept for completeness).
-    pub l1i: CacheConfig,
     /// L1 data cache configuration (fault-injection target).
     pub l1d: CacheConfig,
     /// Unified L2 configuration.
@@ -179,7 +166,6 @@ impl Default for CpuConfig {
             complex_alus: 2,
             mem_ports: 2,
             branch_units: 2,
-            l1i: CacheConfig::l1i_32kb(),
             l1d: CacheConfig::l1d_kb(64),
             l2: CacheConfig::l2_1mb(),
             mem_latency: 60,
@@ -292,7 +278,7 @@ impl CpuConfig {
                 return Err(ConfigError::ZeroParameter(name));
             }
         }
-        for (name, c) in [("l1i", &self.l1i), ("l1d", &self.l1d), ("l2", &self.l2)] {
+        for (name, c) in [("l1d", &self.l1d), ("l2", &self.l2)] {
             if c.size_bytes % (c.line_bytes * c.ways as u64) != 0
                 || c.line_bytes % 8 != 0
                 || c.ways == 0
@@ -347,7 +333,6 @@ impl CpuConfig {
         self.complex_alus.encode(out);
         self.mem_ports.encode(out);
         self.branch_units.encode(out);
-        self.l1i.encode(out);
         self.l1d.encode(out);
         self.l2.encode(out);
         self.mem_latency.encode(out);

@@ -54,8 +54,6 @@ pub enum AssertKind {
         /// Faulting address.
         addr: u64,
     },
-    /// An internal invariant of the model was violated (captured panic).
-    InternalInvariant(String),
 }
 
 /// How a simulation ended.
@@ -91,9 +89,6 @@ impl fmt::Display for ExitReason {
             }
             ExitReason::Assert(AssertKind::StoreToCode { addr }) => {
                 write!(f, "assert: store to code region at {addr:#x}")
-            }
-            ExitReason::Assert(AssertKind::InternalInvariant(msg)) => {
-                write!(f, "assert: {msg}")
             }
         }
     }
@@ -174,7 +169,8 @@ struct FetchedUop {
     pred_next: Rip,
 }
 
-/// One re-order buffer entry.
+/// One re-order buffer entry.  It sits in the issue queue until it issues,
+/// which sets `complete_at`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct RobEntry {
     seq: u64,
@@ -182,7 +178,6 @@ struct RobEntry {
     src_phys: [Option<PhysReg>; 3],
     dst_phys: Option<PhysReg>,
     prev_phys: Option<PhysReg>,
-    in_iq: bool,
     complete_at: Option<u64>,
     completed: bool,
     pred_next: Rip,
@@ -205,8 +200,8 @@ struct RobEntry {
 /// only the predictor and the BTB sit on copy-on-write storage (see
 /// [`CowTable`](crate::CowTable)).  A value derived from these fields
 /// (like [`Cpu`]'s `next_fault_cycle`, or the issue-queue and load counts
-/// in [`RobSets`]) belongs outside, or the retire probe would compare it as
-/// state.
+/// and the ready set in [`RobSets`]) belongs outside, or the retire probe
+/// would compare it as state.
 #[derive(Debug, Clone, PartialEq)]
 struct CoreState {
     cycle: u64,
@@ -247,12 +242,15 @@ impl CoreState {
     }
 }
 
-/// The ROB entries that issue and writeback visit, as two bitsets over ring
-/// positions: the issue-queue members (`in_iq`), and the issued entries
-/// that have not completed (`complete_at` set, `completed` clear); and the
-/// counts dispatch stalls on: the issue-queue members, and the loads in
-/// the ROB (the load queue holds no data, so its occupancy is all the core
-/// models of it).
+/// What the core derives from its ROB: the entries that issue and
+/// writeback visit, as two bitsets over ring positions: the issue-queue
+/// members (not yet issued, so `complete_at` unset), and the issued
+/// entries that have not completed (`complete_at` set, `completed` clear);
+/// the counts dispatch stalls on: the issue-queue members, and the loads
+/// in the ROB (the load queue holds no data, so its occupancy is all the
+/// core models of it); and, over physical registers, the complement of the
+/// ready set: the registers an uncompleted ROB entry names as its
+/// destination.
 ///
 /// Entry `i` of the ROB sits at ring position `(head + i) & mask`, where
 /// the ring has a power-of-two number of positions, at least `rob_entries`
@@ -269,10 +267,13 @@ struct RobSets {
     in_flight: Vec<u64>,
     iq_len: usize,
     loads: usize,
+    /// Bit `p` is set while physical register `p` is not ready: dispatch
+    /// sets it for the destination, and writeback or squash clears it.
+    pending: Vec<u64>,
 }
 
 impl RobSets {
-    fn new(rob_entries: usize) -> Self {
+    fn new(rob_entries: usize, phys_regs: usize) -> Self {
         let positions = rob_entries.next_power_of_two().max(64);
         RobSets {
             head: 0,
@@ -281,6 +282,7 @@ impl RobSets {
             in_flight: vec![0; positions / 64],
             iq_len: 0,
             loads: 0,
+            pending: vec![0; phys_regs.div_ceil(64)],
         }
     }
 
@@ -291,15 +293,18 @@ impl RobSets {
         self.in_flight.fill(0);
         self.iq_len = 0;
         self.loads = 0;
+        self.pending.fill(0);
         for (i, e) in rob.iter().enumerate() {
-            if e.in_iq {
+            if e.complete_at.is_none() {
                 set_bit(&mut self.iq, i);
                 self.iq_len += 1;
-            }
-            if e.complete_at.is_some() && !e.completed {
+            } else if !e.completed {
                 set_bit(&mut self.in_flight, i);
             }
             self.loads += usize::from(e.uop.kind.is_load());
+            if let (Some(p), false) = (e.dst_phys, e.completed) {
+                set_bit(&mut self.pending, p as usize);
+            }
         }
     }
 
@@ -311,6 +316,7 @@ impl RobSets {
         self.in_flight.clone_from(&src.in_flight);
         self.iq_len = src.iq_len;
         self.loads = src.loads;
+        self.pending.clone_from(&src.pending);
     }
 
     fn pos(&self, idx: usize) -> usize {
@@ -349,8 +355,8 @@ impl RobSets {
     }
 
     /// The head, a load if `load`, committed.  Only a completed entry
-    /// commits, and it left both sets on its way there, so commit only
-    /// advances the ring and counts the load.
+    /// commits, and it left both sets and `pending` on its way there, so
+    /// commit only advances the ring and counts the load.
     fn committed(&mut self, load: bool) {
         debug_assert!(!has_bit(&self.iq, self.head) && !has_bit(&self.in_flight, self.head));
         self.head = (self.head + 1) & self.mask;
@@ -428,7 +434,8 @@ pub struct Cpu {
     /// none): the fault-free fast path of [`Cpu::step`] is one integer
     /// compare.
     next_fault_cycle: u64,
-    /// The ROB entries issue and writeback visit, derived from its flags.
+    /// What the core derives from its ROB: the entries issue and writeback
+    /// visit, the dispatch counts and the ready set.
     sets: RobSets,
 }
 
@@ -483,7 +490,7 @@ impl Cpu {
         // byte-identical image to resolve those deltas against.
         memory.seal_pristine();
         let mem = MemSystem::new(cfg.l1d, cfg.l2, memory, cfg.mem_latency);
-        let sets = RobSets::new(cfg.rob_entries);
+        let sets = RobSets::new(cfg.rob_entries, cfg.phys_int_regs);
         let s = CoreState {
             cycle: 0,
             next_seq: 0,
@@ -720,7 +727,7 @@ impl Cpu {
             }
             let (dst_phys, prev_phys) = if let Some(d) = fetched.uop.dst {
                 let p = self.s.free_list.allocate().expect("checked availability");
-                self.s.prf.mark_pending(p);
+                set_bit(&mut self.sets.pending, p as usize);
                 let prev = self.s.rat.remap(d, p);
                 (Some(p), Some(prev))
             } else {
@@ -747,7 +754,6 @@ impl Cpu {
                 src_phys,
                 dst_phys,
                 prev_phys,
-                in_iq: true,
                 complete_at: None,
                 completed: false,
                 pred_next: fetched.pred_next,
@@ -778,7 +784,7 @@ impl Cpu {
                 .src_phys
                 .iter()
                 .flatten()
-                .all(|&p| self.s.prf.is_ready(p));
+                .all(|&p| !has_bit(&self.sets.pending, p as usize));
             if !ready {
                 continue;
             }
@@ -803,7 +809,6 @@ impl Cpu {
                 for &p in e.src_phys.iter().flatten() {
                     probe.physical_read(Structure::RegisterFile, p as usize, self.s.cycle, e.seq);
                 }
-                e.in_iq = false;
                 self.sets.issued(idx);
                 issued += 1;
                 match kind {
@@ -1000,6 +1005,7 @@ impl Cpu {
             if let Some(p) = self.s.rob[idx].dst_phys {
                 let value = self.s.rob[idx].result.unwrap_or(0);
                 self.s.prf.write(p, value);
+                clear_bit(&mut self.sets.pending, p as usize);
                 probe.write(Structure::RegisterFile, p as usize, cycle);
             }
             self.s.rob[idx].completed = true;
@@ -1033,7 +1039,7 @@ impl Cpu {
             }
             if let Some(p) = e.dst_phys {
                 self.s.free_list.release(p);
-                self.s.prf.mark_ready(p);
+                clear_bit(&mut self.sets.pending, p as usize);
                 probe.invalidate(Structure::RegisterFile, p as usize, cycle);
             }
             if e.uop.kind == UopKind::StoreAddr {
@@ -1084,7 +1090,6 @@ impl Cpu {
 
             if let Some(prev) = e.prev_phys {
                 self.s.free_list.release(prev);
-                self.s.prf.mark_ready(prev);
                 probe.invalidate(Structure::RegisterFile, prev as usize, cycle);
             }
 
@@ -1250,11 +1255,11 @@ impl Cpu {
     /// Each rule rests on an invariant of the core:
     ///
     /// - **Register file:** the physical register is on the free list, or
-    ///   allocated but not yet ready.  Rename marks a newly allocated
-    ///   register not-ready; it turns ready only when writeback overwrites
-    ///   its whole value, or when a squash frees it.  Issue waits for every
-    ///   source to be ready, and nothing reads a free register until it is
-    ///   allocated again.
+    ///   allocated but not yet ready: an uncompleted ROB entry names it as
+    ///   its destination, and only its writeback, which overwrites its whole
+    ///   value, or its squash, which frees it, ends that.  Issue waits for
+    ///   every source to be ready, and nothing reads a free register until
+    ///   it is allocated again.
     /// - **Store queue:** the slot is not valid, or valid but its store data
     ///   has not arrived yet.  [`StoreQueue::allocate`] and the store-data
     ///   micro-op overwrite the data field; forwarding and the commit-time
@@ -1273,12 +1278,10 @@ impl Cpu {
         }
         match structure {
             Structure::RegisterFile => {
-                let p = entry as PhysReg;
-                !self.s.prf.is_ready(p) || self.s.free_list.contains(p)
+                has_bit(&self.sets.pending, entry) || self.s.free_list.contains(entry as PhysReg)
             }
             Structure::StoreQueue => {
-                let slot = self.s.sq.slot(entry);
-                !slot.valid || !slot.data_ready
+                !self.s.sq.is_valid(entry) || !self.s.sq.slot(entry).data_ready
             }
             Structure::L1DCache => false,
         }
@@ -1338,7 +1341,7 @@ impl CpuState {
         use std::mem::size_of;
         let c = &self.core;
         self.mem.footprint_bytes()
-            + c.prf.len() * 9
+            + c.prf.len() * 8
             + c.output.len() * 8
             + c.rob.len() * size_of::<RobEntry>()
             + c.fetch_buffer.len() * size_of::<FetchedUop>()
@@ -1377,13 +1380,33 @@ impl CpuState {
         self.mem.memory_dense_bytes()
     }
 
-    /// Whether the snapshot restores without a panic into a core under
-    /// `cfg` whose memory is `mem_len` bytes: every cache line inside its
-    /// cache's geometry with the bytes that cache stores, and a memory of
-    /// that size.  Loading a `.golden` file checks it for every snapshot.
+    /// Whether the snapshot restores and runs without a panic in a core
+    /// under `cfg` whose memory is `mem_len` bytes: every size the snapshot
+    /// holds is the one a core under `cfg` builds, every name it holds
+    /// (physical register, store-queue slot, pending fault's entry) lies
+    /// inside its structure, every cache line inside its cache's geometry
+    /// with the bytes that cache stores, and the memory is that size.
+    /// Loading a `.golden` file checks it for every snapshot.
     pub fn fits(&self, cfg: &CpuConfig, mem_len: usize) -> bool {
+        let c = &self.core;
+        let reg = |p: &PhysReg| (*p as usize) < cfg.phys_int_regs;
+        let slot = |s: &usize| *s < cfg.sq_entries;
+        let rob_fits = |e: &RobEntry| {
+            e.src_phys.iter().flatten().all(reg)
+                && e.dst_phys.iter().chain(&e.prev_phys).all(reg)
+                && e.sq_slot.iter().all(slot)
+        };
         let (l1d, l2) = (&self.mem.l1d, &self.mem.l2);
-        l1d.fits(&cfg.l1d, cfg.l1d.line_bytes as usize)
+        c.prf.len() == cfg.phys_int_regs
+            && c.rat.regs().chain(c.free_list.regs()).all(|p| reg(&p))
+            && c.sq.capacity() == cfg.sq_entries
+            && c.pending_store_slot.iter().all(slot)
+            && c.rob.len() <= cfg.rob_entries
+            && c.rob.iter().all(rob_fits)
+            && (c.faults.iter()).all(|f| f.entry < cfg.structure_entries(f.structure))
+            && c.bp.fits(cfg.predictor_entries)
+            && c.btb.fits(cfg.btb_entries)
+            && l1d.fits(&cfg.l1d, cfg.l1d.line_bytes as usize)
             && l2.fits(&cfg.l2, 0)
             && self.memory_dense_bytes() == mem_len
     }
@@ -1462,11 +1485,6 @@ impl BinCode for AssertKind {
                 out.push(0);
                 addr.encode(out);
             }
-            AssertKind::InternalInvariant(msg) => {
-                out.push(1);
-                msg.len().encode(out);
-                out.extend_from_slice(msg.as_bytes());
-            }
         }
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
@@ -1474,10 +1492,6 @@ impl BinCode for AssertKind {
             0 => AssertKind::StoreToCode {
                 addr: BinCode::decode(r)?,
             },
-            1 => AssertKind::InternalInvariant(
-                String::from_utf8(Box::<[u8]>::decode(r)?.into_vec())
-                    .map_err(|_| DecodeError::Invalid("utf-8 string"))?,
-            ),
             _ => return Err(DecodeError::Invalid("AssertKind")),
         })
     }
@@ -1564,7 +1578,6 @@ impl RobEntry {
         self.src_phys.encode(out);
         self.dst_phys.encode(out);
         self.prev_phys.encode(out);
-        self.in_iq.encode(out);
         self.complete_at.encode(out);
         self.completed.encode(out);
         self.pred_next.encode(out);
@@ -1580,7 +1593,6 @@ impl RobEntry {
             src_phys: BinCode::decode(r)?,
             dst_phys: BinCode::decode(r)?,
             prev_phys: BinCode::decode(r)?,
-            in_iq: BinCode::decode(r)?,
             complete_at: BinCode::decode(r)?,
             completed: BinCode::decode(r)?,
             pred_next: BinCode::decode(r)?,
@@ -1703,18 +1715,21 @@ mod tests {
         lq.lq_entries += 64;
         assert_eq!(footprint(lq), base);
         let regs = cfg.clone().with_phys_regs(cfg.phys_int_regs + 8);
-        assert_eq!(footprint(regs) - base, 8 * (9 + size_of::<PhysReg>()));
+        assert_eq!(footprint(regs) - base, 8 * (8 + size_of::<PhysReg>()));
     }
 
     /// Asserts that `cpu`'s derived sets hold exactly the ROB entries its
-    /// flags name: the issue-queue members and the issued entries that have
-    /// not completed, and no position past the ROB's tail; and that its
-    /// derived counts are the ROB's issue-queue members and loads.
+    /// fields name: the issue-queue members (not yet issued, so
+    /// `complete_at` unset) and the issued entries that have not
+    /// completed, and no position past the ROB's tail; that its derived
+    /// counts are the ROB's issue-queue members and loads; and that its
+    /// ready set holds exactly the registers no uncompleted ROB entry names
+    /// as its destination.
     fn assert_rob_sets_exact(cpu: &Cpu) {
         let sets = &cpu.sets;
         let rob = &cpu.s.rob;
         let at = cpu.cycle();
-        let in_iq = rob.iter().filter(|e| e.in_iq).count();
+        let in_iq = rob.iter().filter(|e| e.complete_at.is_none()).count();
         assert_eq!(sets.iq_len, in_iq, "issue-queue count at cycle {at}");
         let loads = rob.iter().filter(|e| e.uop.kind.is_load()).count();
         assert_eq!(sets.loads, loads, "load count at cycle {at}");
@@ -1724,15 +1739,24 @@ mod tests {
             let pos = sets.pos(idx);
             assert_eq!(
                 has_bit(&sets.iq, pos),
-                e.is_some_and(|e| e.in_iq),
-                "issue-queue bit of ROB index {idx} at cycle {}",
-                cpu.cycle()
+                e.is_some_and(|e| e.complete_at.is_none()),
+                "issue-queue bit of ROB index {idx} at cycle {at}"
             );
             assert_eq!(
                 has_bit(&sets.in_flight, pos),
                 e.is_some_and(|e| e.complete_at.is_some() && !e.completed),
-                "in-flight bit of ROB index {idx} at cycle {}",
-                cpu.cycle()
+                "in-flight bit of ROB index {idx} at cycle {at}"
+            );
+        }
+        let pending: Vec<usize> = (rob.iter())
+            .filter(|e| !e.completed)
+            .filter_map(|e| e.dst_phys.map(usize::from))
+            .collect();
+        for p in 0..sets.pending.len() * 64 {
+            assert_eq!(
+                !has_bit(&sets.pending, p),
+                !pending.contains(&p),
+                "ready bit of register {p} at cycle {at}"
             );
         }
     }
@@ -1828,18 +1852,28 @@ mod tests {
     fn step_checking_valid_sets(cpu: &mut Cpu, cycle: u64) {
         while !cpu.is_finished() && cpu.cycle() < cycle {
             cpu.step(&mut crate::NullProbe);
-            assert_valid_sets_exact(cpu, "step");
+            assert_valid_sets_sound(cpu, "step");
         }
     }
 
-    fn assert_valid_sets_exact(cpu: &Cpu, what: &str) {
+    fn assert_valid_sets_sound(cpu: &Cpu, what: &str) {
         let what = format!("{what} at cycle {}", cpu.cycle());
-        crate::cache::tests::assert_valid_set_exact(&cpu.mem.l1d, &format!("L1D, {what}"));
-        crate::cache::tests::assert_valid_set_exact(&cpu.mem.l2, &format!("L2, {what}"));
+        crate::cache::tests::assert_valid_set_sound(&cpu.mem.l1d, &format!("L1D, {what}"));
+        crate::cache::tests::assert_valid_set_sound(&cpu.mem.l2, &format!("L2, {what}"));
+    }
+
+    /// Asserts that `cpu`'s valid lines are those `snap` captured, in both
+    /// caches.
+    fn assert_valid_sets_restored(cpu: &Cpu, snap: &CpuState) {
+        use crate::cache::tests::{snapshot_lines, valid_lines};
+        let (l1d, l2) = (&cpu.mem.l1d, &cpu.mem.l2);
+        assert_eq!(valid_lines(l1d), snapshot_lines(l1d, &snap.mem.l1d));
+        assert_eq!(valid_lines(l2), snapshot_lines(l2, &snap.mem.l2));
     }
 
     #[test]
-    fn cache_valid_sets_match_the_tag_flags_every_cycle() {
+    fn cache_valid_sets_stay_sound_across_steps_forks_and_restores() {
+        use crate::cache::tests::valid_lines;
         for l1d_bytes in [CpuConfig::default().l1d.size_bytes, 16 * 1024] {
             let mut cfg = CpuConfig::default();
             cfg.l1d.size_bytes = l1d_bytes;
@@ -1856,14 +1890,70 @@ mod tests {
                 let mut fork = fresh();
                 step_checking_valid_sets(&mut fork, 500);
                 fork.fork_from(&mut cpu);
-                assert_valid_sets_exact(&fork, "fork");
+                assert_valid_sets_sound(&fork, "fork");
+                assert_eq!(valid_lines(&fork.mem.l1d), valid_lines(&cpu.mem.l1d));
+                assert_eq!(valid_lines(&fork.mem.l2), valid_lines(&cpu.mem.l2));
                 cpu.restore_from(&mid);
-                assert_valid_sets_exact(&cpu, "restore");
+                assert_valid_sets_sound(&cpu, "restore");
+                assert_valid_sets_restored(&cpu, &mid);
                 step_checking_valid_sets(&mut cpu, 4_000);
                 assert!(cpu.matches_state(&late), "{}", w.name);
                 step_checking_valid_sets(&mut fork, 6_000);
             }
         }
+    }
+
+    #[test]
+    fn fits_rejects_every_size_and_name_past_its_structure() {
+        let program = merlin_workloads::workload_by_name("qsort").unwrap().program;
+        let cfg = CpuConfig::default();
+        let mut cpu = Cpu::new(program, cfg.clone()).unwrap();
+        while !cpu.s.rob.iter().any(|e| e.sq_slot.is_some()) {
+            cpu.step(&mut crate::NullProbe);
+        }
+        let state = cpu.snapshot();
+        let mem_len = state.memory_dense_bytes();
+        assert!(state.fits(&cfg, mem_len));
+        let store = (state.core.rob.iter()).position(|e| e.sq_slot.is_some());
+        let store = store.unwrap();
+        let regs = cfg.phys_int_regs as PhysReg;
+        let forge = |what: &str, f: &dyn Fn(&mut CoreState)| {
+            let mut forged = state.clone();
+            f(&mut forged.core);
+            assert!(!forged.fits(&cfg, mem_len), "{what}");
+        };
+        forge("register file length", &|c| {
+            c.prf = PhysRegFile::new(cfg.phys_int_regs + 1)
+        });
+        forge("rename-table entry", &|c| {
+            c.rat.remap(merlin_isa::reg(1), regs);
+        });
+        forge("free-list entry", &|c| c.free_list.release(regs));
+        forge("ROB source", &|c| c.rob[0].src_phys[0] = Some(regs));
+        forge("ROB destination", &|c| c.rob[0].dst_phys = Some(regs));
+        forge("ROB previous mapping", &|c| c.rob[0].prev_phys = Some(regs));
+        forge("store-queue capacity", &|c| {
+            c.sq = StoreQueue::new(cfg.sq_entries + 1)
+        });
+        forge("ROB store-queue slot", &|c| {
+            c.rob[store].sq_slot = Some(cfg.sq_entries)
+        });
+        forge("pending store slot", &|c| {
+            c.pending_store_slot = Some(cfg.sq_entries)
+        });
+        forge("ROB length", &|c| {
+            while c.rob.len() <= cfg.rob_entries {
+                c.rob.push_back(c.rob[0].clone());
+            }
+        });
+        forge("predictor tables", &|c| {
+            c.bp = BranchPredictor::new(cfg.predictor_entries * 2)
+        });
+        forge("BTB table", &|c| c.btb = Btb::new(cfg.btb_entries * 2));
+        forge("pending fault's entry", &|c| {
+            let fault = FaultSpec::new(Structure::StoreQueue, cfg.sq_entries, 0, c.cycle + 5);
+            c.faults.push(fault);
+        });
     }
 
     #[test]

@@ -11,11 +11,10 @@
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
 use merlin_isa::MemSize;
 
-/// One store-queue slot.
+/// One store-queue slot.  Whether it holds an in-flight store is its
+/// place in the queue's ring (see [`StoreQueue::is_valid`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SqSlot {
-    /// Whether the slot currently holds an in-flight store.
-    pub valid: bool,
     /// Sequence number of the owning store's STA micro-op.
     pub seq: u64,
     /// Effective address once the STA micro-op has executed.
@@ -31,7 +30,6 @@ pub struct SqSlot {
 impl SqSlot {
     fn empty() -> Self {
         SqSlot {
-            valid: false,
             seq: 0,
             addr: None,
             size: MemSize::B8,
@@ -43,7 +41,6 @@ impl SqSlot {
 
 impl BinCode for SqSlot {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.valid.encode(out);
         self.seq.encode(out);
         self.addr.encode(out);
         self.size.encode(out);
@@ -52,7 +49,6 @@ impl BinCode for SqSlot {
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
         Ok(SqSlot {
-            valid: BinCode::decode(r)?,
             seq: BinCode::decode(r)?,
             addr: BinCode::decode(r)?,
             size: BinCode::decode(r)?,
@@ -62,12 +58,12 @@ impl BinCode for SqSlot {
     }
 }
 
-/// Circular store queue.
+/// Circular store queue: the `count` slots from `head` hold the in-flight
+/// stores, oldest first, and the tail is where the ring ends.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreQueue {
     slots: Vec<SqSlot>,
     head: usize,
-    tail: usize,
     count: usize,
 }
 
@@ -77,7 +73,6 @@ impl StoreQueue {
         StoreQueue {
             slots: vec![SqSlot::empty(); n],
             head: 0,
-            tail: 0,
             count: 0,
         }
     }
@@ -102,6 +97,17 @@ impl StoreQueue {
         self.count == self.capacity()
     }
 
+    /// The slot one past the youngest store, where the next is allocated.
+    fn tail(&self) -> usize {
+        (self.head + self.count) % self.capacity()
+    }
+
+    /// Whether slot `idx` holds an in-flight store: it lies in the ring of
+    /// `count` slots from `head`.
+    pub fn is_valid(&self, idx: usize) -> bool {
+        (idx + self.capacity() - self.head) % self.capacity() < self.count
+    }
+
     /// Allocates the next slot (at the tail) for a store with the given
     /// sequence number; returns the physical slot index.
     ///
@@ -110,16 +116,11 @@ impl StoreQueue {
     /// Panics if the queue is full (the dispatcher must check first).
     pub fn allocate(&mut self, seq: u64) -> usize {
         assert!(!self.is_full(), "store queue overflow");
-        let slot = self.tail;
+        let slot = self.tail();
         self.slots[slot] = SqSlot {
-            valid: true,
             seq,
-            addr: None,
-            size: MemSize::B8,
-            data: 0,
-            data_ready: false,
+            ..SqSlot::empty()
         };
-        self.tail = (self.tail + 1) % self.capacity();
         self.count += 1;
         slot
     }
@@ -130,9 +131,10 @@ impl StoreQueue {
     ///
     /// Panics if the freed slot is not the oldest valid slot.
     pub fn release_head(&mut self, slot: usize) {
-        assert_eq!(slot, self.head, "stores must drain in order");
-        assert!(self.slots[slot].valid);
-        self.slots[slot].valid = false;
+        assert!(
+            !self.is_empty() && slot == self.head,
+            "stores must drain in order"
+        );
         self.head = (self.head + 1) % self.capacity();
         self.count -= 1;
     }
@@ -143,11 +145,11 @@ impl StoreQueue {
     ///
     /// Panics if the freed slot is not the youngest valid slot.
     pub fn release_tail(&mut self, slot: usize) {
-        let youngest = (self.tail + self.capacity() - 1) % self.capacity();
-        assert_eq!(slot, youngest, "squash must free stores youngest-first");
-        assert!(self.slots[slot].valid);
-        self.slots[slot].valid = false;
-        self.tail = youngest;
+        let youngest = (self.tail() + self.capacity() - 1) % self.capacity();
+        assert!(
+            !self.is_empty() && slot == youngest,
+            "squash must free stores youngest-first"
+        );
         self.count -= 1;
     }
 
@@ -161,9 +163,10 @@ impl StoreQueue {
         &mut self.slots[idx]
     }
 
-    /// Iterates over the valid slots (any order).
+    /// Iterates over the valid slots, by a scan of the whole table in slot
+    /// order.
     pub fn valid_slots(&self) -> impl Iterator<Item = (usize, &SqSlot)> {
-        self.slots.iter().enumerate().filter(|(_, s)| s.valid)
+        (self.slots.iter().enumerate()).filter(|&(i, _)| self.is_valid(i))
     }
 
     /// The valid slots oldest-first: the `count` slots from `head`, which
@@ -222,37 +225,24 @@ impl BinCode for StoreQueue {
     fn encode(&self, out: &mut Vec<u8>) {
         self.slots.encode(out);
         self.head.encode(out);
-        self.tail.encode(out);
         self.count.encode(out);
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
         let slots = Vec::<SqSlot>::decode(r)?;
         let head = usize::decode(r)?;
-        let tail = usize::decode(r)?;
         let count = usize::decode(r)?;
-        if slots.is_empty()
-            || head >= slots.len()
-            || tail >= slots.len()
-            || count > slots.len()
-            || tail != (head + count) % slots.len()
-        {
+        if slots.is_empty() || head >= slots.len() || count > slots.len() {
             return Err(DecodeError::Invalid("store queue shape"));
         }
-        let sq = StoreQueue {
-            slots,
-            head,
-            tail,
-            count,
-        };
+        let sq = StoreQueue { slots, head, count };
         // The ring walks of `older_addresses_known` and
-        // `forwarding_candidate` visit only the `count` slots from `head`,
-        // and rely on their sequence numbers ascending.
-        let in_ring = sq.ring().all(|(_, s)| s.valid);
+        // `forwarding_candidate` rely on the sequence numbers ascending
+        // from `head`.
         let ascending = sq
             .ring()
             .zip(sq.ring().skip(1))
             .all(|((_, a), (_, b))| a.seq < b.seq);
-        if !in_ring || !ascending || sq.count != sq.valid_slots().count() {
+        if !ascending {
             return Err(DecodeError::Invalid("store queue ring"));
         }
         Ok(sq)
@@ -355,17 +345,15 @@ mod tests {
     #[test]
     fn decode_rejects_a_store_queue_that_is_not_a_ring() {
         use merlin_isa::binio::{decode_from_slice, encode_to_vec};
-        // Capacity 4; `slots` lists `(slot, seq, valid)` for the slots that
-        // are not blank.
-        let encode = |slots: &[(usize, u64, bool)], head: usize, tail: usize, count: usize| {
+        // Capacity 4; `slots` lists `(slot, seq)` for the slots that are not
+        // blank.
+        let encode = |slots: &[(usize, u64)], head: usize, count: usize| {
             let mut table = vec![SqSlot::empty(); 4];
-            for &(i, seq, valid) in slots {
+            for &(i, seq) in slots {
                 table[i].seq = seq;
-                table[i].valid = valid;
             }
             let mut bytes = encode_to_vec(&table);
             head.encode(&mut bytes);
-            tail.encode(&mut bytes);
             count.encode(&mut bytes);
             bytes
         };
@@ -380,27 +368,18 @@ mod tests {
         sq.allocate(5);
         sq.allocate(8);
         assert_eq!(decode(encode_to_vec(&sq)).unwrap(), sq);
-        let ring = decode(encode(&[(2, 3, true), (3, 5, true), (0, 8, true)], 2, 1, 3)).unwrap();
+        let ring = decode(encode(&[(2, 3), (3, 5), (0, 8)], 2, 3)).unwrap();
         assert_eq!(ring.len(), 3);
-        assert!(decode(encode(&[], 1, 1, 0)).is_ok());
+        let valid: Vec<usize> = ring.valid_slots().map(|(i, _)| i).collect();
+        assert_eq!(valid, [0, 2, 3]);
+        assert!(decode(encode(&[], 1, 0)).is_ok());
         // Each encoding breaks one rule only.
         for (what, bytes) in [
-            (
-                "a released slot inside the ring, a valid one outside",
-                encode(&[(0, 1, true), (1, 2, false), (2, 3, true)], 0, 2, 2),
-            ),
-            (
-                "tail not head + count",
-                encode(&[(0, 1, true), (1, 2, true)], 0, 3, 2),
-            ),
-            ("tail not head + count", encode(&[], 2, 3, 0)),
-            (
-                "count not the valid slots",
-                encode(&[(0, 1, true)], 0, 0, 0),
-            ),
+            ("head past the table", encode(&[], 4, 0)),
+            ("count past the table", encode(&[], 0, 5)),
             (
                 "sequence numbers not ascending",
-                encode(&[(3, 7, true), (0, 6, true)], 3, 1, 2),
+                encode(&[(3, 7), (0, 6)], 3, 2),
             ),
         ] {
             assert!(

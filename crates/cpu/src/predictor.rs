@@ -16,6 +16,15 @@ const COUNTER_PAGE: usize = 512;
 /// Copy-on-write page size for the BTB entry array, in entries.
 const BTB_PAGE: usize = 128;
 
+/// Branch outcomes the gshare table's global history holds.
+const HISTORY_BITS: u32 = 12;
+
+/// Slots of a table configured with `entries`: rounded up to a power of
+/// two, at least 16.
+fn table_len(entries: usize) -> usize {
+    entries.next_power_of_two().max(16)
+}
+
 /// A 2-bit saturating counter direction predictor (bimodal) combined with a
 /// global-history gshare table; the stronger of the two provides the
 /// prediction, loosely mirroring the tournament predictor of Table 1.
@@ -27,19 +36,17 @@ pub struct BranchPredictor {
     bimodal: CowTable<u8>,
     gshare: CowTable<u8>,
     history: u64,
-    history_bits: u32,
 }
 
 impl BranchPredictor {
     /// Creates a predictor with `entries` counters per table (rounded up to a
     /// power of two).
     pub fn new(entries: usize) -> Self {
-        let n = entries.next_power_of_two().max(16);
+        let n = table_len(entries);
         BranchPredictor {
             bimodal: CowTable::new(n, 2, COUNTER_PAGE),
             gshare: CowTable::new(n, 2, COUNTER_PAGE),
             history: 0,
-            history_bits: 12,
         }
     }
 
@@ -72,7 +79,12 @@ impl BranchPredictor {
         let gi = self.gshare_index(rip);
         *self.bimodal.get_mut(bi) = bump(*self.bimodal.get(bi), taken);
         *self.gshare.get_mut(gi) = bump(*self.gshare.get(gi), taken);
-        self.history = ((self.history << 1) | taken as u64) & ((1 << self.history_bits) - 1);
+        self.history = ((self.history << 1) | taken as u64) & ((1 << HISTORY_BITS) - 1);
+    }
+
+    /// Whether the tables are the size [`Self::new`] builds for `entries`.
+    pub(crate) fn fits(&self, entries: usize) -> bool {
+        self.bimodal.len() == table_len(entries)
     }
 
     /// Moves every owned page behind a handle, so it can be shared.
@@ -104,7 +116,6 @@ impl BinCode for BranchPredictor {
         self.bimodal.encode_seq(out);
         self.gshare.encode_seq(out);
         self.history.encode(out);
-        self.history_bits.encode(out);
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
         let bimodal = CowTable::<u8>::decode_seq(r, COUNTER_PAGE)?;
@@ -116,7 +127,6 @@ impl BinCode for BranchPredictor {
             bimodal,
             gshare,
             history: BinCode::decode(r)?,
-            history_bits: BinCode::decode(r)?,
         })
     }
 }
@@ -148,7 +158,7 @@ pub struct Btb {
 impl Btb {
     /// Creates a BTB with `entries` slots (rounded up to a power of two).
     pub fn new(entries: usize) -> Self {
-        let n = entries.next_power_of_two().max(16);
+        let n = table_len(entries);
         Btb {
             entries: CowTable::new(n, None, BTB_PAGE),
         }
@@ -170,6 +180,11 @@ impl Btb {
     pub fn update(&mut self, rip: Rip, target: Rip) {
         let idx = self.index(rip);
         *self.entries.get_mut(idx) = Some((rip, target));
+    }
+
+    /// Whether the table is the size [`Self::new`] builds for `entries`.
+    pub(crate) fn fits(&self, entries: usize) -> bool {
+        self.entries.len() == table_len(entries)
     }
 
     /// Moves every owned page behind a handle, so it can be shared.

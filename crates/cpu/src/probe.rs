@@ -197,33 +197,69 @@ pub enum Event {
     Retired(Retired),
 }
 
-/// A probe that records every event verbatim, by kind and in one ordered
-/// stream; convenient in tests.
+/// A probe that records every event verbatim, in one ordered stream;
+/// convenient in tests.  The per-kind views filter that stream.
 #[derive(Debug, Default, Clone)]
 pub struct RecordingProbe {
     /// Every event, in the order it was reported.
     pub events: Vec<Event>,
-    /// All write events as (structure, entry, cycle).
-    pub writes: Vec<(Structure, usize, u64)>,
-    /// All committed-read events (drains and writebacks).
-    pub reads: Vec<(Structure, ReadInfo)>,
-    /// All invalidate events as (structure, entry, cycle).
-    pub invalidates: Vec<(Structure, usize, u64)>,
-    /// All physical-read events as (structure, entry, cycle, seq).
-    pub physical_reads: Vec<(Structure, usize, u64, u64)>,
-    /// All retirements, in commit order.
-    pub retired: Vec<Retired>,
 }
 
 impl RecordingProbe {
+    /// The values `pick` takes from the events, in order.
+    fn view<T>(&self, pick: impl Fn(Event) -> Option<T>) -> Vec<T> {
+        self.events.iter().filter_map(|&e| pick(e)).collect()
+    }
+
+    /// All write events as (structure, entry, cycle).
+    pub fn writes(&self) -> Vec<(Structure, usize, u64)> {
+        self.view(|e| match e {
+            Event::Write(s, entry, cycle) => Some((s, entry, cycle)),
+            _ => None,
+        })
+    }
+
+    /// All committed-read events (drains and writebacks).
+    pub fn reads(&self) -> Vec<(Structure, ReadInfo)> {
+        self.view(|e| match e {
+            Event::CommittedRead(s, info) => Some((s, info)),
+            _ => None,
+        })
+    }
+
+    /// All invalidate events as (structure, entry, cycle).
+    pub fn invalidates(&self) -> Vec<(Structure, usize, u64)> {
+        self.view(|e| match e {
+            Event::Invalidate(s, entry, cycle) => Some((s, entry, cycle)),
+            _ => None,
+        })
+    }
+
+    /// All physical-read events as (structure, entry, cycle, seq).
+    pub fn physical_reads(&self) -> Vec<(Structure, usize, u64, u64)> {
+        self.view(|e| match e {
+            Event::PhysicalRead(s, entry, cycle, seq) => Some((s, entry, cycle, seq)),
+            _ => None,
+        })
+    }
+
+    /// All retirements, in commit order.
+    pub fn retired(&self) -> Vec<Retired> {
+        self.view(|e| match e {
+            Event::Retired(r) => Some(r),
+            _ => None,
+        })
+    }
+
     /// Every read of a committed micro-op: the reads made at issue by
     /// micro-ops that later retired, each attributed to its micro-op's RIP
     /// and uPC, in commit order, then the drain and writeback reads.
     pub fn committed_reads(&self) -> Vec<(Structure, ReadInfo)> {
-        let mut issued: Vec<_> = (self.physical_reads.iter())
-            .filter_map(|&(s, entry, cycle, seq)| {
-                let r = self.retired.binary_search_by_key(&seq, |r| r.seq).ok()?;
-                let (rip, upc) = (self.retired[r].rip, self.retired[r].upc);
+        let retired = self.retired();
+        let mut issued: Vec<_> = (self.physical_reads().into_iter())
+            .filter_map(|(s, entry, cycle, seq)| {
+                let r = retired.binary_search_by_key(&seq, |r| r.seq).ok()?;
+                let (rip, upc) = (retired[r].rip, retired[r].upc);
                 Some((
                     seq,
                     s,
@@ -239,42 +275,36 @@ impl RecordingProbe {
         // Stable: each micro-op's reads stay in the order it made them.
         issued.sort_by_key(|&(seq, _, _)| seq);
         let issued = issued.into_iter().map(|(_, s, info)| (s, info));
-        issued.chain(self.reads.iter().copied()).collect()
+        issued.chain(self.reads()).collect()
     }
 }
 
 impl Probe for RecordingProbe {
     fn write(&mut self, structure: Structure, entry: usize, cycle: u64) {
-        self.writes.push((structure, entry, cycle));
         self.events.push(Event::Write(structure, entry, cycle));
     }
 
     fn committed_read(&mut self, structure: Structure, info: &ReadInfo) {
-        self.reads.push((structure, *info));
         self.events.push(Event::CommittedRead(structure, *info));
     }
 
     fn invalidate(&mut self, structure: Structure, entry: usize, cycle: u64) {
-        self.invalidates.push((structure, entry, cycle));
         self.events.push(Event::Invalidate(structure, entry, cycle));
     }
 
     fn physical_read(&mut self, structure: Structure, entry: usize, cycle: u64, seq: u64) {
-        self.physical_reads.push((structure, entry, cycle, seq));
         self.events
             .push(Event::PhysicalRead(structure, entry, cycle, seq));
     }
 
     fn retired(&mut self, seq: u64, rip: Rip, upc: Upc, last_in_inst: bool, taken: Option<bool>) {
-        let retired = Retired {
+        self.events.push(Event::Retired(Retired {
             seq,
             rip,
             upc,
             last_in_inst,
             taken,
-        };
-        self.retired.push(retired);
-        self.events.push(Event::Retired(retired));
+        }));
     }
 }
 
@@ -310,19 +340,19 @@ mod tests {
                 upc: 1,
             },
         );
-        p.retired(5, 2, 0, true, None);
-        assert_eq!(p.writes.len(), 1);
-        assert_eq!(p.invalidates.len(), 1);
-        assert_eq!(p.reads.len(), 1);
-        assert_eq!(p.physical_reads.len(), 3);
-        assert_eq!(p.retired[0].seq, 5);
+        Probe::retired(&mut p, 5, 2, 0, true, None);
+        assert_eq!(p.writes().len(), 1);
+        assert_eq!(p.invalidates().len(), 1);
+        assert_eq!(p.reads().len(), 1);
+        assert_eq!(p.physical_reads().len(), 3);
+        assert_eq!(p.retired()[0].seq, 5);
         assert_eq!(p.events.len(), 7);
         assert_eq!(p.events[0], Event::Write(Structure::RegisterFile, 3, 10));
         assert_eq!(
             p.events[2],
             Event::PhysicalRead(Structure::L1DCache, 7, 12, 5)
         );
-        assert_eq!(p.events[6], Event::Retired(p.retired[0]));
+        assert_eq!(p.events[6], Event::Retired(p.retired()[0]));
         // Micro-op 6 never retired: its read is not a committed one.
         let read = |entry, cycle, rip, upc| ReadInfo {
             entry,

@@ -4,7 +4,6 @@
 //! cycle, so a fork or restore copies them whole (see [`crate::CowTable`]
 //! for the structures that stay shared).
 
-use crate::bits::{clear_bit, has_bit, set_bit};
 use merlin_isa::binio::{BinCode, ByteReader, DecodeError};
 use merlin_isa::{ArchReg, NUM_ARCH_REGS};
 use std::collections::VecDeque;
@@ -12,25 +11,18 @@ use std::collections::VecDeque;
 /// Index of a physical register.
 pub type PhysReg = u16;
 
-/// The physical integer register file: actual 64-bit storage plus one ready
-/// bit per register, 64 to a word.  The bits past the last register stay
-/// clear, so two files with equal contents compare equal.  The value array
-/// is a fault-injection target.
+/// The physical integer register file: the 64-bit values, a
+/// fault-injection target.  Whether a register's value has been produced
+/// is derived from the ROB (see the core's ready set), not stored here.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhysRegFile {
     values: Vec<u64>,
-    ready: Vec<u64>,
 }
 
 impl PhysRegFile {
-    /// Creates a register file of `n` physical registers, all zero and ready.
+    /// Creates a register file of `n` physical registers, all zero.
     pub fn new(n: usize) -> Self {
-        let mut ready = vec![0; n.div_ceil(64)];
-        (0..n).for_each(|p| set_bit(&mut ready, p));
-        PhysRegFile {
-            values: vec![0; n],
-            ready,
-        }
+        PhysRegFile { values: vec![0; n] }
     }
 
     /// Number of physical registers.
@@ -50,34 +42,10 @@ impl PhysRegFile {
         self.values[p as usize]
     }
 
-    /// Writes a physical register and marks it ready.
+    /// Writes a physical register.
     #[inline]
     pub fn write(&mut self, p: PhysReg, value: u64) {
         self.values[p as usize] = value;
-        set_bit(&mut self.ready, p as usize);
-    }
-
-    /// Marks a freshly allocated register as not-ready (its producer has not
-    /// executed yet).
-    #[inline]
-    pub fn mark_pending(&mut self, p: PhysReg) {
-        debug_assert!((p as usize) < self.len(), "register {p} past the file");
-        clear_bit(&mut self.ready, p as usize);
-    }
-
-    /// Marks a register ready without changing its value (used when squash
-    /// recovery returns a register to the free pool).
-    #[inline]
-    pub fn mark_ready(&mut self, p: PhysReg) {
-        debug_assert!((p as usize) < self.len(), "register {p} past the file");
-        set_bit(&mut self.ready, p as usize);
-    }
-
-    /// Whether the register's value has been produced.
-    #[inline]
-    pub fn is_ready(&self, p: PhysReg) -> bool {
-        debug_assert!((p as usize) < self.len(), "register {p} past the file");
-        has_bit(&self.ready, p as usize)
     }
 
     /// Flips one stored bit — the register-file fault-injection hook.  The
@@ -89,27 +57,15 @@ impl PhysRegFile {
     }
 }
 
-/// Encoded as `len + u64s` (the values), then `len + bools` (the ready
-/// bits): the word packing of the ready bits never reaches the wire.
+/// Encoded as `len + u64s`, the values.
 impl BinCode for PhysRegFile {
     fn encode(&self, out: &mut Vec<u8>) {
         self.values.encode(out);
-        self.len().encode(out);
-        for p in 0..self.len() {
-            has_bit(&self.ready, p).encode(out);
-        }
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        let values = Vec::<u64>::decode(r)?;
-        let ready_bools = Vec::<bool>::decode(r)?;
-        if values.len() != ready_bools.len() {
-            return Err(DecodeError::Invalid("register file array lengths"));
-        }
-        let mut ready = vec![0; values.len().div_ceil(64)];
-        for (p, _) in ready_bools.iter().enumerate().filter(|(_, &b)| b) {
-            set_bit(&mut ready, p);
-        }
-        Ok(PhysRegFile { values, ready })
+        Ok(PhysRegFile {
+            values: BinCode::decode(r)?,
+        })
     }
 }
 
@@ -149,6 +105,11 @@ impl FreeList {
     /// Whether `p` is currently free.
     pub fn contains(&self, p: PhysReg) -> bool {
         self.free.contains(&p)
+    }
+
+    /// The free registers, oldest release first.
+    pub(crate) fn regs(&self) -> impl Iterator<Item = PhysReg> + '_ {
+        self.free.iter().copied()
     }
 }
 
@@ -194,6 +155,11 @@ impl RenameTable {
     pub fn restore(&mut self, r: ArchReg, previous: PhysReg) {
         self.map[r.index()] = previous;
     }
+
+    /// The mapped registers, by architectural register.
+    pub(crate) fn regs(&self) -> impl Iterator<Item = PhysReg> + '_ {
+        self.map.iter().copied()
+    }
 }
 
 impl BinCode for RenameTable {
@@ -213,13 +179,10 @@ mod tests {
     use merlin_isa::reg;
 
     #[test]
-    fn read_write_and_ready_bits() {
+    fn read_write() {
         let mut prf = PhysRegFile::new(32);
-        assert!(prf.is_ready(5));
-        prf.mark_pending(5);
-        assert!(!prf.is_ready(5));
+        assert_eq!(prf.read(5), 0);
         prf.write(5, 42);
-        assert!(prf.is_ready(5));
         assert_eq!(prf.read(5), 42);
         assert_eq!(prf.len(), 32);
         assert!(!prf.is_empty());
@@ -235,71 +198,28 @@ mod tests {
         assert_eq!(prf.read(3), 0b1000 | (1 << 63));
     }
 
-    /// The register file's wire bytes, built by hand: `len` and the values
-    /// as little-endian `u64`s, then `len` and one byte per ready bit.
-    fn hand_encoded(values: &[u64], ready: &[bool]) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&(values.len() as u64).to_le_bytes());
-        values
-            .iter()
-            .for_each(|v| out.extend_from_slice(&v.to_le_bytes()));
-        out.extend_from_slice(&(ready.len() as u64).to_le_bytes());
-        out.extend(ready.iter().map(|&b| u8::from(b)));
-        out
-    }
-
     #[test]
-    fn register_file_encodes_as_len_u64s_then_len_bools_and_compares_by_contents() {
+    fn register_file_encodes_as_len_u64s() {
         use merlin_isa::binio::{decode_from_slice, encode_to_vec};
         for n in [100, 256] {
             let mut prf = PhysRegFile::new(n);
             let mut values = vec![0u64; n];
-            let mut ready = vec![true; n];
             for p in (0..n).step_by(3) {
                 values[p] = (p as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
                 prf.write(p as PhysReg, values[p]);
             }
-            for p in (1..n).step_by(7).chain([n - 1]) {
-                ready[p] = false;
-                prf.mark_pending(p as PhysReg);
-            }
             prf.flip_bit(n - 1, 63);
             values[n - 1] ^= 1 << 63;
 
+            let mut hand = (n as u64).to_le_bytes().to_vec();
+            values
+                .iter()
+                .for_each(|v| hand.extend_from_slice(&v.to_le_bytes()));
             let bytes = encode_to_vec(&prf);
-            assert_eq!(bytes, hand_encoded(&values, &ready), "n = {n}");
+            assert_eq!(bytes, hand, "n = {n}");
             let back = decode_from_slice::<PhysRegFile>(&bytes).unwrap();
             assert_eq!(back, prf, "n = {n}");
             assert_eq!(encode_to_vec(&back), bytes, "n = {n}");
-
-            for (v, r) in [(n, n - 1), (n - 1, n), (0, n)] {
-                let bad = hand_encoded(&vec![0; v], &vec![true; r]);
-                assert!(
-                    matches!(
-                        decode_from_slice::<PhysRegFile>(&bad),
-                        Err(DecodeError::Invalid(_))
-                    ),
-                    "{v} values with {r} ready bits must be rejected"
-                );
-            }
-
-            // Equal contents reached three ways compare equal, so the
-            // padding bits past `n` never differ.
-            let fresh = PhysRegFile::new(n);
-            let decoded =
-                decode_from_slice::<PhysRegFile>(&hand_encoded(&vec![0; n], &vec![true; n]))
-                    .unwrap();
-            let mut cycled = PhysRegFile::new(n);
-            for p in 0..n as PhysReg {
-                cycled.mark_pending(p);
-                cycled.write(p, 0);
-            }
-            assert_eq!(decoded, fresh, "n = {n}");
-            assert_eq!(cycled, fresh, "n = {n}");
-            cycled.mark_pending(0);
-            assert_ne!(cycled, fresh, "one ready bit differs");
-            cycled.mark_ready(0);
-            assert_eq!(cycled, fresh, "n = {n}");
         }
     }
 

@@ -211,12 +211,12 @@ fn probe_reads_only_come_from_committed_micro_ops() {
     // L1D read events (this program has no stores, so no SQ events).
     assert!(reads.iter().any(|(s, _)| *s == Structure::RegisterFile));
     assert!(probe
-        .writes
+        .writes()
         .iter()
         .any(|(s, _, _)| *s == Structure::RegisterFile));
     assert!(reads.iter().any(|(s, _)| *s == Structure::L1DCache));
     assert!(probe
-        .writes
+        .writes()
         .iter()
         .any(|(s, _, _)| *s == Structure::L1DCache));
 }
@@ -227,17 +227,17 @@ fn every_committed_micro_op_retires_once_in_commit_order() {
     let mut cpu = Cpu::new(sample_program(), CpuConfig::default()).unwrap();
     let r = cpu.run(1_000_000, &mut probe);
     assert!(r.exit.is_halted());
-    assert_eq!(probe.retired.len() as u64, r.committed_uops);
-    assert!(probe.retired.windows(2).all(|w| w[0].seq < w[1].seq));
-    let instructions = probe.retired.iter().filter(|u| u.last_in_inst).count();
+    assert_eq!(probe.retired().len() as u64, r.committed_uops);
+    assert!(probe.retired().windows(2).all(|w| w[0].seq < w[1].seq));
+    let instructions = probe.retired().iter().filter(|u| u.last_in_inst).count();
     assert_eq!(instructions as u64, r.committed_instructions);
     // The mispredicted branches' wrong paths read at issue and never
     // retired.
-    let retired: std::collections::HashSet<u64> = probe.retired.iter().map(|u| u.seq).collect();
-    let squashed = (probe.physical_reads.iter()).filter(|r| !retired.contains(&r.3));
+    let retired: std::collections::HashSet<u64> = probe.retired().iter().map(|u| u.seq).collect();
+    let squashed = (probe.physical_reads().into_iter()).filter(|r| !retired.contains(&r.3));
     assert!(squashed.count() > 0);
-    assert!(probe.retired.iter().any(|u| u.taken == Some(true)));
-    assert!(probe.retired.iter().any(|u| u.taken == Some(false)));
+    assert!(probe.retired().iter().any(|u| u.taken == Some(true)));
+    assert!(probe.retired().iter().any(|u| u.taken == Some(false)));
 }
 
 #[test]
@@ -252,7 +252,7 @@ fn register_file_writes_precede_reads_of_live_values() {
     assert!(r.exit.is_halted());
     use std::collections::HashMap;
     let mut writes_by_entry: HashMap<usize, Vec<u64>> = HashMap::new();
-    for (s, entry, cycle) in &probe.writes {
+    for (s, entry, cycle) in &probe.writes() {
         if *s == Structure::RegisterFile {
             writes_by_entry.entry(*entry).or_default().push(*cycle);
         }

@@ -145,7 +145,7 @@ fn a_store_queue_slot_is_dead_until_its_data_arrives_and_live_after() {
     // The store-data micro-op writes its slot at cycle `w`; its slot was
     // allocated at dispatch, cycles earlier.
     let &(_, slot, w) = probe
-        .writes
+        .writes()
         .iter()
         .find(|(s, _, _)| *s == Structure::StoreQueue)
         .expect("the store deposits its data");
@@ -203,7 +203,7 @@ fn a_register_is_dead_until_its_value_arrives_and_live_after() {
     // writes its destination register at cycle `w`; the register was free,
     // then allocated and waiting.
     let rf: Vec<(usize, u64)> = probe
-        .writes
+        .writes()
         .iter()
         .filter(|(s, _, _)| *s == Structure::RegisterFile)
         .map(|&(_, p, c)| (p, c))

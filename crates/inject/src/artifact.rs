@@ -10,7 +10,7 @@
 //! | 4 | format version, little-endian |
 //! | 8 per word | the key: the session fingerprint, then any binding words |
 //! | … | payload |
-//! | 8 | checksum of everything before it, little-endian |
+//! | 8 | checksum of everything before it ([`fnv1a_words`]), little-endian |
 //!
 //! A file whose header does not name this format, version and key is a
 //! silent miss: it was never this context's artifact.  A file whose header
@@ -27,8 +27,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One artifact format: what its header says and how its content is
-/// checksummed.
+/// One artifact format: what its header says.  Every format is checksummed
+/// by [`fnv1a_words`].
 #[derive(Debug, Clone, Copy)]
 pub struct ArtifactFormat {
     /// The first eight bytes of every file of this format.
@@ -38,8 +38,6 @@ pub struct ArtifactFormat {
     /// File extension of the artifact, when it sits beside the session's
     /// `.golden` (see [`Session::load_artifact`](crate::Session::load_artifact)).
     pub extension: &'static str,
-    /// Checksum over header and payload, stored as the trailer.
-    pub checksum: fn(&[u8]) -> u64,
 }
 
 /// Bytes of the checksum trailer.
@@ -93,7 +91,7 @@ impl ArtifactFormat {
     pub(crate) fn frame(&self, key: &[u64], payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
         let mut buf = self.header(key);
         payload(&mut buf);
-        let checksum = (self.checksum)(&buf);
+        let checksum = fnv1a_words(&buf);
         buf.extend_from_slice(&checksum.to_le_bytes());
         buf
     }
@@ -124,7 +122,7 @@ impl ArtifactFormat {
             return quarantine(path, "corrupt", rejects);
         };
         let stored = trailer(&buf);
-        if (self.checksum)(&buf[..payload_end]) != stored {
+        if fnv1a_words(&buf[..payload_end]) != stored {
             return quarantine(path, "corrupt", rejects);
         }
         // Checksum verified: a decode failure now means the writer itself
@@ -185,7 +183,6 @@ mod tests {
         magic: b"MRLNTST\0",
         version: 1,
         extension: "tst",
-        checksum: fnv1a_words,
     };
 
     #[test]

@@ -44,7 +44,7 @@
 //! assert_eq!(session.golden_builds(), 1);
 //! ```
 
-use crate::artifact::{self, fnv1a_bytes, fnv1a_words, quarantine, write_atomic, ArtifactFormat};
+use crate::artifact::{self, fnv1a_bytes, quarantine, write_atomic, ArtifactFormat};
 use crate::campaign::{
     build_golden_checkpointed, CampaignError, CampaignResult, GoldenCheckpoints, GoldenRun,
 };
@@ -776,10 +776,13 @@ impl SessionCache {
 
 // --- Disk persistence ----------------------------------------------------
 
-/// Version 10: the payload is the run result, the checkpoint store and the
+/// Version 11: the payload is the run result, the checkpoint store and the
 /// L1D liveness log; the checkpoint policy is covered by the fingerprint,
 /// and the timeout follows from the result, so neither is stored.  Version
-/// 10 writes each fetch-buffer and ROB micro-op as its `(rip, upc)` name,
+/// 11 drops from every snapshot what its other fields determine: the
+/// register file's ready bits, each ROB entry's issue-queue flag, the
+/// store queue's tail and each slot's valid flag, and the predictor's
+/// history width.  Version 10 writes each fetch-buffer and ROB micro-op as its `(rip, upc)` name,
 /// decoded against the session's [`DecodedProgram`], and drops the stored
 /// timeout and the store's checkpoint interval.  Version 9 drops from every
 /// snapshot the load queue, the issue-queue count, each ROB entry's
@@ -787,7 +790,7 @@ impl SessionCache {
 /// Version 8 dropped from every snapshot what only the ACE profiler reads:
 /// the per-RIP instance counts, the control-flow path and its signature,
 /// and each ROB entry's read log.  Version 7
-/// checksums the file one 8-byte word per step ([`fnv1a_words`]) instead
+/// checksums the file one 8-byte word per step ([`fnv1a_words`](artifact::fnv1a_words)) instead
 /// of one byte per step.  Version 6 stores each cache snapshot's line bytes
 /// in one flat vector, and none for the tags-only L2.  Version 4 added the
 /// L1D liveness log ([`L1dLiveness`](crate::L1dLiveness)).  Since version 3
@@ -798,7 +801,7 @@ impl SessionCache {
 /// happening to fail.  Version 2 encoded checkpoint memory as chunk-level
 /// deltas, version 1 as dense images; older-version files are ordinary
 /// cache misses and are rebuilt, not quarantined.
-const GOLDEN_VERSION: u32 = 10;
+const GOLDEN_VERSION: u32 = 11;
 
 /// The `.golden` file: header `MRLNGLD\0`, the format version
 /// (`GOLDEN_VERSION`) and the fingerprint, checksummed word by word.
@@ -806,7 +809,6 @@ pub const GOLDEN: ArtifactFormat = ArtifactFormat {
     magic: b"MRLNGLD\0",
     version: GOLDEN_VERSION,
     extension: "golden",
-    checksum: fnv1a_words,
 };
 
 fn golden_file_name(id: &str, fingerprint: u64) -> String {
@@ -864,6 +866,7 @@ fn decode_golden_payload(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::fnv1a_words;
     use crate::classify::FaultEffect;
     use merlin_isa::{reg, AluOp, Cond, MemRef, ProgramBuilder};
     use std::fs;
@@ -1279,7 +1282,7 @@ mod tests {
         let bytes = fs::read(&file).unwrap();
         let mut forged = bytes[..bytes.len() - GOLDEN_TRAILER_LEN].to_vec();
         forged.push(0);
-        (GOLDEN.checksum)(&forged).encode(&mut forged);
+        fnv1a_words(&forged).encode(&mut forged);
         fs::write(&file, &forged).unwrap();
 
         let second = SessionCache::with_disk_dir(&dir);
@@ -1350,7 +1353,7 @@ mod tests {
         let mut spliced = bytes[..at].to_vec();
         spliced.extend_from_slice(&forged);
         spliced.extend_from_slice(&bytes[at + state.len()..bytes.len() - GOLDEN_TRAILER_LEN]);
-        (GOLDEN.checksum)(&spliced).encode(&mut spliced);
+        fnv1a_words(&spliced).encode(&mut spliced);
         fs::write(&file, &spliced).unwrap();
 
         let second = SessionCache::with_disk_dir(&dir);

@@ -1,4 +1,4 @@
-//! Pins the `.golden` v10 wire format byte for byte.
+//! Pins the `.golden` v11 wire format byte for byte.
 //!
 //! Persists the golden runs (checkpoint store and L1D liveness log
 //! included) of four short workloads under `CpuConfig::default()` and the
@@ -15,10 +15,10 @@ use std::fs;
 
 /// `(workload, FNV-1a 64 of the persisted file, file length in bytes)`.
 const PINNED: &[(&str, u64, usize)] = &[
-    ("sha", 0x3527_3779_f1bf_5043, 247_362),
-    ("susan_e", 0x1e03_99e3_24fa_8def, 275_007),
-    ("fft", 0x91d2_6c87_2fce_6ed2, 527_023),
-    ("qsort", 0x2e09_6047_9ef9_2291, 834_263),
+    ("sha", 0x5dd2_4dac_bf16_6464, 243_348),
+    ("susan_e", 0x0b2e_078f_bab0_5c30, 270_156),
+    ("fft", 0x412a_5592_6a3e_f598, 519_225),
+    ("qsort", 0xc076_9008_094f_282d, 820_732),
 ];
 
 fn fnv1a(bytes: &[u8]) -> u64 {

@@ -14,10 +14,11 @@
 //! bytes were never trusted.
 
 use merlin_cpu::{CheckpointPolicy, CheckpointStore, CpuConfig, FaultSpec, Structure};
+use merlin_inject::artifact::fnv1a_words;
 use merlin_inject::chaos;
-use merlin_inject::{GoldenRun, SessionCache, GOLDEN};
+use merlin_inject::{GoldenRun, SessionCache};
 use merlin_isa::binio::ByteReader;
-use merlin_isa::{DecodedProgram, Program};
+use merlin_isa::{DecodedProgram, Program, NUM_ARCH_REGS};
 use proptest::prelude::*;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -174,7 +175,7 @@ fn a_tampered_log_behind_a_valid_checksum_is_quarantined() {
         let _ = fs::remove_file(&quarantine);
         let mut bytes = p.bytes[..payload_end].to_vec();
         bytes[at..at + patch.len()].copy_from_slice(&patch);
-        let checksum = (GOLDEN.checksum)(&bytes);
+        let checksum = fnv1a_words(&bytes);
         bytes.extend_from_slice(&checksum.to_le_bytes());
         fs::write(&path, &bytes).unwrap();
 
@@ -222,7 +223,7 @@ fn a_store_that_cannot_serve_cycle_zero_is_quarantined() {
     let mut bytes = p.bytes[..store_start].to_vec();
     bytes.extend_from_slice(&late);
     bytes.extend_from_slice(&p.bytes[store_end..payload_end]);
-    let checksum = (GOLDEN.checksum)(&bytes);
+    let checksum = fnv1a_words(&bytes);
     bytes.extend_from_slice(&checksum.to_le_bytes());
     // A directory of its own: the property above rewrites the pristine
     // path concurrently.
@@ -249,14 +250,17 @@ fn a_store_that_cannot_serve_cycle_zero_is_quarantined() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// A broken writer's micro-op, behind a valid checksum: one fetch-buffer
-/// entry of a checkpoint that no load-time replay restores or ends at names
-/// an instruction past the program text, or a micro-op past its
-/// instruction's last.  Only the decode's lookup of each `(rip, upc)` name
-/// in the session's decoded program stands between it and a campaign
-/// worker that restores that checkpoint.  Each forged file must be
-/// quarantined and counted, the golden run rebuilt, and the campaign must
-/// classify like from-scratch simulation.
+/// A broken writer's name, behind a valid checksum, in a checkpoint that no
+/// load-time replay restores or ends at: a fetch-buffer entry names an
+/// instruction past the program text, or a micro-op past its instruction's
+/// last; or a rename-table entry or an ROB destination names a register
+/// past the register file.
+/// Only the decode's lookup of each `(rip, upc)` name in the session's
+/// decoded program, and the load-time check that each snapshot fits the
+/// session's core, stand between it and a campaign worker that restores
+/// that checkpoint.  Each forged file must be quarantined and counted, the
+/// golden run rebuilt, and the campaign must classify like from-scratch
+/// simulation.
 #[test]
 fn a_micro_op_the_program_lacks_is_quarantined() {
     let p = pristine();
@@ -302,7 +306,52 @@ fn a_micro_op_the_program_lacks_is_quarantined() {
     let rip = word(entry, 4) as u32;
     let upc = word(entry + 4, 1) as u8;
     assert!(decoded.uop(rip, upc).is_ok(), "the layout names a micro-op");
-    let forgeries: [(&str, usize, Vec<u8>); 2] = [
+    // After the fetch buffer: the rename table (u16 per architectural
+    // register), the free list (u64 length, u16 each), the register file
+    // (u64 length, u64 each), then the ROB (u64 length) and its entries:
+    // sequence number (u64), rip (u32), upc (u8), three sources, the
+    // destination and the previous mapping (each an option of u16), the
+    // completion cycle (option of u64), completed (bool), predicted next RIP
+    // (u32), actual next RIP (option of u32), result (option of u64),
+    // exception (an option of a tag byte, with an address (u64) for tags 0
+    // and 1) and store-queue slot (option of u64).  An option is a byte, 1
+    // followed by the value when present.
+    let cfg = CpuConfig::default();
+    let rat_at = |s: usize| starts[s] + rip_at + 9 * word(starts[s] + fetch_len_at, 8) as usize;
+    let opt = |at: usize, n: usize| at + 1 + if p.bytes[at] == 1 { n } else { 0 };
+    // Where each ROB entry of snapshot `s` holds its destination.
+    let rob_dsts = |s: usize| {
+        let free_at = rat_at(s) + 2 * NUM_ARCH_REGS;
+        let prf_at = free_at + 8 + 2 * word(free_at, 8) as usize;
+        assert_eq!(word(prf_at, 8), cfg.phys_int_regs as u64);
+        let rob_at = prf_at + 8 + 8 * cfg.phys_int_regs;
+        let mut at = rob_at + 8;
+        let dsts: Vec<usize> = (0..word(rob_at, 8))
+            .map(|_| {
+                at = (0..3).fold(at + 8 + 4 + 1, |at, _| opt(at, 2));
+                let dst = at;
+                at = opt(opt(opt(dst, 2), 2), 8) + 1 + 4;
+                at = opt(opt(at, 4), 8);
+                at += match p.bytes[at..at + 2] {
+                    [1, 0 | 1] => 2 + 8,
+                    [1, _] => 2,
+                    _ => 1,
+                };
+                at = opt(at, 8);
+                dst
+            })
+            .collect();
+        // The store queue's slot count follows the ROB.
+        assert_eq!(word(at, 8), cfg.sq_entries as u64, "ROB layout");
+        dsts
+    };
+    let off_replays = || (2..last).filter(|&i| ![k, k + 1].contains(&i));
+    let dst_at = off_replays()
+        .find_map(|i| rob_dsts(i).into_iter().find(|&at| p.bytes[at] == 1))
+        .expect("a checkpoint off the replays with an ROB destination");
+    let of = |at: usize| starts.iter().rposition(|&start| start <= at).unwrap();
+    let past_regs = (cfg.phys_int_regs as u16).to_le_bytes().to_vec();
+    let forgeries: [(&str, usize, Vec<u8>); 4] = [
         (
             "rip past the text",
             entry,
@@ -312,6 +361,16 @@ fn a_micro_op_the_program_lacks_is_quarantined() {
             "upc past the instruction",
             entry + 4,
             vec![decoded.uops(rip).len() as u8],
+        ),
+        (
+            "rename-table entry past the register file",
+            rat_at(target),
+            past_regs.clone(),
+        ),
+        (
+            "ROB destination past the register file",
+            dst_at + 1,
+            past_regs,
         ),
     ];
     // A directory of its own: the property above rewrites the pristine
@@ -325,7 +384,7 @@ fn a_micro_op_the_program_lacks_is_quarantined() {
         let _ = fs::remove_file(&quarantine);
         let mut bytes = p.bytes[..payload_end].to_vec();
         bytes[at..at + patch.len()].copy_from_slice(&patch);
-        let checksum = (GOLDEN.checksum)(&bytes);
+        let checksum = fnv1a_words(&bytes);
         bytes.extend_from_slice(&checksum.to_le_bytes());
         fs::write(&path, &bytes).unwrap();
 
@@ -335,7 +394,9 @@ fn a_micro_op_the_program_lacks_is_quarantined() {
         assert_eq!(cache.artifact_rejects(), 1, "{what}");
         assert_eq!(fs::read(&quarantine).unwrap(), bytes, "{what}");
         // Faults in the forged checkpoint's range included.
-        let cycle = ck.store.snapshots().nth(target).unwrap().cycle();
+        let forged = of(at);
+        assert!(off_replays().any(|i| i == forged), "{what}");
+        let cycle = ck.store.snapshots().nth(forged).unwrap().cycle();
         let mut faults = session
             .fault_list(Structure::RegisterFile, 40, 2017)
             .unwrap();

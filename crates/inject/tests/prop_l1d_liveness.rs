@@ -170,11 +170,11 @@ fn the_small_l1d_evicts_writes_back_and_crosses_lines() {
     assert!(result.exit.is_halted());
     let l1d = |&&(s, _, _): &&(Structure, usize, u64)| s == Structure::L1DCache;
     assert!(
-        probe.invalidates.iter().filter(l1d).count() > 0,
+        probe.invalidates().iter().filter(l1d).count() > 0,
         "evictions"
     );
     let writebacks = probe
-        .reads
+        .reads()
         .iter()
         .filter(|(s, info)| *s == Structure::L1DCache && info.rip == WRITEBACK_RIP)
         .count();
@@ -213,10 +213,10 @@ fn a_word_is_live_from_its_fill_to_its_last_read_and_dead_elsewhere() {
         .run(100_000, &mut probe);
     // The first load fills the line and reads word 0 in the same cycle;
     // the second reads word 1 at `late`.
-    let loads: Vec<_> = (probe.physical_reads.iter())
+    let loads: Vec<_> = (probe.physical_reads().into_iter())
         .filter(|r| r.0 == Structure::L1DCache)
         .collect();
-    let &[&(_, first, fill, _), &(_, second, late, _)] = loads.as_slice() else {
+    let &[(_, first, fill, _), (_, second, late, _)] = loads.as_slice() else {
         panic!("two loads: {loads:?}");
     };
     assert!(late > fill + 10, "the divide chain must delay the load");
